@@ -12,8 +12,8 @@ from .core import (
     validate_initial_data,
 )
 from .errors import (
-    CflViolation, FrictionLabError, InversionFailure, NoVacuum, NonFinite,
-    RangeBreach, RangeViolation, SolverBreakdown, VacuumApproach,
+    Blowup, CflViolation, FrictionLabError, InversionFailure, NoVacuum,
+    NonFinite, RangeBreach, RangeViolation, SolverBreakdown, VacuumApproach,
     ValidationError,
 )
 from .ksmap import ks_map_line, ks_map_torus
@@ -46,7 +46,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CflViolation", "DiagnosticsRecord", "DispersionQuery", "EPState",
+    "Blowup", "CflViolation", "DiagnosticsRecord", "DispersionQuery", "EPState",
     "ExperimentSpec", "Field", "FrictionLabError", "Grid", "InitialProfile",
     "InversionFailure", "KSState", "ModePair", "NoVacuum", "NonFinite",
     "PROFILES", "ParamSet", "RangeBreach", "RangeViolation",

@@ -80,16 +80,6 @@ def dissipation_total(state: EPState, p: ParamSet, max_order: int = DERIV_CAP) -
     return dissipation_d0(state, p) + dissipation_d1(state, p, max_order)
 
 
-def coercivity_constant(p: ParamSet, rho_min: float, rho_max: float) -> float:
-    """Lower-bound constant c with e0 >= c (eps^alpha ||w||^2 + ||rho-M||^2),
-    computed from the measured density range of a run.
-    """
-    c_w = 0.5 * rho_min
-    m = min(rho_min, p.mass_level) if p.gamma >= 2.0 else max(rho_max, p.mass_level)
-    c_rho = 0.5 * p.gamma * m ** (p.gamma - 2.0)
-    return float(min(c_w, c_rho))
-
-
 def norms(f: Field) -> dict:
     """l2, sup, l4 of the gradient, and h1/h2/h3 (squared-sum convention)."""
     grid = f.grid

@@ -1,8 +1,9 @@
 """Error types shared across the lab.
 
-Solver drivers catch the *Breakdown* family and surface it in their
-result status; everything else propagates to the caller (the CLI maps
-validation errors to exit code 2 and breakdowns to exit code 3).
+Solver drivers catch the *Breakdown* family and report the breakdown's
+`status` attribute as their result status; everything else propagates to
+the caller (the CLI maps validation errors to exit code 2 and breakdowns
+to exit code 3).
 """
 
 
@@ -25,7 +26,7 @@ class RangeViolation(ValidationError):
 
 
 class NonFinite(ValidationError):
-    """NaN/inf encountered (also used as the blow-up sentinel)."""
+    """NaN/inf in data handed to the package."""
 
 
 class NotTorus(ValidationError):
@@ -79,16 +80,31 @@ class InversionFailure(FrictionLabError):
 # --- run-time breakdowns (CLI exit code 3) -------------------------------
 
 class SolverBreakdown(FrictionLabError):
-    """Base class for failures during time integration."""
+    """Base class for failures during time integration; `status` is the
+    SimulationResult status a solver reports for it."""
+
+    status = "breakdown"
 
 
 class CflViolation(SolverBreakdown):
     """Requested step exceeds the stability bound."""
 
+    status = "cfl"
+
 
 class RangeBreach(SolverBreakdown):
     """Density left the a-priori band [rho_lower/2, 2*rho_upper]."""
 
+    status = "range_breach"
+
 
 class VacuumApproach(SolverBreakdown):
     """Eulerian limit solver refuses near-vacuum states."""
+
+    status = "vacuum"
+
+
+class Blowup(SolverBreakdown):
+    """The solution became non-finite or exceeded the blow-up threshold."""
+
+    status = "nonfinite"

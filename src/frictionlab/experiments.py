@@ -38,11 +38,7 @@ VACUUM_SIGMA_CUTOFF = 1e-9    # reconstruction cells at/below cutoff*M -> vacuum
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one experiment run.
-
-    `seed` is reserved for future stochastic variants; every recipe here
-    is deterministic and ignores it.
-    """
+    """Declarative description of one experiment run."""
 
     kind: str
     params: ParamSet
@@ -51,7 +47,6 @@ class ExperimentSpec:
     profile_args: dict = field(default_factory=dict)
     output_dir: Optional[Path] = None
     wavenumbers: tuple = DEFAULT_WAVENUMBERS
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:

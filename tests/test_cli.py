@@ -117,6 +117,18 @@ def test_failed_sweep_member_exits_3(runner, monkeypatch):
     assert result.exit_code == 3
 
 
+def test_sweep_reference_blowup_exits_3(runner, monkeypatch):
+    # a NaN flux derivative makes the shared KS reference blow up: that is
+    # a solver failure, not a validation failure
+    monkeypatch.setattr("frictionlab.keller_segel.deriv",
+                        lambda values, grid, order=1: np.full(grid.n, np.nan))
+    result = runner.invoke(main, [
+        "sweep", "--eps", "0.2,0.1", "--grid", "64", "--t-end", "0.5"])
+    assert result.exit_code == 3, outputs(result)
+    assert "solver failure" in outputs(result)
+    assert "blew up" in outputs(result)
+
+
 def test_characteristics_writes_trajectories(runner, tmp_path):
     result = runner.invoke(main, [
         "characteristics", "--t-end", "2.0", "--labels", "9",

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from frictionlab import euler_poisson, keller_segel
 from frictionlab.core import EPState, Field
 from frictionlab.diagnostics import fit_exponential_rate
-from frictionlab.errors import CflViolation, RangeBreach
+from frictionlab.errors import (
+    Blowup, CflViolation, RangeBreach, VacuumApproach,
+)
 from frictionlab.euler_poisson import (
     reconstruct_u, simulate_ep, stable_dt, step_ep,
 )
+from frictionlab.keller_segel import simulate_ks
 
 
 def _state(grid, rho, w):
@@ -101,6 +105,60 @@ def test_simulate_hits_sample_times(params, cosine_rho, zero_w):
     result = simulate_ep(cosine_rho, zero_w, params, times)
     assert result.ok
     assert [s.time for s, _ in result.samples] == pytest.approx(times)
+
+
+@pytest.mark.parametrize("solver", ["ep", "ks"])
+@pytest.mark.parametrize("times", [
+    [0.0, math.nan, -1.0, 0.5],
+    [-1e-3, 0.5],
+    [0.0, -math.inf],
+])
+def test_simulate_rejects_bad_sample_times(params, cosine_rho, zero_w,
+                                           solver, times):
+    with pytest.raises(ValueError, match="sample times"):
+        if solver == "ep":
+            simulate_ep(cosine_rho, zero_w, params, times)
+        else:
+            simulate_ks(cosine_rho, params, times)
+
+
+@pytest.mark.parametrize("cls, status", [
+    (CflViolation, "cfl"),
+    (RangeBreach, "range_breach"),
+    (VacuumApproach, "vacuum"),
+    (Blowup, "nonfinite"),
+])
+@pytest.mark.parametrize("solver", ["ep", "ks"])
+def test_breakdown_ends_run_with_its_status(monkeypatch, params, cosine_rho,
+                                            zero_w, solver, cls, status):
+    # the k+1-th step raises; samples are one step apart, so the run must
+    # keep exactly the samples at tau_0..tau_k
+    k = 3
+    if solver == "ep":
+        module, name = euler_poisson, "step_ep"
+        run = lambda times: simulate_ep(cosine_rho, zero_w, params, times)
+    else:
+        module, name = keller_segel, "step_ks"
+        run = lambda times: simulate_ks(cosine_rho, params, times)
+    real_step = getattr(module, name)
+    taken = []
+
+    def failing_step(state, p, dt):
+        if len(taken) == k:
+            raise cls("injected breakdown")
+        taken.append(dt)
+        return real_step(state, p, dt)
+
+    monkeypatch.setattr(module, name, failing_step)
+    times = [1e-3 * j for j in range(10)]
+    result = run(times)
+    assert cls.status == status
+    assert result.status == status and not result.ok
+    assert result.n_steps == k
+    assert [s.time for s, _ in result.samples] == pytest.approx(times[:k + 1])
+    with pytest.raises(cls) as info:
+        result.raise_if_failed()
+    assert info.value is result.error
 
 
 def test_energy_decreases_post_layer(torus64, zero_w):

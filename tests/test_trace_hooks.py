@@ -1,0 +1,57 @@
+"""The benchmark's tracer (perfbench/tracing.py) finds the solver layers
+by name: public module functions plus experiments._sweep_member.  These
+tests run it on tiny operations and check that the spans the per-layer
+metrics are computed from still appear."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from frictionlab.core import Field, Grid, ParamSet
+from frictionlab.experiments import ExperimentSpec, run_epsilon_sweep
+from frictionlab.keller_segel import simulate_ks
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def p64():
+    return ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                    rho_lower=0.25, rho_upper=2.0, grid=Grid.torus(64),
+                    t_end=0.2)
+
+
+def test_sweep_spans(tracing, p64):
+    spec = ExperimentSpec(kind="epsilon-sweep", params=p64,
+                          epsilon_list=(0.2, 0.1))
+    tracer = tracing.Tracer()
+    result = tracer.run(lambda: run_epsilon_sweep(spec))
+    assert result.verdict_ok
+    calls = {s.name for s in tracer.spans}
+    for name in ("experiments.sweep_member", "euler_poisson.simulate_ep",
+                 "euler_poisson.step_ep", "euler_poisson.stable_dt",
+                 "keller_segel.step_ks"):
+        assert name in calls, name
+    members = [s for s in tracer.spans if s.name == "experiments.sweep_member"]
+    assert len(members) == 2
+    metrics, detail = tracing.layer_metrics(tracer)
+    assert sorted(detail["ep_steps_by_epsilon"]) == ["0.1", "0.2"]
+    assert metrics["spectral.fft.per_ep_step"][0] > 0.0
+
+
+def test_ks_step_spans_match_step_count(tracing, p64):
+    sigma0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    tracer = tracing.Tracer()
+    result = tracer.run(lambda: simulate_ks(sigma0, p64, [0.0, 0.1, 0.2]))
+    assert result.ok and result.n_steps > 0
+    steps = [s for s in tracer.spans if s.name == "keller_segel.step_ks"]
+    assert len(steps) == result.n_steps
