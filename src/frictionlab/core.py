@@ -137,8 +137,8 @@ class ParamSet:
             raise ValueError("need 0 < rho_lower < mass_level < rho_upper")
         if not 0.0 < self.dt_cfl <= 1.0:
             raise ValueError("dt_cfl must lie in (0,1]")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError("t_end must be finite and nonnegative")
         if not _is_power_of_two(self.grid.n):
             raise ValueError("grid size must be a power of two")
 

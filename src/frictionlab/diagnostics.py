@@ -169,11 +169,12 @@ def record_ep(state: EPState, p: ParamSet, max_order: int = DERIV_CAP) -> Diagno
     d1 = dissipation_d1(state, p, max_order)
     w_sc = p.epsilon ** (0.5 * p.alpha) * state.w.values
     w_l2 = math.sqrt(max(grid.integrate(w_sc * w_sc), 0.0))
+    grad = _grad(state.rho.values, grid)
     return DiagnosticsRecord(
         tau=state.time, e0=e0, e1=e1, e_total=e0 + e1,
         d0=d0, d1=d1, d_total=d0 + d1,
         sup_dev=nrm["sup"], l2_dev=nrm["l2"], h2_dev=nrm["h2"],
-        grad_l4=norms(state.rho)["l4_of_gradient"],
+        grad_l4=grid.integrate(grad**4) ** 0.25,
         w_l2=w_l2,
         mass=grid.integrate(state.rho.values),
         rho_min=float(state.rho.values.min()),

@@ -18,7 +18,6 @@ from .core import MEAN_DEFECT_TOL, Field, KSState, ParamSet
 from .diagnostics import record_ks
 from .errors import CflViolation, MeanDefect, VacuumApproach
 from .euler_poisson import SimulationResult, _check_blowup, _integrate
-from .ksmap import ks_map_torus
 from .spectral import dealias, deriv, inverse_gradient
 
 VACUUM_FRACTION = 1e-6
@@ -74,7 +73,7 @@ def step_ks(state: KSState, p: ParamSet, dt: float) -> tuple[KSState, KSStepRepo
 
 
 def stable_dt_ks(state: KSState, p: ParamSet) -> float:
-    vel = ks_map_torus(state.sigma, p.mass_level).v.values
+    vel = inverse_gradient(state.sigma.values - p.mass_level, p.grid)[0]
     vmax = float(np.max(np.abs(vel)))
     bound = p.dt_cfl * p.grid.h / vmax if vmax > 0.0 else math.inf
     return min(bound, 0.1 / p.mass_level)

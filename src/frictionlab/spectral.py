@@ -3,10 +3,21 @@ zero-mode-projected inverse gradients, and trigonometric interpolation.
 
 All routines work on raw sample arrays; the real FFT is used throughout
 (fields are real).
+
+The Fourier symbols are built once per grid and cached (`_symbols`, keyed
+on the frozen `Grid`), all in the rfft layout j = 0..n/2: the wavenumbers
+k, the first derivative ik with the unpaired Nyquist mode zeroed, the
+inverse gradient i/k (zero at k = 0 and at Nyquist), and the 2/3-rule
+keep-mask (1 for j <= n/3, else 0).  `deriv`, `dealias` and
+`inverse_gradient` read them, and so does the fused right-hand side of
+the Euler-Poisson stepper, which applies them to batched transforms.
+The cached arrays are read-only.
 """
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,24 +36,47 @@ def wavenumbers(grid: Grid) -> np.ndarray:
     return (2.0 * math.pi / grid.length) * np.arange(grid.n // 2 + 1)
 
 
+class _Symbols(NamedTuple):
+    k: np.ndarray          # wavenumbers
+    ik: np.ndarray         # d/dx, Nyquist zeroed for even n
+    inv_grad: np.ndarray   # grad(-Delta)^{-1}: i/k, zero at k = 0 and Nyquist
+    keep: np.ndarray       # 2/3 rule: 1.0 for j <= n/3, else 0.0
+
+
+@functools.lru_cache(maxsize=64)
+def _symbols(grid: Grid) -> _Symbols:
+    """The cached rfft-layout symbols of a torus grid."""
+    k = wavenumbers(grid)
+    ik = 1j * k
+    inv_grad = np.zeros_like(ik)
+    inv_grad[1:] = 1j / k[1:]
+    if grid.n % 2 == 0:
+        # no signed Nyquist mode for an odd symbol
+        ik[-1] = 0.0
+        inv_grad[-1] = 0.0
+    keep = (np.arange(k.size) <= grid.n // 3).astype(float)
+    for a in (k, ik, inv_grad, keep):
+        a.setflags(write=False)
+    return _Symbols(k, ik, inv_grad, keep)
+
+
 def deriv(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
     """Spectral derivative of given order."""
     _check_torus(grid)
-    k = wavenumbers(grid)
-    fh = np.fft.rfft(values)
-    fh *= (1j * k) ** order
-    if order % 2 == 1 and grid.n % 2 == 0:
-        fh[-1] = 0.0  # odd derivative of the unpaired Nyquist mode
-    return np.fft.irfft(fh, n=grid.n)
+    sym = _symbols(grid)
+    if order == 1:
+        symbol = sym.ik
+    else:
+        symbol = (1j * sym.k) ** order
+        if order % 2 == 1 and grid.n % 2 == 0:
+            symbol[-1] = 0.0  # odd derivative of the unpaired Nyquist mode
+    return np.fft.irfft(np.fft.rfft(values) * symbol, n=grid.n)
 
 
 def dealias(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Standard 2/3-rule truncation of the top third of the spectrum."""
     _check_torus(grid)
-    fh = np.fft.rfft(values)
-    cutoff = grid.n // 3  # keep |j| <= n/3
-    fh[cutoff + 1:] = 0.0
-    return np.fft.irfft(fh, n=grid.n)
+    return np.fft.irfft(np.fft.rfft(values) * _symbols(grid).keep, n=grid.n)
 
 
 def inverse_gradient(source: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]:
@@ -55,14 +89,10 @@ def inverse_gradient(source: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]
     k = 0 amplitude of the source.
     """
     _check_torus(grid)
-    k = wavenumbers(grid)
     sh = np.fft.rfft(source)
     removed = sh[0].real / grid.n
-    out = np.zeros_like(sh)
-    out[1:] = sh[1:] * (1j / k[1:])
-    if grid.n % 2 == 0:
-        out[-1] = 0.0  # no signed Nyquist mode for an odd symbol
-    return np.fft.irfft(out, n=grid.n), float(removed)
+    out = np.fft.irfft(sh * _symbols(grid).inv_grad, n=grid.n)
+    return out, float(removed)
 
 
 def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
@@ -74,7 +104,7 @@ def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarra
     _check_torus(grid)
     n = grid.n
     fh = np.fft.rfft(values) / n
-    k = wavenumbers(grid)
+    k = _symbols(grid).k
     theta = np.multiply.outer(np.asarray(points, dtype=float) - grid.left, k)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     out = cos_t @ fh.real - sin_t @ fh.imag

@@ -140,6 +140,13 @@ def test_characteristics_writes_trajectories(runner, tmp_path):
     assert len(lines) == 1 + 9 * 11
 
 
+def test_characteristics_nan_t_end_exits_2(runner):
+    result = runner.invoke(main, [
+        "characteristics", "--t-end", "nan", "--labels", "3"])
+    assert result.exit_code == 2, outputs(result)
+    assert "tau=nan" not in result.output
+
+
 def test_spectrum_table_output(runner, tmp_path):
     result = runner.invoke(main, [
         "spectrum", "--eps", "0.2,0.1", "--out", str(tmp_path)])

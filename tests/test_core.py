@@ -101,6 +101,12 @@ class TestParamSet:
             ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
                      rho_lower=0.25, rho_upper=2.0, grid=g)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_t_end(self, torus64, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                     rho_lower=0.25, rho_upper=2.0, grid=torus64, t_end=t_end)
+
     def test_replace(self, params):
         p2 = params.replace(epsilon=0.05)
         assert p2.epsilon == 0.05

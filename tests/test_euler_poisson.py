@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frictionlab import euler_poisson, keller_segel
-from frictionlab.core import EPState, Field
+from frictionlab.core import EPState, Field, Grid, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate
 from frictionlab.errors import (
     Blowup, CflViolation, RangeBreach, VacuumApproach,
@@ -13,6 +13,7 @@ from frictionlab.euler_poisson import (
     reconstruct_u, simulate_ep, stable_dt, step_ep,
 )
 from frictionlab.keller_segel import simulate_ks
+from frictionlab.spectral import dealias, deriv, inverse_gradient
 
 
 def _state(grid, rho, w):
@@ -58,6 +59,50 @@ def test_step_report_friction_factor(params, torus64):
     assert report.friction_factor == pytest.approx(
         math.exp(-dt / params.epsilon ** 2), rel=1e-14)
     assert report.dt_used == dt
+
+
+def _rhs_composed(rho, w, p):
+    """The EP right side composed from the public spectral helpers, one
+    FFT round trip per operation."""
+    grid = p.grid
+    eps, alpha, gamma, M = p.epsilon, p.alpha, p.gamma, p.mass_level
+    source = rho - M
+    grad_inv, removed = inverse_gradient(source, grid)
+    v = -grad_inv
+    dxv = source - removed
+    flux = dealias(rho * (w / eps ** (1.0 - alpha) + v), grid)
+    dtau_v = -(flux - np.mean(flux))
+    u = eps * v + eps**alpha * w
+    g_w = (-u * deriv(w, grid) / eps
+           - (gamma / eps) * rho ** (gamma - 2.0) * deriv(rho, grid)
+           - eps ** (1.0 - alpha) * dtau_v
+           - eps ** (-alpha) * u * dxv)
+    return -deriv(flux, grid), dealias(g_w, grid), v
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_fused_rhs_matches_composition(n, alpha):
+    grid = Grid.torus(n)
+    p = ParamSet(epsilon=0.1, alpha=alpha, gamma=1.5, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid)
+    rng = np.random.default_rng(n + int(10 * alpha))
+    modes = np.arange(1, n // 4 + 1)   # products reach the 2/3 cutoff
+    x = grid.x[:, None]
+
+    def band_limited(scale):
+        amp = scale * rng.uniform(-1.0, 1.0, modes.size) / modes
+        phase = rng.uniform(0.0, 2.0 * math.pi, modes.size)
+        return np.cos(modes * x + phase) @ amp
+
+    rho = 1.0 + band_limited(0.1)
+    w = band_limited(0.05)
+    assert rho.min() > 0.5
+    g_rho, g_w, adv, sound = euler_poisson._rhs(rho, w, p)
+    ref_rho, ref_w, v = _rhs_composed(rho, w, p)
+    for got, ref in ((g_rho, ref_rho), (g_w, ref_w)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert (adv, sound) == euler_poisson._speeds(rho, w, v, p)
 
 
 def test_cfl_guard(params, torus64):

@@ -5,7 +5,7 @@ import pytest
 
 from frictionlab.core import Grid
 from frictionlab.spectral import (
-    dealias, deriv, inverse_gradient, trig_interp, wavenumbers,
+    _symbols, dealias, deriv, inverse_gradient, trig_interp, wavenumbers,
 )
 
 
@@ -76,3 +76,28 @@ def test_trig_interp_between_nodes(g):
     pts = np.array([0.1234, 1.9, 4.21])
     np.testing.assert_allclose(trig_interp(f, g, pts), np.cos(2 * pts),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+def test_batched_fft_rows_match_single_calls(n):
+    # the fused EP right side transforms stacked rows; each row must be
+    # bit-identical to its own 1-D transform so that outputs do not depend
+    # on how the rows are grouped
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((3, n))
+    batched = np.fft.rfft(rows)
+    for row, spec in zip(rows, batched):
+        np.testing.assert_array_equal(spec, np.fft.rfft(row))
+    back = np.fft.irfft(batched, n=n)
+    for spec, row in zip(batched, back):
+        np.testing.assert_array_equal(row, np.fft.irfft(spec, n=n))
+
+
+def test_symbols_cached_and_read_only(g):
+    sym = _symbols(g)
+    assert _symbols(Grid.torus(64)) is sym
+    assert sym.ik[-1] == 0.0 and sym.inv_grad[0] == 0.0
+    assert sym.inv_grad[-1] == 0.0
+    assert sym.keep.sum() == g.n // 3 + 1
+    with pytest.raises(ValueError):
+        sym.keep[0] = 0.0

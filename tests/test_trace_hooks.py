@@ -55,3 +55,24 @@ def test_ks_step_spans_match_step_count(tracing, p64):
     assert result.ok and result.n_steps > 0
     steps = [s for s in tracer.spans if s.name == "keller_segel.step_ks"]
     assert len(steps) == result.n_steps
+
+
+def test_ep_step_fft_budget(tracing, p64):
+    # every rfft/irfft made inside a step_ep, however deep, counts against
+    # that step: three stages of the fused right side at six calls each
+    spec = ExperimentSpec(kind="epsilon-sweep", params=p64,
+                          epsilon_list=(0.2, 0.1))
+    tracer = tracing.Tracer()
+    tracer.run(lambda: run_epsilon_sweep(spec))
+    steps = sum(s.name == "euler_poisson.step_ep" for s in tracer.spans)
+    assert steps > 0
+
+    def in_step(span):
+        while span is not None:
+            if span.name == "euler_poisson.step_ep":
+                return True
+            span = span.parent
+        return False
+
+    ffts = sum(in_step(s) for s in tracer.spans if s.name == "spectral.fft")
+    assert ffts <= 18 * steps, ffts / steps
