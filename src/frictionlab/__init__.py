@@ -27,7 +27,7 @@ from .diagnostics import (
 )
 from .spectrum import (
     DispersionQuery, ModePair, amplitude_ratio, dispersion_roots,
-    slow_mode_fields, validate_linear_mode,
+    slow_mode_fields,
 )
 from .profiles import (
     InitialProfile, PROFILES, bump_profile, equilibrium_profile,
@@ -62,5 +62,5 @@ __all__ = [
     "semi_lagrangian_oracle", "sigma_along", "simulate_ep", "simulate_ks",
     "slow_mode_fields", "stable_dt", "stable_dt_ks", "step_ep", "step_ks",
     "trajectory_position", "vacuum_interval", "vacuum_ramp_profile",
-    "validate_initial_data", "validate_linear_mode", "velocity_along",
+    "validate_initial_data", "velocity_along",
 ]

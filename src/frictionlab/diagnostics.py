@@ -1,8 +1,8 @@
 """Monitored quantities: energies, dissipations, norms, and rate fits.
 
 The energy splits into a zeroth-order part (kinetic + relative pressure)
-and a higher-order part built from spatial derivatives up to a cap
-(default 2 in 1D).  The relative pressure bracket
+and a higher-order part built from spatial derivatives up to the cap
+DERIV_CAP (2 in 1D).  The relative pressure bracket
 rho^gamma - M^gamma - gamma M^(gamma-1) (rho - M) is a Bregman divergence
 of the convex function rho^gamma, hence nonnegative for rho > 0.
 """
@@ -17,13 +17,7 @@ from .core import EPState, Field, KSState, ParamSet
 from .errors import InsufficientSamples, NonPositiveSample
 from .spectral import deriv
 
-DERIV_CAP = 2  # 1D default derivative cap for the high-order functionals
-
-
-def _grad(values: np.ndarray, grid) -> np.ndarray:
-    if grid.is_torus:
-        return deriv(values, grid)
-    return np.gradient(values, grid.h)
+DERIV_CAP = 2  # 1D derivative cap for the high-order functionals
 
 
 def pressure_bracket(rho: np.ndarray, gamma: float, M: float) -> np.ndarray:
@@ -39,20 +33,33 @@ def energy_e0(state: EPState, p: ParamSet) -> float:
     return float(kinetic + internal)
 
 
-def energy_e1(state: EPState, p: ParamSet, max_order: int = DERIV_CAP) -> float:
-    """Higher-order energy: sum over 1 <= j <= max_order of
-    (eps^alpha/2) ∫ rho (d^j w)^2 + (gamma/2) ∫ rho^(gamma-2) (d^j rho)^2.
+def _higher_order(state: EPState, p: ParamSet) -> tuple[float, float, np.ndarray]:
+    """(e1, d1, d rho/dx) from one batched derivative of (rho, w) per order.
+
+    e1 = sum over 1 <= j <= DERIV_CAP of
+    (eps^alpha/2) ∫ rho (d^j w)^2 + (gamma/2) ∫ rho^(gamma-2) (d^j rho)^2,
+    d1 = the same sum with weights eps^(alpha-2) and gamma rho^(gamma-1).
     """
     grid = p.grid
     rho, w = state.rho.values, state.w.values
-    weight = rho ** (p.gamma - 2.0)
-    total = 0.0
-    for j in range(1, max_order + 1):
-        dw = deriv(w, grid, j)
-        dr = deriv(rho, grid, j)
-        total += 0.5 * p.epsilon**p.alpha * grid.integrate(rho * dw * dw)
-        total += 0.5 * p.gamma * grid.integrate(weight * dr * dr)
-    return float(total)
+    both = np.stack((rho, w))
+    derivs = [deriv(both, grid, j) for j in range(1, DERIV_CAP + 1)]
+    e_weight = rho ** (p.gamma - 2.0)
+    d_weight = rho ** (p.gamma - 1.0)
+    e1 = d1 = 0.0
+    for dr, dw in derivs:
+        e1 += 0.5 * p.epsilon**p.alpha * grid.integrate(rho * dw * dw)
+        e1 += 0.5 * p.gamma * grid.integrate(e_weight * dr * dr)
+        d1 += p.epsilon ** (p.alpha - 2.0) * grid.integrate(rho * dw * dw)
+        d1 += p.gamma * grid.integrate(d_weight * dr * dr)
+    return float(e1), float(d1), derivs[0][0]
+
+
+def energy_e1(state: EPState, p: ParamSet) -> float:
+    """Higher-order energy: sum over 1 <= j <= DERIV_CAP of
+    (eps^alpha/2) ∫ rho (d^j w)^2 + (gamma/2) ∫ rho^(gamma-2) (d^j rho)^2.
+    """
+    return _higher_order(state, p)[0]
 
 
 def dissipation_d0(state: EPState, p: ParamSet) -> float:
@@ -63,48 +70,26 @@ def dissipation_d0(state: EPState, p: ParamSet) -> float:
                  + grid.integrate(dev * dev))
 
 
-def dissipation_d1(state: EPState, p: ParamSet, max_order: int = DERIV_CAP) -> float:
-    grid = p.grid
-    rho, w = state.rho.values, state.w.values
-    weight = rho ** (p.gamma - 1.0)
-    total = 0.0
-    for j in range(1, max_order + 1):
-        dw = deriv(w, grid, j)
-        dr = deriv(rho, grid, j)
-        total += p.epsilon ** (p.alpha - 2.0) * grid.integrate(rho * dw * dw)
-        total += p.gamma * grid.integrate(weight * dr * dr)
-    return float(total)
-
-
-def dissipation_total(state: EPState, p: ParamSet, max_order: int = DERIV_CAP) -> float:
-    return dissipation_d0(state, p) + dissipation_d1(state, p, max_order)
+def dissipation_total(state: EPState, p: ParamSet) -> float:
+    return dissipation_d0(state, p) + _higher_order(state, p)[1]
 
 
 def norms(f: Field) -> dict:
-    """l2, sup, l4 of the gradient, and h1/h2/h3 (squared-sum convention)."""
+    """l2, sup, l4 of the gradient, and h1/h2/h3 (squared-sum convention)
+    of a torus field."""
     grid = f.grid
     vals = f.values
     out = {
         "l2": math.sqrt(max(grid.integrate(vals * vals), 0.0)),
         "sup": float(np.max(np.abs(vals))),
     }
-    g = _grad(vals, grid)
+    g = deriv(vals, grid)
     out["l4_of_gradient"] = grid.integrate(g**4) ** 0.25
-    if grid.is_torus:
-        sq = grid.integrate(vals * vals)
-        for j in range(1, 4):
-            d = deriv(vals, grid, j)
-            sq += grid.integrate(d * d)
-            out[f"h{j}"] = math.sqrt(max(sq, 0.0))
-    else:
-        # line fields only need the low-order entries; higher derivatives
-        # by repeated second-order differencing
-        sq = grid.integrate(vals * vals)
-        d = vals
-        for j in range(1, 4):
-            d = np.gradient(d, grid.h)
-            sq += grid.integrate(d * d)
-            out[f"h{j}"] = math.sqrt(max(sq, 0.0))
+    sq = grid.integrate(vals * vals)
+    for j in range(1, 4):
+        d = deriv(vals, grid, j)
+        sq += grid.integrate(d * d)
+        out[f"h{j}"] = math.sqrt(max(sq, 0.0))
     return out
 
 
@@ -143,7 +128,6 @@ class DiagnosticsRecord:
     d_total: float
     sup_dev: float
     l2_dev: float
-    h2_dev: float
     grad_l4: float
     w_l2: float
     mass: float
@@ -159,31 +143,29 @@ class DiagnosticsRecord:
                 self.rho_min, self.rho_max]
 
 
-def record_ep(state: EPState, p: ParamSet, max_order: int = DERIV_CAP) -> DiagnosticsRecord:
+def record_ep(state: EPState, p: ParamSet) -> DiagnosticsRecord:
     grid = p.grid
-    dev = Field(grid, state.rho.values - p.mass_level)
-    nrm = norms(dev)
+    rho = state.rho.values
+    dev = rho - p.mass_level
     e0 = energy_e0(state, p)
-    e1 = energy_e1(state, p, max_order)
+    e1, d1, grad = _higher_order(state, p)
     d0 = dissipation_d0(state, p)
-    d1 = dissipation_d1(state, p, max_order)
     w_sc = p.epsilon ** (0.5 * p.alpha) * state.w.values
     w_l2 = math.sqrt(max(grid.integrate(w_sc * w_sc), 0.0))
-    grad = _grad(state.rho.values, grid)
     return DiagnosticsRecord(
         tau=state.time, e0=e0, e1=e1, e_total=e0 + e1,
         d0=d0, d1=d1, d_total=d0 + d1,
-        sup_dev=nrm["sup"], l2_dev=nrm["l2"], h2_dev=nrm["h2"],
+        sup_dev=float(np.max(np.abs(dev))),
+        l2_dev=math.sqrt(max(grid.integrate(dev * dev), 0.0)),
         grad_l4=grid.integrate(grad**4) ** 0.25,
         w_l2=w_l2,
-        mass=grid.integrate(state.rho.values),
-        rho_min=float(state.rho.values.min()),
-        rho_max=float(state.rho.values.max()),
+        mass=grid.integrate(rho),
+        rho_min=float(rho.min()),
+        rho_max=float(rho.max()),
     )
 
 
-def record_ks(state: KSState, p: ParamSet, max_order: int = DERIV_CAP) -> DiagnosticsRecord:
+def record_ks(state: KSState, p: ParamSet) -> DiagnosticsRecord:
     zero_w = Field(state.sigma.grid, np.zeros(state.sigma.grid.n))
     ep_view = EPState(rho=state.sigma, w=zero_w, time=state.time)
-    rec = record_ep(ep_view, p, max_order)
-    return rec
+    return record_ep(ep_view, p)

@@ -4,13 +4,11 @@ dispersion tables.
 Each runner consumes an ExperimentSpec, returns a result object carrying
 the table rows plus pass/fail verdicts, and (when an output directory is
 configured) writes one deterministic CSV per experiment.  Sweep members
-run concurrently; row assembly is serialized afterwards so output files
-never depend on scheduling.
+run one after another on the calling thread, in epsilon order.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -182,10 +180,8 @@ def run_epsilon_sweep(spec: ExperimentSpec,
     sigma_samples = [state.sigma.values for state, _ in reference.samples]
 
     members = [p.replace(epsilon=e) for e in spec.epsilons]
-    with ThreadPoolExecutor(max_workers=min(4, len(members))) as pool:
-        rows = tuple(pool.map(
-            lambda pe: _sweep_member(rho0, w0, pe, times, sigma_samples),
-            members))
+    rows = tuple(_sweep_member(rho0, w0, pe, times, sigma_samples)
+                 for pe in members)
 
     ok_errors = [r.sup_l2_error for r in rows if r.status == "ok"]
     monotone = all(b < a for a, b in zip(ok_errors, ok_errors[1:]))

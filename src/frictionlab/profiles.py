@@ -24,7 +24,7 @@ Exact definitions (x is the spatial coordinate, M the background level):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -269,7 +269,6 @@ class NamedProfile:
     name: str
     field_builder: Callable            # (grid, M, args) -> Field
     profile_builder: Optional[Callable]  # (M, args) -> InitialProfile, if line-capable
-    defaults: dict = dc_field(default_factory=dict)
 
 
 def _cosine_field(grid: Grid, M: float, args: dict) -> Field:
@@ -283,9 +282,7 @@ def _equilibrium_field(grid: Grid, M: float, args: dict) -> Field:
 
 
 def _bump_field(grid: Grid, M: float, args: dict) -> Field:
-    prof = bump_profile(M, amp=args.get("amp", 0.45),
-                        radius=args.get("radius", 1.2),
-                        center=args.get("center", math.pi))
+    prof = _bump_prof(M, args)
     return Field(grid, prof.sigma0(grid.x), tag="density")
 
 
@@ -309,12 +306,9 @@ def _vacuum_profile(M: float, args: dict) -> InitialProfile:
 PROFILES = {
     "equilibrium": NamedProfile("equilibrium", _equilibrium_field,
                                 lambda M, args: equilibrium_profile(M)),
-    "cosine": NamedProfile("cosine", _cosine_field, None,
-                           {"amp": 0.3, "k": 1}),
-    "bump": NamedProfile("bump", _bump_field, _bump_prof,
-                         {"amp": 0.45, "radius": 1.2, "center": math.pi}),
-    "vacuum-ramp": NamedProfile("vacuum-ramp", _vacuum_field, _vacuum_profile,
-                                {"width": 0.5, "touch": 1}),
+    "cosine": NamedProfile("cosine", _cosine_field, None),
+    "bump": NamedProfile("bump", _bump_field, _bump_prof),
+    "vacuum-ramp": NamedProfile("vacuum-ramp", _vacuum_field, _vacuum_profile),
 }
 
 

@@ -138,27 +138,3 @@ def slow_mode_fields(p: ParamSet, k: int, amplitude: float):
     w0 = Field(p.grid, coef * np.sin(k * x))
     return rho0, w0, lam.real
 
-
-def validate_linear_mode(p: ParamSet, k: int, amplitude: float = 1e-6,
-                         t_fit: float = 1.0):
-    """Run the nonlinear solver from a slow-eigenvector perturbation and
-    compare the fitted modal decay rate against Re(lambda_slow).
-
-    Returns (measured_rate, predicted_rate, relative_gap).
-    """
-    from .euler_poisson import simulate_ep  # local import to avoid a cycle
-    from .diagnostics import fit_exponential_rate
-
-    rho0, w0, lam = slow_mode_fields(p, k, amplitude)
-    sample_times = [t_fit * j / 10.0 for j in range(11)]
-    run = p.replace(t_end=t_fit)
-    result = simulate_ep(rho0, w0, run, sample_times)
-    result.raise_if_failed()
-    series = []
-    for state, _rec in result.samples:
-        amp = np.abs(np.fft.rfft(state.rho.values))[k] * 2.0 / p.grid.n
-        series.append((state.time, amp))
-    rate, _r2 = fit_exponential_rate(series, (0.0, t_fit))
-    measured = -rate
-    gap = abs(measured - lam) / abs(lam)
-    return measured, lam, gap

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from frictionlab.core import EPState, Field
+from frictionlab.core import EPState, Field, Grid
 from frictionlab.diagnostics import (
-    dissipation_total, energy_e0, energy_e1, fit_exponential_rate, norms,
-    record_ep,
+    DERIV_CAP, dissipation_d0, dissipation_total, energy_e0, energy_e1,
+    fit_exponential_rate, norms, record_ep,
 )
-from frictionlab.errors import InsufficientSamples, NonPositiveSample
+from frictionlab.errors import InsufficientSamples, NonPositiveSample, NotTorus
+from frictionlab.spectral import deriv
 
 
 def _state(grid, rho, w):
@@ -76,6 +77,12 @@ def test_norms_zero_field(torus64):
     assert all(v == 0.0 for v in n.values())
 
 
+def test_norms_reject_line_field():
+    line = Grid.line(-1.0, 1.0, 32)
+    with pytest.raises(NotTorus):
+        norms(Field(line, np.cos(line.x)))
+
+
 def test_fit_exact_exponential():
     taus = np.arange(0.0, 3.01, 0.5)
     rate, r2 = fit_exponential_rate([(t, math.exp(-2.0 * t)) for t in taus],
@@ -121,3 +128,43 @@ def test_record_totals_consistent(params, torus64):
     row = rec.csv_row(mass0=rec.mass)
     assert len(row) == len(rec.CSV_COLUMNS)
     assert row[7] == 0.0  # mass defect against itself
+
+
+def _band_limited(grid, rng, modes):
+    """Random real trigonometric polynomial of degree `modes`, sup <= 1."""
+    coef = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+    vals = sum((c * np.exp(1j * (k + 1) * grid.x)).real
+               for k, c in enumerate(coef))
+    return vals / np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_record_matches_one_field_reference(params, n, seed):
+    # reference: one spectral derivative per field and per order, summed in
+    # the same order; batched transforms give the same rows bit for bit
+    grid = Grid.torus(n)
+    p = params.replace(grid=grid, epsilon=0.07, alpha=1.3, gamma=1.4)
+    rng = np.random.default_rng(seed)
+    rho = 1.0 + 0.4 * _band_limited(grid, rng, n // 4)
+    w = 0.3 * _band_limited(grid, rng, n // 4)
+    s = _state(grid, rho, w)
+    e1 = d1 = 0.0
+    for j in range(1, DERIV_CAP + 1):
+        dw, dr = deriv(w, grid, j), deriv(rho, grid, j)
+        e1 += 0.5 * p.epsilon**p.alpha * grid.integrate(rho * dw * dw)
+        e1 += 0.5 * p.gamma * grid.integrate(rho ** (p.gamma - 2.0) * dr * dr)
+        d1 += p.epsilon ** (p.alpha - 2.0) * grid.integrate(rho * dw * dw)
+        d1 += p.gamma * grid.integrate(rho ** (p.gamma - 1.0) * dr * dr)
+    e0, d0 = energy_e0(s, p), dissipation_d0(s, p)
+    dev = norms(Field(grid, rho - p.mass_level))
+    expected = {
+        "e1": e1, "d1": d1, "e_total": e0 + e1, "d_total": d0 + d1,
+        "sup_dev": dev["sup"], "l2_dev": dev["l2"],
+        "grad_l4": norms(Field(grid, rho))["l4_of_gradient"],
+    }
+    rec = record_ep(s, p)
+    for name, value in expected.items():
+        assert getattr(rec, name) == value, name
+    assert energy_e1(s, p) == rec.e1
+    assert dissipation_total(s, p) == rec.d_total

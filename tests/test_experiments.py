@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import frictionlab.experiments as experiments
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import DiagnosticsRecord
 from frictionlab.experiments import (
@@ -91,7 +93,7 @@ class TestEpsilonSweep:
         assert header == ",".join(SweepResult.SWEEP_COLUMNS)
 
     def test_sweep_is_deterministic(self, params, tmp_path):
-        # thread scheduling must not leak into the output bytes
+        # repeated runs must give the same output bytes
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             run_epsilon_sweep(ExperimentSpec(
@@ -99,6 +101,21 @@ class TestEpsilonSweep:
                 epsilon_list=(0.2, 0.1), output_dir=out))
         assert (out_a / "sweep.csv").read_bytes() == \
             (out_b / "sweep.csv").read_bytes()
+
+    def test_members_run_on_calling_thread(self, params, monkeypatch):
+        threads = []
+        member = experiments._sweep_member
+
+        def recording_member(*args):
+            threads.append(threading.get_ident())
+            return member(*args)
+
+        monkeypatch.setattr(experiments, "_sweep_member", recording_member)
+        result = run_epsilon_sweep(ExperimentSpec(
+            kind="epsilon-sweep", params=params.replace(t_end=0.2),
+            epsilon_list=(0.2, 0.1, 0.05)))
+        assert [r.epsilon for r in result.rows] == [0.2, 0.1, 0.05]
+        assert threads == [threading.get_ident()] * 3
 
 
 class TestVacuumCollapse:

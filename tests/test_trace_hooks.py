@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from frictionlab.core import Field, Grid, ParamSet
+from frictionlab.diagnostics import DERIV_CAP
 from frictionlab.experiments import ExperimentSpec, run_epsilon_sweep
 from frictionlab.keller_segel import simulate_ks
 
@@ -57,6 +58,17 @@ def test_ks_step_spans_match_step_count(tracing, p64):
     assert len(steps) == result.n_steps
 
 
+def _ffts_under(spans, name):
+    """rfft/irfft spans with an ancestor span called `name`, however deep."""
+    def under(span):
+        while span is not None:
+            if span.name == name:
+                return True
+            span = span.parent
+        return False
+    return sum(under(s) for s in spans if s.name == "spectral.fft")
+
+
 def test_ep_step_fft_budget(tracing, p64):
     # every rfft/irfft made inside a step_ep, however deep, counts against
     # that step: three stages of the fused right side at six calls each
@@ -66,13 +78,17 @@ def test_ep_step_fft_budget(tracing, p64):
     tracer.run(lambda: run_epsilon_sweep(spec))
     steps = sum(s.name == "euler_poisson.step_ep" for s in tracer.spans)
     assert steps > 0
-
-    def in_step(span):
-        while span is not None:
-            if span.name == "euler_poisson.step_ep":
-                return True
-            span = span.parent
-        return False
-
-    ffts = sum(in_step(s) for s in tracer.spans if s.name == "spectral.fft")
+    ffts = _ffts_under(tracer.spans, "euler_poisson.step_ep")
     assert ffts <= 18 * steps, ffts / steps
+
+
+def test_record_fft_budget(tracing, p64):
+    # one batched rfft/irfft of (rho, w) per derivative order, shared by
+    # the energy, the dissipation and the gradient norm of a record
+    sigma0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    tracer = tracing.Tracer()
+    tracer.run(lambda: simulate_ks(sigma0, p64, [0.0, 0.1, 0.2]))
+    records = sum(s.name == "diagnostics.record_ks" for s in tracer.spans)
+    assert records == 3
+    ffts = _ffts_under(tracer.spans, "diagnostics.record_ks")
+    assert ffts <= 2 * DERIV_CAP * records, ffts / records
