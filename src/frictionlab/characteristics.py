@@ -76,14 +76,9 @@ def dxeta(x, tau: float, prof: InitialProfile, M: float):
     return _match_input(x, _denominator(s0, tau, M) / M)
 
 
-def _vacuum_membership(x: float, prof: InitialProfile):
-    """(inside, at_edge) for a scalar label."""
-    for (a, b) in prof.vacuum_set:
-        if a <= x <= b:
-            at_edge = math.isclose(x, a, abs_tol=1e-13) or \
-                math.isclose(x, b, abs_tol=1e-13)
-            return True, at_edge
-    return False, False
+def _in_vacuum(x: float, prof: InitialProfile) -> bool:
+    """Whether a scalar label lies in a closed vacuum interval."""
+    return any(a <= x <= b for (a, b) in prof.vacuum_set)
 
 
 def derivative_along(x: float, k: int, tau: float, prof: InitialProfile,
@@ -96,8 +91,7 @@ def derivative_along(x: float, k: int, tau: float, prof: InitialProfile,
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
-    inside, _at_edge = _vacuum_membership(float(x), prof)
-    if not inside:
+    if not _in_vacuum(float(x), prof):
         if k != 1:
             raise UnsupportedOrder(
                 "only first derivatives are tracked along non-vacuum trajectories")
@@ -127,16 +121,16 @@ class VacuumReport:
     limit_point: float
 
 
-def vacuum_interval(tau: float, prof: InitialProfile, M: float,
-                    which: int | None = None) -> VacuumReport:
+def vacuum_interval(tau: float, prof: InitialProfile, M: float) -> VacuumReport:
     """Edges, exact length (b0-a0) e^{-M tau}, and the common limit point
-    a0 + F(a0)/M of a vacuum interval under the flow."""
+    a0 + F(a0)/M of the profile's single vacuum interval under the flow."""
     if not prof.vacuum_set:
         raise NoVacuum(f"profile {prof.label!r} has no vacuum interval")
-    if len(prof.vacuum_set) > 1 and which is None:
+    if len(prof.vacuum_set) > 1:
         raise MultipleVacuumIntervals(
-            f"profile has {len(prof.vacuum_set)} vacuum intervals; pass `which`")
-    a0, b0 = prof.vacuum_set[which or 0]
+            f"profile has {len(prof.vacuum_set)} vacuum intervals; "
+            "the collapse law tracks exactly one")
+    a0, b0 = prof.vacuum_set[0]
     a = float(trajectory_position(np.asarray([a0]), tau, prof, M)[0])
     b = float(trajectory_position(np.asarray([b0]), tau, prof, M)[0])
     length = (b0 - a0) * _decay(tau, M)
@@ -213,10 +207,6 @@ class OracleComparison:
 
     max_gap: float
     gaps: np.ndarray
-    positions: np.ndarray
-    sigma_markers: np.ndarray
-    final_state: KSState
-    dt: float
 
 
 def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
@@ -250,8 +240,8 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     def vel(field_vals, pos):
         return trig_interp(field_vals, grid, pos)
 
+    v0 = ks_map_torus(current.sigma, M).v.values
     for _ in range(n_steps // 2):
-        v0 = ks_map_torus(current.sigma, M).v.values
         mid, _ = step_ks(current, p, dt)
         v1 = ks_map_torus(mid.sigma, M).v.values
         nxt, _ = step_ks(mid, p, dt)
@@ -265,17 +255,10 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
         # exact logistic update over the pair of steps
         e = math.exp(-M * h)
         sigma_m = M * sigma_m / (sigma_m + (M - sigma_m) * e)
-        current = nxt
+        current, v0 = nxt, v2
 
     # fold marker positions back into the periodic cell for interpolation
     folded = grid.left + np.mod(markers - grid.left, length)
     eulerian_at_markers = trig_interp(current.sigma.values, grid, folded)
     gaps = eulerian_at_markers - sigma_m
-    return OracleComparison(
-        max_gap=float(np.max(np.abs(gaps))),
-        gaps=gaps,
-        positions=folded,
-        sigma_markers=sigma_m,
-        final_state=current,
-        dt=dt,
-    )
+    return OracleComparison(max_gap=float(np.max(np.abs(gaps))), gaps=gaps)

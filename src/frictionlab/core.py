@@ -5,6 +5,7 @@ immutable after construction and safe to share between threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -72,17 +73,20 @@ class Grid:
         """|Omega| of the discretized domain."""
         return self.length
 
-    def quad_weights(self) -> np.ndarray:
-        """Quadrature weights: midpoint rule on the torus, trapezoid on a line."""
-        if self.kind == "torus":
-            return np.full(self.n, self.h)
-        w = np.full(self.n, self.h)
+    def integrate(self, values: np.ndarray) -> float:
+        return float(np.dot(_quad_weights(self), values))
+
+
+@functools.lru_cache(maxsize=64)
+def _quad_weights(grid: Grid) -> np.ndarray:
+    """Quadrature weights: midpoint rule on the torus, trapezoid on a
+    line.  Cached per grid and read-only."""
+    w = np.full(grid.n, grid.h)
+    if grid.kind == "line":
         w[0] *= 0.5
         w[-1] *= 0.5
-        return w
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.quad_weights(), values))
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,6 @@ class Field:
             raise NonFinite(f"field {self.tag or '<unnamed>'} has non-finite samples")
         if self.tag == "density" and vals.min() < 0.0:
             raise RangeViolation("density field has negative samples")
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return replace(self, values=np.asarray(values, dtype=float))
 
 
 def mean(f: Field) -> float:

@@ -11,7 +11,10 @@ The friction term -w/eps^2 is linear and pointwise, so it is applied
 exactly through an integrating factor inside a Lawson-transformed
 three-stage third-order Runge-Kutta step (stage times 0, 1/3, 2/3): every
 exponential factor that appears decays, so the stiff part never limits
-the step size.  The transport/pressure terms set the CFL bound.
+the step size.  The transport/pressure terms set the CFL bound, on the
+sum of the advective and sound speeds.  The step (`_rk3`) runs on stacked
+rows with one linear rate per row; the Keller-Segel stepper is the same
+step on its density row alone, with rate 0.
 
 dv/dtau comes from pushing the continuity flux through the inverse
 gradient: on the torus this collapses to -(flux - mean(flux)).
@@ -36,7 +39,7 @@ BLOWUP_THRESHOLD = 1e12
 @dataclass(frozen=True)
 class EPStepReport:
     dt_used: float
-    max_cfl_speed: float
+    max_cfl_speed: float     # advective + sound speed, as in stable_dt
     friction_factor: float   # the exact integrating-factor multiplier e^{-dt/eps^2}
     mass_defect: float
 
@@ -58,11 +61,10 @@ def _speeds(rho: np.ndarray, w: np.ndarray, v: np.ndarray, p: ParamSet):
     return adv, sound
 
 
-def _check_blowup(time: float, *arrays: np.ndarray):
-    """Raise Blowup if any array is non-finite or beyond BLOWUP_THRESHOLD."""
-    for a in arrays:
-        if not np.all(np.isfinite(a)) or np.max(np.abs(a)) > BLOWUP_THRESHOLD:
-            raise Blowup(f"solution blew up at tau = {time:.6g}")
+def _check_blowup(time: float, a: np.ndarray):
+    """Raise Blowup if a is non-finite or beyond BLOWUP_THRESHOLD."""
+    if not np.all(np.isfinite(a)) or np.max(np.abs(a)) > BLOWUP_THRESHOLD:
+        raise Blowup(f"solution blew up at tau = {time:.6g}")
 
 
 def _rhs(rho: np.ndarray, w: np.ndarray, p: ParamSet):
@@ -78,15 +80,15 @@ def _rhs(rho: np.ndarray, w: np.ndarray, p: ParamSet):
     sym = _symbols(p.grid)
 
     source = rho - M
-    sh, wh = np.fft.rfft(np.stack((source, w)))
+    sh, wh = np.fft.rfft(np.array((source, w)))
     removed = sh[0].real / n
     grad_inv, dxw, dxrho = np.fft.irfft(
-        np.stack((sh * sym.inv_grad, wh * sym.ik, sh * sym.ik)), n=n)
+        np.array((sh * sym.inv_grad, wh * sym.ik, sh * sym.ik)), n=n)
     v = -grad_inv
     dxv = source - removed          # exact spectral derivative of v
 
     fh = np.fft.rfft(rho * (w / eps ** (1.0 - alpha) + v)) * sym.keep
-    flux, dxflux = np.fft.irfft(np.stack((fh, fh * sym.ik)), n=n)
+    flux, dxflux = np.fft.irfft(np.array((fh, fh * sym.ik)), n=n)
     g_rho = -dxflux
     dtau_v = -(flux - np.mean(flux))
 
@@ -107,39 +109,47 @@ def stable_dt(state: EPState, p: ParamSet) -> float:
     return p.dt_cfl * p.grid.h / (adv + sound)
 
 
-def step_ep(state: EPState, p: ParamSet, dt: float) -> tuple[EPState, EPStepReport]:
-    """One integrating-factor RK3 step of size dt."""
+def _rk3(u_n: np.ndarray, rhs, dt: float, lam, p: ParamSet, time: float):
+    """One Lawson RK3 step (stage times 0, 1/3, 2/3) of du/dtau = lam*u + G(u)
+    on stacked rows, with (G(u), speed) = rhs(u) and one linear rate per
+    row in lam.  Checks dt > 0, the first stage's CFL bound and blow-up;
+    returns (u_new, speed)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    grid = p.grid
-    eps = p.epsilon
-    rho_n, w_n = state.rho.values, state.w.values
-
-    g_rho1, g_w1, adv, sound = _rhs(rho_n, w_n, p)
-    speed = max(adv, sound)
-    bound = p.dt_cfl * grid.h / speed if speed > 0.0 else math.inf
+    g1, speed = rhs(u_n)
+    bound = p.dt_cfl * p.grid.h / speed if speed > 0.0 else math.inf
     if dt > bound * (1.0 + 1e-9):
         raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")
 
-    lam = -1.0 / eps**2
-    e1 = math.exp(lam * dt / 3.0)
-    e2 = math.exp(2.0 * lam * dt / 3.0)
-    e3 = math.exp(lam * dt)
+    # integrating factors over dt/3, 2dt/3 and dt, one column per row; a
+    # rate-0 row gets exactly 1.0, so its arithmetic is plain RK3
+    e1, e2, e3 = np.array([[math.exp(rate * dt / 3.0) for rate in lam],
+                           [math.exp(2.0 * rate * dt / 3.0) for rate in lam],
+                           [math.exp(rate * dt) for rate in lam]])[:, :, None]
 
-    # stage b at time t + dt/3
-    rho_b = rho_n + (dt / 3.0) * g_rho1
-    w_b = e1 * (w_n + (dt / 3.0) * g_w1)
-    g_rho2, g_w2, _, _ = _rhs(rho_b, w_b, p)
+    u_b = e1 * (u_n + (dt / 3.0) * g1)
+    g2, _ = rhs(u_b)
+    u_c = e2 * u_n + (2.0 * dt / 3.0) * e1 * g2
+    g3, _ = rhs(u_c)
+    u_new = e3 * u_n + (dt / 4.0) * (e3 * g1 + 3.0 * e1 * g3)
 
-    # stage c at time t + 2dt/3
-    rho_c = rho_n + (2.0 * dt / 3.0) * g_rho2
-    w_c = e2 * w_n + (2.0 * dt / 3.0) * e1 * g_w2
-    g_rho3, g_w3, _, _ = _rhs(rho_c, w_c, p)
+    _check_blowup(time + dt, u_new)
+    return u_new, speed
 
-    rho_new = rho_n + (dt / 4.0) * (g_rho1 + 3.0 * g_rho3)
-    w_new = e3 * w_n + (dt / 4.0) * (e3 * g_w1 + 3.0 * e1 * g_w3)
 
-    _check_blowup(state.time + dt, rho_new, w_new)
+def step_ep(state: EPState, p: ParamSet, dt: float) -> tuple[EPState, EPStepReport]:
+    """One integrating-factor RK3 step of size dt on the rows (rho, w);
+    friction acts on the w row only."""
+    grid = p.grid
+    lam = -1.0 / p.epsilon**2
+    rho_n = state.rho.values
+
+    def rhs(u):
+        g_rho, g_w, adv, sound = _rhs(u[0], u[1], p)
+        return np.array((g_rho, g_w)), adv + sound
+
+    (rho_new, w_new), speed = _rk3(np.array((rho_n, state.w.values)), rhs,
+                                   dt, (0.0, lam), p, state.time)
     lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
     rmin, rmax = float(rho_new.min()), float(rho_new.max())
     if rmin < lo or rmax > hi:
@@ -154,7 +164,8 @@ def step_ep(state: EPState, p: ParamSet, dt: float) -> tuple[EPState, EPStepRepo
         time=state.time + dt,
     )
     report = EPStepReport(dt_used=dt, max_cfl_speed=speed,
-                          friction_factor=e3, mass_defect=mass_defect)
+                          friction_factor=math.exp(lam * dt),
+                          mass_defect=mass_defect)
     return new_state, report
 
 

@@ -24,7 +24,7 @@ from .characteristics import (
     derivative_along, reconstruct_eulerian, vacuum_interval,
 )
 from .profiles import PROFILES, InitialProfile, profile_field, profile_line
-from .spectrum import DispersionQuery, amplitude_ratio, dispersion_roots
+from .spectrum import DispersionQuery, dispersion_roots
 from .io import write_csv
 
 KINDS = ("single-run", "epsilon-sweep", "vacuum-collapse",
@@ -32,6 +32,7 @@ KINDS = ("single-run", "epsilon-sweep", "vacuum-collapse",
 DEFAULT_WAVENUMBERS = (0.0, 0.5, 1.0, 2.0, 4.0)
 ZERO_SIGNAL_FLOOR = 1e-13     # below this, deviations count as machine zero
 VACUUM_SIGMA_CUTOFF = 1e-9    # reconstruction cells at/below cutoff*M -> vacuum
+FD_WINDOW_SCALE = 0.02        # edge finite-difference window at tau = 0, / (b0 - a0)
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,13 @@ def _sample_times(t_end: float, n: int = 21) -> np.ndarray:
 # --------------------------------------------------------------------------
 # single runs (CLI plumbing around simulate_ep / simulate_ks)
 
-def run_single_ep(spec: ExperimentSpec, w0: Optional[Field] = None,
-                  rho0: Optional[Field] = None, n_samples: int = 21):
+def run_single_ep(spec: ExperimentSpec, rho0: Optional[Field] = None,
+                  n_samples: int = 21):
+    """EP run from well-prepared data (w0 = 0)."""
     p = spec.params
     if rho0 is None:
         rho0 = _initial_field(spec)
-    if w0 is None:
-        w0 = Field(p.grid, np.zeros(p.grid.n))
+    w0 = Field(p.grid, np.zeros(p.grid.n))
     result = simulate_ep(rho0, w0, p, _sample_times(p.t_end, n_samples))
     path = None
     if spec.output_dir is not None:
@@ -155,25 +156,24 @@ def _sweep_member(rho0: Field, w0: Field, p: ParamSet, times: np.ndarray,
     for (state, _), sigma in zip(result.samples, sigma_samples):
         diff = state.rho.values - sigma
         sup_l2 = max(sup_l2, math.sqrt(grid.integrate(diff * diff)))
-        sup_w = max(sup_w, norms(state.w)["l2"])
+        w = state.w.values
+        sup_w = max(sup_w, math.sqrt(grid.integrate(w * w)))
         diff_final = diff
     h2_final = norms(Field(grid, diff_final))["h2"]
     return SweepRow(p.epsilon, sup_l2, h2_final, sup_w, "ok")
 
 
-def run_epsilon_sweep(spec: ExperimentSpec,
-                      w0: Optional[Field] = None) -> SweepResult:
+def run_epsilon_sweep(spec: ExperimentSpec) -> SweepResult:
     """EP runs over the epsilon list against one shared KS reference.
 
     The reference density is integrated once (with a halved CFL number so
     its time error sits below every member's) and reused for every row;
     the limit object does not depend on epsilon.  Data are well-prepared
-    (w0 = 0) unless a w0 field is passed in.
+    (w0 = 0).
     """
     p = spec.params
     rho0 = _initial_field(spec)
-    if w0 is None:
-        w0 = Field(p.grid, np.zeros(p.grid.n))
+    w0 = Field(p.grid, np.zeros(p.grid.n))
     times = _sample_times(p.t_end)
     reference = simulate_ks(rho0, p.replace(dt_cfl=0.5 * p.dt_cfl), times)
     reference.raise_if_failed()
@@ -231,21 +231,19 @@ class VacuumCollapseResult:
         return all(self.verdicts.values())
 
 
-def measured_vacuum_length(state: KSState, M: float,
-                           cutoff: float = VACUUM_SIGMA_CUTOFF) -> float:
+def measured_vacuum_length(state: KSState, M: float) -> float:
     """Length of the contiguous zero-density block of a reconstructed
     field: (last_zero - first_zero) + h, or 0 when no cell is at vacuum."""
     sigma = state.sigma.values
     x = state.sigma.grid.x
-    zero = np.flatnonzero(sigma <= cutoff * M)
+    zero = np.flatnonzero(sigma <= VACUUM_SIGMA_CUTOFF * M)
     if zero.size == 0:
         return 0.0
     return float(x[zero[-1]] - x[zero[0]] + state.sigma.grid.h)
 
 
 def measure_edge_derivative_fd(prof: InitialProfile, M: float, tau: float,
-                               order: int = 1, n: int = 2048,
-                               window_scale: float = 0.02) -> float:
+                               order: int = 1, n: int = 2048) -> float:
     """One-sided forward difference of order `order` at the right vacuum
     edge, computed on a reconstructed field over a thin window.
 
@@ -255,7 +253,7 @@ def measure_edge_derivative_fd(prof: InitialProfile, M: float, tau: float,
     """
     (a0, b0) = prof.vacuum_set[0]
     rep = vacuum_interval(tau, prof, M)
-    width = window_scale * (b0 - a0) * math.exp(-2.0 * M * tau)
+    width = FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * M * tau)
     grid = Grid.line(rep.b, rep.b + width, n)
     sigma = reconstruct_eulerian(tau, prof, M, grid).sigma.values
     h = grid.h
@@ -459,7 +457,7 @@ def run_spectrum_table(spec: ExperimentSpec) -> SpectrumTableResult:
             q = DispersionQuery(epsilon=eps, alpha=p.alpha, gamma=p.gamma,
                                 M=p.mass_level, k=float(k))
             pair = dispersion_roots(q)
-            ratio = abs(amplitude_ratio(q, pair.lambda_slow))
+            ratio = abs(pair.amplitude_ratio)
             fast = pair.lambda_fast
             all_stable = all_stable and pair.stable
             rows.append([eps, p.alpha, p.gamma, p.mass_level, float(k),

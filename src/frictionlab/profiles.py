@@ -32,6 +32,12 @@ import numpy as np
 from .core import Field, Grid
 from .errors import NonzeroTotalMass, RangeViolation
 
+TORUS_DOMAIN = (0.0, 2.0 * math.pi)   # line domain of the torus-born profiles
+CHECK_SAMPLES = 4001                  # InitialProfile.check: sign test points
+CHECK_TOL = 1e-8                      # and relative bound on F at the right end
+RAMP_BUMP_RADIUS = 0.5                # vacuum-ramp compensating bumps
+RAMP_GAP = 0.25                       # ramp end to bump support
+RAMP_MARGIN = 0.5                     # bump support to domain end
 
 # --------------------------------------------------------------------------
 # small closed-form pieces
@@ -107,34 +113,33 @@ class InitialProfile:
     max_abs_F: float = 0.0
     label: str = ""
 
-    def check(self, samples: int = 4001, tol: float = 1e-8):
-        xs = np.linspace(self.domain[0], self.domain[1], samples)
+    def check(self):
+        xs = np.linspace(self.domain[0], self.domain[1], CHECK_SAMPLES)
         vals = self.sigma0(xs)
         if np.min(vals) < -1e-12:
             raise RangeViolation(f"profile {self.label!r} goes negative")
         f_end = float(self.cumulative(np.array([self.domain[1]]))[0])
-        if abs(f_end) > tol * max(1.0, self.M * (self.domain[1] - self.domain[0])):
+        if abs(f_end) > CHECK_TOL * max(1.0, self.M * (self.domain[1] - self.domain[0])):
             raise NonzeroTotalMass(
                 f"profile {self.label!r}: F at the right end is {f_end:.3e}")
         return self
 
 
-def equilibrium_profile(M: float, domain=(0.0, 2.0 * math.pi)) -> InitialProfile:
+def equilibrium_profile(M: float) -> InitialProfile:
     return InitialProfile(
         M=M,
         sigma0=lambda x: np.full_like(np.asarray(x, dtype=float), M),
         cumulative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         deriv=lambda x, j=1: np.zeros_like(np.asarray(x, dtype=float)),
         vacuum_set=(),
-        domain=domain,
+        domain=TORUS_DOMAIN,
         max_abs_F=0.0,
         label="equilibrium",
     )
 
 
 def bump_profile(M: float, amp: float = 0.45, radius: float = 1.2,
-                 center: float = math.pi,
-                 domain=(0.0, 2.0 * math.pi)) -> InitialProfile:
+                 center: float = math.pi) -> InitialProfile:
     """sigma0 = M + G' with G = amp*radius*u*(1-u^2)^3; F = G exactly."""
     if amp * 0.66 >= M:
         raise RangeViolation("bump amplitude drives the profile into vacuum")
@@ -165,16 +170,17 @@ def bump_profile(M: float, amp: float = 0.45, radius: float = 1.2,
 
     return InitialProfile(
         M=M, sigma0=sigma0, cumulative=g, deriv=deriv,
-        vacuum_set=(), domain=domain,
+        vacuum_set=(), domain=TORUS_DOMAIN,
         max_abs_F=float(abs(A) * 0.3932),  # max |u(1-u^2)^3| = 0.39309... at u=1/sqrt(7)
         label="bump",
     )
 
 
 def vacuum_ramp_profile(M: float, width: float = 0.5, F0: Optional[float] = None,
-                        touch: int = 1, bump_radius: float = 0.5,
-                        gap: float = 0.25, margin: float = 0.5) -> InitialProfile:
-    """Vacuum interval [0,1] with touch-order ramps and compensating bumps."""
+                        touch: int = 1) -> InitialProfile:
+    """Vacuum interval [0,1] with touch-order ramps and compensating bumps
+    of radius RAMP_BUMP_RADIUS, RAMP_GAP beyond each ramp, inside a domain
+    RAMP_MARGIN wider than the outer bumps."""
     if not (0 < width <= 1.0):
         raise ValueError("ramp width must lie in (0,1]")
     if touch < 1:
@@ -186,15 +192,15 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, F0: Optional[float] = None
         F0 = -ramp_deficit  # no left bump needed
     A_left = F0 + ramp_deficit
     A_right = M + ramp_deficit - F0
-    r = float(bump_radius)
+    r = RAMP_BUMP_RADIUS
     h_left = 15.0 * A_left / (16.0 * r)
     h_right = 15.0 * A_right / (16.0 * r)
     if h_left <= -M:
         raise RangeViolation(
             f"F0 = {F0} needs a negative bump deeper than the background")
-    c_left = -w - gap - r
-    c_right = 1.0 + w + gap + r
-    domain = (c_left - r - margin, c_right + r + margin)
+    c_left = -w - RAMP_GAP - r
+    c_right = 1.0 + w + RAMP_GAP + r
+    domain = (c_left - r - RAMP_MARGIN, c_right + r + RAMP_MARGIN)
 
     def sigma0(x):
         x = np.asarray(x, dtype=float)

@@ -9,8 +9,8 @@ on the frozen `Grid`), all in the rfft layout j = 0..n/2: the wavenumbers
 k, the first derivative ik with the unpaired Nyquist mode zeroed, the
 inverse gradient i/k (zero at k = 0 and at Nyquist), and the 2/3-rule
 keep-mask (1 for j <= n/3, else 0).  `deriv`, `dealias` and
-`inverse_gradient` read them, and so does the fused right-hand side of
-the Euler-Poisson stepper, which applies them to batched transforms.
+`inverse_gradient` read them, and so do the fused right-hand sides of
+the Euler-Poisson and Keller-Segel steppers.
 The cached arrays are read-only.
 """
 from __future__ import annotations

@@ -11,7 +11,8 @@ from frictionlab.characteristics import (
     vacuum_interval, velocity_along,
 )
 from frictionlab.errors import (
-    NoVacuum, PreconditionViolation, UnsupportedOrder,
+    MultipleVacuumIntervals, NoVacuum, PreconditionViolation,
+    UnsupportedOrder,
 )
 from frictionlab.profiles import (
     bump_profile, equilibrium_profile, vacuum_ramp_profile,
@@ -151,6 +152,13 @@ def test_vacuum_limit_point_matches_f0():
 def test_vacuum_interval_requires_vacuum():
     with pytest.raises(NoVacuum):
         vacuum_interval(1.0, bump_profile(1.0), 1.0)
+
+
+def test_vacuum_interval_refuses_two_intervals(ramp):
+    from dataclasses import replace
+    two = replace(ramp, vacuum_set=((0.0, 0.4), (0.6, 1.0)))
+    with pytest.raises(MultipleVacuumIntervals):
+        vacuum_interval(1.0, two, 1.0)
 
 
 def test_edge_gradient_growth(ramp):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from frictionlab import keller_segel
 from frictionlab.cli import main
 from frictionlab.experiments import SweepResult, SweepRow
 
@@ -120,8 +121,10 @@ def test_failed_sweep_member_exits_3(runner, monkeypatch):
 def test_sweep_reference_blowup_exits_3(runner, monkeypatch):
     # a NaN flux derivative makes the shared KS reference blow up: that is
     # a solver failure, not a validation failure
-    monkeypatch.setattr("frictionlab.keller_segel.deriv",
-                        lambda values, grid, order=1: np.full(grid.n, np.nan))
+    flux_rhs = keller_segel._flux_rhs
+    monkeypatch.setattr(
+        keller_segel, "_flux_rhs",
+        lambda sigma, p: (np.full_like(sigma, np.nan), flux_rhs(sigma, p)[1]))
     result = runner.invoke(main, [
         "sweep", "--eps", "0.2,0.1", "--grid", "64", "--t-end", "0.5"])
     assert result.exit_code == 3, outputs(result)

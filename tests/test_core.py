@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frictionlab.core import (
-    Field, Grid, ParamSet, mean, validate_initial_data,
+    Field, Grid, ParamSet, _quad_weights, mean, validate_initial_data,
 )
 from frictionlab.errors import (
     MeanDefect, NonFinite, RangeViolation,
@@ -44,6 +44,21 @@ def test_line_quadrature_trapezoid():
     assert g.integrate(x) == pytest.approx(0.5, rel=1e-12)
     # trapezoid is second order: x^2 has h^2/6-type error, not exactness
     assert g.integrate(x * x) == pytest.approx(1.0 / 3.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("grid", [Grid.torus(64), Grid.line(0.0, 1.0, 101)])
+def test_quadrature_weights_cached_and_read_only(grid):
+    weights = _quad_weights(grid)
+    assert _quad_weights(Grid(grid.kind, grid.n, grid.left, grid.length)) \
+        is weights
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    # the cache changes no integral: same dot product as fresh weights
+    fresh = np.full(grid.n, grid.h)
+    if not grid.is_torus:
+        fresh[[0, -1]] *= 0.5
+    values = np.sin(3.0 * grid.x) + grid.x
+    assert grid.integrate(values) == float(np.dot(fresh, values))
 
 
 def test_grid_rejects_tiny_n():

@@ -111,6 +111,21 @@ def test_cfl_guard(params, torus64):
         step_ep(s, params, 100.0 * stable_dt(s, params))
 
 
+def test_cfl_guard_uses_the_stable_dt_bound(params, torus64):
+    # with advective and sound speeds alike, a bound on their maximum
+    # instead of their sum would let a step of 1.2 * stable_dt through
+    s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x),
+               4.8 * np.sin(torus64.x))
+    v = -inverse_gradient(s.rho.values - params.mass_level, torus64)[0]
+    adv, sound = euler_poisson._speeds(s.rho.values, s.w.values, v, params)
+    assert 0.8 < adv / sound < 1.25
+    dt = stable_dt(s, params)
+    _, report = step_ep(s, params, dt)
+    assert report.max_cfl_speed == adv + sound
+    with pytest.raises(CflViolation):
+        step_ep(s, params, 1.2 * dt)
+
+
 def test_stable_dt_scales_with_stiffness(torus64, params):
     # sound speed carries eps^((alpha-2)/2): smaller eps, smaller dt
     s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x), np.zeros(torus64.n))

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from frictionlab.core import Field, KSState
+from frictionlab import keller_segel
+from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate
 from frictionlab.errors import CflViolation, MeanDefect, VacuumApproach
 from frictionlab.keller_segel import simulate_ks, stable_dt_ks, step_ks
+from frictionlab.spectral import dealias, deriv, inverse_gradient
 
 
 def _state(grid, sigma):
@@ -39,6 +43,24 @@ def test_cfl_guard(params, torus64):
     s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x))
     with pytest.raises(CflViolation):
         step_ks(s, params, 50.0 * stable_dt_ks(s, params))
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_fused_flux_rhs_matches_composition(n):
+    grid = Grid.torus(n)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid)
+    rng = np.random.default_rng(n)
+    modes = np.arange(1, n // 4 + 1)   # the flux reaches the 2/3 cutoff
+    amp = 0.1 * rng.uniform(-1.0, 1.0, modes.size) / modes
+    phase = rng.uniform(0.0, 2.0 * math.pi, modes.size)
+    sigma = 1.0 + np.cos(modes * grid.x[:, None] + phase) @ amp
+    assert sigma.min() > 0.5
+    slope, vmax = keller_segel._flux_rhs(sigma, p)
+    v = -inverse_gradient(sigma - p.mass_level, grid)[0]
+    ref = -deriv(dealias(sigma * v, grid), grid)
+    assert np.max(np.abs(slope - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert vmax == pytest.approx(float(np.max(np.abs(v))), rel=1e-12)
 
 
 def test_stable_dt_capped_for_flat_state(params, torus64):

@@ -82,6 +82,17 @@ def test_ep_step_fft_budget(tracing, p64):
     assert ffts <= 18 * steps, ffts / steps
 
 
+def test_ks_step_fft_budget(tracing, p64):
+    # three stages of the fused flux right side at four calls each
+    sigma0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    tracer = tracing.Tracer()
+    tracer.run(lambda: simulate_ks(sigma0, p64, [0.0, 0.1, 0.2]))
+    steps = sum(s.name == "keller_segel.step_ks" for s in tracer.spans)
+    assert steps > 0
+    ffts = _ffts_under(tracer.spans, "keller_segel.step_ks")
+    assert ffts <= 12 * steps, ffts / steps
+
+
 def test_record_fft_budget(tracing, p64):
     # one batched rfft/irfft of (rho, w) per derivative order, shared by
     # the energy, the dissipation and the gradient norm of a record
