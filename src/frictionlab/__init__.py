@@ -18,7 +18,8 @@ from .errors import (
 )
 from .ksmap import ks_map_line, ks_map_torus
 from .euler_poisson import (
-    SimulationResult, reconstruct_u, simulate_ep, stable_dt, step_ep,
+    SimulationResult, reconstruct_u, simulate_ep, simulate_ep_rows, stable_dt,
+    step_ep, step_ep_rows,
 )
 from .keller_segel import simulate_ks, stable_dt_ks, step_ks
 from .diagnostics import (
@@ -59,8 +60,9 @@ __all__ = [
     "profile_line", "reconstruct_eulerian", "reconstruct_u", "record_ep",
     "record_ks", "run_decay_fit", "run_epsilon_sweep", "run_single_ep",
     "run_single_ks", "run_spectrum_table", "run_vacuum_collapse",
-    "semi_lagrangian_oracle", "sigma_along", "simulate_ep", "simulate_ks",
-    "slow_mode_fields", "stable_dt", "stable_dt_ks", "step_ep", "step_ks",
+    "semi_lagrangian_oracle", "sigma_along", "simulate_ep",
+    "simulate_ep_rows", "simulate_ks", "slow_mode_fields", "stable_dt",
+    "stable_dt_ks", "step_ep", "step_ep_rows", "step_ks",
     "trajectory_position", "vacuum_interval", "vacuum_ramp_profile",
     "validate_initial_data", "velocity_along",
 ]

@@ -16,14 +16,22 @@ sum of the advective and sound speeds.  The step (`_rk3`) runs on stacked
 rows with one linear rate per row; the Keller-Segel stepper is the same
 step on its density row alone, with rate 0.
 
+Several members that differ in epsilon only are stepped together
+(`step_ep_rows`, `simulate_ep_rows`): their (rho, w) rows go through one
+batched right side, and each member keeps its own dt and clock.  Batched
+FFT rows, per-row reductions and products with per-row columns are
+bit-identical to the one-member arithmetic, so every member's trajectory
+equals its own `simulate_ep` run bit for bit.
+
 dv/dtau comes from pushing the continuity flux through the inverse
 gradient: on the torus this collapses to -(flux - mean(flux)).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,122 +59,209 @@ def reconstruct_u(state: EPState, p: ParamSet) -> Field:
     return Field(p.grid, u)
 
 
-def _speeds(rho: np.ndarray, w: np.ndarray, v: np.ndarray, p: ParamSet):
-    """Maximum advective and sound speeds of the state, for the CFL bound."""
-    eps, alpha, gamma = p.epsilon, p.alpha, p.gamma
-    adv = float(np.max(np.abs(w))) / eps ** (1.0 - alpha) + float(np.max(np.abs(v)))
-    rho_max = float(np.max(rho))
-    sound = math.sqrt(gamma * max(rho_max, 0.0) ** (gamma - 1.0)) \
-        * eps ** (0.5 * (alpha - 2.0))
-    return adv, sound
+class _Members(NamedTuple):
+    """The parameters of a batch of members, worked out once per run.
+    The members share every parameter but epsilon; each eps-dependent
+    coefficient is a column with one Python-computed value per member."""
+
+    p: ParamSet              # the shared parameters
+    eps: np.ndarray          # eps
+    eps_1ma: np.ndarray      # eps^(1-alpha)
+    eps_a: np.ndarray        # eps^alpha
+    eps_ma: np.ndarray       # eps^(-alpha)
+    gamma_eps: np.ndarray    # gamma/eps
+    lam: tuple               # linear rates: 0 for the rho rows, -1/eps^2 for w
 
 
-def _check_blowup(time: float, a: np.ndarray):
-    """Raise Blowup if a is non-finite or beyond BLOWUP_THRESHOLD."""
-    if not np.all(np.isfinite(a)) or np.max(np.abs(a)) > BLOWUP_THRESHOLD:
-        raise Blowup(f"solution blew up at tau = {time:.6g}")
+@functools.lru_cache(maxsize=64)
+def _members(ps: tuple) -> _Members:
+    if not ps:
+        raise ValueError("a batch needs at least one member")
+    p = ps[0]
+    if any(q.replace(epsilon=p.epsilon) != p for q in ps[1:]):
+        raise ValueError("batched members may differ in epsilon only")
+    alpha, gamma = p.alpha, p.gamma
+    eps = [q.epsilon for q in ps]
+
+    def column(values):
+        a = np.array(values)[:, None]
+        a.setflags(write=False)
+        return a
+
+    return _Members(p, column(eps),
+                    column([e ** (1.0 - alpha) for e in eps]),
+                    column([e**alpha for e in eps]),
+                    column([e ** (-alpha) for e in eps]),
+                    column([gamma / e for e in eps]),
+                    ((0.0,) * len(ps), tuple(-1.0 / e**2 for e in eps)))
 
 
-def _rhs(rho: np.ndarray, w: np.ndarray, p: ParamSet):
-    """Right side (G_rho, G_w) without the stiff friction term, plus the
-    maximum advective and sound speeds for the CFL bound.
+def _speeds(rho: np.ndarray, w: np.ndarray, v: np.ndarray, ps) -> list:
+    """Per member (one row of rho, w and v each): its maximum advective and
+    sound speeds, for the CFL bound."""
+    out = []
+    for p, w_max, v_max, rho_max in zip(ps, np.abs(w).max(axis=-1).tolist(),
+                                        np.abs(v).max(axis=-1).tolist(),
+                                        rho.max(axis=-1).tolist()):
+        eps, alpha, gamma = p.epsilon, p.alpha, p.gamma
+        adv = w_max / eps ** (1.0 - alpha) + v_max
+        sound = math.sqrt(gamma * max(rho_max, 0.0) ** (gamma - 1.0)) \
+            * eps ** (0.5 * (alpha - 2.0))
+        out.append((adv, sound))
+    return out
 
-    One fused spectral kernel, six FFT calls: (rho - M, w) are transformed
-    together; v, dw/dx and d(rho)/dx come back in one batched inverse; the
-    dealiased flux and its derivative share one more.  The cached symbols
-    are those of inverse_gradient, deriv and dealias."""
+
+def _cfl_bound(p: ParamSet, speed: float) -> float:
+    return p.dt_cfl * p.grid.h / speed if speed > 0.0 else math.inf
+
+
+def _checked_dt(dt: float, bound: float) -> float:
+    """A step size handed in by the caller, checked against the CFL bound
+    of the first stage."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if dt > bound * (1.0 + 1e-9):
+        raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")
+    return dt
+
+
+def _check_blowup(times, u: np.ndarray) -> list:
+    """Per member (axis 1 of the stacked rows u): a Blowup if any of its
+    values is non-finite or beyond BLOWUP_THRESHOLD, else None.  One
+    reduction: max|u| <= BLOWUP_THRESHOLD is false for NaN and +-inf too."""
+    peaks = np.abs(u).max(axis=(0, 2)).tolist()
+    return [None if peak <= BLOWUP_THRESHOLD
+            else Blowup(f"solution blew up at tau = {time:.6g}")
+            for peak, time in zip(peaks, times)]
+
+
+def _rhs(u: np.ndarray, m: _Members):
+    """Right side G(u) of the stacked rows u = (rho, w), each members x n,
+    without the stiff friction term, and the nonlocal velocity v of rho.
+
+    One fused spectral kernel, six FFT calls whatever the member count:
+    (rho - M, w) are transformed together; v, dw/dx and d(rho)/dx come
+    back in one batched inverse; the dealiased flux and its derivative
+    share one more.  The cached symbols are those of inverse_gradient,
+    deriv and dealias."""
+    rho, w = u
+    p = m.p
     n = p.grid.n
-    eps, alpha, gamma, M = p.epsilon, p.alpha, p.gamma, p.mass_level
     sym = _symbols(p.grid)
 
-    source = rho - M
+    source = rho - p.mass_level
     sh, wh = np.fft.rfft(np.array((source, w)))
-    removed = sh[0].real / n
+    removed = sh[:, :1].real / n
     grad_inv, dxw, dxrho = np.fft.irfft(
         np.array((sh * sym.inv_grad, wh * sym.ik, sh * sym.ik)), n=n)
     v = -grad_inv
     dxv = source - removed          # exact spectral derivative of v
 
-    fh = np.fft.rfft(rho * (w / eps ** (1.0 - alpha) + v)) * sym.keep
+    fh = np.fft.rfft(rho * (w / m.eps_1ma + v)) * sym.keep
     flux, dxflux = np.fft.irfft(np.array((fh, fh * sym.ik)), n=n)
-    g_rho = -dxflux
-    dtau_v = -(flux - np.mean(flux))
+    dtau_v = -(flux - flux.sum(axis=-1, keepdims=True) / n)   # minus the mean
 
-    u = eps * v + eps**alpha * w
-    g_w = (-u * dxw / eps
-           - (gamma / eps) * rho ** (gamma - 2.0) * dxrho
-           - eps ** (1.0 - alpha) * dtau_v
-           - eps ** (-alpha) * u * dxv)
+    vel = m.eps * v + m.eps_a * w
+    g_w = (-vel * dxw / m.eps
+           - m.gamma_eps * rho ** (p.gamma - 2.0) * dxrho
+           - m.eps_1ma * dtau_v
+           - m.eps_ma * vel * dxv)
     g_w = np.fft.irfft(np.fft.rfft(g_w) * sym.keep, n=n)
-    return (g_rho, g_w) + _speeds(rho, w, v, p)
+    return np.array((-dxflux, g_w)), v
 
 
 def stable_dt(state: EPState, p: ParamSet) -> float:
     """CFL-limited step: dt_cfl * h / (advective + sound speed)."""
     rho, w = state.rho.values, state.w.values
     v = -inverse_gradient(rho - p.mass_level, p.grid)[0]
-    adv, sound = _speeds(rho, w, v, p)
+    ((adv, sound),) = _speeds(rho[None], w[None], v[None], (p,))
     return p.dt_cfl * p.grid.h / (adv + sound)
 
 
-def _rk3(u_n: np.ndarray, rhs, dt: float, lam, p: ParamSet, time: float):
+def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam) -> np.ndarray:
     """One Lawson RK3 step (stage times 0, 1/3, 2/3) of du/dtau = lam*u + G(u)
-    on stacked rows, with (G(u), speed) = rhs(u) and one linear rate per
-    row in lam.  Checks dt > 0, the first stage's CFL bound and blow-up;
-    returns (u_new, speed)."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    g1, speed = rhs(u_n)
-    bound = p.dt_cfl * p.grid.h / speed if speed > 0.0 else math.inf
-    if dt > bound * (1.0 + 1e-9):
-        raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")
+    on stacked rows u_n (row kinds x members x n), from the first stage's
+    slope g1 = G(u_n); rhs(u) gives G at the later stages.  dt holds one
+    step per member and lam one linear rate per row kind and member."""
+    # integrating factors over dt/3, 2dt/3 and dt and the stage weights,
+    # one column per row, all in Python floats; a rate-0 row gets factors
+    # of exactly 1.0, so its arithmetic is plain RK3
+    e1, e2, e3, c1, c2, c3 = np.array([
+        [(math.exp(rate * d / 3.0), math.exp(2.0 * rate * d / 3.0),
+          math.exp(rate * d), d / 3.0, 2.0 * d / 3.0, d / 4.0)
+         for rate, d in zip(rates, dt)]
+        for rates in lam]).transpose(2, 0, 1)[..., None]
 
-    # integrating factors over dt/3, 2dt/3 and dt, one column per row; a
-    # rate-0 row gets exactly 1.0, so its arithmetic is plain RK3
-    e1, e2, e3 = np.array([[math.exp(rate * dt / 3.0) for rate in lam],
-                           [math.exp(2.0 * rate * dt / 3.0) for rate in lam],
-                           [math.exp(rate * dt) for rate in lam]])[:, :, None]
+    u_b = e1 * (u_n + c1 * g1)
+    u_c = e2 * u_n + c2 * e1 * rhs(u_b)
+    return e3 * u_n + c3 * (e3 * g1 + 3.0 * e1 * rhs(u_c))
 
-    u_b = e1 * (u_n + (dt / 3.0) * g1)
-    g2, _ = rhs(u_b)
-    u_c = e2 * u_n + (2.0 * dt / 3.0) * e1 * g2
-    g3, _ = rhs(u_c)
-    u_new = e3 * u_n + (dt / 4.0) * (e3 * g1 + 3.0 * e1 * g3)
 
-    _check_blowup(time + dt, u_new)
-    return u_new, speed
+def _step_members(states, ps: tuple, dt_for) -> list:
+    """One Lawson RK3 step of every member's rows (rho, w); friction acts on
+    the w rows only.  dt_for(bounds) turns the members' CFL bounds at the
+    first stage into their steps.  Returns, per member, (EPState,
+    EPStepReport) or the SolverBreakdown that stopped it."""
+    m = _members(ps)
+    p = m.p
+    grid = p.grid
+    u_n = np.array([[s.rho.values for s in states],
+                    [s.w.values for s in states]])
+    g1, v = _rhs(u_n, m)
+    speeds = [adv + sound for adv, sound in _speeds(u_n[0], u_n[1], v, ps)]
+    dt = dt_for([_cfl_bound(p, speed) for speed in speeds])
+    u_new = _rk3(u_n, g1, lambda u: _rhs(u, m)[0], dt, m.lam)
+
+    times = [s.time + d for s, d in zip(states, dt)]
+    rho_new, w_new = u_new
+    rmin, rmax = rho_new.min(axis=-1).tolist(), rho_new.max(axis=-1).tolist()
+    defects = (rho_new.sum(axis=-1) - u_n[0].sum(axis=-1)).tolist()
+    lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
+    out = []
+    for i, blowup in enumerate(_check_blowup(times, u_new)):
+        if blowup is not None:
+            out.append(blowup)
+        elif rmin[i] < lo or rmax[i] > hi:
+            out.append(RangeBreach(
+                f"rho range [{rmin[i]:.6g}, {rmax[i]:.6g}] left "
+                f"[{lo:.6g}, {hi:.6g}] at tau = {times[i]:.6g}"))
+        else:
+            # copies: a view would keep the whole batch buffer alive for as
+            # long as the state is kept (every sampled state is)
+            state = EPState(rho=Field(grid, rho_new[i].copy(), tag="density"),
+                            w=Field(grid, w_new[i].copy()), time=times[i])
+            out.append((state, EPStepReport(
+                dt_used=dt[i], max_cfl_speed=speeds[i],
+                friction_factor=math.exp(m.lam[1][i] * dt[i]),
+                mass_defect=grid.h * defects[i])))
+    return out
 
 
 def step_ep(state: EPState, p: ParamSet, dt: float) -> tuple[EPState, EPStepReport]:
     """One integrating-factor RK3 step of size dt on the rows (rho, w);
-    friction acts on the w row only."""
-    grid = p.grid
-    lam = -1.0 / p.epsilon**2
-    rho_n = state.rho.values
+    friction acts on the w row only.  The one-member batch, with dt given:
+    raises CflViolation if dt exceeds the stable_dt bound."""
+    (out,) = _step_members([state], (p,),
+                           lambda bounds: [_checked_dt(dt, bounds[0])])
+    if isinstance(out, SolverBreakdown):
+        raise out
+    return out
 
-    def rhs(u):
-        g_rho, g_w, adv, sound = _rhs(u[0], u[1], p)
-        return np.array((g_rho, g_w)), adv + sound
 
-    (rho_new, w_new), speed = _rk3(np.array((rho_n, state.w.values)), rhs,
-                                   dt, (0.0, lam), p, state.time)
-    lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
-    rmin, rmax = float(rho_new.min()), float(rho_new.max())
-    if rmin < lo or rmax > hi:
-        raise RangeBreach(
-            f"rho range [{rmin:.6g}, {rmax:.6g}] left [{lo:.6g}, {hi:.6g}] "
-            f"at tau = {state.time + dt:.6g}")
+def step_ep_rows(states, ps, target: float) -> list:
+    """One step toward time `target` of each member, stepped together as
+    rows of one batched step; ps holds one ParamSet per member, and the
+    members may differ in epsilon only.
 
-    mass_defect = grid.h * float(np.sum(rho_new) - np.sum(rho_n))
-    new_state = EPState(
-        rho=Field(grid, rho_new, tag="density"),
-        w=Field(grid, w_new),
-        time=state.time + dt,
-    )
-    report = EPStepReport(dt_used=dt, max_cfl_speed=speed,
-                          friction_factor=math.exp(lam * dt),
-                          mass_defect=mass_defect)
-    return new_state, report
+    Each member takes dt = min(dt_cfl*h/(adv + sound), target - t) from
+    the speeds of its own first stage, which equals min(stable_dt, target
+    - t).  Returns, per member, (EPState, EPStepReport) or the
+    SolverBreakdown that stopped it; a breakdown leaves the other members'
+    steps as they would be alone."""
+    if not all(s.time < target for s in states):
+        raise ValueError("every member must be behind the target time")
+    return _step_members(states, tuple(ps), lambda bounds: [
+        min(bound, target - s.time) for bound, s in zip(bounds, states)])
 
 
 @dataclass
@@ -188,38 +283,75 @@ class SimulationResult:
             raise self.error
 
 
-def _integrate(state, step, next_dt, record, sample_times) -> SimulationResult:
-    """Advance state by step(state, dt) with dt = next_dt(state), landing
-    exactly on each sample time and recording record(state) there.  A
-    SolverBreakdown ends the run with its status; samples taken so far
-    are kept."""
+def _integrate(states, advance, record, sample_times) -> list:
+    """Advance every member to each sample time in turn, landing on it
+    exactly, and record member i there as record(i, state).
+
+    advance(members, states, target) takes one step toward target of each
+    listed member (those whose clock is behind), in one call, and returns
+    per member its (new_state, report) or the SolverBreakdown that ends its
+    run.  A member that breaks down keeps its samples so far; the others
+    go on.  Returns one SimulationResult per member."""
     times = sorted(sample_times)
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError("sample times must be finite and nonnegative")
-    samples = []
-    n_steps = 0
+    states = list(states)
+    results = [SimulationResult([], "ok") for _ in states]
+    live = list(range(len(states)))
     for target in times:
-        while state.time < target - 1e-12:
-            dt = min(next_dt(state), target - state.time)
-            try:
-                state, _ = step(state, dt)
-            except SolverBreakdown as err:
-                return SimulationResult(samples, err.status, err, n_steps)
-            n_steps += 1
-        samples.append((state, record(state)))
-    return SimulationResult(samples, "ok", None, n_steps)
+        while behind := [i for i in live if states[i].time < target - 1e-12]:
+            outcomes = advance(behind, [states[i] for i in behind], target)
+            for i, out in zip(behind, outcomes):
+                if isinstance(out, SolverBreakdown):
+                    results[i].status, results[i].error = out.status, out
+                    live.remove(i)
+                else:
+                    states[i] = out[0]
+                    results[i].n_steps += 1
+        for i in live:
+            results[i].samples.append((states[i], record(i, states[i])))
+    return results
+
+
+def _solo(step, next_dt):
+    """advance() of a one-member run: step(state, dt) with dt =
+    min(next_dt(state), target - t), a breakdown returned, not raised."""
+    def advance(_rows, states, target):
+        (state,) = states
+        try:
+            return [step(state, min(next_dt(state), target - state.time))]
+        except SolverBreakdown as err:
+            return [err]
+    return advance
+
+
+def _initial_state(rho0: Field, w0: Field, p: ParamSet) -> EPState:
+    validate_initial_data(rho0, w0, p).raise_if_failed()
+    return EPState(rho=Field(p.grid, rho0.values, tag="density"),
+                   w=Field(p.grid, w0.values), time=0.0)
 
 
 def simulate_ep(rho0: Field, w0: Field, p: ParamSet,
                 sample_times) -> SimulationResult:
     """Drive step_ep with adaptive dt, landing exactly on each sample time."""
-    report = validate_initial_data(rho0, w0, p)
-    report.raise_if_failed()
-
-    state = EPState(rho=Field(p.grid, rho0.values, tag="density"),
-                    w=Field(p.grid, w0.values), time=0.0)
+    state = _initial_state(rho0, w0, p)
     # module globals are looked up per call, so wrappers installed on
     # step_ep / stable_dt / record_ep (the benchmark tracer) see every step
-    return _integrate(state, lambda s, dt: step_ep(s, p, dt),
-                      lambda s: stable_dt(s, p), lambda s: record_ep(s, p),
-                      sample_times)
+    (result,) = _integrate([state], _solo(lambda s, dt: step_ep(s, p, dt),
+                                          lambda s: stable_dt(s, p)),
+                           lambda _, s: record_ep(s, p), sample_times)
+    return result
+
+
+def simulate_ep_rows(rho0: Field, w0: Field, ps,
+                     sample_times) -> list:
+    """simulate_ep for several members from the same initial data, stepped
+    together by step_ep_rows; the members may differ in epsilon only.
+    Every member keeps its own dt and clock, so its SimulationResult is
+    bit-identical to its own simulate_ep run."""
+    ps = tuple(ps)
+    state = _initial_state(rho0, w0, _members(ps).p)
+    return _integrate([state] * len(ps),
+                      lambda rows, states, target: step_ep_rows(
+                          states, [ps[i] for i in rows], target),
+                      lambda i, s: record_ep(s, ps[i]), sample_times)

@@ -4,7 +4,9 @@ dispersion tables.
 Each runner consumes an ExperimentSpec, returns a result object carrying
 the table rows plus pass/fail verdicts, and (when an output directory is
 configured) writes one deterministic CSV per experiment.  Sweep members
-run one after another on the calling thread, in epsilon order.
+advance together, as rows of one batched EP step on the calling thread;
+each keeps its own dt and clock, so its trajectory is bit-identical to a
+separate run.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 from .core import Field, Grid, KSState, ParamSet
 from .diagnostics import DiagnosticsRecord, fit_exponential_rate, norms
 from .errors import InsufficientSamples, NonPositiveSample
-from .euler_poisson import simulate_ep
+from .euler_poisson import simulate_ep, simulate_ep_rows
 from .keller_segel import simulate_ks
 from .characteristics import (
     derivative_along, reconstruct_eulerian, vacuum_interval,
@@ -143,9 +145,8 @@ class SweepResult:
             r.status == "ok" for r in self.rows)
 
 
-def _sweep_member(rho0: Field, w0: Field, p: ParamSet, times: np.ndarray,
-                  sigma_samples: list) -> SweepRow:
-    result = simulate_ep(rho0, w0, p, times)
+def _sweep_member(result, p: ParamSet, sigma_samples: list) -> SweepRow:
+    """One member's row of the sweep table, from its EP run."""
     if not result.ok:
         return SweepRow(p.epsilon, math.nan, math.nan, math.nan,
                         result.status)
@@ -166,6 +167,8 @@ def _sweep_member(rho0: Field, w0: Field, p: ParamSet, times: np.ndarray,
 def run_epsilon_sweep(spec: ExperimentSpec) -> SweepResult:
     """EP runs over the epsilon list against one shared KS reference.
 
+    The members are stepped together (simulate_ep_rows), each with its own
+    dt and clock, so every row equals that of a separate simulate_ep run.
     The reference density is integrated once (with a halved CFL number so
     its time error sits below every member's) and reused for every row;
     the limit object does not depend on epsilon.  Data are well-prepared
@@ -180,8 +183,9 @@ def run_epsilon_sweep(spec: ExperimentSpec) -> SweepResult:
     sigma_samples = [state.sigma.values for state, _ in reference.samples]
 
     members = [p.replace(epsilon=e) for e in spec.epsilons]
-    rows = tuple(_sweep_member(rho0, w0, pe, times, sigma_samples)
-                 for pe in members)
+    results = simulate_ep_rows(rho0, w0, members, times)
+    rows = tuple(_sweep_member(result, pe, sigma_samples)
+                 for result, pe in zip(results, members))
 
     ok_errors = [r.sup_l2_error for r in rows if r.status == "ok"]
     monotone = all(b < a for a, b in zip(ok_errors, ok_errors[1:]))
@@ -251,8 +255,8 @@ def measure_edge_derivative_fd(prof: InitialProfile, M: float, tau: float,
     squeezes the region where the edge power law dominates, so a fixed
     window would average over the saturated profile and miss the growth.
     """
+    rep = vacuum_interval(tau, prof, M)     # raises NoVacuum first
     (a0, b0) = prof.vacuum_set[0]
-    rep = vacuum_interval(tau, prof, M)
     width = FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * M * tau)
     grid = Grid.line(rep.b, rep.b + width, n)
     sigma = reconstruct_eulerian(tau, prof, M, grid).sigma.values
@@ -279,6 +283,7 @@ def run_vacuum_collapse(spec: ExperimentSpec,
     touch = int(spec.profile_args.get("touch", 1))
     if taus is None:
         taus = np.arange(0.0, 5.0 + 1e-12, 0.5)
+    limit = vacuum_interval(0.0, prof, M).limit_point   # raises NoVacuum first
     (a0, b0) = prof.vacuum_set[0]
     deriv0 = derivative_along(b0, touch, 0.0, prof, M)
     full_grid = Grid.line(prof.domain[0], prof.domain[1], n_grid)
@@ -319,7 +324,6 @@ def run_vacuum_collapse(spec: ExperimentSpec,
         path = write_csv(spec.output_dir / "vacuum.csv",
                          VacuumCollapseResult.VACUUM_COLUMNS,
                          [r.as_list() for r in rows])
-    limit = vacuum_interval(0.0, prof, M).limit_point
     return VacuumCollapseResult(tuple(rows), limit, verdicts, path)
 
 

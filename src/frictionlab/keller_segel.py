@@ -11,7 +11,6 @@ monotonically toward M.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,10 @@ import numpy as np
 from .core import MEAN_DEFECT_TOL, Field, KSState, ParamSet
 from .diagnostics import record_ks
 from .errors import MeanDefect, VacuumApproach
-from .euler_poisson import SimulationResult, _integrate, _rk3
+from .euler_poisson import (
+    SimulationResult, _cfl_bound, _check_blowup, _checked_dt, _integrate,
+    _rk3, _solo,
+)
 from .spectral import _symbols, inverse_gradient
 
 VACUUM_FRACTION = 1e-6
@@ -55,8 +57,14 @@ def step_ks(state: KSState, p: ParamSet, dt: float) -> tuple[KSState, KSStepRepo
             f"min sigma = {s_n.min():.3e} below {VACUUM_FRACTION:g}*M; "
             "use the characteristic solver near vacuum")
 
-    (s_new,), _ = _rk3(s_n[None], lambda u: _flux_rhs(u[0], p), dt, (0.0,),
-                       p, state.time)
+    g1, v_max = _flux_rhs(s_n, p)
+    _checked_dt(dt, _cfl_bound(p, v_max))
+    u_new = _rk3(s_n[None, None], g1, lambda u: _flux_rhs(u[0, 0], p)[0],
+                 [dt], ((0.0,),))
+    (blowup,) = _check_blowup([state.time + dt], u_new)
+    if blowup is not None:
+        raise blowup
+    s_new = u_new[0, 0]
     min_sigma = float(s_new.min())
     if min_sigma < VACUUM_FRACTION * M:
         raise VacuumApproach(
@@ -72,8 +80,7 @@ def step_ks(state: KSState, p: ParamSet, dt: float) -> tuple[KSState, KSStepRepo
 def stable_dt_ks(state: KSState, p: ParamSet) -> float:
     vel = inverse_gradient(state.sigma.values - p.mass_level, p.grid)[0]
     vmax = float(np.max(np.abs(vel)))
-    bound = p.dt_cfl * p.grid.h / vmax if vmax > 0.0 else math.inf
-    return min(bound, 0.1 / p.mass_level)
+    return min(_cfl_bound(p, vmax), 0.1 / p.mass_level)
 
 
 def simulate_ks(sigma0: Field, p: ParamSet, sample_times) -> SimulationResult:
@@ -82,6 +89,7 @@ def simulate_ks(sigma0: Field, p: ParamSet, sample_times) -> SimulationResult:
     if abs(defect) > MEAN_DEFECT_TOL * p.grid.measure:
         raise MeanDefect(f"sigma0 mass defect {defect:.3e}")
     state = KSState(sigma=Field(p.grid, sigma0.values, tag="density"), time=0.0)
-    return _integrate(state, lambda s, dt: step_ks(s, p, dt),
-                      lambda s: stable_dt_ks(s, p), lambda s: record_ks(s, p),
-                      sample_times)
+    (result,) = _integrate([state], _solo(lambda s, dt: step_ks(s, p, dt),
+                                          lambda s: stable_dt_ks(s, p)),
+                           lambda _, s: record_ks(s, p), sample_times)
+    return result

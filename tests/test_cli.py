@@ -174,3 +174,12 @@ def test_vacuum_command_verdicts(runner, tmp_path):
     assert "FAIL" not in result.output
     assert "limit point:" in result.output
     assert (tmp_path / "vacuum.csv").exists()
+
+
+@pytest.mark.parametrize("profile", ["bump", "equilibrium"])
+def test_vacuum_without_vacuum_interval_exits_2(runner, profile):
+    # the profile has no vacuum interval: a typed NoVacuum, not a traceback
+    result = runner.invoke(main, ["vacuum", "--profile", profile])
+    assert result.exit_code == 2, outputs(result)
+    assert "has no vacuum interval" in outputs(result)
+    assert result.exc_info is None or result.exc_info[0] is SystemExit

@@ -10,7 +10,8 @@ from frictionlab.errors import (
     Blowup, CflViolation, RangeBreach, VacuumApproach,
 )
 from frictionlab.euler_poisson import (
-    reconstruct_u, simulate_ep, stable_dt, step_ep,
+    reconstruct_u, simulate_ep, simulate_ep_rows, stable_dt, step_ep,
+    step_ep_rows,
 )
 from frictionlab.keller_segel import simulate_ks
 from frictionlab.spectral import dealias, deriv, inverse_gradient
@@ -98,11 +99,15 @@ def test_fused_rhs_matches_composition(n, alpha):
     rho = 1.0 + band_limited(0.1)
     w = band_limited(0.05)
     assert rho.min() > 0.5
-    g_rho, g_w, adv, sound = euler_poisson._rhs(rho, w, p)
-    ref_rho, ref_w, v = _rhs_composed(rho, w, p)
+    g, v = euler_poisson._rhs(np.array(((rho,), (w,))),
+                              euler_poisson._members((p,)))
+    (g_rho,), (g_w,) = g
+    ref_rho, ref_w, ref_v = _rhs_composed(rho, w, p)
     for got, ref in ((g_rho, ref_rho), (g_w, ref_w)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert (adv, sound) == euler_poisson._speeds(rho, w, v, p)
+    speeds = euler_poisson._speeds(rho[None], w[None], v, (p,))
+    assert speeds == euler_poisson._speeds(rho[None], w[None], ref_v[None],
+                                           (p,))
 
 
 def test_cfl_guard(params, torus64):
@@ -117,7 +122,8 @@ def test_cfl_guard_uses_the_stable_dt_bound(params, torus64):
     s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x),
                4.8 * np.sin(torus64.x))
     v = -inverse_gradient(s.rho.values - params.mass_level, torus64)[0]
-    adv, sound = euler_poisson._speeds(s.rho.values, s.w.values, v, params)
+    ((adv, sound),) = euler_poisson._speeds(
+        s.rho.values[None], s.w.values[None], v[None], (params,))
     assert 0.8 < adv / sound < 1.25
     dt = stable_dt(s, params)
     _, report = step_ep(s, params, dt)
@@ -262,3 +268,101 @@ def test_modal_decay_matches_slow_root(torus64):
     lam = dispersion_roots(DispersionQuery(
         epsilon=0.05, alpha=1.0, gamma=2.0, M=1.0, k=1.0)).lambda_slow
     assert rate == pytest.approx(-lam.real, rel=0.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e12])
+def test_blowup_check_flags_only_its_own_member(bad):
+    # stacked rows (row kinds x members x n), as the stepper holds them
+    u = np.ones((2, 3, 16))
+    u[1, 1, 5] = bad
+    flags = euler_poisson._check_blowup([0.1, 0.2, 0.3], u)
+    assert flags[0] is None and flags[2] is None
+    assert isinstance(flags[1], Blowup)
+    assert "0.2" in str(flags[1])
+    (flag,) = euler_poisson._check_blowup([0.2], u[:, 1:2])
+    assert isinstance(flag, Blowup)
+    u[1, 1, 5] = 1e12            # the threshold itself is still finite
+    assert euler_poisson._check_blowup([0.1, 0.2, 0.3], u) == [None] * 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e12])
+def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
+    real_rhs = euler_poisson._rhs
+
+    def poisoned(u, m):
+        g, v = real_rhs(u, m)
+        return g + bad, v
+
+    monkeypatch.setattr(euler_poisson, "_rhs", poisoned)
+    s = EPState(rho=cosine_rho, w=zero_w)
+    with pytest.raises(Blowup):
+        step_ep(s, params, 0.5 * stable_dt(s, params))
+
+
+def test_step_ep_rows_takes_the_stable_dt(params, torus64):
+    x = torus64.x
+    states = [EPState(rho=Field(torus64, 1.0 + a * np.cos(x), tag="density"),
+                      w=Field(torus64, b * np.sin(x)), time=t)
+              for a, b, t in ((0.3, 0.0, 0.0), (0.2, 0.1, 0.01),
+                              (0.1, 0.2, 0.02))]
+    ps = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
+    target = 0.021
+    out = step_ep_rows(states, ps, target)
+    for s, p, (new, report) in zip(states, ps, out):
+        dt = min(stable_dt(s, p), target - s.time)
+        assert report.dt_used == dt and new.time == s.time + dt
+        alone, alone_report = step_ep(s, p, dt)
+        assert np.array_equal(new.rho.values, alone.rho.values)
+        assert np.array_equal(new.w.values, alone.w.values)
+        assert report == alone_report
+    assert out[2][0].time == target
+
+
+def test_step_ep_rows_rejects_bad_batches(params, cosine_rho, zero_w):
+    s = EPState(rho=cosine_rho, w=zero_w)
+    with pytest.raises(ValueError, match="epsilon only"):
+        step_ep_rows([s, s], [params, params.replace(alpha=1.5)], 0.1)
+    with pytest.raises(ValueError, match="behind"):
+        step_ep_rows([s, s], [params, params.replace(epsilon=0.05)], 0.0)
+    with pytest.raises(ValueError, match="at least one"):
+        simulate_ep_rows(cosine_rho, zero_w, [], [0.0, 0.1])
+
+
+def test_member_breakdown_leaves_the_others(monkeypatch, params, cosine_rho,
+                                            zero_w):
+    # the 0.1 member's 11th step gets a NaN slope: it must end with status
+    # nonfinite after 10 steps, keeping the samples taken so far, while
+    # the members batched with it stay equal to their own runs
+    p = params.replace(t_end=0.2)
+    members = [p.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
+    times = np.linspace(0.0, p.t_end, 21)
+    solo = [simulate_ep(cosine_rho, zero_w, q, times) for q in members]
+    real_rhs = euler_poisson._rhs
+    calls = []
+
+    def poisoned(u, m):
+        g, v = real_rhs(u, m)
+        eps = m.eps[:, 0].tolist()
+        if 0.1 in eps:
+            calls.append(None)
+            if len(calls) == 31:       # stage 1 of its 11th step
+                g = g.copy()
+                g[1, eps.index(0.1), 3] = np.nan
+        return g, v
+
+    monkeypatch.setattr(euler_poisson, "_rhs", poisoned)
+    batch = simulate_ep_rows(cosine_rho, zero_w, members, times)
+    broken = batch[1]
+    assert broken.status == "nonfinite" and isinstance(broken.error, Blowup)
+    assert broken.n_steps == 10
+    assert 1 < len(broken.samples) < len(times)
+    for (a, ra), (b, rb) in zip(broken.samples, solo[1].samples):
+        assert a.time == b.time and ra == rb
+        assert np.array_equal(a.rho.values, b.rho.values)
+    for i in (0, 2):
+        assert batch[i].status == "ok" and batch[i].n_steps == solo[i].n_steps
+        for (a, ra), (b, rb) in zip(batch[i].samples, solo[i].samples,
+                                    strict=True):
+            assert a.time == b.time and ra == rb
+            assert np.array_equal(a.rho.values, b.rho.values)
+            assert np.array_equal(a.w.values, b.w.values)

@@ -7,6 +7,9 @@ import pytest
 import frictionlab.experiments as experiments
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import DiagnosticsRecord
+from frictionlab.euler_poisson import simulate_ep, simulate_ep_rows
+from frictionlab.keller_segel import simulate_ks
+from frictionlab.profiles import profile_field
 from frictionlab.experiments import (
     DEFAULT_WAVENUMBERS, ExperimentSpec, SweepResult, measured_vacuum_length,
     measure_edge_derivative_fd, run_decay_fit, run_epsilon_sweep,
@@ -116,6 +119,38 @@ class TestEpsilonSweep:
             epsilon_list=(0.2, 0.1, 0.05)))
         assert [r.epsilon for r in result.rows] == [0.2, 0.1, 0.05]
         assert threads == [threading.get_ident()] * 3
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    @pytest.mark.parametrize("epsilons", [(0.1,), (0.2, 0.05),
+                                          (0.2, 0.1, 0.05, 0.025)])
+    def test_rows_match_separate_runs(self, n, alpha, epsilons):
+        # the batched sweep against the serial recipe: one simulate_ep run
+        # per member, each turned into its row against the same reference
+        p = ParamSet(epsilon=0.1, alpha=alpha, gamma=2.0, mass_level=1.0,
+                     rho_lower=0.25, rho_upper=2.0, grid=Grid.torus(n),
+                     t_end=0.1)
+        spec = ExperimentSpec(kind="epsilon-sweep", params=p,
+                              epsilon_list=epsilons)
+        rho0 = profile_field("cosine", p.grid, p.mass_level)
+        w0 = Field(p.grid, np.zeros(n))
+        times = np.linspace(0.0, p.t_end, 21)
+        members = [p.replace(epsilon=e) for e in epsilons]
+        solo = [simulate_ep(rho0, w0, q, times) for q in members]
+        batch = simulate_ep_rows(rho0, w0, members, times)
+        for a, b in zip(batch, solo, strict=True):
+            assert a.status == b.status == "ok"
+            assert a.n_steps == b.n_steps
+            for (sa, ra), (sb, rb) in zip(a.samples, b.samples, strict=True):
+                assert sa.time == sb.time and ra == rb
+                assert np.array_equal(sa.rho.values, sb.rho.values)
+                assert np.array_equal(sa.w.values, sb.w.values)
+
+        reference = simulate_ks(rho0, p.replace(dt_cfl=0.5 * p.dt_cfl), times)
+        sigma = [state.sigma.values for state, _ in reference.samples]
+        rows = tuple(experiments._sweep_member(r, q, sigma)
+                     for r, q in zip(solo, members))
+        assert run_epsilon_sweep(spec).rows == rows
 
 
 class TestVacuumCollapse:

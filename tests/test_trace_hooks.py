@@ -3,11 +3,13 @@ by name: public module functions plus experiments._sweep_member.  These
 tests run it on tiny operations and check that the spans the per-layer
 metrics are computed from still appear."""
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from frictionlab import euler_poisson
 from frictionlab.core import Field, Grid, ParamSet
 from frictionlab.diagnostics import DERIV_CAP
 from frictionlab.experiments import ExperimentSpec, run_epsilon_sweep
@@ -37,15 +39,36 @@ def test_sweep_spans(tracing, p64):
     tracer = tracing.Tracer()
     result = tracer.run(lambda: run_epsilon_sweep(spec))
     assert result.verdict_ok
-    calls = {s.name for s in tracer.spans}
-    for name in ("experiments.sweep_member", "euler_poisson.simulate_ep",
-                 "euler_poisson.step_ep", "euler_poisson.stable_dt",
-                 "keller_segel.step_ks"):
-        assert name in calls, name
-    members = [s for s in tracer.spans if s.name == "experiments.sweep_member"]
-    assert len(members) == 2
+    calls = Counter(s.name for s in tracer.spans)
+    assert calls["experiments.sweep_member"] == 2
+    assert calls["euler_poisson.simulate_ep_rows"] == 1
+    assert calls["keller_segel.step_ks"] > 0
+    # the members advance together: one batched step serves both while
+    # both are behind, and no one-member step or stable_dt call is made
+    rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    w0 = Field(p64.grid, np.zeros(p64.grid.n))
+    times = np.linspace(0.0, p64.t_end, 21)
+    solo = [euler_poisson.simulate_ep(rho0, w0, p64.replace(epsilon=e),
+                                      times).n_steps
+            for e in spec.epsilons]
+    assert max(solo) <= calls["euler_poisson.step_ep_rows"] < sum(solo)
+    assert calls["euler_poisson.step_ep"] == 0
+    assert calls["euler_poisson.stable_dt"] == 0
+
+
+def test_ep_step_spans_match_step_count(tracing, p64):
+    rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    w0 = Field(p64.grid, np.zeros(p64.grid.n))
+    tracer = tracing.Tracer()
+    result = tracer.run(lambda: euler_poisson.simulate_ep(
+        rho0, w0, p64, [0.0, 0.1, 0.2]))
+    assert result.ok and result.n_steps > 0
+    calls = Counter(s.name for s in tracer.spans)
+    assert calls["euler_poisson.simulate_ep"] == 1
+    assert calls["euler_poisson.step_ep"] == result.n_steps
+    assert calls["euler_poisson.stable_dt"] == result.n_steps
     metrics, detail = tracing.layer_metrics(tracer)
-    assert sorted(detail["ep_steps_by_epsilon"]) == ["0.1", "0.2"]
+    assert detail["ep_steps_by_epsilon"] == {"0.1": result.n_steps}
     assert metrics["spectral.fft.per_ep_step"][0] > 0.0
 
 
@@ -72,13 +95,29 @@ def _ffts_under(spans, name):
 def test_ep_step_fft_budget(tracing, p64):
     # every rfft/irfft made inside a step_ep, however deep, counts against
     # that step: three stages of the fused right side at six calls each
-    spec = ExperimentSpec(kind="epsilon-sweep", params=p64,
-                          epsilon_list=(0.2, 0.1))
+    rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    w0 = Field(p64.grid, np.zeros(p64.grid.n))
     tracer = tracing.Tracer()
-    tracer.run(lambda: run_epsilon_sweep(spec))
+    tracer.run(lambda: euler_poisson.simulate_ep(
+        rho0, w0, p64, [0.0, 0.1, 0.2]))
     steps = sum(s.name == "euler_poisson.step_ep" for s in tracer.spans)
     assert steps > 0
     ffts = _ffts_under(tracer.spans, "euler_poisson.step_ep")
+    assert ffts <= 18 * steps, ffts / steps
+
+
+@pytest.mark.parametrize("epsilons", [(0.2,), (0.2, 0.1),
+                                      (0.2, 0.1, 0.05, 0.025)])
+def test_ep_rows_fft_budget(tracing, p64, epsilons):
+    # a batched step transforms all its members' rows together: the same
+    # 18 calls as one member, whatever the member count
+    spec = ExperimentSpec(kind="epsilon-sweep", params=p64,
+                          epsilon_list=epsilons)
+    tracer = tracing.Tracer()
+    tracer.run(lambda: run_epsilon_sweep(spec))
+    steps = sum(s.name == "euler_poisson.step_ep_rows" for s in tracer.spans)
+    assert steps > 0
+    ffts = _ffts_under(tracer.spans, "euler_poisson.step_ep_rows")
     assert ffts <= 18 * steps, ffts / steps
 
 
