@@ -21,7 +21,7 @@ from .euler_poisson import (
     SimulationResult, reconstruct_u, simulate_ep, simulate_ep_rows, stable_dt,
     step_ep, step_ep_rows,
 )
-from .keller_segel import simulate_ks, stable_dt_ks, step_ks
+from .keller_segel import simulate_ks, stable_dt_ks, step_ks, step_ks_to
 from .diagnostics import (
     DiagnosticsRecord, dissipation_total, energy_e0, energy_e1,
     fit_exponential_rate, norms, record_ep, record_ks,
@@ -62,7 +62,7 @@ __all__ = [
     "run_single_ks", "run_spectrum_table", "run_vacuum_collapse",
     "semi_lagrangian_oracle", "sigma_along", "simulate_ep",
     "simulate_ep_rows", "simulate_ks", "slow_mode_fields", "stable_dt",
-    "stable_dt_ks", "step_ep", "step_ep_rows", "step_ks",
+    "stable_dt_ks", "step_ep", "step_ep_rows", "step_ks", "step_ks_to",
     "trajectory_position", "vacuum_interval", "vacuum_ramp_profile",
     "validate_initial_data", "velocity_along",
 ]

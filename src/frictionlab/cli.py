@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 invalid configuration or initial data,
 """
 from __future__ import annotations
 
-import functools
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -31,22 +31,21 @@ EXIT_VERDICT = 4
 
 
 def common_options(fn):
-    @click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                  default=None, help="Flat key=value configuration file.")
-    @click.option("--out", type=click.Path(file_okay=False), default=None,
-                  help="Directory for CSV output.")
-    @click.option("--profile", default=None,
-                  help="Named initial profile (overrides the config).")
-    @click.option("--eps", default=None,
-                  help="Comma-separated epsilon list, strictly decreasing.")
-    @click.option("--grid", type=int, default=None,
-                  help="Number of grid cells.")
-    @click.option("--t-end", type=float, default=None,
-                  help="Final time.")
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
-    return wrapper
+    # applied last to first, as stacked decorators are: --help keeps this order
+    for option in reversed((
+        click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                     default=None, help="Flat key=value configuration file."),
+        click.option("--out", type=click.Path(file_okay=False), default=None,
+                     help="Directory for CSV output."),
+        click.option("--profile", default=None,
+                     help="Named initial profile (overrides the config)."),
+        click.option("--eps", default=None,
+                     help="Comma-separated epsilon list, strictly decreasing."),
+        click.option("--grid", type=int, default=None,
+                     help="Number of grid cells."),
+        click.option("--t-end", type=float, default=None, help="Final time."))):
+        fn = option(fn)
+    return fn
 
 
 def _build_spec(kind, config, out, profile, eps, grid, t_end,
@@ -208,11 +207,7 @@ def sweep_cmd(config, out, profile, eps, grid, t_end):
     spec, _ = _guard(_build_spec, "epsilon-sweep", config, out, profile,
                      eps, grid, t_end)
     if not spec.epsilon_list:
-        spec = ExperimentSpec(
-            kind=spec.kind, params=spec.params,
-            epsilon_list=(0.2, 0.1, 0.05, 0.025),
-            profile=spec.profile, profile_args=spec.profile_args,
-            output_dir=spec.output_dir, wavenumbers=spec.wavenumbers)
+        spec = dataclasses.replace(spec, epsilon_list=(0.2, 0.1, 0.05, 0.025))
     result = _guard(run_epsilon_sweep, spec)
     for row in result.rows:
         click.echo(f"eps={format_number(row.epsilon)}  "

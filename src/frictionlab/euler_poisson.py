@@ -16,12 +16,14 @@ sum of the advective and sound speeds.  The step (`_rk3`) runs on stacked
 rows with one linear rate per row; the Keller-Segel stepper is the same
 step on its density row alone, with rate 0.
 
-Several members that differ in epsilon only are stepped together
-(`step_ep_rows`, `simulate_ep_rows`): their (rho, w) rows go through one
-batched right side, and each member keeps its own dt and clock.  Batched
-FFT rows, per-row reductions and products with per-row columns are
-bit-identical to the one-member arithmetic, so every member's trajectory
-equals its own `simulate_ep` run bit for bit.
+One driver path: `simulate_ep_rows` steps members that differ in epsilon
+only as rows of one batched step (`step_ep_rows`), each with its own dt,
+picked from its own first stage, and clock; `simulate_ep` is the
+one-member batch.  Batched FFT rows, per-row reductions and products with
+per-row columns are bit-identical to the one-member arithmetic, so a
+member's trajectory does not depend on its batch.  `step_ep` is the
+fixed-dt step for callers that choose dt, and `stable_dt` a helper that
+gives them it.
 
 dv/dtau comes from pushing the continuity flux through the inverse
 gradient: on the torus this collapses to -(flux - mean(flux)).
@@ -171,7 +173,7 @@ def _rhs(u: np.ndarray, m: _Members):
 
 
 def stable_dt(state: EPState, p: ParamSet) -> float:
-    """CFL-limited step: dt_cfl * h / (advective + sound speed)."""
+    """CFL-limited step dt_cfl*h/(advective + sound speed), as step_ep_rows takes it."""
     rho, w = state.rho.values, state.w.values
     v = -inverse_gradient(rho - p.mass_level, p.grid)[0]
     ((adv, sound),) = _speeds(rho[None], w[None], v[None], (p,))
@@ -253,11 +255,10 @@ def step_ep_rows(states, ps, target: float) -> list:
     rows of one batched step; ps holds one ParamSet per member, and the
     members may differ in epsilon only.
 
-    Each member takes dt = min(dt_cfl*h/(adv + sound), target - t) from
-    the speeds of its own first stage, which equals min(stable_dt, target
-    - t).  Returns, per member, (EPState, EPStepReport) or the
-    SolverBreakdown that stopped it; a breakdown leaves the other members'
-    steps as they would be alone."""
+    Each member takes dt = min(stable_dt, target - t), from the speeds of
+    its own first stage.  Returns, per member, (EPState, EPStepReport) or
+    the SolverBreakdown that stopped it; a breakdown leaves the other
+    members' steps as they would be alone."""
     if not all(s.time < target for s in states):
         raise ValueError("every member must be behind the target time")
     return _step_members(states, tuple(ps), lambda bounds: [
@@ -313,44 +314,24 @@ def _integrate(states, advance, record, sample_times) -> list:
     return results
 
 
-def _solo(step, next_dt):
-    """advance() of a one-member run: step(state, dt) with dt =
-    min(next_dt(state), target - t), a breakdown returned, not raised."""
-    def advance(_rows, states, target):
-        (state,) = states
-        try:
-            return [step(state, min(next_dt(state), target - state.time))]
-        except SolverBreakdown as err:
-            return [err]
-    return advance
-
-
-def _initial_state(rho0: Field, w0: Field, p: ParamSet) -> EPState:
-    validate_initial_data(rho0, w0, p).raise_if_failed()
-    return EPState(rho=Field(p.grid, rho0.values, tag="density"),
-                   w=Field(p.grid, w0.values), time=0.0)
-
-
 def simulate_ep(rho0: Field, w0: Field, p: ParamSet,
                 sample_times) -> SimulationResult:
-    """Drive step_ep with adaptive dt, landing exactly on each sample time."""
-    state = _initial_state(rho0, w0, p)
-    # module globals are looked up per call, so wrappers installed on
-    # step_ep / stable_dt / record_ep (the benchmark tracer) see every step
-    (result,) = _integrate([state], _solo(lambda s, dt: step_ep(s, p, dt),
-                                          lambda s: stable_dt(s, p)),
-                           lambda _, s: record_ep(s, p), sample_times)
+    """The one-member simulate_ep_rows."""
+    (result,) = simulate_ep_rows(rho0, w0, (p,), sample_times)
     return result
 
 
 def simulate_ep_rows(rho0: Field, w0: Field, ps,
                      sample_times) -> list:
-    """simulate_ep for several members from the same initial data, stepped
-    together by step_ep_rows; the members may differ in epsilon only.
-    Every member keeps its own dt and clock, so its SimulationResult is
-    bit-identical to its own simulate_ep run."""
+    """Sampled trajectories, landing exactly on each sample time, of members
+    from the same initial data that differ in epsilon only, stepped
+    together by step_ep_rows; each keeps its own dt and clock."""
     ps = tuple(ps)
-    state = _initial_state(rho0, w0, _members(ps).p)
+    p = _members(ps).p
+    validate_initial_data(rho0, w0, p).raise_if_failed()
+    state = EPState(rho=Field(p.grid, rho0.values, tag="density"),
+                    w=Field(p.grid, w0.values), time=0.0)
+    # step_ep_rows is looked up per call, so the benchmark tracer sees it
     return _integrate([state] * len(ps),
                       lambda rows, states, target: step_ep_rows(
                           states, [ps[i] for i in rows], target),

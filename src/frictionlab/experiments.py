@@ -3,10 +3,10 @@ dispersion tables.
 
 Each runner consumes an ExperimentSpec, returns a result object carrying
 the table rows plus pass/fail verdicts, and (when an output directory is
-configured) writes one deterministic CSV per experiment.  Sweep members
-advance together, as rows of one batched EP step on the calling thread;
-each keeps its own dt and clock, so its trajectory is bit-identical to a
-separate run.
+configured) writes one deterministic CSV per experiment.  Every EP or KS
+step picks its own dt.  Sweep members advance together as rows of one
+batched EP step, each with its own dt and clock, so its trajectory is
+bit-identical to a separate, one-member run.
 """
 from __future__ import annotations
 

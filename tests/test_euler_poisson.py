@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from frictionlab import euler_poisson, keller_segel
-from frictionlab.core import EPState, Field, Grid, ParamSet
-from frictionlab.diagnostics import fit_exponential_rate
+from frictionlab.core import EPState, Field, Grid, KSState, ParamSet
+from frictionlab.diagnostics import fit_exponential_rate, record_ep, record_ks
 from frictionlab.errors import (
-    Blowup, CflViolation, RangeBreach, VacuumApproach,
+    Blowup, CflViolation, RangeBreach, SolverBreakdown, VacuumApproach,
 )
 from frictionlab.euler_poisson import (
     reconstruct_u, simulate_ep, simulate_ep_rows, stable_dt, step_ep,
     step_ep_rows,
 )
-from frictionlab.keller_segel import simulate_ks
+from frictionlab.keller_segel import simulate_ks, stable_dt_ks, step_ks
 from frictionlab.spectral import dealias, deriv, inverse_gradient
 
 
@@ -197,23 +197,25 @@ def test_simulate_rejects_bad_sample_times(params, cosine_rho, zero_w,
 @pytest.mark.parametrize("solver", ["ep", "ks"])
 def test_breakdown_ends_run_with_its_status(monkeypatch, params, cosine_rho,
                                             zero_w, solver, cls, status):
-    # the k+1-th step raises; samples are one step apart, so the run must
-    # keep exactly the samples at tau_0..tau_k
+    # the k+1-th step returns a breakdown; samples are one step apart, so
+    # the run must keep exactly the samples at tau_0..tau_k
     k = 3
     if solver == "ep":
-        module, name = euler_poisson, "step_ep"
+        module, name = euler_poisson, "step_ep_rows"
         run = lambda times: simulate_ep(cosine_rho, zero_w, params, times)
+        outcome = lambda err: [err]       # one outcome per member
     else:
-        module, name = keller_segel, "step_ks"
+        module, name = keller_segel, "step_ks_to"
         run = lambda times: simulate_ks(cosine_rho, params, times)
+        outcome = lambda err: err
     real_step = getattr(module, name)
     taken = []
 
-    def failing_step(state, p, dt):
+    def failing_step(state, p, target):
         if len(taken) == k:
-            raise cls("injected breakdown")
-        taken.append(dt)
-        return real_step(state, p, dt)
+            return outcome(cls("injected breakdown"))
+        taken.append(target)
+        return real_step(state, p, target)
 
     monkeypatch.setattr(module, name, failing_step)
     times = [1e-3 * j for j in range(10)]
@@ -225,6 +227,87 @@ def test_breakdown_ends_run_with_its_status(monkeypatch, params, cosine_rho,
     with pytest.raises(cls) as info:
         result.raise_if_failed()
     assert info.value is result.error
+
+
+def _reference_run(step, next_dt, record, state, sample_times):
+    """The hand-driven loop: dt = min(next_dt(state), target - t), then the
+    fixed-dt step; a raised breakdown ends the run with its status."""
+    samples, n_steps = [], 0
+    for target in sample_times:
+        while state.time < target - 1e-12:
+            try:
+                state, _ = step(state, min(next_dt(state),
+                                           target - state.time))
+            except SolverBreakdown as err:
+                return samples, n_steps, err.status
+            n_steps += 1
+        samples.append((state, record(state)))
+    return samples, n_steps, "ok"
+
+
+def _assert_same_run(result, reference):
+    samples, n_steps, status = reference
+    assert result.status == status and result.n_steps == n_steps
+    assert len(result.samples) == len(samples)
+    for (a, ra), (b, rb) in zip(result.samples, samples):
+        assert a.time == b.time and ra == rb
+        for name in ("rho", "w", "sigma"):
+            if hasattr(a, name):
+                assert np.array_equal(getattr(a, name).values,
+                                      getattr(b, name).values)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_simulate_ep_equals_the_stable_dt_loop(n, alpha):
+    # the driver's step picks dt from its own first stage; that must be
+    # the stable_dt loop bit for bit, whatever the grid and scaling
+    grid = Grid.torus(n)
+    p = ParamSet(epsilon=0.1, alpha=alpha, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid, t_end=0.5)
+    rho0 = Field(grid, 1.0 + 0.3 * np.cos(grid.x), tag="density")
+    w0 = Field(grid, 0.05 * np.sin(grid.x))
+    times = np.linspace(0.0, p.t_end, 11)
+    result = simulate_ep(rho0, w0, p, times)
+    assert result.ok and result.n_steps > len(times)
+    _assert_same_run(result, _reference_run(
+        lambda s, dt: step_ep(s, p, dt), lambda s: stable_dt(s, p),
+        lambda s: record_ep(s, p),
+        EPState(rho=rho0, w=w0), times))
+
+
+@pytest.mark.parametrize("n, amp", [(64, 0.3), (512, 0.3), (64, 1.0)])
+def test_simulate_ks_equals_the_stable_dt_loop(n, amp):
+    # amp = 1 touches vacuum: both end on the first step, status vacuum
+    grid = Grid.torus(n)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid, t_end=2.0)
+    sigma0 = Field(grid, 1.0 + amp * np.cos(grid.x), tag="density")
+    times = np.linspace(0.0, p.t_end, 21)
+    result = simulate_ks(sigma0, p, times)
+    assert result.ok == (amp < 1.0)
+    _assert_same_run(result, _reference_run(
+        lambda s, dt: step_ks(s, p, dt), lambda s: stable_dt_ks(s, p),
+        lambda s: record_ks(s, p), KSState(sigma=sigma0), times))
+
+
+@pytest.mark.parametrize("eps, alpha", [(0.1, 1.0), (0.05, 1.5), (0.2, 0.5)])
+def test_step_ep_is_third_order_in_dt(torus64, eps, alpha):
+    # self-convergence of the fixed-dt step under dt halving: 16 to 256
+    # steps over T = 8 stable_dt of the initial state
+    p = ParamSet(epsilon=eps, alpha=alpha, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=torus64)
+    s0 = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x), np.zeros(torus64.n))
+    t_end = 8.0 * stable_dt(s0, p)
+    finals = []
+    for n_steps in (16, 32, 64, 128, 256):
+        s = s0
+        for _ in range(n_steps):
+            s, _ = step_ep(s, p, t_end / n_steps)
+        finals.append(np.concatenate((s.rho.values, s.w.values)))
+    errors = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders[-2:]) >= 2.8, orders
 
 
 def test_energy_decreases_post_layer(torus64, zero_w):

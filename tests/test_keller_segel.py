@@ -7,7 +7,9 @@ from frictionlab import keller_segel
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate
 from frictionlab.errors import CflViolation, MeanDefect, VacuumApproach
-from frictionlab.keller_segel import simulate_ks, stable_dt_ks, step_ks
+from frictionlab.keller_segel import (
+    simulate_ks, stable_dt_ks, step_ks, step_ks_to,
+)
 from frictionlab.spectral import dealias, deriv, inverse_gradient
 
 
@@ -61,6 +63,29 @@ def test_fused_flux_rhs_matches_composition(n):
     ref = -deriv(dealias(sigma * v, grid), grid)
     assert np.max(np.abs(slope - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert vmax == pytest.approx(float(np.max(np.abs(v))), rel=1e-12)
+
+
+@pytest.mark.parametrize("amp, target", [(0.5, 1.0), (0.3, 1.0),
+                                         (0.5, 0.013), (0.0, 1.0)])
+def test_step_ks_to_takes_the_stable_dt(params, torus64, amp, target):
+    # at n = 64 the CFL bound is 0.079 for amp 0.5 and 0.13 for amp 0.3,
+    # above the 0.1/M cap; target 0.013 is nearer than either, and the
+    # flat state has no CFL bound at all
+    s = KSState(sigma=Field(torus64, 1.0 + amp * np.cos(torus64.x),
+                            tag="density"), time=0.01)
+    new, report = step_ks_to(s, params, target)
+    dt = min(stable_dt_ks(s, params), target - s.time)
+    assert report.dt_used == dt and new.time == s.time + dt
+    alone, alone_report = step_ks(s, params, dt)
+    assert np.array_equal(new.sigma.values, alone.sigma.values)
+    assert report == alone_report
+
+
+def test_step_ks_to_returns_its_breakdown(params, torus64):
+    s = _state(torus64, np.maximum(1.0 + np.cos(torus64.x), 0.0))
+    assert isinstance(step_ks_to(s, params, 0.5), VacuumApproach)
+    with pytest.raises(ValueError, match="behind"):
+        step_ks_to(_state(torus64, np.ones(torus64.n)), params, 0.0)
 
 
 def test_stable_dt_capped_for_flat_state(params, torus64):
@@ -124,3 +149,18 @@ def test_simulate_reports_vacuum_status(params, torus64):
     assert len(result.samples) == 1
     with pytest.raises(VacuumApproach):
         result.raise_if_failed()
+
+
+def test_step_ks_is_third_order_in_dt(params, torus64):
+    # self-convergence of the fixed-dt step under dt halving: 8 to 128
+    # steps over T = 0.5
+    s0 = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x))
+    finals = []
+    for n_steps in (8, 16, 32, 64, 128):
+        s = s0
+        for _ in range(n_steps):
+            s, _ = step_ks(s, params, 0.5 / n_steps)
+        finals.append(s.sigma.values)
+    errors = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders[-2:]) >= 2.8, orders

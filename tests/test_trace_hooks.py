@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frictionlab import euler_poisson
+from frictionlab import euler_poisson, keller_segel
 from frictionlab.core import Field, Grid, ParamSet
 from frictionlab.diagnostics import DERIV_CAP
 from frictionlab.experiments import ExperimentSpec, run_epsilon_sweep
@@ -42,7 +42,9 @@ def test_sweep_spans(tracing, p64):
     calls = Counter(s.name for s in tracer.spans)
     assert calls["experiments.sweep_member"] == 2
     assert calls["euler_poisson.simulate_ep_rows"] == 1
-    assert calls["keller_segel.step_ks"] > 0
+    assert calls["keller_segel.step_ks_to"] > 0
+    assert calls["keller_segel.step_ks"] == 0
+    assert calls["keller_segel.stable_dt_ks"] == 0
     # the members advance together: one batched step serves both while
     # both are behind, and no one-member step or stable_dt call is made
     rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
@@ -65,11 +67,16 @@ def test_ep_step_spans_match_step_count(tracing, p64):
     assert result.ok and result.n_steps > 0
     calls = Counter(s.name for s in tracer.spans)
     assert calls["euler_poisson.simulate_ep"] == 1
-    assert calls["euler_poisson.step_ep"] == result.n_steps
-    assert calls["euler_poisson.stable_dt"] == result.n_steps
+    assert calls["euler_poisson.simulate_ep_rows"] == 1
+    assert calls["euler_poisson.step_ep_rows"] == result.n_steps
+    # the step picks its own dt: no fixed-dt step and no stable_dt call
+    assert calls["euler_poisson.step_ep"] == 0
+    assert calls["euler_poisson.stable_dt"] == 0
+    # the tracer keys its step metrics on step_ep, so on a driver run
+    # they read 0 until it counts step_ep_rows spans instead
     metrics, detail = tracing.layer_metrics(tracer)
-    assert detail["ep_steps_by_epsilon"] == {"0.1": result.n_steps}
-    assert metrics["spectral.fft.per_ep_step"][0] > 0.0
+    assert detail["ep_steps_by_epsilon"] == {}
+    assert metrics["spectral.fft.per_ep_step"][0] == 0.0
 
 
 def test_ks_step_spans_match_step_count(tracing, p64):
@@ -77,32 +84,38 @@ def test_ks_step_spans_match_step_count(tracing, p64):
     tracer = tracing.Tracer()
     result = tracer.run(lambda: simulate_ks(sigma0, p64, [0.0, 0.1, 0.2]))
     assert result.ok and result.n_steps > 0
-    steps = [s for s in tracer.spans if s.name == "keller_segel.step_ks"]
-    assert len(steps) == result.n_steps
+    calls = Counter(s.name for s in tracer.spans)
+    assert calls["keller_segel.step_ks_to"] == result.n_steps
+    assert calls["keller_segel.step_ks"] == 0
+    assert calls["keller_segel.stable_dt_ks"] == 0
 
 
-def _ffts_under(spans, name):
-    """rfft/irfft spans with an ancestor span called `name`, however deep."""
-    def under(span):
+def _ffts_under(spans, name, outside=None):
+    """rfft/irfft spans with an ancestor span called `name`, however deep,
+    and none called `outside`."""
+    def ancestors(span):
+        names = set()
         while span is not None:
-            if span.name == name:
-                return True
+            names.add(span.name)
             span = span.parent
-        return False
-    return sum(under(s) for s in spans if s.name == "spectral.fft")
+        return names
+    return sum(name in a and outside not in a
+               for a in (ancestors(s) for s in spans
+                         if s.name == "spectral.fft"))
 
 
 def test_ep_step_fft_budget(tracing, p64):
-    # every rfft/irfft made inside a step_ep, however deep, counts against
-    # that step: three stages of the fused right side at six calls each
+    # every rfft/irfft made inside a step_ep_rows, however deep, counts
+    # against that step: three stages of the fused right side at six
+    # calls each
     rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
     w0 = Field(p64.grid, np.zeros(p64.grid.n))
     tracer = tracing.Tracer()
     tracer.run(lambda: euler_poisson.simulate_ep(
         rho0, w0, p64, [0.0, 0.1, 0.2]))
-    steps = sum(s.name == "euler_poisson.step_ep" for s in tracer.spans)
+    steps = sum(s.name == "euler_poisson.step_ep_rows" for s in tracer.spans)
     assert steps > 0
-    ffts = _ffts_under(tracer.spans, "euler_poisson.step_ep")
+    ffts = _ffts_under(tracer.spans, "euler_poisson.step_ep_rows")
     assert ffts <= 18 * steps, ffts / steps
 
 
@@ -126,10 +139,35 @@ def test_ks_step_fft_budget(tracing, p64):
     sigma0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
     tracer = tracing.Tracer()
     tracer.run(lambda: simulate_ks(sigma0, p64, [0.0, 0.1, 0.2]))
-    steps = sum(s.name == "keller_segel.step_ks" for s in tracer.spans)
+    steps = sum(s.name == "keller_segel.step_ks_to" for s in tracer.spans)
     assert steps > 0
-    ffts = _ffts_under(tracer.spans, "keller_segel.step_ks")
+    ffts = _ffts_under(tracer.spans, "keller_segel.step_ks_to")
     assert ffts <= 12 * steps, ffts / steps
+
+
+def test_ep_run_fft_budget(tracing, p64):
+    # a whole driver run, records aside, costs its steps' FFTs and no
+    # more: no separate stable_dt pass before each step
+    rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    w0 = Field(p64.grid, np.zeros(p64.grid.n))
+    tracer = tracing.Tracer()
+    result = tracer.run(lambda: euler_poisson.simulate_ep(
+        rho0, w0, p64, [0.0, 0.1, 0.2]))
+    assert result.ok and result.n_steps > 0
+    ffts = _ffts_under(tracer.spans, "euler_poisson.simulate_ep",
+                       outside="diagnostics.record_ep")
+    assert 0 < ffts <= 18 * result.n_steps, ffts / result.n_steps
+
+
+def test_ks_run_fft_budget(tracing, p64):
+    sigma0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    tracer = tracing.Tracer()
+    result = tracer.run(lambda: keller_segel.simulate_ks(
+        sigma0, p64, [0.0, 0.1, 0.2]))
+    assert result.ok and result.n_steps > 0
+    ffts = _ffts_under(tracer.spans, "keller_segel.simulate_ks",
+                       outside="diagnostics.record_ks")
+    assert 0 < ffts <= 12 * result.n_steps, ffts / result.n_steps
 
 
 def test_record_fft_budget(tracing, p64):
