@@ -107,6 +107,19 @@ class Field:
         if self.tag == "density" and vals.min() < 0.0:
             raise RangeViolation("density field has negative samples")
 
+    @classmethod
+    def _trusted(cls, grid: Grid, values: np.ndarray, tag: str = "") -> "Field":
+        """A Field built without the scans of __post_init__, for the solver
+        steps, whose own guards have already checked their new arrays.
+
+        The caller vouches that `values` is a float64 array of shape
+        (grid.n,), all finite, and nonnegative if tag is 'density'."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", values)
+        object.__setattr__(f, "tag", tag)
+        return f
+
 
 def mean(f: Field) -> float:
     """Arithmetic sample mean (= midpoint-rule average on a uniform torus)."""

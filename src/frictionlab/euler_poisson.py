@@ -229,9 +229,11 @@ def _step_members(states, ps: tuple, dt_for) -> list:
                 f"[{lo:.6g}, {hi:.6g}] at tau = {times[i]:.6g}"))
         else:
             # copies: a view would keep the whole batch buffer alive for as
-            # long as the state is kept (every sampled state is)
-            state = EPState(rho=Field(grid, rho_new[i].copy(), tag="density"),
-                            w=Field(grid, w_new[i].copy()), time=times[i])
+            # long as the state is kept (every sampled state is); no rescan:
+            # _check_blowup and the range guard have checked both rows
+            state = EPState(
+                rho=Field._trusted(grid, rho_new[i].copy(), tag="density"),
+                w=Field._trusted(grid, w_new[i].copy()), time=times[i])
             out.append((state, EPStepReport(
                 dt_used=dt[i], max_cfl_speed=speeds[i],
                 friction_factor=math.exp(m.lam[1][i] * dt[i]),
@@ -270,7 +272,7 @@ class SimulationResult:
     """Trajectory samples plus a status flag; errors surface here rather
     than escaping mid-run (the partial trajectory is kept on breakdown)."""
 
-    samples: list                      # [(state, DiagnosticsRecord), ...]
+    samples: list                      # [(state, record or None), ...]
     status: str                        # 'ok', or the breakdown's status
     error: Optional[Exception] = None
     n_steps: int = 0
@@ -286,7 +288,8 @@ class SimulationResult:
 
 def _integrate(states, advance, record, sample_times) -> list:
     """Advance every member to each sample time in turn, landing on it
-    exactly, and record member i there as record(i, state).
+    exactly, and record member i there as record(i, state); with record
+    None the samples hold the states alone, paired with None.
 
     advance(members, states, target) takes one step toward target of each
     listed member (those whose clock is behind), in one call, and returns
@@ -310,7 +313,8 @@ def _integrate(states, advance, record, sample_times) -> list:
                     states[i] = out[0]
                     results[i].n_steps += 1
         for i in live:
-            results[i].samples.append((states[i], record(i, states[i])))
+            results[i].samples.append(
+                (states[i], None if record is None else record(i, states[i])))
     return results
 
 
@@ -321,11 +325,13 @@ def simulate_ep(rho0: Field, w0: Field, p: ParamSet,
     return result
 
 
-def simulate_ep_rows(rho0: Field, w0: Field, ps,
-                     sample_times) -> list:
+def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
+                     records: bool = True) -> list:
     """Sampled trajectories, landing exactly on each sample time, of members
     from the same initial data that differ in epsilon only, stepped
-    together by step_ep_rows; each keeps its own dt and clock."""
+    together by step_ep_rows; each keeps its own dt and clock.  With
+    records False no diagnostics are computed: each sample pairs its
+    state with None."""
     ps = tuple(ps)
     p = _members(ps).p
     validate_initial_data(rho0, w0, p).raise_if_failed()
@@ -335,4 +341,5 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps,
     return _integrate([state] * len(ps),
                       lambda rows, states, target: step_ep_rows(
                           states, [ps[i] for i in rows], target),
-                      lambda i, s: record_ep(s, ps[i]), sample_times)
+                      (lambda i, s: record_ep(s, ps[i])) if records else None,
+                      sample_times)

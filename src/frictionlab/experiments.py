@@ -172,18 +172,20 @@ def run_epsilon_sweep(spec: ExperimentSpec) -> SweepResult:
     The reference density is integrated once (with a halved CFL number so
     its time error sits below every member's) and reused for every row;
     the limit object does not depend on epsilon.  Data are well-prepared
-    (w0 = 0).
+    (w0 = 0).  The table needs the sampled states alone, so neither run
+    computes diagnostics records.
     """
     p = spec.params
     rho0 = _initial_field(spec)
     w0 = Field(p.grid, np.zeros(p.grid.n))
     times = _sample_times(p.t_end)
-    reference = simulate_ks(rho0, p.replace(dt_cfl=0.5 * p.dt_cfl), times)
+    reference = simulate_ks(rho0, p.replace(dt_cfl=0.5 * p.dt_cfl), times,
+                            records=False)
     reference.raise_if_failed()
     sigma_samples = [state.sigma.values for state, _ in reference.samples]
 
     members = [p.replace(epsilon=e) for e in spec.epsilons]
-    results = simulate_ep_rows(rho0, w0, members, times)
+    results = simulate_ep_rows(rho0, w0, members, times, records=False)
     rows = tuple(_sweep_member(result, pe, sigma_samples)
                  for result, pe in zip(results, members))
 

@@ -12,6 +12,17 @@ keep-mask (1 for j <= n/3, else 0).  `deriv`, `dealias` and
 `inverse_gradient` read them, and so do the fused right-hand sides of
 the Euler-Poisson and Keller-Segel steppers.
 The cached arrays are read-only.
+
+`trig_interp` evaluates the interpolant Re sum_k c_k e^{ik theta} of the
+K = n/2+1 rfft modes at m arbitrary points by the baby-step/giant-step
+split of polynomial evaluation (Paterson & Stockmeyer, 1973): with
+b = ceil(sqrt K) and k = jb + r the sum is sum_j (e^{ib theta})^j
+(sum_r c_{jb+r} e^{ir theta}), one small complex GEMM of an m x b table
+with the coefficient block plus a row-wise dot with an m x a table,
+a = ceil(K/b).  That is m(a + b) complex exponentials and O(m(a + b))
+memory, where the dense sum takes 2mK cos/sin values in m x K tables;
+each table entry is its own exponential, so the rounding error stays
+that of the dense sum (bound in the `trig_interp` docstring).
 """
 from __future__ import annotations
 
@@ -99,16 +110,40 @@ def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarra
     """Evaluate the trigonometric interpolant of `values` at arbitrary points.
 
     Exact on band-limited data; used by the semi-Lagrangian oracle to read
-    Eulerian fields at marker positions.
+    Eulerian fields at marker positions.  `points` is a 1-D array of
+    positions anywhere on the line (the interpolant is periodic).
+
+    With theta = 2 pi (x - left)/L the interpolant is Re sum_k c_k e^{ik theta},
+    c_k the rfft coefficients over n, doubled for the paired modes
+    1 <= k < (n+1)/2 (the Nyquist mode of even n stays single).  The sum
+    is split baby-step/giant-step, k = jb + r with b = ceil(sqrt K) and
+    a = ceil(K/b) (the coefficients zero-padded to a x b):
+
+        sum_j e^{ijb theta} * (sum_r c_{jb+r} e^{ir theta}),
+
+    the inner sums one GEMM of the m x b "baby" table e^{ir theta} with the
+    coefficient block, the outer one a row-wise dot with the m x a "giant"
+    table e^{ijb theta}.  Cost: m(a + b) complex exponentials, against the
+    2mK cos/sin of the dense sum.  Every table entry is its own exp, not a
+    power built by repeated products, so rounding does not grow with k: the
+    error is at most about (K |theta| + a + b) u sum_k |c_k| (u the unit
+    roundoff), the phase error of the largest argument plus the two short
+    sums, as for the dense sum.
     """
     _check_torus(grid)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1:
+        raise ValueError("points must be a 1-D array")
     n = grid.n
-    fh = np.fft.rfft(values) / n
-    k = _symbols(grid).k
-    theta = np.multiply.outer(np.asarray(points, dtype=float) - grid.left, k)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    out = cos_t @ fh.real - sin_t @ fh.imag
-    out += cos_t[:, 1:-1] @ fh.real[1:-1] - sin_t[:, 1:-1] @ fh.imag[1:-1]
-    if n % 2 == 1:
-        out += cos_t[:, -1] * fh.real[-1] - sin_t[:, -1] * fh.imag[-1]
-    return out
+    c = np.fft.rfft(values) / n
+    c[1:(n + 1) // 2] *= 2.0
+    b = math.isqrt(c.size - 1) + 1
+    a = -(-c.size // b)
+    block = np.zeros(a * b, dtype=complex)
+    block[:c.size] = c
+    theta = (2.0 * math.pi / grid.length) * (pts - grid.left)
+    baby = np.exp(1j * np.multiply.outer(theta, np.arange(b)))
+    giant = np.exp(1j * np.multiply.outer(theta, b * np.arange(a)))
+    inner = baby @ block.reshape(a, b).T
+    # the real part of the row-wise product, without a complex temporary
+    return (giant.real * inner.real - giant.imag * inner.imag).sum(axis=1)

@@ -4,6 +4,27 @@ import pytest
 from frictionlab.core import Field, Grid, ParamSet
 
 
+def _dense_trig_interp(values, grid, points):
+    """The dense trigonometric interpolant: the full m x (n/2+1) cos and
+    sin tables, summed mode by mode (the paired modes twice)."""
+    n = grid.n
+    fh = np.fft.rfft(values) / n
+    k = (2.0 * np.pi / grid.length) * np.arange(n // 2 + 1)
+    theta = np.multiply.outer(np.asarray(points, dtype=float) - grid.left, k)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    out = cos_t @ fh.real - sin_t @ fh.imag
+    out += cos_t[:, 1:-1] @ fh.real[1:-1] - sin_t[:, 1:-1] @ fh.imag[1:-1]
+    if n % 2 == 1:
+        out += cos_t[:, -1] * fh.real[-1] - sin_t[:, -1] * fh.imag[-1]
+    return out
+
+
+@pytest.fixture
+def dense_trig_interp():
+    """The reference that spectral.trig_interp is checked against."""
+    return _dense_trig_interp
+
+
 @pytest.fixture
 def torus64():
     return Grid.torus(64)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from frictionlab import characteristics
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.characteristics import (
     TrajectoryBundle, derivative_along, dxeta, reconstruct_eulerian,
@@ -255,3 +256,17 @@ def test_oracle_small_run():
     state = KSState(sigma=Field(g, 1.0 + 0.3 * np.cos(g.x), tag="density"))
     cmp = semi_lagrangian_oracle(state, p, 0.5)
     assert cmp.max_gap <= 1e-5
+
+
+def test_oracle_gaps_match_dense_interpolation(monkeypatch, dense_trig_interp):
+    # the markers read the velocity through trig_interp 4 times per marker
+    # step; swapping in the dense cos/sin sum must leave every gap in place
+    g = Grid.torus(256)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=g)
+    state = KSState(sigma=Field(g, 1.0 + 0.3 * np.cos(g.x)
+                                + 0.05 * np.sin(7 * g.x), tag="density"))
+    fast = semi_lagrangian_oracle(state, p, 0.5)
+    monkeypatch.setattr(characteristics, "trig_interp", dense_trig_interp)
+    dense = semi_lagrangian_oracle(state, p, 0.5)
+    np.testing.assert_allclose(fast.gaps, dense.gaps, rtol=0.0, atol=1e-13)

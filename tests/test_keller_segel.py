@@ -6,7 +6,9 @@ import pytest
 from frictionlab import keller_segel
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate
-from frictionlab.errors import CflViolation, MeanDefect, VacuumApproach
+from frictionlab.errors import (
+    Blowup, CflViolation, MeanDefect, VacuumApproach,
+)
 from frictionlab.keller_segel import (
     simulate_ks, stable_dt_ks, step_ks, step_ks_to,
 )
@@ -86,6 +88,27 @@ def test_step_ks_to_returns_its_breakdown(params, torus64):
     assert isinstance(step_ks_to(s, params, 0.5), VacuumApproach)
     with pytest.raises(ValueError, match="behind"):
         step_ks_to(_state(torus64, np.ones(torus64.n)), params, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_slope_ends_run_nonfinite(monkeypatch, params, torus64,
+                                            bad):
+    # the step's states skip the Field scans, so its own guard must stop
+    # a non-finite density: the 4th step gets a poisoned slope
+    real_rhs = keller_segel._flux_rhs
+    calls = []
+
+    def poisoned(sigma, p):
+        g, v_max = real_rhs(sigma, p)
+        calls.append(None)
+        return (g + bad if len(calls) == 10 else g), v_max
+
+    monkeypatch.setattr(keller_segel, "_flux_rhs", poisoned)
+    sigma0 = Field(torus64, 1.0 + 0.3 * np.cos(torus64.x), tag="density")
+    result = simulate_ks(sigma0, params, np.linspace(0.0, 1.0, 21))
+    assert result.status == "nonfinite" and isinstance(result.error, Blowup)
+    assert result.n_steps == 3
+    assert all(np.all(np.isfinite(s.sigma.values)) for s, _ in result.samples)
 
 
 def test_stable_dt_capped_for_flat_state(params, torus64):

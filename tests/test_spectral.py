@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,54 @@ def test_trig_interp_between_nodes(g):
     pts = np.array([0.1234, 1.9, 4.21])
     np.testing.assert_allclose(trig_interp(f, g, pts), np.cos(2 * pts),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 65, 512])
+def test_trig_interp_matches_dense_sum(n, dense_trig_interp):
+    # full-spectrum data on a shifted cell whose length is not 2 pi, read
+    # inside the cell, outside it on both sides, and at the nodes; the
+    # bound is in units of sum |c_k|, the interpolant's coefficient size
+    grid = Grid.torus(n, length=3.7, left=-1.3)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n)
+    span = 3.0 * grid.length
+    points = np.concatenate((rng.uniform(grid.left, grid.right, 200),
+                             rng.uniform(grid.left - span, grid.right + span,
+                                         200),
+                             grid.x))
+    c = np.fft.rfft(values) / n
+    c[1:(n + 1) // 2] *= 2.0
+    np.testing.assert_allclose(trig_interp(values, grid, points),
+                               dense_trig_interp(values, grid, points),
+                               rtol=0.0, atol=1e-12 * np.abs(c).sum())
+    empty = trig_interp(values, grid, np.empty(0))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_trig_interp_rejects_non_1d_points(g):
+    f = np.cos(g.x)
+    with pytest.raises(ValueError, match="1-D"):
+        trig_interp(f, g, 0.5)
+    with pytest.raises(ValueError, match="1-D"):
+        trig_interp(f, g, np.zeros((2, 3)))
+
+
+def test_trig_interp_memory_below_one_dense_table():
+    # the dense sum needs m x (n/2+1) cos and sin tables and products of
+    # the same size; the baby/giant tables are m x ~sqrt(n/2) each
+    n = m = 2048
+    grid = Grid.torus(n)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(n)
+    points = rng.uniform(0.0, grid.length, m)
+    trig_interp(values, grid, points)     # one-time set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        trig_interp(values, grid, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * (n // 2 + 1) * 8, peak
 
 
 @pytest.mark.parametrize("n", [64, 256, 2048])

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from frictionlab import euler_poisson, keller_segel
-from frictionlab.core import Field, Grid, ParamSet
+from frictionlab.characteristics import semi_lagrangian_oracle
+from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import DERIV_CAP
 from frictionlab.experiments import ExperimentSpec, run_epsilon_sweep
 from frictionlab.keller_segel import simulate_ks
@@ -56,6 +57,39 @@ def test_sweep_spans(tracing, p64):
     assert max(solo) <= calls["euler_poisson.step_ep_rows"] < sum(solo)
     assert calls["euler_poisson.step_ep"] == 0
     assert calls["euler_poisson.stable_dt"] == 0
+    # the table needs the sampled states only: no diagnostics records
+    assert calls["diagnostics.record_ep"] == 0
+    assert calls["diagnostics.record_ks"] == 0
+
+
+def test_oracle_trig_interp_spans(tracing, p64):
+    # 4 velocity reads per marker step, 2 Eulerian steps per marker step,
+    # and one final read of the density: 2 * n_steps + 1 interpolations
+    state = KSState(sigma=Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x),
+                                tag="density"))
+    tracer = tracing.Tracer()
+    tracer.run(lambda: semi_lagrangian_oracle(state, p64, 0.2, n_steps=8))
+    calls = Counter(s.name for s in tracer.spans)
+    assert calls["spectral.trig_interp"] == 17
+    assert calls["keller_segel.step_ks"] == 8
+
+
+def test_step_states_skip_field_rescans(tracing, p64):
+    # a step's own guards have scanned its new arrays, so the states it
+    # returns are built without Field.__post_init__
+    rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    w0 = Field(p64.grid, np.zeros(p64.grid.n))
+    times = [0.0, 0.1, 0.2]
+    for step, run in (
+            ("euler_poisson.step_ep_rows",
+             lambda: euler_poisson.simulate_ep(rho0, w0, p64, times)),
+            ("keller_segel.step_ks_to",
+             lambda: simulate_ks(rho0, p64, times))):
+        tracer = tracing.Tracer()
+        assert tracer.run(run).n_steps > 0
+        assert sum(s.name == step for s in tracer.spans) > 0
+        assert not any(s.name == "core.field" and tracing._under(s, step)
+                       for s in tracer.spans)
 
 
 def test_ep_step_spans_match_step_count(tracing, p64):
