@@ -138,11 +138,12 @@ def vacuum_interval(tau: float, prof: InitialProfile, M: float) -> VacuumReport:
     return VacuumReport(a=a, b=b, length=length, limit_point=a0 + f_a / M)
 
 
-def reconstruct_eulerian(tau: float, prof: InitialProfile, M: float,
-                         grid: Grid) -> KSState:
-    """Eulerian density at time tau by monotone inversion of the
-    trajectory map (vectorized bisection in label space)."""
-    y = grid.x
+def invert_trajectory_map(y: np.ndarray, tau: float, prof: InitialProfile,
+                          M: float) -> np.ndarray:
+    """Labels x with eta(x, tau) = y at the sorted positions y, by vectorized
+    bisection in label space.  Raises InversionFailure if the bracket
+    y -+ (max|F|/M + 1) misses a position or the labels are not monotone."""
+    y = np.asarray(y, dtype=float)
     c = prof.max_abs_F / M + 1.0
     lo = y - c
     hi = y + c
@@ -160,6 +161,14 @@ def reconstruct_eulerian(tau: float, prof: InitialProfile, M: float,
     labels = 0.5 * (lo + hi)
     if np.any(np.diff(labels) < -1e-9):
         raise InversionFailure("sampled trajectory map is not monotone")
+    return labels
+
+
+def reconstruct_eulerian(tau: float, prof: InitialProfile, M: float,
+                         grid: Grid) -> KSState:
+    """Eulerian density at time tau on the grid, from the labels of its
+    nodes (invert_trajectory_map)."""
+    labels = invert_trajectory_map(grid.x, tau, prof, M)
     sig = np.maximum(sigma_along(labels, tau, prof, M), 0.0)
     return KSState(sigma=Field(grid, sig, tag="density"), time=tau)
 

@@ -24,54 +24,70 @@ def pressure_bracket(rho: np.ndarray, gamma: float, M: float) -> np.ndarray:
     return rho**gamma - M**gamma - gamma * M ** (gamma - 1.0) * (rho - M)
 
 
-def energy_e0(state: EPState, p: ParamSet) -> float:
-    """Zeroth-order energy: (eps^alpha/2) ∫ rho w^2 + (1/(gamma-1)) ∫ bracket."""
+def _e0(rho: np.ndarray, w, p: ParamSet) -> float:
+    """e0 of the rows (rho, w); w None (a KS state) has no kinetic part."""
     grid = p.grid
-    rho, w = state.rho.values, state.w.values
-    kinetic = 0.5 * p.epsilon**p.alpha * grid.integrate(rho * w * w)
     internal = grid.integrate(pressure_bracket(rho, p.gamma, p.mass_level)) / (p.gamma - 1.0)
+    if w is None:
+        return float(internal)
+    kinetic = 0.5 * p.epsilon**p.alpha * grid.integrate(rho * w * w)
     return float(kinetic + internal)
 
 
-def _higher_order(state: EPState, p: ParamSet) -> tuple[float, float, np.ndarray]:
-    """(e1, d1, d rho/dx) from one batched derivative of (rho, w) per order.
+def _higher_order(rho: np.ndarray, w, p: ParamSet) -> tuple[float, float, np.ndarray]:
+    """(e1, d1, d rho/dx) from one batched derivative of (rho, w) per order,
+    of rho alone when w is None (a KS state: no w terms).
 
     e1 = sum over 1 <= j <= DERIV_CAP of
     (eps^alpha/2) ∫ rho (d^j w)^2 + (gamma/2) ∫ rho^(gamma-2) (d^j rho)^2,
     d1 = the same sum with weights eps^(alpha-2) and gamma rho^(gamma-1).
     """
     grid = p.grid
-    rho, w = state.rho.values, state.w.values
-    both = np.stack((rho, w))
-    derivs = [deriv(both, grid, j) for j in range(1, DERIV_CAP + 1)]
+    rows = rho[None] if w is None else np.stack((rho, w))
+    derivs = [deriv(rows, grid, j) for j in range(1, DERIV_CAP + 1)]
     e_weight = rho ** (p.gamma - 2.0)
     d_weight = rho ** (p.gamma - 1.0)
     e1 = d1 = 0.0
-    for dr, dw in derivs:
-        e1 += 0.5 * p.epsilon**p.alpha * grid.integrate(rho * dw * dw)
+    for d in derivs:
+        if w is not None:
+            kinetic = grid.integrate(rho * d[1] * d[1])
+            e1 += 0.5 * p.epsilon**p.alpha * kinetic
+            d1 += p.epsilon ** (p.alpha - 2.0) * kinetic
+        dr = d[0]
         e1 += 0.5 * p.gamma * grid.integrate(e_weight * dr * dr)
-        d1 += p.epsilon ** (p.alpha - 2.0) * grid.integrate(rho * dw * dw)
         d1 += p.gamma * grid.integrate(d_weight * dr * dr)
     return float(e1), float(d1), derivs[0][0]
+
+
+def _d0(rho: np.ndarray, w, p: ParamSet) -> float:
+    """d0 of the rows (rho, w); w None (a KS state) has no friction part."""
+    grid = p.grid
+    dev = rho - p.mass_level
+    relax = grid.integrate(dev * dev)
+    if w is None:
+        return float(relax)
+    return float(p.epsilon ** (p.alpha - 2.0) * grid.integrate(w * w) + relax)
+
+
+def energy_e0(state: EPState, p: ParamSet) -> float:
+    """Zeroth-order energy: (eps^alpha/2) ∫ rho w^2 + (1/(gamma-1)) ∫ bracket."""
+    return _e0(state.rho.values, state.w.values, p)
 
 
 def energy_e1(state: EPState, p: ParamSet) -> float:
     """Higher-order energy: sum over 1 <= j <= DERIV_CAP of
     (eps^alpha/2) ∫ rho (d^j w)^2 + (gamma/2) ∫ rho^(gamma-2) (d^j rho)^2.
     """
-    return _higher_order(state, p)[0]
+    return _higher_order(state.rho.values, state.w.values, p)[0]
 
 
 def dissipation_d0(state: EPState, p: ParamSet) -> float:
-    grid = p.grid
-    dev = state.rho.values - p.mass_level
-    w = state.w.values
-    return float(p.epsilon ** (p.alpha - 2.0) * grid.integrate(w * w)
-                 + grid.integrate(dev * dev))
+    return _d0(state.rho.values, state.w.values, p)
 
 
 def dissipation_total(state: EPState, p: ParamSet) -> float:
-    return dissipation_d0(state, p) + _higher_order(state, p)[1]
+    rho, w = state.rho.values, state.w.values
+    return _d0(rho, w, p) + _higher_order(rho, w, p)[1]
 
 
 def norms(f: Field) -> dict:
@@ -143,17 +159,21 @@ class DiagnosticsRecord:
                 self.rho_min, self.rho_max]
 
 
-def record_ep(state: EPState, p: ParamSet) -> DiagnosticsRecord:
+def _record(rho: np.ndarray, w, tau: float, p: ParamSet) -> DiagnosticsRecord:
+    """The record of the rows (rho, w) at time tau; w None is a KS state,
+    whose w terms (kinetic energy, w derivatives, friction dissipation)
+    are skipped, and its w_l2 is 0."""
     grid = p.grid
-    rho = state.rho.values
     dev = rho - p.mass_level
-    e0 = energy_e0(state, p)
-    e1, d1, grad = _higher_order(state, p)
-    d0 = dissipation_d0(state, p)
-    w_sc = p.epsilon ** (0.5 * p.alpha) * state.w.values
-    w_l2 = math.sqrt(max(grid.integrate(w_sc * w_sc), 0.0))
+    e0 = _e0(rho, w, p)
+    e1, d1, grad = _higher_order(rho, w, p)
+    d0 = _d0(rho, w, p)
+    w_l2 = 0.0
+    if w is not None:
+        w_sc = p.epsilon ** (0.5 * p.alpha) * w
+        w_l2 = math.sqrt(max(grid.integrate(w_sc * w_sc), 0.0))
     return DiagnosticsRecord(
-        tau=state.time, e0=e0, e1=e1, e_total=e0 + e1,
+        tau=tau, e0=e0, e1=e1, e_total=e0 + e1,
         d0=d0, d1=d1, d_total=d0 + d1,
         sup_dev=float(np.max(np.abs(dev))),
         l2_dev=math.sqrt(max(grid.integrate(dev * dev), 0.0)),
@@ -165,7 +185,11 @@ def record_ep(state: EPState, p: ParamSet) -> DiagnosticsRecord:
     )
 
 
+def record_ep(state: EPState, p: ParamSet) -> DiagnosticsRecord:
+    return _record(state.rho.values, state.w.values, state.time, p)
+
+
 def record_ks(state: KSState, p: ParamSet) -> DiagnosticsRecord:
-    zero_w = Field(state.sigma.grid, np.zeros(state.sigma.grid.n))
-    ep_view = EPState(rho=state.sigma, w=zero_w, time=state.time)
-    return record_ep(ep_view, p)
+    """The record of a KS state: record_ep's of (sigma, w = 0), without
+    the w terms, which add 0.0."""
+    return _record(state.sigma.values, None, state.time, p)

@@ -16,6 +16,14 @@ sum of the advective and sound speeds.  The step (`_rk3`) runs on stacked
 rows with one linear rate per row; the Keller-Segel stepper is the same
 step on its density row alone, with rate 0.
 
+The rows are the rfft coefficients of (rho - M, w): the friction factor
+is pointwise, so it acts on coefficients as on samples, and the stage
+kernel `_rhs` hands back its slope in Fourier space.  A step makes one
+forward transform of the state (the one stable_dt feeds to
+inverse_gradient), one batched inverse and one batched forward transform
+per stage, and one inverse of the new state: 8 FFT calls whatever the
+member count.
+
 One driver path: `simulate_ep_rows` steps members that differ in epsilon
 only as rows of one batched step (`step_ep_rows`), each with its own dt,
 picked from its own first stage, and clock; `simulate_ep` is the
@@ -26,7 +34,8 @@ fixed-dt step for callers that choose dt, and `stable_dt` a helper that
 gives them it.
 
 dv/dtau comes from pushing the continuity flux through the inverse
-gradient: on the torus this collapses to -(flux - mean(flux)).
+gradient: on the torus this collapses to -(flux - mean(flux)), in Fourier
+space the dealiased flux with its k = 0 mode zeroed.
 """
 from __future__ import annotations
 
@@ -137,39 +146,45 @@ def _check_blowup(times, u: np.ndarray) -> list:
             for peak, time in zip(peaks, times)]
 
 
-def _rhs(u: np.ndarray, m: _Members):
-    """Right side G(u) of the stacked rows u = (rho, w), each members x n,
-    without the stiff friction term, and the nonlocal velocity v of rho.
+def _rhs(u, uh: np.ndarray, m: _Members):
+    """Slope G^ of the rfft coefficients uh of the stacked rows
+    (rho - M, w), each members x (n/2 + 1), without the stiff friction
+    term, and the nonlocal velocity v of rho.  u holds the rows (rho, w)
+    in physical space where the caller has them (the first stage), else
+    None.
 
-    One fused spectral kernel, six FFT calls whatever the member count:
-    (rho - M, w) are transformed together; v, dw/dx and d(rho)/dx come
-    back in one batched inverse; the dealiased flux and its derivative
-    share one more.  The cached symbols are those of inverse_gradient,
-    deriv and dealias."""
-    rho, w = u
+    One fused spectral kernel, two FFT calls whatever the member count:
+    one batched inverse gives v, dw/dx and d(rho)/dx (and rho - M and w
+    when u is None); one batched forward transforms the flux
+    f = rho (w/eps^(1-alpha) + v) and the rest h of the w slope.  The
+    flux is dealiased, differentiated and stripped of its mean in Fourier
+    space: dv/dtau = -(f - mean f) enters the w slope as
+    eps^(1-alpha) (f^ with its k = 0 mode zeroed).  The cached symbols
+    are those of inverse_gradient, deriv and dealias."""
     p = m.p
     n = p.grid.n
     sym = _symbols(p.grid)
-
-    source = rho - p.mass_level
-    sh, wh = np.fft.rfft(np.array((source, w)))
-    removed = sh[:, :1].real / n
-    grad_inv, dxw, dxrho = np.fft.irfft(
-        np.array((sh * sym.inv_grad, wh * sym.ik, sh * sym.ik)), n=n)
+    sh, wh = uh
+    spectra = (sh * sym.inv_grad, wh * sym.ik, sh * sym.ik)
+    if u is None:
+        source, w, grad_inv, dxw, dxrho = np.fft.irfft(
+            np.array((sh, wh) + spectra), n=n)
+        rho = source + p.mass_level
+    else:
+        rho, w = u
+        source = rho - p.mass_level
+        grad_inv, dxw, dxrho = np.fft.irfft(np.array(spectra), n=n)
     v = -grad_inv
-    dxv = source - removed          # exact spectral derivative of v
-
-    fh = np.fft.rfft(rho * (w / m.eps_1ma + v)) * sym.keep
-    flux, dxflux = np.fft.irfft(np.array((fh, fh * sym.ik)), n=n)
-    dtau_v = -(flux - flux.sum(axis=-1, keepdims=True) / n)   # minus the mean
+    dxv = source - sh[:, :1].real / n     # exact spectral derivative of v
 
     vel = m.eps * v + m.eps_a * w
-    g_w = (-vel * dxw / m.eps
-           - m.gamma_eps * rho ** (p.gamma - 2.0) * dxrho
-           - m.eps_1ma * dtau_v
-           - m.eps_ma * vel * dxv)
-    g_w = np.fft.irfft(np.fft.rfft(g_w) * sym.keep, n=n)
-    return np.array((-dxflux, g_w)), v
+    h = (-vel * dxw / m.eps
+         - m.gamma_eps * rho ** (p.gamma - 2.0) * dxrho
+         - m.eps_ma * vel * dxv)
+    fh, hh = np.fft.rfft(np.array((rho * (w / m.eps_1ma + v), h)))
+    fh *= sym.keep
+    fh[:, 0] = 0.0      # dv/dtau = -(f - mean f); ik[0] = 0 in g_rho anyway
+    return np.array((-sym.ik * fh, sym.keep * (hh + m.eps_1ma * fh))), v
 
 
 def stable_dt(state: EPState, p: ParamSet) -> float:
@@ -182,9 +197,11 @@ def stable_dt(state: EPState, p: ParamSet) -> float:
 
 def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam) -> np.ndarray:
     """One Lawson RK3 step (stage times 0, 1/3, 2/3) of du/dtau = lam*u + G(u)
-    on stacked rows u_n (row kinds x members x n), from the first stage's
-    slope g1 = G(u_n); rhs(u) gives G at the later stages.  dt holds one
-    step per member and lam one linear rate per row kind and member."""
+    on stacked rows u_n (row kinds x members x anything), from the first
+    stage's slope g1 = G(u_n); rhs(u) gives G at the later stages.  dt
+    holds one step per member and lam one linear rate per row kind and
+    member.  The rates act pointwise, so the rows may be Fourier
+    coefficients as well as samples: the steppers pass coefficients."""
     # integrating factors over dt/3, 2dt/3 and dt and the stage weights,
     # one column per row, all in Python floats; a rate-0 row gets factors
     # of exactly 1.0, so its arithmetic is plain RK3
@@ -209,10 +226,15 @@ def _step_members(states, ps: tuple, dt_for) -> list:
     grid = p.grid
     u_n = np.array([[s.rho.values for s in states],
                     [s.w.values for s in states]])
-    g1, v = _rhs(u_n, m)
+    # the transform stable_dt feeds to inverse_gradient, so the first
+    # stage's v, speeds and dt are stable_dt's
+    uh_n = np.fft.rfft(np.array((u_n[0] - p.mass_level, u_n[1])))
+    g1, v = _rhs(u_n, uh_n, m)
     speeds = [adv + sound for adv, sound in _speeds(u_n[0], u_n[1], v, ps)]
     dt = dt_for([_cfl_bound(p, speed) for speed in speeds])
-    u_new = _rk3(u_n, g1, lambda u: _rhs(u, m)[0], dt, m.lam)
+    u_new = np.fft.irfft(_rk3(uh_n, g1, lambda uh: _rhs(None, uh, m)[0],
+                              dt, m.lam), n=grid.n)
+    u_new[0] += p.mass_level
 
     times = [s.time + d for s, d in zip(states, dt)]
     rho_new, w_new = u_new

@@ -23,7 +23,8 @@ from .errors import InsufficientSamples, NonPositiveSample
 from .euler_poisson import simulate_ep, simulate_ep_rows
 from .keller_segel import simulate_ks
 from .characteristics import (
-    derivative_along, reconstruct_eulerian, vacuum_interval,
+    derivative_along, invert_trajectory_map, reconstruct_eulerian,
+    sigma_along, vacuum_interval,
 )
 from .profiles import PROFILES, InitialProfile, profile_field, profile_line
 from .spectrum import DispersionQuery, dispersion_roots
@@ -261,9 +262,10 @@ def measure_edge_derivative_fd(prof: InitialProfile, M: float, tau: float,
     (a0, b0) = prof.vacuum_set[0]
     width = FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * M * tau)
     grid = Grid.line(rep.b, rep.b + width, n)
-    sigma = reconstruct_eulerian(tau, prof, M, grid).sigma.values
+    # the stencil reads the first order + 1 nodes: invert only those
+    labels = invert_trajectory_map(grid.x[:order + 1], tau, prof, M)
     h = grid.h
-    stencil = sigma[:order + 1]
+    stencil = np.maximum(sigma_along(labels, tau, prof, M), 0.0)
     for _ in range(order):
         stencil = np.diff(stencil)
     return float(stencil[0] / h ** order)

@@ -4,10 +4,12 @@
 
 the density row of the Euler-Poisson step: its Lawson RK3 core
 (`euler_poisson._rk3`) with rate 0 is conservative RK3, the velocity
-refreshed at every stage.  Near-vacuum states are refused (the
-characteristic module handles vacuum exactly); positive data stays
-positive on the tested horizons because each characteristic value moves
-monotonically toward M.  `simulate_ks` advances by `step_ks_to`, which
+refreshed at every stage.  As there, the step runs on the rfft
+coefficients of sigma - M, with 8 FFT calls: one forward transform of
+the state, two per stage (`_flux_rhs`) and one inverse of the new state.
+Near-vacuum states are refused (the characteristic module handles
+vacuum exactly); positive data stays positive on the tested horizons
+because each characteristic value moves monotonically toward M.  `simulate_ks` advances by `step_ks_to`, which
 picks dt from its own first stage; `step_ks` is the fixed-dt step for
 callers that choose dt, and `stable_dt_ks` a helper that gives them it.
 """
@@ -36,17 +38,25 @@ class KSStepReport:
     min_sigma: float
 
 
-def _flux_rhs(sigma: np.ndarray, p: ParamSet):
-    """Right side -d/dx(sigma v) and max |v| for the CFL bound.
+def _flux_rhs(sigma, sh: np.ndarray, p: ParamSet):
+    """Slope -ik (sigma v)^ of the rfft coefficients sh of sigma - M, the
+    flux dealiased, and max |v| for the CFL bound.  sigma holds the
+    samples where the caller has them (the first stage), else None.
 
-    Four FFT calls on the cached symbols of inverse_gradient, dealias and
-    deriv: v from one round trip, then the dealiased flux is
-    differentiated in the same spectrum it was masked in."""
+    Two FFT calls on the cached symbols of inverse_gradient, dealias and
+    deriv: v (and sigma - M when sigma is None) from one batched inverse,
+    then the flux forward; it is masked and differentiated in Fourier
+    space."""
     n = p.grid.n
     sym = _symbols(p.grid)
-    v = -np.fft.irfft(np.fft.rfft(sigma - p.mass_level) * sym.inv_grad, n=n)
+    if sigma is None:
+        source, grad_inv = np.fft.irfft(np.array((sh, sh * sym.inv_grad)), n=n)
+        sigma = source + p.mass_level
+    else:
+        grad_inv = np.fft.irfft(sh * sym.inv_grad, n=n)
+    v = -grad_inv
     fh = np.fft.rfft(sigma * v) * sym.keep
-    return -np.fft.irfft(fh * sym.ik, n=n), float(np.max(np.abs(v)))
+    return -sym.ik * fh, float(np.max(np.abs(v)))
 
 
 def _step_ks(state: KSState, p: ParamSet, dt_for):
@@ -59,10 +69,13 @@ def _step_ks(state: KSState, p: ParamSet, dt_for):
             f"min sigma = {s_n.min():.3e} below {VACUUM_FRACTION:g}*M; "
             "use the characteristic solver near vacuum")
 
-    g1, v_max = _flux_rhs(s_n, p)
+    sh_n = np.fft.rfft(s_n - M)
+    g1, v_max = _flux_rhs(s_n, sh_n, p)
     dt = dt_for(_cfl_bound(p, v_max))
-    u_new = _rk3(s_n[None, None], g1, lambda u: _flux_rhs(u[0, 0], p)[0],
-                 [dt], ((0.0,),))
+    u_new = np.fft.irfft(_rk3(sh_n[None, None], g1,
+                              lambda u: _flux_rhs(None, u[0, 0], p)[0],
+                              [dt], ((0.0,),)), n=p.grid.n)
+    u_new += M
     (blowup,) = _check_blowup([state.time + dt], u_new)
     if blowup is not None:
         return blowup
@@ -104,7 +117,9 @@ def step_ks_to(state: KSState, p: ParamSet, target: float):
 
 def stable_dt_ks(state: KSState, p: ParamSet) -> float:
     """The step bound step_ks_to takes: the CFL bound, capped at 0.1/M."""
-    return _capped(p, _cfl_bound(p, _flux_rhs(state.sigma.values, p)[1]))
+    sigma = state.sigma.values
+    sh = np.fft.rfft(sigma - p.mass_level)
+    return _capped(p, _cfl_bound(p, _flux_rhs(sigma, sh, p)[1]))
 
 
 def simulate_ks(sigma0: Field, p: ParamSet, sample_times,

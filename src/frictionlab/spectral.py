@@ -10,7 +10,8 @@ k, the first derivative ik with the unpaired Nyquist mode zeroed, the
 inverse gradient i/k (zero at k = 0 and at Nyquist), and the 2/3-rule
 keep-mask (1 for j <= n/3, else 0).  `deriv`, `dealias` and
 `inverse_gradient` read them, and so do the fused right-hand sides of
-the Euler-Poisson and Keller-Segel steppers.
+the Euler-Poisson and Keller-Segel steppers, which take and return rfft
+coefficients: they dealias and differentiate the flux in Fourier space.
 The cached arrays are read-only.
 
 `trig_interp` evaluates the interpolant Re sum_k c_k e^{ik theta} of the
@@ -19,9 +20,9 @@ split of polynomial evaluation (Paterson & Stockmeyer, 1973): with
 b = ceil(sqrt K) and k = jb + r the sum is sum_j (e^{ib theta})^j
 (sum_r c_{jb+r} e^{ir theta}), one small complex GEMM of an m x b table
 with the coefficient block plus a row-wise dot with an m x a table,
-a = ceil(K/b).  That is m(a + b) complex exponentials and O(m(a + b))
+a = ceil(K/b).  That is m(a + b) cos/sin pairs and O(m(a + b))
 memory, where the dense sum takes 2mK cos/sin values in m x K tables;
-each table entry is its own exponential, so the rounding error stays
+each table entry is its own cos and sin, so the rounding error stays
 that of the dense sum (bound in the `trig_interp` docstring).
 """
 from __future__ import annotations
@@ -106,6 +107,15 @@ def inverse_gradient(source: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]
     return out, float(removed)
 
 
+def _unit_phases(phase: np.ndarray) -> np.ndarray:
+    """e^{i phase}: real cos and sin written into a complex array, with no
+    complex temporary i*phase and no complex exp."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of `values` at arbitrary points.
 
@@ -123,9 +133,9 @@ def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarra
 
     the inner sums one GEMM of the m x b "baby" table e^{ir theta} with the
     coefficient block, the outer one a row-wise dot with the m x a "giant"
-    table e^{ijb theta}.  Cost: m(a + b) complex exponentials, against the
-    2mK cos/sin of the dense sum.  Every table entry is its own exp, not a
-    power built by repeated products, so rounding does not grow with k: the
+    table e^{ijb theta}.  Cost: m(a + b) cos/sin pairs, against the 2mK
+    cos/sin of the dense sum.  Every table entry is its own cos and sin, not
+    a power built by repeated products, so rounding does not grow with k: the
     error is at most about (K |theta| + a + b) u sum_k |c_k| (u the unit
     roundoff), the phase error of the largest argument plus the two short
     sums, as for the dense sum.
@@ -142,8 +152,8 @@ def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarra
     block = np.zeros(a * b, dtype=complex)
     block[:c.size] = c
     theta = (2.0 * math.pi / grid.length) * (pts - grid.left)
-    baby = np.exp(1j * np.multiply.outer(theta, np.arange(b)))
-    giant = np.exp(1j * np.multiply.outer(theta, b * np.arange(a)))
+    baby = _unit_phases(np.multiply.outer(theta, np.arange(b)))
+    giant = _unit_phases(np.multiply.outer(theta, b * np.arange(a)))
     inner = baby @ block.reshape(a, b).T
     # the real part of the row-wise product, without a complex temporary
     return (giant.real * inner.real - giant.imag * inner.imag).sum(axis=1)

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frictionlab import characteristics
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.characteristics import (
-    TrajectoryBundle, derivative_along, dxeta, reconstruct_eulerian,
+    TrajectoryBundle, derivative_along, dxeta, invert_trajectory_map,
+    reconstruct_eulerian,
     semi_lagrangian_oracle, sigma_along, trajectory_position,
     vacuum_interval, velocity_along,
 )
 from frictionlab.errors import (
     MultipleVacuumIntervals, NoVacuum, PreconditionViolation,
     UnsupportedOrder,
+)
+from frictionlab.experiments import (
+    FD_WINDOW_SCALE, measure_edge_derivative_fd,
 )
 from frictionlab.profiles import (
     bump_profile, equilibrium_profile, vacuum_ramp_profile,
@@ -227,6 +231,29 @@ def test_reconstructed_vacuum_gap(ramp):
     gap_cells = np.flatnonzero(state.sigma.values <= 1e-9)
     measured = g.x[gap_cells[-1]] - g.x[gap_cells[0]] + g.h
     assert abs(measured - math.exp(-3.0)) <= g.h
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.floats(0.4, 1.0), touch=st.integers(1, 2),
+       tau=st.floats(0.0, 3.0))
+def test_edge_labels_match_the_full_grid(width, touch, tau):
+    # the edge finite difference inverts only the order + 1 nodes its
+    # stencil reads: their labels must be the full grid's, bit for bit,
+    # and so must the difference itself
+    M = 1.0
+    prof = vacuum_ramp_profile(M, width=width, touch=touch)
+    b = vacuum_interval(tau, prof, M).b
+    (a0, b0), = prof.vacuum_set
+    n = 2048
+    grid = Grid.line(b, b + FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * M * tau), n)
+    full = invert_trajectory_map(grid.x, tau, prof, M)
+    part = invert_trajectory_map(grid.x[:touch + 1], tau, prof, M)
+    assert np.array_equal(part, full[:touch + 1])
+    stencil = reconstruct_eulerian(tau, prof, M, grid).sigma.values[:touch + 1]
+    for _ in range(touch):
+        stencil = np.diff(stencil)
+    assert measure_edge_derivative_fd(prof, M, tau, order=touch, n=n) == \
+        float(stencil[0] / grid.h ** touch)
 
 
 def test_trajectory_bundle_rows(ramp):

@@ -124,7 +124,8 @@ def test_sweep_reference_blowup_exits_3(runner, monkeypatch):
     flux_rhs = keller_segel._flux_rhs
     monkeypatch.setattr(
         keller_segel, "_flux_rhs",
-        lambda sigma, p: (np.full_like(sigma, np.nan), flux_rhs(sigma, p)[1]))
+        lambda sigma, sh, p: (np.full_like(sh, np.nan),
+                              flux_rhs(sigma, sh, p)[1]))
     result = runner.invoke(main, [
         "sweep", "--eps", "0.2,0.1", "--grid", "64", "--t-end", "0.5"])
     assert result.exit_code == 3, outputs(result)

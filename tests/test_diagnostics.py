@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from frictionlab.core import EPState, Field, Grid
+from frictionlab.core import EPState, Field, Grid, KSState
 from frictionlab.diagnostics import (
     DERIV_CAP, dissipation_d0, dissipation_total, energy_e0, energy_e1,
-    fit_exponential_rate, norms, record_ep,
+    fit_exponential_rate, norms, record_ep, record_ks,
 )
 from frictionlab.errors import InsufficientSamples, NonPositiveSample, NotTorus
 from frictionlab.spectral import deriv
@@ -168,3 +169,18 @@ def test_record_matches_one_field_reference(params, n, seed):
         assert getattr(rec, name) == value, name
     assert energy_e1(s, p) == rec.e1
     assert dissipation_total(s, p) == rec.d_total
+
+
+@pytest.mark.parametrize("n, gamma", [(64, 2.0), (128, 1.5), (512, 3.0)])
+def test_record_ks_is_record_ep_with_zero_w(params, n, gamma):
+    # the skipped w terms only ever added 0.0: every field is equal
+    grid = Grid.torus(n)
+    p = params.replace(grid=grid, gamma=gamma)
+    x = grid.x
+    sigma = 1.0 + 0.3 * np.cos(x) + 0.05 * np.sin(3.0 * x)
+    s = KSState(sigma=Field(grid, sigma, tag="density"), time=0.7)
+    rec = record_ks(s, p)
+    ref = record_ep(EPState(rho=s.sigma, w=Field(grid, np.zeros(n)),
+                            time=0.7), p)
+    for f in dataclasses.fields(rec):
+        assert getattr(rec, f.name) == getattr(ref, f.name), f.name

@@ -99,12 +99,17 @@ def test_fused_rhs_matches_composition(n, alpha):
     rho = 1.0 + band_limited(0.1)
     w = band_limited(0.05)
     assert rho.min() > 0.5
-    g, v = euler_poisson._rhs(np.array(((rho,), (w,))),
-                              euler_poisson._members((p,)))
-    (g_rho,), (g_w,) = g
+    u = np.array(((rho,), (w,)))
+    uh = np.fft.rfft(np.array(((rho - p.mass_level,), (w,))))
+    m = euler_poisson._members((p,))
     ref_rho, ref_w, ref_v = _rhs_composed(rho, w, p)
-    for got, ref in ((g_rho, ref_rho), (g_w, ref_w)):
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the first stage hands in the samples, the later ones only uh
+    for g, v in (euler_poisson._rhs(u, uh, m),
+                 euler_poisson._rhs(None, uh, m)):
+        (g_rho,), (g_w,) = np.fft.irfft(g, n=n)
+        for got, ref in ((g_rho, ref_rho), (g_w, ref_w)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    g, v = euler_poisson._rhs(u, uh, m)
     speeds = euler_poisson._speeds(rho[None], w[None], v, (p,))
     assert speeds == euler_poisson._speeds(rho[None], w[None], ref_v[None],
                                            (p,))
@@ -372,8 +377,8 @@ def test_blowup_check_flags_only_its_own_member(bad):
 def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
     real_rhs = euler_poisson._rhs
 
-    def poisoned(u, m):
-        g, v = real_rhs(u, m)
+    def poisoned(u, uh, m):
+        g, v = real_rhs(u, uh, m)
         return g + bad, v
 
     monkeypatch.setattr(euler_poisson, "_rhs", poisoned)
@@ -423,8 +428,8 @@ def test_member_breakdown_leaves_the_others(monkeypatch, params, cosine_rho,
     real_rhs = euler_poisson._rhs
     calls = []
 
-    def poisoned(u, m):
-        g, v = real_rhs(u, m)
+    def poisoned(u, uh, m):
+        g, v = real_rhs(u, uh, m)
         eps = m.eps[:, 0].tolist()
         if 0.1 in eps:
             calls.append(None)
