@@ -152,7 +152,7 @@ def simulate_ks_cmd(config, out, profile, eps, grid, t_end):
 
 @main.command("characteristics")
 @common_options
-@click.option("--labels", type=int, default=33,
+@click.option("--labels", type=click.IntRange(min=1), default=33,
               help="Number of Lagrangian labels to track.")
 def characteristics_cmd(config, out, profile, eps, grid, t_end, labels):
     """Tabulate exact characteristic trajectories for a line profile."""

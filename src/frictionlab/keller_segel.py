@@ -127,6 +127,8 @@ def simulate_ks(sigma0: Field, p: ParamSet, sample_times,
     """Sampled trajectory of the limit solver, advanced by step_ks_to.
     With records False no diagnostics are computed: each sample pairs its
     state with None."""
+    if sigma0.grid != p.grid:
+        raise ValueError("initial fields must live on the parameter grid")
     defect = p.grid.integrate(sigma0.values - p.mass_level)
     if abs(defect) > MEAN_DEFECT_TOL * p.grid.measure:
         raise MeanDefect(f"sigma0 mass defect {defect:.3e}")

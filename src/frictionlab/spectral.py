@@ -18,12 +18,14 @@ The cached arrays are read-only.
 K = n/2+1 rfft modes at m arbitrary points by the baby-step/giant-step
 split of polynomial evaluation (Paterson & Stockmeyer, 1973): with
 b = ceil(sqrt K) and k = jb + r the sum is sum_j (e^{ib theta})^j
-(sum_r c_{jb+r} e^{ir theta}), one small complex GEMM of an m x b table
-with the coefficient block plus a row-wise dot with an m x a table,
-a = ceil(K/b).  That is m(a + b) cos/sin pairs and O(m(a + b))
-memory, where the dense sum takes 2mK cos/sin values in m x K tables;
-each table entry is its own cos and sin, so the rounding error stays
-that of the dense sum (bound in the `trig_interp` docstring).
+(sum_r c_{jb+r} e^{ir theta}), one small complex GEMM of a b x m table
+with the coefficient block plus a column-wise dot with an a x m table,
+a = ceil(K/b).  Both tables are powers built by repeated products from
+2m cos/sin pairs (e^{i theta} and e^{ib theta}), so the work is m(a + b)
+complex products and O(m(a + b)) memory, where the dense sum takes 2mK
+cos/sin values in m x K tables; each product adds one rounding, so the
+error bound grows by u (a + b) sum_k |c_k| (bound in the `trig_interp`
+docstring).
 """
 from __future__ import annotations
 
@@ -116,6 +118,16 @@ def _unit_phases(phase: np.ndarray) -> np.ndarray:
     return out
 
 
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """The count x m table of powers z^0 .. z^{count-1} of the m phases z,
+    each row the previous one times z."""
+    out = np.empty((count, z.size), dtype=complex)
+    out[0] = 1.0
+    for r in range(1, count):
+        np.multiply(out[r - 1], z, out=out[r])
+    return out
+
+
 def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of `values` at arbitrary points.
 
@@ -131,14 +143,15 @@ def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarra
 
         sum_j e^{ijb theta} * (sum_r c_{jb+r} e^{ir theta}),
 
-    the inner sums one GEMM of the m x b "baby" table e^{ir theta} with the
-    coefficient block, the outer one a row-wise dot with the m x a "giant"
-    table e^{ijb theta}.  Cost: m(a + b) cos/sin pairs, against the 2mK
-    cos/sin of the dense sum.  Every table entry is its own cos and sin, not
-    a power built by repeated products, so rounding does not grow with k: the
-    error is at most about (K |theta| + a + b) u sum_k |c_k| (u the unit
-    roundoff), the phase error of the largest argument plus the two short
-    sums, as for the dense sum.
+    the inner sums one GEMM of the coefficient block with the b x m "baby"
+    table e^{ir theta}, the outer one a column-wise dot with the a x m
+    "giant" table e^{ijb theta}.  Each table is the powers of one unit
+    phase, z = e^{i theta} or z_b = e^{ib theta}, built row by row by
+    repeated complex products: 2m cos/sin pairs and m(a + b) complex
+    products, against the 2mK cos/sin of the dense sum.  Each product adds
+    at most one rounding, so the error is at most about
+    (K |theta| + 2(a + b)) u sum_k |c_k| (u the unit roundoff): the phase
+    error of the largest argument, the recurrences and the two short sums.
     """
     _check_torus(grid)
     pts = np.asarray(points, dtype=float)
@@ -152,8 +165,8 @@ def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarra
     block = np.zeros(a * b, dtype=complex)
     block[:c.size] = c
     theta = (2.0 * math.pi / grid.length) * (pts - grid.left)
-    baby = _unit_phases(np.multiply.outer(theta, np.arange(b)))
-    giant = _unit_phases(np.multiply.outer(theta, b * np.arange(a)))
-    inner = baby @ block.reshape(a, b).T
-    # the real part of the row-wise product, without a complex temporary
-    return (giant.real * inner.real - giant.imag * inner.imag).sum(axis=1)
+    baby = _powers(_unit_phases(theta), b)
+    giant = _powers(_unit_phases(b * theta), a)
+    inner = block.reshape(a, b) @ baby
+    # the real part of the column-wise product, without a complex temporary
+    return (giant.real * inner.real - giant.imag * inner.imag).sum(axis=0)

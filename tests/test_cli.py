@@ -151,6 +151,15 @@ def test_characteristics_nan_t_end_exits_2(runner):
     assert "tau=nan" not in result.output
 
 
+@pytest.mark.parametrize("labels", ["0", "-3"])
+def test_characteristics_nonpositive_labels_exit_2(runner, tmp_path, labels):
+    result = runner.invoke(main, [
+        "characteristics", "--labels", labels, "--out", str(tmp_path)])
+    assert result.exit_code == 2, outputs(result)
+    assert "--labels" in outputs(result)
+    assert not (tmp_path / "trajectories.csv").exists()
+
+
 def test_spectrum_table_output(runner, tmp_path):
     result = runner.invoke(main, [
         "spectrum", "--eps", "0.2,0.1", "--out", str(tmp_path)])

@@ -17,6 +17,14 @@ from frictionlab.keller_segel import simulate_ks, stable_dt_ks, step_ks
 from frictionlab.spectral import dealias, deriv, inverse_gradient
 
 
+# an infinite slope poisons the step on purpose; the inf * 0 of a complex
+# product on the way to the guard warns, and only the guard's verdict is
+# tested
+INF_SLOPES = [pytest.param(bad, marks=pytest.mark.filterwarnings(
+    "ignore:invalid value encountered:RuntimeWarning"))
+    for bad in (math.inf, -math.inf)]
+
+
 def _state(grid, rho, w):
     return EPState(rho=Field(grid, rho, tag="density"), w=Field(grid, w))
 
@@ -373,7 +381,7 @@ def test_blowup_check_flags_only_its_own_member(bad):
     assert euler_poisson._check_blowup([0.1, 0.2, 0.3], u) == [None] * 3
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e12])
+@pytest.mark.parametrize("bad", [math.nan, *INF_SLOPES, 2e12])
 def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
     real_rhs = euler_poisson._rhs
 

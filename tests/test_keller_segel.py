@@ -15,6 +15,14 @@ from frictionlab.keller_segel import (
 from frictionlab.spectral import dealias, deriv, inverse_gradient
 
 
+# an infinite slope poisons the step on purpose; the inf * 0 of a complex
+# product on the way to the guard warns, and only the guard's verdict is
+# tested
+INF_SLOPES = [pytest.param(bad, marks=pytest.mark.filterwarnings(
+    "ignore:invalid value encountered:RuntimeWarning"))
+    for bad in (math.inf, -math.inf)]
+
+
 def _state(grid, sigma):
     return KSState(sigma=Field(grid, sigma, tag="density"))
 
@@ -94,7 +102,7 @@ def test_step_ks_to_returns_its_breakdown(params, torus64):
         step_ks_to(_state(torus64, np.ones(torus64.n)), params, 0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, *INF_SLOPES])
 def test_nonfinite_slope_ends_run_nonfinite(monkeypatch, params, torus64,
                                             bad):
     # the step's states skip the Field scans, so its own guard must stop
@@ -124,6 +132,14 @@ def test_stable_dt_capped_for_flat_state(params, torus64):
 def test_simulate_rejects_mass_defect(params, torus64):
     sigma0 = Field(torus64, np.full(torus64.n, 1.2), tag="density")
     with pytest.raises(MeanDefect):
+        simulate_ks(sigma0, params, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("grid", [Grid.torus(64, length=4 * math.pi),
+                                  Grid.torus(128)], ids=["length", "n"])
+def test_simulate_rejects_sigma0_off_the_parameter_grid(params, grid):
+    sigma0 = Field(grid, 1.0 + 0.3 * np.cos(grid.x), tag="density")
+    with pytest.raises(ValueError, match="parameter grid"):
         simulate_ks(sigma0, params, [0.0, 1.0])
 
 

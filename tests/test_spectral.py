@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from frictionlab import spectral
 from frictionlab.core import Grid
 from frictionlab.spectral import (
     _symbols, dealias, deriv, inverse_gradient, trig_interp, wavenumbers,
@@ -79,7 +80,7 @@ def test_trig_interp_between_nodes(g):
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [8, 9, 64, 65, 512])
+@pytest.mark.parametrize("n", [8, 9, 64, 65, 512, 2048])
 def test_trig_interp_matches_dense_sum(n, dense_trig_interp):
     # full-spectrum data on a shifted cell whose length is not 2 pi, read
     # inside the cell, outside it on both sides, and at the nodes; the
@@ -99,6 +100,27 @@ def test_trig_interp_matches_dense_sum(n, dense_trig_interp):
                                rtol=0.0, atol=1e-12 * np.abs(c).sum())
     empty = trig_interp(values, grid, np.empty(0))
     assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_trig_interp_takes_two_phases_per_point(monkeypatch):
+    # the baby and giant tables are powers of e^{i theta} and e^{ib theta}:
+    # 2m cos/sin pairs, where one pair per table entry would be m(a + b)
+    n = m = 512
+    grid = Grid.torus(n)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(n)
+    points = rng.uniform(0.0, grid.length, m)
+    expected = trig_interp(values, grid, points)
+    real_unit_phases = spectral._unit_phases
+    handed = []
+
+    def counting(phase):
+        handed.append(np.size(phase))
+        return real_unit_phases(phase)
+
+    monkeypatch.setattr(spectral, "_unit_phases", counting)
+    np.testing.assert_array_equal(trig_interp(values, grid, points), expected)
+    assert 0 < sum(handed) <= 2 * m, handed
 
 
 def test_trig_interp_rejects_non_1d_points(g):
