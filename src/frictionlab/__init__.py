@@ -8,7 +8,7 @@ profiles, plus dispersion analysis and an experiment/CLI layer.
 """
 
 from .core import (
-    EPState, Field, Grid, KSState, ParamSet, ValidationReport, mean,
+    EPState, Field, Grid, KSState, ParamSet, ValidationReport,
     validate_initial_data,
 )
 from .errors import (
@@ -16,7 +16,7 @@ from .errors import (
     NonFinite, RangeBreach, RangeViolation, SolverBreakdown, VacuumApproach,
     ValidationError,
 )
-from .ksmap import ks_map_line, ks_map_torus
+from .ksmap import ks_map_torus
 from .euler_poisson import (
     SimulationResult, reconstruct_u, simulate_ep, simulate_ep_rows, stable_dt,
     step_ep, step_ep_rows,
@@ -56,7 +56,7 @@ __all__ = [
     "amplitude_ratio", "bump_profile", "derivative_along",
     "dispersion_roots", "dissipation_total", "dxeta", "energy_e0",
     "energy_e1", "equilibrium_profile", "fit_exponential_rate",
-    "ks_map_line", "ks_map_torus", "mean", "norms", "profile_field",
+    "ks_map_torus", "norms", "profile_field",
     "profile_line", "reconstruct_eulerian", "reconstruct_u", "record_ep",
     "record_ks", "run_decay_fit", "run_epsilon_sweep", "run_single_ep",
     "run_single_ks", "run_spectrum_table", "run_vacuum_collapse",

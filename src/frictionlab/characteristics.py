@@ -29,6 +29,8 @@ from .profiles import InitialProfile
 from .spectral import trig_interp
 
 TRAJECTORY_HORIZON = 50.0  # beyond tau = 50/M, e^{-M tau} underflows; report limits
+GUESS_NEWTON_STEPS = 2     # Newton steps from the interpolated inversion guess
+ETA_NOISE_ULPS = 8.0       # bound on a computed eta's error, in ulps of |y| + c
 
 
 def _decay(tau: float, M: float) -> float:
@@ -138,11 +140,48 @@ def vacuum_interval(tau: float, prof: InitialProfile, M: float) -> VacuumReport:
     return VacuumReport(a=a, b=b, length=length, limit_point=a0 + f_a / M)
 
 
+def _certified_guess(y: np.ndarray, c: float, tau: float, prof: InitialProfile,
+                     M: float):
+    """A label guess g for each root x* of eta(x, tau) = y, and a radius tol
+    such that every label mid with |mid - g| > tol has the computed
+    eta(mid) > y exactly when mid > g.
+
+    For sigma0 >= 0, d(eta)/dx = D/M >= e = e^{-M tau}.  A computed eta is
+    off by at most noise = ETA_NOISE_ULPS ulps of |y| + c, so the measured
+    residual r = |eta(g) - y| gives |g - x*| <= (r + noise)/e, and a label
+    further than noise/e from x* has the sign of its exact residual.  The
+    radius 2(r + 2 noise)/e keeps a factor two over that bound.  Where e is
+    0 or the guess is not finite, tol is inf: every decision is evaluated.
+    """
+    e = _decay(tau, M)
+    if e == 0.0:
+        return y, np.full(y.shape, np.inf)
+    samples = np.linspace(y[0] - c, y[-1] + c, 2 * y.size + 1)
+    guess = np.interp(y, trajectory_position(samples, tau, prof, M), samples)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(GUESS_NEWTON_STEPS):
+            guess = guess - (trajectory_position(guess, tau, prof, M) - y) / \
+                dxeta(guess, tau, prof, M)
+        r = np.abs(trajectory_position(guess, tau, prof, M) - y)
+        noise = ETA_NOISE_ULPS * np.finfo(float).eps * (np.abs(y) + c)
+        tol = 2.0 * (r + 2.0 * noise) / e
+    ok = np.isfinite(guess) & np.isfinite(tol)
+    return np.where(ok, guess, y), np.where(ok, tol, np.inf)
+
+
 def invert_trajectory_map(y: np.ndarray, tau: float, prof: InitialProfile,
                           M: float) -> np.ndarray:
     """Labels x with eta(x, tau) = y at the sorted positions y, by vectorized
     bisection in label space.  Raises InversionFailure if the bracket
-    y -+ (max|F|/M + 1) misses a position or the labels are not monotone."""
+    y -+ (max|F|/M + 1) misses a position or the labels are not monotone,
+    and ValueError for a NaN or negative tau (tau = inf is the limit).
+
+    A certified guess (_certified_guess) takes each bisection decision
+    eta(mid) > y whose midpoint lies outside the guess's radius; eta is
+    evaluated only for midpoints near the root.  The decisions, and so the
+    labels, are bit for bit those of evaluating eta at every midpoint."""
+    if math.isnan(tau) or tau < 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     y = np.asarray(y, dtype=float)
     c = prof.max_abs_F / M + 1.0
     lo = y - c
@@ -151,9 +190,15 @@ def invert_trajectory_map(y: np.ndarray, tau: float, prof: InitialProfile,
     eta_hi = trajectory_position(hi, tau, prof, M)
     if np.any(eta_lo > y) or np.any(eta_hi < y):
         raise InversionFailure("bracket does not contain the target positions")
+    guess, tol = _certified_guess(y, c, tau, prof, M)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        above = trajectory_position(mid, tau, prof, M) > y
+        above = mid > guess
+        near = np.abs(mid - guess) <= tol
+        if near.all():
+            above = trajectory_position(mid, tau, prof, M) > y
+        elif near.any():
+            above[near] = trajectory_position(mid[near], tau, prof, M) > y[near]
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
         if np.max(hi - lo) < 1e-14:

@@ -121,11 +121,6 @@ class Field:
         return f
 
 
-def mean(f: Field) -> float:
-    """Arithmetic sample mean (= midpoint-rule average on a uniform torus)."""
-    return float(np.mean(f.values))
-
-
 @dataclass(frozen=True)
 class ParamSet:
     """Physical and numerical parameters shared by the solvers."""

@@ -33,10 +33,6 @@ class NotTorus(ValidationError):
     """Operation requires a periodic grid."""
 
 
-class NotLine(ValidationError):
-    """Operation requires a truncated-line grid."""
-
-
 class NonzeroTotalMass(ValidationError):
     """Line profile deviation does not integrate to zero."""
 

@@ -281,12 +281,15 @@ def run_vacuum_collapse(spec: ExperimentSpec,
     the gap on an N-cell grid and a windowed finite difference re-measures
     the edge derivative (skipped past fd_tau_max where the front is too
     sharp for the 5% check to be meaningful at this resolution).
+    Raises ValueError for an empty taus or a NaN or negative tau in it.
     """
+    if taus is None:
+        taus = np.arange(0.0, 5.0 + 1e-12, 0.5)
+    if len(taus) == 0 or any(math.isnan(t) or t < 0.0 for t in taus):
+        raise ValueError(f"taus must be a nonempty list of tau >= 0, got {taus}")
     M = spec.params.mass_level
     prof = profile_line(spec.profile, M, **spec.profile_args)
     touch = int(spec.profile_args.get("touch", 1))
-    if taus is None:
-        taus = np.arange(0.0, 5.0 + 1e-12, 0.5)
     limit = vacuum_interval(0.0, prof, M).limit_point   # raises NoVacuum first
     (a0, b0) = prof.vacuum_set[0]
     deriv0 = derivative_along(b0, touch, 0.0, prof, M)

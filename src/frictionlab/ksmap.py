@@ -1,8 +1,7 @@
-"""The nonlocal velocity map rho -> v = -grad(-Delta)^{-1}(rho - M).
-
-Two realizations: spectral inversion on the torus (zero mode projected
-and reported) and a running trapezoid integral on the truncated line,
-where v(x) = integral of (sigma - M) from the left end.
+"""The nonlocal velocity map rho -> v = -grad(-Delta)^{-1}(rho - M) on the
+torus, by spectral inversion (zero mode projected and reported).  On the
+line the map is v(x) = F(x), the profile's cumulative deviation, which
+the characteristics use in closed form.
 """
 from __future__ import annotations
 
@@ -10,11 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid
-from .errors import NonFinite, NonzeroTotalMass, NotLine, NotTorus
+from .core import Field
+from .errors import NonFinite, NotTorus
 from .spectral import inverse_gradient
-
-LINE_MASS_TOL = 1e-8  # relative to |Omega|
 
 
 @dataclass(frozen=True)
@@ -36,27 +33,3 @@ def ks_map_torus(rho: Field, M: float) -> KSVelocity:
     source = rho.values - M
     grad_inv, removed = inverse_gradient(source, rho.grid)
     return KSVelocity(v=Field(rho.grid, -grad_inv), source_mean_defect=removed)
-
-
-def ks_map_line(sigma: Field, M: float) -> KSVelocity:
-    """Running trapezoid integral of sigma - M with v(left end) = 0.
-
-    Requires the deviation to vanish at the ends and integrate to zero,
-    so v returns to zero at the right end.
-    """
-    grid = sigma.grid
-    if grid.is_torus:
-        raise NotLine("ks_map_line needs a line grid")
-    if not np.all(np.isfinite(sigma.values)):
-        raise NonFinite("ks_map_line: source has non-finite samples")
-    dev = sigma.values - M
-    total = grid.integrate(dev)
-    if abs(total) > LINE_MASS_TOL * grid.measure:
-        raise NonzeroTotalMass(
-            f"total deviation mass {total:.3e} exceeds "
-            f"{LINE_MASS_TOL * grid.measure:.3e}")
-    h = grid.h
-    v = np.empty(grid.n)
-    v[0] = 0.0
-    np.cumsum(0.5 * h * (dev[1:] + dev[:-1]), out=v[1:])
-    return KSVelocity(v=Field(grid, v), source_mean_defect=float(total / grid.measure))

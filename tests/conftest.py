@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from frictionlab.characteristics import trajectory_position
 from frictionlab.core import Field, Grid, ParamSet
+from frictionlab.errors import InversionFailure
 
 
 def _dense_trig_interp(values, grid, points):
@@ -23,6 +25,36 @@ def _dense_trig_interp(values, grid, points):
 def dense_trig_interp():
     """The reference that spectral.trig_interp is checked against."""
     return _dense_trig_interp
+
+
+def _plain_bisection(y, tau, prof, M):
+    """The trajectory-map inversion that evaluates eta at every midpoint:
+    the labels characteristics.invert_trajectory_map must reproduce."""
+    y = np.asarray(y, dtype=float)
+    c = prof.max_abs_F / M + 1.0
+    lo = y - c
+    hi = y + c
+    eta_lo = trajectory_position(lo, tau, prof, M)
+    eta_hi = trajectory_position(hi, tau, prof, M)
+    if np.any(eta_lo > y) or np.any(eta_hi < y):
+        raise InversionFailure("bracket does not contain the target positions")
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        above = trajectory_position(mid, tau, prof, M) > y
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        if np.max(hi - lo) < 1e-14:
+            break
+    labels = 0.5 * (lo + hi)
+    if np.any(np.diff(labels) < -1e-9):
+        raise InversionFailure("sampled trajectory map is not monotone")
+    return labels
+
+
+@pytest.fixture(scope="session")
+def plain_bisection():
+    """The reference that invert_trajectory_map is checked against."""
+    return _plain_bisection
 
 
 @pytest.fixture

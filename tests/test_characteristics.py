@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from frictionlab.characteristics import (
     vacuum_interval, velocity_along,
 )
 from frictionlab.errors import (
-    MultipleVacuumIntervals, NoVacuum, PreconditionViolation,
-    UnsupportedOrder,
+    InversionFailure, MultipleVacuumIntervals, NoVacuum,
+    PreconditionViolation, UnsupportedOrder,
 )
 from frictionlab.experiments import (
     FD_WINDOW_SCALE, measure_edge_derivative_fd,
@@ -254,6 +255,79 @@ def test_edge_labels_match_the_full_grid(width, touch, tau):
         stencil = np.diff(stencil)
     assert measure_edge_derivative_fd(prof, M, tau, order=touch, n=n) == \
         float(stencil[0] / grid.h ** touch)
+
+
+@st.composite
+def inversion_cases(draw):
+    """A line profile, a tau and sorted target positions: the 2048-node
+    grid of the vacuum table, or 1-3 evenly spaced targets starting
+    anywhere in the domain or at an image of a vacuum edge, where the edge
+    finite difference puts its stencil."""
+    M = 1.0
+    kind = draw(st.sampled_from(["vacuum-ramp", "bump", "equilibrium"]))
+    if kind == "vacuum-ramp":
+        prof = vacuum_ramp_profile(M, width=draw(st.floats(0.4, 1.0)),
+                                   touch=draw(st.integers(1, 3)))
+    else:
+        prof = bump_profile(M) if kind == "bump" else equilibrium_profile(M)
+    tau = draw(st.one_of(st.floats(0.0, 6.0), st.sampled_from([60.0, math.inf])))
+    size = draw(st.sampled_from([1, 2, 3, 2048]))
+    lo, hi = prof.domain
+    if size == 2048:
+        y = Grid.line(lo, hi, size).x
+    else:
+        starts = [st.floats(lo, hi)]
+        if prof.vacuum_set:
+            rep = vacuum_interval(tau, prof, M)
+            starts.append(st.sampled_from([rep.a, rep.b]))
+        start = draw(st.one_of(*starts))
+        step = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.5]))
+        y = start + step * np.arange(size)
+    return prof, M, tau, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=inversion_cases())
+def test_inversion_is_bit_identical_to_plain_bisection(case, plain_bisection):
+    prof, M, tau, y = case
+    assert np.array_equal(invert_trajectory_map(y, tau, prof, M),
+                          plain_bisection(y, tau, prof, M))
+
+
+@pytest.mark.parametrize("tau", [math.nan, -1.0, -1e-300])
+def test_inversion_rejects_nan_or_negative_tau(ramp, tau):
+    with pytest.raises(ValueError, match="tau"):
+        invert_trajectory_map(np.array([0.0, 0.5]), tau, ramp, 1.0)
+
+
+def test_inversion_bracket_miss_raises(ramp):
+    # max_abs_F = 0 claims a bracket of +-1, but (1 - e^{-5}) F(1) < -1
+    understated = dataclasses.replace(ramp, max_abs_F=0.0)
+    with pytest.raises(InversionFailure, match="bracket"):
+        invert_trajectory_map(np.array([0.0]), 5.0, understated, 1.0)
+
+
+def test_inversion_of_descending_targets_raises(ramp):
+    with pytest.raises(InversionFailure, match="monotone"):
+        invert_trajectory_map(np.array([1.0, 0.0]), 1.0, ramp, 1.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 3.0, 5.0])
+def test_inversion_evaluates_eta_near_the_roots_only(ramp, tau, monkeypatch):
+    # the plain bisection evaluates eta on 52 grid-equivalents here (two
+    # bracket ends and 50 midpoints); the certified guess decides the
+    # midpoints far from the roots
+    grid = Grid.line(ramp.domain[0], ramp.domain[1], 2048)
+    evaluated = []
+    original = characteristics.trajectory_position
+
+    def counting(x, *args):
+        evaluated.append(np.size(x))
+        return original(x, *args)
+
+    monkeypatch.setattr(characteristics, "trajectory_position", counting)
+    invert_trajectory_map(grid.x, tau, ramp, 1.0)
+    assert sum(evaluated) / grid.n <= 24.0
 
 
 def test_trajectory_bundle_rows(ramp):

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from frictionlab.core import (
-    Field, Grid, ParamSet, _quad_weights, mean, validate_initial_data,
+    Field, Grid, ParamSet, _quad_weights, validate_initial_data,
 )
 from frictionlab.errors import (
     MeanDefect, NonFinite, RangeViolation,
@@ -80,23 +79,6 @@ def test_density_field_rejects_negative(torus64):
         Field(torus64, values, tag="density")
     # without the density tag the same samples are fine
     Field(torus64, values)
-
-
-def test_mean_examples(torus64):
-    assert mean(Field(torus64, np.full(torus64.n, 2.5))) == 2.5
-    assert abs(mean(Field(torus64, np.cos(torus64.x)))) <= 1e-15
-    assert mean(Field(torus64, 1.0 + 0.5 * np.cos(torus64.x))) == \
-        pytest.approx(1.0, abs=1e-14)
-
-
-@given(a=st.floats(-5, 5), b=st.floats(-5, 5))
-def test_mean_is_linear(a, b):
-    g = Grid.torus(32)
-    f1 = np.sin(g.x)
-    f2 = np.cos(3 * g.x) + 0.5
-    lhs = mean(Field(g, a * f1 + b * f2))
-    rhs = a * mean(Field(g, f1)) + b * mean(Field(g, f2))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestParamSet:

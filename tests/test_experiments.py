@@ -171,6 +171,20 @@ class TestVacuumCollapse:
         assert result.limit_point == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert (tmp_path / "vacuum.csv").exists()
 
+    @pytest.mark.parametrize("taus", [[], [-1.0, 0.5], [0.0, math.nan]])
+    def test_rejects_bad_taus_before_any_work(self, params, tmp_path,
+                                              monkeypatch, taus):
+        spec = ExperimentSpec(kind="vacuum-collapse", params=params,
+                              profile="vacuum-ramp", output_dir=tmp_path)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before taus were checked")
+
+        monkeypatch.setattr(experiments, "profile_line", no_work)
+        with pytest.raises(ValueError, match="taus"):
+            run_vacuum_collapse(spec, taus=taus)
+        assert not (tmp_path / "vacuum.csv").exists()
+
     def test_fd_skipped_past_horizon(self, params):
         spec = ExperimentSpec(kind="vacuum-collapse", params=params,
                               profile="vacuum-ramp")

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frictionlab.core import Field, Grid
-from frictionlab.errors import NonzeroTotalMass, NotLine, NotTorus
-from frictionlab.ksmap import ks_map_line, ks_map_torus
+from frictionlab.errors import NotTorus
+from frictionlab.ksmap import ks_map_torus
 from frictionlab.profiles import bump_profile
-from frictionlab.spectral import deriv
+from frictionlab.spectral import deriv, trig_interp
 
 
 def test_torus_cosine(torus64):
@@ -53,44 +53,13 @@ def test_torus_map_linearity(a, b):
     np.testing.assert_allclose(combined, separate, atol=1e-13)
 
 
-def test_line_sine():
-    # sigma - M = -sin(x) on [0, 2pi]: v = cos(x) - 1, pinned to 0 at x=0
-    g = Grid.line(0.0, 2.0 * np.pi, 201)
-    sigma = Field(g, 1.0 - np.sin(g.x), tag="density")
-    vel = ks_map_line(sigma, 1.0)
-    np.testing.assert_allclose(vel.v.values, np.cos(g.x) - 1.0, atol=2e-4)
-    assert vel.v.values[0] == 0.0
-    assert abs(vel.v.values[-1]) <= 1e-10
-
-
-def test_line_equilibrium():
-    g = Grid.line(-1.0, 1.0, 65)
-    sigma = Field(g, np.full(g.n, 1.0), tag="density")
-    np.testing.assert_allclose(ks_map_line(sigma, 1.0).v.values,
-                               np.zeros(g.n), atol=1e-14)
-
-
-def test_line_rejects_unbalanced_mass():
-    g = Grid.line(0.0, 1.0, 65)
-    sigma = Field(g, np.full(g.n, 1.2), tag="density")
-    with pytest.raises(NonzeroTotalMass):
-        ks_map_line(sigma, 1.0)
-
-
-def test_line_rejects_torus_grid(torus64):
-    with pytest.raises(NotLine):
-        ks_map_line(Field(torus64, np.ones(torus64.n), tag="density"), 1.0)
-
-
 def test_torus_line_agreement_for_compact_bump():
     # the bump profile has zero-mean deviation, so the periodic inversion
-    # and the running line integral give the same velocity
+    # gives the line velocity v = F, the profile's closed-form cumulative
     M = 1.0
     prof = bump_profile(M)
     gt = Grid.torus(256)
-    gl = Grid.line(0.0, 2.0 * np.pi, 4097)
+    x = np.linspace(0.0, 2.0 * np.pi, 4097)
     vt = ks_map_torus(Field(gt, prof.sigma0(gt.x), tag="density"), M).v
-    vl = ks_map_line(Field(gl, prof.sigma0(gl.x), tag="density"), M).v
-    from frictionlab.spectral import trig_interp
-    np.testing.assert_allclose(trig_interp(vt.values, gt, gl.x), vl.values,
-                               atol=1e-5)
+    np.testing.assert_allclose(trig_interp(vt.values, gt, x),
+                               prof.cumulative(x), atol=1e-5)
