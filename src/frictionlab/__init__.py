@@ -18,8 +18,8 @@ from .errors import (
 )
 from .ksmap import ks_map_torus
 from .euler_poisson import (
-    SimulationResult, reconstruct_u, simulate_ep, simulate_ep_rows, stable_dt,
-    step_ep, step_ep_rows,
+    SimulationResult, simulate_ep, simulate_ep_rows, stable_dt, step_ep,
+    step_ep_rows,
 )
 from .keller_segel import simulate_ks, stable_dt_ks, step_ks, step_ks_to
 from .diagnostics import (
@@ -57,7 +57,7 @@ __all__ = [
     "dispersion_roots", "dissipation_total", "dxeta", "energy_e0",
     "energy_e1", "equilibrium_profile", "fit_exponential_rate",
     "ks_map_torus", "norms", "profile_field",
-    "profile_line", "reconstruct_eulerian", "reconstruct_u", "record_ep",
+    "profile_line", "reconstruct_eulerian", "record_ep",
     "record_ks", "run_decay_fit", "run_epsilon_sweep", "run_single_ep",
     "run_single_ks", "run_spectrum_table", "run_vacuum_collapse",
     "semi_lagrangian_oracle", "sigma_along", "simulate_ep",

@@ -31,6 +31,7 @@ from .spectral import trig_interp
 TRAJECTORY_HORIZON = 50.0  # beyond tau = 50/M, e^{-M tau} underflows; report limits
 GUESS_NEWTON_STEPS = 2     # Newton steps from the interpolated inversion guess
 ETA_NOISE_ULPS = 8.0       # bound on a computed eta's error, in ulps of |y| + c
+GUESS_COST = 3 + GUESS_NEWTON_STEPS  # eta evaluations per label the guess makes
 
 
 def _decay(tau: float, M: float) -> float:
@@ -150,11 +151,19 @@ def _certified_guess(y: np.ndarray, c: float, tau: float, prof: InitialProfile,
     off by at most noise = ETA_NOISE_ULPS ulps of |y| + c, so the measured
     residual r = |eta(g) - y| gives |g - x*| <= (r + noise)/e, and a label
     further than noise/e from x* has the sign of its exact residual.  The
-    radius 2(r + 2 noise)/e keeps a factor two over that bound.  Where e is
-    0 or the guess is not finite, tol is inf: every decision is evaluated.
+    radius 2(r + 2 noise)/e keeps a factor two over that bound.  Where the
+    guess is not finite, tol is inf: every decision is evaluated.
+
+    A decision is taken from the guess only while the bisection bracket,
+    2c wide at first and halved at each step, is wider than the radius, so
+    the guess can spare at most log2(2c / (4 noise/e)) evaluations per
+    label, and it costs GUESS_COST: the 2 y.size + 1 samples, the Newton
+    steps and the residual.  Where that bound does not exceed the cost
+    (e tiny or 0), tol is inf without sampling.
     """
     e = _decay(tau, M)
-    if e == 0.0:
+    noise_min = ETA_NOISE_ULPS * np.finfo(float).eps * (np.abs(y).min() + c)
+    if e * 2.0 * c <= 2.0**GUESS_COST * 4.0 * noise_min:
         return y, np.full(y.shape, np.inf)
     samples = np.linspace(y[0] - c, y[-1] + c, 2 * y.size + 1)
     guess = np.interp(y, trajectory_position(samples, tau, prof, M), samples)

@@ -22,7 +22,11 @@ kernel `_rhs` hands back its slope in Fourier space.  A step makes one
 forward transform of the state (the one stable_dt feeds to
 inverse_gradient), one batched inverse and one batched forward transform
 per stage, and one inverse of the new state: 8 FFT calls whatever the
-member count.
+member count.  At small n a step costs numpy calls more than flops, so
+every eps-dependent factor of the stage is folded into a Fourier symbol
+with one row per member (`_members`, built once per batch and read-only)
+and the transforms' inputs and outputs are written in place: 23 numpy
+calls in a later stage.
 
 One driver path: `simulate_ep_rows` steps members that differ in epsilon
 only as rows of one batched step (`step_ep_rows`), each with its own dt,
@@ -49,7 +53,6 @@ import numpy as np
 from .core import EPState, Field, ParamSet, validate_initial_data
 from .diagnostics import DiagnosticsRecord, record_ep
 from .errors import Blowup, CflViolation, RangeBreach, SolverBreakdown
-from .ksmap import ks_map_torus
 from .spectral import _symbols, inverse_gradient
 
 BLOWUP_THRESHOLD = 1e12
@@ -63,25 +66,25 @@ class EPStepReport:
     mass_defect: float
 
 
-def reconstruct_u(state: EPState, p: ParamSet) -> Field:
-    """Physical velocity u = eps*v + eps^alpha * w."""
-    v = ks_map_torus(state.rho, p.mass_level).v
-    u = p.epsilon * v.values + p.epsilon**p.alpha * state.w.values
-    return Field(p.grid, u)
-
-
 class _Members(NamedTuple):
     """The parameters of a batch of members, worked out once per run.
-    The members share every parameter but epsilon; each eps-dependent
-    coefficient is a column with one Python-computed value per member."""
+    The members share every parameter but epsilon.  The eps-dependent
+    coefficients of the stage kernel are folded into Fourier symbols, one
+    row per member (members x (n/2 + 1)), or are columns with one
+    Python-computed value per member.  All arrays are read-only."""
 
     p: ParamSet              # the shared parameters
     eps: np.ndarray          # eps
-    eps_1ma: np.ndarray      # eps^(1-alpha)
     eps_a: np.ndarray        # eps^alpha
-    eps_ma: np.ndarray       # eps^(-alpha)
-    gamma_eps: np.ndarray    # gamma/eps
     lam: tuple               # linear rates: 0 for the rho rows, -1/eps^2 for w
+    inv_grad: np.ndarray     # i/k, shared: v = -irfft(sh * inv_grad)
+    keep: np.ndarray         # 2/3 rule, shared
+    ik_eps: np.ndarray       # ik/eps: on w^, dw/dx / eps
+    dxv_eps: np.ndarray      # eps^-alpha, 0 at k = 0: on (rho - M)^, eps^-alpha dv/dx
+    gik_eps: np.ndarray      # (gamma/eps) ik: on (rho - M)^, (gamma/eps) d(rho)/dx
+    div_eps: np.ndarray      # -ik keep/eps: on (rho vel)^, the rho slope
+    flux_w: np.ndarray       # eps^-alpha keep, 0 at k = 0: on (rho vel)^, the
+                             # share -eps^(1-alpha) dv/dtau of the w slope
 
 
 @functools.lru_cache(maxsize=64)
@@ -93,18 +96,26 @@ def _members(ps: tuple) -> _Members:
         raise ValueError("batched members may differ in epsilon only")
     alpha, gamma = p.alpha, p.gamma
     eps = [q.epsilon for q in ps]
+    sym = _symbols(p.grid)
 
-    def column(values):
-        a = np.array(values)[:, None]
+    def read_only(a):
         a.setflags(write=False)
         return a
 
-    return _Members(p, column(eps),
-                    column([e ** (1.0 - alpha) for e in eps]),
-                    column([e**alpha for e in eps]),
-                    column([e ** (-alpha) for e in eps]),
-                    column([gamma / e for e in eps]),
-                    ((0.0,) * len(ps), tuple(-1.0 / e**2 for e in eps)))
+    def column(values):
+        return np.array(values)[:, None]
+
+    eps_col, eps_ma = column(eps), column([e ** (-alpha) for e in eps])
+    nonzero = np.arange(sym.k.size) > 0     # zeroes the mean, k = 0
+    return _Members(p, read_only(eps_col),
+                    read_only(column([e**alpha for e in eps])),
+                    ((0.0,) * len(ps), tuple(-1.0 / e**2 for e in eps)),
+                    sym.inv_grad, sym.keep,
+                    read_only(sym.ik / eps_col),
+                    read_only(eps_ma * nonzero),
+                    read_only(sym.ik * column([gamma / e for e in eps])),
+                    read_only(sym.neg_ik_keep / eps_col),
+                    read_only(eps_ma * (sym.keep * nonzero)))
 
 
 def _speeds(rho: np.ndarray, w: np.ndarray, v: np.ndarray, ps) -> list:
@@ -153,38 +164,49 @@ def _rhs(u, uh: np.ndarray, m: _Members):
     in physical space where the caller has them (the first stage), else
     None.
 
-    One fused spectral kernel, two FFT calls whatever the member count:
-    one batched inverse gives v, dw/dx and d(rho)/dx (and rho - M and w
-    when u is None); one batched forward transforms the flux
-    f = rho (w/eps^(1-alpha) + v) and the rest h of the w slope.  The
-    flux is dealiased, differentiated and stripped of its mean in Fourier
-    space: dv/dtau = -(f - mean f) enters the w slope as
-    eps^(1-alpha) (f^ with its k = 0 mode zeroed).  The cached symbols
-    are those of inverse_gradient, deriv and dealias."""
-    p = m.p
-    n = p.grid.n
-    sym = _symbols(p.grid)
+    One fused spectral kernel, two FFT calls whatever the member count.
+    With vel = eps v + eps^alpha w the w slope is -h - eps^(1-alpha)
+    dv/dtau, where
+
+        -h = vel (dw/dx / eps + eps^(-alpha) dv/dx)
+             + rho^(gamma-2) (gamma/eps) d(rho)/dx.
+
+    One batched inverse gives v, the bracket and (gamma/eps) d(rho)/dx
+    (and rho - M and w when u is None): the eps factors sit in the
+    members' symbols, and dv/dx = rho - mean rho is rho - M with its
+    k = 0 mode zeroed.  One batched forward transforms rho*vel and -h.
+    rho*vel is eps f for the continuity flux f = rho (w/eps^(1-alpha) + v),
+    so the rho slope is (-ik keep/eps) (rho vel)^, and dv/dtau =
+    -(f - mean f) enters the w slope as eps^(-alpha) keep (rho vel)^ with
+    its k = 0 mode zeroed.  The transforms' inputs and outputs are
+    written in place: 23 numpy calls in a later stage, 21 in the first."""
     sh, wh = uh
-    spectra = (sh * sym.inv_grad, wh * sym.ik, sh * sym.ik)
+    spectra = np.empty((3 if u is not None else 5,) + sh.shape, dtype=complex)
     if u is None:
-        source, w, grad_inv, dxw, dxrho = np.fft.irfft(
-            np.array((sh, wh) + spectra), n=n)
-        rho = source + p.mass_level
+        spectra[:2] = uh
+    np.multiply(sh, m.inv_grad, out=spectra[-3])
+    np.multiply(wh, m.ik_eps, out=spectra[-2])
+    spectra[-2] += sh * m.dxv_eps
+    np.multiply(sh, m.gik_eps, out=spectra[-1])
+    x = np.fft.irfft(spectra, n=m.p.grid.n)
+    grad_inv, bracket, g_dxrho = x[-3:]
+    if u is None:
+        source, w = x[:2]
+        rho = source + m.p.mass_level
     else:
         rho, w = u
-        source = rho - p.mass_level
-        grad_inv, dxw, dxrho = np.fft.irfft(np.array(spectra), n=n)
     v = -grad_inv
-    dxv = source - sh[:, :1].real / n     # exact spectral derivative of v
-
     vel = m.eps * v + m.eps_a * w
-    h = (-vel * dxw / m.eps
-         - m.gamma_eps * rho ** (p.gamma - 2.0) * dxrho
-         - m.eps_ma * vel * dxv)
-    fh, hh = np.fft.rfft(np.array((rho * (w / m.eps_1ma + v), h)))
-    fh *= sym.keep
-    fh[:, 0] = 0.0      # dv/dtau = -(f - mean f); ik[0] = 0 in g_rho anyway
-    return np.array((-sym.ik * fh, sym.keep * (hh + m.eps_1ma * fh))), v
+    # rows 0 and 1 of x have been read: they take rho*vel and -h
+    np.add(vel * bracket, rho ** (m.p.gamma - 2.0) * g_dxrho, out=x[1])
+    np.multiply(rho, vel, out=x[0])
+    g = np.fft.rfft(x[:2])
+    fh, hh = g
+    w_flux = m.flux_w * fh
+    np.multiply(fh, m.div_eps, out=fh)
+    np.multiply(hh, m.keep, out=hh)
+    np.subtract(w_flux, hh, out=hh)
+    return g, v
 
 
 def stable_dt(state: EPState, p: ParamSet) -> float:
@@ -192,28 +214,45 @@ def stable_dt(state: EPState, p: ParamSet) -> float:
     rho, w = state.rho.values, state.w.values
     v = -inverse_gradient(rho - p.mass_level, p.grid)[0]
     ((adv, sound),) = _speeds(rho[None], w[None], v[None], (p,))
-    return p.dt_cfl * p.grid.h / (adv + sound)
+    return _cfl_bound(p, adv + sound)
 
 
 def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam) -> np.ndarray:
     """One Lawson RK3 step (stage times 0, 1/3, 2/3) of du/dtau = lam*u + G(u)
     on stacked rows u_n (row kinds x members x anything), from the first
-    stage's slope g1 = G(u_n); rhs(u) gives G at the later stages.  dt
+    stage's slope g1 = G(u_n); rhs(u) gives G at the later stages, as a
+    new array of u's shape, which the step updates in place.  dt
     holds one step per member and lam one linear rate per row kind and
     member.  The rates act pointwise, so the rows may be Fourier
     coefficients as well as samples: the steppers pass coefficients."""
-    # integrating factors over dt/3, 2dt/3 and dt and the stage weights,
-    # one column per row, all in Python floats; a rate-0 row gets factors
-    # of exactly 1.0, so its arithmetic is plain RK3
-    e1, e2, e3, c1, c2, c3 = np.array([
-        [(math.exp(rate * d / 3.0), math.exp(2.0 * rate * d / 3.0),
-          math.exp(rate * d), d / 3.0, 2.0 * d / 3.0, d / 4.0)
-         for rate, d in zip(rates, dt)]
+    # integrating factors over dt/3, 2dt/3 and dt, the stage weights and
+    # their products with e1, one column per row, all in Python floats; a
+    # rate-0 row gets factors of exactly 1.0, so its arithmetic is plain RK3
+    e1, e2, e3, c1, c2e1, c3, e1_3 = np.array([
+        [_rk3_coefficients(rate, d) for rate, d in zip(rates, dt)]
         for rates in lam]).transpose(2, 0, 1)[..., None]
 
-    u_b = e1 * (u_n + c1 * g1)
-    u_c = e2 * u_n + c2 * e1 * rhs(u_b)
-    return e3 * u_n + c3 * (e3 * g1 + 3.0 * e1 * rhs(u_c))
+    u = c1 * g1
+    u += u_n
+    u *= e1                 # stage 2: e1 (u_n + c1 g1)
+    g = rhs(u)
+    g *= c2e1
+    np.multiply(e2, u_n, out=u)
+    u += g                  # stage 3: e2 u_n + c2 e1 g2
+    g = rhs(u)
+    g *= e1_3
+    g += e3 * g1
+    g *= c3
+    np.multiply(e3, u_n, out=u)
+    u += g                  # e3 u_n + c3 (e3 g1 + 3 e1 g3)
+    return u
+
+
+def _rk3_coefficients(rate: float, d: float) -> tuple:
+    """e1, e2, e3, c1, c2 e1, c3 and 3 e1 of one row of _rk3."""
+    e1 = math.exp(rate * d / 3.0)
+    return (e1, math.exp(2.0 * rate * d / 3.0), math.exp(rate * d),
+            d / 3.0, 2.0 * d / 3.0 * e1, d / 4.0, 3.0 * e1)
 
 
 def _step_members(states, ps: tuple, dt_for) -> list:

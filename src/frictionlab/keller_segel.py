@@ -43,10 +43,10 @@ def _flux_rhs(sigma, sh: np.ndarray, p: ParamSet):
     flux dealiased, and max |v| for the CFL bound.  sigma holds the
     samples where the caller has them (the first stage), else None.
 
-    Two FFT calls on the cached symbols of inverse_gradient, dealias and
-    deriv: v (and sigma - M when sigma is None) from one batched inverse,
-    then the flux forward; it is masked and differentiated in Fourier
-    space."""
+    Two FFT calls on the cached symbols of inverse_gradient and of the
+    dealiased derivative: v (and sigma - M when sigma is None) from one
+    batched inverse, then the flux forward, dealiased and differentiated
+    in one product with -ik keep."""
     n = p.grid.n
     sym = _symbols(p.grid)
     if sigma is None:
@@ -55,8 +55,7 @@ def _flux_rhs(sigma, sh: np.ndarray, p: ParamSet):
     else:
         grad_inv = np.fft.irfft(sh * sym.inv_grad, n=n)
     v = -grad_inv
-    fh = np.fft.rfft(sigma * v) * sym.keep
-    return -sym.ik * fh, float(np.max(np.abs(v)))
+    return np.fft.rfft(sigma * v) * sym.neg_ik_keep, float(np.max(np.abs(v)))
 
 
 def _step_ks(state: KSState, p: ParamSet, dt_for):
@@ -73,7 +72,7 @@ def _step_ks(state: KSState, p: ParamSet, dt_for):
     g1, v_max = _flux_rhs(s_n, sh_n, p)
     dt = dt_for(_cfl_bound(p, v_max))
     u_new = np.fft.irfft(_rk3(sh_n[None, None], g1,
-                              lambda u: _flux_rhs(None, u[0, 0], p)[0],
+                              lambda u: _flux_rhs(None, u, p)[0],
                               [dt], ((0.0,),)), n=p.grid.n)
     u_new += M
     (blowup,) = _check_blowup([state.time + dt], u_new)

@@ -7,11 +7,13 @@ All routines work on raw sample arrays; the real FFT is used throughout
 The Fourier symbols are built once per grid and cached (`_symbols`, keyed
 on the frozen `Grid`), all in the rfft layout j = 0..n/2: the wavenumbers
 k, the first derivative ik with the unpaired Nyquist mode zeroed, the
-inverse gradient i/k (zero at k = 0 and at Nyquist), and the 2/3-rule
-keep-mask (1 for j <= n/3, else 0).  `deriv`, `dealias` and
-`inverse_gradient` read them, and so do the fused right-hand sides of
-the Euler-Poisson and Keller-Segel steppers, which take and return rfft
-coefficients: they dealias and differentiate the flux in Fourier space.
+inverse gradient i/k (zero at k = 0 and at Nyquist), the 2/3-rule
+keep-mask (1 for j <= n/3, else 0), and -ik keep, minus the derivative
+of the dealiased field.  `deriv`, `dealias` and `inverse_gradient` read
+them, and so do the fused right-hand sides of the Euler-Poisson and
+Keller-Segel steppers, which take and return rfft coefficients: they
+dealias and differentiate the flux in Fourier space, in one product
+with -ik keep.
 The cached arrays are read-only.
 
 `trig_interp` evaluates the interpolant Re sum_k c_k e^{ik theta} of the
@@ -55,6 +57,7 @@ class _Symbols(NamedTuple):
     ik: np.ndarray         # d/dx, Nyquist zeroed for even n
     inv_grad: np.ndarray   # grad(-Delta)^{-1}: i/k, zero at k = 0 and Nyquist
     keep: np.ndarray       # 2/3 rule: 1.0 for j <= n/3, else 0.0
+    neg_ik_keep: np.ndarray  # -ik keep: minus d/dx of the dealiased field
 
 
 @functools.lru_cache(maxsize=64)
@@ -69,9 +72,10 @@ def _symbols(grid: Grid) -> _Symbols:
         ik[-1] = 0.0
         inv_grad[-1] = 0.0
     keep = (np.arange(k.size) <= grid.n // 3).astype(float)
-    for a in (k, ik, inv_grad, keep):
+    neg_ik_keep = -ik * keep
+    for a in (k, ik, inv_grad, keep, neg_ik_keep):
         a.setflags(write=False)
-    return _Symbols(k, ik, inv_grad, keep)
+    return _Symbols(k, ik, inv_grad, keep, neg_ik_keep)
 
 
 def deriv(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:

@@ -270,7 +270,8 @@ def inversion_cases(draw):
                                    touch=draw(st.integers(1, 3)))
     else:
         prof = bump_profile(M) if kind == "bump" else equilibrium_profile(M)
-    tau = draw(st.one_of(st.floats(0.0, 6.0), st.sampled_from([60.0, math.inf])))
+    tau = draw(st.one_of(st.floats(0.0, 6.0),
+                         st.sampled_from([30.0, 49.9, 60.0, math.inf])))
     size = draw(st.sampled_from([1, 2, 3, 2048]))
     lo, hi = prof.domain
     if size == 2048:
@@ -312,12 +313,9 @@ def test_inversion_of_descending_targets_raises(ramp):
         invert_trajectory_map(np.array([1.0, 0.0]), 1.0, ramp, 1.0)
 
 
-@pytest.mark.parametrize("tau", [0.0, 1.0, 3.0, 5.0])
-def test_inversion_evaluates_eta_near_the_roots_only(ramp, tau, monkeypatch):
-    # the plain bisection evaluates eta on 52 grid-equivalents here (two
-    # bracket ends and 50 midpoints); the certified guess decides the
-    # midpoints far from the roots
-    grid = Grid.line(ramp.domain[0], ramp.domain[1], 2048)
+def _eta_evaluations(prof, tau, monkeypatch) -> float:
+    """Grid-equivalents of eta evaluations inverting a 2048-node grid."""
+    grid = Grid.line(prof.domain[0], prof.domain[1], 2048)
     evaluated = []
     original = characteristics.trajectory_position
 
@@ -326,8 +324,24 @@ def test_inversion_evaluates_eta_near_the_roots_only(ramp, tau, monkeypatch):
         return original(x, *args)
 
     monkeypatch.setattr(characteristics, "trajectory_position", counting)
-    invert_trajectory_map(grid.x, tau, ramp, 1.0)
-    assert sum(evaluated) / grid.n <= 24.0
+    invert_trajectory_map(grid.x, tau, prof, 1.0)
+    return sum(evaluated) / grid.n
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 3.0, 5.0])
+def test_inversion_evaluates_eta_near_the_roots_only(ramp, tau, monkeypatch):
+    # the plain bisection evaluates eta on 52 grid-equivalents here (two
+    # bracket ends and 50 midpoints); the certified guess decides the
+    # midpoints far from the roots
+    assert _eta_evaluations(ramp, tau, monkeypatch) <= 24.0
+
+
+@pytest.mark.parametrize("tau", [30.0, 49.9])
+def test_inversion_skips_a_guess_that_cannot_pay(ramp, tau, monkeypatch):
+    # at e^{-M tau} this small the radius of the certified guess spans
+    # most of the bracket: sampling and refining it would cost more eta
+    # evaluations than it spares, so the count is plain bisection's 52
+    assert _eta_evaluations(ramp, tau, monkeypatch) <= 52.0
 
 
 def test_trajectory_bundle_rows(ramp):

@@ -10,8 +10,7 @@ from frictionlab.errors import (
     Blowup, CflViolation, RangeBreach, SolverBreakdown, VacuumApproach,
 )
 from frictionlab.euler_poisson import (
-    reconstruct_u, simulate_ep, simulate_ep_rows, stable_dt, step_ep,
-    step_ep_rows,
+    simulate_ep, simulate_ep_rows, stable_dt, step_ep, step_ep_rows,
 )
 from frictionlab.keller_segel import simulate_ks, stable_dt_ks, step_ks
 from frictionlab.spectral import dealias, deriv, inverse_gradient
@@ -27,19 +26,6 @@ INF_SLOPES = [pytest.param(bad, marks=pytest.mark.filterwarnings(
 
 def _state(grid, rho, w):
     return EPState(rho=Field(grid, rho, tag="density"), w=Field(grid, w))
-
-
-def test_reconstruct_u_examples(params, torus64):
-    x = torus64.x
-    s = _state(torus64, np.ones(torus64.n), np.zeros(torus64.n))
-    np.testing.assert_allclose(reconstruct_u(s, params).values, 0.0,
-                               atol=1e-14)
-    s = _state(torus64, 1.0 + np.cos(x), np.zeros(torus64.n))
-    np.testing.assert_allclose(reconstruct_u(s, params).values,
-                               0.1 * np.sin(x), atol=1e-12)
-    s = _state(torus64, np.ones(torus64.n), np.sin(x))
-    np.testing.assert_allclose(reconstruct_u(s, params).values,
-                               0.1 * np.sin(x), atol=1e-12)
 
 
 def test_equilibrium_is_exact_fixed_point(params, torus64):
@@ -89,14 +75,11 @@ def _rhs_composed(rho, w, p):
     return -deriv(flux, grid), dealias(g_w, grid), v
 
 
-@pytest.mark.parametrize("n", [64, 256, 2048])
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-def test_fused_rhs_matches_composition(n, alpha):
-    grid = Grid.torus(n)
-    p = ParamSet(epsilon=0.1, alpha=alpha, gamma=1.5, mass_level=1.0,
-                 rho_lower=0.25, rho_upper=2.0, grid=grid)
-    rng = np.random.default_rng(n + int(10 * alpha))
-    modes = np.arange(1, n // 4 + 1)   # products reach the 2/3 cutoff
+def _band_limited_data(grid, seed):
+    """Random (rho, w) with modes up to n/4, so products reach the 2/3
+    cutoff."""
+    rng = np.random.default_rng(seed)
+    modes = np.arange(1, grid.n // 4 + 1)
     x = grid.x[:, None]
 
     def band_limited(scale):
@@ -107,20 +90,58 @@ def test_fused_rhs_matches_composition(n, alpha):
     rho = 1.0 + band_limited(0.1)
     w = band_limited(0.05)
     assert rho.min() > 0.5
-    u = np.array(((rho,), (w,)))
-    uh = np.fft.rfft(np.array(((rho - p.mass_level,), (w,))))
-    m = euler_poisson._members((p,))
-    ref_rho, ref_w, ref_v = _rhs_composed(rho, w, p)
+    return rho, w
+
+
+def _assert_rhs_matches_composition(rho, w, ps):
+    """The fused kernel on a batch (one row of rho and w per member), at
+    the first stage and a later one, against _rhs_composed per member;
+    returns the first stage's v."""
+    m = euler_poisson._members(tuple(ps))
+    uh = np.fft.rfft(np.array((rho - m.p.mass_level, w)))
     # the first stage hands in the samples, the later ones only uh
-    for g, v in (euler_poisson._rhs(u, uh, m),
-                 euler_poisson._rhs(None, uh, m)):
-        (g_rho,), (g_w,) = np.fft.irfft(g, n=n)
-        for got, ref in ((g_rho, ref_rho), (g_w, ref_w)):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    g, v = euler_poisson._rhs(u, uh, m)
+    first = euler_poisson._rhs(np.array((rho, w)), uh, m)
+    for g, v in (first, euler_poisson._rhs(None, uh, m)):
+        g_rho, g_w = np.fft.irfft(g, n=m.p.grid.n)
+        for i, p in enumerate(ps):
+            ref_rho, ref_w, ref_v = _rhs_composed(rho[i], w[i], p)
+            for got, ref in ((g_rho[i], ref_rho), (g_w[i], ref_w)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(v[i] - ref_v)) <= 1e-12 * np.max(np.abs(ref_v))
+    return first[1]
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_fused_rhs_matches_composition(n, alpha):
+    grid = Grid.torus(n)
+    p = ParamSet(epsilon=0.1, alpha=alpha, gamma=1.5, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid)
+    rho, w = _band_limited_data(grid, n + int(10 * alpha))
+    v = _assert_rhs_matches_composition(rho[None], w[None], [p])
+    ref_v = _rhs_composed(rho, w, p)[2]
     speeds = euler_poisson._speeds(rho[None], w[None], v, (p,))
     assert speeds == euler_poisson._speeds(rho[None], w[None], ref_v[None],
                                            (p,))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_fused_rhs_on_a_mixed_epsilon_batch(n, alpha):
+    # every row reads its own member's eps-folded symbols
+    grid = Grid.torus(n)
+    p = ParamSet(epsilon=0.1, alpha=alpha, gamma=1.5, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid)
+    ps = [p.replace(epsilon=eps) for eps in (0.2, 0.1, 0.05)]
+    rho, w = np.array([_band_limited_data(grid, n + seed) for seed in range(3)]
+                      ).transpose(1, 0, 2)
+    _assert_rhs_matches_composition(rho, w, ps)
+    m = euler_poisson._members(tuple(ps))
+    for name in ("ik_eps", "dxv_eps", "gik_eps", "div_eps", "flux_w"):
+        assert getattr(m, name).shape == (3, n // 2 + 1)
+    for a in m:
+        if isinstance(a, np.ndarray):
+            assert not a.flags.writeable
 
 
 def test_cfl_guard(params, torus64):
@@ -143,6 +164,12 @@ def test_cfl_guard_uses_the_stable_dt_bound(params, torus64):
     assert report.max_cfl_speed == adv + sound
     with pytest.raises(CflViolation):
         step_ep(s, params, 1.2 * dt)
+
+
+def test_stable_dt_is_infinite_at_zero_speed(params, torus64):
+    # rho = 0 and w = 0: no advection and no sound, so no CFL bound
+    s = _state(torus64, np.zeros(torus64.n), np.zeros(torus64.n))
+    assert stable_dt(s, params) == math.inf
 
 
 def test_stable_dt_scales_with_stiffness(torus64, params):
