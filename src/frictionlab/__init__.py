@@ -19,12 +19,10 @@ from .errors import (
 from .ksmap import ks_map_torus
 from .euler_poisson import (
     SimulationResult, simulate_ep, simulate_ep_rows, stable_dt, step_ep,
-    step_ep_rows,
 )
-from .keller_segel import simulate_ks, stable_dt_ks, step_ks, step_ks_to
+from .keller_segel import simulate_ks, stable_dt_ks, step_ks
 from .diagnostics import (
-    DiagnosticsRecord, dissipation_total, energy_e0, energy_e1,
-    fit_exponential_rate, norms, record_ep, record_ks,
+    DiagnosticsRecord, fit_exponential_rate, norms, record_ep, record_ks,
 )
 from .spectrum import (
     DispersionQuery, ModePair, amplitude_ratio, dispersion_roots,
@@ -54,15 +52,14 @@ __all__ = [
     "SimulationResult", "SolverBreakdown", "TrajectoryBundle",
     "VacuumApproach", "VacuumReport", "ValidationError", "ValidationReport",
     "amplitude_ratio", "bump_profile", "derivative_along",
-    "dispersion_roots", "dissipation_total", "dxeta", "energy_e0",
-    "energy_e1", "equilibrium_profile", "fit_exponential_rate",
+    "dispersion_roots", "dxeta", "equilibrium_profile", "fit_exponential_rate",
     "ks_map_torus", "norms", "profile_field",
     "profile_line", "reconstruct_eulerian", "record_ep",
     "record_ks", "run_decay_fit", "run_epsilon_sweep", "run_single_ep",
     "run_single_ks", "run_spectrum_table", "run_vacuum_collapse",
     "semi_lagrangian_oracle", "sigma_along", "simulate_ep",
     "simulate_ep_rows", "simulate_ks", "slow_mode_fields", "stable_dt",
-    "stable_dt_ks", "step_ep", "step_ep_rows", "step_ks", "step_ks_to",
+    "stable_dt_ks", "step_ep", "step_ks",
     "trajectory_position", "vacuum_interval", "vacuum_ramp_profile",
     "validate_initial_data", "velocity_along",
 ]

@@ -1,13 +1,17 @@
 """Core containers: grids, fields, parameter sets, and initial-data checks.
 
 All types are plain frozen dataclasses holding numpy arrays; they are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads.  A
+state (`EPState`, `KSState`) holds its fields and time, and, when a
+solver step made it, the rfft rows that step left (of rho - M and w, or
+of sigma - M), so the next step need not transform the fields again.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -107,19 +111,6 @@ class Field:
         if self.tag == "density" and vals.min() < 0.0:
             raise RangeViolation("density field has negative samples")
 
-    @classmethod
-    def _trusted(cls, grid: Grid, values: np.ndarray, tag: str = "") -> "Field":
-        """A Field built without the scans of __post_init__, for the solver
-        steps, whose own guards have already checked their new arrays.
-
-        The caller vouches that `values` is a float64 array of shape
-        (grid.n,), all finite, and nonnegative if tag is 'density'."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "values", values)
-        object.__setattr__(f, "tag", tag)
-        return f
-
 
 @dataclass(frozen=True)
 class ParamSet:
@@ -157,19 +148,35 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class EPState:
-    """State of the perturbation system: density rho and velocity component w."""
+    """State of the perturbation system: density rho and velocity component w.
+
+    A state made by a step carries `coefficients`, the triple
+    (M, uh, arrays): uh the step's rfft rows of (rho - M, w),
+    2 x (n/2 + 1), for the mass level M, and arrays the sample arrays
+    (rho, w) they belong to.  The next step at that level starts from uh
+    instead of transforming rho and w again, as long as the state's fields
+    hold those very arrays, which are read-only; a state derived with
+    other fields (dataclasses.replace) is transformed afresh.
+    `coefficients` takes no part in comparisons.  Any other state has
+    None and is transformed."""
 
     rho: Field
     w: Field
     time: float = 0.0
+    coefficients: Optional[tuple] = field(default=None, compare=False,
+                                          repr=False)
 
 
 @dataclass(frozen=True)
 class KSState:
-    """State of the limit system: bacteria/charge density sigma."""
+    """State of the limit system: bacteria/charge density sigma.  A state
+    made by a step carries (M, the rfft row of sigma - M, (sigma,)), as
+    EPState."""
 
     sigma: Field
     time: float = 0.0
+    coefficients: Optional[tuple] = field(default=None, compare=False,
+                                          repr=False)
 
 
 MEAN_DEFECT_TOL = 1e-10  # relative to |Omega|

@@ -69,27 +69,6 @@ def _d0(rho: np.ndarray, w, p: ParamSet) -> float:
     return float(p.epsilon ** (p.alpha - 2.0) * grid.integrate(w * w) + relax)
 
 
-def energy_e0(state: EPState, p: ParamSet) -> float:
-    """Zeroth-order energy: (eps^alpha/2) ∫ rho w^2 + (1/(gamma-1)) ∫ bracket."""
-    return _e0(state.rho.values, state.w.values, p)
-
-
-def energy_e1(state: EPState, p: ParamSet) -> float:
-    """Higher-order energy: sum over 1 <= j <= DERIV_CAP of
-    (eps^alpha/2) ∫ rho (d^j w)^2 + (gamma/2) ∫ rho^(gamma-2) (d^j rho)^2.
-    """
-    return _higher_order(state.rho.values, state.w.values, p)[0]
-
-
-def dissipation_d0(state: EPState, p: ParamSet) -> float:
-    return _d0(state.rho.values, state.w.values, p)
-
-
-def dissipation_total(state: EPState, p: ParamSet) -> float:
-    rho, w = state.rho.values, state.w.values
-    return _d0(rho, w, p) + _higher_order(rho, w, p)[1]
-
-
 def norms(f: Field) -> dict:
     """l2, sup, l4 of the gradient, and h1/h2/h3 (squared-sum convention)
     of a torus field."""

@@ -18,24 +18,34 @@ step on its density row alone, with rate 0.
 
 The rows are the rfft coefficients of (rho - M, w): the friction factor
 is pointwise, so it acts on coefficients as on samples, and the stage
-kernel `_rhs` hands back its slope in Fourier space.  A step makes one
-forward transform of the state (the one stable_dt feeds to
-inverse_gradient), one batched inverse and one batched forward transform
-per stage, and one inverse of the new state: 8 FFT calls whatever the
-member count.  At small n a step costs numpy calls more than flops, so
-every eps-dependent factor of the stage is folded into a Fourier symbol
-with one row per member (`_members`, built once per batch and read-only)
-and the transforms' inputs and outputs are written in place: 23 numpy
-calls in a later stage.
+kernel `_rhs` hands back its slope in Fourier space.  A step starts from
+the coefficients the previous step left (a run transforms its initial
+data once; a state built from Fields is transformed when it is
+stepped), makes one batched inverse and one batched forward transform
+per stage, and one inverse of the new coefficients, which the guards,
+the next first stage and the samples read: 7 FFT calls whatever the
+member count.  At gamma = 2 the pressure term (gamma/eps) d(rho)/dx is
+linear and is added in Fourier space, so per member a step transforms
+2+2 rows in its first stage, 4+2 in each later one and 2 at the end:
+18 rows, 21 at any other gamma.  At small n a step costs numpy calls
+more than flops, so every eps-dependent factor of the stage is folded
+into a Fourier symbol with one row per member (`_members`, built once
+per batch and read-only) and the transforms' inputs and outputs are
+written in place: 21 numpy calls in a later stage at gamma = 2, 23
+otherwise.
 
 One driver path: `simulate_ep_rows` steps members that differ in epsilon
 only as rows of one batched step (`step_ep_rows`), each with its own dt,
 picked from its own first stage, and clock; `simulate_ep` is the
-one-member batch.  Batched FFT rows, per-row reductions and products with
-per-row columns are bit-identical to the one-member arithmetic, so a
-member's trajectory does not depend on its batch.  `step_ep` is the
-fixed-dt step for callers that choose dt, and `stable_dt` a helper that
-gives them it.
+one-member batch.  Between steps the driver keeps the batch's samples
+and coefficients stacked (`Rows`) and builds states only at sample
+times.  Batched FFT rows, per-row reductions and products with per-row
+columns are bit-identical to the one-member arithmetic, so a member's
+trajectory does not depend on its batch.  `step_ep` is the fixed-dt step
+for callers that choose dt, and `stable_dt` a helper that gives them it;
+the states step_ep returns carry their coefficients, so both read what
+the driver reads and a chain of step_ep calls is the driver's run bit
+for bit.
 
 dv/dtau comes from pushing the continuity flux through the inverse
 gradient: on the torus this collapses to -(flux - mean(flux)), in Fourier
@@ -52,8 +62,8 @@ import numpy as np
 
 from .core import EPState, Field, ParamSet, validate_initial_data
 from .diagnostics import DiagnosticsRecord, record_ep
-from .errors import Blowup, CflViolation, RangeBreach, SolverBreakdown
-from .spectral import _symbols, inverse_gradient
+from .errors import Blowup, CflViolation, RangeBreach
+from .spectral import _symbols
 
 BLOWUP_THRESHOLD = 1e12
 
@@ -74,6 +84,8 @@ class _Members(NamedTuple):
     Python-computed value per member.  All arrays are read-only."""
 
     p: ParamSet              # the shared parameters
+    ps: tuple                # one ParamSet per member
+    linear_pressure: bool    # gamma = 2: the pressure term is linear in rho
     eps: np.ndarray          # eps
     eps_a: np.ndarray        # eps^alpha
     lam: tuple               # linear rates: 0 for the rho rows, -1/eps^2 for w
@@ -81,7 +93,8 @@ class _Members(NamedTuple):
     keep: np.ndarray         # 2/3 rule, shared
     ik_eps: np.ndarray       # ik/eps: on w^, dw/dx / eps
     dxv_eps: np.ndarray      # eps^-alpha, 0 at k = 0: on (rho - M)^, eps^-alpha dv/dx
-    gik_eps: np.ndarray      # (gamma/eps) ik: on (rho - M)^, (gamma/eps) d(rho)/dx
+    gik_eps: np.ndarray      # (gamma/eps) ik: on (rho - M)^, (gamma/eps) d(rho)/dx,
+                             # the pressure term itself when it is linear
     div_eps: np.ndarray      # -ik keep/eps: on (rho vel)^, the rho slope
     flux_w: np.ndarray       # eps^-alpha keep, 0 at k = 0: on (rho vel)^, the
                              # share -eps^(1-alpha) dv/dtau of the w slope
@@ -107,7 +120,7 @@ def _members(ps: tuple) -> _Members:
 
     eps_col, eps_ma = column(eps), column([e ** (-alpha) for e in eps])
     nonzero = np.arange(sym.k.size) > 0     # zeroes the mean, k = 0
-    return _Members(p, read_only(eps_col),
+    return _Members(p, ps, gamma == 2.0, read_only(eps_col),
                     read_only(column([e**alpha for e in eps])),
                     ((0.0,) * len(ps), tuple(-1.0 / e**2 for e in eps)),
                     sym.inv_grad, sym.keep,
@@ -171,37 +184,53 @@ def _rhs(u, uh: np.ndarray, m: _Members):
         -h = vel (dw/dx / eps + eps^(-alpha) dv/dx)
              + rho^(gamma-2) (gamma/eps) d(rho)/dx.
 
-    One batched inverse gives v, the bracket and (gamma/eps) d(rho)/dx
-    (and rho - M and w when u is None): the eps factors sit in the
-    members' symbols, and dv/dx = rho - mean rho is rho - M with its
-    k = 0 mode zeroed.  One batched forward transforms rho*vel and -h.
-    rho*vel is eps f for the continuity flux f = rho (w/eps^(1-alpha) + v),
-    so the rho slope is (-ik keep/eps) (rho vel)^, and dv/dtau =
-    -(f - mean f) enters the w slope as eps^(-alpha) keep (rho vel)^ with
-    its k = 0 mode zeroed.  The transforms' inputs and outputs are
-    written in place: 23 numpy calls in a later stage, 21 in the first."""
+    One batched inverse gives v and the bracket (and rho - M and w when u
+    is None): the eps factors sit in the members' symbols, and dv/dx =
+    rho - mean rho is rho - M with its k = 0 mode zeroed.  One batched
+    forward transforms rho*vel and -h.  rho*vel is eps f for the
+    continuity flux f = rho (w/eps^(1-alpha) + v), so the rho slope is
+    (-ik keep/eps) (rho vel)^, and dv/dtau = -(f - mean f) enters the w
+    slope as eps^(-alpha) keep (rho vel)^ with its k = 0 mode zeroed.
+
+    The pressure term: at gamma = 2 it is (gamma/eps) d(rho)/dx, linear,
+    and its transform (gamma/eps) ik (rho - M)^ is added to the forward
+    output; otherwise the inverse also gives (gamma/eps) d(rho)/dx, and
+    rho^(gamma-2) times it joins -h before the forward transform.  So the
+    inverse takes 2 rows per member in the first stage and 4 in a later
+    one, one more each when gamma != 2.  The transforms' inputs and
+    outputs are written in place: 21 numpy calls in a later stage and 19
+    in the first at gamma = 2, 23 and 21 otherwise."""
     sh, wh = uh
-    spectra = np.empty((3 if u is not None else 5,) + sh.shape, dtype=complex)
-    if u is None:
+    first = u is not None
+    base = 0 if first else 2    # rows 0 and 1 of a later stage: rho - M, w
+    spectra = np.empty((base + (2 if m.linear_pressure else 3),) + sh.shape,
+                       dtype=complex)
+    if not first:
         spectra[:2] = uh
-    np.multiply(sh, m.inv_grad, out=spectra[-3])
-    np.multiply(wh, m.ik_eps, out=spectra[-2])
-    spectra[-2] += sh * m.dxv_eps
-    np.multiply(sh, m.gik_eps, out=spectra[-1])
+    np.multiply(sh, m.inv_grad, out=spectra[base])
+    np.multiply(wh, m.ik_eps, out=spectra[base + 1])
+    spectra[base + 1] += sh * m.dxv_eps
+    if not m.linear_pressure:
+        np.multiply(sh, m.gik_eps, out=spectra[base + 2])
     x = np.fft.irfft(spectra, n=m.p.grid.n)
-    grad_inv, bracket, g_dxrho = x[-3:]
-    if u is None:
+    grad_inv, bracket = x[base], x[base + 1]
+    if first:
+        rho, w = u
+    else:
         source, w = x[:2]
         rho = source + m.p.mass_level
-    else:
-        rho, w = u
     v = -grad_inv
     vel = m.eps * v + m.eps_a * w
     # rows 0 and 1 of x have been read: they take rho*vel and -h
-    np.add(vel * bracket, rho ** (m.p.gamma - 2.0) * g_dxrho, out=x[1])
+    if m.linear_pressure:
+        np.multiply(vel, bracket, out=x[1])
+    else:
+        np.add(vel * bracket, rho ** (m.p.gamma - 2.0) * x[base + 2], out=x[1])
     np.multiply(rho, vel, out=x[0])
     g = np.fft.rfft(x[:2])
     fh, hh = g
+    if m.linear_pressure:
+        hh += m.gik_eps * sh
     w_flux = m.flux_w * fh
     np.multiply(fh, m.div_eps, out=fh)
     np.multiply(hh, m.keep, out=hh)
@@ -210,10 +239,12 @@ def _rhs(u, uh: np.ndarray, m: _Members):
 
 
 def stable_dt(state: EPState, p: ParamSet) -> float:
-    """CFL-limited step dt_cfl*h/(advective + sound speed), as step_ep_rows takes it."""
-    rho, w = state.rho.values, state.w.values
-    v = -inverse_gradient(rho - p.mass_level, p.grid)[0]
-    ((adv, sound),) = _speeds(rho[None], w[None], v[None], (p,))
+    """CFL-limited step dt_cfl*h/(advective + sound speed), as step_ep_rows
+    takes it: from the state's carried coefficients where it has them, as
+    the step does."""
+    rows = _rows_of([state], (p,), ("rho", "w"))
+    v = -np.fft.irfft(rows.uh[0] * _symbols(p.grid).inv_grad, n=p.grid.n)
+    ((adv, sound),) = _speeds(rows.u[0], rows.u[1], v, (p,))
     return _cfl_bound(p, adv + sound)
 
 
@@ -255,77 +286,133 @@ def _rk3_coefficients(rate: float, d: float) -> tuple:
             d / 3.0, 2.0 * d / 3.0 * e1, d / 4.0, 3.0 * e1)
 
 
-def _step_members(states, ps: tuple, dt_for) -> list:
-    """One Lawson RK3 step of every member's rows (rho, w); friction acts on
-    the w rows only.  dt_for(bounds) turns the members' CFL bounds at the
-    first stage into their steps.  Returns, per member, (EPState,
-    EPStepReport) or the SolverBreakdown that stopped it."""
-    m = _members(ps)
-    p = m.p
-    grid = p.grid
-    u_n = np.array([[s.rho.values for s in states],
-                    [s.w.values for s in states]])
-    # the transform stable_dt feeds to inverse_gradient, so the first
-    # stage's v, speeds and dt are stable_dt's
-    uh_n = np.fft.rfft(np.array((u_n[0] - p.mass_level, u_n[1])))
-    g1, v = _rhs(u_n, uh_n, m)
-    speeds = [adv + sound for adv, sound in _speeds(u_n[0], u_n[1], v, ps)]
-    dt = dt_for([_cfl_bound(p, speed) for speed in speeds])
-    u_new = np.fft.irfft(_rk3(uh_n, g1, lambda uh: _rhs(None, uh, m)[0],
-                              dt, m.lam), n=grid.n)
-    u_new[0] += p.mass_level
+class Rows:
+    """What a driver keeps of a batch of members between steps: their rows
+    stacked as samples u (row kinds x members x n) and as the rfft
+    coefficients uh that the next step starts from (of rho - M and w for
+    Euler-Poisson, of sigma - M for Keller-Segel), and each member's clock
+    and ParamSet.  A step replaces u, uh and times with new arrays."""
 
-    times = [s.time + d for s, d in zip(states, dt)]
-    rho_new, w_new = u_new
-    rmin, rmax = rho_new.min(axis=-1).tolist(), rho_new.max(axis=-1).tolist()
-    defects = (rho_new.sum(axis=-1) - u_n[0].sum(axis=-1)).tolist()
-    lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
-    out = []
-    for i, blowup in enumerate(_check_blowup(times, u_new)):
-        if blowup is not None:
-            out.append(blowup)
-        elif rmin[i] < lo or rmax[i] > hi:
-            out.append(RangeBreach(
-                f"rho range [{rmin[i]:.6g}, {rmax[i]:.6g}] left "
-                f"[{lo:.6g}, {hi:.6g}] at tau = {times[i]:.6g}"))
+    __slots__ = ("u", "uh", "times", "ps", "_m")
+
+    def __init__(self, u, uh, times, ps):
+        self.u, self.uh, self.times, self.ps = u, uh, list(times), tuple(ps)
+        self._m = None
+
+    @property
+    def members(self) -> _Members:
+        """The Euler-Poisson batch's _Members, looked up once."""
+        if self._m is None:
+            self._m = _members(self.ps)
+        return self._m
+
+    def take(self, keep: list) -> "Rows":
+        """The batch of the members at positions keep."""
+        return Rows(self.u[:, keep], self.uh[:, keep],
+                    [self.times[j] for j in keep], [self.ps[j] for j in keep])
+
+    def column(self, j: int) -> tuple:
+        """Member j's samples (a copy, which a state may keep without the
+        batch), coefficients, clock and ParamSet."""
+        return self.u[:, j].copy(), self.uh[:, j], self.times[j], self.ps[j]
+
+    @classmethod
+    def stack(cls, columns) -> "Rows":
+        """The batch of members given as columns."""
+        u, uh, times, ps = zip(*columns)
+        return cls(np.stack(u, axis=1), np.stack(uh, axis=1), times, ps)
+
+
+def _rows_of(states, ps, names) -> Rows:
+    """The batch of states, `names` their fields (rho and w, or sigma),
+    with the members' shared mass level M: a state's coefficients where it
+    carries them for M and for its fields' very arrays, else the rfft of
+    its rows with M subtracted from the first."""
+    M = ps[0].mass_level
+    arrays = [[getattr(s, name).values for name in names] for s in states]
+    u = np.array(arrays).transpose(1, 0, 2)
+    uh = np.empty(u.shape[:2] + (u.shape[2] // 2 + 1,), dtype=complex)
+    for j, (s, a) in enumerate(zip(states, arrays)):
+        c = s.coefficients
+        if (c is not None and c[0] == M
+                and all(x is y for x, y in zip(a, c[2]))):
+            uh[:, j] = c[1]
         else:
-            # copies: a view would keep the whole batch buffer alive for as
-            # long as the state is kept (every sampled state is); no rescan:
-            # _check_blowup and the range guard have checked both rows
-            state = EPState(
-                rho=Field._trusted(grid, rho_new[i].copy(), tag="density"),
-                w=Field._trusted(grid, w_new[i].copy()), time=times[i])
-            out.append((state, EPStepReport(
-                dt_used=dt[i], max_cfl_speed=speeds[i],
-                friction_factor=math.exp(m.lam[1][i] * dt[i]),
-                mass_defect=grid.h * defects[i])))
-    return out
+            shifted = u[:, j].copy()
+            shifted[0] -= M
+            uh[:, j] = np.fft.rfft(shifted)
+    return Rows(u, uh, [s.time for s in states], ps)
+
+
+def _handed_out(rows: Rows) -> tuple:
+    """The samples and coefficients of a one-member batch, made read-only:
+    the fixed-dt steps hand them out in their states."""
+    rows.u.setflags(write=False)
+    rows.uh.setflags(write=False)
+    return rows.u[:, 0], rows.uh[:, 0]
+
+
+def _step(rows: Rows, dt_for) -> tuple[list, list]:
+    """One Lawson RK3 step of every member's rows (rho, w), in place;
+    friction acts on the w rows only.  dt_for(bounds) turns the members'
+    CFL bounds at the first stage into their steps.  Returns per member
+    None or the SolverBreakdown that stopped it, and the members' CFL
+    speeds."""
+    m = rows.members
+    p = m.p
+    u_n = rows.u
+    g1, v = _rhs(u_n, rows.uh, m)
+    speeds = [adv + sound for adv, sound in _speeds(u_n[0], u_n[1], v, m.ps)]
+    dt = dt_for([_cfl_bound(p, speed) for speed in speeds])
+    uh = _rk3(rows.uh, g1, lambda uh: _rhs(None, uh, m)[0], dt, m.lam)
+    u = np.fft.irfft(uh, n=p.grid.n)
+    u[0] += p.mass_level
+    times = [t + d for t, d in zip(rows.times, dt)]
+    rows.u, rows.uh, rows.times = u, uh, times
+
+    rmin, rmax = u[0].min(axis=-1).tolist(), u[0].max(axis=-1).tolist()
+    lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
+    out = _check_blowup(times, u)
+    for i, (low, high) in enumerate(zip(rmin, rmax)):
+        if out[i] is None and (low < lo or high > hi):
+            out[i] = RangeBreach(
+                f"rho range [{low:.6g}, {high:.6g}] left "
+                f"[{lo:.6g}, {hi:.6g}] at tau = {times[i]:.6g}")
+    return out, speeds
 
 
 def step_ep(state: EPState, p: ParamSet, dt: float) -> tuple[EPState, EPStepReport]:
     """One integrating-factor RK3 step of size dt on the rows (rho, w);
     friction acts on the w row only.  The one-member batch, with dt given:
-    raises CflViolation if dt exceeds the stable_dt bound."""
-    (out,) = _step_members([state], (p,),
-                           lambda bounds: [_checked_dt(dt, bounds[0])])
-    if isinstance(out, SolverBreakdown):
+    raises CflViolation if dt exceeds the stable_dt bound.  The new state
+    carries the step's coefficients, so a chain of step_ep calls makes the
+    driver's arithmetic."""
+    rows = _rows_of([state], (p,), ("rho", "w"))
+    (out,), (speed,) = _step(rows, lambda bounds: [_checked_dt(dt, bounds[0])])
+    if out is not None:
         raise out
-    return out
+    (rho, w), uh = _handed_out(rows)
+    new = EPState(rho=Field(p.grid, rho, tag="density"), w=Field(p.grid, w),
+                  time=rows.times[0],
+                  coefficients=(p.mass_level, uh, (rho, w)))
+    return new, EPStepReport(
+        dt_used=dt, max_cfl_speed=speed,
+        friction_factor=math.exp(rows.members.lam[1][0] * dt),
+        mass_defect=p.grid.h * float(rho.sum() - state.rho.values.sum()))
 
 
-def step_ep_rows(states, ps, target: float) -> list:
-    """One step toward time `target` of each member, stepped together as
-    rows of one batched step; ps holds one ParamSet per member, and the
-    members may differ in epsilon only.
+def step_ep_rows(rows: Rows, target: float) -> list:
+    """One step toward time `target` of each member of the batch, in place:
+    the drivers' step.  The members may differ in epsilon only.
 
     Each member takes dt = min(stable_dt, target - t), from the speeds of
-    its own first stage.  Returns, per member, (EPState, EPStepReport) or
-    the SolverBreakdown that stopped it; a breakdown leaves the other
-    members' steps as they would be alone."""
-    if not all(s.time < target for s in states):
+    its own first stage.  Returns per member None or the SolverBreakdown
+    that stopped it; a breakdown leaves the other members' steps as they
+    would be alone."""
+    if not all(t < target for t in rows.times):
         raise ValueError("every member must be behind the target time")
-    return _step_members(states, tuple(ps), lambda bounds: [
-        min(bound, target - s.time) for bound, s in zip(bounds, states)])
+    return _step(rows, lambda bounds: [
+        min(bound, target - t) for bound, t in zip(bounds, rows.times)])[0]
 
 
 @dataclass
@@ -347,35 +434,53 @@ class SimulationResult:
             raise self.error
 
 
-def _integrate(states, advance, record, sample_times) -> list:
-    """Advance every member to each sample time in turn, landing on it
-    exactly, and record member i there as record(i, state); with record
-    None the samples hold the states alone, paired with None.
+def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
+    """Advance every member of the batch rows to each sample time in turn,
+    landing on it exactly, and sample member i there as
+    state = state_at(u, time), u its rows of samples, paired with
+    record(i, state), or with None when record is None.
 
-    advance(members, states, target) takes one step toward target of each
-    listed member (those whose clock is behind), in one call, and returns
-    per member its (new_state, report) or the SolverBreakdown that ends its
-    run.  A member that breaks down keeps its samples so far; the others
-    go on.  Returns one SimulationResult per member."""
+    advance(rows, target) takes one step toward target of every member of
+    rows, all behind it, in one call, and returns per member None or the
+    SolverBreakdown that ends its run.  The rows stay stacked from step to
+    step: a member leaves the batch when it lands on the sample time or
+    breaks down (keeping its samples so far), and the members that landed
+    are stacked again for the next sample time, unless they all landed in
+    the same step.  Returns one SimulationResult per member."""
     times = sorted(sample_times)
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError("sample times must be finite and nonnegative")
-    states = list(states)
-    results = [SimulationResult([], "ok") for _ in states]
-    live = list(range(len(states)))
+    results = [SimulationResult([], "ok") for _ in rows.times]
+    members = list(range(len(results)))     # the member in each batch row
     for target in times:
-        while behind := [i for i in live if states[i].time < target - 1e-12]:
-            outcomes = advance(behind, [states[i] for i in behind], target)
-            for i, out in zip(behind, outcomes):
-                if isinstance(out, SolverBreakdown):
+        landed = {}
+        outcomes, stepped = [None] * len(members), False
+        while True:
+            keep = []
+            for j, (i, out) in enumerate(zip(members, outcomes)):
+                if out is not None:
                     results[i].status, results[i].error = out.status, out
-                    live.remove(i)
+                    continue
+                results[i].n_steps += stepped
+                if rows.times[j] < target - 1e-12:
+                    keep.append(j)
                 else:
-                    states[i] = out[0]
-                    results[i].n_steps += 1
+                    landed[i] = rows.column(j)
+            if len(keep) < len(members):
+                if not keep:
+                    break
+                rows, members = rows.take(keep), [members[j] for j in keep]
+            outcomes, stepped = advance(rows, target), True
+        live = sorted(landed)
+        if not live:
+            break
         for i in live:
+            u, _, time, _ = landed[i]
+            state = state_at(u, time)
             results[i].samples.append(
-                (states[i], None if record is None else record(i, states[i])))
+                (state, None if record is None else record(i, state)))
+        if live != members:     # a member left the batch before the end
+            rows, members = Rows.stack([landed[i] for i in live]), live
     return results
 
 
@@ -392,15 +497,25 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
     from the same initial data that differ in epsilon only, stepped
     together by step_ep_rows; each keeps its own dt and clock.  With
     records False no diagnostics are computed: each sample pairs its
-    state with None."""
+    state with None.
+
+    The initial rows are transformed once; after that the batch carries
+    its rows from step to step, and states are built at sample times
+    only."""
     ps = tuple(ps)
     p = _members(ps).p
     validate_initial_data(rho0, w0, p).raise_if_failed()
-    state = EPState(rho=Field(p.grid, rho0.values, tag="density"),
-                    w=Field(p.grid, w0.values), time=0.0)
+    one = _rows_of([EPState(rho=rho0, w=w0)], ps[:1], ("rho", "w"))
+    rows = Rows(np.repeat(one.u, len(ps), axis=1),
+                np.repeat(one.uh, len(ps), axis=1), [0.0] * len(ps), ps)
+    grid = p.grid
+
+    def state_at(u, time):
+        return EPState(rho=Field(grid, u[0], tag="density"),
+                       w=Field(grid, u[1]), time=time)
+
     # step_ep_rows is looked up per call, so the benchmark tracer sees it
-    return _integrate([state] * len(ps),
-                      lambda rows, states, target: step_ep_rows(
-                          states, [ps[i] for i in rows], target),
+    return _integrate(rows, lambda rows, target: step_ep_rows(rows, target),
+                      state_at,
                       (lambda i, s: record_ep(s, ps[i])) if records else None,
                       sample_times)

@@ -320,8 +320,11 @@ def run_vacuum_collapse(spec: ExperimentSpec,
             <= 1e-12 * (b0 - a0) for r in rows),
         "length_measured": all(
             abs(r.length_measured - r.length) <= h for r in rows),
+        # equal values pass first: at tau = inf both are inf, and
+        # inf - inf is NaN
         "growth_law": all(
-            abs(r.growth_factor - r.factor_predicted)
+            r.growth_factor == r.factor_predicted
+            or abs(r.growth_factor - r.factor_predicted)
             <= 1e-12 * r.factor_predicted for r in rows),
         "fd_agreement": all(
             r.fd_rel_gap <= 0.05 for r in rows if math.isfinite(r.fd_rel_gap)),

@@ -5,13 +5,18 @@
 the density row of the Euler-Poisson step: its Lawson RK3 core
 (`euler_poisson._rk3`) with rate 0 is conservative RK3, the velocity
 refreshed at every stage.  As there, the step runs on the rfft
-coefficients of sigma - M, with 8 FFT calls: one forward transform of
-the state, two per stage (`_flux_rhs`) and one inverse of the new state.
+coefficients of sigma - M and starts from the ones the previous step
+left, with 7 FFT calls on 9 rows: two per stage (`_flux_rhs`) and one
+inverse of the new coefficients.
 Near-vacuum states are refused (the characteristic module handles
 vacuum exactly); positive data stays positive on the tested horizons
-because each characteristic value moves monotonically toward M.  `simulate_ks` advances by `step_ks_to`, which
-picks dt from its own first stage; `step_ks` is the fixed-dt step for
-callers that choose dt, and `stable_dt_ks` a helper that gives them it.
+because each characteristic value moves monotonically toward M.
+`simulate_ks` keeps its rows between steps (`euler_poisson.Rows`),
+advances them by `step_ks_to`, which picks dt from its own first stage,
+and builds states at sample times only; `step_ks` is the fixed-dt step
+for callers that choose dt, and `stable_dt_ks` a helper that gives them
+it.  The states step_ks returns carry their coefficients, as in
+euler_poisson.
 """
 from __future__ import annotations
 
@@ -21,10 +26,10 @@ import numpy as np
 
 from .core import MEAN_DEFECT_TOL, Field, KSState, ParamSet
 from .diagnostics import record_ks
-from .errors import MeanDefect, SolverBreakdown, VacuumApproach
+from .errors import MeanDefect, VacuumApproach
 from .euler_poisson import (
-    SimulationResult, _cfl_bound, _check_blowup, _checked_dt, _integrate,
-    _rk3,
+    Rows, SimulationResult, _cfl_bound, _check_blowup, _checked_dt,
+    _handed_out, _integrate, _rk3, _rows_of,
 )
 from .spectral import _symbols
 
@@ -58,38 +63,33 @@ def _flux_rhs(sigma, sh: np.ndarray, p: ParamSet):
     return np.fft.rfft(sigma * v) * sym.neg_ik_keep, float(np.max(np.abs(v)))
 
 
-def _step_ks(state: KSState, p: ParamSet, dt_for):
-    """One conservative RK3 step (stage times 0, 1/3, 2/3) of dt = dt_for(CFL
-    bound of stage 1): (KSState, KSStepReport) or the SolverBreakdown."""
+def _step_ks(rows: Rows, dt_for):
+    """One conservative RK3 step (stage times 0, 1/3, 2/3) of the
+    one-member batch rows, in place, of dt = dt_for(CFL bound of stage 1):
+    None, or the SolverBreakdown that stops it."""
+    p = rows.ps[0]
     M = p.mass_level
-    s_n = state.sigma.values
+    s_n = rows.u[0, 0]
     if float(s_n.min()) < VACUUM_FRACTION * M:
         return VacuumApproach(
             f"min sigma = {s_n.min():.3e} below {VACUUM_FRACTION:g}*M; "
             "use the characteristic solver near vacuum")
 
-    sh_n = np.fft.rfft(s_n - M)
-    g1, v_max = _flux_rhs(s_n, sh_n, p)
+    g1, v_max = _flux_rhs(s_n, rows.uh, p)
     dt = dt_for(_cfl_bound(p, v_max))
-    u_new = np.fft.irfft(_rk3(sh_n[None, None], g1,
-                              lambda u: _flux_rhs(None, u, p)[0],
-                              [dt], ((0.0,),)), n=p.grid.n)
-    u_new += M
-    (blowup,) = _check_blowup([state.time + dt], u_new)
+    uh = _rk3(rows.uh, g1, lambda u: _flux_rhs(None, u, p)[0], [dt], ((0.0,),))
+    u = np.fft.irfft(uh, n=p.grid.n)
+    u += M
+    time = rows.times[0] + dt
+    rows.u, rows.uh, rows.times = u, uh, [time]
+    (blowup,) = _check_blowup([time], u)
     if blowup is not None:
         return blowup
-    s_new = u_new[0, 0]
-    min_sigma = float(s_new.min())
+    min_sigma = float(u.min())
     if min_sigma < VACUUM_FRACTION * M:
         return VacuumApproach(
             f"min sigma = {min_sigma:.3e} reached the vacuum guard")
-
-    mass_defect = p.grid.h * float(np.sum(s_new) - np.sum(s_n))
-    # _check_blowup and the vacuum guard have scanned s_new
-    new_state = KSState(sigma=Field._trusted(p.grid, s_new, tag="density"),
-                        time=state.time + dt)
-    return new_state, KSStepReport(dt_used=dt, mass_defect=mass_defect,
-                                   min_sigma=min_sigma)
+    return None
 
 
 def _capped(p: ParamSet, bound: float) -> float:
@@ -98,42 +98,59 @@ def _capped(p: ParamSet, bound: float) -> float:
 
 
 def step_ks(state: KSState, p: ParamSet, dt: float) -> tuple[KSState, KSStepReport]:
-    """One step of size dt; raises its breakdown, or CflViolation."""
-    out = _step_ks(state, p, lambda bound: _checked_dt(dt, bound))
-    if isinstance(out, SolverBreakdown):
+    """One step of size dt; raises its breakdown, or CflViolation.  The new
+    state carries the step's coefficients, so a chain of step_ks calls
+    makes the driver's arithmetic."""
+    rows = _rows_of([state], (p,), ("sigma",))
+    out = _step_ks(rows, lambda bound: _checked_dt(dt, bound))
+    if out is not None:
         raise out
-    return out
+    (s_new,), uh = _handed_out(rows)
+    new_state = KSState(sigma=Field(p.grid, s_new, tag="density"),
+                        time=rows.times[0],
+                        coefficients=(p.mass_level, uh, (s_new,)))
+    mass_defect = p.grid.h * float(np.sum(s_new) - np.sum(state.sigma.values))
+    return new_state, KSStepReport(dt_used=dt, mass_defect=mass_defect,
+                                   min_sigma=float(s_new.min()))
 
 
-def step_ks_to(state: KSState, p: ParamSet, target: float):
-    """One step toward `target` of dt = min(stable_dt_ks, target - t), the
-    bound from its first stage; returns the step_ks pair or the breakdown."""
-    if not state.time < target:
+def step_ks_to(rows: Rows, target: float):
+    """One step toward `target` of the one-member batch rows, in place, of
+    dt = min(stable_dt_ks, target - t), the bound from its first stage:
+    the driver's step.  Returns None or the breakdown."""
+    if not rows.times[0] < target:
         raise ValueError("the state must be behind the target time")
-    return _step_ks(state, p,
-                    lambda bound: min(_capped(p, bound), target - state.time))
+    p = rows.ps[0]
+    return _step_ks(rows, lambda bound: min(_capped(p, bound),
+                                            target - rows.times[0]))
 
 
 def stable_dt_ks(state: KSState, p: ParamSet) -> float:
     """The step bound step_ks_to takes: the CFL bound, capped at 0.1/M."""
-    sigma = state.sigma.values
-    sh = np.fft.rfft(sigma - p.mass_level)
-    return _capped(p, _cfl_bound(p, _flux_rhs(sigma, sh, p)[1]))
+    rows = _rows_of([state], (p,), ("sigma",))
+    return _capped(p, _cfl_bound(p, _flux_rhs(rows.u[0, 0], rows.uh, p)[1]))
 
 
 def simulate_ks(sigma0: Field, p: ParamSet, sample_times,
                 records: bool = True) -> SimulationResult:
-    """Sampled trajectory of the limit solver, advanced by step_ks_to.
-    With records False no diagnostics are computed: each sample pairs its
-    state with None."""
+    """Sampled trajectory of the limit solver, advanced by step_ks_to: the
+    initial row is transformed once, then the run carries its rows from
+    step to step and builds states at sample times only.  With records
+    False no diagnostics are computed: each sample pairs its state with
+    None."""
     if sigma0.grid != p.grid:
         raise ValueError("initial fields must live on the parameter grid")
     defect = p.grid.integrate(sigma0.values - p.mass_level)
     if abs(defect) > MEAN_DEFECT_TOL * p.grid.measure:
         raise MeanDefect(f"sigma0 mass defect {defect:.3e}")
-    state = KSState(sigma=Field(p.grid, sigma0.values, tag="density"), time=0.0)
+
+    def state_at(u, time):
+        return KSState(sigma=Field(p.grid, u[0], tag="density"), time=time)
+
     # step_ks_to is looked up per call, so the benchmark tracer sees it
     (result,) = _integrate(
-        [state], lambda _rows, states, target: [step_ks_to(states[0], p, target)],
+        _rows_of([KSState(sigma=Field(p.grid, sigma0.values, tag="density"))],
+                 (p,), ("sigma",)),
+        lambda rows, target: [step_ks_to(rows, target)], state_at,
         (lambda _, s: record_ks(s, p)) if records else None, sample_times)
     return result

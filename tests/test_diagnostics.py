@@ -6,8 +6,8 @@ import pytest
 
 from frictionlab.core import EPState, Field, Grid, KSState
 from frictionlab.diagnostics import (
-    DERIV_CAP, dissipation_d0, dissipation_total, energy_e0, energy_e1,
-    fit_exponential_rate, norms, record_ep, record_ks,
+    DERIV_CAP, fit_exponential_rate, norms, pressure_bracket, record_ep,
+    record_ks,
 )
 from frictionlab.errors import InsufficientSamples, NonPositiveSample, NotTorus
 from frictionlab.spectral import deriv
@@ -19,40 +19,40 @@ def _state(grid, rho, w):
 
 def test_e0_equilibrium_zero(params, torus64):
     s = _state(torus64, np.ones(torus64.n), np.zeros(torus64.n))
-    assert energy_e0(s, params) == 0.0
-    assert energy_e1(s, params) == pytest.approx(0.0, abs=1e-26)
-    assert dissipation_total(s, params) == pytest.approx(0.0, abs=1e-24)
+    rec = record_ep(s, params)
+    assert rec.e0 == 0.0
+    assert rec.e1 == pytest.approx(0.0, abs=1e-26)
+    assert rec.d_total == pytest.approx(0.0, abs=1e-24)
 
 
 def test_e0_kinetic_term(params, torus64):
     # (eps^alpha / 2) * integral(rho w^2) = (0.1/2) * pi for w = sin
     s = _state(torus64, np.ones(torus64.n), np.sin(torus64.x))
-    assert energy_e0(s, params) == pytest.approx(0.05 * math.pi, rel=1e-12)
+    assert record_ep(s, params).e0 == pytest.approx(0.05 * math.pi, rel=1e-12)
 
 
 def test_e0_pressure_bracket_gamma2(params, torus64):
     # gamma = 2 collapses the bracket to (rho - M)^2
     s = _state(torus64, 1.0 + 0.5 * np.cos(torus64.x), np.zeros(torus64.n))
-    assert energy_e0(s, params) == pytest.approx(0.25 * math.pi, rel=1e-12)
+    assert record_ep(s, params).e0 == pytest.approx(0.25 * math.pi, rel=1e-12)
 
 
 def test_e1_small_amplitude_quadratic(params, torus64):
     a = 1e-3
     s = _state(torus64, 1.0 + a * np.cos(torus64.x), np.zeros(torus64.n))
     # each of d^1, d^2 contributes (gamma/2) a^2 pi with unit weights
-    assert energy_e1(s, params) == pytest.approx(2.0 * math.pi * a * a,
-                                                 rel=1e-2)
+    e1 = record_ep(s, params).e1
+    assert e1 == pytest.approx(2.0 * math.pi * a * a, rel=1e-2)
     s2 = _state(torus64, 1.0 + 2 * a * np.cos(torus64.x),
                 np.zeros(torus64.n))
-    assert energy_e1(s2, params) / energy_e1(s, params) == \
-        pytest.approx(4.0, rel=1e-2)
+    assert record_ep(s2, params).e1 / e1 == pytest.approx(4.0, rel=1e-2)
 
 
 def test_dissipation_friction_scaling(params, torus64):
     # the w-part of d0 carries the stiff weight eps^(alpha-2) = 1/eps
     s = _state(torus64, np.ones(torus64.n), np.sin(torus64.x))
-    d_01 = dissipation_total(s, params)
-    d_005 = dissipation_total(s, params.replace(epsilon=0.05))
+    d_01 = record_ep(s, params).d_total
+    d_005 = record_ep(s, params.replace(epsilon=0.05)).d_total
     assert d_005 / d_01 == pytest.approx(2.0, rel=1e-12)
 
 
@@ -157,18 +157,22 @@ def test_record_matches_one_field_reference(params, n, seed):
         e1 += 0.5 * p.gamma * grid.integrate(rho ** (p.gamma - 2.0) * dr * dr)
         d1 += p.epsilon ** (p.alpha - 2.0) * grid.integrate(rho * dw * dw)
         d1 += p.gamma * grid.integrate(rho ** (p.gamma - 1.0) * dr * dr)
-    e0, d0 = energy_e0(s, p), dissipation_d0(s, p)
+    e0 = (0.5 * p.epsilon**p.alpha * grid.integrate(rho * w * w)
+          + grid.integrate(pressure_bracket(rho, p.gamma, p.mass_level))
+          / (p.gamma - 1.0))
+    offset = rho - p.mass_level
+    d0 = (p.epsilon ** (p.alpha - 2.0) * grid.integrate(w * w)
+          + grid.integrate(offset * offset))
     dev = norms(Field(grid, rho - p.mass_level))
     expected = {
-        "e1": e1, "d1": d1, "e_total": e0 + e1, "d_total": d0 + d1,
+        "e0": e0, "e1": e1, "d0": d0, "d1": d1, "e_total": e0 + e1,
+        "d_total": d0 + d1,
         "sup_dev": dev["sup"], "l2_dev": dev["l2"],
         "grad_l4": norms(Field(grid, rho))["l4_of_gradient"],
     }
     rec = record_ep(s, p)
     for name, value in expected.items():
         assert getattr(rec, name) == value, name
-    assert energy_e1(s, p) == rec.e1
-    assert dissipation_total(s, p) == rec.d_total
 
 
 @pytest.mark.parametrize("n, gamma", [(64, 2.0), (128, 1.5), (512, 3.0)])

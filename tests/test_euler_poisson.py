@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -114,34 +115,40 @@ def _assert_rhs_matches_composition(rho, w, ps):
 @pytest.mark.parametrize("n", [64, 256, 2048])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_fused_rhs_matches_composition(n, alpha):
+    # gamma = 2 adds the linear pressure in Fourier space, any other gamma
+    # goes through the inverse transform: both against the composition
     grid = Grid.torus(n)
-    p = ParamSet(epsilon=0.1, alpha=alpha, gamma=1.5, mass_level=1.0,
-                 rho_lower=0.25, rho_upper=2.0, grid=grid)
     rho, w = _band_limited_data(grid, n + int(10 * alpha))
-    v = _assert_rhs_matches_composition(rho[None], w[None], [p])
-    ref_v = _rhs_composed(rho, w, p)[2]
-    speeds = euler_poisson._speeds(rho[None], w[None], v, (p,))
-    assert speeds == euler_poisson._speeds(rho[None], w[None], ref_v[None],
-                                           (p,))
+    for gamma in (1.5, 2.0):
+        p = ParamSet(epsilon=0.1, alpha=alpha, gamma=gamma, mass_level=1.0,
+                     rho_lower=0.25, rho_upper=2.0, grid=grid)
+        v = _assert_rhs_matches_composition(rho[None], w[None], [p])
+        ref_v = _rhs_composed(rho, w, p)[2]
+        speeds = euler_poisson._speeds(rho[None], w[None], v, (p,))
+        assert speeds == euler_poisson._speeds(rho[None], w[None],
+                                               ref_v[None], (p,))
 
 
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 def test_fused_rhs_on_a_mixed_epsilon_batch(n, alpha):
-    # every row reads its own member's eps-folded symbols
+    # every row reads its own member's eps-folded symbols, on both
+    # pressure paths
     grid = Grid.torus(n)
-    p = ParamSet(epsilon=0.1, alpha=alpha, gamma=1.5, mass_level=1.0,
-                 rho_lower=0.25, rho_upper=2.0, grid=grid)
-    ps = [p.replace(epsilon=eps) for eps in (0.2, 0.1, 0.05)]
     rho, w = np.array([_band_limited_data(grid, n + seed) for seed in range(3)]
                       ).transpose(1, 0, 2)
-    _assert_rhs_matches_composition(rho, w, ps)
-    m = euler_poisson._members(tuple(ps))
-    for name in ("ik_eps", "dxv_eps", "gik_eps", "div_eps", "flux_w"):
-        assert getattr(m, name).shape == (3, n // 2 + 1)
-    for a in m:
-        if isinstance(a, np.ndarray):
-            assert not a.flags.writeable
+    for gamma in (1.5, 2.0):
+        p = ParamSet(epsilon=0.1, alpha=alpha, gamma=gamma, mass_level=1.0,
+                     rho_lower=0.25, rho_upper=2.0, grid=grid)
+        ps = [p.replace(epsilon=eps) for eps in (0.2, 0.1, 0.05)]
+        _assert_rhs_matches_composition(rho, w, ps)
+        m = euler_poisson._members(tuple(ps))
+        assert m.linear_pressure == (gamma == 2.0)
+        for name in ("ik_eps", "dxv_eps", "gik_eps", "div_eps", "flux_w"):
+            assert getattr(m, name).shape == (3, n // 2 + 1)
+        for a in m:
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable
 
 
 def test_cfl_guard(params, torus64):
@@ -251,11 +258,11 @@ def test_breakdown_ends_run_with_its_status(monkeypatch, params, cosine_rho,
     real_step = getattr(module, name)
     taken = []
 
-    def failing_step(state, p, target):
+    def failing_step(rows, target):
         if len(taken) == k:
             return outcome(cls("injected breakdown"))
         taken.append(target)
-        return real_step(state, p, target)
+        return real_step(rows, target)
 
     monkeypatch.setattr(module, name, failing_step)
     times = [1e-3 * j for j in range(10)]
@@ -430,23 +437,28 @@ def test_step_ep_rows_takes_the_stable_dt(params, torus64):
                               (0.1, 0.2, 0.02))]
     ps = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
     target = 0.021
-    out = step_ep_rows(states, ps, target)
-    for s, p, (new, report) in zip(states, ps, out):
+    rows = euler_poisson._rows_of(states, ps, ("rho", "w"))
+    assert step_ep_rows(rows, target) == [None] * 3
+    for j, (s, p) in enumerate(zip(states, ps)):
         dt = min(stable_dt(s, p), target - s.time)
-        assert report.dt_used == dt and new.time == s.time + dt
-        alone, alone_report = step_ep(s, p, dt)
-        assert np.array_equal(new.rho.values, alone.rho.values)
-        assert np.array_equal(new.w.values, alone.w.values)
-        assert report == alone_report
-    assert out[2][0].time == target
+        assert rows.times[j] == s.time + dt
+        alone, _ = step_ep(s, p, dt)
+        assert np.array_equal(rows.u[0, j], alone.rho.values)
+        assert np.array_equal(rows.u[1, j], alone.w.values)
+        assert np.array_equal(rows.uh[:, j], alone.coefficients[1])
+    assert rows.times[2] == target
 
 
 def test_step_ep_rows_rejects_bad_batches(params, cosine_rho, zero_w):
     s = EPState(rho=cosine_rho, w=zero_w)
+    rows = euler_poisson._rows_of([s, s], [params, params.replace(alpha=1.5)],
+                                  ("rho", "w"))
     with pytest.raises(ValueError, match="epsilon only"):
-        step_ep_rows([s, s], [params, params.replace(alpha=1.5)], 0.1)
+        step_ep_rows(rows, 0.1)
+    rows = euler_poisson._rows_of([s, s], [params, params.replace(epsilon=0.05)],
+                                  ("rho", "w"))
     with pytest.raises(ValueError, match="behind"):
-        step_ep_rows([s, s], [params, params.replace(epsilon=0.05)], 0.0)
+        step_ep_rows(rows, 0.0)
     with pytest.raises(ValueError, match="at least one"):
         simulate_ep_rows(cosine_rho, zero_w, [], [0.0, 0.1])
 
@@ -489,3 +501,119 @@ def test_member_breakdown_leaves_the_others(monkeypatch, params, cosine_rho,
             assert a.time == b.time and ra == rb
             assert np.array_equal(a.rho.values, b.rho.values)
             assert np.array_equal(a.w.values, b.w.values)
+
+
+@pytest.fixture
+def fft_work(monkeypatch):
+    """Counts of np.fft.rfft/irfft calls and of the rows they transform."""
+    counts = {"calls": 0, "rows": 0}
+
+    def counted(transform):
+        def wrapper(a, *args, **kwargs):
+            counts["calls"] += 1
+            counts["rows"] += math.prod(np.shape(a)[:-1])
+            return transform(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    return counts
+
+
+@pytest.mark.parametrize("gamma, rows_per_step", [(2.0, 18), (1.5, 21)])
+def test_ep_run_fft_work(monkeypatch, fft_work, gamma, rows_per_step):
+    # one forward transform of (rho0 - M, w0), then per batched step 7
+    # calls: stage 1 inverts (v, bracket) and a later stage also
+    # (rho - M, w), each stage forward-transforms (rho vel, -h), and the
+    # new coefficients are inverted; gamma != 2 adds the pressure row to
+    # each stage's inverse.  Per member step: 2+2 + 2*(4+2) + 2 = 18 rows
+    grid = Grid.torus(64)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=gamma, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid, t_end=0.1)
+    rho0 = Field(grid, 1.0 + 0.3 * np.cos(grid.x), tag="density")
+    w0 = Field(grid, 0.05 * np.sin(grid.x))
+    real_step = euler_poisson.step_ep_rows
+    batch_sizes = []
+
+    def counted_step(rows, target):
+        batch_sizes.append(len(rows.times))
+        return real_step(rows, target)
+
+    monkeypatch.setattr(euler_poisson, "step_ep_rows", counted_step)
+    results = simulate_ep_rows(rho0, w0, [p.replace(epsilon=e)
+                                          for e in (0.2, 0.1)],
+                               np.linspace(0.0, p.t_end, 6), records=False)
+    assert all(r.ok for r in results)
+    member_steps = sum(r.n_steps for r in results)
+    assert sum(batch_sizes) == member_steps > len(batch_sizes) > 0
+    assert fft_work["calls"] == 7 * len(batch_sizes) + 1
+    assert fft_work["rows"] == rows_per_step * member_steps + 2
+
+
+def test_ks_run_fft_work(fft_work, params, cosine_rho):
+    # one forward transform of sigma0 - M, then per step 7 calls on
+    # 1+1 + 2*(2+1) + 1 = 9 rows
+    result = simulate_ks(cosine_rho, params, np.linspace(0.0, 0.5, 6),
+                         records=False)
+    assert result.ok and result.n_steps > 0
+    assert fft_work["calls"] == 7 * result.n_steps + 1
+    assert fft_work["rows"] == 9 * result.n_steps + 1
+
+
+@pytest.mark.parametrize("solver, gamma", [("ep", 2.0), ("ep", 1.5),
+                                           ("ks", 2.0)])
+def test_a_rebuilt_sample_steps_on_like_the_run(solver, gamma):
+    # a sampled state carries no coefficients: rebuilt from its Fields,
+    # its next step transforms the samples afresh, where the run went on
+    # from its carried coefficients; that moves the trajectory by roundoff
+    grid = Grid.torus(64)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=gamma, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid,
+                 t_end=0.5 if solver == "ep" else 2.0)
+    rho0 = Field(grid, 1.0 + 0.3 * np.cos(grid.x), tag="density")
+    times = [0.0, 0.5 * p.t_end, p.t_end]
+    if solver == "ep":
+        run = simulate_ep(rho0, Field(grid, 0.05 * np.sin(grid.x)), p, times)
+        names, step, next_dt = ("rho", "w"), step_ep, stable_dt
+    else:
+        run = simulate_ks(rho0, p, times)
+        names, step, next_dt = ("sigma",), step_ks, stable_dt_ks
+    assert run.ok
+    (mid, _), (end, _) = run.samples[1:]
+    assert mid.coefficients is None
+    rebuilt = type(mid)(time=mid.time, **{
+        name: Field(grid, getattr(mid, name).values.copy(),
+                    tag=getattr(mid, name).tag) for name in names})
+    samples, n_steps, status = _reference_run(
+        lambda s, dt: step(s, p, dt), lambda s: next_dt(s, p),
+        lambda s: None, rebuilt, [p.t_end])
+    assert status == "ok" and n_steps >= 10
+    ((last, _),) = samples
+    assert last.time == end.time
+    for name in names:
+        got, want = getattr(last, name).values, getattr(end, name).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_stepped_state_carries_its_coefficients(fft_work, params, torus64):
+    # a state made by step_ep starts the next step from its coefficients
+    # (7 FFT calls); a fresh state, or one given other fields, is
+    # transformed first (8), and steps as if built from those fields
+    rho = 1.0 + 0.3 * np.cos(torus64.x)
+    s = _state(torus64, rho, 0.05 * np.sin(torus64.x))
+    dt = 0.5 * stable_dt(s, params)
+    stepped, _ = step_ep(s, params, dt)
+    assert fft_work["calls"] == 8 + 2         # stable_dt: rfft and irfft
+    assert not stepped.rho.values.flags.writeable
+    assert not stepped.coefficients[1].flags.writeable
+    for state, calls in (
+            (stepped, 7),
+            (dataclasses.replace(stepped, time=0.5), 7),
+            (dataclasses.replace(stepped, rho=Field(torus64, rho,
+                                                    tag="density")), 8)):
+        fft_work["calls"] = 0
+        new, _ = step_ep(state, params, dt)
+        assert fft_work["calls"] == calls
+    fresh, _ = step_ep(_state(torus64, rho, stepped.w.values), params, dt)
+    assert np.array_equal(new.rho.values, fresh.rho.values)
+    assert np.array_equal(new.w.values, fresh.w.values)

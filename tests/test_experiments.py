@@ -171,6 +171,15 @@ class TestVacuumCollapse:
         assert result.limit_point == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert (tmp_path / "vacuum.csv").exists()
 
+    def test_verdicts_hold_at_infinite_tau(self, params):
+        # at tau = inf the growth factor and its prediction are both inf
+        spec = ExperimentSpec(kind="vacuum-collapse", params=params,
+                              profile="vacuum-ramp")
+        result = run_vacuum_collapse(spec, taus=[0.0, math.inf], n_grid=256)
+        last = result.rows[-1]
+        assert last.growth_factor == last.factor_predicted == math.inf
+        assert all(result.verdicts.values()), result.verdicts
+
     @pytest.mark.parametrize("taus", [[], [-1.0, 0.5], [0.0, math.nan]])
     def test_rejects_bad_taus_before_any_work(self, params, tmp_path,
                                               monkeypatch, taus):

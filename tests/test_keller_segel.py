@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frictionlab import keller_segel
+from frictionlab import euler_poisson, keller_segel
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate
 from frictionlab.errors import (
@@ -87,19 +87,24 @@ def test_step_ks_to_takes_the_stable_dt(params, torus64, amp, target):
     # flat state has no CFL bound at all
     s = KSState(sigma=Field(torus64, 1.0 + amp * np.cos(torus64.x),
                             tag="density"), time=0.01)
-    new, report = step_ks_to(s, params, target)
+    rows = euler_poisson._rows_of([s], [params], ("sigma",))
+    assert step_ks_to(rows, target) is None
     dt = min(stable_dt_ks(s, params), target - s.time)
-    assert report.dt_used == dt and new.time == s.time + dt
-    alone, alone_report = step_ks(s, params, dt)
-    assert np.array_equal(new.sigma.values, alone.sigma.values)
-    assert report == alone_report
+    assert rows.times == [s.time + dt]
+    alone, _ = step_ks(s, params, dt)
+    assert np.array_equal(rows.u[0, 0], alone.sigma.values)
+    assert np.array_equal(rows.uh[:, 0], alone.coefficients[1])
 
 
 def test_step_ks_to_returns_its_breakdown(params, torus64):
-    s = _state(torus64, np.maximum(1.0 + np.cos(torus64.x), 0.0))
-    assert isinstance(step_ks_to(s, params, 0.5), VacuumApproach)
+    def rows(sigma):
+        return euler_poisson._rows_of([_state(torus64, sigma)], [params],
+                                      ("sigma",))
+
+    touching = rows(np.maximum(1.0 + np.cos(torus64.x), 0.0))
+    assert isinstance(step_ks_to(touching, 0.5), VacuumApproach)
     with pytest.raises(ValueError, match="behind"):
-        step_ks_to(_state(torus64, np.ones(torus64.n)), params, 0.0)
+        step_ks_to(rows(np.ones(torus64.n)), 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, *INF_SLOPES])

@@ -75,8 +75,8 @@ def test_oracle_trig_interp_spans(tracing, p64):
 
 
 def test_step_states_skip_field_rescans(tracing, p64):
-    # a step's own guards have scanned its new arrays, so the states it
-    # returns are built without Field.__post_init__
+    # the drivers' steps work on stacked rows and build no state: Fields
+    # are made at sample times only
     rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
     w0 = Field(p64.grid, np.zeros(p64.grid.n))
     times = [0.0, 0.1, 0.2]
@@ -140,10 +140,9 @@ def _ffts_under(spans, name, outside=None):
 
 def test_ep_step_fft_budget(tracing, p64):
     # every rfft/irfft made inside a step_ep_rows, however deep, counts
-    # against that step: the step runs on Fourier coefficients, so one
-    # forward transform of the state, two calls per stage of the fused
-    # right side plus the inverse of stage 1's samples, and one inverse
-    # of the new state: 3 + 2 + 2 + 1
+    # against that step: the step runs on the coefficients the last one
+    # left, so two calls per stage of the fused right side and one
+    # inverse of the new state: 2 + 2 + 2 + 1
     rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
     w0 = Field(p64.grid, np.zeros(p64.grid.n))
     tracer = tracing.Tracer()
@@ -153,14 +152,14 @@ def test_ep_step_fft_budget(tracing, p64):
     assert steps > 0
     ffts = _ffts_under(tracer.spans, "euler_poisson.step_ep_rows")
     assert ffts <= 18 * steps, ffts / steps
-    assert ffts <= 8 * steps, ffts / steps
+    assert ffts <= 7 * steps, ffts / steps
 
 
 @pytest.mark.parametrize("epsilons", [(0.2,), (0.2, 0.1),
                                       (0.2, 0.1, 0.05, 0.025)])
 def test_ep_rows_fft_budget(tracing, p64, epsilons):
     # a batched step transforms all its members' rows together: the same
-    # 8 calls as one member, whatever the member count
+    # 7 calls as one member, whatever the member count
     spec = ExperimentSpec(kind="epsilon-sweep", params=p64,
                           epsilon_list=epsilons)
     tracer = tracing.Tracer()
@@ -169,11 +168,11 @@ def test_ep_rows_fft_budget(tracing, p64, epsilons):
     assert steps > 0
     ffts = _ffts_under(tracer.spans, "euler_poisson.step_ep_rows")
     assert ffts <= 18 * steps, ffts / steps
-    assert ffts <= 8 * steps, ffts / steps
+    assert ffts <= 7 * steps, ffts / steps
 
 
 def test_ks_step_fft_budget(tracing, p64):
-    # the EP step's shape on the density row: 3 + 2 + 2 + 1 calls
+    # the EP step's shape on the density row: 2 + 2 + 2 + 1 calls
     sigma0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
     tracer = tracing.Tracer()
     tracer.run(lambda: simulate_ks(sigma0, p64, [0.0, 0.1, 0.2]))
@@ -181,12 +180,13 @@ def test_ks_step_fft_budget(tracing, p64):
     assert steps > 0
     ffts = _ffts_under(tracer.spans, "keller_segel.step_ks_to")
     assert ffts <= 12 * steps, ffts / steps
-    assert ffts <= 8 * steps, ffts / steps
+    assert ffts <= 7 * steps, ffts / steps
 
 
 def test_ep_run_fft_budget(tracing, p64):
-    # a whole driver run, records aside, costs its steps' FFTs and no
-    # more: no separate stable_dt pass before each step
+    # a whole driver run, records aside, costs its steps' FFTs and one
+    # forward transform of the initial data: no separate stable_dt pass
+    # before each step
     rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
     w0 = Field(p64.grid, np.zeros(p64.grid.n))
     tracer = tracing.Tracer()
@@ -196,7 +196,7 @@ def test_ep_run_fft_budget(tracing, p64):
     ffts = _ffts_under(tracer.spans, "euler_poisson.simulate_ep",
                        outside="diagnostics.record_ep")
     assert 0 < ffts <= 18 * result.n_steps, ffts / result.n_steps
-    assert ffts <= 8 * result.n_steps, ffts / result.n_steps
+    assert ffts <= 7 * result.n_steps + 1, ffts / result.n_steps
 
 
 def test_ks_run_fft_budget(tracing, p64):
@@ -208,7 +208,7 @@ def test_ks_run_fft_budget(tracing, p64):
     ffts = _ffts_under(tracer.spans, "keller_segel.simulate_ks",
                        outside="diagnostics.record_ks")
     assert 0 < ffts <= 12 * result.n_steps, ffts / result.n_steps
-    assert ffts <= 8 * result.n_steps, ffts / result.n_steps
+    assert ffts <= 7 * result.n_steps + 1, ffts / result.n_steps
 
 
 def test_record_fft_budget(tracing, p64):
