@@ -12,21 +12,18 @@ from .core import (
     validate_initial_data,
 )
 from .errors import (
-    Blowup, CflViolation, FrictionLabError, InversionFailure, NoVacuum,
-    NonFinite, RangeBreach, RangeViolation, SolverBreakdown, VacuumApproach,
+    Blowup, FrictionLabError, InversionFailure, NoVacuum, NonFinite,
+    RangeBreach, RangeViolation, SolverBreakdown, VacuumApproach,
     ValidationError,
 )
 from .ksmap import ks_map_torus
-from .euler_poisson import (
-    SimulationResult, simulate_ep, simulate_ep_rows, stable_dt, step_ep,
-)
-from .keller_segel import simulate_ks, stable_dt_ks, step_ks
+from .euler_poisson import SimulationResult, simulate_ep, simulate_ep_rows
+from .keller_segel import simulate_ks
 from .diagnostics import (
     DiagnosticsRecord, fit_exponential_rate, norms, record_ep, record_ks,
 )
 from .spectrum import (
     DispersionQuery, ModePair, amplitude_ratio, dispersion_roots,
-    slow_mode_fields,
 )
 from .profiles import (
     InitialProfile, PROFILES, bump_profile, equilibrium_profile,
@@ -45,7 +42,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Blowup", "CflViolation", "DiagnosticsRecord", "DispersionQuery", "EPState",
+    "Blowup", "DiagnosticsRecord", "DispersionQuery", "EPState",
     "ExperimentSpec", "Field", "FrictionLabError", "Grid", "InitialProfile",
     "InversionFailure", "KSState", "ModePair", "NoVacuum", "NonFinite",
     "PROFILES", "ParamSet", "RangeBreach", "RangeViolation",
@@ -58,8 +55,7 @@ __all__ = [
     "record_ks", "run_decay_fit", "run_epsilon_sweep", "run_single_ep",
     "run_single_ks", "run_spectrum_table", "run_vacuum_collapse",
     "semi_lagrangian_oracle", "sigma_along", "simulate_ep",
-    "simulate_ep_rows", "simulate_ks", "slow_mode_fields", "stable_dt",
-    "stable_dt_ks", "step_ep", "step_ks",
-    "trajectory_position", "vacuum_interval", "vacuum_ramp_profile",
-    "validate_initial_data", "velocity_along",
+    "simulate_ep_rows", "simulate_ks", "trajectory_position",
+    "vacuum_interval", "vacuum_ramp_profile", "validate_initial_data",
+    "velocity_along",
 ]

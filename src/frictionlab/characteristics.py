@@ -13,7 +13,8 @@ and derived quantities drive everything here:
 A vacuum interval [a0, b0] shrinks to length (b0-a0) e^{-M tau}; the
 first nontrivial one-sided edge derivative of order k grows like
 e^{(k+1) M tau}.  This module doubles as the oracle for the Eulerian
-solvers (reconstruction + semi-Lagrangian comparison).
+solvers: reconstruction, and a semi-Lagrangian comparison that carries
+markers through the velocity fields of one `simulate_ks` run.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ import numpy as np
 from .core import Field, Grid, KSState, ParamSet
 from .errors import (InversionFailure, MultipleVacuumIntervals, NoVacuum,
                      PreconditionViolation, UnsupportedOrder)
+from .keller_segel import simulate_ks
+from .ksmap import ks_map_torus
 from .profiles import InitialProfile
 from .spectral import trig_interp
 
@@ -278,12 +281,18 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     run while advancing their densities by the exact logistic map, then
     compare against the Eulerian field at the marker positions.
 
-    Marker steps span two Eulerian steps so the RK4 midpoint velocity is
-    available without interpolation in time.
+    The run is one simulate_ks from state.sigma, sampled every dt =
+    tau_end / n_steps (n_steps rounded up to even); below the CFL bound
+    each sample is one solver step.  A marker step spans two samples, so
+    the RK4 midpoint velocity is available without interpolation in time.
+    Raises ValueError unless tau_end is finite and positive and n_steps is
+    None or at least 1, and the run's SolverBreakdown if it has one: no
+    partial trajectory is compared.
     """
-    from .keller_segel import step_ks  # deferred to avoid an import cycle
-    from .ksmap import ks_map_torus
-
+    if not (math.isfinite(tau_end) and tau_end > 0.0):
+        raise ValueError(f"tau_end must be finite and positive, got {tau_end}")
+    if n_steps is not None and n_steps < 1:
+        raise ValueError(f"n_steps must be None or at least 1, got {n_steps}")
     grid = state.sigma.grid
     M = p.mass_level
     if n_steps is None:
@@ -294,21 +303,24 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     if n_steps % 2:
         n_steps += 1
     dt = tau_end / n_steps
+    run = simulate_ks(state.sigma, p, dt * np.arange(n_steps + 1),
+                      records=False)
+    run.raise_if_failed()
+    sigmas = [s.sigma for s, _ in run.samples]
 
     markers = grid.x.copy()
     sigma_m = state.sigma.values.copy()
-    current = state
     length = grid.length
 
     def vel(field_vals, pos):
         return trig_interp(field_vals, grid, pos)
 
-    v0 = ks_map_torus(current.sigma, M).v.values
-    for _ in range(n_steps // 2):
-        mid, _ = step_ks(current, p, dt)
-        v1 = ks_map_torus(mid.sigma, M).v.values
-        nxt, _ = step_ks(mid, p, dt)
-        v2 = ks_map_torus(nxt.sigma, M).v.values
+    def sample_v(j):
+        return ks_map_torus(sigmas[j], M).v.values
+
+    v0 = sample_v(0)
+    for j in range(2, n_steps + 1, 2):
+        v1, v2 = sample_v(j - 1), sample_v(j)
         h = 2.0 * dt
         k1 = vel(v0, markers)
         k2 = vel(v1, markers + 0.5 * h * k1)
@@ -318,10 +330,10 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
         # exact logistic update over the pair of steps
         e = math.exp(-M * h)
         sigma_m = M * sigma_m / (sigma_m + (M - sigma_m) * e)
-        current, v0 = nxt, v2
+        v0 = v2
 
     # fold marker positions back into the periodic cell for interpolation
     folded = grid.left + np.mod(markers - grid.left, length)
-    eulerian_at_markers = trig_interp(current.sigma.values, grid, folded)
+    eulerian_at_markers = trig_interp(sigmas[-1].values, grid, folded)
     gaps = eulerian_at_markers - sigma_m
     return OracleComparison(max_gap=float(np.max(np.abs(gaps))), gaps=gaps)

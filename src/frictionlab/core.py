@@ -2,16 +2,13 @@
 
 All types are plain frozen dataclasses holding numpy arrays; they are
 immutable after construction and safe to share between threads.  A
-state (`EPState`, `KSState`) holds its fields and time, and, when a
-solver step made it, the rfft rows that step left (of rho - M and w, or
-of sigma - M), so the next step need not transform the fields again.
+state (`EPState`, `KSState`) holds its fields and time.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -148,35 +145,19 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class EPState:
-    """State of the perturbation system: density rho and velocity component w.
-
-    A state made by a step carries `coefficients`, the triple
-    (M, uh, arrays): uh the step's rfft rows of (rho - M, w),
-    2 x (n/2 + 1), for the mass level M, and arrays the sample arrays
-    (rho, w) they belong to.  The next step at that level starts from uh
-    instead of transforming rho and w again, as long as the state's fields
-    hold those very arrays, which are read-only; a state derived with
-    other fields (dataclasses.replace) is transformed afresh.
-    `coefficients` takes no part in comparisons.  Any other state has
-    None and is transformed."""
+    """State of the perturbation system: density rho and velocity component w."""
 
     rho: Field
     w: Field
     time: float = 0.0
-    coefficients: Optional[tuple] = field(default=None, compare=False,
-                                          repr=False)
 
 
 @dataclass(frozen=True)
 class KSState:
-    """State of the limit system: bacteria/charge density sigma.  A state
-    made by a step carries (M, the rfft row of sigma - M, (sigma,)), as
-    EPState."""
+    """State of the limit system: bacteria/charge density sigma."""
 
     sigma: Field
     time: float = 0.0
-    coefficients: Optional[tuple] = field(default=None, compare=False,
-                                          repr=False)
 
 
 MEAN_DEFECT_TOL = 1e-10  # relative to |Omega|

@@ -82,12 +82,6 @@ class SolverBreakdown(FrictionLabError):
     status = "breakdown"
 
 
-class CflViolation(SolverBreakdown):
-    """Requested step exceeds the stability bound."""
-
-    status = "cfl"
-
-
 class RangeBreach(SolverBreakdown):
     """Density left the a-priori band [rho_lower/2, 2*rho_upper]."""
 

@@ -20,8 +20,7 @@ The rows are the rfft coefficients of (rho - M, w): the friction factor
 is pointwise, so it acts on coefficients as on samples, and the stage
 kernel `_rhs` hands back its slope in Fourier space.  A step starts from
 the coefficients the previous step left (a run transforms its initial
-data once; a state built from Fields is transformed when it is
-stepped), makes one batched inverse and one batched forward transform
+data once), makes one batched inverse and one batched forward transform
 per stage, and one inverse of the new coefficients, which the guards,
 the next first stage and the samples read: 7 FFT calls whatever the
 member count.  At gamma = 2 the pressure term (gamma/eps) d(rho)/dx is
@@ -41,11 +40,9 @@ one-member batch.  Between steps the driver keeps the batch's samples
 and coefficients stacked (`Rows`) and builds states only at sample
 times.  Batched FFT rows, per-row reductions and products with per-row
 columns are bit-identical to the one-member arithmetic, so a member's
-trajectory does not depend on its batch.  `step_ep` is the fixed-dt step
-for callers that choose dt, and `stable_dt` a helper that gives them it;
-the states step_ep returns carry their coefficients, so both read what
-the driver reads and a chain of step_ep calls is the driver's run bit
-for bit.
+trajectory does not depend on its batch.  A caller that wants a fixed dt
+samples the run at that spacing: below the CFL bound, each sample is one
+step.
 
 dv/dtau comes from pushing the continuity flux through the inverse
 gradient: on the torus this collapses to -(flux - mean(flux)), in Fourier
@@ -62,18 +59,10 @@ import numpy as np
 
 from .core import EPState, Field, ParamSet, validate_initial_data
 from .diagnostics import DiagnosticsRecord, record_ep
-from .errors import Blowup, CflViolation, RangeBreach
+from .errors import Blowup, RangeBreach
 from .spectral import _symbols
 
 BLOWUP_THRESHOLD = 1e12
-
-
-@dataclass(frozen=True)
-class EPStepReport:
-    dt_used: float
-    max_cfl_speed: float     # advective + sound speed, as in stable_dt
-    friction_factor: float   # the exact integrating-factor multiplier e^{-dt/eps^2}
-    mass_defect: float
 
 
 class _Members(NamedTuple):
@@ -148,16 +137,6 @@ def _speeds(rho: np.ndarray, w: np.ndarray, v: np.ndarray, ps) -> list:
 
 def _cfl_bound(p: ParamSet, speed: float) -> float:
     return p.dt_cfl * p.grid.h / speed if speed > 0.0 else math.inf
-
-
-def _checked_dt(dt: float, bound: float) -> float:
-    """A step size handed in by the caller, checked against the CFL bound
-    of the first stage."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt > bound * (1.0 + 1e-9):
-        raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")
-    return dt
 
 
 def _check_blowup(times, u: np.ndarray) -> list:
@@ -238,16 +217,6 @@ def _rhs(u, uh: np.ndarray, m: _Members):
     return g, v
 
 
-def stable_dt(state: EPState, p: ParamSet) -> float:
-    """CFL-limited step dt_cfl*h/(advective + sound speed), as step_ep_rows
-    takes it: from the state's carried coefficients where it has them, as
-    the step does."""
-    rows = _rows_of([state], (p,), ("rho", "w"))
-    v = -np.fft.irfft(rows.uh[0] * _symbols(p.grid).inv_grad, n=p.grid.n)
-    ((adv, sound),) = _speeds(rows.u[0], rows.u[1], v, (p,))
-    return _cfl_bound(p, adv + sound)
-
-
 def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam) -> np.ndarray:
     """One Lawson RK3 step (stage times 0, 1/3, 2/3) of du/dtau = lam*u + G(u)
     on stacked rows u_n (row kinds x members x anything), from the first
@@ -324,46 +293,28 @@ class Rows:
 
 
 def _rows_of(states, ps, names) -> Rows:
-    """The batch of states, `names` their fields (rho and w, or sigma),
-    with the members' shared mass level M: a state's coefficients where it
-    carries them for M and for its fields' very arrays, else the rfft of
-    its rows with M subtracted from the first."""
-    M = ps[0].mass_level
-    arrays = [[getattr(s, name).values for name in names] for s in states]
-    u = np.array(arrays).transpose(1, 0, 2)
-    uh = np.empty(u.shape[:2] + (u.shape[2] // 2 + 1,), dtype=complex)
-    for j, (s, a) in enumerate(zip(states, arrays)):
-        c = s.coefficients
-        if (c is not None and c[0] == M
-                and all(x is y for x, y in zip(a, c[2]))):
-            uh[:, j] = c[1]
-        else:
-            shifted = u[:, j].copy()
-            shifted[0] -= M
-            uh[:, j] = np.fft.rfft(shifted)
-    return Rows(u, uh, [s.time for s in states], ps)
+    """The batch of states, `names` their fields (rho and w, or sigma):
+    their samples and the rfft of their rows, the members' shared mass
+    level M subtracted from the first."""
+    u = np.array([[getattr(s, name).values for name in names]
+                  for s in states]).transpose(1, 0, 2)
+    shifted = u.copy()
+    shifted[0] -= ps[0].mass_level
+    return Rows(u, np.fft.rfft(shifted), [s.time for s in states], ps)
 
 
-def _handed_out(rows: Rows) -> tuple:
-    """The samples and coefficients of a one-member batch, made read-only:
-    the fixed-dt steps hand them out in their states."""
-    rows.u.setflags(write=False)
-    rows.uh.setflags(write=False)
-    return rows.u[:, 0], rows.uh[:, 0]
-
-
-def _step(rows: Rows, dt_for) -> tuple[list, list]:
+def _step(rows: Rows, dt_for) -> list:
     """One Lawson RK3 step of every member's rows (rho, w), in place;
     friction acts on the w rows only.  dt_for(bounds) turns the members'
-    CFL bounds at the first stage into their steps.  Returns per member
-    None or the SolverBreakdown that stopped it, and the members' CFL
-    speeds."""
+    CFL bounds at the first stage, on the sum of their advective and sound
+    speeds, into their steps.  Returns per member None or the
+    SolverBreakdown that stopped it."""
     m = rows.members
     p = m.p
     u_n = rows.u
     g1, v = _rhs(u_n, rows.uh, m)
-    speeds = [adv + sound for adv, sound in _speeds(u_n[0], u_n[1], v, m.ps)]
-    dt = dt_for([_cfl_bound(p, speed) for speed in speeds])
+    dt = dt_for([_cfl_bound(p, adv + sound)
+                 for adv, sound in _speeds(u_n[0], u_n[1], v, m.ps)])
     uh = _rk3(rows.uh, g1, lambda uh: _rhs(None, uh, m)[0], dt, m.lam)
     u = np.fft.irfft(uh, n=p.grid.n)
     u[0] += p.mass_level
@@ -378,41 +329,21 @@ def _step(rows: Rows, dt_for) -> tuple[list, list]:
             out[i] = RangeBreach(
                 f"rho range [{low:.6g}, {high:.6g}] left "
                 f"[{lo:.6g}, {hi:.6g}] at tau = {times[i]:.6g}")
-    return out, speeds
-
-
-def step_ep(state: EPState, p: ParamSet, dt: float) -> tuple[EPState, EPStepReport]:
-    """One integrating-factor RK3 step of size dt on the rows (rho, w);
-    friction acts on the w row only.  The one-member batch, with dt given:
-    raises CflViolation if dt exceeds the stable_dt bound.  The new state
-    carries the step's coefficients, so a chain of step_ep calls makes the
-    driver's arithmetic."""
-    rows = _rows_of([state], (p,), ("rho", "w"))
-    (out,), (speed,) = _step(rows, lambda bounds: [_checked_dt(dt, bounds[0])])
-    if out is not None:
-        raise out
-    (rho, w), uh = _handed_out(rows)
-    new = EPState(rho=Field(p.grid, rho, tag="density"), w=Field(p.grid, w),
-                  time=rows.times[0],
-                  coefficients=(p.mass_level, uh, (rho, w)))
-    return new, EPStepReport(
-        dt_used=dt, max_cfl_speed=speed,
-        friction_factor=math.exp(rows.members.lam[1][0] * dt),
-        mass_defect=p.grid.h * float(rho.sum() - state.rho.values.sum()))
+    return out
 
 
 def step_ep_rows(rows: Rows, target: float) -> list:
     """One step toward time `target` of each member of the batch, in place:
     the drivers' step.  The members may differ in epsilon only.
 
-    Each member takes dt = min(stable_dt, target - t), from the speeds of
-    its own first stage.  Returns per member None or the SolverBreakdown
-    that stopped it; a breakdown leaves the other members' steps as they
-    would be alone."""
+    Each member takes dt = min(CFL bound, target - t), the bound
+    dt_cfl*h/(advective + sound speed) from its own first stage.  Returns
+    per member None or the SolverBreakdown that stopped it; a breakdown
+    leaves the other members' steps as they would be alone."""
     if not all(t < target for t in rows.times):
         raise ValueError("every member must be behind the target time")
     return _step(rows, lambda bounds: [
-        min(bound, target - t) for bound, t in zip(bounds, rows.times)])[0]
+        min(bound, target - t) for bound, t in zip(bounds, rows.times)])
 
 
 @dataclass

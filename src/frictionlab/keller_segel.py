@@ -13,14 +13,9 @@ vacuum exactly); positive data stays positive on the tested horizons
 because each characteristic value moves monotonically toward M.
 `simulate_ks` keeps its rows between steps (`euler_poisson.Rows`),
 advances them by `step_ks_to`, which picks dt from its own first stage,
-and builds states at sample times only; `step_ks` is the fixed-dt step
-for callers that choose dt, and `stable_dt_ks` a helper that gives them
-it.  The states step_ks returns carry their coefficients, as in
-euler_poisson.
+and builds states at sample times only.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +23,18 @@ from .core import MEAN_DEFECT_TOL, Field, KSState, ParamSet
 from .diagnostics import record_ks
 from .errors import MeanDefect, VacuumApproach
 from .euler_poisson import (
-    Rows, SimulationResult, _cfl_bound, _check_blowup, _checked_dt,
-    _handed_out, _integrate, _rk3, _rows_of,
+    Rows, SimulationResult, _cfl_bound, _check_blowup, _integrate, _rk3,
+    _rows_of,
 )
 from .spectral import _symbols
 
 VACUUM_FRACTION = 1e-6
 
 
-@dataclass(frozen=True)
-class KSStepReport:
-    dt_used: float
-    mass_defect: float
-    min_sigma: float
-
-
 def _flux_rhs(sigma, sh: np.ndarray, p: ParamSet):
     """Slope -ik (sigma v)^ of the rfft coefficients sh of sigma - M, the
-    flux dealiased, and max |v| for the CFL bound.  sigma holds the
-    samples where the caller has them (the first stage), else None.
+    flux dealiased, and the velocity v.  sigma holds the samples where the
+    caller has them (the first stage), else None.
 
     Two FFT calls on the cached symbols of inverse_gradient and of the
     dealiased derivative: v (and sigma - M when sigma is None) from one
@@ -60,7 +48,7 @@ def _flux_rhs(sigma, sh: np.ndarray, p: ParamSet):
     else:
         grad_inv = np.fft.irfft(sh * sym.inv_grad, n=n)
     v = -grad_inv
-    return np.fft.rfft(sigma * v) * sym.neg_ik_keep, float(np.max(np.abs(v)))
+    return np.fft.rfft(sigma * v) * sym.neg_ik_keep, v
 
 
 def _step_ks(rows: Rows, dt_for):
@@ -75,8 +63,8 @@ def _step_ks(rows: Rows, dt_for):
             f"min sigma = {s_n.min():.3e} below {VACUUM_FRACTION:g}*M; "
             "use the characteristic solver near vacuum")
 
-    g1, v_max = _flux_rhs(s_n, rows.uh, p)
-    dt = dt_for(_cfl_bound(p, v_max))
+    g1, v = _flux_rhs(s_n, rows.uh, p)
+    dt = dt_for(_cfl_bound(p, float(np.max(np.abs(v)))))
     uh = _rk3(rows.uh, g1, lambda u: _flux_rhs(None, u, p)[0], [dt], ((0.0,),))
     u = np.fft.irfft(uh, n=p.grid.n)
     u += M
@@ -92,43 +80,16 @@ def _step_ks(rows: Rows, dt_for):
     return None
 
 
-def _capped(p: ParamSet, bound: float) -> float:
-    """A CFL bound capped at 0.1/M: v vanishes at equilibrium."""
-    return min(bound, 0.1 / p.mass_level)
-
-
-def step_ks(state: KSState, p: ParamSet, dt: float) -> tuple[KSState, KSStepReport]:
-    """One step of size dt; raises its breakdown, or CflViolation.  The new
-    state carries the step's coefficients, so a chain of step_ks calls
-    makes the driver's arithmetic."""
-    rows = _rows_of([state], (p,), ("sigma",))
-    out = _step_ks(rows, lambda bound: _checked_dt(dt, bound))
-    if out is not None:
-        raise out
-    (s_new,), uh = _handed_out(rows)
-    new_state = KSState(sigma=Field(p.grid, s_new, tag="density"),
-                        time=rows.times[0],
-                        coefficients=(p.mass_level, uh, (s_new,)))
-    mass_defect = p.grid.h * float(np.sum(s_new) - np.sum(state.sigma.values))
-    return new_state, KSStepReport(dt_used=dt, mass_defect=mass_defect,
-                                   min_sigma=float(s_new.min()))
-
-
 def step_ks_to(rows: Rows, target: float):
     """One step toward `target` of the one-member batch rows, in place, of
-    dt = min(stable_dt_ks, target - t), the bound from its first stage:
-    the driver's step.  Returns None or the breakdown."""
+    dt = min(CFL bound, 0.1/M, target - t), the bound from its first stage
+    and capped because v vanishes at equilibrium: the driver's step.
+    Returns None or the breakdown."""
     if not rows.times[0] < target:
         raise ValueError("the state must be behind the target time")
-    p = rows.ps[0]
-    return _step_ks(rows, lambda bound: min(_capped(p, bound),
+    cap = 0.1 / rows.ps[0].mass_level
+    return _step_ks(rows, lambda bound: min(bound, cap,
                                             target - rows.times[0]))
-
-
-def stable_dt_ks(state: KSState, p: ParamSet) -> float:
-    """The step bound step_ks_to takes: the CFL bound, capped at 0.1/M."""
-    rows = _rows_of([state], (p,), ("sigma",))
-    return _capped(p, _cfl_bound(p, _flux_rhs(rows.u[0, 0], rows.uh, p)[1]))
 
 
 def simulate_ks(sigma0: Field, p: ParamSet, sample_times,

@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .core import Field, ParamSet
 from .errors import DegenerateEpsilon, ResonantDenominator
 
 
@@ -119,22 +116,3 @@ def quadratic_residual(q: DispersionQuery, lam: complex) -> float:
     r = q.epsilon**2 * lam * lam + lam + q.stiffness
     scale = max(1.0, abs(lam) ** 2 * q.epsilon**2)
     return abs(r) / scale
-
-
-def slow_mode_fields(p: ParamSet, k: int, amplitude: float):
-    """Initial (rho0, w0) on p.grid lying on the slow eigenvector:
-    rho0 = M + a cos(kx), w0 = -(lam_slow + M) a eps^(1-alpha)/(kM) sin(kx).
-    Only real (non-oscillatory) slow roots are supported here.
-    """
-    q = DispersionQuery(p.epsilon, p.alpha, p.gamma, p.mass_level, float(k))
-    pair = dispersion_roots(q)
-    lam = pair.lambda_slow
-    if abs(lam.imag) > 0.0:
-        raise ValueError("slow root is oscillatory at these parameters")
-    x = p.grid.x
-    coef = -(lam.real + p.mass_level) * amplitude \
-        * p.epsilon ** (1.0 - p.alpha) / (k * p.mass_level)
-    rho0 = Field(p.grid, p.mass_level + amplitude * np.cos(k * x), tag="density")
-    w0 = Field(p.grid, coef * np.sin(k * x))
-    return rho0, w0, lam.real
-

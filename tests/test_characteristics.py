@@ -15,7 +15,7 @@ from frictionlab.characteristics import (
 )
 from frictionlab.errors import (
     InversionFailure, MultipleVacuumIntervals, NoVacuum,
-    PreconditionViolation, UnsupportedOrder,
+    PreconditionViolation, UnsupportedOrder, VacuumApproach,
 )
 from frictionlab.experiments import (
     FD_WINDOW_SCALE, measure_edge_derivative_fd,
@@ -385,3 +385,30 @@ def test_oracle_gaps_match_dense_interpolation(monkeypatch, dense_trig_interp):
     monkeypatch.setattr(characteristics, "trig_interp", dense_trig_interp)
     dense = semi_lagrangian_oracle(state, p, 0.5)
     np.testing.assert_allclose(fast.gaps, dense.gaps, rtol=0.0, atol=1e-13)
+
+
+def _oracle_case(amp):
+    g = Grid.torus(64)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=g)
+    return KSState(sigma=Field(g, 1.0 + amp * np.cos(g.x), tag="density")), p
+
+
+@pytest.mark.parametrize("tau_end, n_steps", [
+    (0.5, -2), (0.5, 0), (math.nan, 4), (math.inf, None), (0.0, None),
+    (-0.5, 4),
+])
+def test_oracle_rejects_bad_horizons(tau_end, n_steps):
+    # a negative count once took no step and passed with a zero gap
+    state, p = _oracle_case(0.3)
+    with pytest.raises(ValueError, match="tau_end|n_steps"):
+        semi_lagrangian_oracle(state, p, tau_end, n_steps=n_steps)
+
+
+def test_oracle_raises_the_breakdown_of_its_run():
+    # amp 1 touches vacuum: the Eulerian run stops at once, and the oracle
+    # raises its breakdown instead of comparing the markers with the one
+    # sample the run kept
+    state, p = _oracle_case(1.0)
+    with pytest.raises(VacuumApproach):
+        semi_lagrangian_oracle(state, p, 0.5, n_steps=4)

@@ -110,7 +110,7 @@ def test_non_monotone_sweep_exits_4(runner, monkeypatch):
 
 def test_failed_sweep_member_exits_3(runner, monkeypatch):
     rows = (SweepRow(0.2, 1.0, 1.0, 1.0, "ok"),
-            SweepRow(0.1, math.nan, math.nan, math.nan, "cfl"))
+            SweepRow(0.1, math.nan, math.nan, math.nan, "range_breach"))
     fake = SweepResult(rows=rows, monotone_decreasing=True, csv_path=None)
     monkeypatch.setattr("frictionlab.cli.run_epsilon_sweep",
                         lambda spec: fake)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +6,11 @@ import pytest
 from frictionlab import euler_poisson, keller_segel
 from frictionlab.core import EPState, Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate, record_ep, record_ks
-from frictionlab.errors import (
-    Blowup, CflViolation, RangeBreach, SolverBreakdown, VacuumApproach,
-)
+from frictionlab.errors import Blowup, RangeBreach, VacuumApproach
 from frictionlab.euler_poisson import (
-    simulate_ep, simulate_ep_rows, stable_dt, step_ep, step_ep_rows,
+    simulate_ep, simulate_ep_rows, step_ep_rows,
 )
-from frictionlab.keller_segel import simulate_ks, stable_dt_ks, step_ks
+from frictionlab.keller_segel import simulate_ks, step_ks_to
 from frictionlab.spectral import dealias, deriv, inverse_gradient
 
 
@@ -29,32 +26,51 @@ def _state(grid, rho, w):
     return EPState(rho=Field(grid, rho, tag="density"), w=Field(grid, w))
 
 
+def _rows(states, ps):
+    return euler_poisson._rows_of(states, ps, ("rho", "w"))
+
+
+def _stable_dt(s, p):
+    """The CFL bound dt_cfl*h/(advective + sound speed) of state s,
+    its velocity from the public inverse_gradient."""
+    v = -inverse_gradient(s.rho.values - p.mass_level, p.grid)[0]
+    ((adv, sound),) = euler_poisson._speeds(
+        s.rho.values[None], s.w.values[None], v[None], (p,))
+    return p.dt_cfl * p.grid.h / (adv + sound)
+
+
 def test_equilibrium_is_exact_fixed_point(params, torus64):
-    s = _state(torus64, np.ones(torus64.n), np.zeros(torus64.n))
-    new, report = step_ep(s, params, 0.005)
-    np.testing.assert_array_equal(new.rho.values, s.rho.values)
+    rho0 = Field(torus64, np.ones(torus64.n), tag="density")
+    result = simulate_ep(rho0, Field(torus64, np.zeros(torus64.n)), params,
+                         [0.0, 0.005])
+    assert result.ok and result.n_steps == 1
+    new = result.samples[-1][0]
+    np.testing.assert_array_equal(new.rho.values, rho0.values)
     np.testing.assert_allclose(new.w.values, 0.0, atol=1e-18)
-    assert report.mass_defect == 0.0
 
 
 def test_step_conserves_mass(params, torus64):
-    s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x),
-               0.05 * np.sin(torus64.x))
-    dt = 0.5 * stable_dt(s, params)
-    new, report = step_ep(s, params, dt)
-    mass0 = torus64.integrate(s.rho.values)
-    mass1 = torus64.integrate(new.rho.values)
+    rho0 = Field(torus64, 1.0 + 0.3 * np.cos(torus64.x), tag="density")
+    w0 = Field(torus64, 0.05 * np.sin(torus64.x))
+    result = simulate_ep(rho0, w0, params, [0.0, 0.05])
+    assert result.ok and result.n_steps > 1
+    mass0 = torus64.integrate(rho0.values)
+    mass1 = torus64.integrate(result.samples[-1][0].rho.values)
     assert abs(mass1 - mass0) <= 1e-12 * abs(mass0)
-    assert abs(report.mass_defect) <= 1e-12 * abs(mass0)
 
 
-def test_step_report_friction_factor(params, torus64):
-    s = _state(torus64, 1.0 + 0.1 * np.cos(torus64.x), np.zeros(torus64.n))
-    dt = 0.5 * stable_dt(s, params)
-    _, report = step_ep(s, params, dt)
-    assert report.friction_factor == pytest.approx(
-        math.exp(-dt / params.epsilon ** 2), rel=1e-14)
-    assert report.dt_used == dt
+def test_friction_factor_is_exact(params, torus64):
+    # at rho = M and uniform w every slope vanishes: the step is the
+    # integrating factor alone, w -> e^{-dt/eps^2} w
+    rho0 = Field(torus64, np.ones(torus64.n), tag="density")
+    w0 = Field(torus64, np.full(torus64.n, 0.05))
+    dt = 0.5 * _stable_dt(EPState(rho=rho0, w=w0), params)
+    result = simulate_ep(rho0, w0, params, [0.0, dt])
+    assert result.ok and result.n_steps == 1
+    new = result.samples[-1][0]
+    np.testing.assert_array_equal(new.rho.values, rho0.values)
+    np.testing.assert_allclose(
+        new.w.values, 0.05 * math.exp(-dt / params.epsilon ** 2), rtol=1e-14)
 
 
 def _rhs_composed(rho, w, p):
@@ -151,49 +167,48 @@ def test_fused_rhs_on_a_mixed_epsilon_batch(n, alpha):
                 assert not a.flags.writeable
 
 
-def test_cfl_guard(params, torus64):
-    s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x), np.zeros(torus64.n))
-    with pytest.raises(CflViolation):
-        step_ep(s, params, 100.0 * stable_dt(s, params))
-
-
 def test_cfl_guard_uses_the_stable_dt_bound(params, torus64):
     # with advective and sound speeds alike, a bound on their maximum
-    # instead of their sum would let a step of 1.2 * stable_dt through
+    # instead of their sum would let the step grow by 1.8 or more
     s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x),
                4.8 * np.sin(torus64.x))
     v = -inverse_gradient(s.rho.values - params.mass_level, torus64)[0]
     ((adv, sound),) = euler_poisson._speeds(
         s.rho.values[None], s.w.values[None], v[None], (params,))
     assert 0.8 < adv / sound < 1.25
-    dt = stable_dt(s, params)
-    _, report = step_ep(s, params, dt)
-    assert report.max_cfl_speed == adv + sound
-    with pytest.raises(CflViolation):
-        step_ep(s, params, 1.2 * dt)
+    rows = _rows([s], [params])
+    step_ep_rows(rows, 1.0)
+    assert rows.times == [params.dt_cfl * torus64.h / (adv + sound)]
 
 
 def test_stable_dt_is_infinite_at_zero_speed(params, torus64):
-    # rho = 0 and w = 0: no advection and no sound, so no CFL bound
-    s = _state(torus64, np.zeros(torus64.n), np.zeros(torus64.n))
-    assert stable_dt(s, params) == math.inf
+    # rho = 0 and w = 0: no advection and no sound, so no CFL bound; the
+    # step spans the whole interval (and breaches the range)
+    rows = _rows([_state(torus64, np.zeros(torus64.n), np.zeros(torus64.n))],
+                 [params])
+    (out,) = step_ep_rows(rows, 0.5)
+    assert rows.times == [0.5]
+    assert isinstance(out, RangeBreach)
 
 
 def test_stable_dt_scales_with_stiffness(torus64, params):
     # sound speed carries eps^((alpha-2)/2): smaller eps, smaller dt
     s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x), np.zeros(torus64.n))
-    dt_01 = stable_dt(s, params)
-    dt_0025 = stable_dt(s, params.replace(epsilon=0.025))
+    rows = _rows([s, s], [params, params.replace(epsilon=0.025)])
+    assert step_ep_rows(rows, 1.0) == [None, None]
+    dt_01, dt_0025 = rows.times
     assert dt_0025 < dt_01
     ratio = dt_01 / dt_0025
     assert ratio == pytest.approx(2.0, rel=0.05)  # sqrt(0.1/0.025) = 2
 
 
 def test_range_breach_detected(torus64, params):
-    # rho below rho_lower/2 must trip the a-priori range guard
-    s = _state(torus64, 1.0 + 0.9 * np.cos(torus64.x), np.zeros(torus64.n))
-    with pytest.raises(RangeBreach):
-        step_ep(s, params, 0.25 * stable_dt(s, params))
+    # rho below rho_lower/2 must trip the a-priori range guard; such data
+    # fails validation, so the step is taken on rows built by hand
+    rows = _rows([_state(torus64, 1.0 + 0.9 * np.cos(torus64.x),
+                         np.zeros(torus64.n))], [params])
+    (out,) = step_ep_rows(rows, 1.0)
+    assert isinstance(out, RangeBreach)
 
 
 def test_simulate_equilibrium_trajectory(params, torus64, zero_w):
@@ -236,7 +251,6 @@ def test_simulate_rejects_bad_sample_times(params, cosine_rho, zero_w,
 
 
 @pytest.mark.parametrize("cls, status", [
-    (CflViolation, "cfl"),
     (RangeBreach, "range_breach"),
     (VacuumApproach, "vacuum"),
     (Blowup, "nonfinite"),
@@ -276,18 +290,18 @@ def test_breakdown_ends_run_with_its_status(monkeypatch, params, cosine_rho,
     assert info.value is result.error
 
 
-def _reference_run(step, next_dt, record, state, sample_times):
-    """The hand-driven loop: dt = min(next_dt(state), target - t), then the
-    fixed-dt step; a raised breakdown ends the run with its status."""
+def _reference_run(step, rows, state_at, record, sample_times):
+    """The hand-driven loop: step(rows, target), each step of
+    dt = min(stable dt, target - t), until the one-member batch rows lands
+    on each sample time; a breakdown ends the run with its status."""
     samples, n_steps = [], 0
     for target in sample_times:
-        while state.time < target - 1e-12:
-            try:
-                state, _ = step(state, min(next_dt(state),
-                                           target - state.time))
-            except SolverBreakdown as err:
-                return samples, n_steps, err.status
+        while rows.times[0] < target - 1e-12:
+            out = step(rows, target)
+            if out is not None:
+                return samples, n_steps, out.status
             n_steps += 1
+        state = state_at(rows.u[:, 0].copy(), rows.times[0])
         samples.append((state, record(state)))
     return samples, n_steps, "ok"
 
@@ -307,8 +321,8 @@ def _assert_same_run(result, reference):
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_simulate_ep_equals_the_stable_dt_loop(n, alpha):
-    # the driver's step picks dt from its own first stage; that must be
-    # the stable_dt loop bit for bit, whatever the grid and scaling
+    # the driver's sampling (landing, step count, records) must be the
+    # hand loop of step_ep_rows bit for bit, whatever the grid and scaling
     grid = Grid.torus(n)
     p = ParamSet(epsilon=0.1, alpha=alpha, gamma=2.0, mass_level=1.0,
                  rho_lower=0.25, rho_upper=2.0, grid=grid, t_end=0.5)
@@ -318,9 +332,11 @@ def test_simulate_ep_equals_the_stable_dt_loop(n, alpha):
     result = simulate_ep(rho0, w0, p, times)
     assert result.ok and result.n_steps > len(times)
     _assert_same_run(result, _reference_run(
-        lambda s, dt: step_ep(s, p, dt), lambda s: stable_dt(s, p),
-        lambda s: record_ep(s, p),
-        EPState(rho=rho0, w=w0), times))
+        lambda rows, target: step_ep_rows(rows, target)[0],
+        _rows([EPState(rho=rho0, w=w0)], [p]),
+        lambda u, time: EPState(rho=Field(grid, u[0], tag="density"),
+                                w=Field(grid, u[1]), time=time),
+        lambda s: record_ep(s, p), times))
 
 
 @pytest.mark.parametrize("n, amp", [(64, 0.3), (512, 0.3), (64, 1.0)])
@@ -334,23 +350,28 @@ def test_simulate_ks_equals_the_stable_dt_loop(n, amp):
     result = simulate_ks(sigma0, p, times)
     assert result.ok == (amp < 1.0)
     _assert_same_run(result, _reference_run(
-        lambda s, dt: step_ks(s, p, dt), lambda s: stable_dt_ks(s, p),
-        lambda s: record_ks(s, p), KSState(sigma=sigma0), times))
+        step_ks_to, euler_poisson._rows_of([KSState(sigma=sigma0)], [p],
+                                           ("sigma",)),
+        lambda u, time: KSState(sigma=Field(grid, u[0], tag="density"),
+                                time=time),
+        lambda s: record_ks(s, p), times))
 
 
 @pytest.mark.parametrize("eps, alpha", [(0.1, 1.0), (0.05, 1.5), (0.2, 0.5)])
 def test_step_ep_is_third_order_in_dt(torus64, eps, alpha):
-    # self-convergence of the fixed-dt step under dt halving: 16 to 256
-    # steps over T = 8 stable_dt of the initial state
+    # self-convergence of the step under dt halving: 16 to 256 steps over
+    # T = 8 stable dt of the initial state, one step per sample interval
     p = ParamSet(epsilon=eps, alpha=alpha, gamma=2.0, mass_level=1.0,
                  rho_lower=0.25, rho_upper=2.0, grid=torus64)
     s0 = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x), np.zeros(torus64.n))
-    t_end = 8.0 * stable_dt(s0, p)
+    t_end = 8.0 * _stable_dt(s0, p)
     finals = []
     for n_steps in (16, 32, 64, 128, 256):
-        s = s0
-        for _ in range(n_steps):
-            s, _ = step_ep(s, p, t_end / n_steps)
+        result = simulate_ep_rows(s0.rho, s0.w, [p],
+                                  np.linspace(0.0, t_end, n_steps + 1),
+                                  records=False)[0]
+        assert result.ok and result.n_steps == n_steps
+        s = result.samples[-1][0]
         finals.append(np.concatenate((s.rho.values, s.w.values)))
     errors = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
@@ -424,12 +445,14 @@ def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
         return g + bad, v
 
     monkeypatch.setattr(euler_poisson, "_rhs", poisoned)
-    s = EPState(rho=cosine_rho, w=zero_w)
+    result = simulate_ep(cosine_rho, zero_w, params, [0.0, 0.1])
+    assert result.n_steps == 0
     with pytest.raises(Blowup):
-        step_ep(s, params, 0.5 * stable_dt(s, params))
+        result.raise_if_failed()
 
 
 def test_step_ep_rows_takes_the_stable_dt(params, torus64):
+    # each member of a batch steps as it would alone, by its own stable dt
     x = torus64.x
     states = [EPState(rho=Field(torus64, 1.0 + a * np.cos(x), tag="density"),
                       w=Field(torus64, b * np.sin(x)), time=t)
@@ -437,26 +460,25 @@ def test_step_ep_rows_takes_the_stable_dt(params, torus64):
                               (0.1, 0.2, 0.02))]
     ps = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
     target = 0.021
-    rows = euler_poisson._rows_of(states, ps, ("rho", "w"))
+    rows = _rows(states, ps)
     assert step_ep_rows(rows, target) == [None] * 3
     for j, (s, p) in enumerate(zip(states, ps)):
-        dt = min(stable_dt(s, p), target - s.time)
+        dt = min(_stable_dt(s, p), target - s.time)
         assert rows.times[j] == s.time + dt
-        alone, _ = step_ep(s, p, dt)
-        assert np.array_equal(rows.u[0, j], alone.rho.values)
-        assert np.array_equal(rows.u[1, j], alone.w.values)
-        assert np.array_equal(rows.uh[:, j], alone.coefficients[1])
+        alone = _rows([s], [p])
+        assert step_ep_rows(alone, target) == [None]
+        assert alone.times == [rows.times[j]]
+        assert np.array_equal(rows.u[:, j], alone.u[:, 0])
+        assert np.array_equal(rows.uh[:, j], alone.uh[:, 0])
     assert rows.times[2] == target
 
 
 def test_step_ep_rows_rejects_bad_batches(params, cosine_rho, zero_w):
     s = EPState(rho=cosine_rho, w=zero_w)
-    rows = euler_poisson._rows_of([s, s], [params, params.replace(alpha=1.5)],
-                                  ("rho", "w"))
+    rows = _rows([s, s], [params, params.replace(alpha=1.5)])
     with pytest.raises(ValueError, match="epsilon only"):
         step_ep_rows(rows, 0.1)
-    rows = euler_poisson._rows_of([s, s], [params, params.replace(epsilon=0.05)],
-                                  ("rho", "w"))
+    rows = _rows([s, s], [params, params.replace(epsilon=0.05)])
     with pytest.raises(ValueError, match="behind"):
         step_ep_rows(rows, 0.0)
     with pytest.raises(ValueError, match="at least one"):
@@ -563,9 +585,9 @@ def test_ks_run_fft_work(fft_work, params, cosine_rho):
 @pytest.mark.parametrize("solver, gamma", [("ep", 2.0), ("ep", 1.5),
                                            ("ks", 2.0)])
 def test_a_rebuilt_sample_steps_on_like_the_run(solver, gamma):
-    # a sampled state carries no coefficients: rebuilt from its Fields,
-    # its next step transforms the samples afresh, where the run went on
-    # from its carried coefficients; that moves the trajectory by roundoff
+    # a run restarted from a sample transforms the sample's fields afresh,
+    # where the run went on from its carried coefficients; that moves the
+    # trajectory by roundoff only
     grid = Grid.torus(64)
     p = ParamSet(epsilon=0.1, alpha=1.0, gamma=gamma, mass_level=1.0,
                  rho_lower=0.25, rho_upper=2.0, grid=grid,
@@ -574,46 +596,17 @@ def test_a_rebuilt_sample_steps_on_like_the_run(solver, gamma):
     times = [0.0, 0.5 * p.t_end, p.t_end]
     if solver == "ep":
         run = simulate_ep(rho0, Field(grid, 0.05 * np.sin(grid.x)), p, times)
-        names, step, next_dt = ("rho", "w"), step_ep, stable_dt
+        names = ("rho", "w")
+        restart = lambda s, t: simulate_ep(s.rho, s.w, p, [0.0, t])
     else:
         run = simulate_ks(rho0, p, times)
-        names, step, next_dt = ("sigma",), step_ks, stable_dt_ks
+        names = ("sigma",)
+        restart = lambda s, t: simulate_ks(s.sigma, p, [0.0, t])
     assert run.ok
     (mid, _), (end, _) = run.samples[1:]
-    assert mid.coefficients is None
-    rebuilt = type(mid)(time=mid.time, **{
-        name: Field(grid, getattr(mid, name).values.copy(),
-                    tag=getattr(mid, name).tag) for name in names})
-    samples, n_steps, status = _reference_run(
-        lambda s, dt: step(s, p, dt), lambda s: next_dt(s, p),
-        lambda s: None, rebuilt, [p.t_end])
-    assert status == "ok" and n_steps >= 10
-    ((last, _),) = samples
-    assert last.time == end.time
+    rest = restart(mid, end.time - mid.time)
+    assert rest.ok and rest.n_steps >= 10
+    last = rest.samples[-1][0]
     for name in names:
         got, want = getattr(last, name).values, getattr(end, name).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_a_stepped_state_carries_its_coefficients(fft_work, params, torus64):
-    # a state made by step_ep starts the next step from its coefficients
-    # (7 FFT calls); a fresh state, or one given other fields, is
-    # transformed first (8), and steps as if built from those fields
-    rho = 1.0 + 0.3 * np.cos(torus64.x)
-    s = _state(torus64, rho, 0.05 * np.sin(torus64.x))
-    dt = 0.5 * stable_dt(s, params)
-    stepped, _ = step_ep(s, params, dt)
-    assert fft_work["calls"] == 8 + 2         # stable_dt: rfft and irfft
-    assert not stepped.rho.values.flags.writeable
-    assert not stepped.coefficients[1].flags.writeable
-    for state, calls in (
-            (stepped, 7),
-            (dataclasses.replace(stepped, time=0.5), 7),
-            (dataclasses.replace(stepped, rho=Field(torus64, rho,
-                                                    tag="density")), 8)):
-        fft_work["calls"] = 0
-        new, _ = step_ep(state, params, dt)
-        assert fft_work["calls"] == calls
-    fresh, _ = step_ep(_state(torus64, rho, stepped.w.values), params, dt)
-    assert np.array_equal(new.rho.values, fresh.rho.values)
-    assert np.array_equal(new.w.values, fresh.w.values)

@@ -6,12 +6,8 @@ import pytest
 from frictionlab import euler_poisson, keller_segel
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate
-from frictionlab.errors import (
-    Blowup, CflViolation, MeanDefect, VacuumApproach,
-)
-from frictionlab.keller_segel import (
-    simulate_ks, stable_dt_ks, step_ks, step_ks_to,
-)
+from frictionlab.errors import Blowup, MeanDefect, VacuumApproach
+from frictionlab.keller_segel import simulate_ks, step_ks_to
 from frictionlab.spectral import dealias, deriv, inverse_gradient
 
 
@@ -27,34 +23,36 @@ def _state(grid, sigma):
     return KSState(sigma=Field(grid, sigma, tag="density"))
 
 
+def _rows(s, p):
+    return euler_poisson._rows_of([s], [p], ("sigma",))
+
+
 def test_equilibrium_is_exact_fixed_point(params, torus64):
-    s = _state(torus64, np.ones(torus64.n))
-    new, report = step_ks(s, params, 0.05)
-    np.testing.assert_array_equal(new.sigma.values, s.sigma.values)
-    assert report.mass_defect == 0.0
-    assert report.min_sigma == 1.0
+    sigma0 = Field(torus64, np.ones(torus64.n), tag="density")
+    result = simulate_ks(sigma0, params, [0.0, 0.05])
+    assert result.ok and result.n_steps == 1
+    np.testing.assert_array_equal(result.samples[-1][0].sigma.values,
+                                  sigma0.values)
 
 
 def test_step_conserves_mass(params, torus64):
-    s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x))
-    dt = 0.5 * stable_dt_ks(s, params)
-    new, report = step_ks(s, params, dt)
-    mass0 = torus64.integrate(s.sigma.values)
-    mass1 = torus64.integrate(new.sigma.values)
+    sigma0 = Field(torus64, 1.0 + 0.3 * np.cos(torus64.x), tag="density")
+    result = simulate_ks(sigma0, params, [0.0, 0.5])
+    assert result.ok and result.n_steps > 1
+    mass0 = torus64.integrate(sigma0.values)
+    mass1 = torus64.integrate(result.samples[-1][0].sigma.values)
     assert abs(mass1 - mass0) <= 1e-12 * abs(mass0)
-    assert abs(report.mass_defect) <= 1e-12
 
 
 def test_vacuum_guard_on_entry(params, torus64):
-    s = _state(torus64, np.maximum(1.0 + np.cos(torus64.x), 0.0))
-    with pytest.raises(VacuumApproach):
-        step_ks(s, params, 1e-3)
-
-
-def test_cfl_guard(params, torus64):
-    s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x))
-    with pytest.raises(CflViolation):
-        step_ks(s, params, 50.0 * stable_dt_ks(s, params))
+    # touching data is refused before the step: the rows stay where they were
+    rows = _rows(_state(torus64, np.maximum(1.0 + np.cos(torus64.x), 0.0)),
+                 params)
+    before = rows.u.copy()
+    out = step_ks_to(rows, 1e-3)
+    assert isinstance(out, VacuumApproach)
+    assert "characteristic solver" in str(out)
+    assert rows.times == [0.0] and np.array_equal(rows.u, before)
 
 
 @pytest.mark.parametrize("n", [64, 512, 2048])
@@ -72,11 +70,11 @@ def test_fused_flux_rhs_matches_composition(n):
     ref = -deriv(dealias(sigma * v, grid), grid)
     sh = np.fft.rfft(sigma - p.mass_level)
     # the first stage hands in the samples, the later ones only sh
-    for slope, vmax in (keller_segel._flux_rhs(sigma, sh, p),
-                        keller_segel._flux_rhs(None, sh, p)):
+    for slope, got_v in (keller_segel._flux_rhs(sigma, sh, p),
+                         keller_segel._flux_rhs(None, sh, p)):
         slope = np.fft.irfft(slope, n=n)
         assert np.max(np.abs(slope - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert vmax == pytest.approx(float(np.max(np.abs(v))), rel=1e-12)
+        assert np.max(np.abs(got_v - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 @pytest.mark.parametrize("amp, target", [(0.5, 1.0), (0.3, 1.0),
@@ -87,19 +85,18 @@ def test_step_ks_to_takes_the_stable_dt(params, torus64, amp, target):
     # flat state has no CFL bound at all
     s = KSState(sigma=Field(torus64, 1.0 + amp * np.cos(torus64.x),
                             tag="density"), time=0.01)
-    rows = euler_poisson._rows_of([s], [params], ("sigma",))
+    rows = _rows(s, params)
     assert step_ks_to(rows, target) is None
-    dt = min(stable_dt_ks(s, params), target - s.time)
+    v = inverse_gradient(s.sigma.values - params.mass_level, torus64)[0]
+    v_max = float(np.max(np.abs(v)))
+    bound = params.dt_cfl * torus64.h / v_max if v_max > 0.0 else math.inf
+    dt = min(bound, 0.1, target - s.time)
     assert rows.times == [s.time + dt]
-    alone, _ = step_ks(s, params, dt)
-    assert np.array_equal(rows.u[0, 0], alone.sigma.values)
-    assert np.array_equal(rows.uh[:, 0], alone.coefficients[1])
 
 
 def test_step_ks_to_returns_its_breakdown(params, torus64):
     def rows(sigma):
-        return euler_poisson._rows_of([_state(torus64, sigma)], [params],
-                                      ("sigma",))
+        return _rows(_state(torus64, sigma), params)
 
     touching = rows(np.maximum(1.0 + np.cos(torus64.x), 0.0))
     assert isinstance(step_ks_to(touching, 0.5), VacuumApproach)
@@ -130,8 +127,10 @@ def test_nonfinite_slope_ends_run_nonfinite(monkeypatch, params, torus64,
 
 def test_stable_dt_capped_for_flat_state(params, torus64):
     # velocity vanishes at equilibrium; the cap 0.1/M keeps dt finite
-    s = _state(torus64, np.ones(torus64.n))
-    assert stable_dt_ks(s, params) == 0.1
+    p = params.replace(mass_level=2.0, rho_upper=4.0)
+    rows = _rows(_state(torus64, np.full(torus64.n, 2.0)), p)
+    assert step_ks_to(rows, 1.0) is None
+    assert rows.times == [0.05]
 
 
 def test_simulate_rejects_mass_defect(params, torus64):
@@ -200,15 +199,15 @@ def test_simulate_reports_vacuum_status(params, torus64):
 
 
 def test_step_ks_is_third_order_in_dt(params, torus64):
-    # self-convergence of the fixed-dt step under dt halving: 8 to 128
-    # steps over T = 0.5
-    s0 = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x))
+    # self-convergence of the step under dt halving: 8 to 128 steps over
+    # T = 0.5, one step per sample interval
+    sigma0 = Field(torus64, 1.0 + 0.3 * np.cos(torus64.x), tag="density")
     finals = []
     for n_steps in (8, 16, 32, 64, 128):
-        s = s0
-        for _ in range(n_steps):
-            s, _ = step_ks(s, params, 0.5 / n_steps)
-        finals.append(s.sigma.values)
+        result = simulate_ks(sigma0, params, np.linspace(0.0, 0.5, n_steps + 1),
+                             records=False)
+        assert result.ok and result.n_steps == n_steps
+        finals.append(result.samples[-1][0].sigma.values)
     errors = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders[-2:]) >= 2.8, orders

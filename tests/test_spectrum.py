@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from frictionlab.errors import DegenerateEpsilon, ResonantDenominator
 from frictionlab.spectrum import (
     DispersionQuery, amplitude_ratio, dispersion_roots, quadratic_residual,
-    slow_mode_fields,
 )
 
 
@@ -137,12 +136,3 @@ def test_amplitude_scaling_slope():
     slope = np.polyfit(np.log(eps_list), np.log(vals), 1)[0]
     assert 0.9 <= slope <= 1.1
 
-
-def test_slow_mode_fields_eigenvector(params):
-    rho0, w0, lam = slow_mode_fields(params.replace(epsilon=0.05), 1, 1e-6)
-    assert lam == pytest.approx(-1.103041752771, abs=1e-9)
-    # w component carries the slow-eigenvector coefficient
-    coef = np.max(np.abs(w0.values))
-    assert coef == pytest.approx(0.103041752771e-6, rel=1e-6)
-    np.testing.assert_allclose(
-        rho0.values, 1.0 + 1e-6 * np.cos(params.grid.x), atol=1e-18)

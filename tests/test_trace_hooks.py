@@ -44,10 +44,8 @@ def test_sweep_spans(tracing, p64):
     assert calls["experiments.sweep_member"] == 2
     assert calls["euler_poisson.simulate_ep_rows"] == 1
     assert calls["keller_segel.step_ks_to"] > 0
-    assert calls["keller_segel.step_ks"] == 0
-    assert calls["keller_segel.stable_dt_ks"] == 0
     # the members advance together: one batched step serves both while
-    # both are behind, and no one-member step or stable_dt call is made
+    # both are behind
     rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
     w0 = Field(p64.grid, np.zeros(p64.grid.n))
     times = np.linspace(0.0, p64.t_end, 21)
@@ -55,8 +53,6 @@ def test_sweep_spans(tracing, p64):
                                       times).n_steps
             for e in spec.epsilons]
     assert max(solo) <= calls["euler_poisson.step_ep_rows"] < sum(solo)
-    assert calls["euler_poisson.step_ep"] == 0
-    assert calls["euler_poisson.stable_dt"] == 0
     # the table needs the sampled states only: no diagnostics records
     assert calls["diagnostics.record_ep"] == 0
     assert calls["diagnostics.record_ks"] == 0
@@ -64,14 +60,16 @@ def test_sweep_spans(tracing, p64):
 
 def test_oracle_trig_interp_spans(tracing, p64):
     # 4 velocity reads per marker step, 2 Eulerian steps per marker step,
-    # and one final read of the density: 2 * n_steps + 1 interpolations
+    # and one final read of the density: 2 * n_steps + 1 interpolations;
+    # the samples are spaced below the CFL bound, one step each
     state = KSState(sigma=Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x),
                                 tag="density"))
     tracer = tracing.Tracer()
     tracer.run(lambda: semi_lagrangian_oracle(state, p64, 0.2, n_steps=8))
     calls = Counter(s.name for s in tracer.spans)
     assert calls["spectral.trig_interp"] == 17
-    assert calls["keller_segel.step_ks"] == 8
+    assert calls["keller_segel.simulate_ks"] == 1
+    assert calls["keller_segel.step_ks_to"] == 8
 
 
 def test_step_states_skip_field_rescans(tracing, p64):
@@ -103,11 +101,9 @@ def test_ep_step_spans_match_step_count(tracing, p64):
     assert calls["euler_poisson.simulate_ep"] == 1
     assert calls["euler_poisson.simulate_ep_rows"] == 1
     assert calls["euler_poisson.step_ep_rows"] == result.n_steps
-    # the step picks its own dt: no fixed-dt step and no stable_dt call
-    assert calls["euler_poisson.step_ep"] == 0
-    assert calls["euler_poisson.stable_dt"] == 0
-    # the tracer keys its step metrics on step_ep, so on a driver run
-    # they read 0 until it counts step_ep_rows spans instead
+    # the tracer keys its step metrics on euler_poisson.step_ep, a name
+    # the package no longer has, so they read 0 until it counts
+    # step_ep_rows spans instead
     metrics, detail = tracing.layer_metrics(tracer)
     assert detail["ep_steps_by_epsilon"] == {}
     assert metrics["spectral.fft.per_ep_step"][0] == 0.0
@@ -120,8 +116,6 @@ def test_ks_step_spans_match_step_count(tracing, p64):
     assert result.ok and result.n_steps > 0
     calls = Counter(s.name for s in tracer.spans)
     assert calls["keller_segel.step_ks_to"] == result.n_steps
-    assert calls["keller_segel.step_ks"] == 0
-    assert calls["keller_segel.stable_dt_ks"] == 0
 
 
 def _ffts_under(spans, name, outside=None):
@@ -185,8 +179,8 @@ def test_ks_step_fft_budget(tracing, p64):
 
 def test_ep_run_fft_budget(tracing, p64):
     # a whole driver run, records aside, costs its steps' FFTs and one
-    # forward transform of the initial data: no separate stable_dt pass
-    # before each step
+    # forward transform of the initial data: no separate CFL pass before
+    # each step
     rho0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
     w0 = Field(p64.grid, np.zeros(p64.grid.n))
     tracer = tracing.Tracer()
