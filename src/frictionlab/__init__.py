@@ -30,9 +30,9 @@ from .profiles import (
     profile_field, profile_line, vacuum_ramp_profile,
 )
 from .characteristics import (
-    TrajectoryBundle, VacuumReport, derivative_along, dxeta,
-    reconstruct_eulerian, semi_lagrangian_oracle, sigma_along,
-    trajectory_position, vacuum_interval, velocity_along,
+    VacuumReport, derivative_along, dxeta, reconstruct_eulerian,
+    semi_lagrangian_oracle, sigma_along, trajectory_position,
+    vacuum_interval, velocity_along,
 )
 from .experiments import (
     ExperimentSpec, run_decay_fit, run_epsilon_sweep, run_single_ep,
@@ -46,7 +46,7 @@ __all__ = [
     "ExperimentSpec", "Field", "FrictionLabError", "Grid", "InitialProfile",
     "InversionFailure", "KSState", "ModePair", "NoVacuum", "NonFinite",
     "PROFILES", "ParamSet", "RangeBreach", "RangeViolation",
-    "SimulationResult", "SolverBreakdown", "TrajectoryBundle",
+    "SimulationResult", "SolverBreakdown",
     "VacuumApproach", "VacuumReport", "ValidationError", "ValidationReport",
     "amplitude_ratio", "bump_profile", "derivative_along",
     "dispersion_roots", "dxeta", "equilibrium_profile", "fit_exponential_rate",

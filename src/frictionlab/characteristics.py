@@ -12,9 +12,11 @@ and derived quantities drive everything here:
 
 A vacuum interval [a0, b0] shrinks to length (b0-a0) e^{-M tau}; the
 first nontrivial one-sided edge derivative of order k grows like
-e^{(k+1) M tau}.  This module doubles as the oracle for the Eulerian
-solvers: reconstruction, and a semi-Lagrangian comparison that carries
-markers through the velocity fields of one `simulate_ks` run.
+e^{(k+1) M tau}.  Every closed form reads M from its `InitialProfile`,
+and they hold on the torus too, where v has zero mean.  This module
+doubles as the oracle for the Eulerian solvers: reconstruction, and a
+semi-Lagrangian comparison that carries markers through the velocity
+fields of one `simulate_ks` run.
 """
 from __future__ import annotations
 
@@ -50,15 +52,16 @@ def _match_input(x, result):
     return np.asarray(result, dtype=float)
 
 
-def velocity_along(x, tau: float, prof: InitialProfile, M: float):
+def velocity_along(x, tau: float, prof: InitialProfile):
     """Flow velocity along the trajectory from label x: e^{-M tau} F(x)."""
-    return _match_input(x, _decay(tau, M) * prof.cumulative(x))
+    return _match_input(x, _decay(tau, prof.M) * prof.cumulative(x))
 
 
-def trajectory_position(x, tau: float, prof: InitialProfile, M: float):
+def trajectory_position(x, tau: float, prof: InitialProfile):
     """eta(x, tau) = x + (1 - e^{-M tau}) F(x)/M; tends to x + F(x)/M."""
-    e = _decay(tau, M)
-    pos = np.asarray(x, dtype=float) + (1.0 - e) * np.asarray(prof.cumulative(x)) / M
+    M = prof.M
+    pos = np.asarray(x, dtype=float) + (1.0 - _decay(tau, M)) * \
+        np.asarray(prof.cumulative(x)) / M
     return _match_input(x, pos)
 
 
@@ -67,8 +70,9 @@ def _denominator(sigma0, tau: float, M: float):
     return sigma0 + (M - sigma0) * e
 
 
-def sigma_along(x, tau: float, prof: InitialProfile, M: float):
+def sigma_along(x, tau: float, prof: InitialProfile):
     """Exact logistic density along the trajectory; identically 0 on vacuum labels."""
+    M = prof.M
     s0 = np.asarray(prof.sigma0(x), dtype=float)
     e = _decay(tau, M)
     if e == 0.0:
@@ -76,10 +80,10 @@ def sigma_along(x, tau: float, prof: InitialProfile, M: float):
     return _match_input(x, M * s0 / (s0 + (M - s0) * e))
 
 
-def dxeta(x, tau: float, prof: InitialProfile, M: float):
+def dxeta(x, tau: float, prof: InitialProfile):
     """Trajectory Jacobian d(eta)/dx = D/M > 0 (trajectories never cross)."""
     s0 = np.asarray(prof.sigma0(x), dtype=float)
-    return _match_input(x, _denominator(s0, tau, M) / M)
+    return _match_input(x, _denominator(s0, tau, prof.M) / prof.M)
 
 
 def _in_vacuum(x: float, prof: InitialProfile) -> bool:
@@ -87,8 +91,8 @@ def _in_vacuum(x: float, prof: InitialProfile) -> bool:
     return any(a <= x <= b for (a, b) in prof.vacuum_set)
 
 
-def derivative_along(x: float, k: int, tau: float, prof: InitialProfile,
-                     M: float) -> float:
+def derivative_along(x: float, k: int, tau: float,
+                     prof: InitialProfile) -> float:
     """Spatial derivative of the density observed at eta(x, tau).
 
     Non-vacuum labels support k = 1 only (closed form sigma0' M^3 e / D^3).
@@ -97,6 +101,7 @@ def derivative_along(x: float, k: int, tau: float, prof: InitialProfile,
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
+    M = prof.M
     if not _in_vacuum(float(x), prof):
         if k != 1:
             raise UnsupportedOrder(
@@ -127,7 +132,7 @@ class VacuumReport:
     limit_point: float
 
 
-def vacuum_interval(tau: float, prof: InitialProfile, M: float) -> VacuumReport:
+def vacuum_interval(tau: float, prof: InitialProfile) -> VacuumReport:
     """Edges, exact length (b0-a0) e^{-M tau}, and the common limit point
     a0 + F(a0)/M of the profile's single vacuum interval under the flow."""
     if not prof.vacuum_set:
@@ -137,15 +142,14 @@ def vacuum_interval(tau: float, prof: InitialProfile, M: float) -> VacuumReport:
             f"profile has {len(prof.vacuum_set)} vacuum intervals; "
             "the collapse law tracks exactly one")
     a0, b0 = prof.vacuum_set[0]
-    a = float(trajectory_position(np.asarray([a0]), tau, prof, M)[0])
-    b = float(trajectory_position(np.asarray([b0]), tau, prof, M)[0])
-    length = (b0 - a0) * _decay(tau, M)
+    a = float(trajectory_position(np.asarray([a0]), tau, prof)[0])
+    b = float(trajectory_position(np.asarray([b0]), tau, prof)[0])
+    length = (b0 - a0) * _decay(tau, prof.M)
     f_a = float(prof.cumulative(np.asarray([a0]))[0])
-    return VacuumReport(a=a, b=b, length=length, limit_point=a0 + f_a / M)
+    return VacuumReport(a=a, b=b, length=length, limit_point=a0 + f_a / prof.M)
 
 
-def _certified_guess(y: np.ndarray, c: float, tau: float, prof: InitialProfile,
-                     M: float):
+def _certified_guess(y: np.ndarray, c: float, tau: float, prof: InitialProfile):
     """A label guess g for each root x* of eta(x, tau) = y, and a radius tol
     such that every label mid with |mid - g| > tol has the computed
     eta(mid) > y exactly when mid > g.
@@ -164,25 +168,25 @@ def _certified_guess(y: np.ndarray, c: float, tau: float, prof: InitialProfile,
     steps and the residual.  Where that bound does not exceed the cost
     (e tiny or 0), tol is inf without sampling.
     """
-    e = _decay(tau, M)
+    e = _decay(tau, prof.M)
     noise_min = ETA_NOISE_ULPS * np.finfo(float).eps * (np.abs(y).min() + c)
     if e * 2.0 * c <= 2.0**GUESS_COST * 4.0 * noise_min:
         return y, np.full(y.shape, np.inf)
     samples = np.linspace(y[0] - c, y[-1] + c, 2 * y.size + 1)
-    guess = np.interp(y, trajectory_position(samples, tau, prof, M), samples)
+    guess = np.interp(y, trajectory_position(samples, tau, prof), samples)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(GUESS_NEWTON_STEPS):
-            guess = guess - (trajectory_position(guess, tau, prof, M) - y) / \
-                dxeta(guess, tau, prof, M)
-        r = np.abs(trajectory_position(guess, tau, prof, M) - y)
+            guess = guess - (trajectory_position(guess, tau, prof) - y) / \
+                dxeta(guess, tau, prof)
+        r = np.abs(trajectory_position(guess, tau, prof) - y)
         noise = ETA_NOISE_ULPS * np.finfo(float).eps * (np.abs(y) + c)
         tol = 2.0 * (r + 2.0 * noise) / e
     ok = np.isfinite(guess) & np.isfinite(tol)
     return np.where(ok, guess, y), np.where(ok, tol, np.inf)
 
 
-def invert_trajectory_map(y: np.ndarray, tau: float, prof: InitialProfile,
-                          M: float) -> np.ndarray:
+def invert_trajectory_map(y: np.ndarray, tau: float,
+                          prof: InitialProfile) -> np.ndarray:
     """Labels x with eta(x, tau) = y at the sorted positions y, by vectorized
     bisection in label space.  Raises InversionFailure if the bracket
     y -+ (max|F|/M + 1) misses a position or the labels are not monotone,
@@ -195,22 +199,22 @@ def invert_trajectory_map(y: np.ndarray, tau: float, prof: InitialProfile,
     if math.isnan(tau) or tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     y = np.asarray(y, dtype=float)
-    c = prof.max_abs_F / M + 1.0
+    c = prof.max_abs_F / prof.M + 1.0
     lo = y - c
     hi = y + c
-    eta_lo = trajectory_position(lo, tau, prof, M)
-    eta_hi = trajectory_position(hi, tau, prof, M)
+    eta_lo = trajectory_position(lo, tau, prof)
+    eta_hi = trajectory_position(hi, tau, prof)
     if np.any(eta_lo > y) or np.any(eta_hi < y):
         raise InversionFailure("bracket does not contain the target positions")
-    guess, tol = _certified_guess(y, c, tau, prof, M)
+    guess, tol = _certified_guess(y, c, tau, prof)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         above = mid > guess
         near = np.abs(mid - guess) <= tol
         if near.all():
-            above = trajectory_position(mid, tau, prof, M) > y
+            above = trajectory_position(mid, tau, prof) > y
         elif near.any():
-            above[near] = trajectory_position(mid[near], tau, prof, M) > y[near]
+            above[near] = trajectory_position(mid[near], tau, prof) > y[near]
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
         if np.max(hi - lo) < 1e-14:
@@ -221,49 +225,24 @@ def invert_trajectory_map(y: np.ndarray, tau: float, prof: InitialProfile,
     return labels
 
 
-def reconstruct_eulerian(tau: float, prof: InitialProfile, M: float,
+def reconstruct_eulerian(tau: float, prof: InitialProfile,
                          grid: Grid) -> KSState:
     """Eulerian density at time tau on the grid, from the labels of its
     nodes (invert_trajectory_map)."""
-    labels = invert_trajectory_map(grid.x, tau, prof, M)
-    sig = np.maximum(sigma_along(labels, tau, prof, M), 0.0)
+    labels = invert_trajectory_map(grid.x, tau, prof)
+    sig = np.maximum(sigma_along(labels, tau, prof), 0.0)
     return KSState(sigma=Field(grid, sig, tag="density"), time=tau)
 
 
-@dataclass(frozen=True)
-class TrajectoryBundle:
-    """A set of Lagrangian labels with the closed-form trajectory maps."""
-
-    labels: np.ndarray
-    prof: InitialProfile
-    M: float
-
-    def __post_init__(self):
-        lab = np.sort(np.asarray(self.labels, dtype=float))
-        object.__setattr__(self, "labels", lab)
-
-    def eta(self, tau: float) -> np.ndarray:
-        return trajectory_position(self.labels, tau, self.prof, self.M)
-
-    def sigma_along(self, tau: float) -> np.ndarray:
-        return sigma_along(self.labels, tau, self.prof, self.M)
-
-    def dxeta(self, tau: float) -> np.ndarray:
-        return dxeta(self.labels, tau, self.prof, self.M)
-
-    def velocity(self, tau: float) -> np.ndarray:
-        return velocity_along(self.labels, tau, self.prof, self.M)
-
-    def csv_rows(self, taus) -> list:
-        rows = []
-        for tau in taus:
-            eta = self.eta(tau)
-            sig = self.sigma_along(tau)
-            jac = self.dxeta(tau)
-            vel = self.velocity(tau)
-            for i, x in enumerate(self.labels):
-                rows.append([x, tau, eta[i], sig[i], jac[i], vel[i]])
-        return rows
+def trajectory_rows(labels: np.ndarray, taus, prof: InitialProfile) -> list:
+    """One row (label, tau, eta, sigma, d(eta)/dx, v) per tau and label."""
+    rows = []
+    for tau in taus:
+        columns = (trajectory_position(labels, tau, prof),
+                   sigma_along(labels, tau, prof), dxeta(labels, tau, prof),
+                   velocity_along(labels, tau, prof))
+        rows.extend([x, tau, *values] for x, *values in zip(labels, *columns))
+    return rows
 
 
 @dataclass(frozen=True)

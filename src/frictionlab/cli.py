@@ -13,7 +13,7 @@ import click
 import numpy as np
 
 from .core import Field
-from .characteristics import TrajectoryBundle, vacuum_interval
+from .characteristics import trajectory_rows, vacuum_interval
 from .errors import FrictionLabError, SolverBreakdown, ValidationError
 from .experiments import (
     DEFAULT_WAVENUMBERS, ExperimentSpec, run_decay_fit, run_epsilon_sweep,
@@ -48,20 +48,15 @@ def common_options(fn):
     return fn
 
 
-def _build_spec(kind, config, out, profile, eps, grid, t_end,
-                t_default=None):
-    cfg = read_config(config) if config else {}
-    if grid is not None:
-        cfg["grid_n"] = grid
-    if t_end is not None:
-        cfg["t_end"] = t_end
-    elif t_default is not None and "t_end" not in cfg:
-        cfg["t_end"] = t_default
+def _build_spec(kind, config, out, profile, eps, grid, t_end, defaults=()):
+    """The command's spec and config: a flag overrides the config, which
+    overrides the command's defaults (config keys and values)."""
+    cfg = dict(defaults)
+    cfg.update(read_config(config) if config else {})
+    flags = {"grid_n": grid, "t_end": t_end, "profile": profile}
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
     params = build_params(cfg)
-
     name, args = profile_args_from(cfg)
-    if profile is not None:
-        name = profile
 
     if eps is not None:
         eps_list = tuple(float(tok) for tok in str(eps).split(",") if tok)
@@ -156,16 +151,15 @@ def simulate_ks_cmd(config, out, profile, eps, grid, t_end):
               help="Number of Lagrangian labels to track.")
 def characteristics_cmd(config, out, profile, eps, grid, t_end, labels):
     """Tabulate exact characteristic trajectories for a line profile."""
-    spec, _ = _guard(_build_spec, "single-run", config, out, profile or
-                     "vacuum-ramp", eps, grid, t_end, t_default=5.0)
+    spec, _ = _guard(_build_spec, "single-run", config, out, profile, eps,
+                     grid, t_end, {"t_end": 5.0, "profile": "vacuum-ramp"})
 
     def go():
-        M = spec.params.mass_level
-        prof = profile_line(spec.profile, M, **spec.profile_args)
+        prof = profile_line(spec.profile, spec.params.mass_level,
+                            **spec.profile_args)
         lab = np.linspace(prof.domain[0], prof.domain[1], labels)
-        bundle = TrajectoryBundle(lab, prof, M)
         taus = np.linspace(0.0, spec.params.t_end, 11)
-        rows = bundle.csv_rows(taus)
+        rows = trajectory_rows(lab, taus, prof)
         path = None
         if spec.output_dir is not None:
             path = write_csv(
@@ -173,7 +167,7 @@ def characteristics_cmd(config, out, profile, eps, grid, t_end, labels):
                 ("label", "tau", "position", "sigma", "jacobian", "velocity"),
                 rows)
         if prof.vacuum_set:
-            rep = vacuum_interval(spec.params.t_end, prof, M)
+            rep = vacuum_interval(spec.params.t_end, prof)
             click.echo(f"vacuum at tau={format_number(spec.params.t_end)}: "
                        f"[{format_number(rep.a)}, {format_number(rep.b)}] "
                        f"length={format_number(rep.length)} "
@@ -226,8 +220,8 @@ def sweep_cmd(config, out, profile, eps, grid, t_end):
 @common_options
 def vacuum_cmd(config, out, profile, eps, grid, t_end):
     """Vacuum-interval collapse and edge-derivative growth laws."""
-    spec, _ = _guard(_build_spec, "vacuum-collapse", config, out,
-                     profile or "vacuum-ramp", eps, grid, t_end)
+    spec, _ = _guard(_build_spec, "vacuum-collapse", config, out, profile,
+                     eps, grid, t_end, {"profile": "vacuum-ramp"})
     result = _guard(run_vacuum_collapse, spec)
     for row in result.rows:
         click.echo(f"tau={format_number(row.tau)}  "
@@ -248,7 +242,7 @@ def vacuum_cmd(config, out, profile, eps, grid, t_end):
 def decay_cmd(config, out, profile, eps, grid, t_end):
     """Post-layer exponential decay-rate fits."""
     spec, _ = _guard(_build_spec, "decay-fit", config, out, profile,
-                     eps, grid, t_end, t_default=5.0)
+                     eps, grid, t_end, {"t_end": 5.0})
     result = _guard(run_decay_fit, spec)
     for f in result.fits:
         click.echo(f"{f.series}: rate={format_number(f.rate)} "

@@ -303,18 +303,24 @@ def _rows_of(states, ps, names) -> Rows:
     return Rows(u, np.fft.rfft(shifted), [s.time for s in states], ps)
 
 
-def _step(rows: Rows, dt_for) -> list:
-    """One Lawson RK3 step of every member's rows (rho, w), in place;
-    friction acts on the w rows only.  dt_for(bounds) turns the members'
-    CFL bounds at the first stage, on the sum of their advective and sound
-    speeds, into their steps.  Returns per member None or the
-    SolverBreakdown that stopped it."""
+def step_ep_rows(rows: Rows, target: float) -> list:
+    """One Lawson RK3 step toward time `target` of every member's rows
+    (rho, w), in place; friction acts on the w rows only.  The drivers'
+    step.  The members may differ in epsilon only.
+
+    Each member takes dt = min(CFL bound, target - t), the bound
+    dt_cfl*h/(advective + sound speed) from its own first stage.  Returns
+    per member None or the SolverBreakdown that stopped it; a breakdown
+    leaves the other members' steps as they would be alone."""
+    if not all(t < target for t in rows.times):
+        raise ValueError("every member must be behind the target time")
     m = rows.members
     p = m.p
     u_n = rows.u
     g1, v = _rhs(u_n, rows.uh, m)
-    dt = dt_for([_cfl_bound(p, adv + sound)
-                 for adv, sound in _speeds(u_n[0], u_n[1], v, m.ps)])
+    dt = [min(_cfl_bound(p, adv + sound), target - t)
+          for (adv, sound), t in zip(_speeds(u_n[0], u_n[1], v, m.ps),
+                                     rows.times)]
     uh = _rk3(rows.uh, g1, lambda uh: _rhs(None, uh, m)[0], dt, m.lam)
     u = np.fft.irfft(uh, n=p.grid.n)
     u[0] += p.mass_level
@@ -330,20 +336,6 @@ def _step(rows: Rows, dt_for) -> list:
                 f"rho range [{low:.6g}, {high:.6g}] left "
                 f"[{lo:.6g}, {hi:.6g}] at tau = {times[i]:.6g}")
     return out
-
-
-def step_ep_rows(rows: Rows, target: float) -> list:
-    """One step toward time `target` of each member of the batch, in place:
-    the drivers' step.  The members may differ in epsilon only.
-
-    Each member takes dt = min(CFL bound, target - t), the bound
-    dt_cfl*h/(advective + sound speed) from its own first stage.  Returns
-    per member None or the SolverBreakdown that stopped it; a breakdown
-    leaves the other members' steps as they would be alone."""
-    if not all(t < target for t in rows.times):
-        raise ValueError("every member must be behind the target time")
-    return _step(rows, lambda bounds: [
-        min(bound, target - t) for bound, t in zip(bounds, rows.times)])
 
 
 @dataclass

@@ -249,7 +249,7 @@ def measured_vacuum_length(state: KSState, M: float) -> float:
     return float(x[zero[-1]] - x[zero[0]] + state.sigma.grid.h)
 
 
-def measure_edge_derivative_fd(prof: InitialProfile, M: float, tau: float,
+def measure_edge_derivative_fd(prof: InitialProfile, tau: float,
                                order: int = 1, n: int = 2048) -> float:
     """One-sided forward difference of order `order` at the right vacuum
     edge, computed on a reconstructed field over a thin window.
@@ -258,14 +258,14 @@ def measure_edge_derivative_fd(prof: InitialProfile, M: float, tau: float,
     squeezes the region where the edge power law dominates, so a fixed
     window would average over the saturated profile and miss the growth.
     """
-    rep = vacuum_interval(tau, prof, M)     # raises NoVacuum first
+    rep = vacuum_interval(tau, prof)  # raises NoVacuum first
     (a0, b0) = prof.vacuum_set[0]
-    width = FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * M * tau)
+    width = FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * prof.M * tau)
     grid = Grid.line(rep.b, rep.b + width, n)
     # the stencil reads the first order + 1 nodes: invert only those
-    labels = invert_trajectory_map(grid.x[:order + 1], tau, prof, M)
+    labels = invert_trajectory_map(grid.x[:order + 1], tau, prof)
     h = grid.h
-    stencil = np.maximum(sigma_along(labels, tau, prof, M), 0.0)
+    stencil = np.maximum(sigma_along(labels, tau, prof), 0.0)
     for _ in range(order):
         stencil = np.diff(stencil)
     return float(stencil[0] / h ** order)
@@ -290,19 +290,19 @@ def run_vacuum_collapse(spec: ExperimentSpec,
     M = spec.params.mass_level
     prof = profile_line(spec.profile, M, **spec.profile_args)
     touch = int(spec.profile_args.get("touch", 1))
-    limit = vacuum_interval(0.0, prof, M).limit_point   # raises NoVacuum first
+    limit = vacuum_interval(0.0, prof).limit_point  # raises NoVacuum first
     (a0, b0) = prof.vacuum_set[0]
-    deriv0 = derivative_along(b0, touch, 0.0, prof, M)
+    deriv0 = derivative_along(b0, touch, 0.0, prof)
     full_grid = Grid.line(prof.domain[0], prof.domain[1], n_grid)
 
     rows = []
     for tau in taus:
-        rep = vacuum_interval(tau, prof, M)
+        rep = vacuum_interval(tau, prof)
         measured = measured_vacuum_length(
-            reconstruct_eulerian(tau, prof, M, full_grid), M)
-        d_tau = derivative_along(b0, touch, tau, prof, M)
+            reconstruct_eulerian(tau, prof, full_grid), M)
+        d_tau = derivative_along(b0, touch, tau, prof)
         if tau <= fd_tau_max:
-            fd = measure_edge_derivative_fd(prof, M, tau, order=touch)
+            fd = measure_edge_derivative_fd(prof, tau, order=touch)
             fd_gap = abs(fd - d_tau) / abs(d_tau)
         else:
             fd, fd_gap = math.nan, math.nan

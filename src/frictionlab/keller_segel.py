@@ -51,10 +51,14 @@ def _flux_rhs(sigma, sh: np.ndarray, p: ParamSet):
     return np.fft.rfft(sigma * v) * sym.neg_ik_keep, v
 
 
-def _step_ks(rows: Rows, dt_for):
-    """One conservative RK3 step (stage times 0, 1/3, 2/3) of the
-    one-member batch rows, in place, of dt = dt_for(CFL bound of stage 1):
-    None, or the SolverBreakdown that stops it."""
+def step_ks_to(rows: Rows, target: float):
+    """One conservative RK3 step (stage times 0, 1/3, 2/3) toward `target`
+    of the one-member batch rows, in place, of dt = min(CFL bound, 0.1/M,
+    target - t), the bound from its first stage and capped because v
+    vanishes at equilibrium: the driver's step.  Returns None or the
+    SolverBreakdown that stops it."""
+    if not rows.times[0] < target:
+        raise ValueError("the state must be behind the target time")
     p = rows.ps[0]
     M = p.mass_level
     s_n = rows.u[0, 0]
@@ -64,7 +68,8 @@ def _step_ks(rows: Rows, dt_for):
             "use the characteristic solver near vacuum")
 
     g1, v = _flux_rhs(s_n, rows.uh, p)
-    dt = dt_for(_cfl_bound(p, float(np.max(np.abs(v)))))
+    dt = min(_cfl_bound(p, float(np.max(np.abs(v)))), 0.1 / M,
+             target - rows.times[0])
     uh = _rk3(rows.uh, g1, lambda u: _flux_rhs(None, u, p)[0], [dt], ((0.0,),))
     u = np.fft.irfft(uh, n=p.grid.n)
     u += M
@@ -78,18 +83,6 @@ def _step_ks(rows: Rows, dt_for):
         return VacuumApproach(
             f"min sigma = {min_sigma:.3e} reached the vacuum guard")
     return None
-
-
-def step_ks_to(rows: Rows, target: float):
-    """One step toward `target` of the one-member batch rows, in place, of
-    dt = min(CFL bound, 0.1/M, target - t), the bound from its first stage
-    and capped because v vanishes at equilibrium: the driver's step.
-    Returns None or the breakdown."""
-    if not rows.times[0] < target:
-        raise ValueError("the state must be behind the target time")
-    cap = 0.1 / rows.ps[0].mass_level
-    return _step_ks(rows, lambda bound: min(bound, cap,
-                                            target - rows.times[0]))
 
 
 def simulate_ks(sigma0: Field, p: ParamSet, sample_times,

@@ -1,10 +1,18 @@
 """Named analytic initial profiles.
 
+Every named profile is an `InitialProfile`: sigma0, its cumulative
+deviation F, its derivatives and its vacuum set in closed form, with the
+background level M the characteristic formulas read from it.  `PROFILES`
+maps each name to its builder; `profile_line` builds one from keyword
+arguments (an argument the builder does not take is an error), and
+`profile_field` samples it on a grid.
+
 Exact definitions (x is the spatial coordinate, M the background level):
 
 * ``equilibrium``: sigma0(x) = M.
 
-* ``cosine(amp, k)``: sigma0(x) = M + amp*cos(k*x) on the torus.
+* ``cosine(amp, k)``: sigma0(x) = M + amp*cos(k*x), k a positive
+  integer, F(x) = (amp/k) sin(k*x), d^j sigma0 = amp k^j cos(k*x + j pi/2).
 
 * ``bump(amp, radius, center)``: sigma0 = M + G'(x) with
   G(x) = amp*radius * u*(1-u^2)^3, u = (x-center)/radius, supported on
@@ -12,24 +20,25 @@ Exact definitions (x is the spatial coordinate, M the background level):
   and the cumulative integral F(x) = G(x) in closed form.  Works on the
   torus and on the line (deviation compactly supported).
 
-* ``vacuum-ramp(width, F0, touch)``: vacuum on [0,1]; on each side the
+* ``vacuum-ramp(width, f0, touch)``: vacuum on [0,1]; on each side the
   density climbs to M over a ramp of the given width using
   s_k(t) = (k+1)t^k - k t^(k+1) (touch order k at the vacuum edge,
   C^1 at the plateau end); quartic bumps h*(1-u^2)^2 on the outer
-  plateaus tune the cumulative integral so that F(0) = F0 and
+  plateaus tune the cumulative integral so that F(0) = f0 and
   F(+inf) = 0.  One-sided edge derivatives are
   d^j sigma0(0-) = M*(+-1/width)^j * s_k^(j)(0), with s_k^(j)(0) = 0 for
   j < k and s_k^(k)(0) = (k+1)!.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Field, Grid
+from .core import MEAN_DEFECT_TOL, Field, Grid
 from .errors import NonzeroTotalMass, RangeViolation
 
 TORUS_DOMAIN = (0.0, 2.0 * math.pi)   # line domain of the torus-born profiles
@@ -138,6 +147,26 @@ def equilibrium_profile(M: float) -> InitialProfile:
     )
 
 
+def cosine_profile(M: float, amp: float = 0.3, k: int = 1) -> InitialProfile:
+    """sigma0 = M + amp cos(kx) on the torus; F = (amp/k) sin(kx) exactly."""
+    if abs(amp) > M:
+        raise RangeViolation("cosine amplitude drives the profile negative")
+    if k != int(k) or k < 1:
+        raise ValueError(f"cosine wavenumber k must be a positive integer, got {k}")
+    k = int(k)
+    return InitialProfile(
+        M=M,
+        sigma0=lambda x: M + amp * np.cos(k * np.asarray(x, dtype=float)),
+        cumulative=lambda x: (amp / k) * np.sin(k * np.asarray(x, dtype=float)),
+        deriv=lambda x, j=1: amp * k**j * np.cos(
+            k * np.asarray(x, dtype=float) + j * math.pi / 2.0),
+        vacuum_set=(),
+        domain=TORUS_DOMAIN,
+        max_abs_F=abs(amp) / k,
+        label="cosine",
+    )
+
+
 def bump_profile(M: float, amp: float = 0.45, radius: float = 1.2,
                  center: float = math.pi) -> InitialProfile:
     """sigma0 = M + G' with G = amp*radius*u*(1-u^2)^3; F = G exactly."""
@@ -176,7 +205,7 @@ def bump_profile(M: float, amp: float = 0.45, radius: float = 1.2,
     )
 
 
-def vacuum_ramp_profile(M: float, width: float = 0.5, F0: Optional[float] = None,
+def vacuum_ramp_profile(M: float, width: float = 0.5, f0: Optional[float] = None,
                         touch: int = 1) -> InitialProfile:
     """Vacuum interval [0,1] with touch-order ramps and compensating bumps
     of radius RAMP_BUMP_RADIUS, RAMP_GAP beyond each ramp, inside a domain
@@ -188,16 +217,16 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, F0: Optional[float] = None
     k = int(touch)
     w = float(width)
     ramp_deficit = M * w * k / (k + 2.0)  # mass deficit of one ramp
-    if F0 is None:
-        F0 = -ramp_deficit  # no left bump needed
-    A_left = F0 + ramp_deficit
-    A_right = M + ramp_deficit - F0
+    if f0 is None:
+        f0 = -ramp_deficit  # no left bump needed
+    A_left = f0 + ramp_deficit
+    A_right = M + ramp_deficit - f0
     r = RAMP_BUMP_RADIUS
     h_left = 15.0 * A_left / (16.0 * r)
     h_right = 15.0 * A_right / (16.0 * r)
     if h_left <= -M:
         raise RangeViolation(
-            f"F0 = {F0} needs a negative bump deeper than the background")
+            f"f0 = {f0} needs a negative bump deeper than the background")
     c_left = -w - RAMP_GAP - r
     c_right = 1.0 + w + RAMP_GAP + r
     domain = (c_left - r - RAMP_MARGIN, c_right + r + RAMP_MARGIN)
@@ -261,8 +290,8 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, F0: Optional[float] = None
     prof = InitialProfile(
         M=M, sigma0=sigma0, cumulative=cumulative, deriv=deriv,
         vacuum_set=((0.0, 1.0),), domain=domain,
-        max_abs_F=float(abs(F0) + M + abs(A_right) + abs(A_left)),
-        label=f"vacuum-ramp(width={w}, F0={F0}, touch={k})",
+        max_abs_F=float(abs(f0) + M + abs(A_right) + abs(A_left)),
+        label=f"vacuum-ramp(width={w}, f0={f0}, touch={k})",
     )
     return prof.check()
 
@@ -270,64 +299,34 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, F0: Optional[float] = None
 # --------------------------------------------------------------------------
 # registry for the CLI / experiment harness
 
-@dataclass(frozen=True)
-class NamedProfile:
-    name: str
-    field_builder: Callable            # (grid, M, args) -> Field
-    profile_builder: Optional[Callable]  # (M, args) -> InitialProfile, if line-capable
-
-
-def _cosine_field(grid: Grid, M: float, args: dict) -> Field:
-    amp = args.get("amp", 0.3)
-    k = int(args.get("k", 1))
-    return Field(grid, M + amp * np.cos(k * grid.x), tag="density")
-
-
-def _equilibrium_field(grid: Grid, M: float, args: dict) -> Field:
-    return Field(grid, np.full(grid.n, M), tag="density")
-
-
-def _bump_field(grid: Grid, M: float, args: dict) -> Field:
-    prof = _bump_prof(M, args)
-    return Field(grid, prof.sigma0(grid.x), tag="density")
-
-
-def _vacuum_field(grid: Grid, M: float, args: dict) -> Field:
-    prof = _vacuum_profile(M, args)
-    return Field(grid, prof.sigma0(grid.x), tag="density")
-
-
-def _bump_prof(M: float, args: dict) -> InitialProfile:
-    return bump_profile(M, amp=args.get("amp", 0.45),
-                        radius=args.get("radius", 1.2),
-                        center=args.get("center", math.pi))
-
-
-def _vacuum_profile(M: float, args: dict) -> InitialProfile:
-    return vacuum_ramp_profile(
-        M, width=args.get("width", 0.5), F0=args.get("f0"),
-        touch=int(args.get("touch", 1)))
-
-
 PROFILES = {
-    "equilibrium": NamedProfile("equilibrium", _equilibrium_field,
-                                lambda M, args: equilibrium_profile(M)),
-    "cosine": NamedProfile("cosine", _cosine_field, None),
-    "bump": NamedProfile("bump", _bump_field, _bump_prof),
-    "vacuum-ramp": NamedProfile("vacuum-ramp", _vacuum_field, _vacuum_profile),
+    "equilibrium": equilibrium_profile,
+    "cosine": cosine_profile,
+    "bump": bump_profile,
+    "vacuum-ramp": vacuum_ramp_profile,
 }
 
 
-def profile_field(name: str, grid: Grid, M: float, **args) -> Field:
-    if name not in PROFILES:
-        raise KeyError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
-    return PROFILES[name].field_builder(grid, M, args)
-
-
 def profile_line(name: str, M: float, **args) -> InitialProfile:
+    """The named profile built from its keyword arguments.  Raises KeyError
+    for an unknown name and ValueError for an argument its builder does
+    not take."""
     if name not in PROFILES:
         raise KeyError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
-    builder = PROFILES[name].profile_builder
-    if builder is None:
-        raise ValueError(f"profile {name!r} is torus-only")
-    return builder(M, args)
+    builder = PROFILES[name]
+    try:
+        inspect.signature(builder).bind(M, **args)
+    except TypeError as err:
+        raise ValueError(f"profile {name!r}: {err}") from None
+    return builder(M, **args)
+
+
+def profile_field(name: str, grid: Grid, M: float, **args) -> Field:
+    """The named profile sampled at the grid nodes, less the sampled
+    deviation's mean where its integral exceeds MEAN_DEFECT_TOL |Omega|
+    (a bump's exact zero mean is not the quadrature's)."""
+    values = profile_line(name, M, **args).sigma0(grid.x)
+    defect = grid.integrate(values - M)
+    if abs(defect) > MEAN_DEFECT_TOL * grid.measure:
+        values = values - defect / grid.measure
+    return Field(grid, values, tag="density")

@@ -27,20 +27,20 @@ def dense_trig_interp():
     return _dense_trig_interp
 
 
-def _plain_bisection(y, tau, prof, M):
+def _plain_bisection(y, tau, prof):
     """The trajectory-map inversion that evaluates eta at every midpoint:
     the labels characteristics.invert_trajectory_map must reproduce."""
     y = np.asarray(y, dtype=float)
-    c = prof.max_abs_F / M + 1.0
+    c = prof.max_abs_F / prof.M + 1.0
     lo = y - c
     hi = y + c
-    eta_lo = trajectory_position(lo, tau, prof, M)
-    eta_hi = trajectory_position(hi, tau, prof, M)
+    eta_lo = trajectory_position(lo, tau, prof)
+    eta_hi = trajectory_position(hi, tau, prof)
     if np.any(eta_lo > y) or np.any(eta_hi < y):
         raise InversionFailure("bracket does not contain the target positions")
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        above = trajectory_position(mid, tau, prof, M) > y
+        above = trajectory_position(mid, tau, prof) > y
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
         if np.max(hi - lo) < 1e-14:

@@ -51,12 +51,12 @@ def test_criterion_01_vacuum_interval_law():
         (a0, b0) = prof.vacuum_set[0]
         grid = Grid.line(prof.domain[0], prof.domain[1], 4096)
         for tau in taus:
-            rep = vacuum_interval(tau, prof, M)
+            rep = vacuum_interval(tau, prof)
             exact = (b0 - a0) * math.exp(-M * tau)
             worst_rel = max(worst_rel,
                             abs(rep.length - exact) / (b0 - a0))
             measured = measured_vacuum_length(
-                reconstruct_eulerian(tau, prof, M, grid), M)
+                reconstruct_eulerian(tau, prof, grid), M)
             worst_cells = max(worst_cells,
                               abs(measured - exact) / grid.h)
     ok = worst_rel <= 1e-12 and worst_cells <= 1.0
@@ -73,16 +73,16 @@ def test_criterion_02_edge_derivative_blowup():
     for touch in (1, 2, 3):
         prof = vacuum_ramp_profile(M, touch=touch)
         b0 = prof.vacuum_set[0][1]
-        d0 = derivative_along(b0, touch, 0.0, prof, M)
+        d0 = derivative_along(b0, touch, 0.0, prof)
         for tau in taus_law:
-            growth = derivative_along(b0, touch, tau, prof, M) / d0
+            growth = derivative_along(b0, touch, tau, prof) / d0
             predicted = math.exp((touch + 1) * M * tau)
             worst_law = max(worst_law,
                             abs(growth - predicted) / predicted)
         for tau in taus_fd:
-            fd = measure_edge_derivative_fd(prof, M, tau, order=touch,
+            fd = measure_edge_derivative_fd(prof, tau, order=touch,
                                             n=2048)
-            exact = derivative_along(b0, touch, tau, prof, M)
+            exact = derivative_along(b0, touch, tau, prof)
             worst_fd = max(worst_fd, abs(fd - exact) / abs(exact))
     ok = worst_law <= 1e-12 and worst_fd <= 0.05
     _verdict(2, "edge derivative blow-up", ok,
@@ -131,7 +131,7 @@ def test_criterion_03_logistic_oracle():
         prof = _const_profile(s0, M)
         floor = min(s0, M)
         for tau in taus:
-            value = sigma_along(0.5, tau, prof, M)
+            value = sigma_along(0.5, tau, prof)
             worst = max(worst, abs(value - _rk4_logistic(s0, M, tau)))
             if value < floor - 1e-12:
                 bounds_ok = False

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from frictionlab import characteristics
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.characteristics import (
-    TrajectoryBundle, derivative_along, dxeta, invert_trajectory_map,
-    reconstruct_eulerian,
+    derivative_along, dxeta, invert_trajectory_map, reconstruct_eulerian,
     semi_lagrangian_oracle, sigma_along, trajectory_position,
-    vacuum_interval, velocity_along,
+    trajectory_rows, vacuum_interval, velocity_along,
 )
 from frictionlab.errors import (
     InversionFailure, MultipleVacuumIntervals, NoVacuum,
@@ -47,21 +46,21 @@ def rk4_logistic(sigma0, M, tau, n=20000):
 def test_velocity_closed_form(ramp):
     F = lambda x: float(ramp.cumulative(np.array([x]))[0])
     x = -0.8
-    assert velocity_along(x, 0.0, ramp, 1.0) == pytest.approx(F(x))
-    assert velocity_along(x, math.log(2.0), ramp, 1.0) == \
+    assert velocity_along(x, 0.0, ramp) == pytest.approx(F(x))
+    assert velocity_along(x, math.log(2.0), ramp) == \
         pytest.approx(0.5 * F(x))
 
 
 def test_velocity_zero_for_equilibrium():
     prof = equilibrium_profile(1.0)
-    assert velocity_along(2.0, 1.3, prof, 1.0) == 0.0
+    assert velocity_along(2.0, 1.3, prof) == 0.0
 
 
 def test_trajectory_closed_form_and_limit(ramp):
     F0 = float(ramp.cumulative(np.array([0.0]))[0])
-    assert trajectory_position(0.0, math.log(2.0), ramp, 1.0) == \
+    assert trajectory_position(0.0, math.log(2.0), ramp) == \
         pytest.approx(0.0 + 0.5 * F0)
-    assert trajectory_position(0.0, math.inf, ramp, 1.0) == \
+    assert trajectory_position(0.0, math.inf, ramp) == \
         pytest.approx(F0)
 
 
@@ -81,19 +80,19 @@ def test_trajectory_vs_rk4_of_velocity(ramp):
         k2 = math.exp(-(t + dt / 2)) * F(x0)
         k4 = math.exp(-(t + dt)) * F(x0)
         eta += (dt / 6.0) * (k1 + 4 * k2 + k4)
-    assert trajectory_position(x0, tau_end, ramp, M) == \
+    assert trajectory_position(x0, tau_end, ramp) == \
         pytest.approx(eta, abs=1e-10)
 
 
 def test_trajectories_order_preserving(ramp):
     labels = np.linspace(ramp.domain[0], ramp.domain[1], 301)
     for tau in (0.1, 1.0, 10.0):
-        eta = trajectory_position(labels, tau, ramp, 1.0)
+        eta = trajectory_position(labels, tau, ramp)
         assert np.all(np.diff(eta) > 0.0)
     # near the horizon vacuum labels coincide to machine precision: the
     # exact spacing h*e^{-49} sits far below one ulp of eta, so order is
     # preserved only up to rounding noise
-    eta = trajectory_position(labels, 49.0, ramp, 1.0)
+    eta = trajectory_position(labels, 49.0, ramp)
     assert np.all(np.diff(eta) >= -1e-15)
 
 
@@ -121,7 +120,7 @@ def _logistic_via_sigma_along(sigma0, tau, M):
         max_abs_F=0.0,
         label="stub",
     )
-    return sigma_along(0.5, tau, stub, M)
+    return sigma_along(0.5, tau, stub)
 
 
 @pytest.mark.parametrize("sigma0", [0.0, 0.1, 0.5, 1.0, 2.0])
@@ -142,73 +141,73 @@ def test_logistic_bounds_property(sigma0, tau):
 
 
 def test_vacuum_interval_laws(ramp):
-    rep0 = vacuum_interval(0.0, ramp, 1.0)
+    rep0 = vacuum_interval(0.0, ramp)
     assert rep0.length == pytest.approx(1.0)
-    rep = vacuum_interval(math.log(2.0), ramp, 1.0)
+    rep = vacuum_interval(math.log(2.0), ramp)
     assert rep.length == pytest.approx(0.5, rel=1e-14)
     assert rep.b - rep.a == pytest.approx(0.5, rel=1e-12)
 
 
 def test_vacuum_limit_point_matches_f0():
-    prof = vacuum_ramp_profile(1.0, F0=-0.3)
-    rep = vacuum_interval(2.0, prof, 1.0)
+    prof = vacuum_ramp_profile(1.0, f0=-0.3)
+    rep = vacuum_interval(2.0, prof)
     assert rep.limit_point == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_vacuum_interval_requires_vacuum():
     with pytest.raises(NoVacuum):
-        vacuum_interval(1.0, bump_profile(1.0), 1.0)
+        vacuum_interval(1.0, bump_profile(1.0))
 
 
 def test_vacuum_interval_refuses_two_intervals(ramp):
     from dataclasses import replace
     two = replace(ramp, vacuum_set=((0.0, 0.4), (0.6, 1.0)))
     with pytest.raises(MultipleVacuumIntervals):
-        vacuum_interval(1.0, two, 1.0)
+        vacuum_interval(1.0, two)
 
 
 def test_edge_gradient_growth(ramp):
-    d0 = derivative_along(1.0, 1, 0.0, ramp, 1.0)
-    d = derivative_along(1.0, 1, math.log(2.0), ramp, 1.0)
+    d0 = derivative_along(1.0, 1, 0.0, ramp)
+    d = derivative_along(1.0, 1, math.log(2.0), ramp)
     assert d / d0 == pytest.approx(4.0, rel=1e-13)  # e^{2 M tau}
 
 
 def test_higher_order_growth_law():
     prof = vacuum_ramp_profile(1.0, touch=2)
-    d0 = derivative_along(1.0, 2, 0.0, prof, 1.0)
-    d = derivative_along(1.0, 2, math.log(2.0), prof, 1.0)
+    d0 = derivative_along(1.0, 2, 0.0, prof)
+    d = derivative_along(1.0, 2, math.log(2.0), prof)
     assert d / d0 == pytest.approx(8.0, rel=1e-13)  # e^{3 M tau}
 
 
 def test_nonvacuum_first_derivative_decays(ramp):
     x = -0.25  # on the descending left ramp, where sigma0 in (0, M)
-    d_small = derivative_along(x, 1, 30.0, ramp, 1.0)
-    assert derivative_along(x, 1, 0.0, ramp, 1.0) != 0.0
+    d_small = derivative_along(x, 1, 30.0, ramp)
+    assert derivative_along(x, 1, 0.0, ramp) != 0.0
     assert abs(d_small) <= 1e-10
 
 
 def test_nonvacuum_higher_order_unsupported(ramp):
     with pytest.raises(UnsupportedOrder):
-        derivative_along(-0.25, 2, 1.0, ramp, 1.0)
+        derivative_along(-0.25, 2, 1.0, ramp)
 
 
 def test_growth_law_precondition(ramp):
     # touch-1 profile has nonvanishing first derivative at the edge, so
     # the second-order law does not apply there
     with pytest.raises(PreconditionViolation):
-        derivative_along(1.0, 2, 1.0, ramp, 1.0)
+        derivative_along(1.0, 2, 1.0, ramp)
 
 
 def test_dxeta_positive(ramp):
     labels = np.linspace(ramp.domain[0], ramp.domain[1], 101)
     for tau in (0.0, 1.0, 5.0):
-        assert np.all(dxeta(labels, tau, ramp, 1.0) > 0.0)
+        assert np.all(dxeta(labels, tau, ramp) > 0.0)
 
 
 def test_reconstruct_equilibrium():
     prof = equilibrium_profile(1.0)
     g = Grid.line(0.0, 2.0, 129)
-    state = reconstruct_eulerian(1.0, prof, 1.0, g)
+    state = reconstruct_eulerian(1.0, prof, g)
     np.testing.assert_allclose(state.sigma.values, 1.0, atol=1e-12)
 
 
@@ -216,10 +215,10 @@ def test_reconstruct_matches_flow(ramp):
     # push labels forward, then invert: values must agree along positions
     tau = 1.0
     labels = np.linspace(-1.5, 2.0, 41)
-    pos = trajectory_position(labels, tau, ramp, 1.0)
+    pos = trajectory_position(labels, tau, ramp)
     g = Grid.line(float(pos[0]), float(pos[-1]), 4097)
-    state = reconstruct_eulerian(tau, ramp, 1.0, g)
-    expected = sigma_along(labels, tau, ramp, 1.0)
+    state = reconstruct_eulerian(tau, ramp, g)
+    expected = sigma_along(labels, tau, ramp)
     sampled = np.interp(pos, g.x, state.sigma.values)
     # linear resampling costs ~h^2 sigma'' and the edge has steepened
     np.testing.assert_allclose(sampled, expected, atol=1e-4)
@@ -228,7 +227,7 @@ def test_reconstruct_matches_flow(ramp):
 def test_reconstructed_vacuum_gap(ramp):
     tau = 3.0
     g = Grid.line(ramp.domain[0], ramp.domain[1], 4096)
-    state = reconstruct_eulerian(tau, ramp, 1.0, g)
+    state = reconstruct_eulerian(tau, ramp, g)
     gap_cells = np.flatnonzero(state.sigma.values <= 1e-9)
     measured = g.x[gap_cells[-1]] - g.x[gap_cells[0]] + g.h
     assert abs(measured - math.exp(-3.0)) <= g.h
@@ -243,17 +242,17 @@ def test_edge_labels_match_the_full_grid(width, touch, tau):
     # and so must the difference itself
     M = 1.0
     prof = vacuum_ramp_profile(M, width=width, touch=touch)
-    b = vacuum_interval(tau, prof, M).b
+    b = vacuum_interval(tau, prof).b
     (a0, b0), = prof.vacuum_set
     n = 2048
     grid = Grid.line(b, b + FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * M * tau), n)
-    full = invert_trajectory_map(grid.x, tau, prof, M)
-    part = invert_trajectory_map(grid.x[:touch + 1], tau, prof, M)
+    full = invert_trajectory_map(grid.x, tau, prof)
+    part = invert_trajectory_map(grid.x[:touch + 1], tau, prof)
     assert np.array_equal(part, full[:touch + 1])
-    stencil = reconstruct_eulerian(tau, prof, M, grid).sigma.values[:touch + 1]
+    stencil = reconstruct_eulerian(tau, prof, grid).sigma.values[:touch + 1]
     for _ in range(touch):
         stencil = np.diff(stencil)
-    assert measure_edge_derivative_fd(prof, M, tau, order=touch, n=n) == \
+    assert measure_edge_derivative_fd(prof, tau, order=touch, n=n) == \
         float(stencil[0] / grid.h ** touch)
 
 
@@ -279,38 +278,38 @@ def inversion_cases(draw):
     else:
         starts = [st.floats(lo, hi)]
         if prof.vacuum_set:
-            rep = vacuum_interval(tau, prof, M)
+            rep = vacuum_interval(tau, prof)
             starts.append(st.sampled_from([rep.a, rep.b]))
         start = draw(st.one_of(*starts))
         step = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.5]))
         y = start + step * np.arange(size)
-    return prof, M, tau, y
+    return prof, tau, y
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=inversion_cases())
 def test_inversion_is_bit_identical_to_plain_bisection(case, plain_bisection):
-    prof, M, tau, y = case
-    assert np.array_equal(invert_trajectory_map(y, tau, prof, M),
-                          plain_bisection(y, tau, prof, M))
+    prof, tau, y = case
+    assert np.array_equal(invert_trajectory_map(y, tau, prof),
+                          plain_bisection(y, tau, prof))
 
 
 @pytest.mark.parametrize("tau", [math.nan, -1.0, -1e-300])
 def test_inversion_rejects_nan_or_negative_tau(ramp, tau):
     with pytest.raises(ValueError, match="tau"):
-        invert_trajectory_map(np.array([0.0, 0.5]), tau, ramp, 1.0)
+        invert_trajectory_map(np.array([0.0, 0.5]), tau, ramp)
 
 
 def test_inversion_bracket_miss_raises(ramp):
     # max_abs_F = 0 claims a bracket of +-1, but (1 - e^{-5}) F(1) < -1
     understated = dataclasses.replace(ramp, max_abs_F=0.0)
     with pytest.raises(InversionFailure, match="bracket"):
-        invert_trajectory_map(np.array([0.0]), 5.0, understated, 1.0)
+        invert_trajectory_map(np.array([0.0]), 5.0, understated)
 
 
 def test_inversion_of_descending_targets_raises(ramp):
     with pytest.raises(InversionFailure, match="monotone"):
-        invert_trajectory_map(np.array([1.0, 0.0]), 1.0, ramp, 1.0)
+        invert_trajectory_map(np.array([1.0, 0.0]), 1.0, ramp)
 
 
 def _eta_evaluations(prof, tau, monkeypatch) -> float:
@@ -324,7 +323,7 @@ def _eta_evaluations(prof, tau, monkeypatch) -> float:
         return original(x, *args)
 
     monkeypatch.setattr(characteristics, "trajectory_position", counting)
-    invert_trajectory_map(grid.x, tau, prof, 1.0)
+    invert_trajectory_map(grid.x, tau, prof)
     return sum(evaluated) / grid.n
 
 
@@ -344,15 +343,19 @@ def test_inversion_skips_a_guess_that_cannot_pay(ramp, tau, monkeypatch):
     assert _eta_evaluations(ramp, tau, monkeypatch) <= 52.0
 
 
-def test_trajectory_bundle_rows(ramp):
-    bundle = TrajectoryBundle(np.array([0.5, -0.25]), ramp, 1.0)
-    assert bundle.labels[0] < bundle.labels[1]  # sorted on construction
-    rows = bundle.csv_rows([0.0, 1.0])
+def test_trajectory_rows(ramp):
+    labels = np.array([-0.25, 0.5])
+    rows = trajectory_rows(labels, [0.0, 1.0], ramp)
     assert len(rows) == 4
     label, tau, eta, sig, jac, vel = rows[0]
-    assert tau == 0.0
+    assert (label, tau) == (-0.25, 0.0)
     assert eta == pytest.approx(label)
     assert jac == pytest.approx(1.0)
+    label, tau, eta, sig, jac, vel = rows[3]
+    assert (label, tau) == (0.5, 1.0)
+    assert [eta, sig, jac, vel] == [
+        trajectory_position(0.5, 1.0, ramp), sigma_along(0.5, 1.0, ramp),
+        dxeta(0.5, 1.0, ramp), velocity_along(0.5, 1.0, ramp)]
 
 
 def test_oracle_on_constant_field():

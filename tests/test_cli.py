@@ -186,10 +186,59 @@ def test_vacuum_command_verdicts(runner, tmp_path):
     assert (tmp_path / "vacuum.csv").exists()
 
 
-@pytest.mark.parametrize("profile", ["bump", "equilibrium"])
+@pytest.mark.parametrize("profile", ["bump", "equilibrium", "cosine"])
 def test_vacuum_without_vacuum_interval_exits_2(runner, profile):
     # the profile has no vacuum interval: a typed NoVacuum, not a traceback
     result = runner.invoke(main, ["vacuum", "--profile", profile])
     assert result.exit_code == 2, outputs(result)
     assert "has no vacuum interval" in outputs(result)
     assert result.exc_info is None or result.exc_info[0] is SystemExit
+
+
+@pytest.mark.parametrize("command", ["vacuum", "characteristics"])
+def test_config_profile_beats_the_command_default(runner, tmp_path, command):
+    # vacuum-ramp is the default only when neither --profile nor the
+    # config names a profile
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile = bump\n")
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out",
+                                  str(tmp_path)])
+    if command == "vacuum":
+        assert result.exit_code == 2, outputs(result)
+        assert "has no vacuum interval" in outputs(result)
+    else:
+        assert result.exit_code == 0, outputs(result)
+        assert "vacuum at" not in result.output
+
+
+def test_characteristics_tabulates_the_cosine(runner, tmp_path):
+    result = runner.invoke(main, [
+        "characteristics", "--profile", "cosine", "--labels", "5",
+        "--out", str(tmp_path)])
+    assert result.exit_code == 0, outputs(result)
+    assert "vacuum at" not in result.output
+    lines = (tmp_path / "trajectories.csv").read_text().splitlines()
+    assert len(lines) == 1 + 5 * 11
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("vacuum", "profile_widht = 0.7", "argument 'widht'"),
+    ("simulate-ks", "profile_k = 1.5", "wavenumber k must be"),
+    ("simulate-ep", "profile_radius = 1.0", "argument 'radius'")])
+def test_bad_profile_argument_exits_2(runner, tmp_path, command, line,
+                                      message):
+    # a misspelt key or a non-integer wavenumber is refused, not ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid_n = 64\nt_end = 0.1\n{line}\n")
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert message in outputs(result)
+
+
+@pytest.mark.parametrize("command", ["simulate-ks", "simulate-ep"])
+def test_bump_runs_on_the_torus(runner, command):
+    # the bump's sampled mean defect is removed, so the solvers take it
+    result = runner.invoke(main, [command, "--profile", "bump", "--grid",
+                                  "64", "--t-end", "0.5"])
+    assert result.exit_code == 0, outputs(result)
+    assert "status=ok" in result.output

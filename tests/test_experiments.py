@@ -208,8 +208,8 @@ class TestVacuumCollapse:
         from frictionlab.profiles import profile_line
         prof = profile_line("vacuum-ramp", 1.0)
         for tau in (0.0, 1.0, 2.0):
-            fd = measure_edge_derivative_fd(prof, 1.0, tau)
-            exact = derivative_along(1.0, 1, tau, prof, 1.0)
+            fd = measure_edge_derivative_fd(prof, tau)
+            exact = derivative_along(1.0, 1, tau, prof)
             assert fd == pytest.approx(exact, rel=5e-3)
 
 

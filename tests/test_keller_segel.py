@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from frictionlab import euler_poisson, keller_segel
+from frictionlab.characteristics import reconstruct_eulerian
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate
 from frictionlab.errors import Blowup, MeanDefect, VacuumApproach
 from frictionlab.keller_segel import simulate_ks, step_ks_to
+from frictionlab.profiles import cosine_profile
 from frictionlab.spectral import dealias, deriv, inverse_gradient
 
 
@@ -211,3 +213,31 @@ def test_step_ks_is_third_order_in_dt(params, torus64):
     errors = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders[-2:]) >= 2.8, orders
+
+
+def _exact_gap(amp, dt_cfl, n=512, tau=1.0):
+    """Max gap at tau between simulate_ks from the cosine profile and the
+    profile's closed-form torus solution (characteristics)."""
+    grid = Grid.torus(n)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid, dt_cfl=dt_cfl,
+                 t_end=tau)
+    prof = cosine_profile(1.0, amp)
+    result = simulate_ks(Field(grid, prof.sigma0(grid.x), tag="density"), p,
+                         [0.0, tau], records=False)
+    assert result.ok
+    exact = reconstruct_eulerian(tau, prof, grid).sigma.values
+    return float(np.max(np.abs(result.samples[-1][0].sigma.values - exact)))
+
+
+def test_simulate_ks_matches_the_exact_torus_solution():
+    # at tau = 1, amp 0.3, n = 512: 2.65e-7 measured at the default CFL
+    assert _exact_gap(0.3, 0.4) <= 5e-7
+
+
+@pytest.mark.parametrize("amp", [0.3, 0.6])
+def test_simulate_ks_converges_to_the_exact_solution_at_third_order(amp):
+    # each dt halving divides the gap by 7.8-8.0 (order ~3)
+    gaps = [_exact_gap(amp, dt_cfl) for dt_cfl in (0.4, 0.2, 0.1)]
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert min(ratios) >= 7.0, (gaps, ratios)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from frictionlab.core import Grid
+from frictionlab.core import MEAN_DEFECT_TOL, Grid
 from frictionlab.errors import RangeViolation
 from frictionlab.profiles import (
-    PROFILES, bump_profile, equilibrium_profile, profile_field,
-    profile_line, vacuum_ramp_profile,
+    PROFILES, bump_profile, cosine_profile, equilibrium_profile,
+    profile_field, profile_line, vacuum_ramp_profile,
 )
 
 
@@ -17,6 +17,42 @@ def test_equilibrium_profile_flat():
     np.testing.assert_allclose(prof.sigma0(x), 1.5)
     np.testing.assert_allclose(prof.cumulative(x), 0.0)
     assert prof.vacuum_set == ()
+
+
+class TestCosineProfile:
+    def test_closed_forms(self):
+        prof = cosine_profile(1.0, amp=0.3, k=2)
+        x = np.linspace(*prof.domain, 2001)
+        np.testing.assert_array_equal(prof.sigma0(x), 1.0 + 0.3 * np.cos(2 * x))
+        np.testing.assert_allclose(prof.cumulative(x), 0.15 * np.sin(2 * x))
+        assert np.max(np.abs(prof.cumulative(x))) <= prof.max_abs_F
+        assert prof.vacuum_set == ()
+        prof.check()
+
+    def test_cumulative_is_antiderivative(self):
+        prof = cosine_profile(1.0, amp=0.3, k=3)
+        x = np.linspace(0.5, 5.5, 2001)
+        dF = np.gradient(prof.cumulative(x), x, edge_order=2)
+        np.testing.assert_allclose(dF, prof.sigma0(x) - 1.0, atol=5e-5)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_derivatives(self, j):
+        prof = cosine_profile(1.0, amp=0.3, k=2)
+        x = np.linspace(0.0, 6.0, 13)
+        h = 1e-3
+        # central difference of the (j-1)-th derivative
+        lower = prof.sigma0 if j == 1 else (lambda y: prof.deriv(y, j - 1))
+        fd = (lower(x + h) - lower(x - h)) / (2 * h)
+        np.testing.assert_allclose(prof.deriv(x, j), fd, atol=1e-4 * 2**j)
+
+    def test_rejects_negative_density(self):
+        with pytest.raises(RangeViolation):
+            cosine_profile(1.0, amp=-1.2)
+
+    @pytest.mark.parametrize("k", [1.5, 0, -1])
+    def test_rejects_a_wavenumber_that_is_not_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="wavenumber"):
+            cosine_profile(1.0, k=k)
 
 
 class TestBumpProfile:
@@ -74,7 +110,7 @@ class TestVacuumRamp:
         assert F0 == pytest.approx(-1.0 * 0.5 * 1.0 / 3.0, rel=1e-12)
 
     def test_requested_f0_reached(self):
-        prof = vacuum_ramp_profile(1.0, F0=-0.3)
+        prof = vacuum_ramp_profile(1.0, f0=-0.3)
         assert float(prof.cumulative(np.array([0.0]))[0]) == \
             pytest.approx(-0.3, abs=1e-12)
 
@@ -100,17 +136,33 @@ class TestVacuumRamp:
 
     def test_rejects_too_negative_f0(self):
         with pytest.raises(RangeViolation):
-            vacuum_ramp_profile(1.0, F0=-5.0)
+            vacuum_ramp_profile(1.0, f0=-5.0)
 
 
 def test_registry_names():
-    assert set(PROFILES) == {"equilibrium", "cosine", "bump", "vacuum-ramp"}
+    assert PROFILES == {"equilibrium": equilibrium_profile,
+                        "cosine": cosine_profile, "bump": bump_profile,
+                        "vacuum-ramp": vacuum_ramp_profile}
 
 
 def test_profile_field_cosine():
+    # a zero-mean sampling is left exactly as sampled
     g = Grid.torus(64)
     f = profile_field("cosine", g, 1.0, amp=0.2, k=2)
-    np.testing.assert_allclose(f.values, 1.0 + 0.2 * np.cos(2 * g.x))
+    np.testing.assert_array_equal(f.values, 1.0 + 0.2 * np.cos(2 * g.x))
+
+
+@pytest.mark.parametrize("n", [64, 128, 512, 4096])
+def test_profile_field_removes_the_sampled_mean_defect(n):
+    # the bump's deviation has zero mean exactly but not on the grid:
+    # 2.3e-4 at n = 64 to 8.0e-10 at n = 4096, above the tolerance
+    g = Grid.torus(n)
+    sampled = bump_profile(1.0).sigma0(g.x)
+    assert abs(g.integrate(sampled - 1.0)) > MEAN_DEFECT_TOL * g.measure
+    f = profile_field("bump", g, 1.0)
+    assert abs(g.integrate(f.values - 1.0)) <= MEAN_DEFECT_TOL * g.measure
+    shift = f.values - sampled
+    np.testing.assert_allclose(shift, shift[0], rtol=0.0, atol=1e-15)
 
 
 def test_profile_field_unknown_name():
@@ -119,6 +171,22 @@ def test_profile_field_unknown_name():
         profile_field("sawtooth", g, 1.0)
 
 
-def test_profile_line_torus_only_profile():
-    with pytest.raises(ValueError):
-        profile_line("cosine", 1.0)
+def test_profile_line_cosine():
+    prof = profile_line("cosine", 1.0, amp=0.2, k=2)
+    assert (prof.M, prof.label, prof.max_abs_F) == (1.0, "cosine", 0.1)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("vacuum-ramp", {"widht": 0.7}), ("cosine", {"radius": 1.0}),
+    ("equilibrium", {"amp": 0.3})])
+def test_unknown_profile_argument_is_rejected(name, args):
+    with pytest.raises(ValueError, match=f"profile {name!r}"):
+        profile_line(name, 1.0, **args)
+    with pytest.raises(ValueError, match=f"profile {name!r}"):
+        profile_field(name, Grid.torus(64), 1.0, **args)
+
+
+def test_vacuum_ramp_takes_f0_by_its_config_name():
+    prof = profile_line("vacuum-ramp", 1.0, f0=-0.3)
+    assert float(prof.cumulative(np.array([0.0]))[0]) == \
+        pytest.approx(-0.3, abs=1e-12)
