@@ -8,8 +8,7 @@ profiles, plus dispersion analysis and an experiment/CLI layer.
 """
 
 from .core import (
-    EPState, Field, Grid, KSState, ParamSet, ValidationReport,
-    validate_initial_data,
+    EPState, Field, Grid, KSState, ParamSet, validate_initial_data,
 )
 from .errors import (
     Blowup, FrictionLabError, InversionFailure, NoVacuum, NonFinite,
@@ -47,7 +46,7 @@ __all__ = [
     "InversionFailure", "KSState", "ModePair", "NoVacuum", "NonFinite",
     "PROFILES", "ParamSet", "RangeBreach", "RangeViolation",
     "SimulationResult", "SolverBreakdown",
-    "VacuumApproach", "VacuumReport", "ValidationError", "ValidationReport",
+    "VacuumApproach", "VacuumReport", "ValidationError",
     "amplitude_ratio", "bump_profile", "derivative_along",
     "dispersion_roots", "dxeta", "equilibrium_profile", "fit_exponential_rate",
     "ks_map_torus", "norms", "profile_field",

@@ -275,7 +275,7 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     grid = state.sigma.grid
     M = p.mass_level
     if n_steps is None:
-        vmax = float(np.max(np.abs(ks_map_torus(state.sigma, M).v.values)))
+        vmax = float(np.max(np.abs(ks_map_torus(state.sigma, M).values)))
         bound = 0.9 * p.dt_cfl * grid.h / vmax if vmax > 0.0 else math.inf
         dt = min(bound, 0.1 / M)
         n_steps = max(2, 2 * math.ceil(tau_end / (2.0 * dt)))
@@ -295,7 +295,7 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
         return trig_interp(field_vals, grid, pos)
 
     def sample_v(j):
-        return ks_map_torus(sigmas[j], M).v.values
+        return ks_map_torus(sigmas[j], M).values
 
     v0 = sample_v(0)
     for j in range(2, n_steps + 1, 2):

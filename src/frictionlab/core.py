@@ -3,12 +3,14 @@
 All types are plain frozen dataclasses holding numpy arrays; they are
 immutable after construction and safe to share between threads.  A
 state (`EPState`, `KSState`) holds its fields and time.
+`validate_initial_data` raises the typed error of the first check that
+fails and returns None.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,62 +165,25 @@ class KSState:
 MEAN_DEFECT_TOL = 1e-10  # relative to |Omega|
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the initial-data checks, with the measured quantities."""
-
-    ok: bool
-    rho_min: float
-    rho_max: float
-    mean_defect: float
-    violations: tuple = field(default_factory=tuple)
-
-    def raise_if_failed(self):
-        for tag, msg in self.violations:
-            if tag == "nonfinite":
-                raise NonFinite(msg)
-        for tag, msg in self.violations:
-            if tag == "range":
-                raise RangeViolation(msg)
-        for tag, msg in self.violations:
-            if tag == "mean":
-                raise MeanDefect(msg)
-
-
-def validate_initial_data(rho0: Field, w0: Field, p: ParamSet) -> ValidationReport:
-    """Check the admissibility of (rho0, w0): pointwise band, zero-mean
-    perturbation, finiteness.  Returns a report; use raise_if_failed() to
-    convert failures into typed errors.
+def validate_initial_data(rho0: Field, w0: Field, p: ParamSet) -> None:
+    """Check the admissibility of (rho0, w0): finiteness, the pointwise
+    band, a zero-mean perturbation.  Raises NonFinite, RangeViolation or
+    MeanDefect for the first check that fails, in that order.
     """
     if rho0.grid != p.grid or w0.grid != p.grid:
         raise ValueError("initial fields must live on the parameter grid")
-
-    violations = []
-    finite = np.all(np.isfinite(rho0.values)) and np.all(np.isfinite(w0.values))
-    if not finite:
-        violations.append(("nonfinite", "initial data has non-finite samples"))
+    if not (np.all(np.isfinite(rho0.values)) and np.all(np.isfinite(w0.values))):
+        raise NonFinite("initial data has non-finite samples")
 
     rho_min = float(rho0.values.min())
     rho_max = float(rho0.values.max())
-    if finite and not (p.rho_lower < rho_min and rho_max < p.rho_upper):
-        violations.append((
-            "range",
+    if not (p.rho_lower < rho_min and rho_max < p.rho_upper):
+        raise RangeViolation(
             f"rho0 range [{rho_min:.6g}, {rho_max:.6g}] not inside "
-            f"({p.rho_lower:.6g}, {p.rho_upper:.6g})",
-        ))
+            f"({p.rho_lower:.6g}, {p.rho_upper:.6g})")
 
-    defect = p.grid.integrate(rho0.values - p.mass_level) if finite else math.inf
+    defect = p.grid.integrate(rho0.values - p.mass_level)
     if abs(defect) > MEAN_DEFECT_TOL * p.grid.measure:
-        violations.append((
-            "mean",
+        raise MeanDefect(
             f"perturbation mass defect {defect:.3e} exceeds "
-            f"{MEAN_DEFECT_TOL * p.grid.measure:.3e}",
-        ))
-
-    return ValidationReport(
-        ok=not violations,
-        rho_min=rho_min,
-        rho_max=rho_max,
-        mean_defect=float(defect),
-        violations=tuple(violations),
-    )
+            f"{MEAN_DEFECT_TOL * p.grid.measure:.3e}")

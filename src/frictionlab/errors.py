@@ -65,10 +65,6 @@ class ResonantDenominator(ValidationError):
     """Amplitude-ratio denominator 1 + eps^2*lambda is numerically zero."""
 
 
-class DegenerateEpsilon(ValidationError):
-    """Dispersion query cannot be resolved at eps = 0."""
-
-
 class InversionFailure(FrictionLabError):
     """Sampled trajectory map is not monotone; profile violates preconditions."""
 

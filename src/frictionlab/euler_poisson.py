@@ -427,7 +427,7 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
     only."""
     ps = tuple(ps)
     p = _members(ps).p
-    validate_initial_data(rho0, w0, p).raise_if_failed()
+    validate_initial_data(rho0, w0, p)
     one = _rows_of([EPState(rho=rho0, w=w0)], ps[:1], ("rho", "w"))
     rows = Rows(np.repeat(one.u, len(ps), axis=1),
                 np.repeat(one.uh, len(ps), axis=1), [0.0] * len(ps), ps)

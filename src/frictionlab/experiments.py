@@ -11,7 +11,7 @@ bit-identical to a separate, one-member run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -80,6 +80,21 @@ def _sample_times(t_end: float, n: int = 21) -> np.ndarray:
     return np.linspace(0.0, t_end, n)
 
 
+def _write_table(spec: ExperimentSpec, name: str, header, rows):
+    """The CSV `name` in the spec's output directory, or None without one."""
+    if spec.output_dir is None:
+        return None
+    return write_csv(spec.output_dir / name, header, rows)
+
+
+def _record_table(spec: ExperimentSpec, result, initial: Field, name: str):
+    """A run's diagnostics records as the CSV `name`, each row's mass as
+    its drift from the initial field's."""
+    mass0 = spec.params.grid.integrate(initial.values)
+    return _write_table(spec, name, DiagnosticsRecord.CSV_COLUMNS,
+                        (rec.csv_row(mass0) for _, rec in result.samples))
+
+
 # --------------------------------------------------------------------------
 # single runs (CLI plumbing around simulate_ep / simulate_ks)
 
@@ -91,13 +106,7 @@ def run_single_ep(spec: ExperimentSpec, rho0: Optional[Field] = None,
         rho0 = _initial_field(spec)
     w0 = Field(p.grid, np.zeros(p.grid.n))
     result = simulate_ep(rho0, w0, p, _sample_times(p.t_end, n_samples))
-    path = None
-    if spec.output_dir is not None:
-        mass0 = p.grid.integrate(rho0.values)
-        rows = [rec.csv_row(mass0) for _, rec in result.samples]
-        path = write_csv(spec.output_dir / "ep_run.csv",
-                         DiagnosticsRecord.CSV_COLUMNS, rows)
-    return result, path
+    return result, _record_table(spec, result, rho0, "ep_run.csv")
 
 
 def run_single_ks(spec: ExperimentSpec, sigma0: Optional[Field] = None,
@@ -106,13 +115,7 @@ def run_single_ks(spec: ExperimentSpec, sigma0: Optional[Field] = None,
     if sigma0 is None:
         sigma0 = _initial_field(spec)
     result = simulate_ks(sigma0, p, _sample_times(p.t_end, n_samples))
-    path = None
-    if spec.output_dir is not None:
-        mass0 = p.grid.integrate(sigma0.values)
-        rows = [rec.csv_row(mass0) for _, rec in result.samples]
-        path = write_csv(spec.output_dir / "ks_run.csv",
-                         DiagnosticsRecord.CSV_COLUMNS, rows)
-    return result, path
+    return result, _record_table(spec, result, sigma0, "ks_run.csv")
 
 
 # --------------------------------------------------------------------------
@@ -126,10 +129,6 @@ class SweepRow:
     sup_w_l2: float          # sup over sampled tau of ||w||_L2
     status: str
 
-    def as_list(self) -> list:
-        return [self.epsilon, self.sup_l2_error, self.h2_error_final,
-                self.sup_w_l2, self.status]
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -137,8 +136,7 @@ class SweepResult:
     monotone_decreasing: bool
     csv_path: Optional[Path] = None
 
-    SWEEP_COLUMNS = ("epsilon", "sup_l2_error", "h2_error_final",
-                     "sup_w_l2", "status")
+    SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
     @property
     def verdict_ok(self) -> bool:
@@ -192,11 +190,8 @@ def run_epsilon_sweep(spec: ExperimentSpec) -> SweepResult:
 
     ok_errors = [r.sup_l2_error for r in rows if r.status == "ok"]
     monotone = all(b < a for a, b in zip(ok_errors, ok_errors[1:]))
-    path = None
-    if spec.output_dir is not None:
-        path = write_csv(spec.output_dir / "sweep.csv",
-                         SweepResult.SWEEP_COLUMNS,
-                         [r.as_list() for r in rows])
+    path = _write_table(spec, "sweep.csv", SweepResult.SWEEP_COLUMNS,
+                        map(astuple, rows))
     return SweepResult(rows, monotone, path)
 
 
@@ -216,11 +211,6 @@ class VacuumRow:
     fd_estimate: float       # windowed finite difference on reconstruction
     fd_rel_gap: float
 
-    def as_list(self) -> list:
-        return [self.tau, self.a, self.b, self.length, self.length_measured,
-                self.deriv_along, self.growth_factor, self.factor_predicted,
-                self.fd_estimate, self.fd_rel_gap]
-
 
 @dataclass(frozen=True)
 class VacuumCollapseResult:
@@ -229,9 +219,7 @@ class VacuumCollapseResult:
     verdicts: dict
     csv_path: Optional[Path] = None
 
-    VACUUM_COLUMNS = ("tau", "a", "b", "length", "length_measured",
-                      "deriv_along", "growth_factor", "factor_predicted",
-                      "fd_estimate", "fd_rel_gap")
+    VACUUM_COLUMNS = tuple(f.name for f in fields(VacuumRow))
 
     @property
     def verdict_ok(self) -> bool:
@@ -289,9 +277,11 @@ def run_vacuum_collapse(spec: ExperimentSpec,
         raise ValueError(f"taus must be a nonempty list of tau >= 0, got {taus}")
     M = spec.params.mass_level
     prof = profile_line(spec.profile, M, **spec.profile_args)
-    touch = int(spec.profile_args.get("touch", 1))
     limit = vacuum_interval(0.0, prof).limit_point  # raises NoVacuum first
     (a0, b0) = prof.vacuum_set[0]
+    touch = 1  # the order of the first one-sided edge derivative that is not 0
+    while prof.deriv(b0, touch) == 0.0:
+        touch += 1
     deriv0 = derivative_along(b0, touch, 0.0, prof)
     full_grid = Grid.line(prof.domain[0], prof.domain[1], n_grid)
 
@@ -329,11 +319,8 @@ def run_vacuum_collapse(spec: ExperimentSpec,
         "fd_agreement": all(
             r.fd_rel_gap <= 0.05 for r in rows if math.isfinite(r.fd_rel_gap)),
     }
-    path = None
-    if spec.output_dir is not None:
-        path = write_csv(spec.output_dir / "vacuum.csv",
-                         VacuumCollapseResult.VACUUM_COLUMNS,
-                         [r.as_list() for r in rows])
+    path = _write_table(spec, "vacuum.csv",
+                        VacuumCollapseResult.VACUUM_COLUMNS, map(astuple, rows))
     return VacuumCollapseResult(tuple(rows), limit, verdicts, path)
 
 
@@ -348,10 +335,6 @@ class RateFit:
     status: str              # ok | zero-signal | <solver status>
     window_start: float
 
-    def as_list(self) -> list:
-        return [self.series, self.rate, self.r_squared, self.status,
-                self.window_start]
-
 
 @dataclass(frozen=True)
 class DecayFitResult:
@@ -359,7 +342,7 @@ class DecayFitResult:
     verdicts: dict
     csv_path: Optional[Path] = None
 
-    DECAY_COLUMNS = ("series", "rate", "r_squared", "status", "window_start")
+    DECAY_COLUMNS = tuple(f.name for f in fields(RateFit))
 
     def fit(self, series: str) -> RateFit:
         for f in self.fits:
@@ -435,11 +418,8 @@ def run_decay_fit(spec: ExperimentSpec, n_samples: int = 51) -> DecayFitResult:
         "ks_rate_floor": (by_name["ks_sup_dev"].status != "ok"
                           or by_name["ks_sup_dev"].rate >= ks_floor),
     }
-    path = None
-    if spec.output_dir is not None:
-        path = write_csv(spec.output_dir / "decay.csv",
-                         DecayFitResult.DECAY_COLUMNS,
-                         [f.as_list() for f in fits])
+    path = _write_table(spec, "decay.csv", DecayFitResult.DECAY_COLUMNS,
+                        map(astuple, fits))
     return DecayFitResult(tuple(fits), verdicts, path)
 
 
@@ -479,9 +459,7 @@ def run_spectrum_table(spec: ExperimentSpec) -> SpectrumTableResult:
                          fast.real if fast is not None else math.nan,
                          fast.imag if fast is not None else math.nan,
                          ratio, pair.stable])
-    path = None
-    if spec.output_dir is not None:
-        path = write_csv(spec.output_dir / "spectrum.csv",
-                         SpectrumTableResult.SPECTRUM_COLUMNS, rows)
+    path = _write_table(spec, "spectrum.csv",
+                        SpectrumTableResult.SPECTRUM_COLUMNS, rows)
     return SpectrumTableResult(tuple(tuple(r) for r in rows),
                                all_stable, path)

@@ -12,9 +12,6 @@ from pathlib import Path
 
 from .core import Grid, ParamSet
 
-GRID_KEYS = ("grid_kind", "grid_n", "grid_length", "grid_left", "grid_right")
-
-
 def format_number(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -76,21 +73,22 @@ def read_config(path) -> dict:
 DEFAULTS = dict(
     epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
     rho_lower=0.25, rho_upper=2.0, dt_cfl=0.4, t_end=1.0,
-    grid_kind="torus", grid_n=128, grid_length=2.0 * math.pi,
-    grid_left=0.0, grid_right=1.0,
+    grid_n=128, grid_length=2.0 * math.pi, grid_left=0.0,
 )
+# keys the CLI reads besides DEFAULTS and the profile_* arguments
+CONFIG_KEYS = ("epsilon_list", "wavenumbers", "profile", "initial_data")
 
 
 def build_params(cfg: dict) -> ParamSet:
+    """The parameter set of a config on its torus grid.  Raises ValueError
+    for a key that nothing reads."""
+    unknown = sorted(k for k in cfg if k not in DEFAULTS
+                     and k not in CONFIG_KEYS and not k.startswith("profile_"))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     merged = {**DEFAULTS, **cfg}
-    if merged["grid_kind"] == "torus":
-        grid = Grid.torus(int(merged["grid_n"]),
-                          float(merged["grid_length"]),
-                          float(merged["grid_left"]))
-    else:
-        grid = Grid.line(float(merged["grid_left"]),
-                         float(merged["grid_right"]),
-                         int(merged["grid_n"]))
+    grid = Grid.torus(int(merged["grid_n"]), float(merged["grid_length"]),
+                      float(merged["grid_left"]))
     return ParamSet(
         epsilon=float(merged["epsilon"]),
         alpha=float(merged["alpha"]),

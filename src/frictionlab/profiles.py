@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import MEAN_DEFECT_TOL, Field, Grid
-from .errors import NonzeroTotalMass, RangeViolation
+from .errors import MeanDefect, NonzeroTotalMass, RangeViolation
 
 TORUS_DOMAIN = (0.0, 2.0 * math.pi)   # line domain of the torus-born profiles
 CHECK_SAMPLES = 4001                  # InitialProfile.check: sign test points
@@ -151,7 +151,7 @@ def cosine_profile(M: float, amp: float = 0.3, k: int = 1) -> InitialProfile:
     """sigma0 = M + amp cos(kx) on the torus; F = (amp/k) sin(kx) exactly."""
     if abs(amp) > M:
         raise RangeViolation("cosine amplitude drives the profile negative")
-    if k != int(k) or k < 1:
+    if k < 1 or not float(k).is_integer():
         raise ValueError(f"cosine wavenumber k must be a positive integer, got {k}")
     k = int(k)
     return InitialProfile(
@@ -212,8 +212,8 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, f0: Optional[float] = None
     RAMP_MARGIN wider than the outer bumps."""
     if not (0 < width <= 1.0):
         raise ValueError("ramp width must lie in (0,1]")
-    if touch < 1:
-        raise ValueError("touch order must be >= 1")
+    if touch < 1 or not float(touch).is_integer():
+        raise ValueError(f"touch order must be a positive integer, got {touch}")
     k = int(touch)
     w = float(width)
     ramp_deficit = M * w * k / (k + 2.0)  # mass deficit of one ramp
@@ -324,8 +324,15 @@ def profile_line(name: str, M: float, **args) -> InitialProfile:
 def profile_field(name: str, grid: Grid, M: float, **args) -> Field:
     """The named profile sampled at the grid nodes, less the sampled
     deviation's mean where its integral exceeds MEAN_DEFECT_TOL |Omega|
-    (a bump's exact zero mean is not the quadrature's)."""
-    values = profile_line(name, M, **args).sigma0(grid.x)
+    (a bump's exact zero mean is not the quadrature's).  Raises MeanDefect
+    when the exact integral F(right) - F(left) of the deviation over the
+    grid exceeds that bound: such a profile is not a torus perturbation."""
+    prof = profile_line(name, M, **args)
+    F = prof.cumulative(np.array([grid.left, grid.right]))
+    if abs(F[1] - F[0]) > MEAN_DEFECT_TOL * grid.measure:
+        raise MeanDefect(f"profile {prof.label!r}: the deviation integrates "
+                         f"to {F[1] - F[0]:.4g} over the grid, not 0")
+    values = prof.sigma0(grid.x)
     defect = grid.integrate(values - M)
     if abs(defect) > MEAN_DEFECT_TOL * grid.measure:
         values = values - defect / grid.measure

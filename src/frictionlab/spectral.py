@@ -1,5 +1,5 @@
-"""Fourier helpers on the uniform torus: derivatives, dealiasing,
-zero-mode-projected inverse gradients, and trigonometric interpolation.
+"""Fourier helpers on the uniform torus: derivatives, zero-mode-projected
+inverse gradients, and trigonometric interpolation.
 
 All routines work on raw sample arrays; the real FFT is used throughout
 (fields are real).
@@ -9,11 +9,11 @@ on the frozen `Grid`), all in the rfft layout j = 0..n/2: the wavenumbers
 k, the first derivative ik with the unpaired Nyquist mode zeroed, the
 inverse gradient i/k (zero at k = 0 and at Nyquist), the 2/3-rule
 keep-mask (1 for j <= n/3, else 0), and -ik keep, minus the derivative
-of the dealiased field.  `deriv`, `dealias` and `inverse_gradient` read
-them, and so do the fused right-hand sides of the Euler-Poisson and
-Keller-Segel steppers, which take and return rfft coefficients: they
-dealias and differentiate the flux in Fourier space, in one product
-with -ik keep.
+of the dealiased field.  `deriv` and `inverse_gradient` read them, and
+so do the fused right-hand sides of the Euler-Poisson and Keller-Segel
+steppers, which take and return rfft coefficients: they dealias (with
+the keep-mask) and differentiate the flux in Fourier space, in one
+product with -ik keep.
 The cached arrays are read-only.
 
 `trig_interp` evaluates the interpolant Re sum_k c_k e^{ik theta} of the
@@ -91,26 +91,13 @@ def deriv(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(values) * symbol, n=grid.n)
 
 
-def dealias(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Standard 2/3-rule truncation of the top third of the spectrum."""
-    _check_torus(grid)
-    return np.fft.irfft(np.fft.rfft(values) * _symbols(grid).keep, n=grid.n)
-
-
-def inverse_gradient(source: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]:
-    """Apply grad(-Delta)^{-1} to `source` with the zero mode projected out.
-
-    Returns (result, removed_mean): result solves d/dx(result) =
-    -(source - removed_mean) ... more precisely result_hat(k) =
-    (i/k) * source_hat(k) for k != 0 and 0 at k = 0, which is the
-    Fourier symbol of grad(-Delta)^{-1}.  removed_mean is the projected
-    k = 0 amplitude of the source.
+def inverse_gradient(source: np.ndarray, grid: Grid) -> np.ndarray:
+    """Apply grad(-Delta)^{-1} to `source` with the zero mode projected out:
+    result_hat(k) = (i/k) source_hat(k) for k != 0 and 0 at k = 0, so
+    d/dx(result) = -(source - mean(source)).
     """
     _check_torus(grid)
-    sh = np.fft.rfft(source)
-    removed = sh[0].real / grid.n
-    out = np.fft.irfft(sh * _symbols(grid).inv_grad, n=grid.n)
-    return out, float(removed)
+    return np.fft.irfft(np.fft.rfft(source) * _symbols(grid).inv_grad, n=grid.n)
 
 
 def _unit_phases(phase: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateEpsilon, ResonantDenominator
+from .errors import ResonantDenominator
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,3 @@ def amplitude_ratio(q: DispersionQuery, lam: complex) -> complex:
         * q.M ** (q.gamma - 2.0) * (1j * q.k)
     return -(electric + pressure) / denom
 
-
-def quadratic_residual(q: DispersionQuery, lam: complex) -> float:
-    """Scaled residual |eps^2 lam^2 + lam + stiffness| / max(1, |lam|^2 eps^2)."""
-    if q.epsilon == 0.0:
-        raise DegenerateEpsilon("residual undefined at eps = 0")
-    r = q.epsilon**2 * lam * lam + lam + q.stiffness
-    scale = max(1.0, abs(lam) ** 2 * q.epsilon**2)
-    return abs(r) / scale

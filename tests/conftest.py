@@ -27,6 +27,34 @@ def dense_trig_interp():
     return _dense_trig_interp
 
 
+def _dealias(values, grid):
+    """The 2/3-rule truncation of the top third of the spectrum, one FFT
+    round trip, its mask built here and not read from spectral._symbols."""
+    keep = np.arange(grid.n // 2 + 1) <= grid.n // 3
+    return np.fft.irfft(np.fft.rfft(values) * keep, n=grid.n)
+
+
+@pytest.fixture(scope="session")
+def dealias():
+    """The reference for the dealiasing the fused stepper kernels do in
+    Fourier space."""
+    return _dealias
+
+
+def _quadratic_residual(q, lam):
+    """Scaled residual |eps^2 lam^2 + lam + stiffness| / max(1, |lam|^2 eps^2)
+    of a dispersion root."""
+    r = q.epsilon**2 * lam * lam + lam + q.stiffness
+    return abs(r) / max(1.0, abs(lam) ** 2 * q.epsilon**2)
+
+
+@pytest.fixture(scope="session")
+def quadratic_residual():
+    """The check that spectrum.dispersion_roots returns roots of the
+    dispersion quadratic."""
+    return _quadratic_residual
+
+
 def _plain_bisection(y, tau, prof):
     """The trajectory-map inversion that evaluates eta at every midpoint:
     the labels characteristics.invert_trajectory_map must reproduce."""

@@ -23,9 +23,7 @@ from frictionlab.experiments import (
     run_vacuum_collapse,
 )
 from frictionlab.profiles import InitialProfile, profile_line, vacuum_ramp_profile
-from frictionlab.spectrum import (
-    DispersionQuery, dispersion_roots, quadratic_residual,
-)
+from frictionlab.spectrum import DispersionQuery, dispersion_roots
 
 TORUS = 2.0 * math.pi
 
@@ -143,7 +141,7 @@ def test_criterion_03_logistic_oracle():
              f"bounds {'hold' if bounds_ok else 'VIOLATED'}")
 
 
-def test_criterion_04_dispersion_relation():
+def test_criterion_04_dispersion_relation(quadratic_residual):
     anchor = DispersionQuery(epsilon=0.1, alpha=1.0, gamma=2.0, M=1.0, k=1.0)
     pair = dispersion_roots(anchor)
     anchor_ok = (abs(pair.lambda_slow.real - (-1.21475)) <= 1e-4

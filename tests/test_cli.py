@@ -224,7 +224,8 @@ def test_characteristics_tabulates_the_cosine(runner, tmp_path):
 @pytest.mark.parametrize("command, line, message", [
     ("vacuum", "profile_widht = 0.7", "argument 'widht'"),
     ("simulate-ks", "profile_k = 1.5", "wavenumber k must be"),
-    ("simulate-ep", "profile_radius = 1.0", "argument 'radius'")])
+    ("simulate-ep", "profile_radius = 1.0", "argument 'radius'"),
+    ("vacuum", "profile_touch = 1.5", "touch order must be")])
 def test_bad_profile_argument_exits_2(runner, tmp_path, command, line,
                                       message):
     # a misspelt key or a non-integer wavenumber is refused, not ignored
@@ -233,6 +234,27 @@ def test_bad_profile_argument_exits_2(runner, tmp_path, command, line,
     result = runner.invoke(main, [command, "--config", str(cfg)])
     assert result.exit_code == 2, outputs(result)
     assert message in outputs(result)
+
+
+@pytest.mark.parametrize("lines, unknown", [
+    ("grid_nn = 64\nt_edn = 0.1", "grid_nn, t_edn"),
+    ("grid_kind = line\ngrid_right = 3.0", "grid_kind, grid_right")])
+@pytest.mark.parametrize("command", ["simulate-ks", "spectrum"])
+def test_unknown_config_key_exits_2(runner, tmp_path, command, lines,
+                                    unknown):
+    # a misspelt or retired key is refused, not run on the defaults
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid_n = 64\n{lines}\n")
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert f"unknown config keys: {unknown}" in outputs(result)
+
+
+def test_vacuum_profile_on_the_torus_names_its_mass(runner):
+    result = runner.invoke(main, ["simulate-ks", "--profile", "vacuum-ramp",
+                                  "--grid", "64"])
+    assert result.exit_code == 2, outputs(result)
+    assert "integrates to 0.1667" in outputs(result)
 
 
 @pytest.mark.parametrize("command", ["simulate-ks", "simulate-ep"])

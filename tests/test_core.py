@@ -112,32 +112,24 @@ class TestParamSet:
 
 def test_validate_equilibrium_passes(params, torus64, zero_w):
     rho0 = Field(torus64, np.ones(torus64.n), tag="density")
-    report = validate_initial_data(rho0, zero_w, params)
-    assert report.ok
-    assert report.mean_defect == pytest.approx(0.0, abs=1e-14)
-    report.raise_if_failed()
+    assert validate_initial_data(rho0, zero_w, params) is None
 
 
 def test_validate_cosine_passes(params, cosine_rho, zero_w):
+    # range [0.5, 1.5] lies inside the band (0.25, 2)
     rho0 = Field(params.grid, 1.0 + 0.5 * np.cos(params.grid.x),
                  tag="density")
-    report = validate_initial_data(rho0, zero_w, params)
-    assert report.ok
-    assert report.rho_min == pytest.approx(0.5)
-    assert report.rho_max == pytest.approx(1.5)
+    assert validate_initial_data(rho0, zero_w, params) is None
 
 
 def test_validate_mean_defect(params, torus64, zero_w):
     rho0 = Field(torus64, np.full(torus64.n, 1.1), tag="density")
-    report = validate_initial_data(rho0, zero_w, params)
-    assert not report.ok
-    with pytest.raises(MeanDefect):
-        report.raise_if_failed()
+    with pytest.raises(MeanDefect, match="mass defect"):
+        validate_initial_data(rho0, zero_w, params)
 
 
 def test_validate_range_violation(params, torus64, zero_w):
-    rho0 = Field(torus64, 1.0 + 0.9 * np.cos(torus64.x), tag="density")
-    report = validate_initial_data(rho0, zero_w, params)
-    assert not report.ok
-    with pytest.raises(RangeViolation):
-        report.raise_if_failed()
+    # out of the band and off the mean: the range is reported first
+    rho0 = Field(torus64, 1.05 + 0.9 * np.cos(torus64.x), tag="density")
+    with pytest.raises(RangeViolation, match="not inside"):
+        validate_initial_data(rho0, zero_w, params)

@@ -171,6 +171,16 @@ class TestVacuumCollapse:
         assert result.limit_point == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert (tmp_path / "vacuum.csv").exists()
 
+    def test_touch_order_read_from_the_profile(self, params):
+        spec = ExperimentSpec(kind="vacuum-collapse", params=params,
+                              profile="vacuum-ramp",
+                              profile_args={"touch": 2})
+        result = run_vacuum_collapse(spec, taus=[0.0, 1.0], n_grid=256)
+        # order 2 at the edge: d^2 sigma0 = 3! / width^2 grows as e^{3 M tau}
+        assert result.rows[0].deriv_along == pytest.approx(24.0, rel=1e-12)
+        assert result.rows[-1].factor_predicted == math.exp(3.0)
+        assert result.verdict_ok, result.verdicts
+
     def test_verdicts_hold_at_infinite_tau(self, params):
         # at tau = inf the growth factor and its prediction are both inf
         spec = ExperimentSpec(kind="vacuum-collapse", params=params,

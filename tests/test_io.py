@@ -93,13 +93,13 @@ class TestBuildParams:
         assert p.epsilon == 0.1 and p.gamma == 2.0
 
     def test_overrides_and_line_grid(self):
-        p = build_params({"grid_kind": "line", "grid_left": -1.0,
-                          "grid_right": 3.0, "grid_n": 64,
-                          "epsilon": 0.05})
-        assert p.grid.kind == "line"
+        p = build_params({"grid_left": -1.0, "grid_n": 64, "epsilon": 0.05})
+        assert p.grid.kind == "torus"
         assert p.grid.x[0] == -1.0
-        assert p.grid.x[-1] == pytest.approx(3.0, abs=1e-14)
-        assert p.epsilon == 0.05
+        assert p.grid.n == 64 and p.epsilon == 0.05
+        # the line-grid keys are gone: naming one is an error
+        with pytest.raises(ValueError, match="grid_kind, grid_right"):
+            build_params({"grid_kind": "line", "grid_right": 3.0})
 
     def test_profile_args_split(self):
         name, args = profile_args_from({

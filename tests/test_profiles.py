@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frictionlab.core import MEAN_DEFECT_TOL, Grid
-from frictionlab.errors import RangeViolation
+from frictionlab.errors import MeanDefect, RangeViolation
 from frictionlab.profiles import (
     PROFILES, bump_profile, cosine_profile, equilibrium_profile,
     profile_field, profile_line, vacuum_ramp_profile,
@@ -49,7 +49,7 @@ class TestCosineProfile:
         with pytest.raises(RangeViolation):
             cosine_profile(1.0, amp=-1.2)
 
-    @pytest.mark.parametrize("k", [1.5, 0, -1])
+    @pytest.mark.parametrize("k", [1.5, 0, -1, math.inf, math.nan])
     def test_rejects_a_wavenumber_that_is_not_a_positive_integer(self, k):
         with pytest.raises(ValueError, match="wavenumber"):
             cosine_profile(1.0, k=k)
@@ -138,6 +138,11 @@ class TestVacuumRamp:
         with pytest.raises(RangeViolation):
             vacuum_ramp_profile(1.0, f0=-5.0)
 
+    @pytest.mark.parametrize("touch", [1.5, 0, -1, math.inf, math.nan])
+    def test_rejects_a_touch_that_is_not_a_positive_integer(self, touch):
+        with pytest.raises(ValueError, match="touch order"):
+            vacuum_ramp_profile(1.0, touch=touch)
+
 
 def test_registry_names():
     assert PROFILES == {"equilibrium": equilibrium_profile,
@@ -163,6 +168,12 @@ def test_profile_field_removes_the_sampled_mean_defect(n):
     assert abs(g.integrate(f.values - 1.0)) <= MEAN_DEFECT_TOL * g.measure
     shift = f.values - sampled
     np.testing.assert_allclose(shift, shift[0], rtol=0.0, atol=1e-15)
+
+
+def test_profile_field_rejects_a_deviation_that_is_not_mean_zero():
+    # the default ramp's deviation integrates to 1/6 over [0, 2 pi]
+    with pytest.raises(MeanDefect, match="integrates to 0.1667"):
+        profile_field("vacuum-ramp", Grid.torus(64), 1.0)
 
 
 def test_profile_field_unknown_name():

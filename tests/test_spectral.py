@@ -7,7 +7,7 @@ import pytest
 from frictionlab import spectral
 from frictionlab.core import Grid
 from frictionlab.spectral import (
-    _symbols, dealias, deriv, inverse_gradient, trig_interp, wavenumbers,
+    _symbols, deriv, inverse_gradient, trig_interp, wavenumbers,
 )
 
 
@@ -36,35 +36,43 @@ def test_deriv_constant_is_zero(g):
                                np.zeros(g.n), atol=1e-13)
 
 
+def _keep(values, g):
+    """values with the keep-mask the stepper kernels read applied."""
+    return np.fft.irfft(np.fft.rfft(values) * _symbols(g).keep, n=g.n)
+
+
 def test_dealias_kills_high_modes(g):
     x = g.x
     high = np.cos(30 * x)          # above the 2/3 cutoff (n//3 = 21)
-    np.testing.assert_allclose(dealias(high, g), np.zeros(g.n), atol=1e-12)
-    low = np.cos(5 * x)
-    np.testing.assert_allclose(dealias(low, g), low, atol=1e-12)
+    np.testing.assert_allclose(_keep(high, g), np.zeros(g.n), atol=1e-12)
+    low = np.cos(21 * x)           # the highest mode kept
+    np.testing.assert_allclose(_keep(low, g), low, atol=1e-12)
+    np.testing.assert_array_equal(_symbols(g).keep,
+                                  np.arange(33) <= 21)
 
 
 def test_dealias_idempotent(g):
+    keep = _symbols(g).keep
+    np.testing.assert_array_equal(keep * keep, keep)
     rng = np.random.default_rng(7)
-    f = rng.standard_normal(g.n)
-    once = dealias(f, g)
-    np.testing.assert_allclose(dealias(once, g), once, atol=1e-13)
+    once = _keep(rng.standard_normal(g.n), g)
+    np.testing.assert_allclose(_keep(once, g), once, atol=1e-13)
 
 
 def test_inverse_gradient_antiderivative(g):
     x = g.x
     # solves psi'' = -source with psi zero-mean; result = -psi' so that
     # d/dx(result) = -(source - mean)
-    result, removed = inverse_gradient(np.cos(x), g)
+    result = inverse_gradient(np.cos(x), g)
     np.testing.assert_allclose(result, -np.sin(x), atol=1e-12)
-    assert removed == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(deriv(result, g), -np.cos(x), atol=1e-11)
 
 
 def test_inverse_gradient_removes_mean(g):
     source = 2.0 + np.sin(g.x)
-    result, removed = inverse_gradient(source, g)
-    assert removed == pytest.approx(2.0, abs=1e-13)
+    result = inverse_gradient(source, g)
+    np.testing.assert_allclose(result, inverse_gradient(np.sin(g.x), g),
+                               atol=1e-14)
     np.testing.assert_allclose(deriv(result, g), -(source - 2.0), atol=1e-11)
 
 
