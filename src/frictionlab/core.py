@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +41,8 @@ class Grid:
     def __post_init__(self):
         if self.kind not in ("torus", "line"):
             raise ValueError(f"unknown grid kind {self.kind!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 8:
             raise ValueError("grid needs at least 8 points")
         if not self.length > 0.0:

@@ -19,26 +19,33 @@ step on its density row alone, with rate 0.
 The rows are the rfft coefficients of (rho - M, w): the friction factor
 is pointwise, so it acts on coefficients as on samples, and the stage
 kernel `_rhs` hands back its slope in Fourier space.  A step starts from
-the coefficients the previous step left (a run transforms its initial
-data once), makes one batched inverse and one batched forward transform
-per stage, and one inverse of the new coefficients, which the guards,
-the next first stage and the samples read: 7 FFT calls whatever the
-member count.  At gamma = 2 the pressure term (gamma/eps) d(rho)/dx is
-linear and is added in Fourier space, so per member a step transforms
-2+2 rows in its first stage, 4+2 in each later one and 2 at the end:
-18 rows, 21 at any other gamma.  At small n a step costs numpy calls
-more than flops, so every eps-dependent factor of the stage is folded
-into a Fourier symbol with one row per member (`_members`, built once
-per batch and read-only) and the transforms' inputs and outputs are
-written in place: 21 numpy calls in a later stage at gamma = 2, 23
-otherwise.
+the coefficients the previous step left and from the physical rows its
+closing inverse made (`_carried_rows`): rho, w, the inverse gradient of
+rho - M and the bracket of the w slope (and at gamma != 2 the pressure
+row), which the guards, the samples and the next first stage read.  So
+the first stage inverts nothing and makes one forward transform, a later
+stage one batched inverse and one batched forward, and the closing
+inverse is one call: 1 + 2 + 2 + 1 = 6 FFT calls whatever the member
+count (a run transforms its initial data once and inverts its first
+stage's other rows once).  A later stage inverts the velocity
+vel = eps v + eps^alpha w, formed in Fourier space, with rho - M and the
+bracket.  At gamma = 2 the pressure term (gamma/eps) d(rho)/dx is linear
+and is added in Fourier space, so per member a step transforms 2 rows in
+its first stage, 3 + 2 in each later one and 4 at the close: 16 rows, 19
+at any other gamma.  At small n a step costs numpy calls more than
+flops, so every eps-dependent factor of the stage is folded into a
+Fourier symbol with one row per member (`_members`, built once per batch
+and read-only) and the transforms' inputs and outputs are written in
+place: 20 numpy calls in a later stage and 14 in the first at gamma = 2,
+22 and 15 otherwise.  The closing guard pass takes min rho, max rho and
+max |w| once per member; the next step's CFL bound reads the two maxima
+from there.
 
 One driver path: `simulate_ep_rows` steps members that differ in epsilon
 only as rows of one batched step (`step_ep_rows`), each with its own dt,
 picked from its own first stage, and clock; `simulate_ep` is the
-one-member batch.  Between steps the driver keeps the batch's samples
-and coefficients stacked (`Rows`) and builds states only at sample
-times.  Batched FFT rows, per-row reductions and products with per-row
+one-member batch.  Between steps the driver keeps the batch's rows and
+coefficients stacked (`Rows`) and builds states only at sample times.  Batched FFT rows, per-row reductions and products with per-row
 columns are bit-identical to the one-member arithmetic, so a member's
 trajectory does not depend on its batch.  A caller that wants a fixed dt
 samples the run at that spacing: below the CFL bound, each sample is one
@@ -79,6 +86,7 @@ class _Members(NamedTuple):
     eps_a: np.ndarray        # eps^alpha
     lam: tuple               # linear rates: 0 for the rho rows, -1/eps^2 for w
     inv_grad: np.ndarray     # i/k, shared: v = -irfft(sh * inv_grad)
+    vel_sh: np.ndarray       # -eps i/k: on (rho - M)^, the eps v share of vel^
     keep: np.ndarray         # 2/3 rule, shared
     ik_eps: np.ndarray       # ik/eps: on w^, dw/dx / eps
     dxv_eps: np.ndarray      # eps^-alpha, 0 at k = 0: on (rho - M)^, eps^-alpha dv/dx
@@ -112,23 +120,21 @@ def _members(ps: tuple) -> _Members:
     return _Members(p, ps, gamma == 2.0, read_only(eps_col),
                     read_only(column([e**alpha for e in eps])),
                     ((0.0,) * len(ps), tuple(-1.0 / e**2 for e in eps)),
-                    sym.inv_grad, sym.keep,
-                    read_only(sym.ik / eps_col),
+                    sym.inv_grad, read_only(-eps_col * sym.inv_grad),
+                    sym.keep, read_only(sym.ik / eps_col),
                     read_only(eps_ma * nonzero),
                     read_only(sym.ik * column([gamma / e for e in eps])),
                     read_only(sym.neg_ik_keep / eps_col),
                     read_only(eps_ma * (sym.keep * nonzero)))
 
 
-def _speeds(rho: np.ndarray, w: np.ndarray, v: np.ndarray, ps) -> list:
-    """Per member (one row of rho, w and v each): its maximum advective and
-    sound speeds, for the CFL bound."""
+def _speeds(extrema, v_max, ps) -> list:
+    """Per member, from its (max rho, max |w|) and max |v|: its maximum
+    advective and sound speeds, for the CFL bound."""
     out = []
-    for p, w_max, v_max, rho_max in zip(ps, np.abs(w).max(axis=-1).tolist(),
-                                        np.abs(v).max(axis=-1).tolist(),
-                                        rho.max(axis=-1).tolist()):
+    for p, (rho_max, w_max), v_peak in zip(ps, extrema, v_max):
         eps, alpha, gamma = p.epsilon, p.alpha, p.gamma
-        adv = w_max / eps ** (1.0 - alpha) + v_max
+        adv = w_max / eps ** (1.0 - alpha) + v_peak
         sound = math.sqrt(gamma * max(rho_max, 0.0) ** (gamma - 1.0)) \
             * eps ** (0.5 * (alpha - 2.0))
         out.append((adv, sound))
@@ -139,74 +145,126 @@ def _cfl_bound(p: ParamSet, speed: float) -> float:
     return p.dt_cfl * p.grid.h / speed if speed > 0.0 else math.inf
 
 
-def _check_blowup(times, u: np.ndarray) -> list:
-    """Per member (axis 1 of the stacked rows u): a Blowup if any of its
-    values is non-finite or beyond BLOWUP_THRESHOLD, else None.  One
-    reduction: max|u| <= BLOWUP_THRESHOLD is false for NaN and +-inf too."""
-    peaks = np.abs(u).max(axis=(0, 2)).tolist()
-    return [None if peak <= BLOWUP_THRESHOLD
-            else Blowup(f"solution blew up at tau = {time:.6g}")
-            for peak, time in zip(peaks, times)]
+def _blowup(time: float, low: float, high: float,
+            peak: float = 0.0) -> Optional[Blowup]:
+    """A Blowup at `time` unless -low, high and peak are all at most
+    BLOWUP_THRESHOLD, else None.  Each comparison is false for NaN, so a
+    row with a NaN fails; no max() is taken over the values, which would
+    depend on their order when one is NaN."""
+    if -low <= BLOWUP_THRESHOLD and high <= BLOWUP_THRESHOLD \
+            and peak <= BLOWUP_THRESHOLD:
+        return None
+    return Blowup(f"solution blew up at tau = {time:.6g}")
+
+
+def _guards(u: np.ndarray, times, p: ParamSet) -> tuple:
+    """The closing guard pass over stacked rows u (rho, w, ...): per member
+    None or the SolverBreakdown that stops it (a Blowup before a
+    RangeBreach), and the (max rho, max |w|) that the next step's CFL
+    bound reads.  Three reductions: min rho, max rho and max |w|."""
+    low, high = u[0].min(axis=-1).tolist(), u[0].max(axis=-1).tolist()
+    w_max = np.abs(u[1]).max(axis=-1).tolist()
+    lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
+    out = []
+    for a, b, w_peak, time in zip(low, high, w_max, times):
+        breakdown = _blowup(time, a, b, w_peak)
+        if breakdown is None and (a < lo or b > hi):
+            breakdown = RangeBreach(
+                f"rho range [{a:.6g}, {b:.6g}] left "
+                f"[{lo:.6g}, {hi:.6g}] at tau = {time:.6g}")
+        out.append(breakdown)
+    return out, list(zip(high, w_max))
+
+
+def _inverse_input(uh: np.ndarray, m: _Members, head: int) -> np.ndarray:
+    """An inverse-transform input whose first `head` rows the caller
+    fills, followed by the bracket's coefficients (dw/dx / eps +
+    eps^(-alpha) dv/dx)^ and, at gamma != 2, those of the pressure term
+    (gamma/eps) d(rho)/dx, from the coefficients uh of (rho - M, w)."""
+    sh, wh = uh
+    spectra = np.empty((head + (1 if m.linear_pressure else 2),) + sh.shape,
+                       dtype=complex)
+    np.multiply(wh, m.ik_eps, out=spectra[head])
+    spectra[head] += sh * m.dxv_eps
+    if not m.linear_pressure:
+        np.multiply(sh, m.gik_eps, out=spectra[head + 1])
+    return spectra
+
+
+def _carried_rows(uh: np.ndarray, m: _Members, samples=None) -> np.ndarray:
+    """The rows a first stage reads, from one batched inverse of the
+    coefficients uh of (rho - M, w): rho, w, the inverse gradient of
+    rho - M (that is -v), the bracket and, at gamma != 2, the pressure
+    row, each members x n.  With samples given, (rho, w) are those
+    samples and only the other rows are inverted."""
+    spectra = _inverse_input(uh, m, 3)
+    np.multiply(uh[0], m.inv_grad, out=spectra[2])
+    n = m.p.grid.n
+    if samples is None:
+        spectra[:2] = uh
+        u = np.fft.irfft(spectra, n=n)
+        u[0] += m.p.mass_level
+        return u
+    return np.concatenate((samples, np.fft.irfft(spectra[2:], n=n)))
 
 
 def _rhs(u, uh: np.ndarray, m: _Members):
     """Slope G^ of the rfft coefficients uh of the stacked rows
     (rho - M, w), each members x (n/2 + 1), without the stiff friction
-    term, and the nonlocal velocity v of rho.  u holds the rows (rho, w)
-    in physical space where the caller has them (the first stage), else
-    None.
+    term, and the nonlocal velocity v of rho.  In the first stage u holds
+    the rows the step starts from (`_carried_rows`); a later stage passes
+    None and gets None for v.
 
-    One fused spectral kernel, two FFT calls whatever the member count.
-    With vel = eps v + eps^alpha w the w slope is -h - eps^(1-alpha)
-    dv/dtau, where
+    One fused spectral kernel.  With vel = eps v + eps^alpha w the w slope
+    is -h - eps^(1-alpha) dv/dtau, where
 
         -h = vel (dw/dx / eps + eps^(-alpha) dv/dx)
              + rho^(gamma-2) (gamma/eps) d(rho)/dx.
 
-    One batched inverse gives v and the bracket (and rho - M and w when u
-    is None): the eps factors sit in the members' symbols, and dv/dx =
-    rho - mean rho is rho - M with its k = 0 mode zeroed.  One batched
-    forward transforms rho*vel and -h.  rho*vel is eps f for the
+    The first stage forms v and vel from its rows, so its only FFT call is
+    the forward one.  A later stage makes one batched inverse of rho - M,
+    vel and the bracket, vel^ = -eps (i/k) (rho - M)^ + eps^alpha w^
+    formed in Fourier space: the eps factors sit in the members' symbols,
+    and dv/dx = rho - mean rho is rho - M with its k = 0 mode zeroed.  One
+    batched forward transforms rho*vel and -h.  rho*vel is eps f for the
     continuity flux f = rho (w/eps^(1-alpha) + v), so the rho slope is
     (-ik keep/eps) (rho vel)^, and dv/dtau = -(f - mean f) enters the w
     slope as eps^(-alpha) keep (rho vel)^ with its k = 0 mode zeroed.
 
     The pressure term: at gamma = 2 it is (gamma/eps) d(rho)/dx, linear,
     and its transform (gamma/eps) ik (rho - M)^ is added to the forward
-    output; otherwise the inverse also gives (gamma/eps) d(rho)/dx, and
-    rho^(gamma-2) times it joins -h before the forward transform.  So the
-    inverse takes 2 rows per member in the first stage and 4 in a later
-    one, one more each when gamma != 2.  The transforms' inputs and
-    outputs are written in place: 21 numpy calls in a later stage and 19
-    in the first at gamma = 2, 23 and 21 otherwise."""
+    output; otherwise its row is inverted too (or carried), and
+    rho^(gamma-2) times it joins -h before the forward transform.  So a
+    later stage inverts 3 rows per member, 4 when gamma != 2.  The
+    transforms' inputs and outputs are written in place."""
     sh, wh = uh
-    first = u is not None
-    base = 0 if first else 2    # rows 0 and 1 of a later stage: rho - M, w
-    spectra = np.empty((base + (2 if m.linear_pressure else 3),) + sh.shape,
-                       dtype=complex)
-    if not first:
-        spectra[:2] = uh
-    np.multiply(sh, m.inv_grad, out=spectra[base])
-    np.multiply(wh, m.ik_eps, out=spectra[base + 1])
-    spectra[base + 1] += sh * m.dxv_eps
-    if not m.linear_pressure:
-        np.multiply(sh, m.gik_eps, out=spectra[base + 2])
-    x = np.fft.irfft(spectra, n=m.p.grid.n)
-    grad_inv, bracket = x[base], x[base + 1]
-    if first:
-        rho, w = u
+    if u is not None:
+        rho, w, grad_inv, bracket = u[:4]
+        pressure = u[4] if not m.linear_pressure else None
+        v = -grad_inv
+        vel = m.eps * v
+        vel += m.eps_a * w
+        x = np.empty((2,) + rho.shape)
     else:
-        source, w = x[:2]
-        rho = source + m.p.mass_level
-    v = -grad_inv
-    vel = m.eps * v + m.eps_a * w
-    # rows 0 and 1 of x have been read: they take rho*vel and -h
+        spectra = _inverse_input(uh, m, 2)
+        spectra[0] = sh
+        np.multiply(sh, m.vel_sh, out=spectra[1])
+        spectra[1] += m.eps_a * wh
+        y = np.fft.irfft(spectra, n=m.p.grid.n)
+        rho, vel, bracket = y[:3]
+        pressure = y[3] if not m.linear_pressure else None
+        rho += m.p.mass_level
+        v = None
+        # vel and the bracket have been read last: their rows take
+        # rho*vel and -h, contiguous for the forward transform
+        x = y[1:3]
+    flux, minus_h = x
     if m.linear_pressure:
-        np.multiply(vel, bracket, out=x[1])
+        np.multiply(vel, bracket, out=minus_h)
     else:
-        np.add(vel * bracket, rho ** (m.p.gamma - 2.0) * x[base + 2], out=x[1])
-    np.multiply(rho, vel, out=x[0])
-    g = np.fft.rfft(x[:2])
+        np.add(vel * bracket, rho ** (m.p.gamma - 2.0) * pressure, out=minus_h)
+    np.multiply(rho, vel, out=flux)
+    g = np.fft.rfft(x)
     fh, hh = g
     if m.linear_pressure:
         hh += m.gik_eps * sh
@@ -256,16 +314,19 @@ def _rk3_coefficients(rate: float, d: float) -> tuple:
 
 
 class Rows:
-    """What a driver keeps of a batch of members between steps: their rows
-    stacked as samples u (row kinds x members x n) and as the rfft
-    coefficients uh that the next step starts from (of rho - M and w for
-    Euler-Poisson, of sigma - M for Keller-Segel), and each member's clock
-    and ParamSet.  A step replaces u, uh and times with new arrays."""
+    """What a driver keeps of a batch of members between steps: the rows
+    its next first stage reads, stacked as samples u (row kinds x members
+    x n, the solution rows first), the rfft coefficients uh that the next
+    step starts from (of rho - M and w for Euler-Poisson, of sigma - M for
+    Keller-Segel), and per member its clock, its ParamSet and the extrema
+    of its samples that the next step reads (its last guard pass's).  A
+    step replaces u, uh, times and extrema with new values."""
 
-    __slots__ = ("u", "uh", "times", "ps", "_m")
+    __slots__ = ("u", "uh", "times", "ps", "extrema", "_m")
 
-    def __init__(self, u, uh, times, ps):
-        self.u, self.uh, self.times, self.ps = u, uh, list(times), tuple(ps)
+    def __init__(self, u, uh, times, ps, extrema):
+        self.u, self.uh, self.times = u, uh, list(times)
+        self.ps, self.extrema = tuple(ps), list(extrema)
         self._m = None
 
     @property
@@ -278,29 +339,43 @@ class Rows:
     def take(self, keep: list) -> "Rows":
         """The batch of the members at positions keep."""
         return Rows(self.u[:, keep], self.uh[:, keep],
-                    [self.times[j] for j in keep], [self.ps[j] for j in keep])
+                    [self.times[j] for j in keep], [self.ps[j] for j in keep],
+                    [self.extrema[j] for j in keep])
 
     def column(self, j: int) -> tuple:
-        """Member j's samples (a copy, which a state may keep without the
-        batch), coefficients, clock and ParamSet."""
-        return self.u[:, j].copy(), self.uh[:, j], self.times[j], self.ps[j]
+        """Member j's rows (a copy, which a state may keep without the
+        batch), coefficients, clock, ParamSet and extrema."""
+        return (self.u[:, j].copy(), self.uh[:, j], self.times[j], self.ps[j],
+                self.extrema[j])
 
     @classmethod
     def stack(cls, columns) -> "Rows":
         """The batch of members given as columns."""
-        u, uh, times, ps = zip(*columns)
-        return cls(np.stack(u, axis=1), np.stack(uh, axis=1), times, ps)
+        u, uh, times, ps, extrema = zip(*columns)
+        return cls(np.stack(u, axis=1), np.stack(uh, axis=1), times, ps,
+                   extrema)
 
 
-def _rows_of(states, ps, names) -> Rows:
-    """The batch of states, `names` their fields (rho and w, or sigma):
-    their samples and the rfft of their rows, the members' shared mass
-    level M subtracted from the first."""
+def _transform(states, names, mass_level: float) -> tuple:
+    """The samples of the states' fields `names` (rho and w, or sigma),
+    stacked as row kinds x members x n, and their rfft with the members'
+    shared mass level M subtracted from the first row."""
     u = np.array([[getattr(s, name).values for name in names]
                   for s in states]).transpose(1, 0, 2)
     shifted = u.copy()
-    shifted[0] -= ps[0].mass_level
-    return Rows(u, np.fft.rfft(shifted), [s.time for s in states], ps)
+    shifted[0] -= mass_level
+    return u, np.fft.rfft(shifted)
+
+
+def _rows_of(states, ps) -> Rows:
+    """The Euler-Poisson batch of states, member i stepped with ps[i]: their
+    samples with the other rows a first stage reads, from one inverse."""
+    m = _members(tuple(ps))
+    u, uh = _transform(states, ("rho", "w"), m.p.mass_level)
+    extrema = zip(u[0].max(axis=-1).tolist(),
+                  np.abs(u[1]).max(axis=-1).tolist())
+    return Rows(_carried_rows(uh, m, u), uh, [s.time for s in states], ps,
+                extrema)
 
 
 def step_ep_rows(rows: Rows, target: float) -> list:
@@ -309,32 +384,23 @@ def step_ep_rows(rows: Rows, target: float) -> list:
     step.  The members may differ in epsilon only.
 
     Each member takes dt = min(CFL bound, target - t), the bound
-    dt_cfl*h/(advective + sound speed) from its own first stage.  Returns
-    per member None or the SolverBreakdown that stopped it; a breakdown
-    leaves the other members' steps as they would be alone."""
+    dt_cfl*h/(advective + sound speed) from its own first stage and the
+    extrema its rows carry.  Returns per member None or the
+    SolverBreakdown that stopped it; a breakdown leaves the other members'
+    steps as they would be alone."""
     if not all(t < target for t in rows.times):
         raise ValueError("every member must be behind the target time")
     m = rows.members
     p = m.p
-    u_n = rows.u
-    g1, v = _rhs(u_n, rows.uh, m)
+    g1, v = _rhs(rows.u, rows.uh, m)
+    speeds = _speeds(rows.extrema, np.abs(v).max(axis=-1).tolist(), m.ps)
     dt = [min(_cfl_bound(p, adv + sound), target - t)
-          for (adv, sound), t in zip(_speeds(u_n[0], u_n[1], v, m.ps),
-                                     rows.times)]
+          for (adv, sound), t in zip(speeds, rows.times)]
     uh = _rk3(rows.uh, g1, lambda uh: _rhs(None, uh, m)[0], dt, m.lam)
-    u = np.fft.irfft(uh, n=p.grid.n)
-    u[0] += p.mass_level
+    u = _carried_rows(uh, m)
     times = [t + d for t, d in zip(rows.times, dt)]
-    rows.u, rows.uh, rows.times = u, uh, times
-
-    rmin, rmax = u[0].min(axis=-1).tolist(), u[0].max(axis=-1).tolist()
-    lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
-    out = _check_blowup(times, u)
-    for i, (low, high) in enumerate(zip(rmin, rmax)):
-        if out[i] is None and (low < lo or high > hi):
-            out[i] = RangeBreach(
-                f"rho range [{low:.6g}, {high:.6g}] left "
-                f"[{lo:.6g}, {hi:.6g}] at tau = {times[i]:.6g}")
+    out, extrema = _guards(u, times, p)
+    rows.u, rows.uh, rows.times, rows.extrema = u, uh, times, extrema
     return out
 
 
@@ -360,7 +426,7 @@ class SimulationResult:
 def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
     """Advance every member of the batch rows to each sample time in turn,
     landing on it exactly, and sample member i there as
-    state = state_at(u, time), u its rows of samples, paired with
+    state = state_at(u, time), u its rows (the samples first), paired with
     record(i, state), or with None when record is None.
 
     advance(rows, target) takes one step toward target of every member of
@@ -398,7 +464,7 @@ def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
         if not live:
             break
         for i in live:
-            u, _, time, _ = landed[i]
+            u, _, time, _, _ = landed[i]
             state = state_at(u, time)
             results[i].samples.append(
                 (state, None if record is None else record(i, state)))
@@ -422,15 +488,13 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
     records False no diagnostics are computed: each sample pairs its
     state with None.
 
-    The initial rows are transformed once; after that the batch carries
-    its rows from step to step, and states are built at sample times
-    only."""
+    The initial rows are transformed once and the first stage's other
+    rows inverted once; after that the batch carries its rows from step
+    to step, and states are built at sample times only."""
     ps = tuple(ps)
     p = _members(ps).p
     validate_initial_data(rho0, w0, p)
-    one = _rows_of([EPState(rho=rho0, w=w0)], ps[:1], ("rho", "w"))
-    rows = Rows(np.repeat(one.u, len(ps), axis=1),
-                np.repeat(one.uh, len(ps), axis=1), [0.0] * len(ps), ps)
+    rows = _rows_of([EPState(rho=rho0, w=w0)] * len(ps), ps)
     grid = p.grid
 
     def state_at(u, time):

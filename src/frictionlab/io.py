@@ -87,7 +87,7 @@ def build_params(cfg: dict) -> ParamSet:
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     merged = {**DEFAULTS, **cfg}
-    grid = Grid.torus(int(merged["grid_n"]), float(merged["grid_length"]),
+    grid = Grid.torus(merged["grid_n"], float(merged["grid_length"]),
                       float(merged["grid_left"]))
     return ParamSet(
         epsilon=float(merged["epsilon"]),

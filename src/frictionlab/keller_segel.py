@@ -6,8 +6,13 @@ the density row of the Euler-Poisson step: its Lawson RK3 core
 (`euler_poisson._rk3`) with rate 0 is conservative RK3, the velocity
 refreshed at every stage.  As there, the step runs on the rfft
 coefficients of sigma - M and starts from the ones the previous step
-left, with 7 FFT calls on 9 rows: two per stage (`_flux_rhs`) and one
-inverse of the new coefficients.
+left, and from the rows its closing inverse made (`_inverse`): sigma and
+the inverse gradient of sigma - M, which the guards, the samples and the
+next first stage read.  So the first stage makes one forward transform,
+each later stage an inverse of those two rows and a forward
+(`_flux_rhs`), and the close one inverse: 6 FFT calls on 9 rows.  The
+closing guard pass takes min sigma and max sigma once; the vacuum guard
+at the next step's start reads the minimum from there.
 Near-vacuum states are refused (the characteristic module handles
 vacuum exactly); positive data stays positive on the tested horizons
 because each characteristic value moves monotonically toward M.
@@ -23,32 +28,39 @@ from .core import MEAN_DEFECT_TOL, Field, KSState, ParamSet
 from .diagnostics import record_ks
 from .errors import MeanDefect, VacuumApproach
 from .euler_poisson import (
-    Rows, SimulationResult, _cfl_bound, _check_blowup, _integrate, _rk3,
-    _rows_of,
+    Rows, SimulationResult, _blowup, _cfl_bound, _integrate, _rk3, _transform,
 )
 from .spectral import _symbols
 
 VACUUM_FRACTION = 1e-6
 
 
-def _flux_rhs(sigma, sh: np.ndarray, p: ParamSet):
-    """Slope -ik (sigma v)^ of the rfft coefficients sh of sigma - M, the
-    flux dealiased, and the velocity v.  sigma holds the samples where the
-    caller has them (the first stage), else None.
+def _inverse(sh: np.ndarray, p: ParamSet) -> np.ndarray:
+    """The rows (sigma, the inverse gradient of sigma - M, which is -v),
+    stacked 2 x 1 x n, from one batched inverse of the rfft coefficients
+    sh of sigma - M (1 x 1 x (n/2 + 1)), on the cached symbol of
+    inverse_gradient."""
+    u = np.fft.irfft(np.concatenate((sh, sh * _symbols(p.grid).inv_grad)),
+                     n=p.grid.n)
+    u[0] += p.mass_level
+    return u
 
-    Two FFT calls on the cached symbols of inverse_gradient and of the
-    dealiased derivative: v (and sigma - M when sigma is None) from one
-    batched inverse, then the flux forward, dealiased and differentiated
-    in one product with -ik keep."""
-    n = p.grid.n
-    sym = _symbols(p.grid)
-    if sigma is None:
-        source, grad_inv = np.fft.irfft(np.array((sh, sh * sym.inv_grad)), n=n)
-        sigma = source + p.mass_level
-    else:
-        grad_inv = np.fft.irfft(sh * sym.inv_grad, n=n)
-    v = -grad_inv
-    return np.fft.rfft(sigma * v) * sym.neg_ik_keep, v
+
+def _flux_rhs(u: np.ndarray, p: ParamSet) -> np.ndarray:
+    """Slope -ik (sigma v)^ of the rfft coefficients of sigma - M, the flux
+    dealiased, from the rows u = (sigma, -v) of `_inverse`: one forward
+    transform of the flux, dealiased and differentiated in one product
+    with the cached -ik keep."""
+    return np.fft.rfft(u[:1] * -u[1:]) * _symbols(p.grid).neg_ik_keep
+
+
+def _rows_of(state: KSState, p: ParamSet) -> Rows:
+    """The one-member batch of a state: its samples and the inverse
+    gradient row a first stage reads."""
+    u, sh = _transform([state], ("sigma",), p.mass_level)
+    grad_inv = np.fft.irfft(sh * _symbols(p.grid).inv_grad, n=p.grid.n)
+    return Rows(np.concatenate((u, grad_inv)), sh, [state.time], (p,),
+                [(float(u.min()),)])
 
 
 def step_ks_to(rows: Rows, target: float):
@@ -56,40 +68,42 @@ def step_ks_to(rows: Rows, target: float):
     of the one-member batch rows, in place, of dt = min(CFL bound, 0.1/M,
     target - t), the bound from its first stage and capped because v
     vanishes at equilibrium: the driver's step.  Returns None or the
-    SolverBreakdown that stops it."""
+    SolverBreakdown that stops it; data at the vacuum guard is refused
+    before the step."""
     if not rows.times[0] < target:
         raise ValueError("the state must be behind the target time")
     p = rows.ps[0]
     M = p.mass_level
-    s_n = rows.u[0, 0]
-    if float(s_n.min()) < VACUUM_FRACTION * M:
+    ((low,),) = rows.extrema
+    if low < VACUUM_FRACTION * M:
         return VacuumApproach(
-            f"min sigma = {s_n.min():.3e} below {VACUUM_FRACTION:g}*M; "
+            f"min sigma = {low:.3e} below {VACUUM_FRACTION:g}*M; "
             "use the characteristic solver near vacuum")
 
-    g1, v = _flux_rhs(s_n, rows.uh, p)
-    dt = min(_cfl_bound(p, float(np.max(np.abs(v)))), 0.1 / M,
+    u_n = rows.u
+    g1 = _flux_rhs(u_n, p)
+    dt = min(_cfl_bound(p, float(np.max(np.abs(u_n[1])))), 0.1 / M,
              target - rows.times[0])
-    uh = _rk3(rows.uh, g1, lambda u: _flux_rhs(None, u, p)[0], [dt], ((0.0,),))
-    u = np.fft.irfft(uh, n=p.grid.n)
-    u += M
+    uh = _rk3(rows.uh, g1, lambda uh: _flux_rhs(_inverse(uh, p), p), [dt],
+              ((0.0,),))
+    u = _inverse(uh, p)
     time = rows.times[0] + dt
-    rows.u, rows.uh, rows.times = u, uh, [time]
-    (blowup,) = _check_blowup([time], u)
+    low, high = float(u[0].min()), float(u[0].max())
+    rows.u, rows.uh, rows.times, rows.extrema = u, uh, [time], [(low,)]
+    blowup = _blowup(time, low, high)
     if blowup is not None:
         return blowup
-    min_sigma = float(u.min())
-    if min_sigma < VACUUM_FRACTION * M:
+    if low < VACUUM_FRACTION * M:
         return VacuumApproach(
-            f"min sigma = {min_sigma:.3e} reached the vacuum guard")
+            f"min sigma = {low:.3e} reached the vacuum guard")
     return None
 
 
 def simulate_ks(sigma0: Field, p: ParamSet, sample_times,
                 records: bool = True) -> SimulationResult:
     """Sampled trajectory of the limit solver, advanced by step_ks_to: the
-    initial row is transformed once, then the run carries its rows from
-    step to step and builds states at sample times only.  With records
+    initial row is transformed once and its inverse gradient inverted
+    once, then the run carries its rows from step to step and builds states at sample times only.  With records
     False no diagnostics are computed: each sample pairs its state with
     None."""
     if sigma0.grid != p.grid:
@@ -103,8 +117,7 @@ def simulate_ks(sigma0: Field, p: ParamSet, sample_times,
 
     # step_ks_to is looked up per call, so the benchmark tracer sees it
     (result,) = _integrate(
-        _rows_of([KSState(sigma=Field(p.grid, sigma0.values, tag="density"))],
-                 (p,), ("sigma",)),
+        _rows_of(KSState(sigma=Field(p.grid, sigma0.values, tag="density")), p),
         lambda rows, target: [step_ks_to(rows, target)], state_at,
         (lambda _, s: record_ks(s, p)) if records else None, sample_times)
     return result

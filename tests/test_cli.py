@@ -124,8 +124,7 @@ def test_sweep_reference_blowup_exits_3(runner, monkeypatch):
     flux_rhs = keller_segel._flux_rhs
     monkeypatch.setattr(
         keller_segel, "_flux_rhs",
-        lambda sigma, sh, p: (np.full_like(sh, np.nan),
-                              flux_rhs(sigma, sh, p)[1]))
+        lambda u, p: np.full_like(flux_rhs(u, p), np.nan))
     result = runner.invoke(main, [
         "sweep", "--eps", "0.2,0.1", "--grid", "64", "--t-end", "0.5"])
     assert result.exit_code == 3, outputs(result)
@@ -234,6 +233,16 @@ def test_bad_profile_argument_exits_2(runner, tmp_path, command, line,
     result = runner.invoke(main, [command, "--config", str(cfg)])
     assert result.exit_code == 2, outputs(result)
     assert message in outputs(result)
+
+
+@pytest.mark.parametrize("command", ["simulate-ks", "sweep"])
+def test_non_integer_grid_n_exits_2(runner, tmp_path, command):
+    # a fractional cell count is refused, not truncated to 64
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_n = 64.5\nt_end = 0.1\n")
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert "grid size n must be an integer, got 64.5" in outputs(result)
 
 
 @pytest.mark.parametrize("lines, unknown", [

@@ -65,6 +65,16 @@ def test_grid_rejects_tiny_n():
         Grid.torus(4)
 
 
+@pytest.mark.parametrize("n", [64.5, 64.0, True, "64"])
+def test_grid_rejects_a_non_integer_n(n):
+    # a fractional n would give n = 64.5, 65 nodes and h = L/64.5
+    with pytest.raises(ValueError, match="must be an integer"):
+        Grid.torus(n)
+    with pytest.raises(ValueError, match="must be an integer"):
+        Grid.line(0.0, 1.0, n)
+    assert Grid.torus(np.int64(64)).n == 64
+
+
 def test_field_rejects_nonfinite(torus64):
     values = np.ones(torus64.n)
     values[3] = np.nan

@@ -27,15 +27,21 @@ def _state(grid, rho, w):
 
 
 def _rows(states, ps):
-    return euler_poisson._rows_of(states, ps, ("rho", "w"))
+    return euler_poisson._rows_of(states, ps)
+
+
+def _speeds(rho, w, v, p):
+    """_speeds of one member's samples rho, w and v."""
+    ((adv, sound),) = euler_poisson._speeds(
+        [(rho.max(), np.abs(w).max())], [np.abs(v).max()], (p,))
+    return adv, sound
 
 
 def _stable_dt(s, p):
     """The CFL bound dt_cfl*h/(advective + sound speed) of state s,
     its velocity from the public inverse_gradient."""
     v = -inverse_gradient(s.rho.values - p.mass_level, p.grid)
-    ((adv, sound),) = euler_poisson._speeds(
-        s.rho.values[None], s.w.values[None], v[None], (p,))
+    adv, sound = _speeds(s.rho.values, s.w.values, v, p)
     return p.dt_cfl * p.grid.h / (adv + sound)
 
 
@@ -115,16 +121,23 @@ def _assert_rhs_matches_composition(rho, w, ps, dealias):
     returns the first stage's v."""
     m = euler_poisson._members(tuple(ps))
     uh = np.fft.rfft(np.array((rho - m.p.mass_level, w)))
-    # the first stage hands in the samples, the later ones only uh
-    first = euler_poisson._rhs(np.array((rho, w)), uh, m)
-    for g, v in (first, euler_poisson._rhs(None, uh, m)):
+    # the first stage reads the carried rows, the later ones only uh,
+    # and only the first forms v
+    first = euler_poisson._rhs(
+        euler_poisson._carried_rows(uh, m, np.array((rho, w))), uh, m)
+    later = euler_poisson._rhs(None, uh, m)
+    assert later[1] is None
+    for g in (first[0], later[0]):
         g_rho, g_w = np.fft.irfft(g, n=m.p.grid.n)
         for i, p in enumerate(ps):
-            ref_rho, ref_w, ref_v = _rhs_composed(rho[i], w[i], p, dealias)
+            ref_rho, ref_w, _ = _rhs_composed(rho[i], w[i], p, dealias)
             for got, ref in ((g_rho[i], ref_rho), (g_w[i], ref_w)):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.max(np.abs(v[i] - ref_v)) <= 1e-12 * np.max(np.abs(ref_v))
-    return first[1]
+    v = first[1]
+    for i, p in enumerate(ps):
+        ref_v = _rhs_composed(rho[i], w[i], p, dealias)[2]
+        assert np.max(np.abs(v[i] - ref_v)) <= 1e-12 * np.max(np.abs(ref_v))
+    return v
 
 
 @pytest.mark.parametrize("n", [64, 256, 2048])
@@ -137,11 +150,10 @@ def test_fused_rhs_matches_composition(n, alpha, dealias):
     for gamma in (1.5, 2.0):
         p = ParamSet(epsilon=0.1, alpha=alpha, gamma=gamma, mass_level=1.0,
                      rho_lower=0.25, rho_upper=2.0, grid=grid)
-        v = _assert_rhs_matches_composition(rho[None], w[None], [p], dealias)
+        (v,) = _assert_rhs_matches_composition(rho[None], w[None], [p],
+                                               dealias)
         ref_v = _rhs_composed(rho, w, p, dealias)[2]
-        speeds = euler_poisson._speeds(rho[None], w[None], v, (p,))
-        assert speeds == euler_poisson._speeds(rho[None], w[None],
-                                               ref_v[None], (p,))
+        assert _speeds(rho, w, v, p) == _speeds(rho, w, ref_v, p)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -172,8 +184,7 @@ def test_cfl_guard_uses_the_stable_dt_bound(params, torus64):
     s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x),
                4.8 * np.sin(torus64.x))
     v = -inverse_gradient(s.rho.values - params.mass_level, torus64)
-    ((adv, sound),) = euler_poisson._speeds(
-        s.rho.values[None], s.w.values[None], v[None], (params,))
+    adv, sound = _speeds(s.rho.values, s.w.values, v, params)
     assert 0.8 < adv / sound < 1.25
     rows = _rows([s], [params])
     step_ep_rows(rows, 1.0)
@@ -349,8 +360,7 @@ def test_simulate_ks_equals_the_stable_dt_loop(n, amp):
     result = simulate_ks(sigma0, p, times)
     assert result.ok == (amp < 1.0)
     _assert_same_run(result, _reference_run(
-        step_ks_to, euler_poisson._rows_of([KSState(sigma=sigma0)], [p],
-                                           ("sigma",)),
+        step_ks_to, keller_segel._rows_of(KSState(sigma=sigma0), p),
         lambda u, time: KSState(sigma=Field(grid, u[0], tag="density"),
                                 time=time),
         lambda s: record_ks(s, p), times))
@@ -421,22 +431,25 @@ def test_modal_decay_matches_slow_root(torus64):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e12])
-def test_blowup_check_flags_only_its_own_member(bad):
-    # stacked rows (row kinds x members x n), as the stepper holds them
-    u = np.ones((2, 3, 16))
-    u[1, 1, 5] = bad
-    flags = euler_poisson._check_blowup([0.1, 0.2, 0.3], u)
-    assert flags[0] is None and flags[2] is None
-    assert isinstance(flags[1], Blowup)
-    assert "0.2" in str(flags[1])
-    (flag,) = euler_poisson._check_blowup([0.2], u[:, 1:2])
-    assert isinstance(flag, Blowup)
+def test_blowup_check_flags_only_its_own_member(params, bad):
+    # stacked rows (row kinds x members x n), as the stepper holds them:
+    # a bad value in the rho rows or in the w rows flags its member only
+    for row in (0, 1):
+        u = np.ones((2, 3, 16))
+        u[row, 1, 5] = bad
+        flags, _ = euler_poisson._guards(u, [0.1, 0.2, 0.3], params)
+        assert flags[0] is None and flags[2] is None
+        assert isinstance(flags[1], Blowup)
+        assert "0.2" in str(flags[1])
+        (flag,), _ = euler_poisson._guards(u[:, 1:2], [0.2], params)
+        assert isinstance(flag, Blowup)
     u[1, 1, 5] = 1e12            # the threshold itself is still finite
-    assert euler_poisson._check_blowup([0.1, 0.2, 0.3], u) == [None] * 3
+    assert euler_poisson._guards(u, [0.1, 0.2, 0.3], params)[0] == [None] * 3
 
 
 @pytest.mark.parametrize("bad", [math.nan, *INF_SLOPES, 2e12])
 def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
+    # a poisoned slope ends the run in its first step
     real_rhs = euler_poisson._rhs
 
     def poisoned(u, uh, m):
@@ -448,6 +461,72 @@ def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
     assert result.n_steps == 0
     with pytest.raises(Blowup):
         result.raise_if_failed()
+    monkeypatch.undo()
+
+    # each guard, row by row: the value poisons the rho rows only, or the
+    # w rows only, of the rows a step's closing inverse hands its guards,
+    # on a one-member and on a three-member batch
+    real_carried = euler_poisson._carried_rows
+    batches = ([params], [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)])
+    for row in (0, 1):
+        def poisoned_rows(uh, m, samples=None):
+            u = real_carried(uh, m, samples)
+            if samples is None:
+                u[row, :, 5] = bad
+            return u
+
+        monkeypatch.setattr(euler_poisson, "_carried_rows", poisoned_rows)
+        for ps in batches:
+            for result in simulate_ep_rows(cosine_rho, zero_w, ps, [0.0, 0.1],
+                                           records=False):
+                assert result.status == "nonfinite" and result.n_steps == 0
+                assert isinstance(result.error, Blowup)
+    monkeypatch.undo()
+
+    # the same for the sigma row of the Keller-Segel step: every third
+    # inverse is a step's closing one
+    real_inverse = keller_segel._inverse
+    calls = []
+
+    def poisoned_inverse(sh, p):
+        u = real_inverse(sh, p)
+        calls.append(None)
+        if len(calls) % 3 == 0:
+            u[0, :, 5] = bad
+        return u
+
+    monkeypatch.setattr(keller_segel, "_inverse", poisoned_inverse)
+    result = simulate_ks(cosine_rho, params, [0.0, 0.1], records=False)
+    assert result.status == "nonfinite" and result.n_steps == 0
+    assert isinstance(result.error, Blowup)
+
+
+@pytest.mark.parametrize("value", [5.0, 0.1])
+def test_range_breach_reports_the_rho_range(monkeypatch, params, cosine_rho,
+                                            zero_w, value):
+    # a finite rho sample beyond [rho_lower/2, 2 rho_upper] stops each
+    # member with a RangeBreach naming its own [min, max]
+    real_carried = euler_poisson._carried_rows
+    seen = []
+
+    def poisoned_rows(uh, m, samples=None):
+        u = real_carried(uh, m, samples)
+        if samples is None:
+            u[0, :, 5] = value
+            seen.append((u[0].min(axis=-1), u[0].max(axis=-1)))
+        return u
+
+    monkeypatch.setattr(euler_poisson, "_carried_rows", poisoned_rows)
+    ps = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
+    results = simulate_ep_rows(cosine_rho, zero_w, ps, [0.0, 0.1],
+                               records=False)
+    ((low, high),) = seen
+    for i, (result, p) in enumerate(zip(results, ps)):
+        assert result.status == "range_breach" and result.n_steps == 0
+        tau = min(_stable_dt(EPState(rho=cosine_rho, w=zero_w), p), 0.1)
+        assert str(result.error) == (
+            f"rho range [{low[i]:.6g}, {high[i]:.6g}] left [0.125, 4] "
+            f"at tau = {tau:.6g}")
 
 
 def test_step_ep_rows_takes_the_stable_dt(params, torus64):
@@ -474,9 +553,8 @@ def test_step_ep_rows_takes_the_stable_dt(params, torus64):
 
 def test_step_ep_rows_rejects_bad_batches(params, cosine_rho, zero_w):
     s = EPState(rho=cosine_rho, w=zero_w)
-    rows = _rows([s, s], [params, params.replace(alpha=1.5)])
     with pytest.raises(ValueError, match="epsilon only"):
-        step_ep_rows(rows, 0.1)
+        step_ep_rows(_rows([s, s], [params, params.replace(alpha=1.5)]), 0.1)
     rows = _rows([s, s], [params, params.replace(epsilon=0.05)])
     with pytest.raises(ValueError, match="behind"):
         step_ep_rows(rows, 0.0)
@@ -541,13 +619,16 @@ def fft_work(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("gamma, rows_per_step", [(2.0, 18), (1.5, 21)])
+@pytest.mark.parametrize("gamma, rows_per_step", [(2.0, 16), (1.5, 19)])
 def test_ep_run_fft_work(monkeypatch, fft_work, gamma, rows_per_step):
-    # one forward transform of (rho0 - M, w0), then per batched step 7
-    # calls: stage 1 inverts (v, bracket) and a later stage also
-    # (rho - M, w), each stage forward-transforms (rho vel, -h), and the
-    # new coefficients are inverted; gamma != 2 adds the pressure row to
-    # each stage's inverse.  Per member step: 2+2 + 2*(4+2) + 2 = 18 rows
+    # per run one forward transform of each member's (rho0 - M, w0) and
+    # one inverse of the rows its first stage reads besides them; then
+    # per batched step 6 calls: stage 1 forward-transforms (rho vel, -h),
+    # a later stage inverts (rho - M, vel, bracket) and forward-transforms
+    # (rho vel, -h), and the closing inverse gives (rho, w, -v, bracket)
+    # for the guards, the samples and the next first stage; gamma != 2
+    # adds the pressure row to each inverse.  Per member step:
+    # 2 + 2*(3+2) + 4 = 16 rows
     grid = Grid.torus(64)
     p = ParamSet(epsilon=0.1, alpha=1.0, gamma=gamma, mass_level=1.0,
                  rho_lower=0.25, rho_upper=2.0, grid=grid, t_end=0.1)
@@ -567,18 +648,56 @@ def test_ep_run_fft_work(monkeypatch, fft_work, gamma, rows_per_step):
     assert all(r.ok for r in results)
     member_steps = sum(r.n_steps for r in results)
     assert sum(batch_sizes) == member_steps > len(batch_sizes) > 0
-    assert fft_work["calls"] == 7 * len(batch_sizes) + 1
-    assert fft_work["rows"] == rows_per_step * member_steps + 2
+    assert fft_work["calls"] == 6 * len(batch_sizes) + 2
+    carried = 2 if gamma == 2.0 else 3      # -v, bracket[, pressure]
+    assert fft_work["rows"] == rows_per_step * member_steps + 2 * (2 + carried)
 
 
 def test_ks_run_fft_work(fft_work, params, cosine_rho):
-    # one forward transform of sigma0 - M, then per step 7 calls on
-    # 1+1 + 2*(2+1) + 1 = 9 rows
+    # per run one forward transform of sigma0 - M and one inverse of its
+    # inverse gradient row, then per step 6 calls on
+    # 1 + 2*(2+1) + 2 = 9 rows
     result = simulate_ks(cosine_rho, params, np.linspace(0.0, 0.5, 6),
                          records=False)
     assert result.ok and result.n_steps > 0
-    assert fft_work["calls"] == 7 * result.n_steps + 1
-    assert fft_work["rows"] == 9 * result.n_steps + 1
+    assert fft_work["calls"] == 6 * result.n_steps + 2
+    assert fft_work["rows"] == 9 * result.n_steps + 2
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0])
+def test_carried_rows_equal_recomputed_rows(params, cosine_rho, gamma):
+    # after a few steps the rows a step carries to the next first stage
+    # are a fresh inverse of its coefficients bit for bit, the carried
+    # extrema are its samples', and a later stage's slope from the same
+    # coefficients (vel formed in Fourier space) matches the first
+    # stage's on a mixed-epsilon batch
+    ps = [params.replace(epsilon=e, gamma=gamma) for e in (0.2, 0.1, 0.05)]
+    w0 = Field(params.grid, 0.05 * np.sin(params.grid.x))
+    rows = _rows([EPState(rho=cosine_rho, w=w0)] * 3, ps)
+    for _ in range(4):
+        assert step_ep_rows(rows, 1.0) == [None] * 3
+    m = rows.members
+    u = rows.u
+    assert u.shape == (4 if gamma == 2.0 else 5, 3, params.grid.n)
+    assert np.array_equal(euler_poisson._carried_rows(rows.uh, m, u[:2]), u)
+    samples = np.fft.irfft(rows.uh, n=params.grid.n)
+    samples[0] += params.mass_level
+    assert np.array_equal(samples, u[:2])
+    assert rows.extrema == list(zip(u[0].max(axis=-1).tolist(),
+                                    np.abs(u[1]).max(axis=-1).tolist()))
+    first, v = euler_poisson._rhs(u, rows.uh, m)
+    assert np.array_equal(v, -u[2])
+    later, _ = euler_poisson._rhs(None, rows.uh, m)
+    for got, want in zip(later, first):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # the Keller-Segel step carries (sigma, -v) and min sigma
+    p = params
+    ks = keller_segel._rows_of(KSState(sigma=cosine_rho), p)
+    for _ in range(4):
+        assert step_ks_to(ks, 1.0) is None
+    assert np.array_equal(keller_segel._inverse(ks.uh, p), ks.u)
+    assert ks.extrema == [(ks.u[0].min(),)]
 
 
 @pytest.mark.parametrize("solver, gamma", [("ep", 2.0), ("ep", 1.5),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frictionlab import euler_poisson, keller_segel
+from frictionlab import keller_segel
 from frictionlab.characteristics import reconstruct_eulerian
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate
@@ -26,7 +26,7 @@ def _state(grid, sigma):
 
 
 def _rows(s, p):
-    return euler_poisson._rows_of([s], [p], ("sigma",))
+    return keller_segel._rows_of(s, p)
 
 
 def test_equilibrium_is_exact_fixed_point(params, torus64):
@@ -70,13 +70,15 @@ def test_fused_flux_rhs_matches_composition(n, dealias):
     assert sigma.min() > 0.5
     v = -inverse_gradient(sigma - p.mass_level, grid)
     ref = -deriv(dealias(sigma * v, grid), grid)
-    sh = np.fft.rfft(sigma - p.mass_level)
-    # the first stage hands in the samples, the later ones only sh
-    for slope, got_v in (keller_segel._flux_rhs(sigma, sh, p),
-                         keller_segel._flux_rhs(None, sh, p)):
-        slope = np.fft.irfft(slope, n=n)
+    sh = np.fft.rfft(sigma - p.mass_level)[None, None]
+    # the first stage reads the carried rows (sigma, -v), a later one the
+    # rows inverted from sh
+    carried = _rows(_state(grid, sigma), p).u
+    inverted = keller_segel._inverse(sh, p)
+    for u in (carried, inverted):
+        assert np.max(np.abs(-u[1, 0] - v)) <= 1e-12 * np.max(np.abs(v))
+        slope = np.fft.irfft(keller_segel._flux_rhs(u, p), n=n)[0, 0]
         assert np.max(np.abs(slope - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.max(np.abs(got_v - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 @pytest.mark.parametrize("amp, target", [(0.5, 1.0), (0.3, 1.0),
@@ -114,10 +116,10 @@ def test_nonfinite_slope_ends_run_nonfinite(monkeypatch, params, torus64,
     real_rhs = keller_segel._flux_rhs
     calls = []
 
-    def poisoned(sigma, sh, p):
-        g, v_max = real_rhs(sigma, sh, p)
+    def poisoned(u, p):
+        g = real_rhs(u, p)
         calls.append(None)
-        return (g + bad if len(calls) == 10 else g), v_max
+        return g + bad if len(calls) == 10 else g
 
     monkeypatch.setattr(keller_segel, "_flux_rhs", poisoned)
     sigma0 = Field(torus64, 1.0 + 0.3 * np.cos(torus64.x), tag="density")
