@@ -343,10 +343,10 @@ class Rows:
                     [self.extrema[j] for j in keep])
 
     def column(self, j: int) -> tuple:
-        """Member j's rows (a copy, which a state may keep without the
-        batch), coefficients, clock, ParamSet and extrema."""
-        return (self.u[:, j].copy(), self.uh[:, j], self.times[j], self.ps[j],
-                self.extrema[j])
+        """Member j's rows, coefficients, clock, ParamSet and extrema, as
+        views into the batch's arrays, which no step writes to."""
+        return self.u[:, j], self.uh[:, j], self.times[j], self.ps[j], \
+            self.extrema[j]
 
     @classmethod
     def stack(cls, columns) -> "Rows":
@@ -426,8 +426,9 @@ class SimulationResult:
 def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
     """Advance every member of the batch rows to each sample time in turn,
     landing on it exactly, and sample member i there as
-    state = state_at(u, time), u its rows (the samples first), paired with
-    record(i, state), or with None when record is None.
+    state = state_at(u, time), u its rows (the samples first, a view that
+    state_at copies what it keeps of), paired with record(i, state), or
+    with None when record is None.
 
     advance(rows, target) takes one step toward target of every member of
     rows, all behind it, in one call, and returns per member None or the
@@ -498,8 +499,9 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
     grid = p.grid
 
     def state_at(u, time):
-        return EPState(rho=Field(grid, u[0], tag="density"),
-                       w=Field(grid, u[1]), time=time)
+        rho, w = u[:2].copy()
+        return EPState(rho=Field(grid, rho, tag="density"), w=Field(grid, w),
+                       time=time)
 
     # step_ep_rows is looked up per call, so the benchmark tracer sees it
     return _integrate(rows, lambda rows, target: step_ep_rows(rows, target),

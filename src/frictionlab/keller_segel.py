@@ -113,7 +113,8 @@ def simulate_ks(sigma0: Field, p: ParamSet, sample_times,
         raise MeanDefect(f"sigma0 mass defect {defect:.3e}")
 
     def state_at(u, time):
-        return KSState(sigma=Field(p.grid, u[0], tag="density"), time=time)
+        return KSState(sigma=Field(p.grid, u[0].copy(), tag="density"),
+                       time=time)
 
     # step_ks_to is looked up per call, so the benchmark tracer sees it
     (result,) = _integrate(
