@@ -29,9 +29,8 @@ from .core import Field, Grid, KSState, ParamSet
 from .errors import (InversionFailure, MultipleVacuumIntervals, NoVacuum,
                      PreconditionViolation, UnsupportedOrder)
 from .keller_segel import simulate_ks
-from .ksmap import ks_map_torus
 from .profiles import InitialProfile
-from .spectral import trig_interp
+from .spectral import inverse_gradient, trig_interp
 
 TRAJECTORY_HORIZON = 50.0  # beyond tau = 50/M, e^{-M tau} underflows; report limits
 GUESS_NEWTON_STEPS = 2     # Newton steps from the interpolated inversion guess
@@ -264,6 +263,7 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     tau_end / n_steps (n_steps rounded up to even); below the CFL bound
     each sample is one solver step.  A marker step spans two samples, so
     the RK4 midpoint velocity is available without interpolation in time.
+    The velocities of all samples come from one batched inverse gradient.
     Raises ValueError unless tau_end is finite and positive and n_steps is
     None or at least 1, and the run's SolverBreakdown if it has one: no
     partial trajectory is compared.
@@ -275,7 +275,8 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     grid = state.sigma.grid
     M = p.mass_level
     if n_steps is None:
-        vmax = float(np.max(np.abs(ks_map_torus(state.sigma, M).values)))
+        vmax = float(np.max(np.abs(inverse_gradient(state.sigma.values - M,
+                                                    grid))))
         bound = 0.9 * p.dt_cfl * grid.h / vmax if vmax > 0.0 else math.inf
         dt = min(bound, 0.1 / M)
         n_steps = max(2, 2 * math.ceil(tau_end / (2.0 * dt)))
@@ -285,7 +286,8 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     run = simulate_ks(state.sigma, p, dt * np.arange(n_steps + 1),
                       records=False)
     run.raise_if_failed()
-    sigmas = [s.sigma for s, _ in run.samples]
+    sigmas = np.stack([s.sigma.values for s, _ in run.samples])
+    v = -inverse_gradient(sigmas - M, grid)  # the KS velocity of each sample
 
     markers = grid.x.copy()
     sigma_m = state.sigma.values.copy()
@@ -294,25 +296,19 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     def vel(field_vals, pos):
         return trig_interp(field_vals, grid, pos)
 
-    def sample_v(j):
-        return ks_map_torus(sigmas[j], M).values
-
-    v0 = sample_v(0)
     for j in range(2, n_steps + 1, 2):
-        v1, v2 = sample_v(j - 1), sample_v(j)
         h = 2.0 * dt
-        k1 = vel(v0, markers)
-        k2 = vel(v1, markers + 0.5 * h * k1)
-        k3 = vel(v1, markers + 0.5 * h * k2)
-        k4 = vel(v2, markers + h * k3)
+        k1 = vel(v[j - 2], markers)
+        k2 = vel(v[j - 1], markers + 0.5 * h * k1)
+        k3 = vel(v[j - 1], markers + 0.5 * h * k2)
+        k4 = vel(v[j], markers + h * k3)
         markers = markers + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # exact logistic update over the pair of steps
         e = math.exp(-M * h)
         sigma_m = M * sigma_m / (sigma_m + (M - sigma_m) * e)
-        v0 = v2
 
     # fold marker positions back into the periodic cell for interpolation
     folded = grid.left + np.mod(markers - grid.left, length)
-    eulerian_at_markers = trig_interp(sigmas[-1].values, grid, folded)
+    eulerian_at_markers = trig_interp(sigmas[-1], grid, folded)
     gaps = eulerian_at_markers - sigma_m
     return OracleComparison(max_gap=float(np.max(np.abs(gaps))), gaps=gaps)

@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 invalid configuration or initial data,
 """
 from __future__ import annotations
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -14,10 +13,10 @@ import numpy as np
 
 from .core import Field
 from .characteristics import trajectory_rows, vacuum_interval
-from .errors import FrictionLabError, SolverBreakdown, ValidationError
+from .errors import FrictionLabError, ValidationError
 from .experiments import (
-    DEFAULT_WAVENUMBERS, ExperimentSpec, run_decay_fit, run_epsilon_sweep,
-    run_single_ep, run_single_ks, run_spectrum_table, run_vacuum_collapse,
+    ExperimentSpec, run_decay_fit, run_epsilon_sweep, run_single_ep,
+    run_single_ks, run_spectrum_table, run_vacuum_collapse,
 )
 from .io import (
     build_params, format_number, profile_args_from, read_config,
@@ -30,51 +29,55 @@ EXIT_SOLVER = 3
 EXIT_VERDICT = 4
 
 
-def common_options(fn):
-    # applied last to first, as stacked decorators are: --help keeps this order
-    for option in reversed((
-        click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                     default=None, help="Flat key=value configuration file."),
-        click.option("--out", type=click.Path(file_okay=False), default=None,
-                     help="Directory for CSV output."),
-        click.option("--profile", default=None,
-                     help="Named initial profile (overrides the config)."),
-        click.option("--eps", default=None,
-                     help="Comma-separated epsilon list, strictly decreasing."),
-        click.option("--grid", type=int, default=None,
-                     help="Number of grid cells."),
-        click.option("--t-end", type=float, default=None, help="Final time."))):
-        fn = option(fn)
-    return fn
+# the options but --labels, each named for the config key it sets; --eps
+# sets one epsilon, or the list on the commands that run several
+OPTIONS = {
+    "config": click.option("--config", type=click.Path(
+        exists=True, dir_okay=False), help="Flat key=value configuration file."),
+    "out": click.option("--out", type=click.Path(file_okay=False),
+                        help="Directory for CSV output."),
+    "profile": click.option(
+        "--profile", help="Named initial profile (overrides the config)."),
+    "epsilon": click.option("--eps", "epsilon", type=float,
+                            help="Epsilon of the run."),
+    "epsilon_list": click.option("--eps", "epsilon_list", help=(
+        "Comma-separated epsilon list, strictly decreasing.")),
+    "grid_n": click.option("--grid", "grid_n", type=int,
+                           help="Number of grid cells."),
+    "t_end": click.option("--t-end", "t_end", type=float, help="Final time."),
+}
+LIST_KEYS = ("epsilon_list", "wavenumbers")
 
 
-def _build_spec(kind, config, out, profile, eps, grid, t_end, defaults=()):
+def options(*names):
+    """--config, --out and the named OPTIONS, listed by --help in that
+    order: stacked decorators apply last to first."""
+    def apply(fn):
+        for name in reversed(("config", "out") + names):
+            fn = OPTIONS[name](fn)
+        return fn
+    return apply
+
+
+def _build_spec(kind, config, out, defaults=(), **flags):
     """The command's spec and config: a flag overrides the config, which
-    overrides the command's defaults (config keys and values)."""
+    overrides the command's defaults (config keys and values).  A list key
+    is read from a comma list (a flag) or a config value (a number, a
+    tuple or ''), as floats; an empty list keeps its default."""
     cfg = dict(defaults)
-    cfg.update(read_config(config) if config else {})
-    flags = {"grid_n": grid, "t_end": t_end, "profile": profile}
-    cfg.update((k, v) for k, v in flags.items() if v is not None)
-    params = build_params(cfg)
+    config_items = (read_config(config) if config else {}).items()
+    for key, value in [*config_items, *flags.items()]:
+        if key in LIST_KEYS:
+            if not isinstance(value, tuple):
+                value = str(value or "").split(",")
+            value = tuple(float(v) for v in value if v != "") or None
+        if value is not None:
+            cfg[key] = value
     name, args = profile_args_from(cfg)
-
-    if eps is not None:
-        eps_list = tuple(float(tok) for tok in str(eps).split(",") if tok)
-    else:
-        raw = cfg.get("epsilon_list", ())
-        eps_list = raw if isinstance(raw, tuple) else ((raw,) if raw else ())
-        eps_list = tuple(float(e) for e in eps_list)
-    if kind == "single-run" and eps_list:
-        params = params.replace(epsilon=eps_list[0])
-
-    wn = cfg.get("wavenumbers", DEFAULT_WAVENUMBERS)
-    if not isinstance(wn, tuple):
-        wn = (wn,)
     spec = ExperimentSpec(
-        kind=kind, params=params, epsilon_list=eps_list,
-        profile=name, profile_args=args,
+        kind=kind, params=build_params(cfg), profile=name, profile_args=args,
         output_dir=Path(out) if out else None,
-        wavenumbers=tuple(float(k) for k in wn))
+        **{key: cfg[key] for key in LIST_KEYS if key in cfg})
     return spec, cfg
 
 
@@ -89,7 +92,7 @@ def _guard(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValidationError as err:
         _fail(EXIT_VALIDATION, f"validation failure: {err}")
-    except (SolverBreakdown, FrictionLabError) as err:
+    except FrictionLabError as err:
         _fail(EXIT_SOLVER, f"solver failure: {err}")
     except (ValueError, KeyError) as err:
         _fail(EXIT_VALIDATION, f"invalid configuration: {err}")
@@ -124,35 +127,33 @@ def _initial_override(cfg, spec):
 
 
 @main.command("simulate-ep")
-@common_options
-def simulate_ep_cmd(config, out, profile, eps, grid, t_end):
+@options("profile", "epsilon", "grid_n", "t_end")
+def simulate_ep_cmd(config, out, **flags):
     """Integrate the perturbation-form pressure system on the torus."""
-    spec, cfg = _guard(_build_spec, "single-run", config, out, profile,
-                       eps, grid, t_end)
+    spec, cfg = _guard(_build_spec, "single-run", config, out, **flags)
     rho0 = _guard(_initial_override, cfg, spec)
     result, path = _guard(run_single_ep, spec, rho0=rho0)
     _report_run(result, path, "simulate-ep")
 
 
 @main.command("simulate-ks")
-@common_options
-def simulate_ks_cmd(config, out, profile, eps, grid, t_end):
+@options("profile", "grid_n", "t_end")
+def simulate_ks_cmd(config, out, **flags):
     """Integrate the limit aggregation equation on the torus."""
-    spec, cfg = _guard(_build_spec, "single-run", config, out, profile,
-                       eps, grid, t_end)
+    spec, cfg = _guard(_build_spec, "single-run", config, out, **flags)
     sigma0 = _guard(_initial_override, cfg, spec)
     result, path = _guard(run_single_ks, spec, sigma0=sigma0)
     _report_run(result, path, "simulate-ks")
 
 
 @main.command("characteristics")
-@common_options
+@options("profile", "t_end")
 @click.option("--labels", type=click.IntRange(min=1), default=33,
               help="Number of Lagrangian labels to track.")
-def characteristics_cmd(config, out, profile, eps, grid, t_end, labels):
+def characteristics_cmd(config, out, labels, **flags):
     """Tabulate exact characteristic trajectories for a line profile."""
-    spec, _ = _guard(_build_spec, "single-run", config, out, profile, eps,
-                     grid, t_end, {"t_end": 5.0, "profile": "vacuum-ramp"})
+    spec, _ = _guard(_build_spec, "single-run", config, out,
+                     {"t_end": 5.0, "profile": "vacuum-ramp"}, **flags)
 
     def go():
         prof = profile_line(spec.profile, spec.params.mass_level,
@@ -180,11 +181,10 @@ def characteristics_cmd(config, out, profile, eps, grid, t_end, labels):
 
 
 @main.command("spectrum")
-@common_options
-def spectrum_cmd(config, out, profile, eps, grid, t_end):
+@options("epsilon_list")
+def spectrum_cmd(config, out, **flags):
     """Dispersion roots and amplitude ratios over an (epsilon, k) grid."""
-    spec, _ = _guard(_build_spec, "spectrum-table", config, out, profile,
-                     eps, grid, t_end)
+    spec, _ = _guard(_build_spec, "spectrum-table", config, out, **flags)
     result = _guard(run_spectrum_table, spec)
     for row in result.rows:
         click.echo("  ".join(format_number(c) for c in row))
@@ -195,13 +195,11 @@ def spectrum_cmd(config, out, profile, eps, grid, t_end):
 
 
 @main.command("sweep")
-@common_options
-def sweep_cmd(config, out, profile, eps, grid, t_end):
+@options("profile", "epsilon_list", "grid_n", "t_end")
+def sweep_cmd(config, out, **flags):
     """Convergence of the damped system to its limit as epsilon shrinks."""
-    spec, _ = _guard(_build_spec, "epsilon-sweep", config, out, profile,
-                     eps, grid, t_end)
-    if not spec.epsilon_list:
-        spec = dataclasses.replace(spec, epsilon_list=(0.2, 0.1, 0.05, 0.025))
+    spec, _ = _guard(_build_spec, "epsilon-sweep", config, out,
+                     {"epsilon_list": (0.2, 0.1, 0.05, 0.025)}, **flags)
     result = _guard(run_epsilon_sweep, spec)
     for row in result.rows:
         click.echo(f"eps={format_number(row.epsilon)}  "
@@ -217,11 +215,11 @@ def sweep_cmd(config, out, profile, eps, grid, t_end):
 
 
 @main.command("vacuum")
-@common_options
-def vacuum_cmd(config, out, profile, eps, grid, t_end):
+@options("profile")
+def vacuum_cmd(config, out, **flags):
     """Vacuum-interval collapse and edge-derivative growth laws."""
-    spec, _ = _guard(_build_spec, "vacuum-collapse", config, out, profile,
-                     eps, grid, t_end, {"profile": "vacuum-ramp"})
+    spec, _ = _guard(_build_spec, "vacuum-collapse", config, out,
+                     {"profile": "vacuum-ramp"}, **flags)
     result = _guard(run_vacuum_collapse, spec)
     for row in result.rows:
         click.echo(f"tau={format_number(row.tau)}  "
@@ -238,11 +236,11 @@ def vacuum_cmd(config, out, profile, eps, grid, t_end):
 
 
 @main.command("decay")
-@common_options
-def decay_cmd(config, out, profile, eps, grid, t_end):
+@options("profile", "epsilon", "grid_n", "t_end")
+def decay_cmd(config, out, **flags):
     """Post-layer exponential decay-rate fits."""
-    spec, _ = _guard(_build_spec, "decay-fit", config, out, profile,
-                     eps, grid, t_end, {"t_end": 5.0})
+    spec, _ = _guard(_build_spec, "decay-fit", config, out, {"t_end": 5.0},
+                     **flags)
     result = _guard(run_decay_fit, spec)
     for f in result.fits:
         click.echo(f"{f.series}: rate={format_number(f.rate)} "

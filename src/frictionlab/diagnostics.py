@@ -74,15 +74,11 @@ def norms(f: Field) -> dict:
     of a torus field."""
     grid = f.grid
     vals = f.values
-    out = {
-        "l2": math.sqrt(max(grid.integrate(vals * vals), 0.0)),
-        "sup": float(np.max(np.abs(vals))),
-    }
-    g = deriv(vals, grid)
-    out["l4_of_gradient"] = grid.integrate(g**4) ** 0.25
     sq = grid.integrate(vals * vals)
-    for j in range(1, 4):
-        d = deriv(vals, grid, j)
+    out = {"l2": math.sqrt(max(sq, 0.0)), "sup": float(np.max(np.abs(vals)))}
+    derivs = [deriv(vals, grid, j) for j in range(1, 4)]
+    out["l4_of_gradient"] = grid.integrate(derivs[0]**4) ** 0.25
+    for j, d in enumerate(derivs, 1):
         sq += grid.integrate(d * d)
         out[f"h{j}"] = math.sqrt(max(sq, 0.0))
     return out

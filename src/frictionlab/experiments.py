@@ -36,6 +36,7 @@ DEFAULT_WAVENUMBERS = (0.0, 0.5, 1.0, 2.0, 4.0)
 ZERO_SIGNAL_FLOOR = 1e-13     # below this, deviations count as machine zero
 VACUUM_SIGMA_CUTOFF = 1e-9    # reconstruction cells at/below cutoff*M -> vacuum
 FD_WINDOW_SCALE = 0.02        # edge finite-difference window at tau = 0, / (b0 - a0)
+FD_TAU_MAX = 3.0              # no finite-difference check past this tau
 
 
 @dataclass(frozen=True)
@@ -260,14 +261,13 @@ def measure_edge_derivative_fd(prof: InitialProfile, tau: float,
 
 
 def run_vacuum_collapse(spec: ExperimentSpec,
-                        taus=None, n_grid: int = 2048,
-                        fd_tau_max: float = 3.0) -> VacuumCollapseResult:
+                        taus=None, n_grid: int = 2048) -> VacuumCollapseResult:
     """Vacuum-interval collapse along the exact characteristic flow.
 
     Closed-form interval length and edge-derivative growth are tabulated
     against their exponential laws; the Eulerian reconstruction re-measures
     the gap on an N-cell grid and a windowed finite difference re-measures
-    the edge derivative (skipped past fd_tau_max where the front is too
+    the edge derivative (skipped past FD_TAU_MAX where the front is too
     sharp for the 5% check to be meaningful at this resolution).
     Raises ValueError for an empty taus or a NaN or negative tau in it.
     """
@@ -291,7 +291,7 @@ def run_vacuum_collapse(spec: ExperimentSpec,
         measured = measured_vacuum_length(
             reconstruct_eulerian(tau, prof, full_grid), M)
         d_tau = derivative_along(b0, touch, tau, prof)
-        if tau <= fd_tau_max:
+        if tau <= FD_TAU_MAX:
             fd = measure_edge_derivative_fd(prof, tau, order=touch)
             fd_gap = abs(fd - d_tau) / abs(d_tau)
         else:
@@ -355,8 +355,7 @@ class DecayFitResult:
         return all(self.verdicts.values())
 
 
-def _fit_series(name: str, records: list, pick, window) -> RateFit:
-    series = [(rec.tau, pick(rec)) for rec in records]
+def _fit_series(name: str, series: list, window) -> RateFit:
     if max(y for _, y in series) < ZERO_SIGNAL_FLOOR:
         return RateFit(name, 0.0, 1.0, "zero-signal", window[0])
     try:
@@ -365,6 +364,17 @@ def _fit_series(name: str, records: list, pick, window) -> RateFit:
         return RateFit(name, math.nan, math.nan,
                        type(err).__name__, window[0])
     return RateFit(name, rate, r2, "ok", window[0])
+
+
+def _run_fits(run, series, window) -> list:
+    """The fit of each (name, record field) of `series` over a run's
+    records; NaN fits with the run's status if it broke down."""
+    if not run.ok:
+        return [RateFit(name, math.nan, math.nan, run.status, window[0])
+                for name, _ in series]
+    return [_fit_series(name, [(rec.tau, getattr(rec, key))
+                               for _, rec in run.samples], window)
+            for name, key in series]
 
 
 def run_decay_fit(spec: ExperimentSpec, n_samples: int = 51) -> DecayFitResult:
@@ -383,40 +393,21 @@ def run_decay_fit(spec: ExperimentSpec, n_samples: int = 51) -> DecayFitResult:
     layer = 10.0 * p.epsilon ** (2.0 - p.alpha)
     window = (min(layer, 0.5 * p.t_end), p.t_end)
 
-    ep = simulate_ep(rho0, w0, p, times)
-    fits = []
-    if ep.ok:
-        records = [rec for _, rec in ep.samples]
-        fits.append(_fit_series("e_total", records,
-                                lambda r: r.e_total, window))
-        fits.append(_fit_series("sup_dev", records,
-                                lambda r: r.sup_dev, window))
-        fits.append(_fit_series("grad_l4", records,
-                                lambda r: r.grad_l4, window))
-    else:
-        for name in ("e_total", "sup_dev", "grad_l4"):
-            fits.append(RateFit(name, math.nan, math.nan, ep.status,
-                                window[0]))
-
-    ks = simulate_ks(rho0, p, times)
+    fits = _run_fits(simulate_ep(rho0, w0, p, times),
+                     [(key, key) for key in ("e_total", "sup_dev", "grad_l4")],
+                     window)
     ks_window = (min(0.5, 0.5 * p.t_end), p.t_end)
-    if ks.ok:
-        fits.append(_fit_series("ks_sup_dev", [rec for _, rec in ks.samples],
-                                lambda r: r.sup_dev, ks_window))
-    else:
-        fits.append(RateFit("ks_sup_dev", math.nan, math.nan, ks.status,
-                            ks_window[0]))
+    fits += _run_fits(simulate_ks(rho0, p, times),
+                      [("ks_sup_dev", "sup_dev")], ks_window)
 
     sigma_min = float(rho0.values.min())
     ks_floor = 0.9 * min(sigma_min, p.mass_level)
-    by_name = {f.series: f for f in fits}
-    ep_fits = [by_name[n] for n in ("e_total", "sup_dev", "grad_l4")]
+    ks_fit = fits[-1]
     verdicts = {
         "rates_positive": all(
-            f.rate > 0.0 for f in ep_fits if f.status == "ok"),
+            f.rate > 0.0 for f in fits[:-1] if f.status == "ok"),
         "no_failures": all(f.status in ("ok", "zero-signal") for f in fits),
-        "ks_rate_floor": (by_name["ks_sup_dev"].status != "ok"
-                          or by_name["ks_sup_dev"].rate >= ks_floor),
+        "ks_rate_floor": ks_fit.status != "ok" or ks_fit.rate >= ks_floor,
     }
     path = _write_table(spec, "decay.csv", DecayFitResult.DECAY_COLUMNS,
                         map(astuple, fits))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from click.testing import CliRunner
 
 from frictionlab import keller_segel
 from frictionlab.cli import main
+from frictionlab.errors import FrictionLabError
 from frictionlab.experiments import SweepResult, SweepRow
 
 
@@ -273,3 +275,96 @@ def test_bump_runs_on_the_torus(runner, command):
                                   "64", "--t-end", "0.5"])
     assert result.exit_code == 0, outputs(result)
     assert "status=ok" in result.output
+
+
+# the flags each command offers besides --config, --out and --help
+FLAGS = {
+    "simulate-ep": {"--profile", "--eps", "--grid", "--t-end"},
+    "simulate-ks": {"--profile", "--grid", "--t-end"},
+    "characteristics": {"--profile", "--t-end", "--labels"},
+    "spectrum": {"--eps"},
+    "sweep": {"--profile", "--eps", "--grid", "--t-end"},
+    "vacuum": {"--profile"},
+    "decay": {"--profile", "--eps", "--grid", "--t-end"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_the_flags_the_run_reads(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, outputs(result)
+    listed = re.findall(r"^\s+(--[\w-]+)", result.output, re.MULTILINE)
+    assert sorted(listed) == sorted(
+        FLAGS[command] | {"--config", "--out", "--help"})
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("vacuum", "--grid", "256"), ("vacuum", "--t-end", "2"),
+    ("vacuum", "--eps", "0.05"), ("spectrum", "--grid", "256"),
+    ("spectrum", "--t-end", "2"), ("spectrum", "--profile", "bump"),
+    ("characteristics", "--grid", "256"),
+    ("characteristics", "--eps", "0.05"), ("simulate-ks", "--eps", "0.05")])
+def test_flag_the_run_ignores_exits_2(runner, command, flag, value):
+    result = runner.invoke(main, [command, flag, value])
+    assert result.exit_code == 2, outputs(result)
+    assert "No such option" in outputs(result)
+
+
+def test_single_run_eps_takes_one_value(runner):
+    result = runner.invoke(main, ["simulate-ep", "--eps", "0.05,0.01"])
+    assert result.exit_code == 2, outputs(result)
+
+
+@pytest.mark.parametrize("args, line, epsilon", [
+    ([], "", 0.1), (["--eps", "0.05"], "", 0.05),
+    ([], "epsilon = 0.05", 0.05), ([], "epsilon_list = 0.05", 0.1)])
+def test_single_run_epsilon_comes_from_epsilon(runner, tmp_path,
+                                               monkeypatch, args, line,
+                                               epsilon):
+    # a single run's epsilon is the flag's or the config's `epsilon`; the
+    # config's epsilon_list sets the sweep's and the spectrum's alone
+    seen = []
+
+    def stop(spec, rho0):
+        seen.append(spec.params.epsilon)
+        raise FrictionLabError("stopped before the run")
+
+    monkeypatch.setattr("frictionlab.cli.run_single_ep", stop)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    result = runner.invoke(main, ["simulate-ep", "--config", str(cfg), *args])
+    assert result.exit_code == 3, outputs(result)
+    assert seen == [epsilon]
+
+
+def test_decay_eps_flag_equals_config_epsilon(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon = 0.05\n")
+    base = ["decay", "--grid", "64", "--t-end", "2"]
+    runs = {}
+    for name, extra in (("flag", ["--eps", "0.05"]),
+                        ("config", ["--config", str(cfg)]), ("neither", [])):
+        out = tmp_path / name
+        result = runner.invoke(main, base + extra + ["--out", str(out)])
+        assert result.exit_code == 0, outputs(result)
+        runs[name] = (result.output.replace(str(out), "OUT"),
+                      (out / "decay.csv").read_bytes())
+    assert runs["flag"] == runs["config"]
+    assert runs["flag"][0] != runs["neither"][0]
+    assert runs["flag"][1] != runs["neither"][1]
+
+
+@pytest.mark.parametrize("line, epsilons", [
+    ("", ("0.2", "0.1", "0.05", "0.025")),
+    ("epsilon_list =", ("0.2", "0.1", "0.05", "0.025")),
+    ("epsilon_list = 0.3, 0.15", ("0.3", "0.15"))])
+def test_sweep_default_epsilon_list(runner, tmp_path, line, epsilons):
+    # without --eps the sweep runs the config's list, or the default four
+    # members when the config has none or an empty one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--grid",
+                                  "64", "--t-end", "0.1"])
+    assert result.exit_code == 0, outputs(result)
+    assert tuple(re.findall(r"^eps=(\S+)", result.output,
+                            re.MULTILINE)) == epsilons

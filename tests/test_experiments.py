@@ -207,8 +207,7 @@ class TestVacuumCollapse:
     def test_fd_skipped_past_horizon(self, params):
         spec = ExperimentSpec(kind="vacuum-collapse", params=params,
                               profile="vacuum-ramp")
-        result = run_vacuum_collapse(spec, taus=[0.0, 4.0], n_grid=512,
-                                     fd_tau_max=3.0)
+        result = run_vacuum_collapse(spec, taus=[0.0, 4.0], n_grid=512)
         assert math.isfinite(result.rows[0].fd_estimate)
         assert math.isnan(result.rows[1].fd_estimate)
         assert math.isnan(result.rows[1].fd_rel_gap)
