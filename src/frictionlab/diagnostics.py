@@ -15,58 +15,13 @@ import numpy as np
 
 from .core import EPState, Field, KSState, ParamSet
 from .errors import InsufficientSamples, NonPositiveSample
-from .spectral import deriv
+from .spectral import _derivs
 
 DERIV_CAP = 2  # 1D derivative cap for the high-order functionals
 
 
 def pressure_bracket(rho: np.ndarray, gamma: float, M: float) -> np.ndarray:
     return rho**gamma - M**gamma - gamma * M ** (gamma - 1.0) * (rho - M)
-
-
-def _e0(rho: np.ndarray, w, p: ParamSet) -> float:
-    """e0 of the rows (rho, w); w None (a KS state) has no kinetic part."""
-    grid = p.grid
-    internal = grid.integrate(pressure_bracket(rho, p.gamma, p.mass_level)) / (p.gamma - 1.0)
-    if w is None:
-        return float(internal)
-    kinetic = 0.5 * p.epsilon**p.alpha * grid.integrate(rho * w * w)
-    return float(kinetic + internal)
-
-
-def _higher_order(rho: np.ndarray, w, p: ParamSet) -> tuple[float, float, np.ndarray]:
-    """(e1, d1, d rho/dx) from one batched derivative of (rho, w) per order,
-    of rho alone when w is None (a KS state: no w terms).
-
-    e1 = sum over 1 <= j <= DERIV_CAP of
-    (eps^alpha/2) ∫ rho (d^j w)^2 + (gamma/2) ∫ rho^(gamma-2) (d^j rho)^2,
-    d1 = the same sum with weights eps^(alpha-2) and gamma rho^(gamma-1).
-    """
-    grid = p.grid
-    rows = rho[None] if w is None else np.stack((rho, w))
-    derivs = [deriv(rows, grid, j) for j in range(1, DERIV_CAP + 1)]
-    e_weight = rho ** (p.gamma - 2.0)
-    d_weight = rho ** (p.gamma - 1.0)
-    e1 = d1 = 0.0
-    for d in derivs:
-        if w is not None:
-            kinetic = grid.integrate(rho * d[1] * d[1])
-            e1 += 0.5 * p.epsilon**p.alpha * kinetic
-            d1 += p.epsilon ** (p.alpha - 2.0) * kinetic
-        dr = d[0]
-        e1 += 0.5 * p.gamma * grid.integrate(e_weight * dr * dr)
-        d1 += p.gamma * grid.integrate(d_weight * dr * dr)
-    return float(e1), float(d1), derivs[0][0]
-
-
-def _d0(rho: np.ndarray, w, p: ParamSet) -> float:
-    """d0 of the rows (rho, w); w None (a KS state) has no friction part."""
-    grid = p.grid
-    dev = rho - p.mass_level
-    relax = grid.integrate(dev * dev)
-    if w is None:
-        return float(relax)
-    return float(p.epsilon ** (p.alpha - 2.0) * grid.integrate(w * w) + relax)
 
 
 def norms(f: Field) -> dict:
@@ -76,7 +31,7 @@ def norms(f: Field) -> dict:
     vals = f.values
     sq = grid.integrate(vals * vals)
     out = {"l2": math.sqrt(max(sq, 0.0)), "sup": float(np.max(np.abs(vals)))}
-    derivs = [deriv(vals, grid, j) for j in range(1, 4)]
+    derivs = _derivs(vals[None], grid, 3)[:, 0]
     out["l4_of_gradient"] = grid.integrate(derivs[0]**4) ** 0.25
     for j, d in enumerate(derivs, 1):
         sq += grid.integrate(d * d)
@@ -86,13 +41,16 @@ def norms(f: Field) -> dict:
 
 def fit_exponential_rate(series, window) -> tuple[float, float]:
     """Least-squares fit of log(y) vs tau on the window; returns (rate, r2)
-    with rate = -slope.  Requires >= 5 strictly positive samples inside.
+    with rate = -slope.  Requires >= 5 strictly positive samples inside,
+    at >= 2 distinct times.
     """
     t1, t2 = window
     pts = [(t, y) for (t, y) in series if t1 <= t <= t2]
-    if len(pts) < 5:
+    times = {t for t, _ in pts}
+    if len(pts) < 5 or len(times) < 2:
         raise InsufficientSamples(
-            f"need >= 5 samples in [{t1}, {t2}], found {len(pts)}")
+            f"need >= 5 samples at >= 2 distinct times in [{t1}, {t2}], "
+            f"found {len(pts)} at {len(times)}")
     taus = np.array([t for t, _ in pts])
     ys = np.array([y for _, y in pts])
     if np.any(ys <= 0.0):
@@ -135,24 +93,48 @@ class DiagnosticsRecord:
 
 
 def _record(rho: np.ndarray, w, tau: float, p: ParamSet) -> DiagnosticsRecord:
-    """The record of the rows (rho, w) at time tau; w None is a KS state,
-    whose w terms (kinetic energy, w derivatives, friction dissipation)
-    are skipped, and its w_l2 is 0."""
+    """The record of the rows (rho, w) at time tau, every derivative from
+    one rfft and one batched irfft.  w None is a KS state: its w terms
+    (kinetic energy, friction dissipation, w_l2) are 0.0, not computed.
+
+    e0 = (eps^alpha/2) ∫ rho w^2 + ∫ bracket / (gamma - 1) and
+    d0 = eps^(alpha-2) ∫ w^2 + ∫ (rho - M)^2; e1 and d1 sum over
+    1 <= j <= DERIV_CAP the terms (eps^alpha/2) ∫ rho (d^j w)^2 +
+    (gamma/2) ∫ rho^(gamma-2) (d^j rho)^2 and the same with weights
+    eps^(alpha-2) and gamma rho^(gamma-1).  e_w[j], d_w[j]: the w terms.
+    """
     grid = p.grid
     dev = rho - p.mass_level
-    e0 = _e0(rho, w, p)
-    e1, d1, grad = _higher_order(rho, w, p)
-    d0 = _d0(rho, w, p)
-    w_l2 = 0.0
-    if w is not None:
+    relax = grid.integrate(dev * dev)
+    if w is None:
+        drho = _derivs(rho[None], grid, DERIV_CAP)[:, 0]
+        e_w = d_w = (0.0,) * (DERIV_CAP + 1)
+        w_l2 = 0.0
+    else:
+        drho, dw = _derivs(np.stack((rho, w)), grid, DERIV_CAP).swapaxes(0, 1)
+        rho_w2 = [grid.integrate(rho * d * d) for d in (w, *dw)]
+        e_w = [0.5 * p.epsilon**p.alpha * v for v in rho_w2]
+        d_w = [p.epsilon ** (p.alpha - 2.0) * v
+               for v in (grid.integrate(w * w), *rho_w2[1:])]
         w_sc = p.epsilon ** (0.5 * p.alpha) * w
         w_l2 = math.sqrt(max(grid.integrate(w_sc * w_sc), 0.0))
+    e0 = e_w[0] + grid.integrate(
+        pressure_bracket(rho, p.gamma, p.mass_level)) / (p.gamma - 1.0)
+    d0 = d_w[0] + relax
+    e_weight = rho ** (p.gamma - 2.0)
+    d_weight = rho ** (p.gamma - 1.0)
+    e1 = d1 = 0.0
+    for j, dr in enumerate(drho, 1):
+        e1 += e_w[j]
+        d1 += d_w[j]
+        e1 += 0.5 * p.gamma * grid.integrate(e_weight * dr * dr)
+        d1 += p.gamma * grid.integrate(d_weight * dr * dr)
     return DiagnosticsRecord(
         tau=tau, e0=e0, e1=e1, e_total=e0 + e1,
         d0=d0, d1=d1, d_total=d0 + d1,
         sup_dev=float(np.max(np.abs(dev))),
-        l2_dev=math.sqrt(max(grid.integrate(dev * dev), 0.0)),
-        grad_l4=grid.integrate(grad**4) ** 0.25,
+        l2_dev=math.sqrt(max(relax, 0.0)),
+        grad_l4=grid.integrate(drho[0]**4) ** 0.25,
         w_l2=w_l2,
         mass=grid.integrate(rho),
         rho_min=float(rho.min()),

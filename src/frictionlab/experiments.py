@@ -387,6 +387,8 @@ def run_decay_fit(spec: ExperimentSpec, n_samples: int = 51) -> DecayFitResult:
     from below by min{min sigma0, M}.
     """
     p = spec.params
+    if not p.t_end > 0.0:
+        raise ValueError(f"a decay fit needs t_end > 0, got t_end={p.t_end}")
     rho0 = _initial_field(spec)
     w0 = Field(p.grid, np.zeros(p.grid.n))
     times = _sample_times(p.t_end, n_samples)

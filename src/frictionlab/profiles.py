@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -310,7 +311,7 @@ PROFILES = {
 def profile_line(name: str, M: float, **args) -> InitialProfile:
     """The named profile built from its keyword arguments.  Raises KeyError
     for an unknown name and ValueError for an argument its builder does
-    not take."""
+    not take or a real-number argument that is not finite."""
     if name not in PROFILES:
         raise KeyError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
     builder = PROFILES[name]
@@ -318,6 +319,10 @@ def profile_line(name: str, M: float, **args) -> InitialProfile:
         inspect.signature(builder).bind(M, **args)
     except TypeError as err:
         raise ValueError(f"profile {name!r}: {err}") from None
+    for key, value in args.items():
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"profile {name!r}: argument {key!r} must be "
+                             f"finite, got {value}")
     return builder(M, **args)
 
 

@@ -9,12 +9,14 @@ on the frozen `Grid`), all in the rfft layout j = 0..n/2: the wavenumbers
 k, the first derivative ik with the unpaired Nyquist mode zeroed, the
 inverse gradient i/k (zero at k = 0 and at Nyquist), the 2/3-rule
 keep-mask (1 for j <= n/3, else 0), and -ik keep, minus the derivative
-of the dealiased field.  `deriv` and `inverse_gradient` read them, and
-so do the fused right-hand sides of the Euler-Poisson and Keller-Segel
-steppers, which take and return rfft coefficients: they dealias (with
-the keep-mask) and differentiate the flux in Fourier space, in one
-product with -ik keep.
-The cached arrays are read-only.
+of the dealiased field; and, per grid and top order m, the symbols of
+d^j/dx^j for j = 1..m (`_deriv_symbols`).  `deriv`, `_derivs` (orders
+1..m of stacked rows from one rfft and one batched irfft, for the
+diagnostics) and `inverse_gradient` read them, and so do the fused
+right-hand sides of the Euler-Poisson and Keller-Segel steppers, which
+take and return rfft coefficients: they dealias (with the keep-mask)
+and differentiate the flux in Fourier space, in one product with
+-ik keep.  The cached arrays are read-only.
 
 `trig_interp` evaluates the interpolant Re sum_k c_k e^{ik theta} of the
 K = n/2+1 rfft modes at m arbitrary points by the baby-step/giant-step
@@ -78,16 +80,31 @@ def _symbols(grid: Grid) -> _Symbols:
     return _Symbols(k, ik, inv_grad, keep, neg_ik_keep)
 
 
+@functools.lru_cache(maxsize=64)
+def _deriv_symbols(grid: Grid, m: int) -> np.ndarray:
+    """The cached m x (n/2+1) table of the symbols (ik)^j of d^j/dx^j,
+    j = 1..m (m >= 1), whose unpaired Nyquist mode is kept for even j and
+    zeroed for odd j; row 0 equals `_symbols(grid).ik`."""
+    ik = 1j * _symbols(grid).k
+    out = np.stack([ik**j for j in range(1, m + 1)])
+    if grid.n % 2 == 0:
+        out[::2, -1] = 0.0  # odd orders
+    out.setflags(write=False)
+    return out
+
+
+def _derivs(rows: np.ndarray, grid: Grid, m: int) -> np.ndarray:
+    """Derivatives of orders 1..m of the r x n stacked rows, as an
+    m x r x n array, from one rfft and one batched irfft."""
+    _check_torus(grid)
+    return np.fft.irfft(np.fft.rfft(rows) * _deriv_symbols(grid, m)[:, None],
+                        n=grid.n)
+
+
 def deriv(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
     """Spectral derivative of given order."""
     _check_torus(grid)
-    sym = _symbols(grid)
-    if order == 1:
-        symbol = sym.ik
-    else:
-        symbol = (1j * sym.k) ** order
-        if order % 2 == 1 and grid.n % 2 == 0:
-            symbol[-1] = 0.0  # odd derivative of the unpaired Nyquist mode
+    symbol = _deriv_symbols(grid, order)[order - 1]
     return np.fft.irfft(np.fft.rfft(values) * symbol, n=grid.n)
 
 

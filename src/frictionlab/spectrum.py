@@ -27,9 +27,10 @@ class DispersionQuery:
     k: float
 
     def __post_init__(self):
-        if self.k < 0.0:
-            raise ValueError("wavenumber must be nonnegative")
-        if self.epsilon < 0.0 or self.epsilon >= 1.0:
+        if not (math.isfinite(self.k) and self.k >= 0.0):
+            raise ValueError(f"wavenumber must be finite and nonnegative, "
+                             f"got {self.k}")
+        if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0,1)")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (0,2)")

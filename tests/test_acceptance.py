@@ -19,8 +19,8 @@ from frictionlab.diagnostics import fit_exponential_rate
 from frictionlab.euler_poisson import simulate_ep
 from frictionlab.experiments import (
     ExperimentSpec, measure_edge_derivative_fd, measured_vacuum_length,
-    run_decay_fit, run_epsilon_sweep, run_single_ep, run_spectrum_table,
-    run_vacuum_collapse,
+    run_decay_fit, run_epsilon_sweep, run_single_ep, run_single_ks,
+    run_spectrum_table, run_vacuum_collapse,
 )
 from frictionlab.profiles import InitialProfile, profile_line, vacuum_ramp_profile
 from frictionlab.spectrum import DispersionQuery, dispersion_roots
@@ -260,6 +260,10 @@ def test_criterion_10_determinism(tmp_path):
         p = _params(n=64, t_end=0.5)
         run_single_ep(ExperimentSpec(kind="single-run", params=p,
                                      output_dir=out), n_samples=11)
+        run_single_ks(ExperimentSpec(kind="single-run", params=p,
+                                     output_dir=out), n_samples=11)
+        run_decay_fit(ExperimentSpec(kind="decay-fit", params=p,
+                                     output_dir=out), n_samples=11)
         run_spectrum_table(ExperimentSpec(kind="spectrum-table", params=p,
                                           epsilon_list=(0.2, 0.1),
                                           output_dir=out))
@@ -273,7 +277,7 @@ def test_criterion_10_determinism(tmp_path):
         files[run] = {f.name: f.read_bytes()
                       for f in sorted(out.glob("*.csv"))}
     names = sorted(files["a"])
-    ok = names == sorted(files["b"]) and len(names) == 4 and all(
+    ok = names == sorted(files["b"]) and len(names) == 6 and all(
         files["a"][n] == files["b"][n] for n in names)
     _verdict(10, "determinism", ok,
              f"{len(names)} CSV kinds byte-identical across repeated runs")

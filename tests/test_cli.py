@@ -226,10 +226,19 @@ def test_characteristics_tabulates_the_cosine(runner, tmp_path):
     ("vacuum", "profile_widht = 0.7", "argument 'widht'"),
     ("simulate-ks", "profile_k = 1.5", "wavenumber k must be"),
     ("simulate-ep", "profile_radius = 1.0", "argument 'radius'"),
-    ("vacuum", "profile_touch = 1.5", "touch order must be")])
+    ("vacuum", "profile_touch = 1.5", "touch order must be"),
+    ("characteristics", "profile_f0 = nan", "argument 'f0' must be finite"),
+    ("characteristics", "profile_f0 = inf", "argument 'f0' must be finite"),
+    ("simulate-ks", "profile = bump\nprofile_radius = nan",
+     "argument 'radius' must be finite"),
+    ("simulate-ks", "profile = bump\nprofile_center = nan",
+     "argument 'center' must be finite"),
+    ("simulate-ks", "profile = bump\nprofile_radius = inf",
+     "argument 'radius' must be finite")])
 def test_bad_profile_argument_exits_2(runner, tmp_path, command, line,
                                       message):
-    # a misspelt key or a non-integer wavenumber is refused, not ignored
+    # a misspelt key, a non-integer wavenumber or a non-finite number is
+    # refused, not ignored, run as NaN or run as the equilibrium
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"grid_n = 64\nt_end = 0.1\n{line}\n")
     result = runner.invoke(main, [command, "--config", str(cfg)])
@@ -368,3 +377,32 @@ def test_sweep_default_epsilon_list(runner, tmp_path, line, epsilons):
     assert result.exit_code == 0, outputs(result)
     assert tuple(re.findall(r"^eps=(\S+)", result.output,
                             re.MULTILINE)) == epsilons
+
+
+@pytest.mark.parametrize("value", ["1,nan", "inf"])
+def test_non_finite_wavenumber_exits_2(runner, tmp_path, value):
+    # refused as input, not tabulated as an unstable NaN mode (exit 4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"wavenumbers = {value}\n")
+    result = runner.invoke(main, ["spectrum", "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert "wavenumber must be finite" in outputs(result)
+
+
+def test_decay_zero_t_end_exits_2(runner):
+    # named before any fit, not a LAPACK failure on a one-time window
+    result = runner.invoke(main, ["decay", "--t-end", "0", "--grid", "16"])
+    assert result.exit_code == 2, outputs(result)
+    assert "t_end" in outputs(result)
+    assert "DLASCL" not in outputs(result)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "characteristics", "vacuum"])
+def test_config_file_is_validated_whole(runner, tmp_path, command):
+    # every key of a config file is checked, whichever command reads it:
+    # a file that passes one command passes them all
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_n = 100\n")
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert "power of two" in outputs(result)

@@ -112,6 +112,12 @@ def test_fit_requires_five_samples():
         fit_exponential_rate([(0.0, 1.0), (1.0, 0.5)], (0.0, 1.0))
 
 
+def test_fit_requires_two_distinct_times():
+    # five samples at one tau leave the slope undetermined
+    with pytest.raises(InsufficientSamples, match="2 distinct times"):
+        fit_exponential_rate([(1.0, 0.5)] * 5, (0.0, 2.0))
+
+
 def test_fit_rejects_nonpositive():
     series = [(t, 1.0 - 0.3 * t) for t in np.linspace(0.0, 4.0, 9)]
     with pytest.raises(NonPositiveSample):

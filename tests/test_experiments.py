@@ -260,6 +260,12 @@ class TestDecayFit:
             assert fit.status == "zero-signal"
             assert fit.rate == 0.0 and fit.r_squared == 1.0
 
+    def test_nonpositive_t_end_raises(self, params):
+        spec = ExperimentSpec(kind="decay-fit",
+                              params=params.replace(t_end=0.0))
+        with pytest.raises(ValueError, match="t_end"):
+            run_decay_fit(spec, n_samples=11)
+
     def test_unknown_series_raises(self, params):
         spec = ExperimentSpec(kind="decay-fit", params=params,
                               profile="equilibrium")

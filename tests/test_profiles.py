@@ -201,3 +201,14 @@ def test_vacuum_ramp_takes_f0_by_its_config_name():
     prof = profile_line("vacuum-ramp", 1.0, f0=-0.3)
     assert float(prof.cumulative(np.array([0.0]))[0]) == \
         pytest.approx(-0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, key", [
+    ("bump", "radius"), ("bump", "center"), ("cosine", "amp"),
+    ("vacuum-ramp", "f0"), ("vacuum-ramp", "width")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_profile_argument_is_rejected(name, key, value):
+    # a NaN or infinite argument is refused, not built into a NaN profile
+    # or a silent equilibrium
+    with pytest.raises(ValueError, match=f"argument {key!r} must be finite"):
+        profile_line(name, 1.0, **{key: value})

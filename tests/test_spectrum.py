@@ -24,6 +24,15 @@ ROOT_TABLE = [
 ]
 
 
+@pytest.mark.parametrize("eps, k", [
+    (0.1, math.nan), (0.1, math.inf), (0.1, -1.0),
+    (math.nan, 1.0), (1.0, 1.0), (-0.1, 1.0)])
+def test_query_rejects_a_bad_wavenumber_or_epsilon(eps, k):
+    # written so that NaN fails the checks: no NaN roots come back
+    with pytest.raises(ValueError):
+        q_(eps, k)
+
+
 @pytest.mark.parametrize("eps,k,slow,fast", ROOT_TABLE)
 def test_roots_match_polynomial_oracle(eps, k, slow, fast):
     pair = dispersion_roots(q_(eps, k))

@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frictionlab import euler_poisson, keller_segel
+from frictionlab import diagnostics, euler_poisson, keller_segel
 from frictionlab.characteristics import semi_lagrangian_oracle
 from frictionlab.core import Field, Grid, KSState, ParamSet
-from frictionlab.diagnostics import DERIV_CAP
 from frictionlab.experiments import ExperimentSpec, run_epsilon_sweep
 from frictionlab.keller_segel import simulate_ks
 
@@ -207,12 +206,28 @@ def test_ks_run_fft_budget(tracing, p64):
 
 
 def test_record_fft_budget(tracing, p64):
-    # one batched rfft/irfft of (rho, w) per derivative order, shared by
-    # the energy, the dissipation and the gradient norm of a record
+    # one rfft of the rows (rho, w), or of rho alone for a KS state, and
+    # one batched irfft of every derivative order up to DERIV_CAP, shared
+    # by the energy, the dissipation and the gradient norm of a record
     sigma0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
+    w0 = Field(p64.grid, np.zeros(p64.grid.n))
+    times = [0.0, 0.1, 0.2]
     tracer = tracing.Tracer()
-    tracer.run(lambda: simulate_ks(sigma0, p64, [0.0, 0.1, 0.2]))
-    records = sum(s.name == "diagnostics.record_ks" for s in tracer.spans)
-    assert records == 3
-    ffts = _ffts_under(tracer.spans, "diagnostics.record_ks")
-    assert ffts <= 2 * DERIV_CAP * records, ffts / records
+    for name, run in [
+            ("diagnostics.record_ks", lambda: simulate_ks(sigma0, p64, times)),
+            ("diagnostics.record_ep",
+             lambda: euler_poisson.simulate_ep(sigma0, w0, p64, times))]:
+        tracer.run(run)
+        records = sum(s.name == name for s in tracer.spans)
+        assert records == 3
+        ffts = _ffts_under(tracer.spans, name)
+        assert ffts == 2 * records, (name, ffts / records)
+
+
+def test_norms_fft_budget(tracing, p64):
+    # the h1/h2/h3 derivatives come from one rfft and one batched irfft
+    f = Field(p64.grid, np.cos(p64.grid.x) + 0.2 * np.sin(3.0 * p64.grid.x))
+    tracer = tracing.Tracer()
+    tracer.run(lambda: diagnostics.norms(f))
+    assert sum(s.name == "diagnostics.norms" for s in tracer.spans) == 1
+    assert _ffts_under(tracer.spans, "diagnostics.norms") == 2
