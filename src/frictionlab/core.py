@@ -45,8 +45,11 @@ class Grid:
             raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 8:
             raise ValueError("grid needs at least 8 points")
-        if not self.length > 0.0:
-            raise ValueError("grid length must be positive")
+        if not math.isfinite(self.left):
+            raise ValueError(f"grid left must be finite, got {self.left!r}")
+        if not (math.isfinite(self.length) and self.length > 0.0):
+            raise ValueError(
+                f"grid length must be finite and positive, got {self.length!r}")
 
     @classmethod
     def torus(cls, n: int, length: float = TWO_PI, left: float = 0.0) -> "Grid":
@@ -168,6 +171,13 @@ class KSState:
 MEAN_DEFECT_TOL = 1e-10  # relative to |Omega|
 
 
+def mean_defect(grid: Grid, values: np.ndarray, M: float) -> float | None:
+    """The integral of values - M over the grid where it exceeds
+    MEAN_DEFECT_TOL |Omega|, else None: the one zero-mean test."""
+    defect = grid.integrate(values - M)
+    return defect if abs(defect) > MEAN_DEFECT_TOL * grid.measure else None
+
+
 def validate_initial_data(rho0: Field, w0: Field, p: ParamSet) -> None:
     """Check the admissibility of (rho0, w0): finiteness, the pointwise
     band, a zero-mean perturbation.  Raises NonFinite, RangeViolation or
@@ -185,8 +195,8 @@ def validate_initial_data(rho0: Field, w0: Field, p: ParamSet) -> None:
             f"rho0 range [{rho_min:.6g}, {rho_max:.6g}] not inside "
             f"({p.rho_lower:.6g}, {p.rho_upper:.6g})")
 
-    defect = p.grid.integrate(rho0.values - p.mass_level)
-    if abs(defect) > MEAN_DEFECT_TOL * p.grid.measure:
+    defect = mean_defect(p.grid, rho0.values, p.mass_level)
+    if defect is not None:
         raise MeanDefect(
             f"perturbation mass defect {defect:.3e} exceeds "
             f"{MEAN_DEFECT_TOL * p.grid.measure:.3e}")

@@ -42,14 +42,15 @@ max |w| once per member; the next step's CFL bound reads the two maxima
 from there.
 
 One driver path: `simulate_ep_rows` steps members that differ in epsilon
-only as rows of one batched step (`step_ep_rows`), each with its own dt,
-picked from its own first stage, and clock; `simulate_ep` is the
-one-member batch.  Between steps the driver keeps the batch's rows and
-coefficients stacked (`Rows`) and builds states only at sample times.  Batched FFT rows, per-row reductions and products with per-row
-columns are bit-identical to the one-member arithmetic, so a member's
-trajectory does not depend on its batch.  A caller that wants a fixed dt
-samples the run at that spacing: below the CFL bound, each sample is one
-step.
+only as rows of one batched step (`step_ep_rows`), each toward its own
+next sample time with its own dt, picked from its own first stage, and
+clock; `simulate_ep` is the one-member batch.  The driver keeps the
+batch's rows and coefficients stacked (`Rows`) from step to step and
+builds states only at sample times.  Batched FFT rows, per-row
+reductions and products with per-row columns are bit-identical to the
+one-member arithmetic, so a member's trajectory does not depend on its
+batch.  A caller that wants a fixed dt samples the run at that spacing:
+below the CFL bound, each sample is one step.
 
 dv/dtau comes from pushing the continuity flux through the inverse
 gradient: on the torus this collapses to -(flux - mean(flux)), in Fourier
@@ -342,19 +343,6 @@ class Rows:
                     [self.times[j] for j in keep], [self.ps[j] for j in keep],
                     [self.extrema[j] for j in keep])
 
-    def column(self, j: int) -> tuple:
-        """Member j's rows, coefficients, clock, ParamSet and extrema, as
-        views into the batch's arrays, which no step writes to."""
-        return self.u[:, j], self.uh[:, j], self.times[j], self.ps[j], \
-            self.extrema[j]
-
-    @classmethod
-    def stack(cls, columns) -> "Rows":
-        """The batch of members given as columns."""
-        u, uh, times, ps, extrema = zip(*columns)
-        return cls(np.stack(u, axis=1), np.stack(uh, axis=1), times, ps,
-                   extrema)
-
 
 def _transform(states, names, mass_level: float) -> tuple:
     """The samples of the states' fields `names` (rho and w, or sigma),
@@ -378,24 +366,25 @@ def _rows_of(states, ps) -> Rows:
                 extrema)
 
 
-def step_ep_rows(rows: Rows, target: float) -> list:
-    """One Lawson RK3 step toward time `target` of every member's rows
-    (rho, w), in place; friction acts on the w rows only.  The drivers'
-    step.  The members may differ in epsilon only.
+def step_ep_rows(rows: Rows, targets) -> list:
+    """One Lawson RK3 step of every member's rows (rho, w) toward its own
+    time in `targets`, in place; friction acts on the w rows only.  The
+    drivers' step.  The members may differ in epsilon only.
 
     Each member takes dt = min(CFL bound, target - t), the bound
     dt_cfl*h/(advective + sound speed) from its own first stage and the
     extrema its rows carry.  Returns per member None or the
     SolverBreakdown that stopped it; a breakdown leaves the other members'
     steps as they would be alone."""
-    if not all(t < target for t in rows.times):
-        raise ValueError("every member must be behind the target time")
+    if not all(t < target for t, target in zip(rows.times, targets,
+                                                strict=True)):
+        raise ValueError("every member must be behind its target time")
     m = rows.members
     p = m.p
     g1, v = _rhs(rows.u, rows.uh, m)
     speeds = _speeds(rows.extrema, np.abs(v).max(axis=-1).tolist(), m.ps)
     dt = [min(_cfl_bound(p, adv + sound), target - t)
-          for (adv, sound), t in zip(speeds, rows.times)]
+          for (adv, sound), t, target in zip(speeds, rows.times, targets)]
     uh = _rk3(rows.uh, g1, lambda uh: _rhs(None, uh, m)[0], dt, m.lam)
     u = _carried_rows(uh, m)
     times = [t + d for t, d in zip(rows.times, dt)]
@@ -424,54 +413,46 @@ class SimulationResult:
 
 
 def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
-    """Advance every member of the batch rows to each sample time in turn,
-    landing on it exactly, and sample member i there as
+    """Advance each member of the batch rows toward its next sample time,
+    in sorted order, landing on it exactly, and sample member i there as
     state = state_at(u, time), u its rows (the samples first, a view that
     state_at copies what it keeps of), paired with record(i, state), or
     with None when record is None.
 
-    advance(rows, target) takes one step toward target of every member of
-    rows, all behind it, in one call, and returns per member None or the
-    SolverBreakdown that ends its run.  The rows stay stacked from step to
-    step: a member leaves the batch when it lands on the sample time or
-    breaks down (keeping its samples so far), and the members that landed
-    are stacked again for the next sample time, unless they all landed in
-    the same step.  Returns one SimulationResult per member."""
+    advance(rows, targets) takes one step of every member of rows toward
+    its target, each behind its own, in one call, and returns per member
+    None or the SolverBreakdown that ends its run.  The rows stay stacked
+    from step to step: a member leaves the batch after its last sample or
+    on a breakdown (keeping its samples so far).  Returns one
+    SimulationResult per member."""
     times = sorted(sample_times)
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError("sample times must be finite and nonnegative")
     results = [SimulationResult([], "ok") for _ in rows.times]
     members = list(range(len(results)))     # the member in each batch row
-    for target in times:
-        landed = {}
-        outcomes, stepped = [None] * len(members), False
-        while True:
-            keep = []
-            for j, (i, out) in enumerate(zip(members, outcomes)):
-                if out is not None:
-                    results[i].status, results[i].error = out.status, out
-                    continue
-                results[i].n_steps += stepped
-                if rows.times[j] < target - 1e-12:
-                    keep.append(j)
-                else:
-                    landed[i] = rows.column(j)
-            if len(keep) < len(members):
-                if not keep:
-                    break
-                rows, members = rows.take(keep), [members[j] for j in keep]
-            outcomes, stepped = advance(rows, target), True
-        live = sorted(landed)
-        if not live:
-            break
-        for i in live:
-            u, _, time, _, _ = landed[i]
-            state = state_at(u, time)
-            results[i].samples.append(
-                (state, None if record is None else record(i, state)))
-        if live != members:     # a member left the batch before the end
-            rows, members = Rows.stack([landed[i] for i in live]), live
-    return results
+    nxt = [0] * len(results)                # each member's next sample time
+    outcomes, stepped = [None] * len(members), False
+    while True:
+        keep = []
+        for j, (i, out) in enumerate(zip(members, outcomes)):
+            if out is not None:
+                results[i].status, results[i].error = out.status, out
+                continue
+            results[i].n_steps += stepped
+            while nxt[i] < len(times) \
+                    and rows.times[j] >= times[nxt[i]] - 1e-12:
+                state = state_at(rows.u[:, j], rows.times[j])
+                results[i].samples.append(
+                    (state, None if record is None else record(i, state)))
+                nxt[i] += 1
+            if nxt[i] < len(times):
+                keep.append(j)
+        if len(keep) < len(members):
+            if not keep:
+                return results
+            rows, members = rows.take(keep), [members[j] for j in keep]
+        outcomes = advance(rows, [times[nxt[i]] for i in members])
+        stepped = True
 
 
 def simulate_ep(rho0: Field, w0: Field, p: ParamSet,
@@ -485,9 +466,9 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
                      records: bool = True) -> list:
     """Sampled trajectories, landing exactly on each sample time, of members
     from the same initial data that differ in epsilon only, stepped
-    together by step_ep_rows; each keeps its own dt and clock.  With
-    records False no diagnostics are computed: each sample pairs its
-    state with None.
+    together by step_ep_rows; each keeps its own dt, clock and next
+    sample time.  With records False no diagnostics are computed: each
+    sample pairs its state with None.
 
     The initial rows are transformed once and the first stage's other
     rows inverted once; after that the batch carries its rows from step
@@ -504,7 +485,7 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
                        time=time)
 
     # step_ep_rows is looked up per call, so the benchmark tracer sees it
-    return _integrate(rows, lambda rows, target: step_ep_rows(rows, target),
+    return _integrate(rows, lambda rows, targets: step_ep_rows(rows, targets),
                       state_at,
                       (lambda i, s: record_ep(s, ps[i])) if records else None,
                       sample_times)

@@ -10,6 +10,8 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .core import Grid, ParamSet
 
 def format_number(x) -> str:
@@ -115,19 +117,22 @@ def profile_args_from(cfg: dict) -> tuple[str, dict]:
 def read_initial_csv(path, grid):
     """Two-column (x, value) CSV, interpolated onto the grid nodes.
 
-    A non-numeric first row is treated as a header and skipped.
+    A non-numeric first row is treated as a header and skipped; a row
+    whose x or value is NaN or infinite raises ValueError.
     """
-    import numpy as np
-
     xs, vals = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if len(row) < 2:
                 continue
             try:
                 x, v = float(row[0]), float(row[1])
             except ValueError:
                 continue  # header or comment row
+            if not (math.isfinite(x) and math.isfinite(v)):
+                raise ValueError(f"{path}:{reader.line_num}: x and value "
+                                 f"must be finite, got {row[0]}, {row[1]}")
             xs.append(x)
             vals.append(v)
     if len(xs) < 2:

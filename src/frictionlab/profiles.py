@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import MEAN_DEFECT_TOL, Field, Grid
+from .core import MEAN_DEFECT_TOL, Field, Grid, mean_defect
 from .errors import MeanDefect, NonzeroTotalMass, RangeViolation
 
 TORUS_DOMAIN = (0.0, 2.0 * math.pi)   # line domain of the torus-born profiles
@@ -338,7 +338,7 @@ def profile_field(name: str, grid: Grid, M: float, **args) -> Field:
         raise MeanDefect(f"profile {prof.label!r}: the deviation integrates "
                          f"to {F[1] - F[0]:.4g} over the grid, not 0")
     values = prof.sigma0(grid.x)
-    defect = grid.integrate(values - M)
-    if abs(defect) > MEAN_DEFECT_TOL * grid.measure:
+    defect = mean_defect(grid, values, M)
+    if defect is not None:
         values = values - defect / grid.measure
     return Field(grid, values, tag="density")

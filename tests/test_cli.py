@@ -90,6 +90,33 @@ def test_vacuum_touching_data_exits_3(runner, tmp_path):
     assert "status=vacuum" in result.output
 
 
+def test_non_finite_initial_data_row_exits_2(runner, tmp_path):
+    # a NaN x is named with its line, not sorted last into a mass defect
+    x = 2.0 * math.pi * np.arange(64) / 64.0
+    rows = [f"{xi:.17g},{1.0 + 0.3 * math.cos(xi):.17g}" for xi in x]
+    rows[5] = "nan,1.0"
+    data = tmp_path / "init.csv"
+    data.write_text("x,sigma\n" + "\n".join(rows) + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid_n = 64\nt_end = 0.5\ninitial_data = {data}\n")
+    result = runner.invoke(main, ["simulate-ks", "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert "init.csv:7: x and value must be finite" in outputs(result)
+
+
+@pytest.mark.parametrize("line, name", [
+    ("grid_length = inf", "length"), ("grid_left = inf", "left"),
+    ("grid_left = nan", "left")])
+def test_non_finite_grid_exits_2(runner, tmp_path, line, name):
+    # named as a grid input, not found later as a non-finite density
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid_n = 64\nt_end = 0.1\n{line}\n")
+    result = runner.invoke(main, ["simulate-ks", "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert f"grid {name} must be finite" in outputs(result)
+    assert "non-finite samples" not in outputs(result)
+
+
 def test_sweep_happy_path(runner, tmp_path):
     result = runner.invoke(main, [
         "sweep", "--eps", "0.2,0.1", "--grid", "64", "--t-end", "0.5",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from frictionlab.core import (
-    Field, Grid, ParamSet, _quad_weights, validate_initial_data,
+    MEAN_DEFECT_TOL, Field, Grid, ParamSet, _quad_weights, mean_defect,
+    validate_initial_data,
 )
 from frictionlab.errors import (
     MeanDefect, NonFinite, RangeViolation,
@@ -43,6 +44,25 @@ def test_line_quadrature_trapezoid():
     assert g.integrate(x) == pytest.approx(0.5, rel=1e-12)
     # trapezoid is second order: x^2 has h^2/6-type error, not exactness
     assert g.integrate(x * x) == pytest.approx(1.0 / 3.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["left", "length"])
+def test_grid_rejects_non_finite_geometry(name, value):
+    # a non-finite edge or period is named, not left to poison the nodes
+    geometry = {"left": 0.0, "length": 2.0 * math.pi, name: value}
+    with pytest.raises(ValueError, match=f"grid {name} must be finite"):
+        Grid("torus", 64, **geometry)
+
+
+def test_mean_defect_is_none_within_tolerance():
+    g = Grid.torus(64)
+    tol = MEAN_DEFECT_TOL * g.measure
+    assert mean_defect(g, 1.0 + 0.3 * np.cos(g.x), 1.0) is None
+    assert mean_defect(g, np.full(g.n, 1.0 + 0.5 * tol / g.measure), 1.0) \
+        is None
+    values = np.full(g.n, 1.0 + 2.0 * tol / g.measure)
+    assert mean_defect(g, values, 1.0) == g.integrate(values - 1.0)
 
 
 @pytest.mark.parametrize("grid", [Grid.torus(64), Grid.line(0.0, 1.0, 101)])

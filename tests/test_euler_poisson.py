@@ -187,7 +187,7 @@ def test_cfl_guard_uses_the_stable_dt_bound(params, torus64):
     adv, sound = _speeds(s.rho.values, s.w.values, v, params)
     assert 0.8 < adv / sound < 1.25
     rows = _rows([s], [params])
-    step_ep_rows(rows, 1.0)
+    step_ep_rows(rows, [1.0])
     assert rows.times == [params.dt_cfl * torus64.h / (adv + sound)]
 
 
@@ -196,7 +196,7 @@ def test_stable_dt_is_infinite_at_zero_speed(params, torus64):
     # step spans the whole interval (and breaches the range)
     rows = _rows([_state(torus64, np.zeros(torus64.n), np.zeros(torus64.n))],
                  [params])
-    (out,) = step_ep_rows(rows, 0.5)
+    (out,) = step_ep_rows(rows, [0.5])
     assert rows.times == [0.5]
     assert isinstance(out, RangeBreach)
 
@@ -205,7 +205,7 @@ def test_stable_dt_scales_with_stiffness(torus64, params):
     # sound speed carries eps^((alpha-2)/2): smaller eps, smaller dt
     s = _state(torus64, 1.0 + 0.3 * np.cos(torus64.x), np.zeros(torus64.n))
     rows = _rows([s, s], [params, params.replace(epsilon=0.025)])
-    assert step_ep_rows(rows, 1.0) == [None, None]
+    assert step_ep_rows(rows, [1.0, 1.0]) == [None, None]
     dt_01, dt_0025 = rows.times
     assert dt_0025 < dt_01
     ratio = dt_01 / dt_0025
@@ -217,7 +217,7 @@ def test_range_breach_detected(torus64, params):
     # fails validation, so the step is taken on rows built by hand
     rows = _rows([_state(torus64, 1.0 + 0.9 * np.cos(torus64.x),
                          np.zeros(torus64.n))], [params])
-    (out,) = step_ep_rows(rows, 1.0)
+    (out,) = step_ep_rows(rows, [1.0])
     assert isinstance(out, RangeBreach)
 
 
@@ -342,7 +342,7 @@ def test_simulate_ep_equals_the_stable_dt_loop(n, alpha):
     result = simulate_ep(rho0, w0, p, times)
     assert result.ok and result.n_steps > len(times)
     _assert_same_run(result, _reference_run(
-        lambda rows, target: step_ep_rows(rows, target)[0],
+        lambda rows, target: step_ep_rows(rows, [target])[0],
         _rows([EPState(rho=rho0, w=w0)], [p]),
         lambda u, time: EPState(rho=Field(grid, u[0], tag="density"),
                                 w=Field(grid, u[1]), time=time),
@@ -364,6 +364,35 @@ def test_simulate_ks_equals_the_stable_dt_loop(n, amp):
         lambda u, time: KSState(sigma=Field(grid, u[0], tag="density"),
                                 time=time),
         lambda s: record_ks(s, p), times))
+
+
+def test_unsorted_repeated_times_give_the_sorted_hand_loop():
+    # the drivers sample the sorted times and a repeated time once per
+    # repeat: each member of an EP batch, stepped toward its own next
+    # sample time, and a KS run equal the hand loop on the sorted times
+    grid = Grid.torus(64)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid, t_end=0.5)
+    rho0 = Field(grid, 1.0 + 0.3 * np.cos(grid.x), tag="density")
+    w0 = Field(grid, 0.05 * np.sin(grid.x))
+    times = [0.5, 0.0, 0.25, 0.5]
+    members = [p.replace(epsilon=e) for e in (0.2, 0.1)]
+    batch = simulate_ep_rows(rho0, w0, members, times)
+    for result, q in zip(batch, members, strict=True):
+        assert result.ok and len(result.samples) == len(times)
+        _assert_same_run(result, _reference_run(
+            lambda rows, target: step_ep_rows(rows, [target])[0],
+            _rows([EPState(rho=rho0, w=w0)], [q]),
+            lambda u, time: EPState(rho=Field(grid, u[0], tag="density"),
+                                    w=Field(grid, u[1]), time=time),
+            lambda s: record_ep(s, q), sorted(times)))
+    result = simulate_ks(rho0, p, times)
+    assert result.ok and len(result.samples) == len(times)
+    _assert_same_run(result, _reference_run(
+        step_ks_to, keller_segel._rows_of(KSState(sigma=rho0), p),
+        lambda u, time: KSState(sigma=Field(grid, u[0], tag="density"),
+                                time=time),
+        lambda s: record_ks(s, p), sorted(times)))
 
 
 @pytest.mark.parametrize("eps, alpha", [(0.1, 1.0), (0.05, 1.5), (0.2, 0.5)])
@@ -539,12 +568,12 @@ def test_step_ep_rows_takes_the_stable_dt(params, torus64):
     ps = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
     target = 0.021
     rows = _rows(states, ps)
-    assert step_ep_rows(rows, target) == [None] * 3
+    assert step_ep_rows(rows, [target] * 3) == [None] * 3
     for j, (s, p) in enumerate(zip(states, ps)):
         dt = min(_stable_dt(s, p), target - s.time)
         assert rows.times[j] == s.time + dt
         alone = _rows([s], [p])
-        assert step_ep_rows(alone, target) == [None]
+        assert step_ep_rows(alone, [target]) == [None]
         assert alone.times == [rows.times[j]]
         assert np.array_equal(rows.u[:, j], alone.u[:, 0])
         assert np.array_equal(rows.uh[:, j], alone.uh[:, 0])
@@ -554,12 +583,47 @@ def test_step_ep_rows_takes_the_stable_dt(params, torus64):
 def test_step_ep_rows_rejects_bad_batches(params, cosine_rho, zero_w):
     s = EPState(rho=cosine_rho, w=zero_w)
     with pytest.raises(ValueError, match="epsilon only"):
-        step_ep_rows(_rows([s, s], [params, params.replace(alpha=1.5)]), 0.1)
+        step_ep_rows(_rows([s, s], [params, params.replace(alpha=1.5)]),
+                     [0.1, 0.1])
     rows = _rows([s, s], [params, params.replace(epsilon=0.05)])
     with pytest.raises(ValueError, match="behind"):
-        step_ep_rows(rows, 0.0)
+        step_ep_rows(rows, [0.0, 0.0])
     with pytest.raises(ValueError, match="at least one"):
         simulate_ep_rows(cosine_rho, zero_w, [], [0.0, 0.1])
+
+
+def test_step_ep_rows_steps_toward_each_members_target(params, cosine_rho,
+                                                       zero_w):
+    # each member takes dt = min(its stable dt, its own target - t), and
+    # each must be behind its own target, one target per member
+    s = EPState(rho=cosine_rho, w=zero_w)
+    ps = [params.replace(epsilon=e) for e in (0.2, 0.1)]
+    dt = [_stable_dt(s, p) for p in ps]
+    rows = _rows([s, s], ps)
+    assert step_ep_rows(rows, [0.5 * dt[0], 1.0]) == [None, None]
+    assert rows.times == [0.5 * dt[0], dt[1]]
+    with pytest.raises(ValueError, match="behind"):
+        step_ep_rows(rows, [rows.times[0], 1.0])
+    with pytest.raises(ValueError):
+        step_ep_rows(rows, [1.0])
+
+
+def test_ok_batch_stays_stacked(monkeypatch, params, cosine_rho, zero_w):
+    # a member leaves the batch only after its last sample or on a
+    # breakdown: an ok run of three members takes a sub-batch at most twice
+    real_take = euler_poisson.Rows.take
+    takes = []
+
+    def counted_take(rows, keep):
+        takes.append(keep)
+        return real_take(rows, keep)
+
+    monkeypatch.setattr(euler_poisson.Rows, "take", counted_take)
+    members = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
+    results = simulate_ep_rows(cosine_rho, zero_w, members,
+                               np.linspace(0.0, 0.2, 11), records=False)
+    assert all(r.ok for r in results)
+    assert len(takes) <= 2
 
 
 def test_member_breakdown_leaves_the_others(monkeypatch, params, cosine_rho,
@@ -637,9 +701,9 @@ def test_ep_run_fft_work(monkeypatch, fft_work, gamma, rows_per_step):
     real_step = euler_poisson.step_ep_rows
     batch_sizes = []
 
-    def counted_step(rows, target):
+    def counted_step(rows, targets):
         batch_sizes.append(len(rows.times))
-        return real_step(rows, target)
+        return real_step(rows, targets)
 
     monkeypatch.setattr(euler_poisson, "step_ep_rows", counted_step)
     results = simulate_ep_rows(rho0, w0, [p.replace(epsilon=e)
@@ -675,7 +739,7 @@ def test_carried_rows_equal_recomputed_rows(params, cosine_rho, gamma):
     w0 = Field(params.grid, 0.05 * np.sin(params.grid.x))
     rows = _rows([EPState(rho=cosine_rho, w=w0)] * 3, ps)
     for _ in range(4):
-        assert step_ep_rows(rows, 1.0) == [None] * 3
+        assert step_ep_rows(rows, [1.0] * 3) == [None] * 3
     m = rows.members
     u = rows.u
     assert u.shape == (4 if gamma == 2.0 else 5, 3, params.grid.n)

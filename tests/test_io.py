@@ -127,6 +127,15 @@ class TestReadInitialCsv:
         vals = read_initial_csv(path, grid)
         np.testing.assert_allclose(vals, 1.0 + grid.x, atol=1e-14)
 
+    @pytest.mark.parametrize("row", ["nan,1.5", "0.5,inf", "-inf,1.5",
+                                     "0.5,nan"])
+    def test_non_finite_row_is_named(self, tmp_path, row):
+        # refused with its file and line, not sorted last and interpolated
+        path = tmp_path / "init.csv"
+        path.write_text(f"x,v\n0.0,1.0\n{row}\n1.0,2.0\n")
+        with pytest.raises(ValueError, match="init.csv:3: .*must be finite"):
+            read_initial_csv(path, Grid.line(0.0, 1.0, 9))
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("x,v\n0.0,1.0\n")
