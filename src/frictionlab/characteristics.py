@@ -17,6 +17,12 @@ and they hold on the torus too, where v has zero mean.  This module
 doubles as the oracle for the Eulerian solvers: reconstruction, and a
 semi-Lagrangian comparison that carries markers through the velocity
 fields of one `simulate_ks` run.
+
+Reconstruction inverts the trajectory map by certified bisection.  One
+bisection inverts a stack of rows of positions, each row at its own tau,
+and gives every row the labels of its own inversion bit for bit; the
+reconstruction at several taus stacks at most STACK_POSITIONS positions
+per bisection.
 """
 from __future__ import annotations
 
@@ -36,12 +42,30 @@ TRAJECTORY_HORIZON = 50.0  # beyond tau = 50/M, e^{-M tau} underflows; report li
 GUESS_NEWTON_STEPS = 2     # Newton steps from the interpolated inversion guess
 ETA_NOISE_ULPS = 8.0       # bound on a computed eta's error, in ulps of |y| + c
 GUESS_COST = 3 + GUESS_NEWTON_STEPS  # eta evaluations per label the guess makes
+STACK_POSITIONS = 8192     # positions per stacked reconstruction: 64 KiB float
+                           # arrays, under glibc's 128 KiB mmap threshold
 
 
 def _decay(tau: float, M: float) -> float:
     if math.isinf(tau) or tau > TRAJECTORY_HORIZON / M:
         return 0.0
     return math.exp(-M * tau)
+
+
+def _growth(tau, M):
+    """1 - e^{-M tau}: a float for a scalar tau, else an array of tau's
+    shape.  Every value comes from _decay (math.exp), taken once per run
+    of equal taus, so a stack's tau column costs one exp per row."""
+    if np.ndim(tau) == 0:
+        return 1.0 - _decay(tau, M)
+    tau = np.asarray(tau, dtype=float)
+    if tau.size == 0:
+        return np.empty(tau.shape)
+    flat = tau.ravel()
+    bounds = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(),
+              flat.size]
+    values = [1.0 - _decay(flat[i], M) for i in bounds[:-1]]
+    return np.repeat(values, np.diff(bounds)).reshape(tau.shape)
 
 
 def _match_input(x, result):
@@ -56,10 +80,12 @@ def velocity_along(x, tau: float, prof: InitialProfile):
     return _match_input(x, _decay(tau, prof.M) * prof.cumulative(x))
 
 
-def trajectory_position(x, tau: float, prof: InitialProfile):
-    """eta(x, tau) = x + (1 - e^{-M tau}) F(x)/M; tends to x + F(x)/M."""
+def trajectory_position(x, tau, prof: InitialProfile):
+    """eta(x, tau) = x + (1 - e^{-M tau}) F(x)/M; tends to x + F(x)/M.
+    tau is a scalar or an array that broadcasts against x, such as a
+    column of one tau per row of a stack."""
     M = prof.M
-    pos = np.asarray(x, dtype=float) + (1.0 - _decay(tau, M)) * \
+    pos = np.asarray(x, dtype=float) + _growth(tau, M) * \
         np.asarray(prof.cumulative(x)) / M
     return _match_input(x, pos)
 
@@ -141,8 +167,7 @@ def vacuum_interval(tau: float, prof: InitialProfile) -> VacuumReport:
             f"profile has {len(prof.vacuum_set)} vacuum intervals; "
             "the collapse law tracks exactly one")
     a0, b0 = prof.vacuum_set[0]
-    a = float(trajectory_position(np.asarray([a0]), tau, prof)[0])
-    b = float(trajectory_position(np.asarray([b0]), tau, prof)[0])
+    a, b = trajectory_position(np.asarray([a0, b0]), tau, prof).tolist()
     length = (b0 - a0) * _decay(tau, prof.M)
     f_a = float(prof.cumulative(np.asarray([a0]))[0])
     return VacuumReport(a=a, b=b, length=length, limit_point=a0 + f_a / prof.M)
@@ -184,53 +209,100 @@ def _certified_guess(y: np.ndarray, c: float, tau: float, prof: InitialProfile):
     return np.where(ok, guess, y), np.where(ok, tol, np.inf)
 
 
-def invert_trajectory_map(y: np.ndarray, tau: float,
+def invert_trajectory_map(y: np.ndarray, tau,
                           prof: InitialProfile) -> np.ndarray:
-    """Labels x with eta(x, tau) = y at the sorted positions y, by vectorized
-    bisection in label space.  Raises InversionFailure if the bracket
-    y -+ (max|F|/M + 1) misses a position or the labels are not monotone,
-    and ValueError for a NaN or negative tau (tau = inf is the limit).
+    """Labels x with eta(x, tau) = y, by vectorized bisection in label
+    space.  y is a sorted row of positions at a scalar tau, or a stack of
+    sorted rows (R, N) with one tau per row; a row is the one-row stack.
+    Every row gets the labels of its own inversion, bit for bit: the rows
+    share the bracket width 2c and so the bisection steps.
 
-    A certified guess (_certified_guess) takes each bisection decision
-    eta(mid) > y whose midpoint lies outside the guess's radius; eta is
-    evaluated only for midpoints near the root.  The decisions, and so the
-    labels, are bit for bit those of evaluating eta at every midpoint."""
-    if math.isnan(tau) or tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    Raises ValueError for a NaN or negative tau (tau = inf is the limit)
+    and for a NaN or infinite position, and InversionFailure if the
+    bracket y -+ c, c = max|F|/M + 1, misses a position or a row's labels
+    are not monotone; each names its row.  An empty row gives no labels.
+
+    A certified guess per row (_certified_guess) takes each bisection
+    decision eta(mid) > y whose midpoint lies outside the guess's radius;
+    eta is evaluated only for midpoints near the root.  The decisions, and
+    so the labels, are bit for bit those of evaluating eta at every
+    midpoint."""
     y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"positions must be a row or a stack of rows, "
+                         f"got {y.ndim} dimensions")
+    stack = np.atleast_2d(y)
+    taus = np.broadcast_to(np.asarray(tau, dtype=float), stack.shape[:1])
+    for i, t in enumerate(taus.tolist()):
+        if math.isnan(t) or t < 0.0:
+            raise ValueError(f"tau must be >= 0, got {t} in row {i}")
+    bad = np.argwhere(~np.isfinite(stack))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"position {stack[i, j]} at index {j} of row {i} "
+                         "is not finite")
+    if stack.size == 0:
+        return np.empty(y.shape)
     c = prof.max_abs_F / prof.M + 1.0
-    lo = y - c
-    hi = y + c
-    eta_lo = trajectory_position(lo, tau, prof)
-    eta_hi = trajectory_position(hi, tau, prof)
-    if np.any(eta_lo > y) or np.any(eta_hi < y):
-        raise InversionFailure("bracket does not contain the target positions")
-    guess, tol = _certified_guess(y, c, tau, prof)
+    tau_col = taus[:, None]
+    lo = stack - c
+    hi = stack + c
+    eta_lo = trajectory_position(lo, tau_col, prof)
+    eta_hi = trajectory_position(hi, tau_col, prof)
+    missed = np.any((eta_lo > stack) | (eta_hi < stack), axis=1)
+    if missed.any():
+        raise InversionFailure("bracket does not contain the target "
+                               f"positions of row {np.argmax(missed)}")
+    guess = np.empty(stack.shape)
+    tol = np.empty(stack.shape)
+    for i, t in enumerate(taus.tolist()):
+        guess[i], tol[i] = _certified_guess(stack[i], c, t, prof)
+    tau_at = np.broadcast_to(tau_col, stack.shape)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         above = mid > guess
         near = np.abs(mid - guess) <= tol
         if near.all():
-            above = trajectory_position(mid, tau, prof) > y
+            above = trajectory_position(mid, tau_col, prof) > stack
         elif near.any():
-            above[near] = trajectory_position(mid[near], tau, prof) > y[near]
+            above[near] = trajectory_position(
+                mid[near], tau_at[near], prof) > stack[near]
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
         if np.max(hi - lo) < 1e-14:
             break
     labels = 0.5 * (lo + hi)
-    if np.any(np.diff(labels) < -1e-9):
-        raise InversionFailure("sampled trajectory map is not monotone")
-    return labels
+    disordered = np.any(np.diff(labels, axis=1) < -1e-9, axis=1)
+    if disordered.any():
+        raise InversionFailure("sampled trajectory map is not monotone in "
+                               f"row {np.argmax(disordered)}")
+    return labels.reshape(y.shape)
 
 
 def reconstruct_eulerian(tau: float, prof: InitialProfile,
                          grid: Grid) -> KSState:
     """Eulerian density at time tau on the grid, from the labels of its
     nodes (invert_trajectory_map)."""
-    labels = invert_trajectory_map(grid.x, tau, prof)
-    sig = np.maximum(sigma_along(labels, tau, prof), 0.0)
-    return KSState(sigma=Field(grid, sig, tag="density"), time=tau)
+    return reconstruct_eulerian_stack([tau], prof, grid)[0]
+
+
+def reconstruct_eulerian_stack(taus, prof: InitialProfile,
+                               grid: Grid) -> list:
+    """reconstruct_eulerian at each of taus, from stacked inversions of the
+    grid's nodes, at most STACK_POSITIONS positions (and at least one row)
+    each; every state is the one-tau reconstruction bit for bit."""
+    taus = list(taus)
+    per_stack = max(1, STACK_POSITIONS // grid.n)
+    states = []
+    for i in range(0, len(taus), per_stack):
+        chunk = taus[i:i + per_stack]
+        labels = invert_trajectory_map(
+            np.broadcast_to(grid.x, (len(chunk), grid.n)), chunk, prof)
+        for row, tau in zip(labels, chunk):
+            sig = np.maximum(sigma_along(row, tau, prof), 0.0)
+            states.append(KSState(sigma=Field(grid, sig, tag="density"),
+                                  time=tau))
+    return states
 
 
 def trajectory_rows(labels: np.ndarray, taus, prof: InitialProfile) -> list:

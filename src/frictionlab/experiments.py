@@ -23,7 +23,7 @@ from .errors import InsufficientSamples, NonPositiveSample
 from .euler_poisson import simulate_ep, simulate_ep_rows
 from .keller_segel import simulate_ks
 from .characteristics import (
-    derivative_along, invert_trajectory_map, reconstruct_eulerian,
+    derivative_along, invert_trajectory_map, reconstruct_eulerian_stack,
     sigma_along, vacuum_interval,
 )
 from .profiles import PROFILES, InitialProfile, profile_field, profile_line
@@ -37,6 +37,7 @@ ZERO_SIGNAL_FLOOR = 1e-13     # below this, deviations count as machine zero
 VACUUM_SIGMA_CUTOFF = 1e-9    # reconstruction cells at/below cutoff*M -> vacuum
 FD_WINDOW_SCALE = 0.02        # edge finite-difference window at tau = 0, / (b0 - a0)
 FD_TAU_MAX = 3.0              # no finite-difference check past this tau
+FD_NODES = 2048               # nodes of the edge finite-difference window
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,30 @@ def measured_vacuum_length(state: KSState, M: float) -> float:
     return float(x[zero[-1]] - x[zero[0]] + state.sigma.grid.h)
 
 
+def _edge_derivatives_fd(prof: InitialProfile, taus, edges, order: int,
+                         n: int) -> list:
+    """measure_edge_derivative_fd at each of taus, given the image b of the
+    right vacuum edge at each, from one stacked inversion of the stencils."""
+    if not taus:
+        return []
+    (a0, b0) = prof.vacuum_set[0]
+    grids = [Grid.line(b, b + FD_WINDOW_SCALE * (b0 - a0)
+                       * math.exp(-2.0 * prof.M * tau), n)
+             for tau, b in zip(taus, edges)]
+    # the stencil reads the first order + 1 nodes: invert only those
+    labels = invert_trajectory_map(
+        np.stack([grid.x[:order + 1] for grid in grids]), taus, prof)
+    fds = []
+    for row, tau, grid in zip(labels, taus, grids):
+        stencil = np.maximum(sigma_along(row, tau, prof), 0.0)
+        for _ in range(order):
+            stencil = np.diff(stencil)
+        fds.append(float(stencil[0] / grid.h ** order))
+    return fds
+
+
 def measure_edge_derivative_fd(prof: InitialProfile, tau: float,
-                               order: int = 1, n: int = 2048) -> float:
+                               order: int = 1, n: int = FD_NODES) -> float:
     """One-sided forward difference of order `order` at the right vacuum
     edge, computed on a reconstructed field over a thin window.
 
@@ -248,16 +271,7 @@ def measure_edge_derivative_fd(prof: InitialProfile, tau: float,
     window would average over the saturated profile and miss the growth.
     """
     rep = vacuum_interval(tau, prof)  # raises NoVacuum first
-    (a0, b0) = prof.vacuum_set[0]
-    width = FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * prof.M * tau)
-    grid = Grid.line(rep.b, rep.b + width, n)
-    # the stencil reads the first order + 1 nodes: invert only those
-    labels = invert_trajectory_map(grid.x[:order + 1], tau, prof)
-    h = grid.h
-    stencil = np.maximum(sigma_along(labels, tau, prof), 0.0)
-    for _ in range(order):
-        stencil = np.diff(stencil)
-    return float(stencil[0] / h ** order)
+    return _edge_derivatives_fd(prof, [tau], [rep.b], order, n)[0]
 
 
 def run_vacuum_collapse(spec: ExperimentSpec,
@@ -268,7 +282,10 @@ def run_vacuum_collapse(spec: ExperimentSpec,
     against their exponential laws; the Eulerian reconstruction re-measures
     the gap on an N-cell grid and a windowed finite difference re-measures
     the edge derivative (skipped past FD_TAU_MAX where the front is too
-    sharp for the 5% check to be meaningful at this resolution).
+    sharp for the 5% check to be meaningful at this resolution).  The
+    reconstructions are stacked inversions of the grid at several taus,
+    and the finite-difference stencils one stacked inversion; each value
+    equals its per-tau computation bit for bit.
     Raises ValueError for an empty taus or a NaN or negative tau in it.
     """
     if taus is None:
@@ -285,23 +302,23 @@ def run_vacuum_collapse(spec: ExperimentSpec,
     deriv0 = derivative_along(b0, touch, 0.0, prof)
     full_grid = Grid.line(prof.domain[0], prof.domain[1], n_grid)
 
+    taus = [float(tau) for tau in taus]
+    reps = [vacuum_interval(tau, prof) for tau in taus]
+    states = reconstruct_eulerian_stack(taus, prof, full_grid)
+    checked = [i for i, tau in enumerate(taus) if tau <= FD_TAU_MAX]
+    fds = dict(zip(checked, _edge_derivatives_fd(
+        prof, [taus[i] for i in checked], [reps[i].b for i in checked],
+        touch, FD_NODES)))
     rows = []
-    for tau in taus:
-        rep = vacuum_interval(tau, prof)
-        measured = measured_vacuum_length(
-            reconstruct_eulerian(tau, prof, full_grid), M)
+    for i, (tau, rep, state) in enumerate(zip(taus, reps, states)):
         d_tau = derivative_along(b0, touch, tau, prof)
-        if tau <= FD_TAU_MAX:
-            fd = measure_edge_derivative_fd(prof, tau, order=touch)
-            fd_gap = abs(fd - d_tau) / abs(d_tau)
-        else:
-            fd, fd_gap = math.nan, math.nan
+        fd = fds.get(i, math.nan)
         rows.append(VacuumRow(
-            tau=float(tau), a=rep.a, b=rep.b, length=rep.length,
-            length_measured=measured,
+            tau=tau, a=rep.a, b=rep.b, length=rep.length,
+            length_measured=measured_vacuum_length(state, M),
             deriv_along=d_tau, growth_factor=d_tau / deriv0,
             factor_predicted=math.exp((touch + 1) * M * tau),
-            fd_estimate=fd, fd_rel_gap=fd_gap))
+            fd_estimate=fd, fd_rel_gap=abs(fd - d_tau) / abs(d_tau)))
 
     h = full_grid.h
     verdicts = {

@@ -258,10 +258,11 @@ def test_edge_labels_match_the_full_grid(width, touch, tau):
 
 @st.composite
 def inversion_cases(draw):
-    """A line profile, a tau and sorted target positions: the 2048-node
-    grid of the vacuum table, or 1-3 evenly spaced targets starting
-    anywhere in the domain or at an image of a vacuum edge, where the edge
-    finite difference puts its stencil."""
+    """A line profile and a stack of 1-4 rows of sorted target positions,
+    each row at its own tau: the 2048-node grid of the vacuum table, or
+    1-3 evenly spaced targets starting anywhere in the domain or at an
+    image of a vacuum edge, where the edge finite difference puts its
+    stencil."""
     M = 1.0
     kind = draw(st.sampled_from(["vacuum-ramp", "bump", "equilibrium"]))
     if kind == "vacuum-ramp":
@@ -269,35 +270,73 @@ def inversion_cases(draw):
                                    touch=draw(st.integers(1, 3)))
     else:
         prof = bump_profile(M) if kind == "bump" else equilibrium_profile(M)
-    tau = draw(st.one_of(st.floats(0.0, 6.0),
-                         st.sampled_from([30.0, 49.9, 60.0, math.inf])))
     size = draw(st.sampled_from([1, 2, 3, 2048]))
     lo, hi = prof.domain
-    if size == 2048:
-        y = Grid.line(lo, hi, size).x
-    else:
-        starts = [st.floats(lo, hi)]
-        if prof.vacuum_set:
-            rep = vacuum_interval(tau, prof)
-            starts.append(st.sampled_from([rep.a, rep.b]))
-        start = draw(st.one_of(*starts))
-        step = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.5]))
-        y = start + step * np.arange(size)
-    return prof, tau, y
+    taus, rows = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        tau = draw(st.one_of(st.floats(0.0, 6.0),
+                             st.sampled_from([30.0, 49.9, 60.0, math.inf])))
+        if size == 2048:
+            y = Grid.line(lo, hi, size).x
+        else:
+            starts = [st.floats(lo, hi)]
+            if prof.vacuum_set:
+                rep = vacuum_interval(tau, prof)
+                starts.append(st.sampled_from([rep.a, rep.b]))
+            start = draw(st.one_of(*starts))
+            step = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.5]))
+            y = start + step * np.arange(size)
+        taus.append(tau)
+        rows.append(y)
+    return prof, taus, np.stack(rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=inversion_cases())
 def test_inversion_is_bit_identical_to_plain_bisection(case, plain_bisection):
-    prof, tau, y = case
-    assert np.array_equal(invert_trajectory_map(y, tau, prof),
-                          plain_bisection(y, tau, prof))
+    # every row of the stack gets the labels of its own plain bisection,
+    # and a row inverted alone is the one-row stack
+    prof, taus, y = case
+    labels = invert_trajectory_map(y, taus, prof)
+    assert labels.shape == y.shape
+    for row, tau, got in zip(y, taus, labels):
+        assert np.array_equal(got, plain_bisection(row, tau, prof))
+    assert np.array_equal(invert_trajectory_map(y[0], taus[0], prof),
+                          labels[0])
 
 
 @pytest.mark.parametrize("tau", [math.nan, -1.0, -1e-300])
 def test_inversion_rejects_nan_or_negative_tau(ramp, tau):
     with pytest.raises(ValueError, match="tau"):
         invert_trajectory_map(np.array([0.0, 0.5]), tau, ramp)
+
+
+@pytest.mark.parametrize("taus, row", [
+    ([1.0, math.nan], 1), ([-1.0, 1.0], 0), ([0.0, 2.0, -1e-300], 2)])
+def test_inversion_names_the_row_with_a_bad_tau(ramp, taus, row):
+    y = np.tile([0.0, 0.5], (len(taus), 1))
+    with pytest.raises(ValueError, match=f"tau.*row {row}"):
+        invert_trajectory_map(y, taus, ramp)
+
+
+@pytest.mark.parametrize("tau", [1.0, 40.0])
+def test_inversion_of_an_empty_row_is_empty(ramp, tau):
+    # at tau = 40 the certified guess is skipped; an empty row once failed
+    # inside it on a reduction with no identity
+    assert invert_trajectory_map(np.array([]), tau, ramp).shape == (0,)
+    assert invert_trajectory_map(np.empty((3, 0)), [tau, 0.0, tau],
+                                 ramp).shape == (3, 0)
+
+
+@pytest.mark.parametrize("tau", [1.0, 40.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inversion_rejects_a_non_finite_position(ramp, tau, bad):
+    # [0, nan] once gave [0.286..., nan] with RuntimeWarnings, and [inf]
+    # gave [inf]
+    with pytest.raises(ValueError, match=f"position {bad} at index 1 of row 0"):
+        invert_trajectory_map(np.array([0.0, bad]), tau, ramp)
+    with pytest.raises(ValueError, match=f"position {bad} at index 0 of row 1"):
+        invert_trajectory_map(np.array([[0.0], [bad]]), [tau, tau], ramp)
 
 
 def test_inversion_bracket_miss_raises(ramp):
@@ -307,9 +346,26 @@ def test_inversion_bracket_miss_raises(ramp):
         invert_trajectory_map(np.array([0.0]), 5.0, understated)
 
 
+def test_inversion_bracket_miss_names_its_row(ramp):
+    # at tau = 0 eta is the identity and every bracket holds; at tau = 5
+    # the understated bracket misses label 1's image
+    understated = dataclasses.replace(ramp, max_abs_F=0.0)
+    with pytest.raises(InversionFailure, match="bracket.*row 1"):
+        invert_trajectory_map(np.array([[0.0], [0.0]]), [0.0, 5.0],
+                              understated)
+
+
 def test_inversion_of_descending_targets_raises(ramp):
     with pytest.raises(InversionFailure, match="monotone"):
         invert_trajectory_map(np.array([1.0, 0.0]), 1.0, ramp)
+
+
+def test_inversion_of_one_descending_row_names_it(ramp):
+    # rows are sorted each on its own: row 0 ends above row 1's start
+    y = np.array([[2.0, 3.0], [1.0, 1.5], [1.0, 0.0]])
+    with pytest.raises(InversionFailure, match="monotone.*row 2"):
+        invert_trajectory_map(y, [1.0, 1.0, 1.0], ramp)
+    invert_trajectory_map(y[:2], [1.0, 1.0], ramp)
 
 
 def _eta_evaluations(prof, tau, monkeypatch) -> float:

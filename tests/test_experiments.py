@@ -1,15 +1,20 @@
 import math
 import threading
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import frictionlab.experiments as experiments
+from frictionlab import characteristics
+from frictionlab.characteristics import (
+    derivative_along, reconstruct_eulerian, vacuum_interval,
+)
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import DiagnosticsRecord
 from frictionlab.euler_poisson import simulate_ep, simulate_ep_rows
 from frictionlab.keller_segel import simulate_ks
-from frictionlab.profiles import profile_field
+from frictionlab.profiles import profile_field, profile_line
 from frictionlab.experiments import (
     DEFAULT_WAVENUMBERS, ExperimentSpec, SweepResult, measured_vacuum_length,
     measure_edge_derivative_fd, run_decay_fit, run_epsilon_sweep,
@@ -212,9 +217,66 @@ class TestVacuumCollapse:
         assert math.isnan(result.rows[1].fd_estimate)
         assert math.isnan(result.rows[1].fd_rel_gap)
 
+    @pytest.mark.parametrize("touch", [1, 2])
+    @pytest.mark.parametrize("width", [0.45, 0.5, 0.55])
+    def test_rows_equal_the_per_tau_path(self, params, width, touch):
+        # the stacked inversions give every row what one reconstruction
+        # and one edge finite difference per tau give, bit for bit
+        args = {"width": width, "touch": touch}
+        spec = ExperimentSpec(kind="vacuum-collapse", params=params,
+                              profile="vacuum-ramp", profile_args=args)
+        result = run_vacuum_collapse(spec)
+        prof = profile_line("vacuum-ramp", 1.0, **args)
+        grid = Grid.line(prof.domain[0], prof.domain[1], 2048)
+        d0 = derivative_along(1.0, touch, 0.0, prof)
+        assert len(result.rows) == 11
+        for row in result.rows:
+            tau = row.tau
+            rep = vacuum_interval(tau, prof)
+            d = derivative_along(1.0, touch, tau, prof)
+            fd = (measure_edge_derivative_fd(prof, tau, order=touch)
+                  if tau <= experiments.FD_TAU_MAX else math.nan)
+            expected = experiments.VacuumRow(
+                tau=tau, a=rep.a, b=rep.b, length=rep.length,
+                length_measured=measured_vacuum_length(
+                    reconstruct_eulerian(tau, prof, grid), 1.0),
+                deriv_along=d, growth_factor=d / d0,
+                factor_predicted=math.exp((touch + 1) * tau),
+                fd_estimate=fd, fd_rel_gap=abs(fd - d) / abs(d))
+            assert np.array_equal(astuple(row), astuple(expected),
+                                  equal_nan=True), tau
+
+    def test_default_collapse_work(self, params, monkeypatch):
+        # 4 bisection passes (3 stacks of at most 4 full-grid rows and one
+        # of the 7 edge stencils) where one pass per row took 18, 385 eta
+        # calls and 334 261 positions
+        spec = ExperimentSpec(kind="vacuum-collapse", params=params,
+                              profile="vacuum-ramp")
+        passes, calls, positions = [], [], []
+        invert = characteristics.invert_trajectory_map
+        eta = characteristics.trajectory_position
+
+        def counting_invert(y, *args):
+            passes.append(np.shape(y))
+            return invert(y, *args)
+
+        def counting_eta(x, *args):
+            calls.append(1)
+            positions.append(np.size(x))
+            return eta(x, *args)
+
+        monkeypatch.setattr(characteristics, "invert_trajectory_map",
+                            counting_invert)
+        monkeypatch.setattr(experiments, "invert_trajectory_map",
+                            counting_invert)
+        monkeypatch.setattr(characteristics, "trajectory_position",
+                            counting_eta)
+        run_vacuum_collapse(spec)
+        assert passes == [(4, 2048), (4, 2048), (3, 2048), (7, 2)]
+        assert len(calls) <= 166
+        assert sum(positions) <= 334_261
+
     def test_windowed_fd_tracks_closed_form(self, params):
-        from frictionlab.characteristics import derivative_along
-        from frictionlab.profiles import profile_line
         prof = profile_line("vacuum-ramp", 1.0)
         for tau in (0.0, 1.0, 2.0):
             fd = measure_edge_derivative_fd(prof, tau)
