@@ -52,6 +52,12 @@ def _decay(tau: float, M: float) -> float:
     return math.exp(-M * tau)
 
 
+def _check_tau(tau: float, where: str = "") -> None:
+    """Raise ValueError for a NaN or negative tau; tau = inf is the limit."""
+    if math.isnan(tau) or tau < 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau}{where}")
+
+
 def _growth(tau, M):
     """1 - e^{-M tau}: a float for a scalar tau, else an array of tau's
     shape.  Every value comes from _decay (math.exp), taken once per run
@@ -123,9 +129,11 @@ def derivative_along(x: float, k: int, tau: float,
     Non-vacuum labels support k = 1 only (closed form sigma0' M^3 e / D^3).
     Vacuum labels obey the growth law e^{(k+1) M tau} d^k(sigma0), valid
     when all lower-order one-sided derivatives vanish at the label.
+    Raises ValueError for k < 1 and for a NaN or negative tau.
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
+    _check_tau(tau)
     M = prof.M
     if not _in_vacuum(float(x), prof):
         if k != 1:
@@ -159,7 +167,9 @@ class VacuumReport:
 
 def vacuum_interval(tau: float, prof: InitialProfile) -> VacuumReport:
     """Edges, exact length (b0-a0) e^{-M tau}, and the common limit point
-    a0 + F(a0)/M of the profile's single vacuum interval under the flow."""
+    a0 + F(a0)/M of the profile's single vacuum interval under the flow.
+    Raises ValueError for a NaN or negative tau (tau = inf is the limit)."""
+    _check_tau(tau)
     if not prof.vacuum_set:
         raise NoVacuum(f"profile {prof.label!r} has no vacuum interval")
     if len(prof.vacuum_set) > 1:
@@ -234,8 +244,7 @@ def invert_trajectory_map(y: np.ndarray, tau,
     stack = np.atleast_2d(y)
     taus = np.broadcast_to(np.asarray(tau, dtype=float), stack.shape[:1])
     for i, t in enumerate(taus.tolist()):
-        if math.isnan(t) or t < 0.0:
-            raise ValueError(f"tau must be >= 0, got {t} in row {i}")
+        _check_tau(t, f" in row {i}")
     bad = np.argwhere(~np.isfinite(stack))
     if bad.size:
         i, j = bad[0]
@@ -306,9 +315,11 @@ def reconstruct_eulerian_stack(taus, prof: InitialProfile,
 
 
 def trajectory_rows(labels: np.ndarray, taus, prof: InitialProfile) -> list:
-    """One row (label, tau, eta, sigma, d(eta)/dx, v) per tau and label."""
+    """One row (label, tau, eta, sigma, d(eta)/dx, v) per tau and label.
+    Raises ValueError for a NaN or negative tau (tau = inf is the limit)."""
     rows = []
     for tau in taus:
+        _check_tau(tau)
         columns = (trajectory_position(labels, tau, prof),
                    sigma_along(labels, tau, prof), dxeta(labels, tau, prof),
                    velocity_along(labels, tau, prof))

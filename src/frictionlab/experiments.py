@@ -269,7 +269,10 @@ def measure_edge_derivative_fd(prof: InitialProfile, tau: float,
     The window shrinks like e^{-2 M tau}: the sharpening density front
     squeezes the region where the edge power law dominates, so a fixed
     window would average over the saturated profile and miss the growth.
+    Raises ValueError for order < 1, as derivative_along does.
     """
+    if order < 1:
+        raise ValueError("derivative order must be >= 1")
     rep = vacuum_interval(tau, prof)  # raises NoVacuum first
     return _edge_derivatives_fd(prof, [tau], [rep.b], order, n)[0]
 

@@ -103,9 +103,9 @@ def simulate_ks(sigma0: Field, p: ParamSet, sample_times,
                 records: bool = True) -> SimulationResult:
     """Sampled trajectory of the limit solver, advanced by step_ks_to: the
     initial row is transformed once and its inverse gradient inverted
-    once, then the run carries its rows from step to step and builds states at sample times only.  With records
-    False no diagnostics are computed: each sample pairs its state with
-    None."""
+    once, then the run carries its rows from step to step and builds
+    states at sample times only.  With records False no diagnostics are
+    computed: each sample pairs its state with None."""
     if sigma0.grid != p.grid:
         raise ValueError("initial fields must live on the parameter grid")
     defect = mean_defect(p.grid, sigma0.values, p.mass_level)

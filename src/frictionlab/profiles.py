@@ -60,7 +60,11 @@ def _quartic_bump(x, c, r, h):
 def _quartic_bump_cum(x, c, r, h):
     """Integral of the quartic bump from -inf to x (closed form)."""
     u = np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
-    prim = u - 2.0 * u**3 / 3.0 + u**5 / 5.0
+    # products, not u**3 and u**5: numpy's power goes element by element
+    # for a negative base; at u = -1, 0 or 1 both forms are exact
+    u2 = u * u
+    u3 = u2 * u
+    prim = u - 2.0 * u3 / 3.0 + u3 * u2 / 5.0
     return h * r * (prim + 8.0 / 15.0)
 
 

@@ -148,6 +148,30 @@ def test_vacuum_interval_laws(ramp):
     assert rep.b - rep.a == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [math.nan, -1.0, -1e-300])
+def test_tau_must_be_a_time(ramp, tau):
+    # a negative tau used to give a vacuum longer than at tau = 0, and a
+    # NaN used to give NaN edges, derivatives and rows
+    with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
+        vacuum_interval(tau, ramp)
+    with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
+        derivative_along(0.5, 2, tau, ramp)
+    with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
+        trajectory_rows(np.array([-0.25, 0.5]), [1.0, tau], ramp)
+
+
+def test_infinite_tau_is_the_limit(ramp):
+    rep = vacuum_interval(math.inf, ramp)
+    assert rep.length == 0.0
+    assert rep.a == pytest.approx(rep.limit_point, abs=1e-12)
+    assert rep.b == pytest.approx(rep.limit_point, abs=1e-12)
+    assert derivative_along(1.0, 1, math.inf, ramp) == math.inf
+    (row,) = trajectory_rows(np.array([0.5]), [math.inf], ramp)
+    assert row[1] == math.inf
+    assert row[2] == pytest.approx(rep.limit_point, abs=1e-12)
+    assert row[3:] == [0.0, 0.0, 0.0]
+
+
 def test_vacuum_limit_point_matches_f0():
     prof = vacuum_ramp_profile(1.0, f0=-0.3)
     rep = vacuum_interval(2.0, prof)

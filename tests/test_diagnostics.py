@@ -194,3 +194,23 @@ def test_record_ks_is_record_ep_with_zero_w(params, n, gamma):
                             time=0.7), p)
     for f in dataclasses.fields(rec):
         assert getattr(rec, f.name) == getattr(ref, f.name), f.name
+
+
+@pytest.mark.parametrize("n, seed", [(64, 0), (512, 1)])
+def test_gradient_l4_matches_an_exact_sum(params, n, seed):
+    # (h sum g^4)^(1/4) with the sum taken by math.fsum; the records and
+    # norms take it from one helper, so they agree bit for bit
+    grid = Grid.torus(n)
+    p = params.replace(grid=grid)
+    rng = np.random.default_rng(seed)
+    rho = 1.0 + 0.4 * _band_limited(grid, rng, n // 4)
+    w = 0.3 * _band_limited(grid, rng, n // 4)
+    g = deriv(rho, grid, 1)
+    assert g.min() < 0.0 < g.max()
+    expected = (grid.h * math.fsum(float(v) ** 4 for v in g)) ** 0.25
+    sigma = Field(grid, rho, tag="density")
+    got = (record_ks(KSState(sigma=sigma), p).grad_l4,
+           record_ep(_state(grid, rho, w), p).grad_l4,
+           norms(Field(grid, rho))["l4_of_gradient"])
+    assert got[0] == pytest.approx(expected, rel=1e-14)
+    assert got[0] == got[1] == got[2]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import frictionlab.experiments as experiments
-from frictionlab import characteristics
+from frictionlab import characteristics, profiles
 from frictionlab.characteristics import (
     derivative_along, reconstruct_eulerian, vacuum_interval,
 )
@@ -246,6 +246,29 @@ class TestVacuumCollapse:
             assert np.array_equal(astuple(row), astuple(expected),
                                   equal_nan=True), tau
 
+    @pytest.mark.parametrize("width", [0.45, 0.5, 0.55])
+    def test_rows_do_not_depend_on_the_bump_power_form(self, params, width,
+                                                       monkeypatch):
+        # the edge stencils and the vacuum edges lie outside the bump
+        # supports, where u is clipped to -1 or 1 and the products equal
+        # the powers; inside them only labels where sigma is near M move
+        spec = ExperimentSpec(kind="vacuum-collapse", params=params,
+                              profile="vacuum-ramp",
+                              profile_args={"width": width})
+        products = run_vacuum_collapse(spec).rows
+
+        def powers(x, c, r, h):
+            u = np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
+            prim = u - 2.0 * u**3 / 3.0 + u**5 / 5.0
+            return h * r * (prim + 8.0 / 15.0)
+
+        monkeypatch.setattr(profiles, "_quartic_bump_cum", powers)
+        rows = run_vacuum_collapse(spec).rows
+        assert len(rows) == len(products) == 11
+        for row, ref in zip(rows, products):
+            assert np.array_equal(astuple(row), astuple(ref),
+                                  equal_nan=True), row.tau
+
     def test_default_collapse_work(self, params, monkeypatch):
         # 4 bisection passes (3 stacks of at most 4 full-grid rows and one
         # of the 7 edge stencils) where one pass per row took 18, 385 eta
@@ -282,6 +305,13 @@ class TestVacuumCollapse:
             fd = measure_edge_derivative_fd(prof, tau)
             exact = derivative_along(1.0, 1, tau, prof)
             assert fd == pytest.approx(exact, rel=5e-3)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_fd_rejects_an_order_below_one(self, order):
+        # order 0 used to return sigma at the edge, and -1 an IndexError
+        prof = profile_line("vacuum-ramp", 1.0)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            measure_edge_derivative_fd(prof, 0.5, order=order)
 
 
 class TestMeasuredVacuumLength:

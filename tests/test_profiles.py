@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from frictionlab import profiles
 from frictionlab.core import MEAN_DEFECT_TOL, Grid
 from frictionlab.errors import MeanDefect, RangeViolation
 from frictionlab.profiles import (
@@ -142,6 +145,31 @@ class TestVacuumRamp:
     def test_rejects_a_touch_that_is_not_a_positive_integer(self, touch):
         with pytest.raises(ValueError, match="touch order"):
             vacuum_ramp_profile(1.0, touch=touch)
+
+
+# (center, radius, height) of quartic bumps: the default ramp's right bump,
+# a negative left bump, and two off-scale ones
+BUMPS = [(2.25, 0.5, 2.5), (-1.0, 0.5, -0.3), (0.3, 1.7, 11.3),
+         (5.0, 0.1, 0.07)]
+
+
+@pytest.mark.parametrize("c, r, h", BUMPS)
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(-2.0, 2.0))
+def test_bump_integral_matches_exact_arithmetic(c, r, h, t):
+    # h r (u - 2u^3/3 + u^5/5 + 8/15) of the computed u, in exact
+    # arithmetic, within 4 ulps of the full integral h r 16/15; where
+    # |u| = 1 the products equal numpy's powers bit for bit
+    x = np.array([c + t * r])
+    u = np.clip((x - c) / r, -1.0, 1.0)
+    got = profiles._quartic_bump_cum(x, c, r, h)[0]
+    U = Fraction(float(u[0]))
+    exact = Fraction(h) * Fraction(r) * (
+        U - 2 * U**3 / 3 + U**5 / 5 + Fraction(8, 15))
+    assert abs(Fraction(float(got)) - exact) <= 4 * math.ulp(h * r * 16 / 15)
+    if abs(u[0]) == 1.0:
+        powers = h * r * (u - 2.0 * u**3 / 3.0 + u**5 / 5.0 + 8.0 / 15.0)
+        assert got == powers[0]
 
 
 def test_registry_names():
