@@ -83,6 +83,7 @@ def _match_input(x, result):
 
 def velocity_along(x, tau: float, prof: InitialProfile):
     """Flow velocity along the trajectory from label x: e^{-M tau} F(x)."""
+    _check_tau(tau)
     return _match_input(x, _decay(tau, prof.M) * prof.cumulative(x))
 
 
@@ -103,6 +104,7 @@ def _denominator(sigma0, tau: float, M: float):
 
 def sigma_along(x, tau: float, prof: InitialProfile):
     """Exact logistic density along the trajectory; identically 0 on vacuum labels."""
+    _check_tau(tau)
     M = prof.M
     s0 = np.asarray(prof.sigma0(x), dtype=float)
     e = _decay(tau, M)
@@ -113,6 +115,7 @@ def sigma_along(x, tau: float, prof: InitialProfile):
 
 def dxeta(x, tau: float, prof: InitialProfile):
     """Trajectory Jacobian d(eta)/dx = D/M > 0 (trajectories never cross)."""
+    _check_tau(tau)
     s0 = np.asarray(prof.sigma0(x), dtype=float)
     return _match_input(x, _denominator(s0, tau, prof.M) / prof.M)
 

@@ -41,6 +41,19 @@ place: 20 numpy calls in a later stage and 14 in the first at gamma = 2,
 max |w| once per member; the next step's CFL bound reads the two maxima
 from there.
 
+The operand rule: each elementwise op of a step reads operands of one
+dtype and one shape, so numpy runs it on its contiguous loop.  A product
+on a 2 x 4 x 129 coefficient stack costs about half as much against a
+complex array of its own shape as against a real row, a real column or
+a shared symbol, which numpy broadcasts and casts on the way.  So each
+symbol that multiplies coefficient rows is complex, one row per member,
+each factor of the first stage's samples is a real row per member, and
+`_rk3` builds its seven Lawson factors once per step as complex rows of
+the coefficients' width (the one-member Keller-Segel step passes Python
+floats, which numpy reads on its scalar loop).  x + iy times r + 0j is
+rx + iry exactly, as it is times the real r, which numpy promotes to
+r + 0j: every output bit is that of the real factors.
+
 One driver path: `simulate_ep_rows` steps members that differ in epsilon
 only as rows of one batched step (`step_ep_rows`), each toward its own
 next sample time with its own dt, picked from its own first stage, and
@@ -77,18 +90,22 @@ class _Members(NamedTuple):
     """The parameters of a batch of members, worked out once per run.
     The members share every parameter but epsilon.  The eps-dependent
     coefficients of the stage kernel are folded into Fourier symbols, one
-    row per member (members x (n/2 + 1)), or are columns with one
-    Python-computed value per member.  All arrays are read-only."""
+    row per member: each symbol that multiplies coefficient rows is a
+    complex members x (n/2 + 1) array, and each factor of the first
+    stage's samples a real members x n array (the operand rule of the
+    module docstring).  All arrays are C-contiguous and read-only."""
 
     p: ParamSet              # the shared parameters
     ps: tuple                # one ParamSet per member
     linear_pressure: bool    # gamma = 2: the pressure term is linear in rho
-    eps: np.ndarray          # eps
-    eps_a: np.ndarray        # eps^alpha
-    lam: tuple               # linear rates: 0 for the rho rows, -1/eps^2 for w
-    inv_grad: np.ndarray     # i/k, shared: v = -irfft(sh * inv_grad)
+    eps: np.ndarray          # eps, on samples
+    eps_a: np.ndarray        # eps^alpha, on samples
+    lam: np.ndarray          # linear rates, row kinds x members x 1: 0 for
+                             # the rho rows, -1/eps^2 for w
+    inv_grad: np.ndarray     # i/k: v = -irfft(sh * inv_grad)
     vel_sh: np.ndarray       # -eps i/k: on (rho - M)^, the eps v share of vel^
-    keep: np.ndarray         # 2/3 rule, shared
+    vel_w: np.ndarray        # eps^alpha: on w^, the eps^alpha w share of vel^
+    keep: np.ndarray         # 2/3 rule
     ik_eps: np.ndarray       # ik/eps: on w^, dw/dx / eps
     dxv_eps: np.ndarray      # eps^-alpha, 0 at k = 0: on (rho - M)^, eps^-alpha dv/dx
     gik_eps: np.ndarray      # (gamma/eps) ik: on (rho - M)^, (gamma/eps) d(rho)/dx,
@@ -116,17 +133,25 @@ def _members(ps: tuple) -> _Members:
     def column(values):
         return np.array(values)[:, None]
 
+    def rows(a, dtype=complex, width=sym.k.size):
+        """a broadcast to its own members x width array of dtype."""
+        out = np.empty((len(ps), width), dtype=dtype)
+        out[...] = a
+        return read_only(out)
+
     eps_col, eps_ma = column(eps), column([e ** (-alpha) for e in eps])
+    eps_a = column([e**alpha for e in eps])
     nonzero = np.arange(sym.k.size) > 0     # zeroes the mean, k = 0
-    return _Members(p, ps, gamma == 2.0, read_only(eps_col),
-                    read_only(column([e**alpha for e in eps])),
-                    ((0.0,) * len(ps), tuple(-1.0 / e**2 for e in eps)),
-                    sym.inv_grad, read_only(-eps_col * sym.inv_grad),
-                    sym.keep, read_only(sym.ik / eps_col),
-                    read_only(eps_ma * nonzero),
-                    read_only(sym.ik * column([gamma / e for e in eps])),
-                    read_only(sym.neg_ik_keep / eps_col),
-                    read_only(eps_ma * (sym.keep * nonzero)))
+    return _Members(p, ps, gamma == 2.0, rows(eps_col, float, p.grid.n),
+                    rows(eps_a, float, p.grid.n),
+                    read_only(np.array([[0.0] * len(ps),
+                                        [-1.0 / e**2 for e in eps]])[..., None]),
+                    rows(sym.inv_grad), rows(-eps_col * sym.inv_grad),
+                    rows(eps_a), rows(sym.keep), rows(sym.ik / eps_col),
+                    rows(eps_ma * nonzero),
+                    rows(sym.ik * column([gamma / e for e in eps])),
+                    rows(sym.neg_ik_keep / eps_col),
+                    rows(eps_ma * (sym.keep * nonzero)))
 
 
 def _speeds(extrema, v_max, ps) -> list:
@@ -250,7 +275,7 @@ def _rhs(u, uh: np.ndarray, m: _Members):
         spectra = _inverse_input(uh, m, 2)
         spectra[0] = sh
         np.multiply(sh, m.vel_sh, out=spectra[1])
-        spectra[1] += m.eps_a * wh
+        spectra[1] += m.vel_w * wh
         y = np.fft.irfft(spectra, n=m.p.grid.n)
         rho, vel, bracket = y[:3]
         pressure = y[3] if not m.linear_pressure else None
@@ -281,15 +306,33 @@ def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam) -> np.ndarray:
     on stacked rows u_n (row kinds x members x anything), from the first
     stage's slope g1 = G(u_n); rhs(u) gives G at the later stages, as a
     new array of u's shape, which the step updates in place.  dt
-    holds one step per member and lam one linear rate per row kind and
-    member.  The rates act pointwise, so the rows may be Fourier
-    coefficients as well as samples: the steppers pass coefficients."""
+    holds one step per member and the array lam one linear rate per row
+    kind and member (row kinds x members x 1).  The rates act pointwise,
+    so the rows may be Fourier coefficients as well as samples: the
+    steppers pass coefficients."""
     # integrating factors over dt/3, 2dt/3 and dt, the stage weights and
-    # their products with e1, one column per row, all in Python floats; a
-    # rate-0 row gets factors of exactly 1.0, so its arithmetic is plain RK3
-    e1, e2, e3, c1, c2e1, c3, e1_3 = np.array([
-        [_rk3_coefficients(rate, d) for rate, d in zip(rates, dt)]
-        for rates in lam]).transpose(2, 0, 1)[..., None]
+    # their products with e1, per row kind and member in Python floats
+    # from math.exp (numpy's exp differs from it in the last bit on some
+    # arguments); a rate-0 row gets factors of exactly 1.0, so its
+    # arithmetic is plain RK3
+    table = []
+    for rates in lam.tolist():
+        for (rate,), d in zip(rates, dt, strict=True):
+            e1 = math.exp(rate * d / 3.0)
+            table += (e1, math.exp(2.0 * rate * d / 3.0), math.exp(rate * d),
+                      d / 3.0, 2.0 * d / 3.0 * e1, d / 4.0, 3.0 * e1)
+    if len(table) == 7:
+        factors = table     # one row kind and member: numpy's scalar loop
+    else:
+        # each factor as rows of the coefficients' dtype and width, one
+        # per row kind and member, so that every product below runs on
+        # numpy's contiguous loop (the operand rule); one buffer per step,
+        # 113 KiB for 4 members at n = 256, under glibc's 128 KiB mmap
+        # threshold
+        factors = np.empty((7,) + u_n.shape, dtype=u_n.dtype)
+        factors[...] = np.array(table).reshape(lam.shape[:2] + (7,)
+                                               ).transpose(2, 0, 1)[..., None]
+    e1, e2, e3, c1, c2e1, c3, e1_3 = factors
 
     u = c1 * g1
     u += u_n
@@ -305,13 +348,6 @@ def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam) -> np.ndarray:
     np.multiply(e3, u_n, out=u)
     u += g                  # e3 u_n + c3 (e3 g1 + 3 e1 g3)
     return u
-
-
-def _rk3_coefficients(rate: float, d: float) -> tuple:
-    """e1, e2, e3, c1, c2 e1, c3 and 3 e1 of one row of _rk3."""
-    e1 = math.exp(rate * d / 3.0)
-    return (e1, math.exp(2.0 * rate * d / 3.0), math.exp(rate * d),
-            d / 3.0, 2.0 * d / 3.0 * e1, d / 4.0, 3.0 * e1)
 
 
 class Rows:

@@ -75,16 +75,26 @@ def _quartic_bump_deriv(x, c, r, h):
     return np.where(np.abs(u) <= 1.0, out, 0.0)
 
 
+def _on_positive(t, form):
+    """form(t) where t > 0 and exact zeros elsewhere, t clipped to [0, 1]:
+    most labels lie off a ramp, at t = 0, where numpy's power goes
+    element by element."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    out = np.zeros_like(t)
+    positive = t > 0.0
+    out[positive] = form(t[positive])
+    return out
+
+
 def _ramp(t, k):
     """s_k(t) = (k+1)t^k - k t^(k+1) on [0,1]; 0 below, 1 above."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    return (k + 1.0) * t**k - k * t ** (k + 1.0)
+    return _on_positive(t, lambda t: (k + 1.0) * t**k - k * t ** (k + 1.0))
 
 
 def _ramp_cum(t, k):
     """S_k(t) = integral of s_k from 0 to t (t clipped to [0,1])."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    return t ** (k + 1.0) - k * t ** (k + 2.0) / (k + 2.0)
+    return _on_positive(
+        t, lambda t: t ** (k + 1.0) - k * t ** (k + 2.0) / (k + 2.0))
 
 
 def _ramp_deriv(t, k):
@@ -235,12 +245,15 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, f0: Optional[float] = None
     c_left = -w - RAMP_GAP - r
     c_right = 1.0 + w + RAMP_GAP + r
     domain = (c_left - r - RAMP_MARGIN, c_right + r + RAMP_MARGIN)
+    # a bump of height 0 adds exact zeros: sigma0 and cumulative skip it
+    bumps = [(c, h) for c, h in ((c_left, h_left), (c_right, h_right))
+             if h != 0.0]
 
     def sigma0(x):
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, M)
-        out = out + _quartic_bump(x, c_left, r, h_left)
-        out = out + _quartic_bump(x, c_right, r, h_right)
+        for c, h in bumps:
+            out = out + _quartic_bump(x, c, r, h)
         # ramps and vacuum replace the plateau on [-w, 1+w]
         left_zone = (x >= -w) & (x < 0.0)
         right_zone = (x > 1.0) & (x <= 1.0 + w)
@@ -254,8 +267,9 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, f0: Optional[float] = None
 
     def cumulative(x):
         x = np.asarray(x, dtype=float)
-        out = _quartic_bump_cum(x, c_left, r, h_left)
-        out = out + _quartic_bump_cum(x, c_right, r, h_right)
+        out = np.zeros_like(x)
+        for c, h in bumps:
+            out = out + _quartic_bump_cum(x, c, r, h)
         # left ramp contribution: zero before -w, closed form inside,
         # constant -ramp_deficit after
         t_left = np.clip(-x / w, 0.0, 1.0)

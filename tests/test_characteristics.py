@@ -158,6 +158,13 @@ def test_tau_must_be_a_time(ramp, tau):
         derivative_along(0.5, 2, tau, ramp)
     with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
         trajectory_rows(np.array([-0.25, 0.5]), [1.0, tau], ramp)
+    # sigma_along at label -0.25 and tau = -1 gave a negative density
+    # (-1.699), dxeta a negative Jacobian
+    for along in (sigma_along, dxeta, velocity_along):
+        for labels in (np.array([-0.25, 2.0]), -0.25):
+            with pytest.raises(ValueError,
+                               match=f"tau must be >= 0, got {tau}"):
+                along(labels, tau, ramp)
 
 
 def test_infinite_tau_is_the_limit(ramp):
@@ -170,6 +177,14 @@ def test_infinite_tau_is_the_limit(ramp):
     assert row[1] == math.inf
     assert row[2] == pytest.approx(rep.limit_point, abs=1e-12)
     assert row[3:] == [0.0, 0.0, 0.0]
+    # along a trajectory: the density M off vacuum and 0 on it, the
+    # Jacobian sigma0/M and the velocity 0
+    labels = np.array([-0.25, 0.5, 2.0])
+    s0 = ramp.sigma0(labels)
+    np.testing.assert_array_equal(sigma_along(labels, math.inf, ramp),
+                                  np.where(s0 > 0.0, ramp.M, 0.0))
+    np.testing.assert_array_equal(dxeta(labels, math.inf, ramp), s0 / ramp.M)
+    np.testing.assert_array_equal(velocity_along(labels, math.inf, ramp), 0.0)
 
 
 def test_vacuum_limit_point_matches_f0():

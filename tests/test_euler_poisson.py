@@ -171,11 +171,97 @@ def test_fused_rhs_on_a_mixed_epsilon_batch(n, alpha, dealias):
         _assert_rhs_matches_composition(rho, w, ps, dealias)
         m = euler_poisson._members(tuple(ps))
         assert m.linear_pressure == (gamma == 2.0)
-        for name in ("ik_eps", "dxv_eps", "gik_eps", "div_eps", "flux_w"):
-            assert getattr(m, name).shape == (3, n // 2 + 1)
+        # every operand of a hot elementwise op has the dtype and shape of
+        # the rows it multiplies, so numpy takes its contiguous loop: the
+        # symbols on coefficients are complex members x (n/2 + 1), the
+        # factors on samples real members x n
+        layout = {name: (np.complex128, n // 2 + 1) for name in (
+            "inv_grad", "vel_sh", "vel_w", "keep", "ik_eps", "dxv_eps",
+            "gik_eps", "div_eps", "flux_w")}
+        layout.update(eps=(np.float64, n), eps_a=(np.float64, n))
+        for name, (dtype, width) in layout.items():
+            a = getattr(m, name)
+            assert a.dtype == dtype and a.shape == (3, width), name
+            assert a.flags.c_contiguous, name
+        assert m.lam.shape == (2, 3, 1)
+        assert m.lam.tolist() == [[[0.0]] * 3,
+                                  [[-1.0 / q.epsilon**2] for q in ps]]
         for a in m:
             if isinstance(a, np.ndarray):
                 assert not a.flags.writeable
+
+
+def _rk3_columns(u_n, g1, rhs, dt, lam):
+    """The Lawson RK3 step as _rk3 composed it with columns: per row kind
+    and member the seven factors in Python floats from math.exp, stacked
+    as row kinds x members x 1 real columns."""
+    def factors(rate, d):
+        e1 = math.exp(rate * d / 3.0)
+        return (e1, math.exp(2.0 * rate * d / 3.0), math.exp(rate * d),
+                d / 3.0, 2.0 * d / 3.0 * e1, d / 4.0, 3.0 * e1)
+
+    e1, e2, e3, c1, c2e1, c3, e1_3 = np.array([
+        [factors(rate, d) for (rate,), d in zip(rates, dt)]
+        for rates in lam.tolist()]).transpose(2, 0, 1)[..., None]
+    u = c1 * g1
+    u += u_n
+    u *= e1
+    g = rhs(u)
+    g *= c2e1
+    u = e2 * u_n
+    u += g
+    g = rhs(u)
+    g *= e1_3
+    g += e3 * g1
+    g *= c3
+    u = e3 * u_n
+    u += g
+    return u
+
+
+def _dt_telling_the_exps_apart(rate, dt):
+    """A step near dt at which numpy's exp differs from math.exp on one of
+    the arguments rate dt/3, 2 rate dt/3 and rate dt of _rk3's factors,
+    or dt where none is found near it."""
+    for j in range(1000):
+        d = dt * (1.0 + 1e-4 * j)
+        args = np.array([rate * d / 3.0, 2.0 * rate * d / 3.0, rate * d])
+        if (np.exp(args) != [math.exp(a) for a in args.tolist()]).any():
+            return d
+    return dt
+
+
+def test_rk3_matches_its_column_composition_bit_for_bit(params, cosine_rho):
+    # factor rows of the coefficients' dtype and width give every bit of
+    # the real columns; on a mixed-eps batch each member's dt is one at
+    # which numpy's exp would change a factor, so the factors must come
+    # from math.exp
+    w0 = Field(params.grid, 0.05 * np.sin(params.grid.x))
+    ps = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
+    rows = _rows([EPState(rho=cosine_rho, w=w0)] * len(ps), ps)
+    m = rows.members
+    g1, _ = euler_poisson._rhs(rows.u, rows.uh, m)
+    dt = [_dt_telling_the_exps_apart(-1.0 / q.epsilon**2, 1e-3) for q in ps]
+    assert any(d != 1e-3 for d in dt)
+
+    def rhs(uh):
+        return euler_poisson._rhs(None, uh, m)[0]
+
+    got = euler_poisson._rk3(rows.uh, g1, rhs, dt, m.lam)
+    want = _rk3_columns(rows.uh, g1, rhs, dt, m.lam)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    # the Keller-Segel row: rate 0, one member, Python-float factors
+    p = params
+    ks = keller_segel._rows_of(KSState(sigma=cosine_rho), p)
+    g1 = keller_segel._flux_rhs(ks.u, p)
+
+    def ks_rhs(sh):
+        return keller_segel._flux_rhs(keller_segel._inverse(sh, p), p)
+
+    got = euler_poisson._rk3(ks.uh, g1, ks_rhs, [0.01], keller_segel._RATE)
+    want = _rk3_columns(ks.uh, g1, ks_rhs, [0.01], keller_segel._RATE)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cfl_guard_uses_the_stable_dt_bound(params, torus64):

@@ -172,6 +172,74 @@ def test_bump_integral_matches_exact_arithmetic(c, r, h, t):
         assert got == powers[0]
 
 
+def _ramp_profile_old_forms(M, width, f0, k):
+    """The vacuum ramp's sigma0 and cumulative as they read before the
+    ramp powers were evaluated on t > 0 only and zero-height bumps
+    skipped: every power over the whole clipped t, both bumps always."""
+    w = float(width)
+    deficit = M * w * k / (k + 2.0)
+    f0 = -deficit if f0 is None else f0
+    r = profiles.RAMP_BUMP_RADIUS
+    h_left = 15.0 * (f0 + deficit) / (16.0 * r)
+    h_right = 15.0 * (M + deficit - f0) / (16.0 * r)
+    c_left = -w - profiles.RAMP_GAP - r
+    c_right = 1.0 + w + profiles.RAMP_GAP + r
+
+    def ramp(t):
+        t = np.clip(t, 0.0, 1.0)
+        return (k + 1.0) * t**k - k * t ** (k + 1.0)
+
+    def ramp_cum(t):
+        t = np.clip(t, 0.0, 1.0)
+        return t ** (k + 1.0) - k * t ** (k + 2.0) / (k + 2.0)
+
+    def sigma0(x):
+        out = np.full_like(x, M)
+        out = out + profiles._quartic_bump(x, c_left, r, h_left)
+        out = out + profiles._quartic_bump(x, c_right, r, h_right)
+        out = np.where((x >= -w) & (x < 0.0), M * ramp(-x / w), out)
+        out = np.where((x > 1.0) & (x <= 1.0 + w), M * ramp((x - 1.0) / w),
+                       out)
+        return np.where((x >= 0.0) & (x <= 1.0), 0.0, out)
+
+    def cumulative(x):
+        out = profiles._quartic_bump_cum(x, c_left, r, h_left)
+        out = out + profiles._quartic_bump_cum(x, c_right, r, h_right)
+        t_left = np.clip(-x / w, 0.0, 1.0)
+        out = out + M * w * ((2.0 / (k + 2.0) - ramp_cum(t_left))
+                             - (1.0 - t_left))
+        out = out - M * np.clip(x, 0.0, 1.0)
+        t_right = np.clip((x - 1.0) / w, 0.0, 1.0)
+        return out + M * w * (ramp_cum(t_right) - t_right)
+
+    return sigma0, cumulative, (c_left, c_right, h_left)
+
+
+@pytest.mark.parametrize("M, width, f0, k", [
+    (1.0, 0.5, None, 1), (1.0, 0.45, None, 2), (0.7, 0.55, None, 3),
+    (1.0, 0.5, 0.2, 1), (1.3, 0.3, -0.6, 2)])
+def test_ramp_profile_matches_its_old_forms_bit_for_bit(M, width, f0, k):
+    # powers on t > 0 only and skipped zero-height bumps leave every bit,
+    # the sign of a zero included, of sigma0 and cumulative as they were;
+    # f0 = 0.2 and -0.6 give a left bump of either sign
+    prof = vacuum_ramp_profile(M, width=width, f0=f0, touch=k)
+    sigma0, cumulative, (c_left, c_right, h_left) = _ramp_profile_old_forms(
+        M, width, f0, k)
+    assert (h_left == 0.0) == (f0 is None)
+    lo, hi = prof.domain
+    edges = [0.0, -0.0, 1.0, -width, 1.0 + width, lo, hi]
+    for c in (c_left, c_right):
+        edges += [c - 0.5, c, c + 0.5]
+    x = np.concatenate((np.linspace(lo - 1.0, hi + 1.0, 8193), edges,
+                        np.nextafter(edges, math.inf),
+                        np.nextafter(edges, -math.inf)))
+    for new, old in ((prof.sigma0, sigma0), (prof.cumulative, cumulative)):
+        assert new(x).tobytes() == old(x).tobytes()
+        for point in edges:
+            assert new(np.float64(point)).tobytes() == \
+                old(np.float64(point)).tobytes()
+
+
 def test_registry_names():
     assert PROFILES == {"equilibrium": equilibrium_profile,
                         "cosine": cosine_profile, "bump": bump_profile,
