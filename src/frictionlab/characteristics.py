@@ -27,6 +27,7 @@ per bisection.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,13 +352,16 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     the RK4 midpoint velocity is available without interpolation in time.
     The velocities of all samples come from one batched inverse gradient.
     Raises ValueError unless tau_end is finite and positive and n_steps is
-    None or at least 1, and the run's SolverBreakdown if it has one: no
-    partial trajectory is compared.
+    None or an integer >= 1 (not a bool), and the run's SolverBreakdown if
+    it has one: no partial trajectory is compared.
     """
     if not (math.isfinite(tau_end) and tau_end > 0.0):
         raise ValueError(f"tau_end must be finite and positive, got {tau_end}")
-    if n_steps is not None and n_steps < 1:
-        raise ValueError(f"n_steps must be None or at least 1, got {n_steps}")
+    if n_steps is not None and (
+            isinstance(n_steps, bool)
+            or not isinstance(n_steps, numbers.Integral) or n_steps < 1):
+        raise ValueError(
+            f"n_steps must be None or an integer >= 1, got {n_steps!r}")
     grid = state.sigma.grid
     M = p.mass_level
     if n_steps is None:

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 invalid configuration or initial data,
-3 solver breakdown, 4 a verdict check failed (CI-friendly).
+3 solver breakdown, 4 a verdict check failed (CI-friendly).  _guard maps
+a package error onto 2 or 3, a simulate-* run exits 3 unless ok, and a
+table command ends in _finish: 3 on a failure, then 4 on a false verdict.
 """
 from __future__ import annotations
 
@@ -114,8 +116,20 @@ def _report_run(result, path, label):
                    f"e_total={format_number(rec.e_total)}")
     if path is not None:
         click.echo(f"  wrote {path}")
-    if result.status != "ok":
+    if not result.ok:
         sys.exit(EXIT_SOLVER)
+
+
+def _finish(result, solver_msg, verdict_msg):
+    """A table command's tail: the CSV it wrote, then exit 3 if a run or
+    fit in it broke down, or 4 if a verdict is false.  A table that runs
+    no solver passes None for solver_msg."""
+    if result.csv_path:
+        click.echo(f"wrote {result.csv_path}")
+    if result.failures:
+        _fail(EXIT_SOLVER, solver_msg)
+    if not result.verdict_ok:
+        _fail(EXIT_VERDICT, verdict_msg)
 
 
 def _initial_override(cfg, spec):
@@ -188,10 +202,7 @@ def spectrum_cmd(config, out, **flags):
     result = _guard(run_spectrum_table, spec)
     for row in result.rows:
         click.echo("  ".join(format_number(c) for c in row))
-    if result.csv_path:
-        click.echo(f"wrote {result.csv_path}")
-    if not result.verdict_ok:
-        _fail(EXIT_VERDICT, "verdict failure: unstable mode in the table")
+    _finish(result, None, "verdict failure: unstable mode in the table")
 
 
 @main.command("sweep")
@@ -206,12 +217,8 @@ def sweep_cmd(config, out, **flags):
                    f"sup_l2={format_number(row.sup_l2_error)}  "
                    f"h2_final={format_number(row.h2_error_final)}  "
                    f"sup_w={format_number(row.sup_w_l2)}  [{row.status}]")
-    if result.csv_path:
-        click.echo(f"wrote {result.csv_path}")
-    if any(r.status != "ok" for r in result.rows):
-        _fail(EXIT_SOLVER, "solver failure in at least one sweep member")
-    if not result.monotone_decreasing:
-        _fail(EXIT_VERDICT, "verdict failure: errors not strictly decreasing")
+    _finish(result, "solver failure in at least one sweep member",
+            "verdict failure: errors not strictly decreasing")
 
 
 @main.command("vacuum")
@@ -229,10 +236,7 @@ def vacuum_cmd(config, out, **flags):
     click.echo(f"limit point: {format_number(result.limit_point)}")
     for name, ok in result.verdicts.items():
         click.echo(f"  {name}: {'pass' if ok else 'FAIL'}")
-    if result.csv_path:
-        click.echo(f"wrote {result.csv_path}")
-    if not result.verdict_ok:
-        _fail(EXIT_VERDICT, "verdict failure in vacuum-collapse checks")
+    _finish(result, None, "verdict failure in vacuum-collapse checks")
 
 
 @main.command("decay")
@@ -242,17 +246,13 @@ def decay_cmd(config, out, **flags):
     spec, _ = _guard(_build_spec, "decay-fit", config, out, {"t_end": 5.0},
                      **flags)
     result = _guard(run_decay_fit, spec)
-    for f in result.fits:
+    for f in result.rows:
         click.echo(f"{f.series}: rate={format_number(f.rate)} "
                    f"r2={format_number(f.r_squared)} [{f.status}]")
     for name, ok in result.verdicts.items():
         click.echo(f"  {name}: {'pass' if ok else 'FAIL'}")
-    if result.csv_path:
-        click.echo(f"wrote {result.csv_path}")
-    if any(f.status not in ("ok", "zero-signal") for f in result.fits):
-        _fail(EXIT_SOLVER, "solver failure during decay runs")
-    if not result.verdict_ok:
-        _fail(EXIT_VERDICT, "verdict failure in decay-rate checks")
+    _finish(result, "solver failure during decay runs",
+            "verdict failure in decay-rate checks")
 
 
 if __name__ == "__main__":

@@ -80,7 +80,7 @@ import numpy as np
 
 from .core import EPState, Field, ParamSet, validate_initial_data
 from .diagnostics import DiagnosticsRecord, record_ep
-from .errors import Blowup, RangeBreach
+from .errors import Blowup, RangeBreach, SolverBreakdown
 from .spectral import _symbols
 
 BLOWUP_THRESHOLD = 1e12
@@ -431,17 +431,22 @@ def step_ep_rows(rows: Rows, targets) -> list:
 
 @dataclass
 class SimulationResult:
-    """Trajectory samples plus a status flag; errors surface here rather
-    than escaping mid-run (the partial trajectory is kept on breakdown)."""
+    """Trajectory samples plus the breakdown that ended the run, if any;
+    errors surface here rather than escaping mid-run (the partial
+    trajectory is kept on breakdown)."""
 
     samples: list                      # [(state, record or None), ...]
-    status: str                        # 'ok', or the breakdown's status
-    error: Optional[Exception] = None
+    error: Optional[SolverBreakdown] = None
     n_steps: int = 0
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.error is None
+
+    @property
+    def status(self) -> str:
+        """'ok', or the breakdown's status."""
+        return "ok" if self.error is None else self.error.status
 
     def raise_if_failed(self):
         if self.error is not None:
@@ -464,7 +469,7 @@ def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
     times = sorted(sample_times)
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError("sample times must be finite and nonnegative")
-    results = [SimulationResult([], "ok") for _ in rows.times]
+    results = [SimulationResult([]) for _ in rows.times]
     members = list(range(len(results)))     # the member in each batch row
     nxt = [0] * len(results)                # each member's next sample time
     outcomes, stepped = [None] * len(members), False
@@ -472,7 +477,7 @@ def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
         keep = []
         for j, (i, out) in enumerate(zip(members, outcomes)):
             if out is not None:
-                results[i].status, results[i].error = out.status, out
+                results[i].error = out
                 continue
             results[i].n_steps += stepped
             while nxt[i] < len(times) \

@@ -1,12 +1,12 @@
 """Experiment recipes: epsilon sweeps, vacuum collapse, decay fits,
 dispersion tables.
 
-Each runner consumes an ExperimentSpec, returns a result object carrying
-the table rows plus pass/fail verdicts, and (when an output directory is
-configured) writes one deterministic CSV per experiment.  Every EP or KS
-step picks its own dt.  Sweep members advance together as rows of one
-batched EP step, each with its own dt and clock, so its trajectory is
-bit-identical to a separate, one-member run.
+Each runner consumes an ExperimentSpec, returns a TableResult and (when
+an output directory is configured) writes one deterministic CSV per
+experiment.  Every EP or KS step picks its own dt.  Sweep members
+advance together as rows of one batched EP step, each with its own dt
+and clock, so its trajectory is bit-identical to a separate, one-member
+run.
 """
 from __future__ import annotations
 
@@ -89,12 +89,44 @@ def _write_table(spec: ExperimentSpec, name: str, header, rows):
     return write_csv(spec.output_dir / name, header, rows)
 
 
+def _row_table(spec: ExperimentSpec, name: str, row_type, rows):
+    """Dataclass rows as the CSV `name`, one column per field of row_type."""
+    return _write_table(spec, name, [f.name for f in fields(row_type)],
+                        map(astuple, rows))
+
+
 def _record_table(spec: ExperimentSpec, result, initial: Field, name: str):
     """A run's diagnostics records as the CSV `name`, each row's mass as
     its drift from the initial field's."""
     mass0 = spec.params.grid.integrate(initial.values)
     return _write_table(spec, name, DiagnosticsRecord.CSV_COLUMNS,
                         (rec.csv_row(mass0) for _, rec in result.samples))
+
+
+@dataclass(frozen=True)
+class TableResult:
+    """A table's rows, its named pass/fail checks, the statuses of the runs
+    or fits in it that broke down, its CSV (None without an output
+    directory) and, for the vacuum collapse, the limit point."""
+
+    rows: tuple
+    verdicts: dict
+    failures: tuple = ()
+    csv_path: Optional[Path] = None
+    limit_point: Optional[float] = None
+
+    @property
+    def verdict_ok(self) -> bool:
+        return not self.failures and all(self.verdicts.values())
+
+    @property
+    def monotone_decreasing(self) -> bool:
+        """The sweep's verdict that its errors strictly decrease."""
+        return self.verdicts["monotone_decreasing"]
+
+    def fit(self, series: str) -> RateFit:
+        """The decay fit of `series`."""
+        return {f.series: f for f in self.rows}[series]
 
 
 # --------------------------------------------------------------------------
@@ -132,20 +164,6 @@ class SweepRow:
     status: str
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple
-    monotone_decreasing: bool
-    csv_path: Optional[Path] = None
-
-    SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
-
-    @property
-    def verdict_ok(self) -> bool:
-        return self.monotone_decreasing and all(
-            r.status == "ok" for r in self.rows)
-
-
 def _sweep_member(result, p: ParamSet, sigma_samples: list) -> SweepRow:
     """One member's row of the sweep table, from its EP run."""
     if not result.ok:
@@ -165,7 +183,7 @@ def _sweep_member(result, p: ParamSet, sigma_samples: list) -> SweepRow:
     return SweepRow(p.epsilon, sup_l2, h2_final, sup_w, "ok")
 
 
-def run_epsilon_sweep(spec: ExperimentSpec) -> SweepResult:
+def run_epsilon_sweep(spec: ExperimentSpec) -> TableResult:
     """EP runs over the epsilon list against one shared KS reference.
 
     The members are stepped together (simulate_ep_rows), each with its own
@@ -174,7 +192,8 @@ def run_epsilon_sweep(spec: ExperimentSpec) -> SweepResult:
     its time error sits below every member's) and reused for every row;
     the limit object does not depend on epsilon.  Data are well-prepared
     (w0 = 0).  The table needs the sampled states alone, so neither run
-    computes diagnostics records.
+    computes diagnostics records.  A member that broke down is a failure,
+    and left out of the monotone_decreasing verdict.
     """
     p = spec.params
     rho0 = _initial_field(spec)
@@ -192,9 +211,10 @@ def run_epsilon_sweep(spec: ExperimentSpec) -> SweepResult:
 
     ok_errors = [r.sup_l2_error for r in rows if r.status == "ok"]
     monotone = all(b < a for a, b in zip(ok_errors, ok_errors[1:]))
-    path = _write_table(spec, "sweep.csv", SweepResult.SWEEP_COLUMNS,
-                        map(astuple, rows))
-    return SweepResult(rows, monotone, path)
+    return TableResult(
+        rows, {"monotone_decreasing": monotone},
+        tuple(r.status for r in rows if r.status != "ok"),
+        _row_table(spec, "sweep.csv", SweepRow, rows))
 
 
 # --------------------------------------------------------------------------
@@ -212,20 +232,6 @@ class VacuumRow:
     factor_predicted: float  # e^{(touch+1) M tau}
     fd_estimate: float       # windowed finite difference on reconstruction
     fd_rel_gap: float
-
-
-@dataclass(frozen=True)
-class VacuumCollapseResult:
-    rows: tuple
-    limit_point: float
-    verdicts: dict
-    csv_path: Optional[Path] = None
-
-    VACUUM_COLUMNS = tuple(f.name for f in fields(VacuumRow))
-
-    @property
-    def verdict_ok(self) -> bool:
-        return all(self.verdicts.values())
 
 
 def measured_vacuum_length(state: KSState, M: float) -> float:
@@ -269,16 +275,20 @@ def measure_edge_derivative_fd(prof: InitialProfile, tau: float,
     The window shrinks like e^{-2 M tau}: the sharpening density front
     squeezes the region where the edge power law dominates, so a fixed
     window would average over the saturated profile and miss the growth.
-    Raises ValueError for order < 1, as derivative_along does.
+    Raises ValueError for order < 1, as derivative_along does, and for
+    tau > FD_TAU_MAX, where the window is too thin for the grid.
     """
     if order < 1:
         raise ValueError("derivative order must be >= 1")
+    if tau > FD_TAU_MAX:
+        raise ValueError(f"the edge finite difference needs tau <= "
+                         f"FD_TAU_MAX = {FD_TAU_MAX}, got tau = {tau}")
     rep = vacuum_interval(tau, prof)  # raises NoVacuum first
     return _edge_derivatives_fd(prof, [tau], [rep.b], order, n)[0]
 
 
 def run_vacuum_collapse(spec: ExperimentSpec,
-                        taus=None, n_grid: int = 2048) -> VacuumCollapseResult:
+                        taus=None, n_grid: int = 2048) -> TableResult:
     """Vacuum-interval collapse along the exact characteristic flow.
 
     Closed-form interval length and edge-derivative growth are tabulated
@@ -339,9 +349,9 @@ def run_vacuum_collapse(spec: ExperimentSpec,
         "fd_agreement": all(
             r.fd_rel_gap <= 0.05 for r in rows if math.isfinite(r.fd_rel_gap)),
     }
-    path = _write_table(spec, "vacuum.csv",
-                        VacuumCollapseResult.VACUUM_COLUMNS, map(astuple, rows))
-    return VacuumCollapseResult(tuple(rows), limit, verdicts, path)
+    return TableResult(tuple(rows), verdicts,
+                       csv_path=_row_table(spec, "vacuum.csv", VacuumRow, rows),
+                       limit_point=limit)
 
 
 # --------------------------------------------------------------------------
@@ -354,25 +364,6 @@ class RateFit:
     r_squared: float
     status: str              # ok | zero-signal | <solver status>
     window_start: float
-
-
-@dataclass(frozen=True)
-class DecayFitResult:
-    fits: tuple
-    verdicts: dict
-    csv_path: Optional[Path] = None
-
-    DECAY_COLUMNS = tuple(f.name for f in fields(RateFit))
-
-    def fit(self, series: str) -> RateFit:
-        for f in self.fits:
-            if f.series == series:
-                return f
-        raise KeyError(series)
-
-    @property
-    def verdict_ok(self) -> bool:
-        return all(self.verdicts.values())
 
 
 def _fit_series(name: str, series: list, window) -> RateFit:
@@ -397,14 +388,15 @@ def _run_fits(run, series, window) -> list:
             for name, key in series]
 
 
-def run_decay_fit(spec: ExperimentSpec, n_samples: int = 51) -> DecayFitResult:
+def run_decay_fit(spec: ExperimentSpec, n_samples: int = 51) -> TableResult:
     """Exponential-rate fits on the post-layer window.
 
     The EP run is fitted for e_total, the sup-norm deviation, and the
     L4 norm of the density gradient, skipping the initial layer of
     duration ~ eps^{2-alpha}; a companion KS run from the same profile is
     fitted for its sup-norm rate, which the logistic transport bounds
-    from below by min{min sigma0, M}.
+    from below by min{min sigma0, M}.  A fit whose status is neither ok
+    nor zero-signal is a failure.
     """
     p = spec.params
     if not p.t_end > 0.0:
@@ -425,40 +417,30 @@ def run_decay_fit(spec: ExperimentSpec, n_samples: int = 51) -> DecayFitResult:
     sigma_min = float(rho0.values.min())
     ks_floor = 0.9 * min(sigma_min, p.mass_level)
     ks_fit = fits[-1]
+    failures = tuple(f.status for f in fits
+                     if f.status not in ("ok", "zero-signal"))
     verdicts = {
         "rates_positive": all(
             f.rate > 0.0 for f in fits[:-1] if f.status == "ok"),
-        "no_failures": all(f.status in ("ok", "zero-signal") for f in fits),
+        "no_failures": not failures,
         "ks_rate_floor": ks_fit.status != "ok" or ks_fit.rate >= ks_floor,
     }
-    path = _write_table(spec, "decay.csv", DecayFitResult.DECAY_COLUMNS,
-                        map(astuple, fits))
-    return DecayFitResult(tuple(fits), verdicts, path)
+    return TableResult(tuple(fits), verdicts, failures,
+                       _row_table(spec, "decay.csv", RateFit, fits))
 
 
 # --------------------------------------------------------------------------
 # dispersion tables
 
-@dataclass(frozen=True)
-class SpectrumTableResult:
-    rows: tuple
-    all_stable: bool
-    csv_path: Optional[Path] = None
-
-    SPECTRUM_COLUMNS = ("epsilon", "alpha", "gamma", "M", "k",
-                        "re_lambda_slow", "im_lambda_slow",
-                        "re_lambda_fast", "im_lambda_fast",
-                        "amplitude_ratio_abs", "stable")
-
-    @property
-    def verdict_ok(self) -> bool:
-        return self.all_stable
+SPECTRUM_COLUMNS = ("epsilon", "alpha", "gamma", "M", "k",
+                    "re_lambda_slow", "im_lambda_slow",
+                    "re_lambda_fast", "im_lambda_fast",
+                    "amplitude_ratio_abs", "stable")
 
 
-def run_spectrum_table(spec: ExperimentSpec) -> SpectrumTableResult:
+def run_spectrum_table(spec: ExperimentSpec) -> TableResult:
     p = spec.params
     rows = []
-    all_stable = True
     for eps in spec.epsilons:
         for k in spec.wavenumbers:
             q = DispersionQuery(epsilon=eps, alpha=p.alpha, gamma=p.gamma,
@@ -466,13 +448,12 @@ def run_spectrum_table(spec: ExperimentSpec) -> SpectrumTableResult:
             pair = dispersion_roots(q)
             ratio = abs(pair.amplitude_ratio)
             fast = pair.lambda_fast
-            all_stable = all_stable and pair.stable
             rows.append([eps, p.alpha, p.gamma, p.mass_level, float(k),
                          pair.lambda_slow.real, pair.lambda_slow.imag,
                          fast.real if fast is not None else math.nan,
                          fast.imag if fast is not None else math.nan,
                          ratio, pair.stable])
-    path = _write_table(spec, "spectrum.csv",
-                        SpectrumTableResult.SPECTRUM_COLUMNS, rows)
-    return SpectrumTableResult(tuple(tuple(r) for r in rows),
-                               all_stable, path)
+    return TableResult(tuple(tuple(r) for r in rows),
+                       {"all_stable": all(stable for *_, stable in rows)},
+                       csv_path=_write_table(spec, "spectrum.csv",
+                                             SPECTRUM_COLUMNS, rows))

@@ -494,10 +494,12 @@ def _oracle_case(amp):
 
 @pytest.mark.parametrize("tau_end, n_steps", [
     (0.5, -2), (0.5, 0), (math.nan, 4), (math.inf, None), (0.0, None),
-    (-0.5, 4),
+    (-0.5, 4), (0.5, 4.0), (0.5, 3.5), (0.5, True),
 ])
 def test_oracle_rejects_bad_horizons(tau_end, n_steps):
-    # a negative count once took no step and passed with a zero gap
+    # a negative count once took no step and passed with a zero gap; a
+    # float count failed inside range() with a TypeError, and True ran as
+    # 2 marker steps
     state, p = _oracle_case(0.3)
     with pytest.raises(ValueError, match="tau_end|n_steps"):
         semi_lagrangian_oracle(state, p, tau_end, n_steps=n_steps)

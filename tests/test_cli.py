@@ -1,14 +1,15 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from frictionlab import keller_segel
+from frictionlab import euler_poisson, keller_segel
 from frictionlab.cli import main
-from frictionlab.errors import FrictionLabError
-from frictionlab.experiments import SweepResult, SweepRow
+from frictionlab.errors import FrictionLabError, RangeBreach
+from frictionlab.experiments import RateFit, SweepRow, TableResult
 
 
 @pytest.fixture
@@ -129,7 +130,7 @@ def test_sweep_happy_path(runner, tmp_path):
 def test_non_monotone_sweep_exits_4(runner, monkeypatch):
     rows = (SweepRow(0.2, 1.0, 1.0, 1.0, "ok"),
             SweepRow(0.1, 2.0, 2.0, 2.0, "ok"))
-    fake = SweepResult(rows=rows, monotone_decreasing=False, csv_path=None)
+    fake = TableResult(rows=rows, verdicts={"monotone_decreasing": False})
     monkeypatch.setattr("frictionlab.cli.run_epsilon_sweep",
                         lambda spec: fake)
     result = runner.invoke(main, ["sweep", "--eps", "0.2,0.1"])
@@ -140,7 +141,8 @@ def test_non_monotone_sweep_exits_4(runner, monkeypatch):
 def test_failed_sweep_member_exits_3(runner, monkeypatch):
     rows = (SweepRow(0.2, 1.0, 1.0, 1.0, "ok"),
             SweepRow(0.1, math.nan, math.nan, math.nan, "range_breach"))
-    fake = SweepResult(rows=rows, monotone_decreasing=True, csv_path=None)
+    fake = TableResult(rows=rows, verdicts={"monotone_decreasing": True},
+                       failures=("range_breach",))
     monkeypatch.setattr("frictionlab.cli.run_epsilon_sweep",
                         lambda spec: fake)
     result = runner.invoke(main, ["sweep", "--eps", "0.2,0.1"])
@@ -159,6 +161,86 @@ def test_sweep_reference_blowup_exits_3(runner, monkeypatch):
     assert result.exit_code == 3, outputs(result)
     assert "solver failure" in outputs(result)
     assert "blew up" in outputs(result)
+
+
+def fake_table(rows=(), verdicts=None, failures=(), **extra):
+    """A table command's result as the CLI reads it: verdict_ok is false
+    on a failure or a false verdict."""
+    verdicts = verdicts or {}
+    return SimpleNamespace(
+        rows=rows, verdicts=verdicts, failures=failures, csv_path=None,
+        verdict_ok=not failures and all(verdicts.values()), **extra)
+
+
+def test_failed_vacuum_check_exits_4(runner, monkeypatch):
+    fake = fake_table(verdicts={"length_law": True, "fd_agreement": False},
+                      limit_point=0.5)
+    monkeypatch.setattr("frictionlab.cli.run_vacuum_collapse",
+                        lambda spec: fake)
+    result = runner.invoke(main, ["vacuum"])
+    assert result.exit_code == 4, outputs(result)
+    assert "  fd_agreement: FAIL" in result.stdout
+    assert result.stderr == "verdict failure in vacuum-collapse checks\n"
+
+
+DECAY_VERDICTS = ("rates_positive", "no_failures", "ks_rate_floor")
+
+
+def test_failed_decay_fit_exits_3(runner, monkeypatch):
+    # a fit of a run that broke down is a solver failure, ahead of the
+    # false no_failures verdict
+    fits = (RateFit("e_total", 0.5, 0.99, "ok", 0.1),
+            RateFit("sup_dev", math.nan, math.nan, "range_breach", 0.1))
+    fake = fake_table(rows=fits, fits=fits, failures=("range_breach",),
+                      verdicts=dict.fromkeys(DECAY_VERDICTS, True)
+                      | {"no_failures": False})
+    monkeypatch.setattr("frictionlab.cli.run_decay_fit", lambda spec: fake)
+    result = runner.invoke(main, ["decay"])
+    assert result.exit_code == 3, outputs(result)
+    assert "sup_dev: rate=nan r2=nan [range_breach]" in result.stdout
+    assert result.stderr == "solver failure during decay runs\n"
+
+
+def test_false_decay_verdict_exits_4(runner, monkeypatch):
+    fits = (RateFit("e_total", -0.5, 0.99, "ok", 0.1),)
+    fake = fake_table(rows=fits, fits=fits,
+                      verdicts=dict.fromkeys(DECAY_VERDICTS, True)
+                      | {"rates_positive": False})
+    monkeypatch.setattr("frictionlab.cli.run_decay_fit", lambda spec: fake)
+    result = runner.invoke(main, ["decay"])
+    assert result.exit_code == 4, outputs(result)
+    assert "  rates_positive: FAIL" in result.stdout
+    assert result.stderr == "verdict failure in decay-rate checks\n"
+
+
+def test_unstable_spectrum_exits_4(runner, monkeypatch):
+    row = (0.1, 1.0, 2.0, 1.0, 1.0, 0.5, 0.0, -99.0, 0.0, 0.01, False)
+    fake = fake_table(rows=(row,), verdicts={"all_stable": False})
+    monkeypatch.setattr("frictionlab.cli.run_spectrum_table",
+                        lambda spec: fake)
+    result = runner.invoke(main, ["spectrum"])
+    assert result.exit_code == 4, outputs(result)
+    assert result.stdout == "0.1  1  2  1  1  0.5  0  -99  0  0.01  false\n"
+    assert result.stderr == "verdict failure: unstable mode in the table\n"
+
+
+def test_ep_breakdown_exits_3(runner, monkeypatch):
+    # every step leaves the density band: the run stops at its first step,
+    # reports the breakdown's status and exits 3 with nothing on stderr
+    guards = euler_poisson._guards
+
+    def breach(u, times, p):
+        _, extrema = guards(u, times, p)
+        return [RangeBreach(f"forced at tau = {t:.6g}") for t in times], \
+            extrema
+
+    monkeypatch.setattr(euler_poisson, "_guards", breach)
+    result = runner.invoke(main, ["simulate-ep", "--grid", "64",
+                                  "--t-end", "0.5"])
+    assert result.exit_code == 3, outputs(result)
+    assert result.stdout.startswith(
+        "simulate-ep: status=range_breach steps=0 samples=1\n")
+    assert result.stderr == ""
 
 
 def test_characteristics_writes_trajectories(runner, tmp_path):

@@ -1,6 +1,6 @@
 import math
 import threading
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from frictionlab.euler_poisson import simulate_ep, simulate_ep_rows
 from frictionlab.keller_segel import simulate_ks
 from frictionlab.profiles import profile_field, profile_line
 from frictionlab.experiments import (
-    DEFAULT_WAVENUMBERS, ExperimentSpec, SweepResult, measured_vacuum_length,
+    DEFAULT_WAVENUMBERS, ExperimentSpec, SweepRow, measured_vacuum_length,
     measure_edge_derivative_fd, run_decay_fit, run_epsilon_sweep,
     run_single_ep, run_single_ks, run_spectrum_table, run_vacuum_collapse,
 )
@@ -98,7 +98,7 @@ class TestEpsilonSweep:
         assert result.monotone_decreasing and result.verdict_ok
         assert result.csv_path == tmp_path / "sweep.csv"
         header = result.csv_path.read_text().splitlines()[0]
-        assert header == ",".join(SweepResult.SWEEP_COLUMNS)
+        assert header == ",".join(f.name for f in fields(SweepRow))
 
     def test_sweep_is_deterministic(self, params, tmp_path):
         # repeated runs must give the same output bytes
@@ -313,6 +313,14 @@ class TestVacuumCollapse:
         with pytest.raises(ValueError, match="order must be >= 1"):
             measure_edge_derivative_fd(prof, 0.5, order=order)
 
+    @pytest.mark.parametrize("tau", [3.5, 12.0, 13.0, 18.0, math.inf])
+    def test_fd_rejects_tau_past_the_bound(self, tau):
+        # past FD_TAU_MAX the window was too thin for its grid: tau = 12
+        # read 40% low, 13 negative, 14-17 zero, and 18 raised a grid error
+        prof = profile_line("vacuum-ramp", 1.0)
+        with pytest.raises(ValueError, match=f"tau = {tau}"):
+            measure_edge_derivative_fd(prof, tau)
+
 
 class TestMeasuredVacuumLength:
     def test_zero_block(self):
@@ -348,7 +356,7 @@ class TestDecayFit:
                               profile="equilibrium")
         result = run_decay_fit(spec, n_samples=11)
         assert result.verdict_ok
-        for fit in result.fits:
+        for fit in result.rows:
             assert fit.status == "zero-signal"
             assert fit.rate == 0.0 and fit.r_squared == 1.0
 
@@ -372,7 +380,7 @@ class TestSpectrumTable:
                               epsilon_list=(0.2, 0.1), output_dir=tmp_path)
         result = run_spectrum_table(spec)
         assert len(result.rows) == 2 * len(DEFAULT_WAVENUMBERS)
-        assert result.all_stable and result.verdict_ok
+        assert result.verdicts["all_stable"] and result.verdict_ok
         for row in result.rows:
             assert row[5] < 0.0          # re(lambda_slow)
             assert bool(row[10])
