@@ -35,11 +35,15 @@ its first stage, 3 + 2 in each later one and 4 at the close: 16 rows, 19
 at any other gamma.  At small n a step costs numpy calls more than
 flops, so every eps-dependent factor of the stage is folded into a
 Fourier symbol with one row per member (`_members`, built once per batch
-and read-only) and the transforms' inputs and outputs are written in
-place: 20 numpy calls in a later stage and 14 in the first at gamma = 2,
-22 and 15 otherwise.  The closing guard pass takes min rho, max rho and
-max |w| once per member; the next step's CFL bound reads the two maxima
-from there.
+and read-only), symbols that act together are stacked (the stacked-symbol
+rule below), the buffers of `_rk3`'s stages have room for the rows their
+inverses add, and the transforms' inputs and outputs are written in
+place: 11 numpy calls in a later stage and 9 in the first at gamma = 2,
+13 and 10 otherwise, 63 per step at gamma = 2.  The closing pass takes
+the min and max of the rows rho, w and grad_inv in two reductions: min
+rho and max rho for the guards, and max |w| = max(max w, -min w) and
+max |v| for the next step's CFL bound, so the first stage reduces
+nothing.
 
 The operand rule: each elementwise op of a step reads operands of one
 dtype and one shape, so numpy runs it on its contiguous loop.  A product
@@ -54,12 +58,24 @@ floats, which numpy reads on its scalar loop).  x + iy times r + 0j is
 rx + iry exactly, as it is times the real r, which numpy promotes to
 r + 0j: every output bit is that of the real factors.
 
+The stacked-symbol rule: symbols that multiply the same stage's rows
+sit in one array, so that one broadcast product forms all their terms
+and one sum adds each pair (`_combine`): the later stage's bracket^ and
+vel^ from (rho - M)^ and w^ (a 2 x 2 x members x (n/2 + 1) stack), the
+closing pass's bracket^, the first stage's vel from w and grad_inv, and
+the (-ik keep/eps, keep) that the forward transform's output is
+multiplied by.  Every symbol is real or imaginary, and numpy's complex
+product with one gives the same bits in either operand order (a general
+complex product need not: numpy's loop may fuse one of its
+multiply-adds); a sum of two terms does too: the stacked arithmetic is
+that of the separate products bit for bit.
+
 One driver path: `simulate_ep_rows` steps members that differ in epsilon
 only as rows of one batched step (`step_ep_rows`), each toward its own
-next sample time with its own dt, picked from its own first stage, and
-clock; `simulate_ep` is the one-member batch.  The driver keeps the
-batch's rows and coefficients stacked (`Rows`) from step to step and
-builds states only at sample times.  Batched FFT rows, per-row
+next sample time with its own dt, picked from the extrema its rows
+carry, and clock; `simulate_ep` is the one-member batch.  The driver
+keeps the batch's rows and coefficients stacked (`Rows`) from step to
+step and builds states only at sample times.  Batched FFT rows, per-row
 reductions and products with per-row columns are bit-identical to the
 one-member arithmetic, so a member's trajectory does not depend on its
 batch.  A caller that wants a fixed dt samples the run at that spacing:
@@ -91,28 +107,35 @@ class _Members(NamedTuple):
     The members share every parameter but epsilon.  The eps-dependent
     coefficients of the stage kernel are folded into Fourier symbols, one
     row per member: each symbol that multiplies coefficient rows is a
-    complex members x (n/2 + 1) array, and each factor of the first
-    stage's samples a real members x n array (the operand rule of the
-    module docstring).  All arrays are C-contiguous and read-only."""
+    complex members x (n/2 + 1) array, real or imaginary, and each factor
+    of the first stage's samples a real members x n array (the operand
+    rule of the module docstring).  Symbols that act on the same stage
+    are stacked, so that one product applies them all.  All arrays are
+    C-contiguous and read-only."""
 
     p: ParamSet              # the shared parameters
     ps: tuple                # one ParamSet per member
     linear_pressure: bool    # gamma = 2: the pressure term is linear in rho
-    eps: np.ndarray          # eps, on samples
-    eps_a: np.ndarray        # eps^alpha, on samples
+    inverse_rows: int        # rows of the closing inverse, 5 at gamma != 2
     lam: np.ndarray          # linear rates, row kinds x members x 1: 0 for
                              # the rho rows, -1/eps^2 for w
-    inv_grad: np.ndarray     # i/k: v = -irfft(sh * inv_grad)
-    vel_sh: np.ndarray       # -eps i/k: on (rho - M)^, the eps v share of vel^
-    vel_w: np.ndarray        # eps^alpha: on w^, the eps^alpha w share of vel^
-    keep: np.ndarray         # 2/3 rule
-    ik_eps: np.ndarray       # ik/eps: on w^, dw/dx / eps
-    dxv_eps: np.ndarray      # eps^-alpha, 0 at k = 0: on (rho - M)^, eps^-alpha dv/dx
+    vel_rows: np.ndarray     # (eps^alpha, -eps), 2 x members x n: on the
+                             # samples (w, grad_inv), the two shares of vel
+    symbols: np.ndarray      # 2 x 2 x members x (n/2 + 1): per column,
+                             # on (rho - M)^ and on w^, the shares of
+                             # bracket^ and vel^:
+                             #   [[eps^-alpha (0 at k = 0), -eps i/k],
+                             #    [ik/eps,                  eps^alpha]]
+    inv_grad: np.ndarray     # i/k: on (rho - M)^, the inverse gradient -v
     gik_eps: np.ndarray      # (gamma/eps) ik: on (rho - M)^, (gamma/eps) d(rho)/dx,
                              # the pressure term itself when it is linear
-    div_eps: np.ndarray      # -ik keep/eps: on (rho vel)^, the rho slope
     flux_w: np.ndarray       # eps^-alpha keep, 0 at k = 0: on (rho vel)^, the
                              # share -eps^(1-alpha) dv/dtau of the w slope
+    post: np.ndarray         # (-ik keep/eps, keep), 2 x members x (n/2 + 1):
+                             # on ((rho vel)^, -h^), the rho slope and the
+                             # dealiased -h
+    eps_1a: tuple            # eps^(1-alpha) per member, for the CFL bound
+    eps_sound: tuple         # eps^((alpha-2)/2) per member, for the CFL bound
 
 
 @functools.lru_cache(maxsize=64)
@@ -126,45 +149,44 @@ def _members(ps: tuple) -> _Members:
     eps = [q.epsilon for q in ps]
     sym = _symbols(p.grid)
 
-    def read_only(a):
-        a.setflags(write=False)
-        return a
-
     def column(values):
         return np.array(values)[:, None]
 
-    def rows(a, dtype=complex, width=sym.k.size):
-        """a broadcast to its own members x width array of dtype."""
-        out = np.empty((len(ps), width), dtype=dtype)
-        out[...] = a
-        return read_only(out)
+    def rows(*arrays, dtype=complex, width=sym.k.size):
+        """The arrays, each broadcast to its own members x width rows of
+        dtype, stacked in one read-only array."""
+        out = np.empty((len(arrays), len(ps), width), dtype=dtype)
+        for row, a in zip(out, arrays):
+            row[...] = a
+        out.setflags(write=False)
+        return out
 
     eps_col, eps_ma = column(eps), column([e ** (-alpha) for e in eps])
     eps_a = column([e**alpha for e in eps])
     nonzero = np.arange(sym.k.size) > 0     # zeroes the mean, k = 0
-    return _Members(p, ps, gamma == 2.0, rows(eps_col, float, p.grid.n),
-                    rows(eps_a, float, p.grid.n),
-                    read_only(np.array([[0.0] * len(ps),
-                                        [-1.0 / e**2 for e in eps]])[..., None]),
-                    rows(sym.inv_grad), rows(-eps_col * sym.inv_grad),
-                    rows(eps_a), rows(sym.keep), rows(sym.ik / eps_col),
-                    rows(eps_ma * nonzero),
-                    rows(sym.ik * column([gamma / e for e in eps])),
-                    rows(sym.neg_ik_keep / eps_col),
-                    rows(eps_ma * (sym.keep * nonzero)))
+    inv_grad, gik_eps, flux_w = rows(
+        sym.inv_grad, sym.ik * column([gamma / e for e in eps]),
+        eps_ma * (sym.keep * nonzero))
+    return _Members(
+        p, ps, gamma == 2.0, 4 if gamma == 2.0 else 5,
+        rows(0.0, column([-1.0 / e**2 for e in eps]), dtype=float, width=1),
+        rows(eps_a, -eps_col, dtype=float, width=p.grid.n),
+        rows(eps_ma * nonzero, -eps_col * sym.inv_grad, sym.ik / eps_col,
+             eps_a).reshape(2, 2, len(ps), sym.k.size),
+        inv_grad, gik_eps, flux_w,
+        rows(sym.neg_ik_keep / eps_col, sym.keep),
+        tuple(e ** (1.0 - alpha) for e in eps),
+        tuple(e ** (0.5 * (alpha - 2.0)) for e in eps))
 
 
-def _speeds(extrema, v_max, ps) -> list:
-    """Per member, from its (max rho, max |w|) and max |v|: its maximum
+def _speeds(extrema, m: _Members) -> list:
+    """Per member, from its (max rho, max |w|, max |v|): its maximum
     advective and sound speeds, for the CFL bound."""
-    out = []
-    for p, (rho_max, w_max), v_peak in zip(ps, extrema, v_max):
-        eps, alpha, gamma = p.epsilon, p.alpha, p.gamma
-        adv = w_max / eps ** (1.0 - alpha) + v_peak
-        sound = math.sqrt(gamma * max(rho_max, 0.0) ** (gamma - 1.0)) \
-            * eps ** (0.5 * (alpha - 2.0))
-        out.append((adv, sound))
-    return out
+    gamma = m.p.gamma
+    return [(w_max / eps_1a + v_max,
+             math.sqrt(gamma * max(rho_max, 0.0) ** (gamma - 1.0)) * eps_sound)
+            for (rho_max, w_max, v_max), eps_1a, eps_sound
+            in zip(extrema, m.eps_1a, m.eps_sound)]
 
 
 def _cfl_bound(p: ParamSet, speed: float) -> float:
@@ -183,63 +205,89 @@ def _blowup(time: float, low: float, high: float,
     return Blowup(f"solution blew up at tau = {time:.6g}")
 
 
+def _extrema(u: np.ndarray) -> tuple:
+    """The one extrema pass over stacked rows u (rho, w, grad_inv, ...),
+    two reductions: per member min rho, and (max rho, max |w|, max |v|),
+    which the next step's CFL bound reads, as Python floats.  max |x| is
+    max(max x, -min x), NaN when x holds a NaN, and max |v| is that of
+    grad_inv = -v."""
+    low = np.minimum.reduce(u[:3], axis=-1)
+    high = np.maximum.reduce(u[:3], axis=-1)
+    np.maximum(high[1:], -low[1:], out=high[1:])
+    return low[0].tolist(), list(zip(*high.tolist()))
+
+
 def _guards(u: np.ndarray, times, p: ParamSet) -> tuple:
-    """The closing guard pass over stacked rows u (rho, w, ...): per member
-    None or the SolverBreakdown that stops it (a Blowup before a
-    RangeBreach), and the (max rho, max |w|) that the next step's CFL
-    bound reads.  Three reductions: min rho, max rho and max |w|."""
-    low, high = u[0].min(axis=-1).tolist(), u[0].max(axis=-1).tolist()
-    w_max = np.abs(u[1]).max(axis=-1).tolist()
+    """The closing guard pass over stacked rows u (rho, w, grad_inv, ...):
+    per member None or the SolverBreakdown that stops it (a Blowup before
+    a RangeBreach), and the extrema the next step's CFL bound reads
+    (`_extrema`)."""
+    lows, extrema = _extrema(u)
     lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
+    top = min(hi, BLOWUP_THRESHOLD)
+    # one pass clears the whole batch: lo > 0 bounds -min rho as well, and
+    # every comparison with a NaN is false
+    if all(a >= lo for a in lows) and all(
+            b <= top and w_peak <= BLOWUP_THRESHOLD
+            for b, w_peak, *_ in extrema):
+        return [None] * len(lows), extrema
     out = []
-    for a, b, w_peak, time in zip(low, high, w_max, times):
+    for a, (b, w_peak, *_), time in zip(lows, extrema, times):
         breakdown = _blowup(time, a, b, w_peak)
         if breakdown is None and (a < lo or b > hi):
             breakdown = RangeBreach(
                 f"rho range [{a:.6g}, {b:.6g}] left "
                 f"[{lo:.6g}, {hi:.6g}] at tau = {time:.6g}")
         out.append(breakdown)
-    return out, list(zip(high, w_max))
+    return out, extrema
 
 
-def _inverse_input(uh: np.ndarray, m: _Members, head: int) -> np.ndarray:
-    """An inverse-transform input whose first `head` rows the caller
-    fills, followed by the bracket's coefficients (dw/dx / eps +
-    eps^(-alpha) dv/dx)^ and, at gamma != 2, those of the pressure term
-    (gamma/eps) d(rho)/dx, from the coefficients uh of (rho - M, w)."""
-    sh, wh = uh
-    spectra = np.empty((head + (1 if m.linear_pressure else 2),) + sh.shape,
-                       dtype=complex)
-    np.multiply(wh, m.ik_eps, out=spectra[head])
-    spectra[head] += sh * m.dxv_eps
-    if not m.linear_pressure:
-        np.multiply(sh, m.gik_eps, out=spectra[head + 1])
+def _combine(factors: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+    """factors[0] * rows[0] + factors[1] * rows[1]: one product of the
+    stacks and one sum, whose product buffer is freed on return."""
+    terms = factors * rows
+    return np.add(terms[0], terms[1], out=out)
+
+
+def _with_room(uh: np.ndarray, rows: int) -> np.ndarray:
+    """uh as the head of an inverse input of `rows` rows: uh itself when
+    it is one (the stage buffers of `_rk3` are), else a copy in a new
+    buffer."""
+    if len(uh) == rows:
+        return uh
+    spectra = np.empty((rows,) + uh.shape[1:], dtype=complex)
+    spectra[:len(uh)] = uh
     return spectra
 
 
 def _carried_rows(uh: np.ndarray, m: _Members, samples=None) -> np.ndarray:
     """The rows a first stage reads, from one batched inverse of the
-    coefficients uh of (rho - M, w): rho, w, the inverse gradient of
-    rho - M (that is -v), the bracket and, at gamma != 2, the pressure
-    row, each members x n.  With samples given, (rho, w) are those
-    samples and only the other rows are inverted."""
-    spectra = _inverse_input(uh, m, 3)
-    np.multiply(uh[0], m.inv_grad, out=spectra[2])
+    coefficients uh[:2] of (rho - M, w): rho, w, the inverse gradient of
+    rho - M (that is -v), the bracket (dw/dx / eps + eps^(-alpha) dv/dx)
+    and, at gamma != 2, the pressure row (gamma/eps) d(rho)/dx, each
+    members x n.  Their coefficients are written after uh[:2], in place
+    when uh has the room (`m.inverse_rows` rows), as `_rk3`'s result
+    has.  With samples given, (rho, w) are those samples and only the
+    other rows are inverted."""
+    spectra = _with_room(uh, m.inverse_rows)
+    sh = spectra[0]
+    _combine(m.symbols[:, 0], spectra[:2], out=spectra[3])
+    np.multiply(sh, m.inv_grad, out=spectra[2])
+    if not m.linear_pressure:
+        np.multiply(sh, m.gik_eps, out=spectra[4])
     n = m.p.grid.n
     if samples is None:
-        spectra[:2] = uh
         u = np.fft.irfft(spectra, n=n)
         u[0] += m.p.mass_level
         return u
     return np.concatenate((samples, np.fft.irfft(spectra[2:], n=n)))
 
 
-def _rhs(u, uh: np.ndarray, m: _Members):
+def _rhs(u, uh: np.ndarray, m: _Members) -> np.ndarray:
     """Slope G^ of the rfft coefficients uh of the stacked rows
     (rho - M, w), each members x (n/2 + 1), without the stiff friction
-    term, and the nonlocal velocity v of rho.  In the first stage u holds
-    the rows the step starts from (`_carried_rows`); a later stage passes
-    None and gets None for v.
+    term.  In the first stage u holds the rows the step starts from
+    (`_carried_rows`); a later stage passes None.
 
     One fused spectral kernel.  With vel = eps v + eps^alpha w the w slope
     is -h - eps^(1-alpha) dv/dtau, where
@@ -247,15 +295,20 @@ def _rhs(u, uh: np.ndarray, m: _Members):
         -h = vel (dw/dx / eps + eps^(-alpha) dv/dx)
              + rho^(gamma-2) (gamma/eps) d(rho)/dx.
 
-    The first stage forms v and vel from its rows, so its only FFT call is
-    the forward one.  A later stage makes one batched inverse of rho - M,
-    vel and the bracket, vel^ = -eps (i/k) (rho - M)^ + eps^alpha w^
-    formed in Fourier space: the eps factors sit in the members' symbols,
-    and dv/dx = rho - mean rho is rho - M with its k = 0 mode zeroed.  One
-    batched forward transforms rho*vel and -h.  rho*vel is eps f for the
-    continuity flux f = rho (w/eps^(1-alpha) + v), so the rho slope is
-    (-ik keep/eps) (rho vel)^, and dv/dtau = -(f - mean f) enters the w
-    slope as eps^(-alpha) keep (rho vel)^ with its k = 0 mode zeroed.
+    The first stage forms vel = eps^alpha w + (-eps) grad_inv from its
+    rows, in one product with the stacked (eps^alpha, -eps), so its only
+    FFT call is the forward one.  A later stage makes one batched inverse
+    of rho - M, the bracket and vel, whose coefficients
+    bracket^ = eps^(-alpha) (rho - M)^ + (ik/eps) w^ (dv/dx = rho - mean
+    rho is rho - M with its k = 0 mode zeroed) and
+    vel^ = -eps (i/k) (rho - M)^ + eps^alpha w^ come from one product with
+    the 2 x 2 symbol stack and one sum of its columns, written into uh's
+    room (`_rk3`) or a new buffer.  One product with vel writes
+    (rho vel, -h), which one batched forward transforms.
+    rho*vel is eps f for the continuity flux f = rho (w/eps^(1-alpha) + v),
+    so the rho slope is (-ik keep/eps) (rho vel)^, and
+    dv/dtau = -(f - mean f) enters the w slope as
+    eps^(-alpha) keep (rho vel)^ with its k = 0 mode zeroed.
 
     The pressure term: at gamma = 2 it is (gamma/eps) d(rho)/dx, linear,
     and its transform (gamma/eps) ik (rho - M)^ is added to the forward
@@ -263,64 +316,69 @@ def _rhs(u, uh: np.ndarray, m: _Members):
     rho^(gamma-2) times it joins -h before the forward transform.  So a
     later stage inverts 3 rows per member, 4 when gamma != 2.  The
     transforms' inputs and outputs are written in place."""
-    sh, wh = uh
+    sh = uh[0]
     if u is not None:
-        rho, w, grad_inv, bracket = u[:4]
-        pressure = u[4] if not m.linear_pressure else None
-        v = -grad_inv
-        vel = m.eps * v
-        vel += m.eps_a * w
-        x = np.empty((2,) + rho.shape)
+        x = u[0:4:3] * _combine(m.vel_rows, u[1:3])   # rho vel, bracket vel
+        if not m.linear_pressure:
+            x[1] += u[0] ** (m.p.gamma - 2.0) * u[4]
     else:
-        spectra = _inverse_input(uh, m, 2)
-        spectra[0] = sh
-        np.multiply(sh, m.vel_sh, out=spectra[1])
-        spectra[1] += m.vel_w * wh
+        # the inverse input (rho - M, bracket, vel[, pressure])^ in uh's
+        # room, the bracket's and vel's from (rho - M, w)^ before the
+        # bracket takes w's row
+        spectra = _with_room(uh, m.inverse_rows)[:m.inverse_rows - 1]
+        _combine(m.symbols, spectra[:2, None], out=spectra[1:3])
+        if not m.linear_pressure:
+            np.multiply(sh, m.gik_eps, out=spectra[3])
         y = np.fft.irfft(spectra, n=m.p.grid.n)
-        rho, vel, bracket = y[:3]
-        pressure = y[3] if not m.linear_pressure else None
-        rho += m.p.mass_level
-        v = None
-        # vel and the bracket have been read last: their rows take
-        # rho*vel and -h, contiguous for the forward transform
-        x = y[1:3]
-    flux, minus_h = x
-    if m.linear_pressure:
-        np.multiply(vel, bracket, out=minus_h)
-    else:
-        np.add(vel * bracket, rho ** (m.p.gamma - 2.0) * pressure, out=minus_h)
-    np.multiply(rho, vel, out=flux)
+        y[0] += m.p.mass_level
+        if not m.linear_pressure:
+            pressure = y[0] ** (m.p.gamma - 2.0)
+            pressure *= y[3]
+        # rho and the bracket are read last: their rows take rho*vel and
+        # -h, contiguous for the forward transform
+        x = y[:2]
+        np.multiply(x, y[2], out=x)
+        if not m.linear_pressure:
+            x[1] += pressure
     g = np.fft.rfft(x)
     fh, hh = g
     if m.linear_pressure:
         hh += m.gik_eps * sh
     w_flux = m.flux_w * fh
-    np.multiply(fh, m.div_eps, out=fh)
-    np.multiply(hh, m.keep, out=hh)
+    g *= m.post
     np.subtract(w_flux, hh, out=hh)
-    return g, v
+    return g
 
 
-def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam) -> np.ndarray:
+def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam,
+         room: int = 0) -> np.ndarray:
     """One Lawson RK3 step (stage times 0, 1/3, 2/3) of du/dtau = lam*u + G(u)
     on stacked rows u_n (row kinds x members x anything), from the first
-    stage's slope g1 = G(u_n); rhs(u) gives G at the later stages, as a
-    new array of u's shape, which the step updates in place.  dt
-    holds one step per member and the array lam one linear rate per row
-    kind and member (row kinds x members x 1).  The rates act pointwise,
-    so the rows may be Fourier coefficients as well as samples: the
-    steppers pass coefficients."""
+    stage's slope g1 = G(u_n).  dt holds one step per member and the
+    array lam one linear rate per row kind and member (row kinds x
+    members x 1).  The rates act pointwise, so the rows may be Fourier
+    coefficients as well as samples: the steppers pass coefficients.
+
+    The stages' u is the head of one buffer with `room` more rows, for
+    the rows a caller inverts with u.  At the later stages rhs(buffer)
+    gives G(u) as a new array of u's shape; it may overwrite the whole
+    buffer, as the step reads u only before calling it.  The step
+    returns the buffer, the new rows at its head."""
     # integrating factors over dt/3, 2dt/3 and dt, the stage weights and
     # their products with e1, per row kind and member in Python floats
     # from math.exp (numpy's exp differs from it in the last bit on some
-    # arguments); a rate-0 row gets factors of exactly 1.0, so its
-    # arithmetic is plain RK3
+    # arguments); a rate-0 row gets factors of exactly 1.0, as math.exp(0)
+    # would give, so its arithmetic is plain RK3
     table = []
     for rates in lam.tolist():
         for (rate,), d in zip(rates, dt, strict=True):
-            e1 = math.exp(rate * d / 3.0)
-            table += (e1, math.exp(2.0 * rate * d / 3.0), math.exp(rate * d),
-                      d / 3.0, 2.0 * d / 3.0 * e1, d / 4.0, 3.0 * e1)
+            if rate:
+                e1 = math.exp(rate * d / 3.0)
+                table += (e1, math.exp(2.0 * rate * d / 3.0),
+                          math.exp(rate * d), d / 3.0, 2.0 * d / 3.0 * e1,
+                          d / 4.0, 3.0 * e1)
+            else:
+                table += (1.0, 1.0, 1.0, d / 3.0, 2.0 * d / 3.0, d / 4.0, 3.0)
     if len(table) == 7:
         factors = table     # one row kind and member: numpy's scalar loop
     else:
@@ -330,24 +388,26 @@ def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam) -> np.ndarray:
         # 113 KiB for 4 members at n = 256, under glibc's 128 KiB mmap
         # threshold
         factors = np.empty((7,) + u_n.shape, dtype=u_n.dtype)
-        factors[...] = np.array(table).reshape(lam.shape[:2] + (7,)
-                                               ).transpose(2, 0, 1)[..., None]
+        factors[...] = np.array(table).reshape(
+            lam.shape[:2] + (7, 1)).transpose(2, 0, 1, 3)
     e1, e2, e3, c1, c2e1, c3, e1_3 = factors
 
-    u = c1 * g1
+    buffer = np.empty((len(u_n) + room,) + u_n.shape[1:], dtype=u_n.dtype)
+    u = buffer[:len(u_n)]
+    np.multiply(c1, g1, out=u)
     u += u_n
     u *= e1                 # stage 2: e1 (u_n + c1 g1)
-    g = rhs(u)
+    g = rhs(buffer)
     g *= c2e1
     np.multiply(e2, u_n, out=u)
     u += g                  # stage 3: e2 u_n + c2 e1 g2
-    g = rhs(u)
+    g = rhs(buffer)
     g *= e1_3
     g += e3 * g1
     g *= c3
     np.multiply(e3, u_n, out=u)
     u += g                  # e3 u_n + c3 (e3 g1 + 3 e1 g3)
-    return u
+    return buffer
 
 
 class Rows:
@@ -356,8 +416,9 @@ class Rows:
     x n, the solution rows first), the rfft coefficients uh that the next
     step starts from (of rho - M and w for Euler-Poisson, of sigma - M for
     Keller-Segel), and per member its clock, its ParamSet and the extrema
-    of its samples that the next step reads (its last guard pass's).  A
-    step replaces u, uh, times and extrema with new values."""
+    of its rows that the next step reads (its last guard pass's: max rho,
+    max |w| and max |v| for Euler-Poisson, min sigma for Keller-Segel).
+    A step replaces u, uh, times and extrema with new values."""
 
     __slots__ = ("u", "uh", "times", "ps", "extrema", "_m")
 
@@ -396,10 +457,8 @@ def _rows_of(states, ps) -> Rows:
     samples with the other rows a first stage reads, from one inverse."""
     m = _members(tuple(ps))
     u, uh = _transform(states, ("rho", "w"), m.p.mass_level)
-    extrema = zip(u[0].max(axis=-1).tolist(),
-                  np.abs(u[1]).max(axis=-1).tolist())
-    return Rows(_carried_rows(uh, m, u), uh, [s.time for s in states], ps,
-                extrema)
+    u = _carried_rows(uh, m, u)
+    return Rows(u, uh, [s.time for s in states], ps, _extrema(u)[1])
 
 
 def step_ep_rows(rows: Rows, targets) -> list:
@@ -408,21 +467,24 @@ def step_ep_rows(rows: Rows, targets) -> list:
     drivers' step.  The members may differ in epsilon only.
 
     Each member takes dt = min(CFL bound, target - t), the bound
-    dt_cfl*h/(advective + sound speed) from its own first stage and the
-    extrema its rows carry.  Returns per member None or the
-    SolverBreakdown that stopped it; a breakdown leaves the other members'
-    steps as they would be alone."""
-    if not all(t < target for t, target in zip(rows.times, targets,
-                                                strict=True)):
-        raise ValueError("every member must be behind its target time")
+    dt_cfl*h/(advective + sound speed) from the extrema its rows carry.
+    Returns per member None or the SolverBreakdown that stopped it; a
+    breakdown leaves the other members' steps as they would be alone."""
     m = rows.members
     p = m.p
-    g1, v = _rhs(rows.u, rows.uh, m)
-    speeds = _speeds(rows.extrema, np.abs(v).max(axis=-1).tolist(), m.ps)
-    dt = [min(_cfl_bound(p, adv + sound), target - t)
-          for (adv, sound), t, target in zip(speeds, rows.times, targets)]
-    uh = _rk3(rows.uh, g1, lambda uh: _rhs(None, uh, m)[0], dt, m.lam)
-    u = _carried_rows(uh, m)
+    dt = []
+    for (adv, sound), t, target in zip(_speeds(rows.extrema, m), rows.times,
+                                       targets, strict=True):
+        if not t < target:
+            raise ValueError("every member must be behind its target time")
+        dt.append(min(_cfl_bound(p, adv + sound), target - t))
+    # the stage buffers have room for the rows each inverse adds; the
+    # coefficients are carried in a copy, which frees the room
+    spectra = _rk3(rows.uh, _rhs(rows.u, rows.uh, m),
+                   lambda uh: _rhs(None, uh, m), dt, m.lam,
+                   m.inverse_rows - 2)
+    uh = spectra[:2].copy()
+    u = _carried_rows(spectra, m)
     times = [t + d for t, d in zip(rows.times, dt)]
     out, extrema = _guards(u, times, p)
     rows.u, rows.uh, rows.times, rows.extrema = u, uh, times, extrema
@@ -464,22 +526,25 @@ def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
     its target, each behind its own, in one call, and returns per member
     None or the SolverBreakdown that ends its run.  The rows stay stacked
     from step to step: a member leaves the batch after its last sample or
-    on a breakdown (keeping its samples so far).  Returns one
+    on a breakdown (keeping its samples so far).  A member counts a step
+    whenever its clock moved, so a step that ends in a breakdown counts
+    and a step refused before it moved the clock does not.  Returns one
     SimulationResult per member."""
-    times = sorted(sample_times)
+    times = sorted(map(float, sample_times))    # Python floats: cheaper
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError("sample times must be finite and nonnegative")
     results = [SimulationResult([]) for _ in rows.times]
     members = list(range(len(results)))     # the member in each batch row
     nxt = [0] * len(results)                # each member's next sample time
-    outcomes, stepped = [None] * len(members), False
+    outcomes, clocks = [None] * len(members), rows.times
     while True:
         keep = []
-        for j, (i, out) in enumerate(zip(members, outcomes)):
+        for j, (i, out, clock) in enumerate(zip(members, outcomes, clocks)):
+            if rows.times[j] != clock:
+                results[i].n_steps += 1
             if out is not None:
                 results[i].error = out
                 continue
-            results[i].n_steps += stepped
             while nxt[i] < len(times) \
                     and rows.times[j] >= times[nxt[i]] - 1e-12:
                 state = state_at(rows.u[:, j], rows.times[j])
@@ -492,8 +557,8 @@ def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
             if not keep:
                 return results
             rows, members = rows.take(keep), [members[j] for j in keep]
+        clocks = list(rows.times)
         outcomes = advance(rows, [times[nxt[i]] for i in members])
-        stepped = True
 
 
 def simulate_ep(rho0: Field, w0: Field, p: ParamSet,

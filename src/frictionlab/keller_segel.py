@@ -7,12 +7,13 @@ the density row of the Euler-Poisson step: its Lawson RK3 core
 refreshed at every stage.  As there, the step runs on the rfft
 coefficients of sigma - M and starts from the ones the previous step
 left, and from the rows its closing inverse made (`_inverse`): sigma and
-the inverse gradient of sigma - M, which the guards, the samples and the
-next first stage read.  So the first stage makes one forward transform,
-each later stage an inverse of those two rows and a forward
-(`_flux_rhs`), and the close one inverse: 6 FFT calls on 9 rows.  The
-closing guard pass takes min sigma and max sigma once; the vacuum guard
-at the next step's start reads the minimum from there.
+the velocity v, which the guards, the samples and the next first stage
+read; v's symbol is -i/k, so the flux is the one product sigma*v.  So
+the first stage makes one forward transform, each later stage an
+inverse of those two rows and a forward (`_flux_rhs`), and the close one
+inverse: 6 FFT calls on 9 rows.  The closing guard pass takes min sigma
+and max sigma once; the vacuum guard at the next step's start reads the
+minimum from there.
 Near-vacuum states are refused (the characteristic module handles
 vacuum exactly); positive data stays positive on the tested horizons
 because each characteristic value moves monotonically toward M.
@@ -38,30 +39,29 @@ _RATE.setflags(write=False)
 
 
 def _inverse(sh: np.ndarray, p: ParamSet) -> np.ndarray:
-    """The rows (sigma, the inverse gradient of sigma - M, which is -v),
-    stacked 2 x 1 x n, from one batched inverse of the rfft coefficients
-    sh of sigma - M (1 x 1 x (n/2 + 1)), on the cached symbol of
-    inverse_gradient."""
-    u = np.fft.irfft(np.concatenate((sh, sh * _symbols(p.grid).inv_grad)),
-                     n=p.grid.n)
+    """The rows (sigma, v), stacked 2 x 1 x n, from one batched inverse of
+    the rfft coefficients sh of sigma - M (1 x 1 x (n/2 + 1)), v's on the
+    cached symbol -i/k (minus inverse_gradient's)."""
+    u = np.fft.irfft(
+        np.concatenate((sh, sh * _symbols(p.grid).neg_inv_grad)), n=p.grid.n)
     u[0] += p.mass_level
     return u
 
 
 def _flux_rhs(u: np.ndarray, p: ParamSet) -> np.ndarray:
     """Slope -ik (sigma v)^ of the rfft coefficients of sigma - M, the flux
-    dealiased, from the rows u = (sigma, -v) of `_inverse`: one forward
+    dealiased, from the rows u = (sigma, v) of `_inverse`: one forward
     transform of the flux, dealiased and differentiated in one product
     with the cached -ik keep."""
-    return np.fft.rfft(u[:1] * -u[1:]) * _symbols(p.grid).neg_ik_keep
+    return np.fft.rfft(u[:1] * u[1:]) * _symbols(p.grid).neg_ik_keep
 
 
 def _rows_of(state: KSState, p: ParamSet) -> Rows:
-    """The one-member batch of a state: its samples and the inverse
-    gradient row a first stage reads."""
+    """The one-member batch of a state: its samples and the velocity row
+    a first stage reads."""
     u, sh = _transform([state], ("sigma",), p.mass_level)
-    grad_inv = np.fft.irfft(sh * _symbols(p.grid).inv_grad, n=p.grid.n)
-    return Rows(np.concatenate((u, grad_inv)), sh, [state.time], (p,),
+    v = np.fft.irfft(sh * _symbols(p.grid).neg_inv_grad, n=p.grid.n)
+    return Rows(np.concatenate((u, v)), sh, [state.time], (p,),
                 [(float(u.min()),)])
 
 
@@ -104,10 +104,10 @@ def step_ks_to(rows: Rows, target: float):
 def simulate_ks(sigma0: Field, p: ParamSet, sample_times,
                 records: bool = True) -> SimulationResult:
     """Sampled trajectory of the limit solver, advanced by step_ks_to: the
-    initial row is transformed once and its inverse gradient inverted
-    once, then the run carries its rows from step to step and builds
-    states at sample times only.  With records False no diagnostics are
-    computed: each sample pairs its state with None."""
+    initial row is transformed once and its velocity inverted once, then
+    the run carries its rows from step to step and builds states at
+    sample times only.  With records False no diagnostics are computed:
+    each sample pairs its state with None."""
     if sigma0.grid != p.grid:
         raise ValueError("initial fields must live on the parameter grid")
     defect = mean_defect(p.grid, sigma0.values, p.mass_level)

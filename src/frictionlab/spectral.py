@@ -7,7 +7,8 @@ All routines work on raw sample arrays; the real FFT is used throughout
 The Fourier symbols are built once per grid and cached (`_symbols`, keyed
 on the frozen `Grid`), all in the rfft layout j = 0..n/2: the wavenumbers
 k, the first derivative ik with the unpaired Nyquist mode zeroed, the
-inverse gradient i/k (zero at k = 0 and at Nyquist), the 2/3-rule
+inverse gradient i/k (zero at k = 0 and at Nyquist) and its negative
+-i/k, which maps sigma - M to the nonlocal velocity v, the 2/3-rule
 keep-mask (1 for j <= n/3, else 0), and -ik keep, minus the derivative
 of the dealiased field; and, per grid and top order m, the symbols of
 d^j/dx^j for j = 1..m (`_deriv_symbols`).  `deriv`, `_derivs` (orders
@@ -58,6 +59,7 @@ class _Symbols(NamedTuple):
     k: np.ndarray          # wavenumbers
     ik: np.ndarray         # d/dx, Nyquist zeroed for even n
     inv_grad: np.ndarray   # grad(-Delta)^{-1}: i/k, zero at k = 0 and Nyquist
+    neg_inv_grad: np.ndarray  # -i/k: sigma - M to v = -grad(-Delta)^{-1}
     keep: np.ndarray       # 2/3 rule: 1.0 for j <= n/3, else 0.0
     neg_ik_keep: np.ndarray  # -ik keep: minus d/dx of the dealiased field
 
@@ -75,9 +77,10 @@ def _symbols(grid: Grid) -> _Symbols:
         inv_grad[-1] = 0.0
     keep = (np.arange(k.size) <= grid.n // 3).astype(float)
     neg_ik_keep = -ik * keep
-    for a in (k, ik, inv_grad, keep, neg_ik_keep):
+    out = _Symbols(k, ik, inv_grad, -inv_grad, keep, neg_ik_keep)
+    for a in out:
         a.setflags(write=False)
-    return _Symbols(k, ik, inv_grad, keep, neg_ik_keep)
+    return out
 
 
 @functools.lru_cache(maxsize=64)

@@ -226,7 +226,8 @@ def test_unstable_spectrum_exits_4(runner, monkeypatch):
 
 def test_ep_breakdown_exits_3(runner, monkeypatch):
     # every step leaves the density band: the run stops at its first step,
-    # reports the breakdown's status and exits 3 with nothing on stderr
+    # which it counts, reports the breakdown's status and exits 3 with
+    # nothing on stderr
     guards = euler_poisson._guards
 
     def breach(u, times, p):
@@ -239,7 +240,7 @@ def test_ep_breakdown_exits_3(runner, monkeypatch):
                                   "--t-end", "0.5"])
     assert result.exit_code == 3, outputs(result)
     assert result.stdout.startswith(
-        "simulate-ep: status=range_breach steps=0 samples=1\n")
+        "simulate-ep: status=range_breach steps=1 samples=1\n")
     assert result.stderr == ""
 
 

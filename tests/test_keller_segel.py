@@ -71,12 +71,12 @@ def test_fused_flux_rhs_matches_composition(n, dealias):
     v = -inverse_gradient(sigma - p.mass_level, grid)
     ref = -deriv(dealias(sigma * v, grid), grid)
     sh = np.fft.rfft(sigma - p.mass_level)[None, None]
-    # the first stage reads the carried rows (sigma, -v), a later one the
+    # the first stage reads the carried rows (sigma, v), a later one the
     # rows inverted from sh
     carried = _rows(_state(grid, sigma), p).u
     inverted = keller_segel._inverse(sh, p)
     for u in (carried, inverted):
-        assert np.max(np.abs(-u[1, 0] - v)) <= 1e-12 * np.max(np.abs(v))
+        assert np.max(np.abs(u[1, 0] - v)) <= 1e-12 * np.max(np.abs(v))
         slope = np.fft.irfft(keller_segel._flux_rhs(u, p), n=n)[0, 0]
         assert np.max(np.abs(slope - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -112,7 +112,8 @@ def test_step_ks_to_returns_its_breakdown(params, torus64):
 def test_nonfinite_slope_ends_run_nonfinite(monkeypatch, params, torus64,
                                             bad):
     # the step's states skip the Field scans, so its own guard must stop
-    # a non-finite density: the 4th step gets a poisoned slope
+    # a non-finite density: the 4th step gets a poisoned slope, and the
+    # run counts it
     real_rhs = keller_segel._flux_rhs
     calls = []
 
@@ -125,7 +126,7 @@ def test_nonfinite_slope_ends_run_nonfinite(monkeypatch, params, torus64,
     sigma0 = Field(torus64, 1.0 + 0.3 * np.cos(torus64.x), tag="density")
     result = simulate_ks(sigma0, params, np.linspace(0.0, 1.0, 21))
     assert result.status == "nonfinite" and isinstance(result.error, Blowup)
-    assert result.n_steps == 3
+    assert result.n_steps == 4
     assert all(np.all(np.isfinite(s.sigma.values)) for s, _ in result.samples)
 
 

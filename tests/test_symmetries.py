@@ -3,7 +3,8 @@
 On the torus the Euler-Poisson and Keller-Segel flows commute with the
 reflection x -> -x (rho(-x), -w(-x)) and with shifts by whole cells, the
 members of an epsilon batch do not see each other, and the mass of rho - M
-is conserved.  Each holds exactly in the equations; the code keeps the
+is conserved, at gamma = 2, where the pressure is linear and added in
+Fourier space, and at gamma = 1.5, where its row is transformed.  Each holds exactly in the equations; the code keeps the
 first, second and fourth to roundoff, bound here at 1e-13 times the data's
 amplitude, and the batch order bit for bit.
 """
@@ -24,7 +25,7 @@ MODES = 3
 def torus_cases(draw):
     """Trig-polynomial data rho0 = M + sum a_k cos(kx + phi_k),
     w0 = sum b_k sin(kx + psi_k) on a torus of n cells, with a batch of
-    1-3 epsilons sharing one alpha."""
+    1-3 epsilons sharing one alpha and one gamma."""
     n = draw(st.sampled_from([32, 64]))
     x = Grid.torus(n).x
     sign = draw(st.sampled_from([-1.0, 1.0]))
@@ -36,7 +37,8 @@ def torus_cases(draw):
                   for k in range(MODES))
     w = sum(b[k] * np.sin((k + 1) * x + draw(phase)) for k in range(MODES))
     alpha = draw(st.floats(0.5, 1.5))
-    ps = [ParamSet(epsilon=eps, alpha=alpha, gamma=2.0, mass_level=M,
+    gamma = draw(st.sampled_from([1.5, 2.0]))
+    ps = [ParamSet(epsilon=eps, alpha=alpha, gamma=gamma, mass_level=M,
                    rho_lower=0.25, rho_upper=2.0, grid=Grid.torus(n))
           for eps in draw(st.lists(st.floats(0.05, 0.3), min_size=1,
                                    max_size=3))]
