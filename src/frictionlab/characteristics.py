@@ -37,7 +37,8 @@ from .errors import (InversionFailure, MultipleVacuumIntervals, NoVacuum,
                      PreconditionViolation, UnsupportedOrder)
 from .keller_segel import simulate_ks
 from .profiles import InitialProfile
-from .spectral import inverse_gradient, trig_interp
+from .spectral import (inverse_gradient, trig_coefficients, trig_eval,
+                       trig_tables)
 
 TRAJECTORY_HORIZON = 50.0  # beyond tau = 50/M, e^{-M tau} underflows; report limits
 GUESS_NEWTON_STEPS = 2     # Newton steps from the interpolated inversion guess
@@ -350,7 +351,9 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     tau_end / n_steps (n_steps rounded up to even); below the CFL bound
     each sample is one solver step.  A marker step spans two samples, so
     the RK4 midpoint velocity is available without interpolation in time.
-    The velocities of all samples come from one batched inverse gradient.
+    The velocities of all samples come from one batched inverse gradient,
+    and their interpolation coefficients from one batched rfft; every
+    read of a field at the markers evaluates on one set of tables.
     Raises ValueError unless tau_end is finite and positive and n_steps is
     None or an integer >= 1 (not a bool), and the run's SolverBreakdown if
     it has one: no partial trajectory is compared.
@@ -376,22 +379,28 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     run = simulate_ks(state.sigma, p, dt * np.arange(n_steps + 1),
                       records=False)
     run.raise_if_failed()
-    sigmas = np.stack([s.sigma.values for s, _ in run.samples])
-    v = -inverse_gradient(sigmas - M, grid)  # the KS velocity of each sample
+    # the KS velocity of each sample, -inverse_gradient(sigma - M), and
+    # its interpolation coefficients, each in one batched call
+    deviations = np.stack([s.sigma.values for s, _ in run.samples])
+    deviations -= M
+    v = inverse_gradient(deviations, grid)
+    np.negative(v, out=v)
+    coefficients = trig_coefficients(v, grid)
+    tables = trig_tables(grid, grid.n)
 
     markers = grid.x.copy()
     sigma_m = state.sigma.values.copy()
     length = grid.length
 
-    def vel(field_vals, pos):
-        return trig_interp(field_vals, grid, pos)
+    def vel(j, pos):
+        return trig_eval(coefficients[j], grid, pos, tables)
 
     for j in range(2, n_steps + 1, 2):
         h = 2.0 * dt
-        k1 = vel(v[j - 2], markers)
-        k2 = vel(v[j - 1], markers + 0.5 * h * k1)
-        k3 = vel(v[j - 1], markers + 0.5 * h * k2)
-        k4 = vel(v[j], markers + h * k3)
+        k1 = vel(j - 2, markers)
+        k2 = vel(j - 1, markers + 0.5 * h * k1)
+        k3 = vel(j - 1, markers + 0.5 * h * k2)
+        k4 = vel(j, markers + h * k3)
         markers = markers + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # exact logistic update over the pair of steps
         e = math.exp(-M * h)
@@ -399,6 +408,8 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
 
     # fold marker positions back into the periodic cell for interpolation
     folded = grid.left + np.mod(markers - grid.left, length)
-    eulerian_at_markers = trig_interp(sigmas[-1], grid, folded)
+    eulerian_at_markers = trig_eval(
+        trig_coefficients(run.samples[-1][0].sigma.values, grid), grid,
+        folded, tables)
     gaps = eulerian_at_markers - sigma_m
     return OracleComparison(max_gap=float(np.max(np.abs(gaps))), gaps=gaps)

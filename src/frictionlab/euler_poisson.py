@@ -58,6 +58,17 @@ floats, which numpy reads on its scalar loop).  x + iy times r + 0j is
 rx + iry exactly, as it is times the real r, which numpy promotes to
 r + 0j: every output bit is that of the real factors.
 
+The allocation rule: a batch steps in buffers of its own (`Rows.work`),
+made on its first step and filled in place by every step after: `_rk3`'s
+seven factor rows and its stages' buffer, whose room the closing inverse
+fills.  Made anew at every step, the factor rows of one member at
+n = 2048 (229 KiB, above glibc's 128 KiB mmap threshold) went back to the
+kernel when freed, and the next step faulted them in again: 17-22
+minor page faults a step in the benchmark's fine-grid run, 90 in a
+fresh process.  What a step carries to the next (its coefficients and
+rows) is copied out of the buffers, and a batch that members leave
+(`Rows.take`) makes buffers of its own.
+
 The stacked-symbol rule: symbols that multiply the same stage's rows
 sit in one array, so that one broadcast product forms all their terms
 and one sum adds each pair (`_combine`): the later stage's bracket^ and
@@ -100,6 +111,7 @@ from .errors import Blowup, RangeBreach, SolverBreakdown
 from .spectral import _symbols
 
 BLOWUP_THRESHOLD = 1e12
+LANDING_ULPS = 4    # a clock this many ulps short of a sample time is on it
 
 
 class _Members(NamedTuple):
@@ -351,7 +363,7 @@ def _rhs(u, uh: np.ndarray, m: _Members) -> np.ndarray:
 
 
 def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam,
-         room: int = 0) -> np.ndarray:
+         work: Optional[tuple] = None) -> np.ndarray:
     """One Lawson RK3 step (stage times 0, 1/3, 2/3) of du/dtau = lam*u + G(u)
     on stacked rows u_n (row kinds x members x anything), from the first
     stage's slope g1 = G(u_n).  dt holds one step per member and the
@@ -359,11 +371,15 @@ def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam,
     members x 1).  The rates act pointwise, so the rows may be Fourier
     coefficients as well as samples: the steppers pass coefficients.
 
-    The stages' u is the head of one buffer with `room` more rows, for
-    the rows a caller inverts with u.  At the later stages rhs(buffer)
-    gives G(u) as a new array of u's shape; it may overwrite the whole
-    buffer, as the step reads u only before calling it.  The step
-    returns the buffer, the new rows at its head."""
+    work is None or the buffers (factors, stages) that the step fills
+    in place, of u_n's dtype (a batch's `Rows.work`): the seven factor
+    rows, 7 x u_n's shape, and the stages' buffer, whose head is u and
+    whose other rows are room for the rows a caller inverts with u; None
+    makes new ones, without room.  One row kind and member need no
+    factor buffer: their factors are Python floats.  At the later stages
+    rhs(buffer) gives G(u) as a new array of u's shape; it may overwrite
+    the whole buffer, as the step reads u only before calling it.  The
+    step returns the stages' buffer, the new rows at its head."""
     # integrating factors over dt/3, 2dt/3 and dt, the stage weights and
     # their products with e1, per row kind and member in Python floats
     # from math.exp (numpy's exp differs from it in the last bit on some
@@ -379,20 +395,23 @@ def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam,
                           d / 4.0, 3.0 * e1)
             else:
                 table += (1.0, 1.0, 1.0, d / 3.0, 2.0 * d / 3.0, d / 4.0, 3.0)
+    factors, buffer = (None, None) if work is None else work
     if len(table) == 7:
         factors = table     # one row kind and member: numpy's scalar loop
     else:
         # each factor as rows of the coefficients' dtype and width, one
         # per row kind and member, so that every product below runs on
-        # numpy's contiguous loop (the operand rule); one buffer per step,
-        # 113 KiB for 4 members at n = 256, under glibc's 128 KiB mmap
-        # threshold
-        factors = np.empty((7,) + u_n.shape, dtype=u_n.dtype)
+        # numpy's contiguous loop (the operand rule), written into the
+        # batch's buffer (the allocation rule): 229 KiB for one member at
+        # n = 2048, above glibc's 128 KiB mmap threshold
+        if factors is None:
+            factors = np.empty((7,) + u_n.shape, dtype=u_n.dtype)
         factors[...] = np.array(table).reshape(
             lam.shape[:2] + (7, 1)).transpose(2, 0, 1, 3)
     e1, e2, e3, c1, c2e1, c3, e1_3 = factors
 
-    buffer = np.empty((len(u_n) + room,) + u_n.shape[1:], dtype=u_n.dtype)
+    if buffer is None:
+        buffer = np.empty_like(u_n)
     u = buffer[:len(u_n)]
     np.multiply(c1, g1, out=u)
     u += u_n
@@ -418,14 +437,15 @@ class Rows:
     Keller-Segel), and per member its clock, its ParamSet and the extrema
     of its rows that the next step reads (its last guard pass's: max rho,
     max |w| and max |v| for Euler-Poisson, min sigma for Keller-Segel).
-    A step replaces u, uh, times and extrema with new values."""
+    A step replaces u, uh, times and extrema with new values; an
+    Euler-Poisson step fills the batch's `work` buffers in place."""
 
-    __slots__ = ("u", "uh", "times", "ps", "extrema", "_m")
+    __slots__ = ("u", "uh", "times", "ps", "extrema", "_m", "_work")
 
     def __init__(self, u, uh, times, ps, extrema):
         self.u, self.uh, self.times = u, uh, list(times)
         self.ps, self.extrema = tuple(ps), list(extrema)
-        self._m = None
+        self._m = self._work = None
 
     @property
     def members(self) -> _Members:
@@ -434,8 +454,25 @@ class Rows:
             self._m = _members(self.ps)
         return self._m
 
+    @property
+    def work(self) -> tuple:
+        """The Euler-Poisson batch's buffers for `_rk3`, made on its first
+        step: the seven factor rows (7 x uh's shape) and the stages'
+        buffer, with room for the rows of the closing inverse
+        (`_Members.inverse_rows` x members x (n/2 + 1)).  Every step of
+        the batch fills them in place, and what it carries to the next
+        step is copied out of them."""
+        if self._work is None:
+            shape = self.uh.shape
+            self._work = (
+                np.empty((7,) + shape, dtype=complex),
+                np.empty((self.members.inverse_rows,) + shape[1:],
+                         dtype=complex))
+        return self._work
+
     def take(self, keep: list) -> "Rows":
-        """The batch of the members at positions keep."""
+        """The batch of the members at positions keep, which makes buffers
+        of its own."""
         return Rows(self.u[:, keep], self.uh[:, keep],
                     [self.times[j] for j in keep], [self.ps[j] for j in keep],
                     [self.extrema[j] for j in keep])
@@ -478,11 +515,11 @@ def step_ep_rows(rows: Rows, targets) -> list:
         if not t < target:
             raise ValueError("every member must be behind its target time")
         dt.append(min(_cfl_bound(p, adv + sound), target - t))
-    # the stage buffers have room for the rows each inverse adds; the
-    # coefficients are carried in a copy, which frees the room
+    # the step runs in the batch's buffers, whose stage rows have room
+    # for the rows each inverse adds; the coefficients are carried in a
+    # copy, as the next step overwrites the buffer
     spectra = _rk3(rows.uh, _rhs(rows.u, rows.uh, m),
-                   lambda uh: _rhs(None, uh, m), dt, m.lam,
-                   m.inverse_rows - 2)
+                   lambda uh: _rhs(None, uh, m), dt, m.lam, rows.work)
     uh = spectra[:2].copy()
     u = _carried_rows(spectra, m)
     times = [t + d for t, d in zip(rows.times, dt)]
@@ -524,15 +561,19 @@ def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
 
     advance(rows, targets) takes one step of every member of rows toward
     its target, each behind its own, in one call, and returns per member
-    None or the SolverBreakdown that ends its run.  The rows stay stacked
-    from step to step: a member leaves the batch after its last sample or
-    on a breakdown (keeping its samples so far).  A member counts a step
-    whenever its clock moved, so a step that ends in a breakdown counts
-    and a step refused before it moved the clock does not.  Returns one
-    SimulationResult per member."""
+    None or the SolverBreakdown that ends its run.  A member is on a
+    sample time when its clock is within LANDING_ULPS ulps of it: the
+    step of dt = target - t rounds t + dt to within one ulp of the
+    target.  The rows stay stacked from step to step: a member leaves
+    the batch after its last sample or on a breakdown (keeping its
+    samples so far).  A member counts a step whenever its clock moved,
+    so a step that ends in a breakdown counts and a step refused before
+    it moved the clock does not.  Returns one SimulationResult per
+    member."""
     times = sorted(map(float, sample_times))    # Python floats: cheaper
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError("sample times must be finite and nonnegative")
+    landed = [t - LANDING_ULPS * math.ulp(t) for t in times]
     results = [SimulationResult([]) for _ in rows.times]
     members = list(range(len(results)))     # the member in each batch row
     nxt = [0] * len(results)                # each member's next sample time
@@ -545,8 +586,7 @@ def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
             if out is not None:
                 results[i].error = out
                 continue
-            while nxt[i] < len(times) \
-                    and rows.times[j] >= times[nxt[i]] - 1e-12:
+            while nxt[i] < len(times) and rows.times[j] >= landed[nxt[i]]:
                 state = state_at(rows.u[:, j], rows.times[j])
                 results[i].samples.append(
                     (state, None if record is None else record(i, state)))

@@ -30,7 +30,12 @@ a = ceil(K/b).  Both tables are powers built by repeated products from
 complex products and O(m(a + b)) memory, where the dense sum takes 2mK
 cos/sin values in m x K tables; each product adds one rounding, so the
 error bound grows by u (a + b) sum_k |c_k| (bound in the `trig_interp`
-docstring).
+docstring).  Its three parts are public for a caller that reads many
+fields at the same number of points (the semi-Lagrangian oracle):
+`trig_coefficients` makes the coefficient blocks of stacked rows in one
+batched rfft, `trig_tables` the work tables for m points, and
+`trig_eval` evaluates one block on them, so the tables (over 128 KiB
+each at n = m = 512) are allocated once, not at every read.
 """
 from __future__ import annotations
 
@@ -117,7 +122,9 @@ def inverse_gradient(source: np.ndarray, grid: Grid) -> np.ndarray:
     d/dx(result) = -(source - mean(source)).
     """
     _check_torus(grid)
-    return np.fft.irfft(np.fft.rfft(source) * _symbols(grid).inv_grad, n=grid.n)
+    coefficients = np.fft.rfft(source)
+    coefficients *= _symbols(grid).inv_grad
+    return np.fft.irfft(coefficients, n=grid.n)
 
 
 def _unit_phases(phase: np.ndarray) -> np.ndarray:
@@ -129,21 +136,79 @@ def _unit_phases(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _powers(z: np.ndarray, count: int) -> np.ndarray:
-    """The count x m table of powers z^0 .. z^{count-1} of the m phases z,
-    each row the previous one times z."""
-    out = np.empty((count, z.size), dtype=complex)
+def _powers(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, a count x m table, filled with the powers z^0 .. z^{count-1}
+    of the m phases z, each row the previous one times z."""
     out[0] = 1.0
-    for r in range(1, count):
+    for r in range(1, len(out)):
         np.multiply(out[r - 1], z, out=out[r])
     return out
+
+
+def _split(grid: Grid) -> tuple:
+    """(a, b) of the baby-step/giant-step split of the K = n/2+1 modes:
+    b = ceil(sqrt K) and a = ceil(K/b)."""
+    size = grid.n // 2 + 1
+    b = math.isqrt(size - 1) + 1
+    return -(-size // b), b
+
+
+class InterpTables(NamedTuple):
+    """The work tables of `trig_eval` at m points, which each evaluation
+    overwrites: made once, they serve any number of evaluations."""
+
+    baby: np.ndarray    # b x m: e^{ir theta}, r < b
+    giant: np.ndarray   # a x m: e^{ijb theta}, j < a
+    inner: np.ndarray   # a x m: the inner sums
+    terms: np.ndarray   # 2 x a x m real: the two products of Re(giant inner)
+
+
+def trig_tables(grid: Grid, m: int) -> InterpTables:
+    """New work tables of `trig_eval` for m points on grid."""
+    a, b = _split(grid)
+    return InterpTables(np.empty((b, m), dtype=complex),
+                        np.empty((a, m), dtype=complex),
+                        np.empty((a, m), dtype=complex), np.empty((2, a, m)))
+
+
+def trig_coefficients(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The coefficients `trig_eval` reads of the interpolant of each row of
+    values (... x n), from one batched rfft: c_k the rfft coefficients
+    over n, doubled for the paired modes 1 <= k < (n+1)/2 (the Nyquist
+    mode of even n stays single), zero-padded to a x b blocks
+    (... x a x b), block row j holding c_{jb} .. c_{jb+b-1}."""
+    _check_torus(grid)
+    n = grid.n
+    c = np.fft.rfft(values)
+    c /= n
+    c[..., 1:(n + 1) // 2] *= 2.0
+    a, b = _split(grid)
+    block = np.zeros(c.shape[:-1] + (a * b,), dtype=complex)
+    block[..., :c.shape[-1]] = c
+    return block.reshape(c.shape[:-1] + (a, b))
+
+
+def trig_eval(block: np.ndarray, grid: Grid, points: np.ndarray,
+              tables: InterpTables) -> np.ndarray:
+    """Evaluate at the 1-D array points the interpolant whose coefficient
+    block (a x b, one row of `trig_coefficients`) is block, on tables
+    made for points.size points (`trig_tables`); the evaluation of
+    `trig_interp`.  Returns a new array."""
+    theta = (2.0 * math.pi / grid.length) * (points - grid.left)
+    baby = _powers(_unit_phases(theta), tables.baby)
+    giant = _powers(_unit_phases(len(baby) * theta), tables.giant)
+    inner = np.matmul(block, baby, out=tables.inner)
+    # the real part of the column-wise product, without a complex temporary
+    re, im = tables.terms
+    np.multiply(giant.real, inner.real, out=re)
+    np.multiply(giant.imag, inner.imag, out=im)
+    return np.subtract(re, im, out=re).sum(axis=0)
 
 
 def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of `values` at arbitrary points.
 
-    Exact on band-limited data; used by the semi-Lagrangian oracle to read
-    Eulerian fields at marker positions.  `points` is a 1-D array of
+    Exact on band-limited data.  `points` is a 1-D array of
     positions anywhere on the line (the interpolant is periodic).
 
     With theta = 2 pi (x - left)/L the interpolant is Re sum_k c_k e^{ik theta},
@@ -163,21 +228,14 @@ def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarra
     at most one rounding, so the error is at most about
     (K |theta| + 2(a + b)) u sum_k |c_k| (u the unit roundoff): the phase
     error of the largest argument, the recurrences and the two short sums.
+    It is `trig_eval` of the `trig_coefficients` of values on new
+    `trig_tables`; a caller that reads many interpolants at as many
+    points makes the coefficients of all in one call and one set of
+    tables.
     """
     _check_torus(grid)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValueError("points must be a 1-D array")
-    n = grid.n
-    c = np.fft.rfft(values) / n
-    c[1:(n + 1) // 2] *= 2.0
-    b = math.isqrt(c.size - 1) + 1
-    a = -(-c.size // b)
-    block = np.zeros(a * b, dtype=complex)
-    block[:c.size] = c
-    theta = (2.0 * math.pi / grid.length) * (pts - grid.left)
-    baby = _powers(_unit_phases(theta), b)
-    giant = _powers(_unit_phases(b * theta), a)
-    inner = block.reshape(a, b) @ baby
-    # the real part of the column-wise product, without a complex temporary
-    return (giant.real * inner.real - giant.imag * inner.imag).sum(axis=0)
+    return trig_eval(trig_coefficients(values, grid), grid, pts,
+                     trig_tables(grid, pts.size))

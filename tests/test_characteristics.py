@@ -22,6 +22,7 @@ from frictionlab.experiments import (
 from frictionlab.profiles import (
     bump_profile, equilibrium_profile, vacuum_ramp_profile,
 )
+from frictionlab.spectral import trig_eval
 
 
 @pytest.fixture(scope="module")
@@ -472,16 +473,33 @@ def test_oracle_small_run():
 
 
 def test_oracle_gaps_match_dense_interpolation(monkeypatch, dense_trig_interp):
-    # the markers read the velocity through trig_interp 4 times per marker
-    # step; swapping in the dense cos/sin sum must leave every gap in place
+    # the markers read the velocity 4 times per marker step and the density
+    # once at the end, each read a trig_eval of rows of trig_coefficients;
+    # swapping in the dense cos/sin sum of the samples themselves (the
+    # coefficients left as the sample rows) must leave every gap in place
     g = Grid.torus(256)
     p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
                  rho_lower=0.25, rho_upper=2.0, grid=g)
     state = KSState(sigma=Field(g, 1.0 + 0.3 * np.cos(g.x)
                                 + 0.05 * np.sin(7 * g.x), tag="density"))
+    fast_reads, dense_reads = [], []
+
+    def fast_eval(block, grid, points, tables):
+        fast_reads.append(points.shape)
+        return trig_eval(block, grid, points, tables)
+
+    def dense_eval(values, grid, points, _tables):
+        dense_reads.append(values.shape)
+        return dense_trig_interp(values, grid, points)
+
+    monkeypatch.setattr(characteristics, "trig_eval", fast_eval)
     fast = semi_lagrangian_oracle(state, p, 0.5)
-    monkeypatch.setattr(characteristics, "trig_interp", dense_trig_interp)
+    monkeypatch.setattr(characteristics, "trig_coefficients",
+                        lambda values, _grid: values)
+    monkeypatch.setattr(characteristics, "trig_eval", dense_eval)
     dense = semi_lagrangian_oracle(state, p, 0.5)
+    assert len(fast_reads) % 4 == 1 and len(fast_reads) > 1
+    assert dense_reads == fast_reads == [(g.n,)] * len(fast_reads)
     np.testing.assert_allclose(fast.gaps, dense.gaps, rtol=0.0, atol=1e-13)
 
 

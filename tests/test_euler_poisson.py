@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1082,3 +1086,116 @@ def test_a_rebuilt_sample_steps_on_like_the_run(solver, gamma):
     for name in names:
         got, want = getattr(last, name).values, getattr(end, name).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("solver", ["ep", "ks"])
+def test_samples_land_on_tiny_sample_times(solver):
+    # a clock is on a sample time when it is within a few ulps of it; an
+    # absolute tolerance of 1e-12 once took the samples of a 1e-11 horizon
+    # three at a time, at 7 distinct times, the last at 9e-12
+    grid = Grid.torus(64)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid)
+    rho0 = Field(grid, 1.0 + 0.3 * np.cos(grid.x), tag="density")
+    times = np.linspace(0.0, 1e-11, 21).tolist()
+    if solver == "ep":
+        run = simulate_ep(rho0, Field(grid, np.zeros(grid.n)), p, times)
+    else:
+        run = simulate_ks(rho0, p, times)
+    assert run.ok and run.n_steps == 20
+    got = [s.time for s, _ in run.samples]
+    assert len(set(got)) == len(got) == 21
+    for tau, want in zip(got, times):
+        assert abs(tau - want) <= euler_poisson.LANDING_ULPS * math.ulp(want)
+
+
+# one EP run at n = 2048 with a sample every 16 steps or so, printing the
+# minor page faults of each step (getrusage, RUSAGE_THREAD where it exists)
+_STEP_FAULTS = """
+import resource
+import numpy as np
+from frictionlab import euler_poisson
+from frictionlab.core import Field, Grid, ParamSet
+who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+grid = Grid.torus(2048)
+p = ParamSet(epsilon=0.05, alpha=1.0, gamma=2.0, mass_level=1.0,
+             rho_lower=0.25, rho_upper=2.0, grid=grid)
+real_step, faults = euler_poisson.step_ep_rows, []
+def counted(rows, targets):
+    before = resource.getrusage(who).ru_minflt
+    out = real_step(rows, targets)
+    faults.append(resource.getrusage(who).ru_minflt - before)
+    return out
+euler_poisson.step_ep_rows = counted
+run = euler_poisson.simulate_ep(
+    Field(grid, 1.0 + 0.3 * np.cos(grid.x), tag="density"),
+    Field(grid, np.zeros(grid.n)), p, np.linspace(0.0, 0.05, 21))
+assert run.ok and run.n_steps == len(faults)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page faults are read from Linux getrusage")
+def test_steady_ep_steps_take_no_page_faults():
+    # the Lawson factor rows of a one-member batch at n = 2048 fill 229 KiB;
+    # made anew at every step, glibc gave them back to the kernel on free
+    # and the next step faulted them in again, about 90 minor faults a
+    # step in this run, where the batch's own buffers are filled in place.
+    # Whether memory goes back to the kernel depends on the allocator's
+    # thresholds, which move with what the process has freed before, so
+    # the run goes in a fresh interpreter, as a CLI run does
+    src = str(Path(euler_poisson.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _STEP_FAULTS], env=env,
+                          capture_output=True, text=True, check=True)
+    faults = [int(f) for f in done.stdout.split()]
+    assert len(faults) >= 250
+    steady = faults[50:250]     # after a warm-up of 50 steps
+    assert sum(steady) < len(steady), steady
+
+
+def test_factor_buffer_reuse_keeps_batches_bit_for_bit(monkeypatch):
+    # 4 members at n = 512: a factor stack of 230 KiB, filled in place by
+    # every step of its batch, as is its stages' buffer; the members leave
+    # one by one (take), each smaller batch filling buffers of its own,
+    # and every member's trajectory stays that of its solo run, bit for
+    # bit
+    grid = Grid.torus(512)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid)
+    ps = [p.replace(epsilon=e) for e in (0.2, 0.1, 0.05, 0.025)]
+    rho0 = Field(grid, 1.0 + 0.3 * np.cos(grid.x), tag="density")
+    w0 = Field(grid, 0.05 * np.sin(grid.x))
+    times = [0.0, 0.01, 0.02]
+    solo = [simulate_ep(rho0, w0, q, times) for q in ps]
+    real_step = euler_poisson.step_ep_rows
+    batches = []        # (rows, its work buffers), in order of first step
+
+    def checked(rows, targets):
+        out = real_step(rows, targets)
+        factors, stages = work = rows.work
+        assert factors.shape == (7,) + rows.uh.shape
+        assert stages.shape == (4,) + rows.uh.shape[1:]
+        for buffer in work:
+            assert not np.shares_memory(buffer, rows.uh)
+            assert not np.shares_memory(buffer, rows.u)
+        known = [w for r, w in batches if r is rows]
+        if known:
+            assert all(a is b for a, b in zip(known[0], work))
+        else:
+            assert not any(np.shares_memory(a, b)
+                           for _, old in batches for a in old for b in work)
+            batches.append((rows, work))
+        return out
+
+    monkeypatch.setattr(euler_poisson, "step_ep_rows", checked)
+    batch = simulate_ep_rows(rho0, w0, ps, times)
+    assert [r.uh.shape[1] for r, _ in batches] == [4, 3, 2, 1]
+    for got, want in zip(batch, solo):
+        assert got.ok and want.ok and got.n_steps == want.n_steps
+        for (g, _), (w, _) in zip(got.samples, want.samples, strict=True):
+            assert g.time == w.time
+            assert g.rho.values.tobytes() == w.rho.values.tobytes()
+            assert g.w.values.tobytes() == w.w.values.tobytes()

@@ -7,7 +7,8 @@ import pytest
 from frictionlab import spectral
 from frictionlab.core import Grid
 from frictionlab.spectral import (
-    _symbols, deriv, inverse_gradient, trig_interp, wavenumbers,
+    _symbols, deriv, inverse_gradient, trig_coefficients, trig_eval,
+    trig_interp, trig_tables, wavenumbers,
 )
 
 
@@ -129,6 +130,23 @@ def test_trig_interp_takes_two_phases_per_point(monkeypatch):
     monkeypatch.setattr(spectral, "_unit_phases", counting)
     np.testing.assert_array_equal(trig_interp(values, grid, points), expected)
     assert 0 < sum(handed) <= 2 * m, handed
+
+
+@pytest.mark.parametrize("n", [9, 512])
+def test_batched_coefficients_on_shared_tables_match_trig_interp(n):
+    # the oracle's path: the coefficients of stacked rows from one batched
+    # rfft and every read on one set of tables; each read is trig_interp
+    # of its row at its points bit for bit, in a new array
+    grid = Grid.torus(n, length=3.7, left=-1.3)
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((5, n))
+    blocks = trig_coefficients(rows, grid)
+    tables = trig_tables(grid, n)
+    for j in (0, 3, 3, 4, 1):
+        points = rng.uniform(grid.left - grid.length, grid.right + 1.0, n)
+        got = trig_eval(blocks[j], grid, points, tables)
+        assert got.tobytes() == trig_interp(rows[j], grid, points).tobytes()
+        assert not any(np.shares_memory(got, t) for t in tables)
 
 
 def test_trig_interp_rejects_non_1d_points(g):

@@ -60,14 +60,19 @@ def test_sweep_spans(tracing, p64):
 
 def test_oracle_trig_interp_spans(tracing, p64):
     # 4 velocity reads per marker step, 2 Eulerian steps per marker step,
-    # and one final read of the density: 2 * n_steps + 1 interpolations;
-    # the samples are spaced below the CFL bound, one step each
+    # and one final read of the density: 2 * n_steps + 1 interpolations,
+    # each a trig_eval on one set of tables, of the coefficients of every
+    # velocity sample (one batched call) and of the last density; the
+    # samples are spaced below the CFL bound, one step each
     state = KSState(sigma=Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x),
                                 tag="density"))
     tracer = tracing.Tracer()
     tracer.run(lambda: semi_lagrangian_oracle(state, p64, 0.2, n_steps=8))
     calls = Counter(s.name for s in tracer.spans)
-    assert calls["spectral.trig_interp"] == 17
+    assert calls["spectral.trig_eval"] == 17
+    assert calls["spectral.trig_coefficients"] == 2
+    assert calls["spectral.trig_tables"] == 1
+    assert calls["spectral.trig_interp"] == 0
     assert calls["keller_segel.simulate_ks"] == 1
     assert calls["keller_segel.step_ks_to"] == 8
 
