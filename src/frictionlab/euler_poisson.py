@@ -27,23 +27,25 @@ the first stage inverts nothing and makes one forward transform, a later
 stage one batched inverse and one batched forward, and the closing
 inverse is one call: 1 + 2 + 2 + 1 = 6 FFT calls whatever the member
 count (a run transforms its initial data once and inverts its first
-stage's other rows once).  A later stage inverts the velocity
-vel = eps v + eps^alpha w, formed in Fourier space, with rho - M and the
-bracket.  At gamma = 2 the pressure term (gamma/eps) d(rho)/dx is linear
-and is added in Fourier space, so per member a step transforms 2 rows in
-its first stage, 3 + 2 in each later one and 4 at the close: 16 rows, 19
-at any other gamma.  At small n a step costs numpy calls more than
-flops, so every eps-dependent factor of the stage is folded into a
-Fourier symbol with one row per member (`_members`, built once per batch
-and read-only), symbols that act together are stacked (the stacked-symbol
-rule below), the buffers of `_rk3`'s stages have room for the rows their
-inverses add, and the transforms' inputs and outputs are written in
-place: 11 numpy calls in a later stage and 9 in the first at gamma = 2,
-13 and 10 otherwise, 63 per step at gamma = 2.  The closing pass takes
-the min and max of the rows rho, w and grad_inv in two reductions: min
-rho and max rho for the guards, and max |w| = max(max w, -min w) and
-max |v| for the next step's CFL bound, so the first stage reduces
-nothing.
+stage's other rows once), each a call of the package's FFT seam,
+`spectral.rfft` or `spectral.irfft`, which reaches numpy's pocketfft
+kernel without numpy.fft's argument handling.  A later stage inverts
+the velocity vel = eps v + eps^alpha w, formed in Fourier space, with
+rho - M and the bracket.  At gamma = 2 the pressure term
+(gamma/eps) d(rho)/dx is linear and is added in Fourier space, so per
+member a step transforms 2 rows in its first stage, 3 + 2 in each
+later one and 4 at the close: 16 rows, 19 at any other gamma.  At small
+n a step costs numpy calls more than flops, so every eps-dependent
+factor of the stage is folded into a Fourier symbol with one row per
+member (`_members`, built once per batch and read-only), symbols that
+act together are stacked (the stacked-symbol rule below), the buffers
+of `_rk3`'s stages have room for the rows their inverses add, and the
+transforms' inputs and outputs are written in place: 11 numpy calls in
+a later stage and 9 in the first at gamma = 2, 13 and 10 otherwise, 63
+per step at gamma = 2.  The closing pass takes the min and max of the
+rows rho, w and grad_inv in two reductions: min rho and max rho for the
+guards, and max |w| = max(max w, -min w) and max |v| for the next
+step's CFL bound, so the first stage reduces nothing.
 
 The operand rule: each elementwise op of a step reads operands of one
 dtype and one shape, so numpy runs it on its contiguous loop.  A product
@@ -108,7 +110,7 @@ import numpy as np
 from .core import EPState, Field, ParamSet, validate_initial_data
 from .diagnostics import DiagnosticsRecord, record_ep
 from .errors import Blowup, RangeBreach, SolverBreakdown
-from .spectral import _symbols
+from .spectral import _symbols, irfft, rfft
 
 BLOWUP_THRESHOLD = 1e12
 LANDING_ULPS = 4    # a clock this many ulps short of a sample time is on it
@@ -289,10 +291,13 @@ def _carried_rows(uh: np.ndarray, m: _Members, samples=None) -> np.ndarray:
         np.multiply(sh, m.gik_eps, out=spectra[4])
     n = m.p.grid.n
     if samples is None:
-        u = np.fft.irfft(spectra, n=n)
+        u = irfft(spectra, n)
         u[0] += m.p.mass_level
         return u
-    return np.concatenate((samples, np.fft.irfft(spectra[2:], n=n)))
+    u = np.empty((len(spectra),) + samples.shape[1:])
+    u[:2] = samples
+    irfft(spectra[2:], n, out=u[2:])
+    return u
 
 
 def _rhs(u, uh: np.ndarray, m: _Members) -> np.ndarray:
@@ -341,7 +346,7 @@ def _rhs(u, uh: np.ndarray, m: _Members) -> np.ndarray:
         _combine(m.symbols, spectra[:2, None], out=spectra[1:3])
         if not m.linear_pressure:
             np.multiply(sh, m.gik_eps, out=spectra[3])
-        y = np.fft.irfft(spectra, n=m.p.grid.n)
+        y = irfft(spectra, m.p.grid.n)
         y[0] += m.p.mass_level
         if not m.linear_pressure:
             pressure = y[0] ** (m.p.gamma - 2.0)
@@ -352,7 +357,7 @@ def _rhs(u, uh: np.ndarray, m: _Members) -> np.ndarray:
         np.multiply(x, y[2], out=x)
         if not m.linear_pressure:
             x[1] += pressure
-    g = np.fft.rfft(x)
+    g = rfft(x)
     fh, hh = g
     if m.linear_pressure:
         hh += m.gik_eps * sh
@@ -486,7 +491,7 @@ def _transform(states, names, mass_level: float) -> tuple:
                   for s in states]).transpose(1, 0, 2)
     shifted = u.copy()
     shifted[0] -= mass_level
-    return u, np.fft.rfft(shifted)
+    return u, rfft(shifted)
 
 
 def _rows_of(states, ps) -> Rows:

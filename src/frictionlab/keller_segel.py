@@ -11,9 +11,9 @@ the velocity v, which the guards, the samples and the next first stage
 read; v's symbol is -i/k, so the flux is the one product sigma*v.  So
 the first stage makes one forward transform, each later stage an
 inverse of those two rows and a forward (`_flux_rhs`), and the close one
-inverse: 6 FFT calls on 9 rows.  The closing guard pass takes min sigma
-and max sigma once; the vacuum guard at the next step's start reads the
-minimum from there.
+inverse: 6 calls of the FFT seam (`spectral.rfft`/`irfft`) on 9 rows.
+The closing guard pass takes min sigma and max sigma once; the vacuum
+guard at the next step's start reads the minimum from there.
 Near-vacuum states are refused (the characteristic module handles
 vacuum exactly); positive data stays positive on the tested horizons
 because each characteristic value moves monotonically toward M.
@@ -31,7 +31,7 @@ from .errors import MeanDefect, VacuumApproach
 from .euler_poisson import (
     Rows, SimulationResult, _blowup, _cfl_bound, _integrate, _rk3, _transform,
 )
-from .spectral import _symbols
+from .spectral import _symbols, irfft, rfft
 
 VACUUM_FRACTION = 1e-6
 _RATE = np.zeros((1, 1, 1))     # _rk3's linear rate: none
@@ -42,8 +42,8 @@ def _inverse(sh: np.ndarray, p: ParamSet) -> np.ndarray:
     """The rows (sigma, v), stacked 2 x 1 x n, from one batched inverse of
     the rfft coefficients sh of sigma - M (1 x 1 x (n/2 + 1)), v's on the
     cached symbol -i/k (minus inverse_gradient's)."""
-    u = np.fft.irfft(
-        np.concatenate((sh, sh * _symbols(p.grid).neg_inv_grad)), n=p.grid.n)
+    u = irfft(np.concatenate((sh, sh * _symbols(p.grid).neg_inv_grad)),
+              p.grid.n)
     u[0] += p.mass_level
     return u
 
@@ -53,16 +53,17 @@ def _flux_rhs(u: np.ndarray, p: ParamSet) -> np.ndarray:
     dealiased, from the rows u = (sigma, v) of `_inverse`: one forward
     transform of the flux, dealiased and differentiated in one product
     with the cached -ik keep."""
-    return np.fft.rfft(u[:1] * u[1:]) * _symbols(p.grid).neg_ik_keep
+    return rfft(u[:1] * u[1:]) * _symbols(p.grid).neg_ik_keep
 
 
 def _rows_of(state: KSState, p: ParamSet) -> Rows:
     """The one-member batch of a state: its samples and the velocity row
     a first stage reads."""
-    u, sh = _transform([state], ("sigma",), p.mass_level)
-    v = np.fft.irfft(sh * _symbols(p.grid).neg_inv_grad, n=p.grid.n)
-    return Rows(np.concatenate((u, v)), sh, [state.time], (p,),
-                [(float(u.min()),)])
+    samples, sh = _transform([state], ("sigma",), p.mass_level)
+    u = np.empty((2,) + samples.shape[1:])
+    u[0] = samples[0]
+    irfft(sh * _symbols(p.grid).neg_inv_grad, p.grid.n, out=u[1:])
+    return Rows(u, sh, [state.time], (p,), [(float(samples.min()),)])
 
 
 def step_ks_to(rows: Rows, target: float):

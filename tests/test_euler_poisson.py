@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frictionlab import euler_poisson, keller_segel
+from frictionlab import euler_poisson, keller_segel, spectral
 from frictionlab.core import EPState, Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate, record_ep, record_ks
 from frictionlab.errors import Blowup, RangeBreach, VacuumApproach
@@ -962,7 +962,9 @@ def test_member_breakdown_leaves_the_others(monkeypatch, params, cosine_rho,
 
 @pytest.fixture
 def fft_work(monkeypatch):
-    """Counts of np.fft.rfft/irfft calls and of the rows they transform."""
+    """Counts of spectral.rfft/irfft calls and of the rows they transform,
+    under every name a package module holds them by (the package makes
+    no other transform)."""
     counts = {"calls": 0, "rows": 0}
 
     def counted(transform):
@@ -972,8 +974,12 @@ def fft_work(monkeypatch):
             return transform(a, *args, **kwargs)
         return wrapper
 
-    for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    wrappers = {id(f): counted(f) for f in (spectral.rfft, spectral.irfft)}
+    for name, module in list(sys.modules.items()):
+        if name == "frictionlab" or name.startswith("frictionlab."):
+            for attr, obj in list(vars(module).items()):
+                if id(obj) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(obj)])
     return counts
 
 

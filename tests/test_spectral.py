@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,34 @@ def test_inverse_gradient_removes_mean(g):
     np.testing.assert_allclose(result, inverse_gradient(np.sin(g.x), g),
                                atol=1e-14)
     np.testing.assert_allclose(deriv(result, g), -(source - 2.0), atol=1e-11)
+
+
+@pytest.mark.parametrize("order", [0, -1, True, False, 1.0, 2.5, "1", None])
+def test_deriv_refuses_an_order_that_is_not_an_integer_from_1(g, order):
+    with pytest.raises(ValueError, match=f"got {order!r}"):
+        deriv(np.sin(g.x), g, order)
+
+
+def test_deriv_takes_numpy_integer_orders(g):
+    np.testing.assert_array_equal(deriv(np.sin(g.x), g, np.int64(2)),
+                                  deriv(np.sin(g.x), g, 2))
+
+
+@pytest.mark.parametrize("transform",
+                         [deriv, inverse_gradient, trig_coefficients])
+@pytest.mark.parametrize("shape", [(63,), (65,), (2, 32), (64, 2), ()])
+def test_rows_off_the_grid_are_refused(g, transform, shape):
+    with pytest.raises(ValueError, match=r"grid\.n = 64"):
+        transform(np.ones(shape), g)
+
+
+def test_deriv_and_inverse_gradient_take_stacked_rows_and_lists(g):
+    rows = np.stack((np.sin(g.x), np.cos(2 * g.x)))
+    for f in (lambda v: deriv(v, g, 3), lambda v: inverse_gradient(v, g)):
+        stacked = f(rows)
+        for row, out in zip(rows, stacked):
+            np.testing.assert_array_equal(f(row), out)
+            np.testing.assert_array_equal(f(row.tolist()), out)
 
 
 def test_trig_interp_exact_at_nodes(g):
@@ -175,11 +205,19 @@ def test_trig_interp_memory_below_one_dense_table():
     assert peak < m * (n // 2 + 1) * 8, peak
 
 
-@pytest.mark.parametrize("n", [64, 256, 2048])
+def _same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 64, 255, 256, 2048])
 def test_batched_fft_rows_match_single_calls(n):
     # the fused EP right side transforms stacked rows; each row must be
     # bit-identical to its own 1-D transform so that outputs do not depend
-    # on how the rows are grouped
+    # on how the rows are grouped, and the package's seam spectral.rfft/
+    # irfft must give numpy.fft's bytes on 1-D, 2-D and 3-D stacks, on the
+    # strided rows (rho, bracket) u[0:4:3] that a first stage transforms,
+    # and when it writes into a view
     rng = np.random.default_rng(n)
     rows = rng.standard_normal((3, n))
     batched = np.fft.rfft(rows)
@@ -188,6 +226,44 @@ def test_batched_fft_rows_match_single_calls(n):
     back = np.fft.irfft(batched, n=n)
     for spec, row in zip(batched, back):
         np.testing.assert_array_equal(row, np.fft.irfft(spec, n=n))
+
+    u = rng.standard_normal((5, 4, n))
+    for x in (rows[0], rows, u, u[0:4:3]):
+        c = np.fft.rfft(x)
+        _same_bytes(spectral.rfft(x), c)
+        _same_bytes(spectral.irfft(c, n), np.fft.irfft(c, n=n))
+    modes = np.zeros((6, 4, n // 2 + 1), dtype=complex)
+    spectral.rfft(u[0:4:3], out=modes[1:3])
+    _same_bytes(modes[1:3], np.fft.rfft(u[0:4:3]))
+    assert not modes[0].any() and not modes[3:].any()
+    samples = np.zeros((7, 4, n))
+    spectral.irfft(modes[1:3], n, out=samples[2:4])
+    _same_bytes(samples[2:4], np.fft.irfft(modes[1:3], n=n))
+    assert not samples[:2].any() and not samples[4:].any()
+    with pytest.raises(ValueError, match="modes"):
+        spectral.rfft(u, out=modes[:5, :, :-1])
+    with pytest.raises(ValueError, match="samples"):
+        spectral.irfft(modes, n + 1, out=samples[:6])
+
+
+def test_no_module_calls_numpy_fft():
+    # every transform goes through spectral.rfft/irfft, so the counters
+    # and the tracer's spans on the seam see all of them: no module names
+    # np.fft or imports from numpy.fft but the seam's kernels
+    import frictionlab
+
+    for path in sorted(Path(frictionlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '')}"
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                assert not (isinstance(node.value, ast.Name)
+                            and node.value.id in ("np", "numpy")), where
+            elif isinstance(node, ast.Import):
+                assert all(not a.name.startswith("numpy.fft")
+                           for a in node.names), where
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+                assert [a.name for a in node.names] == ["_pocketfft_umath"], \
+                    where
 
 
 def test_symbols_cached_and_read_only(g):

@@ -124,8 +124,9 @@ def test_ks_step_spans_match_step_count(tracing, p64):
 
 
 def _ffts_under(spans, name, outside=None):
-    """rfft/irfft spans with an ancestor span called `name`, however deep,
-    and none called `outside`."""
+    """spectral.rfft/irfft spans (every transform of the package goes
+    through them) with an ancestor span called `name`, however deep, and
+    none called `outside`."""
     def ancestors(span):
         names = set()
         while span is not None:
@@ -134,7 +135,7 @@ def _ffts_under(spans, name, outside=None):
         return names
     return sum(name in a and outside not in a
                for a in (ancestors(s) for s in spans
-                         if s.name == "spectral.fft"))
+                         if s.name in ("spectral.rfft", "spectral.irfft")))
 
 
 def test_ep_step_fft_budget(tracing, p64):
