@@ -38,50 +38,57 @@ later one and 4 at the close: 16 rows, 19 at any other gamma.  At small
 n a step costs numpy calls more than flops, so every eps-dependent
 factor of the stage is folded into a Fourier symbol with one row per
 member (`_members`, built once per batch and read-only), symbols that
-act together are stacked (the stacked-symbol rule below), the buffers
-of `_rk3`'s stages have room for the rows their inverses add, and the
-transforms' inputs and outputs are written in place: 11 numpy calls in
-a later stage and 9 in the first at gamma = 2, 13 and 10 otherwise, 63
-per step at gamma = 2.  The closing pass takes the min and max of the
-rows rho, w and grad_inv in two reductions: min rho and max rho for the
-guards, and max |w| = max(max w, -min w) and max |v| for the next
-step's CFL bound, so the first stage reduces nothing.
+act together are stacked (the stacked-symbol rule below), and the step
+runs in its batch's workspace (the workspace rule below).  The closing
+pass takes the min and max of the rows rho, w and grad_inv in two
+reductions: min rho and max rho for the guards, and
+max |w| = max(max w, -min w) and max |v| for the next step's CFL bound,
+so the first stage reduces nothing.
 
 The operand rule: each elementwise op of a step reads operands of one
 dtype and one shape, so numpy runs it on its contiguous loop.  A product
 on a 2 x 4 x 129 coefficient stack costs about half as much against a
-complex array of its own shape as against a real row, a real column or
-a shared symbol, which numpy broadcasts and casts on the way.  So each
-symbol that multiplies coefficient rows is complex, one row per member,
-each factor of the first stage's samples is a real row per member, and
-`_rk3` builds its seven Lawson factors once per step as complex rows of
-the coefficients' width (the one-member Keller-Segel step passes Python
+complex array of its own shape as against a real row, a real column, a
+shared symbol or a strided view, which numpy broadcasts, casts or copies
+through its iterator's buffers on the way.  So each symbol that
+multiplies coefficient rows is complex, one row per member, each factor
+of the first stage's samples is a real row per member, and each of
+`_rk3`'s seven Lawson factors is a contiguous complex array of the
+coefficients' shape (the one-member Keller-Segel step passes Python
 floats, which numpy reads on its scalar loop).  x + iy times r + 0j is
 rx + iry exactly, as it is times the real r, which numpy promotes to
 r + 0j: every output bit is that of the real factors.
 
-The allocation rule: a batch steps in buffers of its own (`Rows.work`),
-made on its first step and filled in place by every step after: `_rk3`'s
-seven factor rows and its stages' buffer, whose room the closing inverse
-fills.  Made anew at every step, the factor rows of one member at
-n = 2048 (229 KiB, above glibc's 128 KiB mmap threshold) went back to the
-kernel when freed, and the next step faulted them in again: 17-22
-minor page faults a step in the benchmark's fine-grid run, 90 in a
-fresh process.  What a step carries to the next (its coefficients and
-rows) is copied out of the buffers, and a batch that members leave
-(`Rows.take`) makes buffers of its own.
+The workspace rule: a batch steps in a workspace of its own (`_Work`,
+`Rows.work`), made with the batch: every array a step writes (the
+carried rows u and coefficients uh, the inverse inputs and outputs, the
+forward outputs, the stacked products, e3 g1, the Lawson factor rows and
+the extrema) and every view of them that a step reads.  So each step
+runs the same sequence of numpy calls, each with out= into the
+workspace, and makes no array or view of its own: 61 calls at
+gamma = 2 (9 in the first stage, 14 in each later one, 12 in the RK3
+update, 3 to refill the factor rows, 5 in the closing inverse and 4 in
+the extrema pass), 67 at any other gamma.  The factors of the rho rows
+that do not depend on dt are written once per batch; a step refills the
+other ten rows per member.  The step overwrites u and uh in place, so
+what outlives it is copied (`state_at`, `Rows.take`, whose smaller
+batch gets a workspace of its own).  Arrays made anew at every step
+cost page faults as well as calls: the factor rows of one member at
+n = 2048 (229 KiB, above glibc's 128 KiB mmap threshold) went back to
+the kernel when freed, and the next step faulted them in again.
 
 The stacked-symbol rule: symbols that multiply the same stage's rows
-sit in one array, so that one broadcast product forms all their terms
-and one sum adds each pair (`_combine`): the later stage's bracket^ and
-vel^ from (rho - M)^ and w^ (a 2 x 2 x members x (n/2 + 1) stack), the
-closing pass's bracket^, the first stage's vel from w and grad_inv, and
-the (-ik keep/eps, keep) that the forward transform's output is
-multiplied by.  Every symbol is real or imaginary, and numpy's complex
-product with one gives the same bits in either operand order (a general
-complex product need not: numpy's loop may fuse one of its
-multiply-adds); a sum of two terms does too: the stacked arithmetic is
-that of the separate products bit for bit.
+sit in one array, so that one product forms several terms and one sum
+adds each pair: the later stage's bracket^ and vel^ from (rho - M)^ and
+w^ (a 2 x 2 x members x (n/2 + 1) stack, one product and one sum per
+row, whose operands have one shape), the closing pass's bracket^ (its
+first row), the first stage's vel from w and grad_inv, and the
+(-ik keep/eps, keep) that the forward transform's output is multiplied
+by.  Every symbol is real or imaginary, and numpy's complex product with
+one gives the same bits in either operand order (a general complex
+product need not: numpy's loop may fuse one of its multiply-adds); a sum
+of two terms does too: the stacked arithmetic is that of the separate
+products bit for bit.
 
 One driver path: `simulate_ep_rows` steps members that differ in epsilon
 only as rows of one batched step (`step_ep_rows`), each toward its own
@@ -131,15 +138,15 @@ class _Members(NamedTuple):
     ps: tuple                # one ParamSet per member
     linear_pressure: bool    # gamma = 2: the pressure term is linear in rho
     inverse_rows: int        # rows of the closing inverse, 5 at gamma != 2
-    lam: np.ndarray          # linear rates, row kinds x members x 1: 0 for
-                             # the rho rows, -1/eps^2 for w
+    rates: tuple             # -1/eps^2 per member: the linear rate of the
+                             # w rows (the rho rows' is 0)
     vel_rows: np.ndarray     # (eps^alpha, -eps), 2 x members x n: on the
                              # samples (w, grad_inv), the two shares of vel
-    symbols: np.ndarray      # 2 x 2 x members x (n/2 + 1): per column,
-                             # on (rho - M)^ and on w^, the shares of
-                             # bracket^ and vel^:
-                             #   [[eps^-alpha (0 at k = 0), -eps i/k],
-                             #    [ik/eps,                  eps^alpha]]
+    symbols: np.ndarray      # 2 x 2 x members x (n/2 + 1): per row, the
+                             # shares of bracket^ and of vel^, each on
+                             # (rho - M)^ and on w^:
+                             #   [[eps^-alpha (0 at k = 0), ik/eps],
+                             #    [-eps i/k,                eps^alpha]]
     inv_grad: np.ndarray     # i/k: on (rho - M)^, the inverse gradient -v
     gik_eps: np.ndarray      # (gamma/eps) ik: on (rho - M)^, (gamma/eps) d(rho)/dx,
                              # the pressure term itself when it is linear
@@ -183,9 +190,9 @@ def _members(ps: tuple) -> _Members:
         eps_ma * (sym.keep * nonzero))
     return _Members(
         p, ps, gamma == 2.0, 4 if gamma == 2.0 else 5,
-        rows(0.0, column([-1.0 / e**2 for e in eps]), dtype=float, width=1),
+        tuple(-1.0 / e**2 for e in eps),
         rows(eps_a, -eps_col, dtype=float, width=p.grid.n),
-        rows(eps_ma * nonzero, -eps_col * sym.inv_grad, sym.ik / eps_col,
+        rows(eps_ma * nonzero, sym.ik / eps_col, -eps_col * sym.inv_grad,
              eps_a).reshape(2, 2, len(ps), sym.k.size),
         inv_grad, gik_eps, flux_w,
         rows(sym.neg_ik_keep / eps_col, sym.keep),
@@ -219,24 +226,24 @@ def _blowup(time: float, low: float, high: float,
     return Blowup(f"solution blew up at tau = {time:.6g}")
 
 
-def _extrema(u: np.ndarray) -> tuple:
-    """The one extrema pass over stacked rows u (rho, w, grad_inv, ...),
-    two reductions: per member min rho, and (max rho, max |w|, max |v|),
-    which the next step's CFL bound reads, as Python floats.  max |x| is
-    max(max x, -min x), NaN when x holds a NaN, and max |v| is that of
-    grad_inv = -v."""
-    low = np.minimum.reduce(u[:3], axis=-1)
-    high = np.maximum.reduce(u[:3], axis=-1)
-    np.maximum(high[1:], -low[1:], out=high[1:])
-    return low[0].tolist(), list(zip(*high.tolist()))
+def _extrema(work: "_Work") -> tuple:
+    """The one extrema pass over a batch's carried rows (rho, w,
+    grad_inv, ...), two reductions into work.low and work.high: per
+    member min rho, and (max rho, max |w|, max |v|), which the next step's
+    CFL bound reads, as Python floats.  max |x| is max(max x, -min x), NaN
+    when x holds a NaN, and max |v| is that of grad_inv = -v."""
+    np.minimum.reduce(work.u3, axis=-1, out=work.low)
+    np.maximum.reduce(work.u3, axis=-1, out=work.high)
+    np.negative(work.low_wv, out=work.low_wv)
+    np.maximum(work.high_wv, work.low_wv, out=work.high_wv)
+    return work.low_rho.tolist(), list(zip(*work.high.tolist()))
 
 
-def _guards(u: np.ndarray, times, p: ParamSet) -> tuple:
-    """The closing guard pass over stacked rows u (rho, w, grad_inv, ...):
-    per member None or the SolverBreakdown that stops it (a Blowup before
-    a RangeBreach), and the extrema the next step's CFL bound reads
-    (`_extrema`)."""
-    lows, extrema = _extrema(u)
+def _guards(work: "_Work", times, p: ParamSet) -> tuple:
+    """The closing guard pass over a batch's carried rows: per member None
+    or the SolverBreakdown that stops it (a Blowup before a RangeBreach),
+    and the extrema the next step's CFL bound reads (`_extrema`)."""
+    lows, extrema = _extrema(work)
     lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
     top = min(hi, BLOWUP_THRESHOLD)
     # one pass clears the whole batch: lo > 0 bounds -min rho as well, and
@@ -256,55 +263,108 @@ def _guards(u: np.ndarray, times, p: ParamSet) -> tuple:
     return out, extrema
 
 
-def _combine(factors: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
-    """factors[0] * rows[0] + factors[1] * rows[1]: one product of the
-    stacks and one sum, whose product buffer is freed on return."""
-    terms = factors * rows
-    return np.add(terms[0], terms[1], out=out)
+class _Work:
+    """The workspace of an Euler-Poisson batch (`Rows.work`): every array
+    a step of the batch writes and every view of them that the step
+    reads, made with the batch (the workspace rule of the module
+    docstring).  u and uh are the rows and coefficients the batch carries
+    from step to step; each step overwrites every other array.  Rows
+    below are members x (n/2 + 1) coefficients or members x n samples,
+    and R is `_Members.inverse_rows`."""
+
+    def __init__(self, ps: tuple):
+        m = self.m = _members(ps)
+        n, rows = m.p.grid.n, m.inverse_rows
+        shape = (len(ps), n // 2 + 1)
+
+        def coefficients(*lead):
+            return np.empty(lead + shape, dtype=complex)
+
+        def samples(count):
+            return np.empty((count, len(ps), n))
+
+        # the closing inverse, R rows (rho - M, w, grad_inv, bracket[,
+        # pressure]): its input's head is the carried coefficients uh,
+        # its output the carried rows u
+        spectra, u = self.spectra, self.u = coefficients(rows), samples(rows)
+        self.uh, self.sh = spectra[:2], spectra[0]
+        self.grad_inv_h, self.bracket_h = spectra[2], spectra[3]
+        self.rho, self.u3 = u[0], u[:3]
+        self.rho_bracket, self.w_grad_inv = u[0:4:3], u[1:3]
+        # a later stage's inverse, R - 1 rows (rho - M, bracket, vel[,
+        # pressure]): its input's head is the stage rows (rho - M, w)^, and
+        # its output's rows (rho, bracket) take the forward transform's
+        # input x = (rho vel, -h); the first stage forms x and vel there too
+        stage = self.stage = coefficients(rows - 1)
+        y = self.y = samples(rows - 1)
+        self.stage_u, self.stage_sh = stage[:2], stage[0]
+        self.stage_bv_rows = (stage[1], stage[2])
+        self.x, self.x_rows, self.vel = y[:2], tuple(y[:2]), y[2]
+        if not m.linear_pressure:
+            self.pressure_h, self.pressure = spectra[4], u[4]
+            self.stage_p, self.y_pressure = stage[3], y[3]
+            self.power = samples(1)[0]      # rho^(gamma-2) times the pressure
+        # per row of the symbol stack (bracket^, vel^), its products with
+        # (rho - M, w)^, whose sum is that row: a later stage's two and
+        # the closing bracket^'s
+        self.symbols = tuple(m.symbols)
+        self.terms = (coefficients(2), coefficients(2))
+        self.term_rows = tuple(tuple(t) for t in self.terms)
+        # the forward transforms' outputs: the first stage's slope g1, read
+        # to the step's end, and a later stage's g; the product of a
+        # symbol with a slope row; e3 g1
+        self.g1, self.g = coefficients(2), coefficients(2)
+        self.g1_rows, self.g_rows = tuple(self.g1), tuple(self.g)
+        self.flux, self.e3g1 = coefficients(), coefficients(2)
+        # the seven Lawson factors (`_lawson`), each a row per row kind and
+        # member (the operand rule); those of the rho rows that do not
+        # depend on dt (e1 = e2 = e3 = 1, 3 e1 = 3) are written here, and
+        # each step copies the other ten per member out of factor_table,
+        # members x 10, flat: (c1, c2 e1, c3) of the rho rows, then all
+        # seven of the w rows
+        factors = coefficients(7, 2)
+        factors[:3, 0] = 1.0
+        factors[3, 0] = 3.0
+        self.factors = tuple(factors)
+        table = np.empty((len(ps), 10), dtype=complex)
+        self.factor_table, columns = table.reshape(-1), table.T[..., None]
+        self.fills = ((factors[4:, 0], columns[:3]),
+                      (factors[:, 1], columns[3:]))
+        # the extrema pass's reductions of (rho, w, grad_inv)
+        self.low, self.high = np.empty((3, len(ps))), np.empty((3, len(ps)))
+        self.low_rho, self.low_wv = self.low[0], self.low[1:]
+        self.high_wv = self.high[1:]
 
 
-def _with_room(uh: np.ndarray, rows: int) -> np.ndarray:
-    """uh as the head of an inverse input of `rows` rows: uh itself when
-    it is one (the stage buffers of `_rk3` are), else a copy in a new
-    buffer."""
-    if len(uh) == rows:
-        return uh
-    spectra = np.empty((rows,) + uh.shape[1:], dtype=complex)
-    spectra[:len(uh)] = uh
-    return spectra
-
-
-def _carried_rows(uh: np.ndarray, m: _Members, samples=None) -> np.ndarray:
-    """The rows a first stage reads, from one batched inverse of the
-    coefficients uh[:2] of (rho - M, w): rho, w, the inverse gradient of
-    rho - M (that is -v), the bracket (dw/dx / eps + eps^(-alpha) dv/dx)
-    and, at gamma != 2, the pressure row (gamma/eps) d(rho)/dx, each
-    members x n.  Their coefficients are written after uh[:2], in place
-    when uh has the room (`m.inverse_rows` rows), as `_rk3`'s result
-    has.  With samples given, (rho, w) are those samples and only the
-    other rows are inverted."""
-    spectra = _with_room(uh, m.inverse_rows)
-    sh = spectra[0]
-    _combine(m.symbols[:, 0], spectra[:2], out=spectra[3])
-    np.multiply(sh, m.inv_grad, out=spectra[2])
+def _carried_rows(work: _Work, start: int = 0) -> np.ndarray:
+    """The rows a first stage reads, written into work.u from one batched
+    inverse of work.spectra, whose head is the coefficients work.uh of
+    (rho - M, w): rho, w, the inverse gradient of rho - M (that is -v), the
+    bracket (dw/dx / eps + eps^(-alpha) dv/dx) and, at gamma != 2, the
+    pressure row (gamma/eps) d(rho)/dx.  Their coefficients are written
+    after uh.  With start 2, u's rows (rho, w) hold their samples already
+    (a new batch's), and only the other rows are inverted."""
+    m = work.m
+    np.multiply(work.symbols[0], work.uh, out=work.terms[0])
+    np.add(*work.term_rows[0], out=work.bracket_h)
+    np.multiply(work.sh, m.inv_grad, out=work.grad_inv_h)
     if not m.linear_pressure:
-        np.multiply(sh, m.gik_eps, out=spectra[4])
-    n = m.p.grid.n
-    if samples is None:
-        u = irfft(spectra, n)
-        u[0] += m.p.mass_level
-        return u
-    u = np.empty((len(spectra),) + samples.shape[1:])
-    u[:2] = samples
-    irfft(spectra[2:], n, out=u[2:])
-    return u
+        np.multiply(work.sh, m.gik_eps, out=work.pressure_h)
+    if start:
+        irfft(work.spectra[start:], m.p.grid.n, out=work.u[start:])
+    else:
+        irfft(work.spectra, m.p.grid.n, out=work.u)
+        np.add(work.rho, m.p.mass_level, out=work.rho)
+    return work.u
 
 
-def _rhs(u, uh: np.ndarray, m: _Members) -> np.ndarray:
-    """Slope G^ of the rfft coefficients uh of the stacked rows
-    (rho - M, w), each members x (n/2 + 1), without the stiff friction
-    term.  In the first stage u holds the rows the step starts from
-    (`_carried_rows`); a later stage passes None.
+def _rhs(work: _Work, first: bool) -> np.ndarray:
+    """Slope G^ of the rfft coefficients of the stacked rows (rho - M, w),
+    each members x (n/2 + 1), without the stiff friction term, written
+    into the batch's workspace: g1 for the first stage, which reads the
+    rows the step starts from (work.u, `_carried_rows`) and work.uh, g
+    for a later one (first false), which reads the stage rows
+    work.stage_u.
 
     One fused spectral kernel.  With vel = eps v + eps^alpha w the w slope
     is -h - eps^(1-alpha) dv/dtau, where
@@ -318,10 +378,10 @@ def _rhs(u, uh: np.ndarray, m: _Members) -> np.ndarray:
     of rho - M, the bracket and vel, whose coefficients
     bracket^ = eps^(-alpha) (rho - M)^ + (ik/eps) w^ (dv/dx = rho - mean
     rho is rho - M with its k = 0 mode zeroed) and
-    vel^ = -eps (i/k) (rho - M)^ + eps^alpha w^ come from one product with
-    the 2 x 2 symbol stack and one sum of its columns, written into uh's
-    room (`_rk3`) or a new buffer.  One product with vel writes
-    (rho vel, -h), which one batched forward transforms.
+    vel^ = -eps (i/k) (rho - M)^ + eps^alpha w^ come from one product and
+    one sum per row of the 2 x 2 symbol stack, written after the stage's
+    (rho - M)^.  One product with vel writes (rho vel, -h), which
+    one batched forward transforms.
     rho*vel is eps f for the continuity flux f = rho (w/eps^(1-alpha) + v),
     so the rho slope is (-ik keep/eps) (rho vel)^, and
     dv/dtau = -(f - mean f) enters the w slope as
@@ -331,176 +391,150 @@ def _rhs(u, uh: np.ndarray, m: _Members) -> np.ndarray:
     and its transform (gamma/eps) ik (rho - M)^ is added to the forward
     output; otherwise its row is inverted too (or carried), and
     rho^(gamma-2) times it joins -h before the forward transform.  So a
-    later stage inverts 3 rows per member, 4 when gamma != 2.  The
-    transforms' inputs and outputs are written in place."""
-    sh = uh[0]
-    if u is not None:
-        x = u[0:4:3] * _combine(m.vel_rows, u[1:3])   # rho vel, bracket vel
+    later stage inverts 3 rows per member, 4 when gamma != 2."""
+    m = work.m
+    x = work.x
+    if first:
+        np.multiply(m.vel_rows, work.w_grad_inv, out=x)
+        np.add(*work.x_rows, out=work.vel)
+        np.multiply(work.rho_bracket, work.vel, out=x)  # rho vel, bracket vel
         if not m.linear_pressure:
-            x[1] += u[0] ** (m.p.gamma - 2.0) * u[4]
+            power = np.power(work.rho, m.p.gamma - 2.0, out=work.power)
+            power *= work.pressure
+        g, sh, (fh, hh) = work.g1, work.sh, work.g1_rows
     else:
-        # the inverse input (rho - M, bracket, vel[, pressure])^ in uh's
-        # room, the bracket's and vel's from (rho - M, w)^ before the
-        # bracket takes w's row
-        spectra = _with_room(uh, m.inverse_rows)[:m.inverse_rows - 1]
-        _combine(m.symbols, spectra[:2, None], out=spectra[1:3])
+        # the bracket's and vel's coefficients from (rho - M, w)^, before
+        # the bracket takes w's row
+        for symbols, terms in zip(work.symbols, work.terms):
+            np.multiply(symbols, work.stage_u, out=terms)
+        for terms, out in zip(work.term_rows, work.stage_bv_rows):
+            np.add(*terms, out=out)
         if not m.linear_pressure:
-            np.multiply(sh, m.gik_eps, out=spectra[3])
-        y = irfft(spectra, m.p.grid.n)
-        y[0] += m.p.mass_level
+            np.multiply(work.stage_sh, m.gik_eps, out=work.stage_p)
+        irfft(work.stage, m.p.grid.n, out=work.y)
+        rho = work.x_rows[0]
+        rho += m.p.mass_level
         if not m.linear_pressure:
-            pressure = y[0] ** (m.p.gamma - 2.0)
-            pressure *= y[3]
+            power = np.power(rho, m.p.gamma - 2.0, out=work.power)
+            power *= work.y_pressure
         # rho and the bracket are read last: their rows take rho*vel and
-        # -h, contiguous for the forward transform
-        x = y[:2]
-        np.multiply(x, y[2], out=x)
-        if not m.linear_pressure:
-            x[1] += pressure
-    g = rfft(x)
-    fh, hh = g
+        # -h, contiguous for the forward transform (one product per row:
+        # numpy would copy rows that a broadcast product writes in place)
+        for row in work.x_rows:
+            np.multiply(row, work.vel, out=row)
+        g, sh, (fh, hh) = work.g, work.stage_sh, work.g_rows
+    if not m.linear_pressure:
+        np.add(work.x_rows[1], power, out=work.x_rows[1])
+    rfft(x, out=g)
+    flux = work.flux
     if m.linear_pressure:
-        hh += m.gik_eps * sh
-    w_flux = m.flux_w * fh
+        hh += np.multiply(m.gik_eps, sh, out=flux)
+    np.multiply(m.flux_w, fh, out=flux)
     g *= m.post
-    np.subtract(w_flux, hh, out=hh)
+    np.subtract(flux, hh, out=hh)
     return g
 
 
-def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, dt, lam,
-         work: Optional[tuple] = None) -> np.ndarray:
+def _lawson(rate: float, d: float) -> tuple:
+    """The seven Lawson RK3 factors of a row at linear rate `rate` over a
+    step d, as Python floats: the integrating factors e1, e2 and e3 over
+    d/3, 2d/3 and d, 3 e1, and the stage weights c1 = d/3, c2 e1 (c2 =
+    2d/3) and c3 = d/4.  They come from math.exp (numpy's exp differs from
+    it in the last bit on some arguments); rate 0 gives factors of exactly
+    1.0, as math.exp(0) would, so its arithmetic is plain RK3."""
+    if rate:
+        e1 = math.exp(rate * d / 3.0)
+        return (e1, math.exp(2.0 * rate * d / 3.0), math.exp(rate * d),
+                3.0 * e1, d / 3.0, 2.0 * d / 3.0 * e1, d / 4.0)
+    return (1.0, 1.0, 1.0, 3.0, d / 3.0, 2.0 * d / 3.0, d / 4.0)
+
+
+def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, factors, u: np.ndarray,
+         e3g1: np.ndarray) -> np.ndarray:
     """One Lawson RK3 step (stage times 0, 1/3, 2/3) of du/dtau = lam*u + G(u)
-    on stacked rows u_n (row kinds x members x anything), from the first
-    stage's slope g1 = G(u_n).  dt holds one step per member and the
-    array lam one linear rate per row kind and member (row kinds x
-    members x 1).  The rates act pointwise, so the rows may be Fourier
-    coefficients as well as samples: the steppers pass coefficients.
+    on stacked rows u_n, from the first stage's slope g1 = G(u_n), written
+    over u_n, which it returns.  factors are the step's seven Lawson
+    factors (e1, e2, e3, 3 e1, c1, c2 e1, c3) of `_lawson`, each an array
+    of u_n's shape with one rate per row kind and member, or, for one row
+    kind and member, a Python float, which numpy reads on its scalar loop.
+    The rates act pointwise, so the rows may be Fourier coefficients as
+    well as samples: the steppers pass coefficients.
 
-    work is None or the buffers (factors, stages) that the step fills
-    in place, of u_n's dtype (a batch's `Rows.work`): the seven factor
-    rows, 7 x u_n's shape, and the stages' buffer, whose head is u and
-    whose other rows are room for the rows a caller inverts with u; None
-    makes new ones, without room.  One row kind and member need no
-    factor buffer: their factors are Python floats.  At the later stages
-    rhs(buffer) gives G(u) as a new array of u's shape; it may overwrite
-    the whole buffer, as the step reads u only before calling it.  The
-    step returns the stages' buffer, the new rows at its head."""
-    # integrating factors over dt/3, 2dt/3 and dt, the stage weights and
-    # their products with e1, per row kind and member in Python floats
-    # from math.exp (numpy's exp differs from it in the last bit on some
-    # arguments); a rate-0 row gets factors of exactly 1.0, as math.exp(0)
-    # would give, so its arithmetic is plain RK3
-    table = []
-    for rates in lam.tolist():
-        for (rate,), d in zip(rates, dt, strict=True):
-            if rate:
-                e1 = math.exp(rate * d / 3.0)
-                table += (e1, math.exp(2.0 * rate * d / 3.0),
-                          math.exp(rate * d), d / 3.0, 2.0 * d / 3.0 * e1,
-                          d / 4.0, 3.0 * e1)
-            else:
-                table += (1.0, 1.0, 1.0, d / 3.0, 2.0 * d / 3.0, d / 4.0, 3.0)
-    factors, buffer = (None, None) if work is None else work
-    if len(table) == 7:
-        factors = table     # one row kind and member: numpy's scalar loop
-    else:
-        # each factor as rows of the coefficients' dtype and width, one
-        # per row kind and member, so that every product below runs on
-        # numpy's contiguous loop (the operand rule), written into the
-        # batch's buffer (the allocation rule): 229 KiB for one member at
-        # n = 2048, above glibc's 128 KiB mmap threshold
-        if factors is None:
-            factors = np.empty((7,) + u_n.shape, dtype=u_n.dtype)
-        factors[...] = np.array(table).reshape(
-            lam.shape[:2] + (7, 1)).transpose(2, 0, 1, 3)
-    e1, e2, e3, c1, c2e1, c3, e1_3 = factors
-
-    if buffer is None:
-        buffer = np.empty_like(u_n)
-    u = buffer[:len(u_n)]
+    u and e3g1 are buffers of u_n's shape: u takes the later stages' rows,
+    of which rhs() returns G(u), and e3g1 the product e3 g1.  rhs may
+    overwrite any buffer but u_n, g1 and e3g1: the step reads u only
+    before calling it, and each slope it returns before calling it
+    again."""
+    e1, e2, e3, e1_3, c1, c2e1, c3 = factors
     np.multiply(c1, g1, out=u)
     u += u_n
     u *= e1                 # stage 2: e1 (u_n + c1 g1)
-    g = rhs(buffer)
+    g = rhs()
     g *= c2e1
     np.multiply(e2, u_n, out=u)
     u += g                  # stage 3: e2 u_n + c2 e1 g2
-    g = rhs(buffer)
+    g = rhs()
     g *= e1_3
-    g += e3 * g1
+    g += np.multiply(e3, g1, out=e3g1)
     g *= c3
-    np.multiply(e3, u_n, out=u)
-    u += g                  # e3 u_n + c3 (e3 g1 + 3 e1 g3)
-    return buffer
+    np.multiply(e3, u_n, out=u_n)
+    u_n += g                # e3 u_n + c3 (e3 g1 + 3 e1 g3)
+    return u_n
 
 
 class Rows:
-    """What a driver keeps of a batch of members between steps: the rows
-    its next first stage reads, stacked as samples u (row kinds x members
-    x n, the solution rows first), the rfft coefficients uh that the next
-    step starts from (of rho - M and w for Euler-Poisson, of sigma - M for
-    Keller-Segel), and per member its clock, its ParamSet and the extrema
-    of its rows that the next step reads (its last guard pass's: max rho,
-    max |w| and max |v| for Euler-Poisson, min sigma for Keller-Segel).
-    A step replaces u, uh, times and extrema with new values; an
-    Euler-Poisson step fills the batch's `work` buffers in place."""
+    """What `_integrate` keeps of a batch of members between steps: its
+    workspace `work` (`_Work` for Euler-Poisson, `keller_segel._Work`) and
+    per member its clock, its ParamSet and the extrema of its rows that
+    the next step reads (its last guard pass's: max rho, max |w| and
+    max |v| for Euler-Poisson, min sigma and max |v| for Keller-Segel).
+    u and uh are workspace buffers: the rows the next first stage reads,
+    stacked as samples (row kinds x members x n, the solution rows first),
+    and the rfft coefficients the next step starts from (of rho - M and w
+    for Euler-Poisson, of sigma - M for Keller-Segel).  A step overwrites
+    them in place and replaces times and extrema with new lists, so a
+    caller that keeps rows past the next step copies them, as `state_at`
+    and `take` do."""
 
-    __slots__ = ("u", "uh", "times", "ps", "extrema", "_m", "_work")
+    __slots__ = ("u", "uh", "times", "ps", "extrema", "work")
 
-    def __init__(self, u, uh, times, ps, extrema):
-        self.u, self.uh, self.times = u, uh, list(times)
-        self.ps, self.extrema = tuple(ps), list(extrema)
-        self._m = self._work = None
-
-    @property
-    def members(self) -> _Members:
-        """The Euler-Poisson batch's _Members, looked up once."""
-        if self._m is None:
-            self._m = _members(self.ps)
-        return self._m
-
-    @property
-    def work(self) -> tuple:
-        """The Euler-Poisson batch's buffers for `_rk3`, made on its first
-        step: the seven factor rows (7 x uh's shape) and the stages'
-        buffer, with room for the rows of the closing inverse
-        (`_Members.inverse_rows` x members x (n/2 + 1)).  Every step of
-        the batch fills them in place, and what it carries to the next
-        step is copied out of them."""
-        if self._work is None:
-            shape = self.uh.shape
-            self._work = (
-                np.empty((7,) + shape, dtype=complex),
-                np.empty((self.members.inverse_rows,) + shape[1:],
-                         dtype=complex))
-        return self._work
+    def __init__(self, work, times, ps, extrema):
+        self.work, self.u, self.uh = work, work.u, work.uh
+        self.times, self.ps = list(times), tuple(ps)
+        self.extrema = list(extrema)
 
     def take(self, keep: list) -> "Rows":
-        """The batch of the members at positions keep, which makes buffers
-        of its own."""
-        return Rows(self.u[:, keep], self.uh[:, keep],
-                    [self.times[j] for j in keep], [self.ps[j] for j in keep],
+        """The batch of the members at positions keep, in a workspace of
+        its own."""
+        ps = tuple(self.ps[j] for j in keep)
+        work = type(self.work)(ps)
+        work.u[...] = self.u[:, keep]
+        work.uh[...] = self.uh[:, keep]
+        return Rows(work, [self.times[j] for j in keep], ps,
                     [self.extrema[j] for j in keep])
 
 
-def _transform(states, names, mass_level: float) -> tuple:
-    """The samples of the states' fields `names` (rho and w, or sigma),
-    stacked as row kinds x members x n, and their rfft with the members'
-    shared mass level M subtracted from the first row."""
-    u = np.array([[getattr(s, name).values for name in names]
-                  for s in states]).transpose(1, 0, 2)
+def _transform(states, names, mass_level: float, u: np.ndarray,
+               uh: np.ndarray):
+    """Write into u the samples of the states' fields `names` (rho and w,
+    or sigma), stacked as row kinds x members x n, and into uh their rfft
+    with the members' shared mass level M subtracted from the first
+    row."""
+    u[...] = np.array([[getattr(s, name).values for name in names]
+                       for s in states]).transpose(1, 0, 2)
     shifted = u.copy()
     shifted[0] -= mass_level
-    return u, rfft(shifted)
+    rfft(shifted, out=uh)
 
 
 def _rows_of(states, ps) -> Rows:
     """The Euler-Poisson batch of states, member i stepped with ps[i]: their
     samples with the other rows a first stage reads, from one inverse."""
-    m = _members(tuple(ps))
-    u, uh = _transform(states, ("rho", "w"), m.p.mass_level)
-    u = _carried_rows(uh, m, u)
-    return Rows(u, uh, [s.time for s in states], ps, _extrema(u)[1])
+    work = _Work(tuple(ps))
+    _transform(states, ("rho", "w"), work.m.p.mass_level, work.u[:2],
+               work.uh)
+    _carried_rows(work, start=2)
+    return Rows(work, [s.time for s in states], ps, _extrema(work)[1])
 
 
 def step_ep_rows(rows: Rows, targets) -> list:
@@ -512,7 +546,8 @@ def step_ep_rows(rows: Rows, targets) -> list:
     dt_cfl*h/(advective + sound speed) from the extrema its rows carry.
     Returns per member None or the SolverBreakdown that stopped it; a
     breakdown leaves the other members' steps as they would be alone."""
-    m = rows.members
+    work = rows.work
+    m = work.m
     p = m.p
     dt = []
     for (adv, sound), t, target in zip(_speeds(rows.extrema, m), rows.times,
@@ -520,16 +555,20 @@ def step_ep_rows(rows: Rows, targets) -> list:
         if not t < target:
             raise ValueError("every member must be behind its target time")
         dt.append(min(_cfl_bound(p, adv + sound), target - t))
-    # the step runs in the batch's buffers, whose stage rows have room
-    # for the rows each inverse adds; the coefficients are carried in a
-    # copy, as the next step overwrites the buffer
-    spectra = _rk3(rows.uh, _rhs(rows.u, rows.uh, m),
-                   lambda uh: _rhs(None, uh, m), dt, m.lam, rows.work)
-    uh = spectra[:2].copy()
-    u = _carried_rows(spectra, m)
+    # the factor rows that depend on dt, from ten values per member
+    table = []
+    for rate, d in zip(m.rates, dt):
+        table += _lawson(0.0, d)[4:]
+        table += _lawson(rate, d)
+    work.factor_table[...] = table
+    for factor_rows, columns in work.fills:
+        factor_rows[...] = columns
+    _rk3(work.uh, _rhs(work, True), lambda: _rhs(work, False), work.factors,
+         work.stage_u, work.e3g1)
+    _carried_rows(work)
     times = [t + d for t, d in zip(rows.times, dt)]
-    out, extrema = _guards(u, times, p)
-    rows.u, rows.uh, rows.times, rows.extrema = u, uh, times, extrema
+    out, rows.extrema = _guards(work, times, p)
+    rows.times = times
     return out
 
 

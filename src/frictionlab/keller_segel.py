@@ -12,16 +12,25 @@ read; v's symbol is -i/k, so the flux is the one product sigma*v.  So
 the first stage makes one forward transform, each later stage an
 inverse of those two rows and a forward (`_flux_rhs`), and the close one
 inverse: 6 calls of the FFT seam (`spectral.rfft`/`irfft`) on 9 rows.
-The closing guard pass takes min sigma and max sigma once; the vacuum
-guard at the next step's start reads the minimum from there.
+The closing pass takes min and max of the rows sigma and v in two
+reductions: min sigma and max sigma for the guards, and
+max |v| = max(max v, -min v) for the next step's CFL bound, which the
+vacuum guard at the next step's start reads with min sigma.
 Near-vacuum states are refused (the characteristic module handles
 vacuum exactly); positive data stays positive on the tested horizons
 because each characteristic value moves monotonically toward M.
-`simulate_ks` keeps its rows between steps (`euler_poisson.Rows`),
-advances them by `step_ks_to`, which picks dt from its own first stage,
-and builds states at sample times only.
+
+The workspace rule of the Euler-Poisson step holds here too: a run steps
+in a one-row workspace (`_Work`) made with its rows, whose two inverses
+(`_Side`: the closing one and the later stages') and whose flux, slope
+and RK3 stage buffers every step fills in place with out=; the Lawson
+factors of rate 0 are Python floats.  `simulate_ks` keeps its rows
+between steps (`euler_poisson.Rows`), advances them by `step_ks_to` and
+builds states at sample times only.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,70 +38,133 @@ from .core import Field, KSState, ParamSet, mean_defect
 from .diagnostics import record_ks
 from .errors import MeanDefect, VacuumApproach
 from .euler_poisson import (
-    Rows, SimulationResult, _blowup, _cfl_bound, _integrate, _rk3, _transform,
+    Rows, SimulationResult, _blowup, _cfl_bound, _integrate, _lawson, _rk3,
+    _transform,
 )
-from .spectral import _symbols, irfft, rfft
+from .spectral import _Symbols, _symbols, irfft, rfft
 
 VACUUM_FRACTION = 1e-6
-_RATE = np.zeros((1, 1, 1))     # _rk3's linear rate: none
-_RATE.setflags(write=False)
 
 
-def _inverse(sh: np.ndarray, p: ParamSet) -> np.ndarray:
-    """The rows (sigma, v), stacked 2 x 1 x n, from one batched inverse of
-    the rfft coefficients sh of sigma - M (1 x 1 x (n/2 + 1)), v's on the
-    cached symbol -i/k (minus inverse_gradient's)."""
-    u = irfft(np.concatenate((sh, sh * _symbols(p.grid).neg_inv_grad)),
-              p.grid.n)
-    u[0] += p.mass_level
-    return u
+class _Side(NamedTuple):
+    """One inverse of the step and the flux slope of its rows, in buffers
+    of the run's workspace (`_Work`): the closing inverse, whose input's
+    head is the carried coefficients and whose output is the carried
+    rows, or the later stages' inverse, whose input's head is the stage
+    rows."""
+
+    spectra: np.ndarray     # 2 x 1 x (n/2 + 1): (sigma - M, v)^, the input
+    head: np.ndarray        # spectra[:1], the coefficients of sigma - M
+    sh: np.ndarray          # spectra[0]
+    vh: np.ndarray          # spectra[1]
+    rows: np.ndarray        # 2 x 1 x n: (sigma, v), the output
+    sigma: np.ndarray       # rows[:1]
+    v: np.ndarray           # rows[1:]
+    flux: np.ndarray        # 1 x 1 x n: sigma v, shared by both sides
+    g: np.ndarray           # 1 x 1 x (n/2 + 1): the slope of the rows
+    p: ParamSet
+    sym: _Symbols           # the grid's cached symbols
 
 
-def _flux_rhs(u: np.ndarray, p: ParamSet) -> np.ndarray:
+class _Work:
+    """The workspace of a Keller-Segel run (`Rows.work`): every array its
+    steps write and every view of them that a step reads, made with its
+    rows, as for an Euler-Poisson batch.  u and uh are the rows and
+    coefficients the run carries from step to step."""
+
+    def __init__(self, ps: tuple):
+        (p,) = ps
+        n = p.grid.n
+        shape = (1, 1, n // 2 + 1)
+        flux, sym = np.empty((1, 1, n)), _symbols(p.grid)
+
+        def side():
+            spectra = np.empty((2,) + shape[1:], dtype=complex)
+            rows = np.empty((2, 1, n))
+            return _Side(spectra, spectra[:1], spectra[0], spectra[1], rows,
+                         rows[:1], rows[1:], flux,
+                         np.empty(shape, dtype=complex), p, sym)
+
+        # the closing inverse (its slope is the first stage's) and the
+        # later stages' inverse
+        self.carried, self.stage = side(), side()
+        self.u, self.uh = self.carried.rows, self.carried.head
+        self.e3g1 = np.empty(shape, dtype=complex)
+        self.low, self.high = np.empty((2, 1)), np.empty((2, 1))
+
+
+def _inverse(side: _Side) -> _Side:
+    """The rows (sigma, v) of side, from one batched inverse of the
+    coefficients of sigma - M at its input's head and of v's, written
+    after them on the cached symbol -i/k (minus inverse_gradient's)."""
+    np.multiply(side.sh, side.sym.neg_inv_grad, out=side.vh)
+    irfft(side.spectra, side.p.grid.n, out=side.rows)
+    np.add(side.sigma, side.p.mass_level, out=side.sigma)
+    return side
+
+
+def _flux_rhs(side: _Side) -> np.ndarray:
     """Slope -ik (sigma v)^ of the rfft coefficients of sigma - M, the flux
-    dealiased, from the rows u = (sigma, v) of `_inverse`: one forward
-    transform of the flux, dealiased and differentiated in one product
-    with the cached -ik keep."""
-    return rfft(u[:1] * u[1:]) * _symbols(p.grid).neg_ik_keep
+    dealiased, from the rows (sigma, v) of side, into its slope buffer:
+    one forward transform of the flux, dealiased and differentiated in
+    one product with the cached -ik keep."""
+    np.multiply(side.sigma, side.v, out=side.flux)
+    g = rfft(side.flux, out=side.g)
+    g *= side.sym.neg_ik_keep
+    return g
+
+
+def _extrema(work: _Work) -> tuple:
+    """The closing pass over the carried rows (sigma, v), two reductions:
+    min sigma, max sigma and max |v| = max(max v, -min v), which is NaN
+    when v holds a NaN, as Python floats."""
+    ((low,), (low_v,)) = np.minimum.reduce(work.u, axis=-1,
+                                           out=work.low).tolist()
+    ((high,), (high_v,)) = np.maximum.reduce(work.u, axis=-1,
+                                             out=work.high).tolist()
+    return low, high, max(high_v, -low_v)
 
 
 def _rows_of(state: KSState, p: ParamSet) -> Rows:
     """The one-member batch of a state: its samples and the velocity row
     a first stage reads."""
-    samples, sh = _transform([state], ("sigma",), p.mass_level)
-    u = np.empty((2,) + samples.shape[1:])
-    u[0] = samples[0]
-    irfft(sh * _symbols(p.grid).neg_inv_grad, p.grid.n, out=u[1:])
-    return Rows(u, sh, [state.time], (p,), [(float(samples.min()),)])
+    work = _Work((p,))
+    carried = work.carried
+    _transform([state], ("sigma",), p.mass_level, carried.sigma,
+               carried.head)
+    np.multiply(carried.sh, carried.sym.neg_inv_grad, out=carried.vh)
+    irfft(carried.spectra[1:], p.grid.n, out=carried.v)
+    low, _, v_max = _extrema(work)
+    return Rows(work, [state.time], (p,), [(low, v_max)])
 
 
 def step_ks_to(rows: Rows, target: float):
     """One conservative RK3 step (stage times 0, 1/3, 2/3) toward `target`
     of the one-member batch rows, in place, of dt = min(CFL bound, 0.1/M,
-    target - t), the bound from its first stage and capped because v
-    vanishes at equilibrium: the driver's step.  Returns None or the
-    SolverBreakdown that stops it; data at the vacuum guard is refused
-    before the step."""
+    target - t), the bound from the max |v| its rows carry and capped
+    because v vanishes at equilibrium: the step of `simulate_ks`.
+    Returns None or the SolverBreakdown that stops it; data at the vacuum
+    guard is refused before the step."""
     if not rows.times[0] < target:
         raise ValueError("the state must be behind the target time")
     p = rows.ps[0]
     M = p.mass_level
-    ((low,),) = rows.extrema
+    ((low, v_max),) = rows.extrema
     if low < VACUUM_FRACTION * M:
         return VacuumApproach(
             f"min sigma = {low:.3e} below {VACUUM_FRACTION:g}*M; "
             "use the characteristic solver near vacuum")
 
-    u_n = rows.u
-    g1 = _flux_rhs(u_n, p)
-    dt = min(_cfl_bound(p, float(np.max(np.abs(u_n[1])))), 0.1 / M,
-             target - rows.times[0])
-    uh = _rk3(rows.uh, g1, lambda uh: _flux_rhs(_inverse(uh, p), p), [dt],
-              _RATE)
-    u = _inverse(uh, p)
+    work = rows.work
+    carried, stage = work.carried, work.stage
+    dt = min(_cfl_bound(p, v_max), 0.1 / M, target - rows.times[0])
+    _rk3(carried.head, _flux_rhs(carried),
+         lambda: _flux_rhs(_inverse(stage)), _lawson(0.0, dt), stage.head,
+         work.e3g1)
+    _inverse(carried)
     time = rows.times[0] + dt
-    low, high = float(u[0].min()), float(u[0].max())
-    rows.u, rows.uh, rows.times, rows.extrema = u, uh, [time], [(low,)]
+    low, high, v_max = _extrema(work)
+    rows.times, rows.extrema = [time], [(low, v_max)]
     blowup = _blowup(time, low, high)
     if blowup is not None:
         return blowup

@@ -155,7 +155,7 @@ def test_sweep_reference_blowup_exits_3(runner, monkeypatch):
     flux_rhs = keller_segel._flux_rhs
     monkeypatch.setattr(
         keller_segel, "_flux_rhs",
-        lambda u, p: np.full_like(flux_rhs(u, p), np.nan))
+        lambda side: np.full_like(flux_rhs(side), np.nan))
     result = runner.invoke(main, [
         "sweep", "--eps", "0.2,0.1", "--grid", "64", "--t-end", "0.5"])
     assert result.exit_code == 3, outputs(result)

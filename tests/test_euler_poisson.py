@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,13 +125,13 @@ def _assert_rhs_matches_composition(rho, w, ps, dealias):
     """The fused kernel on a batch (one row of rho and w per member), at
     the first stage and a later one, against _rhs_composed per member;
     returns the first stage's v."""
-    m = euler_poisson._members(tuple(ps))
+    work = euler_poisson._Work(tuple(ps))
+    m = work.m
     uh = np.fft.rfft(np.array((rho - m.p.mass_level, w)))
     # the first stage reads the carried rows, whose third is -v, the later
-    # ones only uh
-    carried = euler_poisson._carried_rows(uh, m, np.array((rho, w)))
-    first = euler_poisson._rhs(carried, uh, m)
-    later = euler_poisson._rhs(None, uh, m)
+    # ones only the stage's coefficients
+    carried = _carried(work, uh, np.array((rho, w)))
+    first, later = _slopes(work, uh)
     for g in (first, later):
         g_rho, g_w = np.fft.irfft(g, n=m.p.grid.n)
         for i, p in enumerate(ps):
@@ -142,6 +143,25 @@ def _assert_rhs_matches_composition(rho, w, ps, dealias):
         ref_v = _rhs_composed(rho[i], w[i], p, dealias)[2]
         assert np.max(np.abs(v[i] - ref_v)) <= 1e-12 * np.max(np.abs(ref_v))
     return v
+
+
+def _carried(work, uh, samples=None):
+    """A copy of the rows _carried_rows writes into the workspace from
+    coefficients uh, with samples given the other rows only."""
+    work.uh[...] = uh
+    if samples is None:
+        return euler_poisson._carried_rows(work).copy()
+    work.u[:2] = samples
+    return euler_poisson._carried_rows(work, start=2).copy()
+
+
+def _slopes(work, uh):
+    """Copies of the first stage's slope from the workspace's carried rows
+    and coefficients uh, and of a later stage's from stage rows uh."""
+    work.uh[...] = uh
+    first = euler_poisson._rhs(work, True).copy()
+    work.stage_u[...] = uh
+    return first, euler_poisson._rhs(work, False).copy()
 
 
 @pytest.mark.parametrize("n", [64, 256, 2048])
@@ -198,9 +218,7 @@ def test_fused_rhs_on_a_mixed_epsilon_batch(n, alpha, dealias):
         assert m.eps_1a == tuple(q.epsilon ** (1.0 - alpha) for q in ps)
         assert m.eps_sound == tuple(q.epsilon ** (0.5 * (alpha - 2.0))
                                     for q in ps)
-        assert m.lam.shape == (2, 3, 1)
-        assert m.lam.tolist() == [[[0.0]] * 3,
-                                  [[-1.0 / q.epsilon**2] for q in ps]]
+        assert m.rates == tuple(-1.0 / q.epsilon**2 for q in ps)
         for a in m:
             if isinstance(a, np.ndarray):
                 assert not a.flags.writeable
@@ -247,35 +265,55 @@ def _dt_telling_the_exps_apart(rate, dt):
 
 
 def test_rk3_matches_its_column_composition_bit_for_bit(params, cosine_rho):
-    # factor rows of the coefficients' dtype and width give every bit of
-    # the real columns; on a mixed-eps batch each member's dt is one at
-    # which numpy's exp would change a factor, so the factors must come
-    # from math.exp
+    # factor rows of the coefficients' dtype and width, the rho rows'
+    # constant ones written with the workspace and the others by each
+    # step, give every bit of the real columns; on a mixed-eps batch each
+    # member's dt is one at which numpy's exp would change a factor, so
+    # the factors must come from math.exp
     w0 = Field(params.grid, 0.05 * np.sin(params.grid.x))
     ps = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
     rows = _rows([EPState(rho=cosine_rho, w=w0)] * len(ps), ps)
-    m = rows.members
-    g1 = euler_poisson._rhs(rows.u, rows.uh, m)
-    dt = [_dt_telling_the_exps_apart(-1.0 / q.epsilon**2, 1e-3) for q in ps]
+    work, uh = rows.work, rows.uh.copy()
+    m = work.m
+    g1 = euler_poisson._rhs(work, True).copy()
+    dt = [_dt_telling_the_exps_apart(rate, 1e-3) for rate in m.rates]
     assert any(d != 1e-3 for d in dt)
 
-    def rhs(uh):
-        return euler_poisson._rhs(None, uh, m)
+    def rhs(u):
+        work.stage_u[...] = u
+        return euler_poisson._rhs(work, False).copy()
 
-    got = euler_poisson._rk3(rows.uh, g1, rhs, dt, m.lam)
-    want = _rk3_columns(rows.uh, g1, rhs, dt, m.lam)
+    lam = np.array([[[0.0]] * len(ps), [[rate] for rate in m.rates]])
+    want = _rk3_columns(uh, g1, rhs, dt, lam)
+    # the step's fill of the factor rows that depend on dt
+    assert step_ep_rows(rows, [t + d for t, d in zip(rows.times, dt)]) \
+        == [None] * len(ps)
+    for factor, column in zip(work.factors, np.array([
+            [euler_poisson._lawson(rate, d) for rate, d in zip(rates, dt)]
+            for rates in ([0.0] * len(ps), m.rates)]).transpose(2, 0, 1)):
+        assert factor.dtype == complex and factor.shape == uh.shape
+        assert np.array_equal(factor, np.broadcast_to(column[..., None],
+                                                      uh.shape))
+    got = euler_poisson._rk3(uh, g1, lambda: euler_poisson._rhs(work, False),
+                             work.factors, work.stage_u, work.e3g1)
+    assert got is uh
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     # the Keller-Segel row: rate 0, one member, Python-float factors
     p = params
-    ks = keller_segel._rows_of(KSState(sigma=cosine_rho), p)
-    g1 = keller_segel._flux_rhs(ks.u, p)
+    ks = keller_segel._rows_of(KSState(sigma=cosine_rho), p).work
+    carried, stage = ks.carried, ks.stage
+    g1 = keller_segel._flux_rhs(carried).copy()
 
     def ks_rhs(sh):
-        return keller_segel._flux_rhs(keller_segel._inverse(sh, p), p)
+        stage.head[...] = sh
+        return keller_segel._flux_rhs(keller_segel._inverse(stage)).copy()
 
-    got = euler_poisson._rk3(ks.uh, g1, ks_rhs, [0.01], keller_segel._RATE)
-    want = _rk3_columns(ks.uh, g1, ks_rhs, [0.01], keller_segel._RATE)
+    want = _rk3_columns(ks.uh, g1, ks_rhs, [0.01], np.zeros((1, 1, 1)))
+    got = euler_poisson._rk3(
+        ks.uh, g1,
+        lambda: keller_segel._flux_rhs(keller_segel._inverse(stage)),
+        euler_poisson._lawson(0.0, 0.01), stage.head, ks.e3g1)
     assert got.tobytes() == want.tobytes()
 
 
@@ -404,15 +442,17 @@ def test_stage_kernel_matches_its_old_composition_bit_for_bit(params,
     rows = _rows([EPState(rho=cosine_rho, w=w0)] * len(ps), ps)
     for _ in range(3):
         assert step_ep_rows(rows, [1.0] * 3) == [None] * 3
-    m, old = rows.members, _SeparateSymbols(ps)
-    u, uh = rows.u, rows.uh
-    _same_bits(euler_poisson._carried_rows(uh, m), old.carried_rows(uh))
+    work, old = rows.work, _SeparateSymbols(ps)
+    m, u, uh = work.m, rows.u.copy(), rows.uh.copy()
+    _same_bits(_carried(work, uh), old.carried_rows(uh))
     _same_bits(u, old.carried_rows(uh))
     g1, v = old.rhs(u, uh)
-    _same_bits(euler_poisson._rhs(u, uh, m), g1)
-    _same_bits(-u[2], v)
     stage = uh + 1e-3 * g1          # a later stage's coefficients
-    _same_bits(euler_poisson._rhs(None, stage, m), old.rhs(None, stage)[0])
+    first = euler_poisson._rhs(work, True)
+    _same_bits(first, g1)
+    work.stage_u[...] = stage
+    _same_bits(euler_poisson._rhs(work, False), old.rhs(None, stage)[0])
+    _same_bits(-u[2], v)
     assert rows.extrema == old.extrema(u, v)
     times, targets = [0.5, 0.25, 0.125], [1.0, 1.0, 0.125 + 1e-4]
     got = [min(euler_poisson._cfl_bound(q, adv + sound), target - t)
@@ -420,7 +460,7 @@ def test_stage_kernel_matches_its_old_composition_bit_for_bit(params,
                ps, euler_poisson._speeds(rows.extrema, m), times, targets)]
     assert got == old.dt(old.extrema(u, v), times, targets)
     assert got[2] == targets[2] - times[2] < got[0]
-    flags, extrema = euler_poisson._guards(u, times, params)
+    flags, extrema = euler_poisson._guards(work, times, params)
     assert flags == [None] * 3 and extrema == rows.extrema
 
 
@@ -513,8 +553,8 @@ def test_ep_breakdown_counts_the_step_it_took(monkeypatch, params,
     real_guards = euler_poisson._guards
     calls = []
 
-    def guards(u, times, p):
-        out, extrema = real_guards(u, times, p)
+    def guards(work, times, p):
+        out, extrema = real_guards(work, times, p)
         calls.append(None)
         if len(calls) == 3:
             out = [RangeBreach(f"forced at tau = {t:.6g}") for t in times]
@@ -539,12 +579,12 @@ def test_ks_counts_a_step_only_when_it_moved_the_clock(monkeypatch, params,
     real_inverse = keller_segel._inverse
     calls = []
 
-    def inverse(sh, p):
-        u = real_inverse(sh, p)
+    def inverse(side):
+        side = real_inverse(side)
         calls.append(None)
         if len(calls) == 6:         # the closing inverse of step 2
-            u[0, :, 5] = 0.0
-        return u
+            side.rows[0, :, 5] = 0.0
+        return side
 
     monkeypatch.setattr(keller_segel, "_inverse", inverse)
     result = simulate_ks(cosine_rho, params, [0.0, 1.0], records=False)
@@ -755,19 +795,24 @@ def test_modal_decay_matches_slow_root(torus64):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e12])
 def test_blowup_check_flags_only_its_own_member(params, bad):
-    # stacked rows (row kinds x members x n), as the stepper holds them:
-    # a bad value in the rho rows or in the w rows flags its member only
+    # stacked rows (row kinds x members x n) in a batch's workspace, as
+    # the stepper holds them: a bad value in the rho rows or in the w rows
+    # flags its member only
+    work = euler_poisson._Work((params,) * 3)
+    alone = euler_poisson._Work((params,))
     for row in (0, 1):
-        u = np.ones((2, 3, 16))
-        u[row, 1, 5] = bad
-        flags, _ = euler_poisson._guards(u, [0.1, 0.2, 0.3], params)
+        work.u[...] = 1.0
+        work.u[row, 1, 5] = bad
+        flags, _ = euler_poisson._guards(work, [0.1, 0.2, 0.3], params)
         assert flags[0] is None and flags[2] is None
         assert isinstance(flags[1], Blowup)
         assert "0.2" in str(flags[1])
-        (flag,), _ = euler_poisson._guards(u[:, 1:2], [0.2], params)
+        alone.u[...] = work.u[:, 1:2]
+        (flag,), _ = euler_poisson._guards(alone, [0.2], params)
         assert isinstance(flag, Blowup)
-    u[1, 1, 5] = 1e12            # the threshold itself is still finite
-    assert euler_poisson._guards(u, [0.1, 0.2, 0.3], params)[0] == [None] * 3
+    work.u[1, 1, 5] = 1e12       # the threshold itself is still finite
+    assert euler_poisson._guards(work, [0.1, 0.2, 0.3], params)[0] \
+        == [None] * 3
 
 
 @pytest.mark.parametrize("bad", [math.nan, *INF_SLOPES, 2e12])
@@ -775,8 +820,8 @@ def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
     # a poisoned slope ends the run in its first step, which it counts
     real_rhs = euler_poisson._rhs
 
-    def poisoned(u, uh, m):
-        return real_rhs(u, uh, m) + bad
+    def poisoned(work, first):
+        return real_rhs(work, first) + bad
 
     monkeypatch.setattr(euler_poisson, "_rhs", poisoned)
     result = simulate_ep(cosine_rho, zero_w, params, [0.0, 0.1])
@@ -791,9 +836,9 @@ def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
     real_carried = euler_poisson._carried_rows
     batches = ([params], [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)])
     for row in (0, 1):
-        def poisoned_rows(uh, m, samples=None):
-            u = real_carried(uh, m, samples)
-            if samples is None:
+        def poisoned_rows(work, start=0):
+            u = real_carried(work, start)
+            if not start:
                 u[row, :, 5] = bad
             return u
 
@@ -810,12 +855,12 @@ def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
     real_inverse = keller_segel._inverse
     calls = []
 
-    def poisoned_inverse(sh, p):
-        u = real_inverse(sh, p)
+    def poisoned_inverse(side):
+        side = real_inverse(side)
         calls.append(None)
         if len(calls) % 3 == 0:
-            u[0, :, 5] = bad
-        return u
+            side.rows[0, :, 5] = bad
+        return side
 
     monkeypatch.setattr(keller_segel, "_inverse", poisoned_inverse)
     result = simulate_ks(cosine_rho, params, [0.0, 0.1], records=False)
@@ -831,9 +876,9 @@ def test_range_breach_reports_the_rho_range(monkeypatch, params, cosine_rho,
     real_carried = euler_poisson._carried_rows
     seen = []
 
-    def poisoned_rows(uh, m, samples=None):
-        u = real_carried(uh, m, samples)
-        if samples is None:
+    def poisoned_rows(work, start=0):
+        u = real_carried(work, start)
+        if not start:
             u[0, :, 5] = value
             seen.append((u[0].min(axis=-1), u[0].max(axis=-1)))
         return u
@@ -932,9 +977,9 @@ def test_member_breakdown_leaves_the_others(monkeypatch, params, cosine_rho,
     real_rhs = euler_poisson._rhs
     calls = []
 
-    def poisoned(u, uh, m):
-        g = real_rhs(u, uh, m)
-        eps = [q.epsilon for q in m.ps]
+    def poisoned(work, first):
+        g = real_rhs(work, first)
+        eps = [q.epsilon for q in work.m.ps]
         if 0.1 in eps:
             calls.append(None)
             if len(calls) == 31:       # stage 1 of its 11th step
@@ -1040,28 +1085,28 @@ def test_carried_rows_equal_recomputed_rows(params, cosine_rho, gamma):
     rows = _rows([EPState(rho=cosine_rho, w=w0)] * 3, ps)
     for _ in range(4):
         assert step_ep_rows(rows, [1.0] * 3) == [None] * 3
-    m = rows.members
-    u = rows.u
+    u, uh = rows.u.copy(), rows.uh.copy()
     assert u.shape == (4 if gamma == 2.0 else 5, 3, params.grid.n)
-    assert np.array_equal(euler_poisson._carried_rows(rows.uh, m, u[:2]), u)
-    samples = np.fft.irfft(rows.uh, n=params.grid.n)
+    assert np.array_equal(_carried(rows.work, uh, u[:2]), u)
+    samples = np.fft.irfft(uh, n=params.grid.n)
     samples[0] += params.mass_level
     assert np.array_equal(samples, u[:2])
     assert rows.extrema == list(zip(u[0].max(axis=-1).tolist(),
                                     np.abs(u[1]).max(axis=-1).tolist(),
                                     np.abs(u[2]).max(axis=-1).tolist()))
-    first = euler_poisson._rhs(u, rows.uh, m)
-    later = euler_poisson._rhs(None, rows.uh, m)
+    first, later = _slopes(rows.work, uh)
     for got, want in zip(later, first):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    # the Keller-Segel step carries (sigma, -v) and min sigma
+    # the Keller-Segel step carries (sigma, v), min sigma and max |v|
     p = params
     ks = keller_segel._rows_of(KSState(sigma=cosine_rho), p)
     for _ in range(4):
         assert step_ks_to(ks, 1.0) is None
-    assert np.array_equal(keller_segel._inverse(ks.uh, p), ks.u)
-    assert ks.extrema == [(ks.u[0].min(),)]
+    stage = ks.work.stage
+    stage.head[...] = ks.uh
+    assert np.array_equal(keller_segel._inverse(stage).rows, ks.u)
+    assert ks.extrema == [(ks.u[0].min(), np.abs(ks.u[1]).max())]
 
 
 @pytest.mark.parametrize("solver, gamma", [("ep", 2.0), ("ep", 1.5),
@@ -1162,12 +1207,20 @@ def test_steady_ep_steps_take_no_page_faults():
     assert sum(steady) < len(steady), steady
 
 
+def _buffers(work):
+    """The arrays and views of an Euler-Poisson workspace that its steps
+    write."""
+    return [a for a in vars(work).values()
+            if isinstance(a, np.ndarray) and a.flags.writeable]
+
+
 def test_factor_buffer_reuse_keeps_batches_bit_for_bit(monkeypatch):
-    # 4 members at n = 512: a factor stack of 230 KiB, filled in place by
-    # every step of its batch, as is its stages' buffer; the members leave
-    # one by one (take), each smaller batch filling buffers of its own,
-    # and every member's trajectory stays that of its solo run, bit for
-    # bit
+    # 4 members at n = 512: every step of a batch runs in the workspace
+    # made with it (a factor stack of 230 KiB among its buffers), and its
+    # rows u and coefficients uh keep their buffers from step to step; the
+    # members leave one by one (take), each smaller batch stepping in a
+    # workspace that shares no memory with the old ones, and every
+    # member's trajectory stays that of its solo run, bit for bit
     grid = Grid.torus(512)
     p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
                  rho_lower=0.25, rho_upper=2.0, grid=grid)
@@ -1177,23 +1230,28 @@ def test_factor_buffer_reuse_keeps_batches_bit_for_bit(monkeypatch):
     times = [0.0, 0.01, 0.02]
     solo = [simulate_ep(rho0, w0, q, times) for q in ps]
     real_step = euler_poisson.step_ep_rows
-    batches = []        # (rows, its work buffers), in order of first step
+    batches = []        # (rows, its buffers' addresses), by first step
 
     def checked(rows, targets):
+        work, u, uh = rows.work, rows.u, rows.uh
         out = real_step(rows, targets)
-        factors, stages = work = rows.work
-        assert factors.shape == (7,) + rows.uh.shape
-        assert stages.shape == (4,) + rows.uh.shape[1:]
-        for buffer in work:
-            assert not np.shares_memory(buffer, rows.uh)
-            assert not np.shares_memory(buffer, rows.u)
-        known = [w for r, w in batches if r is rows]
+        assert rows.work is work and rows.u is u is work.u
+        assert rows.uh is uh is work.uh
+        factors = work.factors
+        assert len(factors) == 7
+        assert all(f.shape == uh.shape and f.flags.c_contiguous
+                   for f in factors)
+        buffers = _buffers(work)
+        assert any(b is u for b in buffers) and any(b is uh for b in buffers)
+        addresses = [b.__array_interface__["data"][0] for b in buffers]
+        known = [a for r, a in batches if r is rows]
         if known:
-            assert all(a is b for a, b in zip(known[0], work))
+            assert known[0] == addresses
         else:
             assert not any(np.shares_memory(a, b)
-                           for _, old in batches for a in old for b in work)
-            batches.append((rows, work))
+                           for r, _ in batches for a in _buffers(r.work)
+                           for b in buffers)
+            batches.append((rows, addresses))
         return out
 
     monkeypatch.setattr(euler_poisson, "step_ep_rows", checked)
@@ -1205,3 +1263,37 @@ def test_factor_buffer_reuse_keeps_batches_bit_for_bit(monkeypatch):
             assert g.time == w.time
             assert g.rho.values.tobytes() == w.rho.values.tobytes()
             assert g.w.values.tobytes() == w.w.values.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0])
+@pytest.mark.parametrize("members, n", [(4, 256), (1, 2048)])
+def test_steady_ep_step_makes_no_arrays(gamma, members, n):
+    # a steady step writes only into its batch's workspace: it allocates
+    # less than half a coefficient row of the batch (8 KiB and 16 KiB
+    # here), where the arrays it made (factor rows, stage buffer, inverse
+    # and forward outputs, flux and velocity temporaries, the carried copy
+    # of uh) peaked at about 12 rows (100 KiB and 200 KiB); the batch's
+    # rows keep their buffers.  numpy's iterator buffers, whose size
+    # depends on its version, are held to 16 elements while the step runs
+    grid = Grid.torus(n)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=gamma, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid)
+    ps = [p.replace(epsilon=e) for e in (0.2, 0.1, 0.05, 0.025)[:members]]
+    state = _state(grid, 1.0 + 0.3 * np.cos(grid.x),
+                   0.05 * np.sin(grid.x))
+    rows = _rows([state] * members, ps)
+    targets = [1.0] * members
+    for _ in range(3):          # warm-up
+        assert step_ep_rows(rows, targets) == [None] * members
+    u, uh = rows.u, rows.uh
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        assert step_ep_rows(rows, targets) == [None] * members
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    row_bytes = members * (n // 2 + 1) * 16
+    assert peak < row_bytes / 2, (peak, row_bytes)
+    assert rows.u is u and rows.uh is uh

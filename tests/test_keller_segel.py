@@ -72,12 +72,13 @@ def test_fused_flux_rhs_matches_composition(n, dealias):
     ref = -deriv(dealias(sigma * v, grid), grid)
     sh = np.fft.rfft(sigma - p.mass_level)[None, None]
     # the first stage reads the carried rows (sigma, v), a later one the
-    # rows inverted from sh
-    carried = _rows(_state(grid, sigma), p).u
-    inverted = keller_segel._inverse(sh, p)
-    for u in (carried, inverted):
+    # rows inverted from the stage's coefficients sh
+    work = _rows(_state(grid, sigma), p).work
+    work.stage.head[...] = sh
+    for side in (work.carried, keller_segel._inverse(work.stage)):
+        u = side.rows
         assert np.max(np.abs(u[1, 0] - v)) <= 1e-12 * np.max(np.abs(v))
-        slope = np.fft.irfft(keller_segel._flux_rhs(u, p), n=n)[0, 0]
+        slope = np.fft.irfft(keller_segel._flux_rhs(side), n=n)[0, 0]
         assert np.max(np.abs(slope - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -117,8 +118,8 @@ def test_nonfinite_slope_ends_run_nonfinite(monkeypatch, params, torus64,
     real_rhs = keller_segel._flux_rhs
     calls = []
 
-    def poisoned(u, p):
-        g = real_rhs(u, p)
+    def poisoned(side):
+        g = real_rhs(side)
         calls.append(None)
         return g + bad if len(calls) == 10 else g
 
