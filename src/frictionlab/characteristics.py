@@ -27,12 +27,11 @@ per bisection.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid, KSState, ParamSet
+from .core import Field, Grid, KSState, ParamSet, _positive_integer
 from .errors import (InversionFailure, MultipleVacuumIntervals, NoVacuum,
                      PreconditionViolation, UnsupportedOrder)
 from .keller_segel import simulate_ks
@@ -134,10 +133,10 @@ def derivative_along(x: float, k: int, tau: float,
     Non-vacuum labels support k = 1 only (closed form sigma0' M^3 e / D^3).
     Vacuum labels obey the growth law e^{(k+1) M tau} d^k(sigma0), valid
     when all lower-order one-sided derivatives vanish at the label.
-    Raises ValueError for k < 1 and for a NaN or negative tau.
+    Raises ValueError unless k is an integer >= 1 (not a bool), and for a
+    NaN or negative tau.
     """
-    if k < 1:
-        raise ValueError("derivative order must be >= 1")
+    _positive_integer("derivative order", k)
     _check_tau(tau)
     M = prof.M
     if not _in_vacuum(float(x), prof):
@@ -360,11 +359,8 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     """
     if not (math.isfinite(tau_end) and tau_end > 0.0):
         raise ValueError(f"tau_end must be finite and positive, got {tau_end}")
-    if n_steps is not None and (
-            isinstance(n_steps, bool)
-            or not isinstance(n_steps, numbers.Integral) or n_steps < 1):
-        raise ValueError(
-            f"n_steps must be None or an integer >= 1, got {n_steps!r}")
+    if n_steps is not None:
+        _positive_integer("n_steps", n_steps)
     grid = state.sigma.grid
     M = p.mass_level
     if n_steps is None:

@@ -24,6 +24,14 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _positive_integer(name: str, value) -> None:
+    """Raise a ValueError that names value unless it is an integer >= 1
+    and not a bool: the one check of a derivative order or a step count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform 1D mesh, either periodic ('torus') or truncated line ('line').

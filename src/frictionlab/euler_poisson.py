@@ -37,7 +37,7 @@ member a step transforms 2 rows in its first stage, 3 + 2 in each
 later one and 4 at the close: 16 rows, 19 at any other gamma.  At small
 n a step costs numpy calls more than flops, so every eps-dependent
 factor of the stage is folded into a Fourier symbol with one row per
-member (`_members`, built once per batch and read-only), symbols that
+member (built with the batch, `_Batch`, and read-only), symbols that
 act together are stacked (the stacked-symbol rule below), and the step
 runs in its batch's workspace (the workspace rule below).  The closing
 pass takes the min and max of the rows rho, w and grad_inv in two
@@ -59,11 +59,12 @@ floats, which numpy reads on its scalar loop).  x + iy times r + 0j is
 rx + iry exactly, as it is times the real r, which numpy promotes to
 r + 0j: every output bit is that of the real factors.
 
-The workspace rule: a batch steps in a workspace of its own (`_Work`,
-`Rows.work`), made with the batch: every array a step writes (the
-carried rows u and coefficients uh, the inverse inputs and outputs, the
-forward outputs, the stacked products, e3 g1, the Lawson factor rows and
-the extrema) and every view of them that a step reads.  So each step
+The workspace rule: a batch steps in a workspace of its own, made with
+the batch (`_Batch`, which also holds its symbols, clocks and extrema):
+every array a step writes (the carried rows u and coefficients uh, the
+inverse inputs and outputs, the forward outputs, the stacked products,
+e3 g1, the Lawson factor rows and the extrema) and every view of them
+that a step reads.  So each step
 runs the same sequence of numpy calls, each with out= into the
 workspace, and makes no array or view of its own: 61 calls at
 gamma = 2 (9 in the first stage, 14 in each later one, 12 in the RK3
@@ -71,7 +72,7 @@ update, 3 to refill the factor rows, 5 in the closing inverse and 4 in
 the extrema pass), 67 at any other gamma.  The factors of the rho rows
 that do not depend on dt are written once per batch; a step refills the
 other ten rows per member.  The step overwrites u and uh in place, so
-what outlives it is copied (`state_at`, `Rows.take`, whose smaller
+what outlives it is copied (`state_at`, `_Batch.take`, whose smaller
 batch gets a workspace of its own).  Arrays made anew at every step
 cost page faults as well as calls: the factor rows of one member at
 n = 2048 (229 KiB, above glibc's 128 KiB mmap threshold) went back to
@@ -94,12 +95,13 @@ One driver path: `simulate_ep_rows` steps members that differ in epsilon
 only as rows of one batched step (`step_ep_rows`), each toward its own
 next sample time with its own dt, picked from the extrema its rows
 carry, and clock; `simulate_ep` is the one-member batch.  The driver
-keeps the batch's rows and coefficients stacked (`Rows`) from step to
-step and builds states only at sample times.  Batched FFT rows, per-row
-reductions and products with per-row columns are bit-identical to the
-one-member arithmetic, so a member's trajectory does not depend on its
-batch.  A caller that wants a fixed dt samples the run at that spacing:
-below the CFL bound, each sample is one step.
+keeps the batch's rows and coefficients stacked (`_Batch`, built once
+per run) from step to step and builds states only at sample times.
+Batched FFT rows, per-row reductions and products with per-row columns
+are bit-identical to the one-member arithmetic, so a member's
+trajectory does not depend on its batch.  A caller that wants a fixed
+dt samples the run at that spacing: below the CFL bound, each sample is
+one step.
 
 dv/dtau comes from pushing the continuity flux through the inverse
 gradient: on the torus this collapses to -(flux - mean(flux)), in Fourier
@@ -107,15 +109,14 @@ space the dealiased flux with its k = 0 mode zeroed.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import EPState, Field, ParamSet, validate_initial_data
-from .diagnostics import DiagnosticsRecord, record_ep
+from .diagnostics import record_ep
 from .errors import Blowup, RangeBreach, SolverBreakdown
 from .spectral import _symbols, irfft, rfft
 
@@ -123,91 +124,14 @@ BLOWUP_THRESHOLD = 1e12
 LANDING_ULPS = 4    # a clock this many ulps short of a sample time is on it
 
 
-class _Members(NamedTuple):
-    """The parameters of a batch of members, worked out once per run.
-    The members share every parameter but epsilon.  The eps-dependent
-    coefficients of the stage kernel are folded into Fourier symbols, one
-    row per member: each symbol that multiplies coefficient rows is a
-    complex members x (n/2 + 1) array, real or imaginary, and each factor
-    of the first stage's samples a real members x n array (the operand
-    rule of the module docstring).  Symbols that act on the same stage
-    are stacked, so that one product applies them all.  All arrays are
-    C-contiguous and read-only."""
-
-    p: ParamSet              # the shared parameters
-    ps: tuple                # one ParamSet per member
-    linear_pressure: bool    # gamma = 2: the pressure term is linear in rho
-    inverse_rows: int        # rows of the closing inverse, 5 at gamma != 2
-    rates: tuple             # -1/eps^2 per member: the linear rate of the
-                             # w rows (the rho rows' is 0)
-    vel_rows: np.ndarray     # (eps^alpha, -eps), 2 x members x n: on the
-                             # samples (w, grad_inv), the two shares of vel
-    symbols: np.ndarray      # 2 x 2 x members x (n/2 + 1): per row, the
-                             # shares of bracket^ and of vel^, each on
-                             # (rho - M)^ and on w^:
-                             #   [[eps^-alpha (0 at k = 0), ik/eps],
-                             #    [-eps i/k,                eps^alpha]]
-    inv_grad: np.ndarray     # i/k: on (rho - M)^, the inverse gradient -v
-    gik_eps: np.ndarray      # (gamma/eps) ik: on (rho - M)^, (gamma/eps) d(rho)/dx,
-                             # the pressure term itself when it is linear
-    flux_w: np.ndarray       # eps^-alpha keep, 0 at k = 0: on (rho vel)^, the
-                             # share -eps^(1-alpha) dv/dtau of the w slope
-    post: np.ndarray         # (-ik keep/eps, keep), 2 x members x (n/2 + 1):
-                             # on ((rho vel)^, -h^), the rho slope and the
-                             # dealiased -h
-    eps_1a: tuple            # eps^(1-alpha) per member, for the CFL bound
-    eps_sound: tuple         # eps^((alpha-2)/2) per member, for the CFL bound
-
-
-@functools.lru_cache(maxsize=64)
-def _members(ps: tuple) -> _Members:
-    if not ps:
-        raise ValueError("a batch needs at least one member")
-    p = ps[0]
-    if any(q.replace(epsilon=p.epsilon) != p for q in ps[1:]):
-        raise ValueError("batched members may differ in epsilon only")
-    alpha, gamma = p.alpha, p.gamma
-    eps = [q.epsilon for q in ps]
-    sym = _symbols(p.grid)
-
-    def column(values):
-        return np.array(values)[:, None]
-
-    def rows(*arrays, dtype=complex, width=sym.k.size):
-        """The arrays, each broadcast to its own members x width rows of
-        dtype, stacked in one read-only array."""
-        out = np.empty((len(arrays), len(ps), width), dtype=dtype)
-        for row, a in zip(out, arrays):
-            row[...] = a
-        out.setflags(write=False)
-        return out
-
-    eps_col, eps_ma = column(eps), column([e ** (-alpha) for e in eps])
-    eps_a = column([e**alpha for e in eps])
-    nonzero = np.arange(sym.k.size) > 0     # zeroes the mean, k = 0
-    inv_grad, gik_eps, flux_w = rows(
-        sym.inv_grad, sym.ik * column([gamma / e for e in eps]),
-        eps_ma * (sym.keep * nonzero))
-    return _Members(
-        p, ps, gamma == 2.0, 4 if gamma == 2.0 else 5,
-        tuple(-1.0 / e**2 for e in eps),
-        rows(eps_a, -eps_col, dtype=float, width=p.grid.n),
-        rows(eps_ma * nonzero, sym.ik / eps_col, -eps_col * sym.inv_grad,
-             eps_a).reshape(2, 2, len(ps), sym.k.size),
-        inv_grad, gik_eps, flux_w,
-        rows(sym.neg_ik_keep / eps_col, sym.keep),
-        tuple(e ** (1.0 - alpha) for e in eps),
-        tuple(e ** (0.5 * (alpha - 2.0)) for e in eps))
-
-
-def _speeds(extrema, m: _Members) -> list:
-    """Per member, from its (max rho, max |w|, max |v|): its maximum
-    advective and sound speeds, for the CFL bound."""
-    gamma = m.p.gamma
+def _speeds(batch: _Batch) -> list:
+    """Per member, from the (max rho, max |w|, max |v|) its rows carry:
+    its maximum advective and sound speeds, for the CFL bound."""
+    gamma = batch.p.gamma
     return [(w_max / eps_1a + v_max,
              math.sqrt(gamma * max(rho_max, 0.0) ** (gamma - 1.0)) * eps_sound)
             for (rho_max, w_max, v_max), eps_1a, eps_sound
-            in zip(extrema, m.eps_1a, m.eps_sound)]
+            in zip(batch.extrema, batch.eps_1a, batch.eps_sound)]
 
 
 def _cfl_bound(p: ParamSet, speed: float) -> float:
@@ -226,24 +150,26 @@ def _blowup(time: float, low: float, high: float,
     return Blowup(f"solution blew up at tau = {time:.6g}")
 
 
-def _extrema(work: "_Work") -> tuple:
+def _extrema(batch: _Batch) -> tuple:
     """The one extrema pass over a batch's carried rows (rho, w,
-    grad_inv, ...), two reductions into work.low and work.high: per
+    grad_inv, ...), two reductions into batch.low and batch.high: per
     member min rho, and (max rho, max |w|, max |v|), which the next step's
     CFL bound reads, as Python floats.  max |x| is max(max x, -min x), NaN
     when x holds a NaN, and max |v| is that of grad_inv = -v."""
-    np.minimum.reduce(work.u3, axis=-1, out=work.low)
-    np.maximum.reduce(work.u3, axis=-1, out=work.high)
-    np.negative(work.low_wv, out=work.low_wv)
-    np.maximum(work.high_wv, work.low_wv, out=work.high_wv)
-    return work.low_rho.tolist(), list(zip(*work.high.tolist()))
+    np.minimum.reduce(batch.u3, axis=-1, out=batch.low)
+    np.maximum.reduce(batch.u3, axis=-1, out=batch.high)
+    np.negative(batch.low_wv, out=batch.low_wv)
+    np.maximum(batch.high_wv, batch.low_wv, out=batch.high_wv)
+    return batch.low_rho.tolist(), list(zip(*batch.high.tolist()))
 
 
-def _guards(work: "_Work", times, p: ParamSet) -> tuple:
+def _guards(batch: _Batch, times) -> tuple:
     """The closing guard pass over a batch's carried rows: per member None
-    or the SolverBreakdown that stops it (a Blowup before a RangeBreach),
-    and the extrema the next step's CFL bound reads (`_extrema`)."""
-    lows, extrema = _extrema(work)
+    or the SolverBreakdown that stops it at its clock in times (a Blowup
+    before a RangeBreach), and the extrema the next step's CFL bound
+    reads (`_extrema`)."""
+    lows, extrema = _extrema(batch)
+    p = batch.p
     lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
     top = min(hi, BLOWUP_THRESHOLD)
     # one pass clears the whole batch: lo > 0 bounds -min rho as well, and
@@ -263,19 +189,81 @@ def _guards(work: "_Work", times, p: ParamSet) -> tuple:
     return out, extrema
 
 
-class _Work:
-    """The workspace of an Euler-Poisson batch (`Rows.work`): every array
-    a step of the batch writes and every view of them that the step
-    reads, made with the batch (the workspace rule of the module
-    docstring).  u and uh are the rows and coefficients the batch carries
-    from step to step; each step overwrites every other array.  Rows
-    below are members x (n/2 + 1) coefficients or members x n samples,
-    and R is `_Members.inverse_rows`."""
+class _Batch:
+    """A batch of Euler-Poisson members that share every parameter but
+    epsilon (ps; the shared ones in p), made once per run and again for
+    each smaller batch (`take`).  Per member it holds its clock (times)
+    and the extrema its rows carry to the next step's CFL bound (its last
+    guard pass's max rho, max |w| and max |v|).  It also holds the stage
+    kernel's symbols, one row per member, complex where they multiply
+    coefficients and real where they multiply samples (the operand rule
+    of the module docstring), stacked where one product applies them
+    together, C-contiguous and read-only; and the workspace the batch
+    steps in (the workspace rule).  u and uh are the rows (row kinds x
+    members x n, rho and w first) and the coefficients of (rho - M, w)
+    that the batch carries from step to step.  A step overwrites them in
+    place and replaces times and extrema with new lists, so a caller that
+    keeps rows past the next step copies them, as `state_at` and `take`
+    do.  Rows below are members x (n/2 + 1) coefficients or members x n
+    samples, and R is the closing inverse's row count, 4 at gamma = 2 and
+    5 otherwise."""
 
-    def __init__(self, ps: tuple):
-        m = self.m = _members(ps)
-        n, rows = m.p.grid.n, m.inverse_rows
-        shape = (len(ps), n // 2 + 1)
+    def __init__(self, ps):
+        ps = self.ps = tuple(ps)
+        if not ps:
+            raise ValueError("a batch needs at least one member")
+        p = self.p = ps[0]
+        if any(q.replace(epsilon=p.epsilon) != p for q in ps[1:]):
+            raise ValueError("batched members may differ in epsilon only")
+        self.times, self.extrema = [], []   # set by _rows_of and take
+        alpha, gamma, n = p.alpha, p.gamma, p.grid.n
+        eps = [q.epsilon for q in ps]
+        sym = _symbols(p.grid)
+        shape = (len(ps), sym.k.size)
+        # gamma = 2: the pressure term is linear in rho
+        self.linear_pressure = gamma == 2.0
+        # per member -1/eps^2, the linear rate of the w rows (the rho rows'
+        # is 0), and eps^(1-alpha) and eps^((alpha-2)/2) for the CFL bound
+        self.rates = tuple(-1.0 / e**2 for e in eps)
+        self.eps_1a = tuple(e ** (1.0 - alpha) for e in eps)
+        self.eps_sound = tuple(e ** (0.5 * (alpha - 2.0)) for e in eps)
+
+        def column(values):
+            return np.array(values)[:, None]
+
+        def stacked(*arrays, dtype=complex, width=sym.k.size):
+            """The arrays, each broadcast to its own members x width rows
+            of dtype, stacked in one read-only array."""
+            out = np.empty((len(arrays), len(ps), width), dtype=dtype)
+            for row, a in zip(out, arrays):
+                row[...] = a
+            out.setflags(write=False)
+            return out
+
+        eps_col, eps_ma = column(eps), column([e ** (-alpha) for e in eps])
+        eps_a = column([e**alpha for e in eps])
+        nonzero = np.arange(sym.k.size) > 0     # zeroes the mean, k = 0
+        # i/k: on (rho - M)^, the inverse gradient -v; (gamma/eps) ik: on
+        # (rho - M)^, (gamma/eps) d(rho)/dx, the pressure term itself when
+        # it is linear; eps^-alpha keep, 0 at k = 0: on (rho vel)^, the
+        # share -eps^(1-alpha) dv/dtau of the w slope
+        self.inv_grad, self.gik_eps, self.flux_w = stacked(
+            sym.inv_grad, sym.ik * column([gamma / e for e in eps]),
+            eps_ma * (sym.keep * nonzero))
+        # (eps^alpha, -eps), 2 x members x n: on the samples (w, grad_inv),
+        # the two shares of vel
+        self.vel_rows = stacked(eps_a, -eps_col, dtype=float, width=n)
+        # 2 x 2 x members x (n/2 + 1): per row, the shares of bracket^ and
+        # of vel^, each on (rho - M)^ and on w^:
+        #   [[eps^-alpha (0 at k = 0), ik/eps],
+        #    [-eps i/k,                eps^alpha]]
+        self.symbols = stacked(
+            eps_ma * nonzero, sym.ik / eps_col, -eps_col * sym.inv_grad,
+            eps_a).reshape((2, 2) + shape)
+        self.symbol_rows = tuple(self.symbols)
+        # (-ik keep/eps, keep), 2 x members x (n/2 + 1): on
+        # ((rho vel)^, -h^), the rho slope and the dealiased -h
+        self.post = stacked(sym.neg_ik_keep / eps_col, sym.keep)
 
         def coefficients(*lead):
             return np.empty(lead + shape, dtype=complex)
@@ -286,6 +274,7 @@ class _Work:
         # the closing inverse, R rows (rho - M, w, grad_inv, bracket[,
         # pressure]): its input's head is the carried coefficients uh,
         # its output the carried rows u
+        rows = 4 if self.linear_pressure else 5
         spectra, u = self.spectra, self.u = coefficients(rows), samples(rows)
         self.uh, self.sh = spectra[:2], spectra[0]
         self.grad_inv_h, self.bracket_h = spectra[2], spectra[3]
@@ -300,14 +289,13 @@ class _Work:
         self.stage_u, self.stage_sh = stage[:2], stage[0]
         self.stage_bv_rows = (stage[1], stage[2])
         self.x, self.x_rows, self.vel = y[:2], tuple(y[:2]), y[2]
-        if not m.linear_pressure:
+        if not self.linear_pressure:
             self.pressure_h, self.pressure = spectra[4], u[4]
             self.stage_p, self.y_pressure = stage[3], y[3]
             self.power = samples(1)[0]      # rho^(gamma-2) times the pressure
         # per row of the symbol stack (bracket^, vel^), its products with
         # (rho - M, w)^, whose sum is that row: a later stage's two and
         # the closing bracket^'s
-        self.symbols = tuple(m.symbols)
         self.terms = (coefficients(2), coefficients(2))
         self.term_rows = tuple(tuple(t) for t in self.terms)
         # the forward transforms' outputs: the first stage's slope g1, read
@@ -335,36 +323,45 @@ class _Work:
         self.low_rho, self.low_wv = self.low[0], self.low[1:]
         self.high_wv = self.high[1:]
 
+    def take(self, keep: list) -> "_Batch":
+        """The batch of the members at positions keep, in a workspace of
+        its own."""
+        batch = _Batch(self.ps[j] for j in keep)
+        batch.u[...] = self.u[:, keep]
+        batch.uh[...] = self.uh[:, keep]
+        batch.times = [self.times[j] for j in keep]
+        batch.extrema = [self.extrema[j] for j in keep]
+        return batch
 
-def _carried_rows(work: _Work, start: int = 0) -> np.ndarray:
-    """The rows a first stage reads, written into work.u from one batched
-    inverse of work.spectra, whose head is the coefficients work.uh of
+
+def _carried_rows(batch: _Batch, start: int = 0) -> np.ndarray:
+    """The rows a first stage reads, written into batch.u from one batched
+    inverse of batch.spectra, whose head is the coefficients batch.uh of
     (rho - M, w): rho, w, the inverse gradient of rho - M (that is -v), the
     bracket (dw/dx / eps + eps^(-alpha) dv/dx) and, at gamma != 2, the
     pressure row (gamma/eps) d(rho)/dx.  Their coefficients are written
     after uh.  With start 2, u's rows (rho, w) hold their samples already
     (a new batch's), and only the other rows are inverted."""
-    m = work.m
-    np.multiply(work.symbols[0], work.uh, out=work.terms[0])
-    np.add(*work.term_rows[0], out=work.bracket_h)
-    np.multiply(work.sh, m.inv_grad, out=work.grad_inv_h)
-    if not m.linear_pressure:
-        np.multiply(work.sh, m.gik_eps, out=work.pressure_h)
+    np.multiply(batch.symbol_rows[0], batch.uh, out=batch.terms[0])
+    np.add(*batch.term_rows[0], out=batch.bracket_h)
+    np.multiply(batch.sh, batch.inv_grad, out=batch.grad_inv_h)
+    if not batch.linear_pressure:
+        np.multiply(batch.sh, batch.gik_eps, out=batch.pressure_h)
     if start:
-        irfft(work.spectra[start:], m.p.grid.n, out=work.u[start:])
+        irfft(batch.spectra[start:], batch.p.grid.n, out=batch.u[start:])
     else:
-        irfft(work.spectra, m.p.grid.n, out=work.u)
-        np.add(work.rho, m.p.mass_level, out=work.rho)
-    return work.u
+        irfft(batch.spectra, batch.p.grid.n, out=batch.u)
+        np.add(batch.rho, batch.p.mass_level, out=batch.rho)
+    return batch.u
 
 
-def _rhs(work: _Work, first: bool) -> np.ndarray:
+def _rhs(batch: _Batch, first: bool) -> np.ndarray:
     """Slope G^ of the rfft coefficients of the stacked rows (rho - M, w),
     each members x (n/2 + 1), without the stiff friction term, written
     into the batch's workspace: g1 for the first stage, which reads the
-    rows the step starts from (work.u, `_carried_rows`) and work.uh, g
+    rows the step starts from (batch.u, `_carried_rows`) and batch.uh, g
     for a later one (first false), which reads the stage rows
-    work.stage_u.
+    batch.stage_u.
 
     One fused spectral kernel.  With vel = eps v + eps^alpha w the w slope
     is -h - eps^(1-alpha) dv/dtau, where
@@ -392,45 +389,45 @@ def _rhs(work: _Work, first: bool) -> np.ndarray:
     output; otherwise its row is inverted too (or carried), and
     rho^(gamma-2) times it joins -h before the forward transform.  So a
     later stage inverts 3 rows per member, 4 when gamma != 2."""
-    m = work.m
-    x = work.x
+    x = batch.x
     if first:
-        np.multiply(m.vel_rows, work.w_grad_inv, out=x)
-        np.add(*work.x_rows, out=work.vel)
-        np.multiply(work.rho_bracket, work.vel, out=x)  # rho vel, bracket vel
-        if not m.linear_pressure:
-            power = np.power(work.rho, m.p.gamma - 2.0, out=work.power)
-            power *= work.pressure
-        g, sh, (fh, hh) = work.g1, work.sh, work.g1_rows
+        np.multiply(batch.vel_rows, batch.w_grad_inv, out=x)
+        np.add(*batch.x_rows, out=batch.vel)
+        # rho vel, bracket vel
+        np.multiply(batch.rho_bracket, batch.vel, out=x)
+        if not batch.linear_pressure:
+            power = np.power(batch.rho, batch.p.gamma - 2.0, out=batch.power)
+            power *= batch.pressure
+        g, sh, (fh, hh) = batch.g1, batch.sh, batch.g1_rows
     else:
         # the bracket's and vel's coefficients from (rho - M, w)^, before
         # the bracket takes w's row
-        for symbols, terms in zip(work.symbols, work.terms):
-            np.multiply(symbols, work.stage_u, out=terms)
-        for terms, out in zip(work.term_rows, work.stage_bv_rows):
+        for symbols, terms in zip(batch.symbol_rows, batch.terms):
+            np.multiply(symbols, batch.stage_u, out=terms)
+        for terms, out in zip(batch.term_rows, batch.stage_bv_rows):
             np.add(*terms, out=out)
-        if not m.linear_pressure:
-            np.multiply(work.stage_sh, m.gik_eps, out=work.stage_p)
-        irfft(work.stage, m.p.grid.n, out=work.y)
-        rho = work.x_rows[0]
-        rho += m.p.mass_level
-        if not m.linear_pressure:
-            power = np.power(rho, m.p.gamma - 2.0, out=work.power)
-            power *= work.y_pressure
+        if not batch.linear_pressure:
+            np.multiply(batch.stage_sh, batch.gik_eps, out=batch.stage_p)
+        irfft(batch.stage, batch.p.grid.n, out=batch.y)
+        rho = batch.x_rows[0]
+        rho += batch.p.mass_level
+        if not batch.linear_pressure:
+            power = np.power(rho, batch.p.gamma - 2.0, out=batch.power)
+            power *= batch.y_pressure
         # rho and the bracket are read last: their rows take rho*vel and
         # -h, contiguous for the forward transform (one product per row:
         # numpy would copy rows that a broadcast product writes in place)
-        for row in work.x_rows:
-            np.multiply(row, work.vel, out=row)
-        g, sh, (fh, hh) = work.g, work.stage_sh, work.g_rows
-    if not m.linear_pressure:
-        np.add(work.x_rows[1], power, out=work.x_rows[1])
+        for row in batch.x_rows:
+            np.multiply(row, batch.vel, out=row)
+        g, sh, (fh, hh) = batch.g, batch.stage_sh, batch.g_rows
+    if not batch.linear_pressure:
+        np.add(batch.x_rows[1], power, out=batch.x_rows[1])
     rfft(x, out=g)
-    flux = work.flux
-    if m.linear_pressure:
-        hh += np.multiply(m.gik_eps, sh, out=flux)
-    np.multiply(m.flux_w, fh, out=flux)
-    g *= m.post
+    flux = batch.flux
+    if batch.linear_pressure:
+        hh += np.multiply(batch.gik_eps, sh, out=flux)
+    np.multiply(batch.flux_w, fh, out=flux)
+    g *= batch.post
     np.subtract(flux, hh, out=hh)
     return g
 
@@ -482,38 +479,6 @@ def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, factors, u: np.ndarray,
     return u_n
 
 
-class Rows:
-    """What `_integrate` keeps of a batch of members between steps: its
-    workspace `work` (`_Work` for Euler-Poisson, `keller_segel._Work`) and
-    per member its clock, its ParamSet and the extrema of its rows that
-    the next step reads (its last guard pass's: max rho, max |w| and
-    max |v| for Euler-Poisson, min sigma and max |v| for Keller-Segel).
-    u and uh are workspace buffers: the rows the next first stage reads,
-    stacked as samples (row kinds x members x n, the solution rows first),
-    and the rfft coefficients the next step starts from (of rho - M and w
-    for Euler-Poisson, of sigma - M for Keller-Segel).  A step overwrites
-    them in place and replaces times and extrema with new lists, so a
-    caller that keeps rows past the next step copies them, as `state_at`
-    and `take` do."""
-
-    __slots__ = ("u", "uh", "times", "ps", "extrema", "work")
-
-    def __init__(self, work, times, ps, extrema):
-        self.work, self.u, self.uh = work, work.u, work.uh
-        self.times, self.ps = list(times), tuple(ps)
-        self.extrema = list(extrema)
-
-    def take(self, keep: list) -> "Rows":
-        """The batch of the members at positions keep, in a workspace of
-        its own."""
-        ps = tuple(self.ps[j] for j in keep)
-        work = type(self.work)(ps)
-        work.u[...] = self.u[:, keep]
-        work.uh[...] = self.uh[:, keep]
-        return Rows(work, [self.times[j] for j in keep], ps,
-                    [self.extrema[j] for j in keep])
-
-
 def _transform(states, names, mass_level: float, u: np.ndarray,
                uh: np.ndarray):
     """Write into u the samples of the states' fields `names` (rho and w,
@@ -527,17 +492,19 @@ def _transform(states, names, mass_level: float, u: np.ndarray,
     rfft(shifted, out=uh)
 
 
-def _rows_of(states, ps) -> Rows:
-    """The Euler-Poisson batch of states, member i stepped with ps[i]: their
-    samples with the other rows a first stage reads, from one inverse."""
-    work = _Work(tuple(ps))
-    _transform(states, ("rho", "w"), work.m.p.mass_level, work.u[:2],
-               work.uh)
-    _carried_rows(work, start=2)
-    return Rows(work, [s.time for s in states], ps, _extrema(work)[1])
+def _rows_of(states, batch: _Batch) -> _Batch:
+    """batch, loaded with the states, member i's in its row i: their
+    samples and clocks, with the other rows a first stage reads, from one
+    inverse."""
+    _transform(states, ("rho", "w"), batch.p.mass_level, batch.u[:2],
+               batch.uh)
+    _carried_rows(batch, start=2)
+    batch.times = [s.time for s in states]
+    batch.extrema = _extrema(batch)[1]
+    return batch
 
 
-def step_ep_rows(rows: Rows, targets) -> list:
+def step_ep_rows(batch: _Batch, targets) -> list:
     """One Lawson RK3 step of every member's rows (rho, w) toward its own
     time in `targets`, in place; friction acts on the w rows only.  The
     drivers' step.  The members may differ in epsilon only.
@@ -546,29 +513,27 @@ def step_ep_rows(rows: Rows, targets) -> list:
     dt_cfl*h/(advective + sound speed) from the extrema its rows carry.
     Returns per member None or the SolverBreakdown that stopped it; a
     breakdown leaves the other members' steps as they would be alone."""
-    work = rows.work
-    m = work.m
-    p = m.p
+    p = batch.p
     dt = []
-    for (adv, sound), t, target in zip(_speeds(rows.extrema, m), rows.times,
-                                       targets, strict=True):
+    for (adv, sound), t, target in zip(_speeds(batch), batch.times, targets,
+                                       strict=True):
         if not t < target:
             raise ValueError("every member must be behind its target time")
         dt.append(min(_cfl_bound(p, adv + sound), target - t))
     # the factor rows that depend on dt, from ten values per member
     table = []
-    for rate, d in zip(m.rates, dt):
+    for rate, d in zip(batch.rates, dt):
         table += _lawson(0.0, d)[4:]
         table += _lawson(rate, d)
-    work.factor_table[...] = table
-    for factor_rows, columns in work.fills:
+    batch.factor_table[...] = table
+    for factor_rows, columns in batch.fills:
         factor_rows[...] = columns
-    _rk3(work.uh, _rhs(work, True), lambda: _rhs(work, False), work.factors,
-         work.stage_u, work.e3g1)
-    _carried_rows(work)
-    times = [t + d for t, d in zip(rows.times, dt)]
-    out, rows.extrema = _guards(work, times, p)
-    rows.times = times
+    _rk3(batch.uh, _rhs(batch, True), lambda: _rhs(batch, False),
+         batch.factors, batch.stage_u, batch.e3g1)
+    _carried_rows(batch)
+    times = [t + d for t, d in zip(batch.times, dt)]
+    out, batch.extrema = _guards(batch, times)
+    batch.times = times
     return out
 
 
@@ -596,42 +561,43 @@ class SimulationResult:
             raise self.error
 
 
-def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
-    """Advance each member of the batch rows toward its next sample time,
-    in sorted order, landing on it exactly, and sample member i there as
+def _integrate(batch, advance, state_at, record, sample_times) -> list:
+    """Advance each member of batch (a `_Batch`, or a Keller-Segel run's
+    `keller_segel._Work`) toward its next sample time, in sorted order,
+    landing on it exactly, and sample member i there as
     state = state_at(u, time), u its rows (the samples first, a view that
     state_at copies what it keeps of), paired with record(i, state), or
     with None when record is None.
 
-    advance(rows, targets) takes one step of every member of rows toward
-    its target, each behind its own, in one call, and returns per member
-    None or the SolverBreakdown that ends its run.  A member is on a
-    sample time when its clock is within LANDING_ULPS ulps of it: the
+    advance(batch, targets) takes one step of every member of batch
+    toward its target, each behind its own, in one call, and returns per
+    member None or the SolverBreakdown that ends its run.  A member is on
+    a sample time when its clock is within LANDING_ULPS ulps of it: the
     step of dt = target - t rounds t + dt to within one ulp of the
     target.  The rows stay stacked from step to step: a member leaves
     the batch after its last sample or on a breakdown (keeping its
-    samples so far).  A member counts a step whenever its clock moved,
-    so a step that ends in a breakdown counts and a step refused before
-    it moved the clock does not.  Returns one SimulationResult per
+    samples so far; `take`).  A member counts a step whenever its clock
+    moved, so a step that ends in a breakdown counts and a step refused
+    before it moved the clock does not.  Returns one SimulationResult per
     member."""
     times = sorted(map(float, sample_times))    # Python floats: cheaper
     if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise ValueError("sample times must be finite and nonnegative")
     landed = [t - LANDING_ULPS * math.ulp(t) for t in times]
-    results = [SimulationResult([]) for _ in rows.times]
+    results = [SimulationResult([]) for _ in batch.times]
     members = list(range(len(results)))     # the member in each batch row
     nxt = [0] * len(results)                # each member's next sample time
-    outcomes, clocks = [None] * len(members), rows.times
+    outcomes, clocks = [None] * len(members), batch.times
     while True:
         keep = []
         for j, (i, out, clock) in enumerate(zip(members, outcomes, clocks)):
-            if rows.times[j] != clock:
+            if batch.times[j] != clock:
                 results[i].n_steps += 1
             if out is not None:
                 results[i].error = out
                 continue
-            while nxt[i] < len(times) and rows.times[j] >= landed[nxt[i]]:
-                state = state_at(rows.u[:, j], rows.times[j])
+            while nxt[i] < len(times) and batch.times[j] >= landed[nxt[i]]:
+                state = state_at(batch.u[:, j], batch.times[j])
                 results[i].samples.append(
                     (state, None if record is None else record(i, state)))
                 nxt[i] += 1
@@ -640,9 +606,9 @@ def _integrate(rows: Rows, advance, state_at, record, sample_times) -> list:
         if len(keep) < len(members):
             if not keep:
                 return results
-            rows, members = rows.take(keep), [members[j] for j in keep]
-        clocks = list(rows.times)
-        outcomes = advance(rows, [times[nxt[i]] for i in members])
+            batch, members = batch.take(keep), [members[j] for j in keep]
+        clocks = list(batch.times)
+        outcomes = advance(batch, [times[nxt[i]] for i in members])
 
 
 def simulate_ep(rho0: Field, w0: Field, p: ParamSet,
@@ -663,11 +629,10 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
     The initial rows are transformed once and the first stage's other
     rows inverted once; after that the batch carries its rows from step
     to step, and states are built at sample times only."""
-    ps = tuple(ps)
-    p = _members(ps).p
-    validate_initial_data(rho0, w0, p)
-    rows = _rows_of([EPState(rho=rho0, w=w0)] * len(ps), ps)
-    grid = p.grid
+    batch = _Batch(ps)
+    validate_initial_data(rho0, w0, batch.p)
+    _rows_of([EPState(rho=rho0, w=w0)] * len(batch.ps), batch)
+    grid = batch.p.grid
 
     def state_at(u, time):
         rho, w = u[:2].copy()
@@ -675,7 +640,7 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
                        time=time)
 
     # step_ep_rows is looked up per call, so the benchmark tracer sees it
-    return _integrate(rows, lambda rows, targets: step_ep_rows(rows, targets),
-                      state_at,
-                      (lambda i, s: record_ep(s, ps[i])) if records else None,
-                      sample_times)
+    return _integrate(
+        batch, lambda batch, targets: step_ep_rows(batch, targets), state_at,
+        (lambda i, s: record_ep(s, batch.ps[i])) if records else None,
+        sample_times)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Field, Grid, KSState, ParamSet
+from .core import Field, Grid, KSState, ParamSet, _positive_integer
 from .diagnostics import DiagnosticsRecord, fit_exponential_rate, norms
 from .errors import InsufficientSamples, NonPositiveSample
 from .euler_poisson import simulate_ep, simulate_ep_rows
@@ -275,11 +275,11 @@ def measure_edge_derivative_fd(prof: InitialProfile, tau: float,
     The window shrinks like e^{-2 M tau}: the sharpening density front
     squeezes the region where the edge power law dominates, so a fixed
     window would average over the saturated profile and miss the growth.
-    Raises ValueError for order < 1, as derivative_along does, and for
-    tau > FD_TAU_MAX, where the window is too thin for the grid.
+    Raises ValueError unless order is an integer >= 1 (not a bool), as
+    derivative_along does, and for tau > FD_TAU_MAX, where the window is
+    too thin for the grid.
     """
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
+    _positive_integer("derivative order", order)
     if tau > FD_TAU_MAX:
         raise ValueError(f"the edge finite difference needs tau <= "
                          f"FD_TAU_MAX = {FD_TAU_MAX}, got tau = {tau}")

@@ -20,13 +20,14 @@ Near-vacuum states are refused (the characteristic module handles
 vacuum exactly); positive data stays positive on the tested horizons
 because each characteristic value moves monotonically toward M.
 
-The workspace rule of the Euler-Poisson step holds here too: a run steps
-in a one-row workspace (`_Work`) made with its rows, whose two inverses
+The workspace rule of the Euler-Poisson step holds here too: a run is a
+one-member batch (`_Work`), which holds its ParamSet, its clock, the
+extrema its rows carry and a workspace made with it, whose two inverses
 (`_Side`: the closing one and the later stages') and whose flux, slope
 and RK3 stage buffers every step fills in place with out=; the Lawson
-factors of rate 0 are Python floats.  `simulate_ks` keeps its rows
-between steps (`euler_poisson.Rows`), advances them by `step_ks_to` and
-builds states at sample times only.
+factors of rate 0 are Python floats.  `simulate_ks` makes the batch
+once, advances it by `step_ks_to` and builds states at sample times
+only.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .core import Field, KSState, ParamSet, mean_defect
 from .diagnostics import record_ks
 from .errors import MeanDefect, VacuumApproach
 from .euler_poisson import (
-    Rows, SimulationResult, _blowup, _cfl_bound, _integrate, _lawson, _rk3,
+    SimulationResult, _blowup, _cfl_bound, _integrate, _lawson, _rk3,
     _transform,
 )
 from .spectral import _Symbols, _symbols, irfft, rfft
@@ -67,13 +68,16 @@ class _Side(NamedTuple):
 
 
 class _Work:
-    """The workspace of a Keller-Segel run (`Rows.work`): every array its
-    steps write and every view of them that a step reads, made with its
-    rows, as for an Euler-Poisson batch.  u and uh are the rows and
-    coefficients the run carries from step to step."""
+    """A Keller-Segel run as a one-member batch, as `_integrate` steps it:
+    its ParamSet p, its clock (times) and the extrema its rows carry to
+    the next step (extrema: min sigma and max |v| of its last closing
+    pass), and its workspace: every array its steps write and every view
+    of them that a step reads, made with it, as for an Euler-Poisson
+    batch.  u and uh are the rows and coefficients the run carries from
+    step to step."""
 
-    def __init__(self, ps: tuple):
-        (p,) = ps
+    def __init__(self, p: ParamSet):
+        self.p, self.times, self.extrema = p, [], []
         n = p.grid.n
         shape = (1, 1, n // 2 + 1)
         flux, sym = np.empty((1, 1, n)), _symbols(p.grid)
@@ -125,46 +129,46 @@ def _extrema(work: _Work) -> tuple:
     return low, high, max(high_v, -low_v)
 
 
-def _rows_of(state: KSState, p: ParamSet) -> Rows:
-    """The one-member batch of a state: its samples and the velocity row
-    a first stage reads."""
-    work = _Work((p,))
+def _rows_of(state: KSState, p: ParamSet) -> _Work:
+    """The one-member batch of a state: its samples and clock, and the
+    velocity row a first stage reads."""
+    work = _Work(p)
     carried = work.carried
     _transform([state], ("sigma",), p.mass_level, carried.sigma,
                carried.head)
     np.multiply(carried.sh, carried.sym.neg_inv_grad, out=carried.vh)
     irfft(carried.spectra[1:], p.grid.n, out=carried.v)
     low, _, v_max = _extrema(work)
-    return Rows(work, [state.time], (p,), [(low, v_max)])
+    work.times, work.extrema = [state.time], [(low, v_max)]
+    return work
 
 
-def step_ks_to(rows: Rows, target: float):
+def step_ks_to(work: _Work, target: float):
     """One conservative RK3 step (stage times 0, 1/3, 2/3) toward `target`
-    of the one-member batch rows, in place, of dt = min(CFL bound, 0.1/M,
+    of the one-member batch work, in place, of dt = min(CFL bound, 0.1/M,
     target - t), the bound from the max |v| its rows carry and capped
     because v vanishes at equilibrium: the step of `simulate_ks`.
     Returns None or the SolverBreakdown that stops it; data at the vacuum
     guard is refused before the step."""
-    if not rows.times[0] < target:
+    if not work.times[0] < target:
         raise ValueError("the state must be behind the target time")
-    p = rows.ps[0]
+    p = work.p
     M = p.mass_level
-    ((low, v_max),) = rows.extrema
+    ((low, v_max),) = work.extrema
     if low < VACUUM_FRACTION * M:
         return VacuumApproach(
             f"min sigma = {low:.3e} below {VACUUM_FRACTION:g}*M; "
             "use the characteristic solver near vacuum")
 
-    work = rows.work
     carried, stage = work.carried, work.stage
-    dt = min(_cfl_bound(p, v_max), 0.1 / M, target - rows.times[0])
+    dt = min(_cfl_bound(p, v_max), 0.1 / M, target - work.times[0])
     _rk3(carried.head, _flux_rhs(carried),
          lambda: _flux_rhs(_inverse(stage)), _lawson(0.0, dt), stage.head,
          work.e3g1)
     _inverse(carried)
-    time = rows.times[0] + dt
+    time = work.times[0] + dt
     low, high, v_max = _extrema(work)
-    rows.times, rows.extrema = [time], [(low, v_max)]
+    work.times, work.extrema = [time], [(low, v_max)]
     blowup = _blowup(time, low, high)
     if blowup is not None:
         return blowup
@@ -194,6 +198,6 @@ def simulate_ks(sigma0: Field, p: ParamSet, sample_times,
     # step_ks_to is looked up per call, so the benchmark tracer sees it
     (result,) = _integrate(
         _rows_of(KSState(sigma=Field(p.grid, sigma0.values, tag="density")), p),
-        lambda rows, targets: [step_ks_to(rows, targets[0])], state_at,
+        lambda work, targets: [step_ks_to(work, targets[0])], state_at,
         (lambda _, s: record_ks(s, p)) if records else None, sample_times)
     return result

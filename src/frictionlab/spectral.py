@@ -52,13 +52,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .core import Grid
+from .core import Grid, _positive_integer
 from .errors import NotTorus
 
 
@@ -161,9 +160,7 @@ def deriv(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
     """Spectral derivative of the given order, an integer >= 1, of each
     row of grid.n samples in values."""
     values = _check_rows(values, grid)
-    if (isinstance(order, bool) or not isinstance(order, numbers.Integral)
-            or order < 1):
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    _positive_integer("order", order)
     symbol = _deriv_symbols(grid, order)[order - 1]
     return irfft(rfft(values) * symbol, grid.n)
 

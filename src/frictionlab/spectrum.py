@@ -10,7 +10,6 @@ the pair becomes complex (damped oscillation) -- still stable.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional

@@ -168,6 +168,16 @@ def test_tau_must_be_a_time(ramp, tau):
                 along(labels, tau, ramp)
 
 
+@pytest.mark.parametrize("k", [0, -1, True, 1.5, 2.0])
+@pytest.mark.parametrize("label", [0.5, -0.25], ids=["vacuum", "outside"])
+def test_derivative_order_must_be_an_integer(ramp, k, label):
+    # True used to be taken as order 1, and at a vacuum label 1.5 or 2.0
+    # raised a bare TypeError
+    with pytest.raises(ValueError,
+                       match=f"order must be an integer >= 1, got {k!r}"):
+        derivative_along(label, k, 1.0, ramp)
+
+
 def test_infinite_tau_is_the_limit(ramp):
     rep = vacuum_interval(math.inf, ramp)
     assert rep.length == 0.0

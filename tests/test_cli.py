@@ -230,8 +230,8 @@ def test_ep_breakdown_exits_3(runner, monkeypatch):
     # nothing on stderr
     guards = euler_poisson._guards
 
-    def breach(u, times, p):
-        _, extrema = guards(u, times, p)
+    def breach(batch, times):
+        _, extrema = guards(batch, times)
         return [RangeBreach(f"forced at tau = {t:.6g}") for t in times], \
             extrema
 

@@ -32,14 +32,14 @@ def _state(grid, rho, w):
 
 
 def _rows(states, ps):
-    return euler_poisson._rows_of(states, ps)
+    return euler_poisson._rows_of(states, euler_poisson._Batch(ps))
 
 
 def _speeds(rho, w, v, p):
     """_speeds of one member's samples rho, w and v."""
-    ((adv, sound),) = euler_poisson._speeds(
-        [(rho.max(), np.abs(w).max(), np.abs(v).max())],
-        euler_poisson._members((p,)))
+    batch = euler_poisson._Batch((p,))
+    batch.extrema = [(rho.max(), np.abs(w).max(), np.abs(v).max())]
+    ((adv, sound),) = euler_poisson._speeds(batch)
     return adv, sound
 
 
@@ -125,15 +125,14 @@ def _assert_rhs_matches_composition(rho, w, ps, dealias):
     """The fused kernel on a batch (one row of rho and w per member), at
     the first stage and a later one, against _rhs_composed per member;
     returns the first stage's v."""
-    work = euler_poisson._Work(tuple(ps))
-    m = work.m
-    uh = np.fft.rfft(np.array((rho - m.p.mass_level, w)))
+    batch = euler_poisson._Batch(ps)
+    uh = np.fft.rfft(np.array((rho - batch.p.mass_level, w)))
     # the first stage reads the carried rows, whose third is -v, the later
     # ones only the stage's coefficients
-    carried = _carried(work, uh, np.array((rho, w)))
-    first, later = _slopes(work, uh)
+    carried = _carried(batch, uh, np.array((rho, w)))
+    first, later = _slopes(batch, uh)
     for g in (first, later):
-        g_rho, g_w = np.fft.irfft(g, n=m.p.grid.n)
+        g_rho, g_w = np.fft.irfft(g, n=batch.p.grid.n)
         for i, p in enumerate(ps):
             ref_rho, ref_w, _ = _rhs_composed(rho[i], w[i], p, dealias)
             for got, ref in ((g_rho[i], ref_rho), (g_w[i], ref_w)):
@@ -145,23 +144,23 @@ def _assert_rhs_matches_composition(rho, w, ps, dealias):
     return v
 
 
-def _carried(work, uh, samples=None):
-    """A copy of the rows _carried_rows writes into the workspace from
-    coefficients uh, with samples given the other rows only."""
-    work.uh[...] = uh
+def _carried(batch, uh, samples=None):
+    """A copy of the rows _carried_rows writes into the batch's workspace
+    from coefficients uh, with samples given the other rows only."""
+    batch.uh[...] = uh
     if samples is None:
-        return euler_poisson._carried_rows(work).copy()
-    work.u[:2] = samples
-    return euler_poisson._carried_rows(work, start=2).copy()
+        return euler_poisson._carried_rows(batch).copy()
+    batch.u[:2] = samples
+    return euler_poisson._carried_rows(batch, start=2).copy()
 
 
-def _slopes(work, uh):
-    """Copies of the first stage's slope from the workspace's carried rows
+def _slopes(batch, uh):
+    """Copies of the first stage's slope from the batch's carried rows
     and coefficients uh, and of a later stage's from stage rows uh."""
-    work.uh[...] = uh
-    first = euler_poisson._rhs(work, True).copy()
-    work.stage_u[...] = uh
-    return first, euler_poisson._rhs(work, False).copy()
+    batch.uh[...] = uh
+    first = euler_poisson._rhs(batch, True).copy()
+    batch.stage_u[...] = uh
+    return first, euler_poisson._rhs(batch, False).copy()
 
 
 @pytest.mark.parametrize("n", [64, 256, 2048])
@@ -193,7 +192,7 @@ def test_fused_rhs_on_a_mixed_epsilon_batch(n, alpha, dealias):
                      rho_lower=0.25, rho_upper=2.0, grid=grid)
         ps = [p.replace(epsilon=eps) for eps in (0.2, 0.1, 0.05)]
         _assert_rhs_matches_composition(rho, w, ps, dealias)
-        m = euler_poisson._members(tuple(ps))
+        m = euler_poisson._Batch(ps)
         assert m.linear_pressure == (gamma == 2.0)
         # every operand of a hot elementwise op has the dtype and shape of
         # the rows it multiplies, so numpy takes its contiguous loop: the
@@ -219,9 +218,8 @@ def test_fused_rhs_on_a_mixed_epsilon_batch(n, alpha, dealias):
         assert m.eps_sound == tuple(q.epsilon ** (0.5 * (alpha - 2.0))
                                     for q in ps)
         assert m.rates == tuple(-1.0 / q.epsilon**2 for q in ps)
-        for a in m:
-            if isinstance(a, np.ndarray):
-                assert not a.flags.writeable
+        for name in layout:
+            assert not getattr(m, name).flags.writeable, name
 
 
 def _rk3_columns(u_n, g1, rhs, dt, lam):
@@ -272,36 +270,35 @@ def test_rk3_matches_its_column_composition_bit_for_bit(params, cosine_rho):
     # the factors must come from math.exp
     w0 = Field(params.grid, 0.05 * np.sin(params.grid.x))
     ps = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
-    rows = _rows([EPState(rho=cosine_rho, w=w0)] * len(ps), ps)
-    work, uh = rows.work, rows.uh.copy()
-    m = work.m
-    g1 = euler_poisson._rhs(work, True).copy()
-    dt = [_dt_telling_the_exps_apart(rate, 1e-3) for rate in m.rates]
+    batch = _rows([EPState(rho=cosine_rho, w=w0)] * len(ps), ps)
+    uh = batch.uh.copy()
+    g1 = euler_poisson._rhs(batch, True).copy()
+    dt = [_dt_telling_the_exps_apart(rate, 1e-3) for rate in batch.rates]
     assert any(d != 1e-3 for d in dt)
 
     def rhs(u):
-        work.stage_u[...] = u
-        return euler_poisson._rhs(work, False).copy()
+        batch.stage_u[...] = u
+        return euler_poisson._rhs(batch, False).copy()
 
-    lam = np.array([[[0.0]] * len(ps), [[rate] for rate in m.rates]])
+    lam = np.array([[[0.0]] * len(ps), [[rate] for rate in batch.rates]])
     want = _rk3_columns(uh, g1, rhs, dt, lam)
     # the step's fill of the factor rows that depend on dt
-    assert step_ep_rows(rows, [t + d for t, d in zip(rows.times, dt)]) \
+    assert step_ep_rows(batch, [t + d for t, d in zip(batch.times, dt)]) \
         == [None] * len(ps)
-    for factor, column in zip(work.factors, np.array([
+    for factor, column in zip(batch.factors, np.array([
             [euler_poisson._lawson(rate, d) for rate, d in zip(rates, dt)]
-            for rates in ([0.0] * len(ps), m.rates)]).transpose(2, 0, 1)):
+            for rates in ([0.0] * len(ps), batch.rates)]).transpose(2, 0, 1)):
         assert factor.dtype == complex and factor.shape == uh.shape
         assert np.array_equal(factor, np.broadcast_to(column[..., None],
                                                       uh.shape))
-    got = euler_poisson._rk3(uh, g1, lambda: euler_poisson._rhs(work, False),
-                             work.factors, work.stage_u, work.e3g1)
+    got = euler_poisson._rk3(uh, g1, lambda: euler_poisson._rhs(batch, False),
+                             batch.factors, batch.stage_u, batch.e3g1)
     assert got is uh
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     # the Keller-Segel row: rate 0, one member, Python-float factors
     p = params
-    ks = keller_segel._rows_of(KSState(sigma=cosine_rho), p).work
+    ks = keller_segel._rows_of(KSState(sigma=cosine_rho), p)
     carried, stage = ks.carried, ks.stage
     g1 = keller_segel._flux_rhs(carried).copy()
 
@@ -439,29 +436,29 @@ def test_stage_kernel_matches_its_old_composition_bit_for_bit(params,
     # the old arithmetic's bit for bit
     ps = [params.replace(epsilon=e, gamma=gamma) for e in (0.2, 0.1, 0.05)]
     w0 = Field(params.grid, 0.05 * np.sin(params.grid.x))
-    rows = _rows([EPState(rho=cosine_rho, w=w0)] * len(ps), ps)
+    batch = _rows([EPState(rho=cosine_rho, w=w0)] * len(ps), ps)
     for _ in range(3):
-        assert step_ep_rows(rows, [1.0] * 3) == [None] * 3
-    work, old = rows.work, _SeparateSymbols(ps)
-    m, u, uh = work.m, rows.u.copy(), rows.uh.copy()
-    _same_bits(_carried(work, uh), old.carried_rows(uh))
+        assert step_ep_rows(batch, [1.0] * 3) == [None] * 3
+    old = _SeparateSymbols(ps)
+    u, uh = batch.u.copy(), batch.uh.copy()
+    _same_bits(_carried(batch, uh), old.carried_rows(uh))
     _same_bits(u, old.carried_rows(uh))
     g1, v = old.rhs(u, uh)
     stage = uh + 1e-3 * g1          # a later stage's coefficients
-    first = euler_poisson._rhs(work, True)
+    first = euler_poisson._rhs(batch, True)
     _same_bits(first, g1)
-    work.stage_u[...] = stage
-    _same_bits(euler_poisson._rhs(work, False), old.rhs(None, stage)[0])
+    batch.stage_u[...] = stage
+    _same_bits(euler_poisson._rhs(batch, False), old.rhs(None, stage)[0])
     _same_bits(-u[2], v)
-    assert rows.extrema == old.extrema(u, v)
+    assert batch.extrema == old.extrema(u, v)
     times, targets = [0.5, 0.25, 0.125], [1.0, 1.0, 0.125 + 1e-4]
     got = [min(euler_poisson._cfl_bound(q, adv + sound), target - t)
            for q, (adv, sound), t, target in zip(
-               ps, euler_poisson._speeds(rows.extrema, m), times, targets)]
+               ps, euler_poisson._speeds(batch), times, targets)]
     assert got == old.dt(old.extrema(u, v), times, targets)
     assert got[2] == targets[2] - times[2] < got[0]
-    flags, extrema = euler_poisson._guards(work, times, params)
-    assert flags == [None] * 3 and extrema == rows.extrema
+    flags, extrema = euler_poisson._guards(batch, times)
+    assert flags == [None] * 3 and extrema == batch.extrema
 
 
 def test_cfl_guard_uses_the_stable_dt_bound(params, torus64):
@@ -553,8 +550,8 @@ def test_ep_breakdown_counts_the_step_it_took(monkeypatch, params,
     real_guards = euler_poisson._guards
     calls = []
 
-    def guards(work, times, p):
-        out, extrema = real_guards(work, times, p)
+    def guards(batch, times):
+        out, extrema = real_guards(batch, times)
         calls.append(None)
         if len(calls) == 3:
             out = [RangeBreach(f"forced at tau = {t:.6g}") for t in times]
@@ -798,21 +795,20 @@ def test_blowup_check_flags_only_its_own_member(params, bad):
     # stacked rows (row kinds x members x n) in a batch's workspace, as
     # the stepper holds them: a bad value in the rho rows or in the w rows
     # flags its member only
-    work = euler_poisson._Work((params,) * 3)
-    alone = euler_poisson._Work((params,))
+    batch = euler_poisson._Batch((params,) * 3)
+    alone = euler_poisson._Batch((params,))
     for row in (0, 1):
-        work.u[...] = 1.0
-        work.u[row, 1, 5] = bad
-        flags, _ = euler_poisson._guards(work, [0.1, 0.2, 0.3], params)
+        batch.u[...] = 1.0
+        batch.u[row, 1, 5] = bad
+        flags, _ = euler_poisson._guards(batch, [0.1, 0.2, 0.3])
         assert flags[0] is None and flags[2] is None
         assert isinstance(flags[1], Blowup)
         assert "0.2" in str(flags[1])
-        alone.u[...] = work.u[:, 1:2]
-        (flag,), _ = euler_poisson._guards(alone, [0.2], params)
+        alone.u[...] = batch.u[:, 1:2]
+        (flag,), _ = euler_poisson._guards(alone, [0.2])
         assert isinstance(flag, Blowup)
-    work.u[1, 1, 5] = 1e12       # the threshold itself is still finite
-    assert euler_poisson._guards(work, [0.1, 0.2, 0.3], params)[0] \
-        == [None] * 3
+    batch.u[1, 1, 5] = 1e12       # the threshold itself is still finite
+    assert euler_poisson._guards(batch, [0.1, 0.2, 0.3])[0] == [None] * 3
 
 
 @pytest.mark.parametrize("bad", [math.nan, *INF_SLOPES, 2e12])
@@ -820,8 +816,8 @@ def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
     # a poisoned slope ends the run in its first step, which it counts
     real_rhs = euler_poisson._rhs
 
-    def poisoned(work, first):
-        return real_rhs(work, first) + bad
+    def poisoned(batch, first):
+        return real_rhs(batch, first) + bad
 
     monkeypatch.setattr(euler_poisson, "_rhs", poisoned)
     result = simulate_ep(cosine_rho, zero_w, params, [0.0, 0.1])
@@ -836,8 +832,8 @@ def test_step_raises_blowup(monkeypatch, params, cosine_rho, zero_w, bad):
     real_carried = euler_poisson._carried_rows
     batches = ([params], [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)])
     for row in (0, 1):
-        def poisoned_rows(work, start=0):
-            u = real_carried(work, start)
+        def poisoned_rows(batch, start=0):
+            u = real_carried(batch, start)
             if not start:
                 u[row, :, 5] = bad
             return u
@@ -876,8 +872,8 @@ def test_range_breach_reports_the_rho_range(monkeypatch, params, cosine_rho,
     real_carried = euler_poisson._carried_rows
     seen = []
 
-    def poisoned_rows(work, start=0):
-        u = real_carried(work, start)
+    def poisoned_rows(batch, start=0):
+        u = real_carried(batch, start)
         if not start:
             u[0, :, 5] = value
             seen.append((u[0].min(axis=-1), u[0].max(axis=-1)))
@@ -949,14 +945,14 @@ def test_step_ep_rows_steps_toward_each_members_target(params, cosine_rho,
 def test_ok_batch_stays_stacked(monkeypatch, params, cosine_rho, zero_w):
     # a member leaves the batch only after its last sample or on a
     # breakdown: an ok run of three members takes a sub-batch at most twice
-    real_take = euler_poisson.Rows.take
+    real_take = euler_poisson._Batch.take
     takes = []
 
-    def counted_take(rows, keep):
+    def counted_take(batch, keep):
         takes.append(keep)
-        return real_take(rows, keep)
+        return real_take(batch, keep)
 
-    monkeypatch.setattr(euler_poisson.Rows, "take", counted_take)
+    monkeypatch.setattr(euler_poisson._Batch, "take", counted_take)
     members = [params.replace(epsilon=e) for e in (0.2, 0.1, 0.05)]
     results = simulate_ep_rows(cosine_rho, zero_w, members,
                                np.linspace(0.0, 0.2, 11), records=False)
@@ -977,9 +973,9 @@ def test_member_breakdown_leaves_the_others(monkeypatch, params, cosine_rho,
     real_rhs = euler_poisson._rhs
     calls = []
 
-    def poisoned(work, first):
-        g = real_rhs(work, first)
-        eps = [q.epsilon for q in work.m.ps]
+    def poisoned(batch, first):
+        g = real_rhs(batch, first)
+        eps = [q.epsilon for q in batch.ps]
         if 0.1 in eps:
             calls.append(None)
             if len(calls) == 31:       # stage 1 of its 11th step
@@ -1082,19 +1078,19 @@ def test_carried_rows_equal_recomputed_rows(params, cosine_rho, gamma):
     # stage's on a mixed-epsilon batch
     ps = [params.replace(epsilon=e, gamma=gamma) for e in (0.2, 0.1, 0.05)]
     w0 = Field(params.grid, 0.05 * np.sin(params.grid.x))
-    rows = _rows([EPState(rho=cosine_rho, w=w0)] * 3, ps)
+    batch = _rows([EPState(rho=cosine_rho, w=w0)] * 3, ps)
     for _ in range(4):
-        assert step_ep_rows(rows, [1.0] * 3) == [None] * 3
-    u, uh = rows.u.copy(), rows.uh.copy()
+        assert step_ep_rows(batch, [1.0] * 3) == [None] * 3
+    u, uh = batch.u.copy(), batch.uh.copy()
     assert u.shape == (4 if gamma == 2.0 else 5, 3, params.grid.n)
-    assert np.array_equal(_carried(rows.work, uh, u[:2]), u)
+    assert np.array_equal(_carried(batch, uh, u[:2]), u)
     samples = np.fft.irfft(uh, n=params.grid.n)
     samples[0] += params.mass_level
     assert np.array_equal(samples, u[:2])
-    assert rows.extrema == list(zip(u[0].max(axis=-1).tolist(),
-                                    np.abs(u[1]).max(axis=-1).tolist(),
-                                    np.abs(u[2]).max(axis=-1).tolist()))
-    first, later = _slopes(rows.work, uh)
+    assert batch.extrema == list(zip(u[0].max(axis=-1).tolist(),
+                                     np.abs(u[1]).max(axis=-1).tolist(),
+                                     np.abs(u[2]).max(axis=-1).tolist()))
+    first, later = _slopes(batch, uh)
     for got, want in zip(later, first):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -1103,7 +1099,7 @@ def test_carried_rows_equal_recomputed_rows(params, cosine_rho, gamma):
     ks = keller_segel._rows_of(KSState(sigma=cosine_rho), p)
     for _ in range(4):
         assert step_ks_to(ks, 1.0) is None
-    stage = ks.work.stage
+    stage = ks.stage
     stage.head[...] = ks.uh
     assert np.array_equal(keller_segel._inverse(stage).rows, ks.u)
     assert ks.extrema == [(ks.u[0].min(), np.abs(ks.u[1]).max())]
@@ -1207,10 +1203,10 @@ def test_steady_ep_steps_take_no_page_faults():
     assert sum(steady) < len(steady), steady
 
 
-def _buffers(work):
-    """The arrays and views of an Euler-Poisson workspace that its steps
-    write."""
-    return [a for a in vars(work).values()
+def _buffers(batch):
+    """The arrays and views of an Euler-Poisson batch's workspace that its
+    steps write."""
+    return [a for a in vars(batch).values()
             if isinstance(a, np.ndarray) and a.flags.writeable]
 
 
@@ -1230,28 +1226,27 @@ def test_factor_buffer_reuse_keeps_batches_bit_for_bit(monkeypatch):
     times = [0.0, 0.01, 0.02]
     solo = [simulate_ep(rho0, w0, q, times) for q in ps]
     real_step = euler_poisson.step_ep_rows
-    batches = []        # (rows, its buffers' addresses), by first step
+    batches = []        # (batch, its buffers' addresses), by first step
 
-    def checked(rows, targets):
-        work, u, uh = rows.work, rows.u, rows.uh
-        out = real_step(rows, targets)
-        assert rows.work is work and rows.u is u is work.u
-        assert rows.uh is uh is work.uh
-        factors = work.factors
+    def checked(batch, targets):
+        u, uh = batch.u, batch.uh
+        out = real_step(batch, targets)
+        assert batch.u is u and batch.uh is uh
+        factors = batch.factors
         assert len(factors) == 7
         assert all(f.shape == uh.shape and f.flags.c_contiguous
                    for f in factors)
-        buffers = _buffers(work)
+        buffers = _buffers(batch)
         assert any(b is u for b in buffers) and any(b is uh for b in buffers)
         addresses = [b.__array_interface__["data"][0] for b in buffers]
-        known = [a for r, a in batches if r is rows]
+        known = [a for b, a in batches if b is batch]
         if known:
             assert known[0] == addresses
         else:
             assert not any(np.shares_memory(a, b)
-                           for r, _ in batches for a in _buffers(r.work)
+                           for old, _ in batches for a in _buffers(old)
                            for b in buffers)
-            batches.append((rows, addresses))
+            batches.append((batch, addresses))
         return out
 
     monkeypatch.setattr(euler_poisson, "step_ep_rows", checked)

@@ -306,11 +306,12 @@ class TestVacuumCollapse:
             exact = derivative_along(1.0, 1, tau, prof)
             assert fd == pytest.approx(exact, rel=5e-3)
 
-    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("order", [0, -1, True, 1.5, 2.0])
     def test_fd_rejects_an_order_below_one(self, order):
-        # order 0 used to return sigma at the edge, and -1 an IndexError
+        # order 0 used to return sigma at the edge, -1 an IndexError, True
+        # the first difference, and 1.5 or 2.0 a bare TypeError
         prof = profile_line("vacuum-ramp", 1.0)
-        with pytest.raises(ValueError, match="order must be >= 1"):
+        with pytest.raises(ValueError, match="order must be an integer >= 1"):
             measure_edge_derivative_fd(prof, 0.5, order=order)
 
     @pytest.mark.parametrize("tau", [3.5, 12.0, 13.0, 18.0, math.inf])

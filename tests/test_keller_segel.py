@@ -73,7 +73,7 @@ def test_fused_flux_rhs_matches_composition(n, dealias):
     sh = np.fft.rfft(sigma - p.mass_level)[None, None]
     # the first stage reads the carried rows (sigma, v), a later one the
     # rows inverted from the stage's coefficients sh
-    work = _rows(_state(grid, sigma), p).work
+    work = _rows(_state(grid, sigma), p)
     work.stage.head[...] = sh
     for side in (work.carried, keller_segel._inverse(work.stage)):
         u = side.rows
