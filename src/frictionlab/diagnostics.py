@@ -5,6 +5,23 @@ and a higher-order part built from spatial derivatives up to the cap
 DERIV_CAP (2 in 1D).  The relative pressure bracket
 rho^gamma - M^gamma - gamma M^(gamma-1) (rho - M) is a Bregman divergence
 of the convex function rho^gamma, hence nonnegative for rho > 0.
+
+A run's records come from one body (`_stacked_records`) over a stack of
+its sampled states; record_ep and record_ks are the one-state stack.  A
+stack's derivatives come from one rfft and one batched irfft, whose
+rows are those of single-row calls bit for bit, and every integral from
+one np.vecdot of the stack with the quadrature weights: vecdot takes one
+cblas_ddot per row, the dot that Grid.integrate takes of one row, where
+a matrix-vector product (rows @ weights, gemv) or a one-row matmul
+rounds differently.  Square roots and the fourth root of the L^4 norm
+are taken on Python floats (numpy's ** 0.25 differs from Python's in the
+last bit on some values).  So a record does not depend on its stack.
+`record_states` cuts a run into chunks of at most
+STACK_POSITIONS // (fields x DERIV_CAP x n) states (and at least one),
+fields 2 for EP states (rho, w) and 1 for KS states: every temporary then
+holds at most about 8192 values, 64 KiB, below glibc's 128 KiB mmap
+threshold, so no chunk's arrays go back to the kernel when freed (8 KS
+states per chunk at n = 512, one EP state at n = 2048).
 """
 from __future__ import annotations
 
@@ -13,21 +30,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPState, Field, KSState, ParamSet
+from .core import EPState, Field, KSState, ParamSet, _quad_weights
 from .errors import InsufficientSamples, NonPositiveSample
 from .spectral import _derivs
 
 DERIV_CAP = 2  # 1D derivative cap for the high-order functionals
+STACK_POSITIONS = 8192  # values per stacked record pass: 64 KiB float
+                        # arrays, under glibc's 128 KiB mmap threshold
 
 
 def pressure_bracket(rho: np.ndarray, gamma: float, M: float) -> np.ndarray:
     return rho**gamma - M**gamma - gamma * M ** (gamma - 1.0) * (rho - M)
 
 
-def _l4(grid, g: np.ndarray) -> float:
-    """(integral of g^4)^(1/4), g^4 as two squares: numpy's power goes
-    element by element for a negative base."""
-    return grid.integrate(np.square(np.square(g))) ** 0.25
+def _integrals(grid, rows: np.ndarray) -> np.ndarray:
+    """grid.integrate of each of the stacked rows, bit for bit (one
+    cblas_ddot per row)."""
+    return np.vecdot(rows, _quad_weights(grid))
+
+
+def _l4(grid, g: np.ndarray) -> list:
+    """(integral of g^4)^(1/4) of each of the stacked rows g, as Python
+    floats, g^4 as two squares: numpy's power goes element by element for
+    a negative base."""
+    return [v ** 0.25
+            for v in _integrals(grid, np.square(np.square(g))).tolist()]
 
 
 def norms(f: Field) -> dict:
@@ -38,7 +65,7 @@ def norms(f: Field) -> dict:
     sq = grid.integrate(vals * vals)
     out = {"l2": math.sqrt(max(sq, 0.0)), "sup": float(np.max(np.abs(vals)))}
     derivs = _derivs(vals[None], grid, 3)[:, 0]
-    out["l4_of_gradient"] = _l4(grid, derivs[0])
+    (out["l4_of_gradient"],) = _l4(grid, derivs[:1])
     for j, d in enumerate(derivs, 1):
         sq += grid.integrate(d * d)
         out[f"h{j}"] = math.sqrt(max(sq, 0.0))
@@ -98,34 +125,42 @@ class DiagnosticsRecord:
                 self.rho_min, self.rho_max]
 
 
-def _record(rho: np.ndarray, w, tau: float, p: ParamSet) -> DiagnosticsRecord:
-    """The record of the rows (rho, w) at time tau, every derivative from
-    one rfft and one batched irfft.  w None is a KS state: its w terms
-    (kinetic energy, friction dissipation, w_l2) are 0.0, not computed.
+def _stacked_records(rows: np.ndarray, taus, p: ParamSet) -> list:
+    """The records at the times taus of the fields x r x n stacked rows
+    (rho, w), or (rho,) for KS states, in one pass: every derivative from
+    one rfft and one batched irfft, every integral one vecdot over the
+    stack.  A KS state's w terms (kinetic energy, friction dissipation,
+    w_l2) are 0.0, not computed.
 
     e0 = (eps^alpha/2) ∫ rho w^2 + ∫ bracket / (gamma - 1) and
     d0 = eps^(alpha-2) ∫ w^2 + ∫ (rho - M)^2; e1 and d1 sum over
     1 <= j <= DERIV_CAP the terms (eps^alpha/2) ∫ rho (d^j w)^2 +
     (gamma/2) ∫ rho^(gamma-2) (d^j rho)^2 and the same with weights
     eps^(alpha-2) and gamma rho^(gamma-1).  e_w[j], d_w[j]: the w terms.
+    Each sum is formed in the order of the one-state formula, so a row's
+    record does not depend on its stack.
     """
     grid = p.grid
+    rho = rows[0]
+    derivs = _derivs(rows.reshape(-1, grid.n), grid, DERIV_CAP).reshape(
+        (DERIV_CAP,) + rows.shape)
+    drho = derivs[:, 0]
     dev = rho - p.mass_level
-    relax = grid.integrate(dev * dev)
-    if w is None:
-        drho = _derivs(rho[None], grid, DERIV_CAP)[:, 0]
+    relax = _integrals(grid, dev * dev)
+    if len(rows) == 1:
         e_w = d_w = (0.0,) * (DERIV_CAP + 1)
-        w_l2 = 0.0
+        w_l2 = [0.0] * len(taus)
     else:
-        drho, dw = _derivs(np.stack((rho, w)), grid, DERIV_CAP).swapaxes(0, 1)
-        rho_w2 = [grid.integrate(rho * d * d) for d in (w, *dw)]
+        w, dw = rows[1], derivs[:, 1]
+        rho_w2 = [_integrals(grid, rho * d * d) for d in (w, *dw)]
         e_w = [0.5 * p.epsilon**p.alpha * v for v in rho_w2]
         d_w = [p.epsilon ** (p.alpha - 2.0) * v
-               for v in (grid.integrate(w * w), *rho_w2[1:])]
+               for v in (_integrals(grid, w * w), *rho_w2[1:])]
         w_sc = p.epsilon ** (0.5 * p.alpha) * w
-        w_l2 = math.sqrt(max(grid.integrate(w_sc * w_sc), 0.0))
-    e0 = e_w[0] + grid.integrate(
-        pressure_bracket(rho, p.gamma, p.mass_level)) / (p.gamma - 1.0)
+        w_l2 = [math.sqrt(max(v, 0.0))
+                for v in _integrals(grid, w_sc * w_sc).tolist()]
+    e0 = e_w[0] + _integrals(
+        grid, pressure_bracket(rho, p.gamma, p.mass_level)) / (p.gamma - 1.0)
     d0 = d_w[0] + relax
     e_weight = rho ** (p.gamma - 2.0)
     d_weight = rho ** (p.gamma - 1.0)
@@ -133,26 +168,44 @@ def _record(rho: np.ndarray, w, tau: float, p: ParamSet) -> DiagnosticsRecord:
     for j, dr in enumerate(drho, 1):
         e1 += e_w[j]
         d1 += d_w[j]
-        e1 += 0.5 * p.gamma * grid.integrate(e_weight * dr * dr)
-        d1 += p.gamma * grid.integrate(d_weight * dr * dr)
-    return DiagnosticsRecord(
-        tau=tau, e0=e0, e1=e1, e_total=e0 + e1,
-        d0=d0, d1=d1, d_total=d0 + d1,
-        sup_dev=float(np.max(np.abs(dev))),
-        l2_dev=math.sqrt(max(relax, 0.0)),
-        grad_l4=_l4(grid, drho[0]),
-        w_l2=w_l2,
-        mass=grid.integrate(rho),
-        rho_min=float(rho.min()),
-        rho_max=float(rho.max()),
-    )
+        e1 += 0.5 * p.gamma * _integrals(grid, e_weight * dr * dr)
+        d1 += p.gamma * _integrals(grid, d_weight * dr * dr)
+    return [
+        DiagnosticsRecord(
+            tau=tau, e0=a, e1=b, e_total=a + b, d0=c, d1=d, d_total=c + d,
+            sup_dev=sup, l2_dev=math.sqrt(max(sq, 0.0)), grad_l4=l4,
+            w_l2=wl2, mass=mass, rho_min=low, rho_max=high)
+        for tau, a, b, c, d, sup, sq, l4, wl2, mass, low, high in zip(
+            taus, e0.tolist(), e1.tolist(), d0.tolist(), d1.tolist(),
+            np.max(np.abs(dev), axis=-1).tolist(), relax.tolist(),
+            _l4(grid, drho[0]), w_l2, _integrals(grid, rho).tolist(),
+            rho.min(axis=-1).tolist(), rho.max(axis=-1).tolist())]
+
+
+def record_states(states, p: ParamSet) -> list:
+    """The records of states, all EPStates or all KSStates on p's grid,
+    from one stacked pass per chunk (the chunk rule of the module
+    docstring): each is its state's one-state record bit for bit."""
+    states = list(states)
+    if not states:
+        return []
+    names = ("sigma",) if isinstance(states[0], KSState) else ("rho", "w")
+    per_stack = max(1, STACK_POSITIONS // (len(names) * DERIV_CAP * p.grid.n))
+    out = []
+    for i in range(0, len(states), per_stack):
+        chunk = states[i:i + per_stack]
+        rows = np.array([[getattr(s, name).values for s in chunk]
+                         for name in names])
+        out += _stacked_records(rows, [s.time for s in chunk], p)
+    return out
 
 
 def record_ep(state: EPState, p: ParamSet) -> DiagnosticsRecord:
-    return _record(state.rho.values, state.w.values, state.time, p)
+    """The record of one EP state: the one-state stack."""
+    return record_states([state], p)[0]
 
 
 def record_ks(state: KSState, p: ParamSet) -> DiagnosticsRecord:
     """The record of a KS state: record_ep's of (sigma, w = 0), without
     the w terms, which add 0.0."""
-    return _record(state.sigma.values, None, state.time, p)
+    return record_states([state], p)[0]

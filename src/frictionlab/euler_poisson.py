@@ -116,7 +116,7 @@ from typing import Optional
 import numpy as np
 
 from .core import EPState, Field, ParamSet, validate_initial_data
-from .diagnostics import record_ep
+from .diagnostics import record_states
 from .errors import Blowup, RangeBreach, SolverBreakdown
 from .spectral import _symbols, irfft, rfft
 
@@ -561,13 +561,13 @@ class SimulationResult:
             raise self.error
 
 
-def _integrate(batch, advance, state_at, record, sample_times) -> list:
+def _integrate(batch, advance, state_at, sample_times) -> list:
     """Advance each member of batch (a `_Batch`, or a Keller-Segel run's
     `keller_segel._Work`) toward its next sample time, in sorted order,
     landing on it exactly, and sample member i there as
     state = state_at(u, time), u its rows (the samples first, a view that
-    state_at copies what it keeps of), paired with record(i, state), or
-    with None when record is None.
+    state_at copies what it keeps of), paired with None: a driver attaches
+    the records to the finished run (`_with_records`).
 
     advance(batch, targets) takes one step of every member of batch
     toward its target, each behind its own, in one call, and returns per
@@ -598,8 +598,7 @@ def _integrate(batch, advance, state_at, record, sample_times) -> list:
                 continue
             while nxt[i] < len(times) and batch.times[j] >= landed[nxt[i]]:
                 state = state_at(batch.u[:, j], batch.times[j])
-                results[i].samples.append(
-                    (state, None if record is None else record(i, state)))
+                results[i].samples.append((state, None))
                 nxt[i] += 1
             if nxt[i] < len(times):
                 keep.append(j)
@@ -609,6 +608,16 @@ def _integrate(batch, advance, state_at, record, sample_times) -> list:
             batch, members = batch.take(keep), [members[j] for j in keep]
         clocks = list(batch.times)
         outcomes = advance(batch, [times[nxt[i]] for i in members])
+
+
+def _with_records(results, ps) -> list:
+    """results, each sample's state paired with its diagnostics record
+    under its run's ParamSet in ps, from stacked passes over the run's
+    samples (`record_states`)."""
+    for result, p in zip(results, ps, strict=True):
+        states = [state for state, _ in result.samples]
+        result.samples = list(zip(states, record_states(states, p)))
+    return results
 
 
 def simulate_ep(rho0: Field, w0: Field, p: ParamSet,
@@ -628,7 +637,10 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
 
     The initial rows are transformed once and the first stage's other
     rows inverted once; after that the batch carries its rows from step
-    to step, and states are built at sample times only."""
+    to step, and states are built at sample times only.  The records are
+    attached after the run, each member's from stacked passes over its
+    own samples under its own ParamSet (`_with_records`), a member that
+    broke down included."""
     batch = _Batch(ps)
     validate_initial_data(rho0, w0, batch.p)
     _rows_of([EPState(rho=rho0, w=w0)] * len(batch.ps), batch)
@@ -640,7 +652,7 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
                        time=time)
 
     # step_ep_rows is looked up per call, so the benchmark tracer sees it
-    return _integrate(
+    results = _integrate(
         batch, lambda batch, targets: step_ep_rows(batch, targets), state_at,
-        (lambda i, s: record_ep(s, batch.ps[i])) if records else None,
         sample_times)
+    return _with_records(results, batch.ps) if records else results

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import MEAN_DEFECT_TOL, Field, Grid, mean_defect
+from .core import MEAN_DEFECT_TOL, Field, Grid, _positive_integer, mean_defect
 from .errors import MeanDefect, NonzeroTotalMass, RangeViolation
 
 TORUS_DOMAIN = (0.0, 2.0 * math.pi)   # line domain of the torus-born profiles
@@ -166,8 +166,7 @@ def cosine_profile(M: float, amp: float = 0.3, k: int = 1) -> InitialProfile:
     """sigma0 = M + amp cos(kx) on the torus; F = (amp/k) sin(kx) exactly."""
     if abs(amp) > M:
         raise RangeViolation("cosine amplitude drives the profile negative")
-    if k < 1 or not float(k).is_integer():
-        raise ValueError(f"cosine wavenumber k must be a positive integer, got {k}")
+    _positive_integer("wavenumber k", k)
     k = int(k)
     return InitialProfile(
         M=M,
@@ -227,8 +226,7 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, f0: Optional[float] = None
     RAMP_MARGIN wider than the outer bumps."""
     if not (0 < width <= 1.0):
         raise ValueError("ramp width must lie in (0,1]")
-    if touch < 1 or not float(touch).is_integer():
-        raise ValueError(f"touch order must be a positive integer, got {touch}")
+    _positive_integer("touch order", touch)
     k = int(touch)
     w = float(width)
     ramp_deficit = M * w * k / (k + 2.0)  # mass deficit of one ramp

@@ -297,6 +297,20 @@ def test_vacuum_command_verdicts(runner, tmp_path):
     assert (tmp_path / "vacuum.csv").exists()
 
 
+def test_config_touch_order_builds_its_ramp(runner, tmp_path):
+    # the config reader gives `profile_touch = 2` as the int 2, which the
+    # ramp takes as touch order 2: its vacuum length grows as e^{3 M tau}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile_touch = 2\n")
+    result = runner.invoke(main, ["vacuum", "--config", str(cfg),
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 0, outputs(result)
+    lines = (tmp_path / "vacuum.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[2].split(",")))
+    assert float(row["tau"]) == 0.5
+    assert float(row["factor_predicted"]) == pytest.approx(math.exp(1.5))
+
+
 @pytest.mark.parametrize("profile", ["bump", "equilibrium", "cosine"])
 def test_vacuum_without_vacuum_interval_exits_2(runner, profile):
     # the profile has no vacuum interval: a typed NoVacuum, not a traceback

@@ -1,14 +1,19 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from frictionlab import euler_poisson
 from frictionlab.core import EPState, Field, Grid, KSState
 from frictionlab.diagnostics import (
-    DERIV_CAP, fit_exponential_rate, norms, pressure_bracket, record_ep,
-    record_ks,
+    DERIV_CAP, STACK_POSITIONS, fit_exponential_rate, norms,
+    pressure_bracket, record_ep, record_ks, record_states,
 )
+from frictionlab.errors import RangeBreach
+from frictionlab.euler_poisson import simulate_ep, simulate_ep_rows
+from frictionlab.keller_segel import simulate_ks
 from frictionlab.errors import InsufficientSamples, NonPositiveSample, NotTorus
 from frictionlab.spectral import deriv
 
@@ -214,3 +219,96 @@ def test_gradient_l4_matches_an_exact_sum(params, n, seed):
            norms(Field(grid, rho))["l4_of_gradient"])
     assert got[0] == pytest.approx(expected, rel=1e-14)
     assert got[0] == got[1] == got[2]
+
+
+# a run's records come from stacked passes over its samples: each must be
+# the one-state record of its sample, whatever its chunk
+
+def _cosine(grid, amp=0.3):
+    return Field(grid, 1.0 + amp * np.cos(grid.x), tag="density")
+
+
+def test_ks_run_records_are_one_state_records(params):
+    # 201 samples at n = 512: 25 chunks of 8 states and a partial one
+    grid = Grid.torus(512)
+    p = params.replace(grid=grid, t_end=2.0)
+    per_chunk = STACK_POSITIONS // (DERIV_CAP * grid.n)
+    assert per_chunk == 8 and 201 % per_chunk != 0
+    result = simulate_ks(_cosine(grid), p, np.linspace(0.0, p.t_end, 201))
+    assert result.ok and len(result.samples) == 201
+    for state, rec in result.samples:
+        assert rec == record_ks(state, p)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.4])
+def test_ep_run_records_are_one_state_records(params, gamma):
+    # n = 2048: one EP state per chunk
+    grid = Grid.torus(2048)
+    p = params.replace(grid=grid, gamma=gamma, t_end=0.02)
+    assert STACK_POSITIONS // (2 * DERIV_CAP * grid.n) == 1
+    w0 = Field(grid, 0.05 * np.sin(grid.x))
+    result = simulate_ep(_cosine(grid), w0, p, np.linspace(0.0, p.t_end, 21))
+    assert result.ok and len(result.samples) == 21
+    for state, rec in result.samples:
+        assert rec == record_ep(state, p)
+
+
+def test_batch_records_are_each_members_one_state_records(params):
+    # 4 members at n = 64, 41 samples each: 2 chunks of up to 32 states,
+    # each member's under its own ParamSet
+    grid = params.grid
+    ps = [params.replace(epsilon=e, alpha=1.5, gamma=1.5)
+          for e in (0.2, 0.1, 0.05, 0.025)]
+    w0 = Field(grid, 0.05 * np.sin(grid.x))
+    results = simulate_ep_rows(_cosine(grid), w0, ps,
+                               np.linspace(0.0, 0.5, 41))
+    for result, q in zip(results, ps, strict=True):
+        assert result.ok and len(result.samples) == 41
+        for state, rec in result.samples:
+            assert rec == record_ep(state, q)
+
+
+def test_a_broken_run_keeps_a_record_per_sample(monkeypatch, params):
+    # the fourth step's guard pass stops the run: its samples so far each
+    # get their record; a KS run that starts at the vacuum guard keeps its
+    # initial sample and record
+    real_guards = euler_poisson._guards
+    calls = []
+
+    def guards(batch, times):
+        out, extrema = real_guards(batch, times)
+        calls.append(None)
+        if len(calls) == 4:
+            out = [RangeBreach(f"forced at tau = {t:.6g}") for t in times]
+        return out, extrema
+
+    monkeypatch.setattr(euler_poisson, "_guards", guards)
+    grid = params.grid
+    result = simulate_ep(_cosine(grid), Field(grid, np.zeros(grid.n)),
+                         params, np.linspace(0.0, 0.01, 11))
+    assert result.status == "range_breach" and result.n_steps == 4
+    assert len(result.samples) == 4
+    for state, rec in result.samples:
+        assert rec == record_ep(state, params)
+    result = simulate_ks(_cosine(grid, amp=1.0), params, [0.0, 0.1])
+    assert result.status == "vacuum" and len(result.samples) == 1
+    ((state, rec),) = result.samples
+    assert rec == record_ks(state, params)
+
+
+def test_recording_a_run_takes_less_than_its_stack(params):
+    # 201 KS states at n = 512 are recorded chunk by chunk: the pass never
+    # holds the 201 x 512 stack of their rows, let alone its derivatives
+    grid = Grid.torus(512)
+    p = params.replace(grid=grid)
+    states = [KSState(sigma=_cosine(grid, amp=0.3 * math.exp(-0.01 * i)),
+                      time=0.01 * i) for i in range(201)]
+    record_states(states[:1], p)     # the grid's cached symbols and weights
+    tracemalloc.start()
+    try:
+        records = record_states(states, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 201
+    assert peak < 201 * grid.n * 8, peak

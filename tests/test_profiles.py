@@ -57,6 +57,12 @@ class TestCosineProfile:
         with pytest.raises(ValueError, match="wavenumber"):
             cosine_profile(1.0, k=k)
 
+    @pytest.mark.parametrize("k", [True, 2.0])
+    def test_rejects_a_bool_or_float_wavenumber(self, k):
+        # an integral float or a bool is not an integer wavenumber
+        with pytest.raises(ValueError, match="wavenumber k must be"):
+            cosine_profile(1.0, k=k)
+
 
 class TestBumpProfile:
     def test_mass_balance(self):
@@ -144,6 +150,12 @@ class TestVacuumRamp:
     @pytest.mark.parametrize("touch", [1.5, 0, -1, math.inf, math.nan])
     def test_rejects_a_touch_that_is_not_a_positive_integer(self, touch):
         with pytest.raises(ValueError, match="touch order"):
+            vacuum_ramp_profile(1.0, touch=touch)
+
+    @pytest.mark.parametrize("touch", [True, 2.0])
+    def test_rejects_a_bool_or_float_touch(self, touch):
+        # True is not touch order 1 and 2.0 is not touch order 2
+        with pytest.raises(ValueError, match="touch order must be"):
             vacuum_ramp_profile(1.0, touch=touch)
 
 

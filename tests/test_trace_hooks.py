@@ -54,6 +54,7 @@ def test_sweep_spans(tracing, p64):
             for e in spec.epsilons]
     assert calls["euler_poisson.step_ep_rows"] == max(solo)
     # the table needs the sampled states only: no diagnostics records
+    assert calls["diagnostics.record_states"] == 0
     assert calls["diagnostics.record_ep"] == 0
     assert calls["diagnostics.record_ks"] == 0
 
@@ -195,7 +196,7 @@ def test_ep_run_fft_budget(tracing, p64):
         rho0, w0, p64, [0.0, 0.1, 0.2]))
     assert result.ok and result.n_steps > 0
     ffts = _ffts_under(tracer.spans, "euler_poisson.simulate_ep",
-                       outside="diagnostics.record_ep")
+                       outside="diagnostics.record_states")
     assert 0 < ffts <= 18 * result.n_steps, ffts / result.n_steps
     assert ffts <= 6 * result.n_steps + 2, ffts / result.n_steps
 
@@ -207,28 +208,34 @@ def test_ks_run_fft_budget(tracing, p64):
         sigma0, p64, [0.0, 0.1, 0.2]))
     assert result.ok and result.n_steps > 0
     ffts = _ffts_under(tracer.spans, "keller_segel.simulate_ks",
-                       outside="diagnostics.record_ks")
+                       outside="diagnostics.record_states")
     assert 0 < ffts <= 12 * result.n_steps, ffts / result.n_steps
     assert ffts <= 6 * result.n_steps + 2, ffts / result.n_steps
 
 
 def test_record_fft_budget(tracing, p64):
-    # one rfft of the rows (rho, w), or of rho alone for a KS state, and
-    # one batched irfft of every derivative order up to DERIV_CAP, shared
-    # by the energy, the dissipation and the gradient norm of a record
+    # a run's records come from one stacked pass over its samples, in
+    # chunks of at most STACK_POSITIONS // (fields x DERIV_CAP x n) states:
+    # per chunk one rfft of the rows (rho, w), or of rho alone for KS
+    # states, and one batched irfft of every derivative order up to
+    # DERIV_CAP, shared by the energy, the dissipation and the gradient
+    # norm of every record in it
     sigma0 = Field(p64.grid, 1.0 + 0.3 * np.cos(p64.grid.x), tag="density")
     w0 = Field(p64.grid, np.zeros(p64.grid.n))
-    times = [0.0, 0.1, 0.2]
+    times = np.linspace(0.0, p64.t_end, 41)
     tracer = tracing.Tracer()
-    for name, run in [
-            ("diagnostics.record_ks", lambda: simulate_ks(sigma0, p64, times)),
-            ("diagnostics.record_ep",
-             lambda: euler_poisson.simulate_ep(sigma0, w0, p64, times))]:
-        tracer.run(run)
-        records = sum(s.name == name for s in tracer.spans)
-        assert records == 3
-        ffts = _ffts_under(tracer.spans, name)
-        assert ffts == 2 * records, (name, ffts / records)
+    for fields, run in [
+            (1, lambda: simulate_ks(sigma0, p64, times)),
+            (2, lambda: euler_poisson.simulate_ep(sigma0, w0, p64, times))]:
+        result = tracer.run(run)
+        assert len(result.samples) == len(times)
+        assert sum(s.name == "diagnostics.record_states"
+                   for s in tracer.spans) == 1
+        per_chunk = diagnostics.STACK_POSITIONS // (
+            fields * diagnostics.DERIV_CAP * p64.grid.n)
+        chunks = -(-len(times) // per_chunk)
+        ffts = _ffts_under(tracer.spans, "diagnostics.record_states")
+        assert ffts == 2 * chunks, (fields, ffts, chunks)
 
 
 def test_norms_fft_budget(tracing, p64):
