@@ -20,9 +20,11 @@ fields of one `simulate_ks` run.
 
 Reconstruction inverts the trajectory map by certified bisection.  One
 bisection inverts a stack of rows of positions, each row at its own tau,
-and gives every row the labels of its own inversion bit for bit; the
-reconstruction at several taus stacks at most STACK_POSITIONS positions
-per bisection.
+and gives every row the labels of its own inversion bit for bit.  It
+reads tau through the growth factor s = 1 - e^{-M tau} of each row, one
+column, and evaluates eta = x + s F(x)/M through one helper, so any map
+of that form inverts with it.  `reconstruct_eulerian` takes a list of
+taus and stacks at most core.STACK_POSITIONS positions per bisection.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid, KSState, ParamSet, _positive_integer
+from .core import (STACK_POSITIONS, Field, Grid, KSState, ParamSet,
+                   _positive_integer)
 from .errors import (InversionFailure, MultipleVacuumIntervals, NoVacuum,
                      PreconditionViolation, UnsupportedOrder)
 from .keller_segel import simulate_ks
@@ -43,8 +46,6 @@ TRAJECTORY_HORIZON = 50.0  # beyond tau = 50/M, e^{-M tau} underflows; report li
 GUESS_NEWTON_STEPS = 2     # Newton steps from the interpolated inversion guess
 ETA_NOISE_ULPS = 8.0       # bound on a computed eta's error, in ulps of |y| + c
 GUESS_COST = 3 + GUESS_NEWTON_STEPS  # eta evaluations per label the guess makes
-STACK_POSITIONS = 8192     # positions per stacked reconstruction: 64 KiB float
-                           # arrays, under glibc's 128 KiB mmap threshold
 
 
 def _decay(tau: float, M: float) -> float:
@@ -59,20 +60,15 @@ def _check_tau(tau: float, where: str = "") -> None:
         raise ValueError(f"tau must be >= 0, got {tau}{where}")
 
 
-def _growth(tau, M):
-    """1 - e^{-M tau}: a float for a scalar tau, else an array of tau's
-    shape.  Every value comes from _decay (math.exp), taken once per run
-    of equal taus, so a stack's tau column costs one exp per row."""
-    if np.ndim(tau) == 0:
-        return 1.0 - _decay(tau, M)
-    tau = np.asarray(tau, dtype=float)
-    if tau.size == 0:
-        return np.empty(tau.shape)
-    flat = tau.ravel()
-    bounds = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(),
-              flat.size]
-    values = [1.0 - _decay(flat[i], M) for i in bounds[:-1]]
-    return np.repeat(values, np.diff(bounds)).reshape(tau.shape)
+def _growth(tau: float, M: float) -> float:
+    """The growth factor s = 1 - e^{-M tau} of eta, e^{-M tau} from _decay."""
+    return 1.0 - _decay(tau, M)
+
+
+def _eta(x: np.ndarray, s, prof: InitialProfile) -> np.ndarray:
+    """eta = x + s F(x)/M at float labels x, for a growth factor s that
+    is a float or a column of one s per row of a stack of labels."""
+    return x + s * prof.cumulative(x) / prof.M
 
 
 def _match_input(x, result):
@@ -88,14 +84,11 @@ def velocity_along(x, tau: float, prof: InitialProfile):
     return _match_input(x, _decay(tau, prof.M) * prof.cumulative(x))
 
 
-def trajectory_position(x, tau, prof: InitialProfile):
-    """eta(x, tau) = x + (1 - e^{-M tau}) F(x)/M; tends to x + F(x)/M.
-    tau is a scalar or an array that broadcasts against x, such as a
-    column of one tau per row of a stack."""
-    M = prof.M
-    pos = np.asarray(x, dtype=float) + _growth(tau, M) * \
-        np.asarray(prof.cumulative(x)) / M
-    return _match_input(x, pos)
+def trajectory_position(x, tau: float, prof: InitialProfile):
+    """eta(x, tau) = x + (1 - e^{-M tau}) F(x)/M; tends to x + F(x)/M."""
+    _check_tau(tau)
+    return _match_input(x, _eta(np.asarray(x, dtype=float),
+                                _growth(tau, prof.M), prof))
 
 
 def _denominator(sigma0, tau: float, M: float):
@@ -207,16 +200,17 @@ def _certified_guess(y: np.ndarray, c: float, tau: float, prof: InitialProfile):
     (e tiny or 0), tol is inf without sampling.
     """
     e = _decay(tau, prof.M)
+    s = 1.0 - e    # _growth(tau, M)
     noise_min = ETA_NOISE_ULPS * np.finfo(float).eps * (np.abs(y).min() + c)
     if e * 2.0 * c <= 2.0**GUESS_COST * 4.0 * noise_min:
         return y, np.full(y.shape, np.inf)
     samples = np.linspace(y[0] - c, y[-1] + c, 2 * y.size + 1)
-    guess = np.interp(y, trajectory_position(samples, tau, prof), samples)
+    guess = np.interp(y, _eta(samples, s, prof), samples)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(GUESS_NEWTON_STEPS):
-            guess = guess - (trajectory_position(guess, tau, prof) - y) / \
+            guess = guess - (_eta(guess, s, prof) - y) / \
                 dxeta(guess, tau, prof)
-        r = np.abs(trajectory_position(guess, tau, prof) - y)
+        r = np.abs(_eta(guess, s, prof) - y)
         noise = ETA_NOISE_ULPS * np.finfo(float).eps * (np.abs(y) + c)
         tol = 2.0 * (r + 2.0 * noise) / e
     ok = np.isfinite(guess) & np.isfinite(tol)
@@ -257,11 +251,11 @@ def invert_trajectory_map(y: np.ndarray, tau,
     if stack.size == 0:
         return np.empty(y.shape)
     c = prof.max_abs_F / prof.M + 1.0
-    tau_col = taus[:, None]
+    s = np.array([[_growth(t, prof.M)] for t in taus.tolist()])
     lo = stack - c
     hi = stack + c
-    eta_lo = trajectory_position(lo, tau_col, prof)
-    eta_hi = trajectory_position(hi, tau_col, prof)
+    eta_lo = _eta(lo, s, prof)
+    eta_hi = _eta(hi, s, prof)
     missed = np.any((eta_lo > stack) | (eta_hi < stack), axis=1)
     if missed.any():
         raise InversionFailure("bracket does not contain the target "
@@ -270,16 +264,15 @@ def invert_trajectory_map(y: np.ndarray, tau,
     tol = np.empty(stack.shape)
     for i, t in enumerate(taus.tolist()):
         guess[i], tol[i] = _certified_guess(stack[i], c, t, prof)
-    tau_at = np.broadcast_to(tau_col, stack.shape)
+    s_at = np.broadcast_to(s, stack.shape)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         above = mid > guess
         near = np.abs(mid - guess) <= tol
         if near.all():
-            above = trajectory_position(mid, tau_col, prof) > stack
+            above = _eta(mid, s, prof) > stack
         elif near.any():
-            above[near] = trajectory_position(
-                mid[near], tau_at[near], prof) > stack[near]
+            above[near] = _eta(mid[near], s_at[near], prof) > stack[near]
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
         if np.max(hi - lo) < 1e-14:
@@ -292,19 +285,16 @@ def invert_trajectory_map(y: np.ndarray, tau,
     return labels.reshape(y.shape)
 
 
-def reconstruct_eulerian(tau: float, prof: InitialProfile,
-                         grid: Grid) -> KSState:
-    """Eulerian density at time tau on the grid, from the labels of its
-    nodes (invert_trajectory_map)."""
-    return reconstruct_eulerian_stack([tau], prof, grid)[0]
-
-
-def reconstruct_eulerian_stack(taus, prof: InitialProfile,
-                               grid: Grid) -> list:
-    """reconstruct_eulerian at each of taus, from stacked inversions of the
-    grid's nodes, at most STACK_POSITIONS positions (and at least one row)
-    each; every state is the one-tau reconstruction bit for bit."""
+def reconstruct_eulerian(taus, prof: InitialProfile, grid: Grid) -> list:
+    """The Eulerian density on the grid at each of taus, one KSState per
+    tau, from the labels of its nodes: stacked inversions
+    (invert_trajectory_map) of at most STACK_POSITIONS positions (and at
+    least one row) each, so every state is the one-tau reconstruction
+    ([tau]) bit for bit.  Raises ValueError for a NaN or negative tau,
+    naming its index in taus, before any inversion."""
     taus = list(taus)
+    for i, tau in enumerate(taus):
+        _check_tau(tau, f" at index {i} of taus")
     per_stack = max(1, STACK_POSITIONS // grid.n)
     states = []
     for i in range(0, len(taus), per_stack):
@@ -323,7 +313,6 @@ def trajectory_rows(labels: np.ndarray, taus, prof: InitialProfile) -> list:
     Raises ValueError for a NaN or negative tau (tau = inf is the limit)."""
     rows = []
     for tau in taus:
-        _check_tau(tau)
         columns = (trajectory_position(labels, tau, prof),
                    sigma_along(labels, tau, prof), dxeta(labels, tau, prof),
                    velocity_along(labels, tau, prof))

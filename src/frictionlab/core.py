@@ -18,6 +18,10 @@ import numpy as np
 from .errors import MeanDefect, NonFinite, RangeViolation
 
 TWO_PI = 2.0 * math.pi
+STACK_POSITIONS = 8192  # values per stacked pass (reconstruction, records):
+                        # 64 KiB float arrays, under glibc's 128 KiB mmap
+                        # threshold, so no stack's arrays go back to the
+                        # kernel when freed
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -84,11 +88,6 @@ class Grid:
     @property
     def is_torus(self) -> bool:
         return self.kind == "torus"
-
-    @property
-    def measure(self) -> float:
-        """|Omega| of the discretized domain."""
-        return self.length
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(_quad_weights(self), values))
@@ -183,7 +182,7 @@ def mean_defect(grid: Grid, values: np.ndarray, M: float) -> float | None:
     """The integral of values - M over the grid where it exceeds
     MEAN_DEFECT_TOL |Omega|, else None: the one zero-mean test."""
     defect = grid.integrate(values - M)
-    return defect if abs(defect) > MEAN_DEFECT_TOL * grid.measure else None
+    return defect if abs(defect) > MEAN_DEFECT_TOL * grid.length else None
 
 
 def validate_initial_data(rho0: Field, w0: Field, p: ParamSet) -> None:
@@ -207,4 +206,4 @@ def validate_initial_data(rho0: Field, w0: Field, p: ParamSet) -> None:
     if defect is not None:
         raise MeanDefect(
             f"perturbation mass defect {defect:.3e} exceeds "
-            f"{MEAN_DEFECT_TOL * p.grid.measure:.3e}")
+            f"{MEAN_DEFECT_TOL * p.grid.length:.3e}")

@@ -6,21 +6,20 @@ DERIV_CAP (2 in 1D).  The relative pressure bracket
 rho^gamma - M^gamma - gamma M^(gamma-1) (rho - M) is a Bregman divergence
 of the convex function rho^gamma, hence nonnegative for rho > 0.
 
-A run's records come from one body (`_stacked_records`) over a stack of
-its sampled states; record_ep and record_ks are the one-state stack.  A
-stack's derivatives come from one rfft and one batched irfft, whose
-rows are those of single-row calls bit for bit, and every integral from
-one np.vecdot of the stack with the quadrature weights: vecdot takes one
-cblas_ddot per row, the dot that Grid.integrate takes of one row, where
-a matrix-vector product (rows @ weights, gemv) or a one-row matmul
-rounds differently.  Square roots and the fourth root of the L^4 norm
-are taken on Python floats (numpy's ** 0.25 differs from Python's in the
-last bit on some values).  So a record does not depend on its stack.
-`record_states` cuts a run into chunks of at most
-STACK_POSITIONS // (fields x DERIV_CAP x n) states (and at least one),
-fields 2 for EP states (rho, w) and 1 for KS states: every temporary then
-holds at most about 8192 values, 64 KiB, below glibc's 128 KiB mmap
-threshold, so no chunk's arrays go back to the kernel when freed (8 KS
+A run's records come from one call, `record_states`, over its sampled
+states, and one body (`_stacked_records`) over a stack of them; one
+state's record is the one-state stack.  A stack's derivatives come from
+one rfft and one batched irfft, whose rows are those of single-row calls
+bit for bit, and every integral from one np.vecdot of the stack with the
+quadrature weights: vecdot takes one cblas_ddot per row, the dot that
+Grid.integrate takes of one row, where a matrix-vector product
+(rows @ weights, gemv) or a one-row matmul rounds differently.  Square
+roots and the fourth root of the L^4 norm are taken on Python floats
+(numpy's ** 0.25 differs from Python's in the last bit on some values).
+So a record does not depend on its stack.  `record_states` cuts a run
+into chunks of at most core.STACK_POSITIONS // (fields x DERIV_CAP x n)
+states (and at least one), fields 2 for EP states (rho, w) and 1 for KS
+states, so that every temporary stays under the mmap threshold (8 KS
 states per chunk at n = 512, one EP state at n = 2048).
 """
 from __future__ import annotations
@@ -30,13 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPState, Field, KSState, ParamSet, _quad_weights
+from .core import STACK_POSITIONS, Field, KSState, ParamSet, _quad_weights
 from .errors import InsufficientSamples, NonPositiveSample
 from .spectral import _derivs
 
 DERIV_CAP = 2  # 1D derivative cap for the high-order functionals
-STACK_POSITIONS = 8192  # values per stacked record pass: 64 KiB float
-                        # arrays, under glibc's 128 KiB mmap threshold
 
 
 def pressure_bracket(rho: np.ndarray, gamma: float, M: float) -> np.ndarray:
@@ -199,13 +196,3 @@ def record_states(states, p: ParamSet) -> list:
         out += _stacked_records(rows, [s.time for s in chunk], p)
     return out
 
-
-def record_ep(state: EPState, p: ParamSet) -> DiagnosticsRecord:
-    """The record of one EP state: the one-state stack."""
-    return record_states([state], p)[0]
-
-
-def record_ks(state: KSState, p: ParamSet) -> DiagnosticsRecord:
-    """The record of a KS state: record_ep's of (sigma, w = 0), without
-    the w terms, which add 0.0."""
-    return record_states([state], p)[0]

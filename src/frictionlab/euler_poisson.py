@@ -579,10 +579,17 @@ def _integrate(batch, advance, state_at, sample_times) -> list:
     samples so far; `take`).  A member counts a step whenever its clock
     moved, so a step that ends in a breakdown counts and a step refused
     before it moved the clock does not.  Returns one SimulationResult per
-    member."""
-    times = sorted(map(float, sample_times))    # Python floats: cheaper
-    if not all(math.isfinite(t) and t >= 0.0 for t in times):
-        raise ValueError("sample times must be finite and nonnegative")
+    member.  Raises ValueError unless sample_times is a nonempty 1-D
+    sequence of finite, nonnegative numbers."""
+    try:
+        times = np.asarray(sample_times, dtype=float)
+    except (TypeError, ValueError):
+        times = np.empty(0)
+    if times.ndim != 1 or times.size == 0 or \
+            not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise ValueError("sample times must be a nonempty 1-D sequence of "
+                         f"finite, nonnegative numbers, got {sample_times!r}")
+    times = sorted(times.tolist())    # Python floats: cheaper
     landed = [t - LANDING_ULPS * math.ulp(t) for t in times]
     results = [SimulationResult([]) for _ in batch.times]
     members = list(range(len(results)))     # the member in each batch row

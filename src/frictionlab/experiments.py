@@ -23,7 +23,7 @@ from .errors import InsufficientSamples, NonPositiveSample
 from .euler_poisson import simulate_ep, simulate_ep_rows
 from .keller_segel import simulate_ks
 from .characteristics import (
-    derivative_along, invert_trajectory_map, reconstruct_eulerian_stack,
+    derivative_along, invert_trajectory_map, reconstruct_eulerian,
     sigma_along, vacuum_interval,
 )
 from .profiles import PROFILES, InitialProfile, profile_field, profile_line
@@ -317,7 +317,7 @@ def run_vacuum_collapse(spec: ExperimentSpec,
 
     taus = [float(tau) for tau in taus]
     reps = [vacuum_interval(tau, prof) for tau in taus]
-    states = reconstruct_eulerian_stack(taus, prof, full_grid)
+    states = reconstruct_eulerian(taus, prof, full_grid)
     checked = [i for i, tau in enumerate(taus) if tau <= FD_TAU_MAX]
     fds = dict(zip(checked, _edge_derivatives_fd(
         prof, [taus[i] for i in checked], [reps[i].b for i in checked],

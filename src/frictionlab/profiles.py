@@ -350,11 +350,11 @@ def profile_field(name: str, grid: Grid, M: float, **args) -> Field:
     grid exceeds that bound: such a profile is not a torus perturbation."""
     prof = profile_line(name, M, **args)
     F = prof.cumulative(np.array([grid.left, grid.right]))
-    if abs(F[1] - F[0]) > MEAN_DEFECT_TOL * grid.measure:
+    if abs(F[1] - F[0]) > MEAN_DEFECT_TOL * grid.length:
         raise MeanDefect(f"profile {prof.label!r}: the deviation integrates "
                          f"to {F[1] - F[0]:.4g} over the grid, not 0")
     values = prof.sigma0(grid.x)
     defect = mean_defect(grid, values, M)
     if defect is not None:
-        values = values - defect / grid.measure
+        values = values - defect / grid.length
     return Field(grid, values, tag="density")

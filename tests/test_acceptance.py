@@ -54,7 +54,7 @@ def test_criterion_01_vacuum_interval_law():
             worst_rel = max(worst_rel,
                             abs(rep.length - exact) / (b0 - a0))
             measured = measured_vacuum_length(
-                reconstruct_eulerian(tau, prof, grid), M)
+                reconstruct_eulerian([tau], prof, grid)[0], M)
             worst_cells = max(worst_cells,
                               abs(measured - exact) / grid.h)
     ok = worst_rel <= 1e-12 and worst_cells <= 1.0
@@ -214,7 +214,7 @@ def test_criterion_07_conservation_and_bounds():
     lo = min(rec.rho_min for _, rec in result.samples)
     hi = max(rec.rho_max for _, rec in result.samples)
     window = (0.75 * p.rho_lower, 1.5 * p.rho_upper)
-    ok = defect <= 1e-10 * p.grid.measure and window[0] <= lo \
+    ok = defect <= 1e-10 * p.grid.length and window[0] <= lo \
         and hi <= window[1]
     _verdict(7, "conservation and bounds", ok,
              f"mass defect {defect:.2e} over {result.n_steps} steps, "

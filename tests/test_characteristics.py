@@ -160,12 +160,21 @@ def test_tau_must_be_a_time(ramp, tau):
     with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
         trajectory_rows(np.array([-0.25, 0.5]), [1.0, tau], ramp)
     # sigma_along at label -0.25 and tau = -1 gave a negative density
-    # (-1.699), dxeta a negative Jacobian
-    for along in (sigma_along, dxeta, velocity_along):
+    # (-1.699), dxeta a negative Jacobian, and trajectory_position at
+    # label 0 and tau = -1 gave 0.2864
+    for along in (sigma_along, dxeta, velocity_along, trajectory_position):
         for labels in (np.array([-0.25, 2.0]), -0.25):
             with pytest.raises(ValueError,
                                match=f"tau must be >= 0, got {tau}"):
                 along(labels, tau, ramp)
+
+
+def test_trajectory_position_takes_one_tau(ramp):
+    # an array of taus, one per label, once gave 23.27 at label 1 and
+    # tau = -3 unchecked; rows at taus of their own are inverted by
+    # invert_trajectory_map
+    with pytest.raises(TypeError):
+        trajectory_position(np.array([0.0, 1.0]), np.array([0.5, -3.0]), ramp)
 
 
 @pytest.mark.parametrize("k", [0, -1, True, 1.5, 2.0])
@@ -257,7 +266,7 @@ def test_dxeta_positive(ramp):
 def test_reconstruct_equilibrium():
     prof = equilibrium_profile(1.0)
     g = Grid.line(0.0, 2.0, 129)
-    state = reconstruct_eulerian(1.0, prof, g)
+    (state,) = reconstruct_eulerian([1.0], prof, g)
     np.testing.assert_allclose(state.sigma.values, 1.0, atol=1e-12)
 
 
@@ -267,7 +276,7 @@ def test_reconstruct_matches_flow(ramp):
     labels = np.linspace(-1.5, 2.0, 41)
     pos = trajectory_position(labels, tau, ramp)
     g = Grid.line(float(pos[0]), float(pos[-1]), 4097)
-    state = reconstruct_eulerian(tau, ramp, g)
+    (state,) = reconstruct_eulerian([tau], ramp, g)
     expected = sigma_along(labels, tau, ramp)
     sampled = np.interp(pos, g.x, state.sigma.values)
     # linear resampling costs ~h^2 sigma'' and the edge has steepened
@@ -277,7 +286,7 @@ def test_reconstruct_matches_flow(ramp):
 def test_reconstructed_vacuum_gap(ramp):
     tau = 3.0
     g = Grid.line(ramp.domain[0], ramp.domain[1], 4096)
-    state = reconstruct_eulerian(tau, ramp, g)
+    (state,) = reconstruct_eulerian([tau], ramp, g)
     gap_cells = np.flatnonzero(state.sigma.values <= 1e-9)
     measured = g.x[gap_cells[-1]] - g.x[gap_cells[0]] + g.h
     assert abs(measured - math.exp(-3.0)) <= g.h
@@ -299,7 +308,8 @@ def test_edge_labels_match_the_full_grid(width, touch, tau):
     full = invert_trajectory_map(grid.x, tau, prof)
     part = invert_trajectory_map(grid.x[:touch + 1], tau, prof)
     assert np.array_equal(part, full[:touch + 1])
-    stencil = reconstruct_eulerian(tau, prof, grid).sigma.values[:touch + 1]
+    (state,) = reconstruct_eulerian([tau], prof, grid)
+    stencil = state.sigma.values[:touch + 1]
     for _ in range(touch):
         stencil = np.diff(stencil)
     assert measure_edge_derivative_fd(prof, tau, order=touch, n=n) == \
@@ -369,6 +379,51 @@ def test_inversion_names_the_row_with_a_bad_tau(ramp, taus, row):
         invert_trajectory_map(y, taus, ramp)
 
 
+def _counting_inversions(monkeypatch) -> list:
+    """The shape of each stack that invert_trajectory_map is given."""
+    shapes = []
+    invert = characteristics.invert_trajectory_map
+
+    def counting(y, *args):
+        shapes.append(np.shape(y))
+        return invert(y, *args)
+
+    monkeypatch.setattr(characteristics, "invert_trajectory_map", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_reconstruction_names_the_index_of_a_bad_tau(ramp, bad,
+                                                     monkeypatch):
+    # 13 taus at n = 2048 make stacks of 4 rows: the tau at index 9 was
+    # once named as row 1 of the third stack, after two stacks were
+    # inverted; every tau is checked before the first inversion
+    taus = [0.5 * i for i in range(13)]
+    taus[9] = bad
+    grid = Grid.line(ramp.domain[0], ramp.domain[1], 2048)
+    shapes = _counting_inversions(monkeypatch)
+    with pytest.raises(ValueError,
+                       match=f"tau must be >= 0, got {bad} at index 9 "):
+        reconstruct_eulerian(taus, ramp, grid)
+    assert shapes == []
+
+
+def test_stacked_reconstruction_is_the_one_tau_reconstruction(ramp,
+                                                              monkeypatch):
+    # 9 taus at n = 2048, 0 and inf among them: stacks of 4, 4 and 1 rows,
+    # each state the reconstruction of its tau alone, bit for bit
+    taus = [0.0, 0.25, 1.0, 2.0, 3.0, 5.0, 12.0, 30.0, math.inf]
+    grid = Grid.line(ramp.domain[0], ramp.domain[1], 2048)
+    shapes = _counting_inversions(monkeypatch)
+    states = reconstruct_eulerian(taus, ramp, grid)
+    assert shapes == [(4, 2048), (4, 2048), (1, 2048)]
+    assert len(states) == len(taus)
+    for tau, state in zip(taus, states):
+        (alone,) = reconstruct_eulerian([tau], ramp, grid)
+        assert state.time == alone.time == tau
+        assert np.array_equal(state.sigma.values, alone.sigma.values), tau
+
+
 @pytest.mark.parametrize("tau", [1.0, 40.0])
 def test_inversion_of_an_empty_row_is_empty(ramp, tau):
     # at tau = 40 the certified guess is skipped; an empty row once failed
@@ -422,13 +477,13 @@ def _eta_evaluations(prof, tau, monkeypatch) -> float:
     """Grid-equivalents of eta evaluations inverting a 2048-node grid."""
     grid = Grid.line(prof.domain[0], prof.domain[1], 2048)
     evaluated = []
-    original = characteristics.trajectory_position
+    original = characteristics._eta
 
     def counting(x, *args):
         evaluated.append(np.size(x))
         return original(x, *args)
 
-    monkeypatch.setattr(characteristics, "trajectory_position", counting)
+    monkeypatch.setattr(characteristics, "_eta", counting)
     invert_trajectory_map(grid.x, tau, prof)
     return sum(evaluated) / grid.n
 

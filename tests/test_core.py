@@ -17,7 +17,7 @@ def test_torus_grid_geometry():
     assert g.is_torus
     assert g.n == 64
     assert g.h == pytest.approx(2.0 * math.pi / 64)
-    assert g.measure == pytest.approx(2.0 * math.pi)
+    assert g.length == pytest.approx(2.0 * math.pi)
     # torus nodes are cell midpoints starting at the left edge: x[0] = left
     assert g.x[0] == 0.0
     assert g.x[-1] == pytest.approx(2.0 * math.pi - g.h)
@@ -28,7 +28,7 @@ def test_line_grid_geometry():
     assert not g.is_torus
     assert g.x[0] == -1.0
     assert g.x[-1] == 3.0
-    assert g.measure == pytest.approx(4.0)
+    assert g.length == pytest.approx(4.0)
 
 
 def test_torus_quadrature_exact_for_cosine():
@@ -57,11 +57,11 @@ def test_grid_rejects_non_finite_geometry(name, value):
 
 def test_mean_defect_is_none_within_tolerance():
     g = Grid.torus(64)
-    tol = MEAN_DEFECT_TOL * g.measure
+    tol = MEAN_DEFECT_TOL * g.length
     assert mean_defect(g, 1.0 + 0.3 * np.cos(g.x), 1.0) is None
-    assert mean_defect(g, np.full(g.n, 1.0 + 0.5 * tol / g.measure), 1.0) \
+    assert mean_defect(g, np.full(g.n, 1.0 + 0.5 * tol / g.length), 1.0) \
         is None
-    values = np.full(g.n, 1.0 + 2.0 * tol / g.measure)
+    values = np.full(g.n, 1.0 + 2.0 * tol / g.length)
     assert mean_defect(g, values, 1.0) == g.integrate(values - 1.0)
 
 

@@ -9,7 +9,7 @@ from frictionlab import euler_poisson
 from frictionlab.core import EPState, Field, Grid, KSState
 from frictionlab.diagnostics import (
     DERIV_CAP, STACK_POSITIONS, fit_exponential_rate, norms,
-    pressure_bracket, record_ep, record_ks, record_states,
+    pressure_bracket, record_states,
 )
 from frictionlab.errors import RangeBreach
 from frictionlab.euler_poisson import simulate_ep, simulate_ep_rows
@@ -22,9 +22,14 @@ def _state(grid, rho, w):
     return EPState(rho=Field(grid, rho, tag="density"), w=Field(grid, w))
 
 
+def _record(state, p):
+    """The one-state record: record_states of the one-state list."""
+    return record_states([state], p)[0]
+
+
 def test_e0_equilibrium_zero(params, torus64):
     s = _state(torus64, np.ones(torus64.n), np.zeros(torus64.n))
-    rec = record_ep(s, params)
+    rec = _record(s, params)
     assert rec.e0 == 0.0
     assert rec.e1 == pytest.approx(0.0, abs=1e-26)
     assert rec.d_total == pytest.approx(0.0, abs=1e-24)
@@ -33,31 +38,31 @@ def test_e0_equilibrium_zero(params, torus64):
 def test_e0_kinetic_term(params, torus64):
     # (eps^alpha / 2) * integral(rho w^2) = (0.1/2) * pi for w = sin
     s = _state(torus64, np.ones(torus64.n), np.sin(torus64.x))
-    assert record_ep(s, params).e0 == pytest.approx(0.05 * math.pi, rel=1e-12)
+    assert _record(s, params).e0 == pytest.approx(0.05 * math.pi, rel=1e-12)
 
 
 def test_e0_pressure_bracket_gamma2(params, torus64):
     # gamma = 2 collapses the bracket to (rho - M)^2
     s = _state(torus64, 1.0 + 0.5 * np.cos(torus64.x), np.zeros(torus64.n))
-    assert record_ep(s, params).e0 == pytest.approx(0.25 * math.pi, rel=1e-12)
+    assert _record(s, params).e0 == pytest.approx(0.25 * math.pi, rel=1e-12)
 
 
 def test_e1_small_amplitude_quadratic(params, torus64):
     a = 1e-3
     s = _state(torus64, 1.0 + a * np.cos(torus64.x), np.zeros(torus64.n))
     # each of d^1, d^2 contributes (gamma/2) a^2 pi with unit weights
-    e1 = record_ep(s, params).e1
+    e1 = _record(s, params).e1
     assert e1 == pytest.approx(2.0 * math.pi * a * a, rel=1e-2)
     s2 = _state(torus64, 1.0 + 2 * a * np.cos(torus64.x),
                 np.zeros(torus64.n))
-    assert record_ep(s2, params).e1 / e1 == pytest.approx(4.0, rel=1e-2)
+    assert _record(s2, params).e1 / e1 == pytest.approx(4.0, rel=1e-2)
 
 
 def test_dissipation_friction_scaling(params, torus64):
     # the w-part of d0 carries the stiff weight eps^(alpha-2) = 1/eps
     s = _state(torus64, np.ones(torus64.n), np.sin(torus64.x))
-    d_01 = record_ep(s, params).d_total
-    d_005 = record_ep(s, params.replace(epsilon=0.05)).d_total
+    d_01 = _record(s, params).d_total
+    d_005 = _record(s, params.replace(epsilon=0.05)).d_total
     assert d_005 / d_01 == pytest.approx(2.0, rel=1e-12)
 
 
@@ -132,7 +137,7 @@ def test_fit_rejects_nonpositive():
 def test_record_totals_consistent(params, torus64):
     s = _state(torus64, 1.0 + 0.2 * np.cos(torus64.x),
                0.1 * np.sin(torus64.x))
-    rec = record_ep(s, params)
+    rec = _record(s, params)
     assert rec.e_total == pytest.approx(rec.e0 + rec.e1, rel=1e-14)
     assert rec.d_total == pytest.approx(rec.d0 + rec.d1, rel=1e-14)
     assert rec.rho_min == pytest.approx(0.8)
@@ -181,21 +186,21 @@ def test_record_matches_one_field_reference(params, n, seed):
         "sup_dev": dev["sup"], "l2_dev": dev["l2"],
         "grad_l4": norms(Field(grid, rho))["l4_of_gradient"],
     }
-    rec = record_ep(s, p)
+    rec = _record(s, p)
     for name, value in expected.items():
         assert getattr(rec, name) == value, name
 
 
 @pytest.mark.parametrize("n, gamma", [(64, 2.0), (128, 1.5), (512, 3.0)])
-def test_record_ks_is_record_ep_with_zero_w(params, n, gamma):
+def test_ks_record_is_the_ep_record_with_zero_w(params, n, gamma):
     # the skipped w terms only ever added 0.0: every field is equal
     grid = Grid.torus(n)
     p = params.replace(grid=grid, gamma=gamma)
     x = grid.x
     sigma = 1.0 + 0.3 * np.cos(x) + 0.05 * np.sin(3.0 * x)
     s = KSState(sigma=Field(grid, sigma, tag="density"), time=0.7)
-    rec = record_ks(s, p)
-    ref = record_ep(EPState(rho=s.sigma, w=Field(grid, np.zeros(n)),
+    rec = _record(s, p)
+    ref = _record(EPState(rho=s.sigma, w=Field(grid, np.zeros(n)),
                             time=0.7), p)
     for f in dataclasses.fields(rec):
         assert getattr(rec, f.name) == getattr(ref, f.name), f.name
@@ -214,8 +219,8 @@ def test_gradient_l4_matches_an_exact_sum(params, n, seed):
     assert g.min() < 0.0 < g.max()
     expected = (grid.h * math.fsum(float(v) ** 4 for v in g)) ** 0.25
     sigma = Field(grid, rho, tag="density")
-    got = (record_ks(KSState(sigma=sigma), p).grad_l4,
-           record_ep(_state(grid, rho, w), p).grad_l4,
+    got = (_record(KSState(sigma=sigma), p).grad_l4,
+           _record(_state(grid, rho, w), p).grad_l4,
            norms(Field(grid, rho))["l4_of_gradient"])
     assert got[0] == pytest.approx(expected, rel=1e-14)
     assert got[0] == got[1] == got[2]
@@ -237,7 +242,7 @@ def test_ks_run_records_are_one_state_records(params):
     result = simulate_ks(_cosine(grid), p, np.linspace(0.0, p.t_end, 201))
     assert result.ok and len(result.samples) == 201
     for state, rec in result.samples:
-        assert rec == record_ks(state, p)
+        assert rec == _record(state, p)
 
 
 @pytest.mark.parametrize("gamma", [2.0, 1.4])
@@ -250,7 +255,7 @@ def test_ep_run_records_are_one_state_records(params, gamma):
     result = simulate_ep(_cosine(grid), w0, p, np.linspace(0.0, p.t_end, 21))
     assert result.ok and len(result.samples) == 21
     for state, rec in result.samples:
-        assert rec == record_ep(state, p)
+        assert rec == _record(state, p)
 
 
 def test_batch_records_are_each_members_one_state_records(params):
@@ -265,7 +270,7 @@ def test_batch_records_are_each_members_one_state_records(params):
     for result, q in zip(results, ps, strict=True):
         assert result.ok and len(result.samples) == 41
         for state, rec in result.samples:
-            assert rec == record_ep(state, q)
+            assert rec == _record(state, q)
 
 
 def test_a_broken_run_keeps_a_record_per_sample(monkeypatch, params):
@@ -289,11 +294,11 @@ def test_a_broken_run_keeps_a_record_per_sample(monkeypatch, params):
     assert result.status == "range_breach" and result.n_steps == 4
     assert len(result.samples) == 4
     for state, rec in result.samples:
-        assert rec == record_ep(state, params)
+        assert rec == _record(state, params)
     result = simulate_ks(_cosine(grid, amp=1.0), params, [0.0, 0.1])
     assert result.status == "vacuum" and len(result.samples) == 1
     ((state, rec),) = result.samples
-    assert rec == record_ks(state, params)
+    assert rec == _record(state, params)
 
 
 def test_recording_a_run_takes_less_than_its_stack(params):

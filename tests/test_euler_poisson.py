@@ -10,7 +10,7 @@ import pytest
 
 from frictionlab import euler_poisson, keller_segel, spectral
 from frictionlab.core import EPState, Field, Grid, KSState, ParamSet
-from frictionlab.diagnostics import fit_exponential_rate, record_ep, record_ks
+from frictionlab.diagnostics import fit_exponential_rate, record_states
 from frictionlab.errors import Blowup, RangeBreach, VacuumApproach
 from frictionlab.euler_poisson import (
     simulate_ep, simulate_ep_rows, step_ep_rows,
@@ -533,6 +533,10 @@ def test_simulate_hits_sample_times(params, cosine_rho, zero_w):
     [0.0, math.nan, -1.0, 0.5],
     [-1e-3, 0.5],
     [0.0, -math.inf],
+    # no sample was once a run with status ok, no sample and no step, and
+    # a 2-D array a bare TypeError from float()
+    [],
+    [[0.1, 0.2]],
 ])
 def test_simulate_rejects_bad_sample_times(params, cosine_rho, zero_w,
                                            solver, times):
@@ -677,7 +681,7 @@ def test_simulate_ep_equals_the_stable_dt_loop(n, alpha):
         _rows([EPState(rho=rho0, w=w0)], [p]),
         lambda u, time: EPState(rho=Field(grid, u[0], tag="density"),
                                 w=Field(grid, u[1]), time=time),
-        lambda s: record_ep(s, p), times))
+        lambda s: record_states([s], p)[0], times))
 
 
 @pytest.mark.parametrize("n, amp", [(64, 0.3), (512, 0.3), (64, 1.0)])
@@ -694,7 +698,7 @@ def test_simulate_ks_equals_the_stable_dt_loop(n, amp):
         step_ks_to, keller_segel._rows_of(KSState(sigma=sigma0), p),
         lambda u, time: KSState(sigma=Field(grid, u[0], tag="density"),
                                 time=time),
-        lambda s: record_ks(s, p), times))
+        lambda s: record_states([s], p)[0], times))
 
 
 def test_unsorted_repeated_times_give_the_sorted_hand_loop():
@@ -716,14 +720,14 @@ def test_unsorted_repeated_times_give_the_sorted_hand_loop():
             _rows([EPState(rho=rho0, w=w0)], [q]),
             lambda u, time: EPState(rho=Field(grid, u[0], tag="density"),
                                     w=Field(grid, u[1]), time=time),
-            lambda s: record_ep(s, q), sorted(times)))
+            lambda s: record_states([s], q)[0], sorted(times)))
     result = simulate_ks(rho0, p, times)
     assert result.ok and len(result.samples) == len(times)
     _assert_same_run(result, _reference_run(
         step_ks_to, keller_segel._rows_of(KSState(sigma=rho0), p),
         lambda u, time: KSState(sigma=Field(grid, u[0], tag="density"),
                                 time=time),
-        lambda s: record_ks(s, p), sorted(times)))
+        lambda s: record_states([s], p)[0], sorted(times)))
 
 
 @pytest.mark.parametrize("eps, alpha", [(0.1, 1.0), (0.05, 1.5), (0.2, 0.5)])

@@ -239,7 +239,7 @@ class TestVacuumCollapse:
             expected = experiments.VacuumRow(
                 tau=tau, a=rep.a, b=rep.b, length=rep.length,
                 length_measured=measured_vacuum_length(
-                    reconstruct_eulerian(tau, prof, grid), 1.0),
+                    reconstruct_eulerian([tau], prof, grid)[0], 1.0),
                 deriv_along=d, growth_factor=d / d0,
                 factor_predicted=math.exp((touch + 1) * tau),
                 fd_estimate=fd, fd_rel_gap=abs(fd - d) / abs(d))
@@ -277,7 +277,7 @@ class TestVacuumCollapse:
                               profile="vacuum-ramp")
         passes, calls, positions = [], [], []
         invert = characteristics.invert_trajectory_map
-        eta = characteristics.trajectory_position
+        eta = characteristics._eta
 
         def counting_invert(y, *args):
             passes.append(np.shape(y))
@@ -292,8 +292,7 @@ class TestVacuumCollapse:
                             counting_invert)
         monkeypatch.setattr(experiments, "invert_trajectory_map",
                             counting_invert)
-        monkeypatch.setattr(characteristics, "trajectory_position",
-                            counting_eta)
+        monkeypatch.setattr(characteristics, "_eta", counting_eta)
         run_vacuum_collapse(spec)
         assert passes == [(4, 2048), (4, 2048), (3, 2048), (7, 2)]
         assert len(calls) <= 166

@@ -230,7 +230,7 @@ def _exact_gap(amp, dt_cfl, n=512, tau=1.0):
     result = simulate_ks(Field(grid, prof.sigma0(grid.x), tag="density"), p,
                          [0.0, tau], records=False)
     assert result.ok
-    exact = reconstruct_eulerian(tau, prof, grid).sigma.values
+    exact = reconstruct_eulerian([tau], prof, grid)[0].sigma.values
     return float(np.max(np.abs(result.samples[-1][0].sigma.values - exact)))
 
 

@@ -1,4 +1,8 @@
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import frictionlab
@@ -27,3 +31,56 @@ def test_no_module_imports_a_name_it_never_uses():
     for path in sorted(Path(frictionlab.__file__).parent.glob("*.py")):
         if path.name != "__init__.py":
             assert _unused_imports(path.read_text()) == [], path.name
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fl_attributes(path: Path) -> set:
+    """Each name read as fl.<name> in the module at path, with frictionlab
+    imported as fl."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "fl"}
+
+
+def _tracer_modules() -> tuple:
+    """The MODULES tuple of the benchmark's tracer."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (value,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["MODULES"]]
+    return ast.literal_eval(value)
+
+
+def test_every_exported_name_resolves():
+    assert len(frictionlab.__all__) == len(set(frictionlab.__all__))
+    for name in frictionlab.__all__:
+        assert getattr(frictionlab, name) is not None, name
+
+
+def test_the_exported_names_are_those_the_benchmark_and_readme_read():
+    # the benchmark's workloads read fl.<name>, and the README's minimal
+    # run imports names from the package itself: __all__ holds those and
+    # nothing more
+    used = _fl_attributes(ROOT / "perfbench" / "workloads.py")
+    assert used, "no fl.<name> found in perfbench/workloads.py"
+    readme = re.findall(r"^from frictionlab import (.+)$",
+                        (ROOT / "README.md").read_text(), flags=re.M)
+    assert readme, "no package import found in README.md"
+    used |= {name.strip() for line in readme for name in line.split(",")}
+    assert used == set(frictionlab.__all__), \
+        used.symmetric_difference(frictionlab.__all__)
+
+
+def test_importing_the_package_imports_every_traced_module():
+    # the tracer reads sys.modules["frictionlab.<layer>"]; a fresh
+    # interpreter, since this one has imported the modules by now
+    modules = _tracer_modules()
+    assert "ksmap" in modules
+    code = ("import sys, frictionlab; print(' '.join(sorted(m for m in "
+            "sys.modules if m.startswith('frictionlab.'))))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert {f"frictionlab.{m}" for m in modules} <= set(out)

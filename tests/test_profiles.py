@@ -271,9 +271,9 @@ def test_profile_field_removes_the_sampled_mean_defect(n):
     # 2.3e-4 at n = 64 to 8.0e-10 at n = 4096, above the tolerance
     g = Grid.torus(n)
     sampled = bump_profile(1.0).sigma0(g.x)
-    assert abs(g.integrate(sampled - 1.0)) > MEAN_DEFECT_TOL * g.measure
+    assert abs(g.integrate(sampled - 1.0)) > MEAN_DEFECT_TOL * g.length
     f = profile_field("bump", g, 1.0)
-    assert abs(g.integrate(f.values - 1.0)) <= MEAN_DEFECT_TOL * g.measure
+    assert abs(g.integrate(f.values - 1.0)) <= MEAN_DEFECT_TOL * g.length
     shift = f.values - sampled
     np.testing.assert_allclose(shift, shift[0], rtol=0.0, atol=1e-15)
 
