@@ -19,12 +19,13 @@ semi-Lagrangian comparison that carries markers through the velocity
 fields of one `simulate_ks` run.
 
 Reconstruction inverts the trajectory map by certified bisection.  One
-bisection inverts a stack of rows of positions, each row at its own tau,
-and gives every row the labels of its own inversion bit for bit.  It
-reads tau through the growth factor s = 1 - e^{-M tau} of each row, one
-column, and evaluates eta = x + s F(x)/M through one helper, so any map
-of that form inverts with it.  `reconstruct_eulerian` takes a list of
-taus and stacks at most core.STACK_POSITIONS positions per bisection.
+bisection inverts a stack (R, N) of rows of positions with one tau per
+row, its only input form, and gives every row the labels of its own
+inversion bit for bit.  It reads tau through the growth factor
+s = 1 - e^{-M tau} of each row, one column, and evaluates
+eta = x + s F(x)/M through one helper, so any map of that form inverts
+with it.  `reconstruct_eulerian` takes a list of taus and stacks at
+most core.STACK_POSITIONS positions per bisection.
 """
 from __future__ import annotations
 
@@ -217,31 +218,30 @@ def _certified_guess(y: np.ndarray, c: float, tau: float, prof: InitialProfile):
     return np.where(ok, guess, y), np.where(ok, tol, np.inf)
 
 
-def invert_trajectory_map(y: np.ndarray, tau,
+def invert_trajectory_map(y: np.ndarray, taus,
                           prof: InitialProfile) -> np.ndarray:
     """Labels x with eta(x, tau) = y, by vectorized bisection in label
-    space.  y is a sorted row of positions at a scalar tau, or a stack of
-    sorted rows (R, N) with one tau per row; a row is the one-row stack.
-    Every row gets the labels of its own inversion, bit for bit: the rows
-    share the bracket width 2c and so the bisection steps.
+    space.  y is a stack (R, N) of sorted rows of positions, taus one tau
+    per row.  Every row gets the labels of its own inversion, bit for
+    bit: the rows share the bracket width 2c and so the bisection steps.
 
-    Raises ValueError for a NaN or negative tau (tau = inf is the limit)
-    and for a NaN or infinite position, and InversionFailure if the
-    bracket y -+ c, c = max|F|/M + 1, misses a position or a row's labels
-    are not monotone; each names its row.  An empty row gives no labels.
+    Raises ValueError unless y has two dimensions and R taus, for a NaN
+    or negative tau (tau = inf is the limit) and for a NaN or infinite
+    position, and InversionFailure if the bracket y -+ c,
+    c = max|F|/M + 1, misses a position or a row's labels are not
+    monotone; each names its row.  Empty rows give no labels.
 
     A certified guess per row (_certified_guess) takes each bisection
     decision eta(mid) > y whose midpoint lies outside the guess's radius;
     eta is evaluated only for midpoints near the root.  The decisions, and
     so the labels, are bit for bit those of evaluating eta at every
     midpoint."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2):
-        raise ValueError(f"positions must be a row or a stack of rows, "
-                         f"got {y.ndim} dimensions")
-    stack = np.atleast_2d(y)
-    taus = np.broadcast_to(np.asarray(tau, dtype=float), stack.shape[:1])
-    for i, t in enumerate(taus.tolist()):
+    stack = np.asarray(y, dtype=float)
+    taus = [float(t) for t in taus]
+    if stack.ndim != 2 or len(taus) != len(stack):
+        raise ValueError(f"need one tau per row of a stack, got "
+                         f"{len(taus)} taus for a stack of shape {stack.shape}")
+    for i, t in enumerate(taus):
         _check_tau(t, f" in row {i}")
     bad = np.argwhere(~np.isfinite(stack))
     if bad.size:
@@ -249,9 +249,9 @@ def invert_trajectory_map(y: np.ndarray, tau,
         raise ValueError(f"position {stack[i, j]} at index {j} of row {i} "
                          "is not finite")
     if stack.size == 0:
-        return np.empty(y.shape)
+        return np.empty(stack.shape)
     c = prof.max_abs_F / prof.M + 1.0
-    s = np.array([[_growth(t, prof.M)] for t in taus.tolist()])
+    s = np.array([[_growth(t, prof.M)] for t in taus])
     lo = stack - c
     hi = stack + c
     eta_lo = _eta(lo, s, prof)
@@ -262,7 +262,7 @@ def invert_trajectory_map(y: np.ndarray, tau,
                                f"positions of row {np.argmax(missed)}")
     guess = np.empty(stack.shape)
     tol = np.empty(stack.shape)
-    for i, t in enumerate(taus.tolist()):
+    for i, t in enumerate(taus):
         guess[i], tol[i] = _certified_guess(stack[i], c, t, prof)
     s_at = np.broadcast_to(s, stack.shape)
     for _ in range(90):
@@ -282,7 +282,7 @@ def invert_trajectory_map(y: np.ndarray, tau,
     if disordered.any():
         raise InversionFailure("sampled trajectory map is not monotone in "
                                f"row {np.argmax(disordered)}")
-    return labels.reshape(y.shape)
+    return labels
 
 
 def reconstruct_eulerian(taus, prof: InitialProfile, grid: Grid) -> list:

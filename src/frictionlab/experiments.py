@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Field, Grid, KSState, ParamSet, _positive_integer
+from .core import Field, Grid, KSState, ParamSet
 from .diagnostics import DiagnosticsRecord, fit_exponential_rate, norms
 from .errors import InsufficientSamples, NonPositiveSample
 from .euler_poisson import simulate_ep, simulate_ep_rows
@@ -123,10 +123,6 @@ class TableResult:
     def monotone_decreasing(self) -> bool:
         """The sweep's verdict that its errors strictly decrease."""
         return self.verdicts["monotone_decreasing"]
-
-    def fit(self, series: str) -> RateFit:
-        """The decay fit of `series`."""
-        return {f.series: f for f in self.rows}[series]
 
 
 # --------------------------------------------------------------------------
@@ -245,15 +241,21 @@ def measured_vacuum_length(state: KSState, M: float) -> float:
     return float(x[zero[-1]] - x[zero[0]] + state.sigma.grid.h)
 
 
-def _edge_derivatives_fd(prof: InitialProfile, taus, edges, order: int,
-                         n: int) -> list:
-    """measure_edge_derivative_fd at each of taus, given the image b of the
-    right vacuum edge at each, from one stacked inversion of the stencils."""
+def _edge_derivatives_fd(prof: InitialProfile, taus, edges,
+                         order: int) -> list:
+    """One-sided forward difference of order `order` at the right vacuum
+    edge at each of taus (all <= FD_TAU_MAX), given its image b at each, on
+    the density reconstructed over a window of FD_NODES nodes from b, from
+    one stacked inversion of the stencils.  The window shrinks like
+    e^{-2 M tau}: the sharpening front squeezes the region where the edge
+    power law dominates, so a fixed window would average over the
+    saturated profile and miss the growth; past FD_TAU_MAX it is too thin
+    for its grid."""
     if not taus:
         return []
     (a0, b0) = prof.vacuum_set[0]
     grids = [Grid.line(b, b + FD_WINDOW_SCALE * (b0 - a0)
-                       * math.exp(-2.0 * prof.M * tau), n)
+                       * math.exp(-2.0 * prof.M * tau), FD_NODES)
              for tau, b in zip(taus, edges)]
     # the stencil reads the first order + 1 nodes: invert only those
     labels = invert_trajectory_map(
@@ -265,26 +267,6 @@ def _edge_derivatives_fd(prof: InitialProfile, taus, edges, order: int,
             stencil = np.diff(stencil)
         fds.append(float(stencil[0] / grid.h ** order))
     return fds
-
-
-def measure_edge_derivative_fd(prof: InitialProfile, tau: float,
-                               order: int = 1, n: int = FD_NODES) -> float:
-    """One-sided forward difference of order `order` at the right vacuum
-    edge, computed on a reconstructed field over a thin window.
-
-    The window shrinks like e^{-2 M tau}: the sharpening density front
-    squeezes the region where the edge power law dominates, so a fixed
-    window would average over the saturated profile and miss the growth.
-    Raises ValueError unless order is an integer >= 1 (not a bool), as
-    derivative_along does, and for tau > FD_TAU_MAX, where the window is
-    too thin for the grid.
-    """
-    _positive_integer("derivative order", order)
-    if tau > FD_TAU_MAX:
-        raise ValueError(f"the edge finite difference needs tau <= "
-                         f"FD_TAU_MAX = {FD_TAU_MAX}, got tau = {tau}")
-    rep = vacuum_interval(tau, prof)  # raises NoVacuum first
-    return _edge_derivatives_fd(prof, [tau], [rep.b], order, n)[0]
 
 
 def run_vacuum_collapse(spec: ExperimentSpec,
@@ -321,7 +303,7 @@ def run_vacuum_collapse(spec: ExperimentSpec,
     checked = [i for i, tau in enumerate(taus) if tau <= FD_TAU_MAX]
     fds = dict(zip(checked, _edge_derivatives_fd(
         prof, [taus[i] for i in checked], [reps[i].b for i in checked],
-        touch, FD_NODES)))
+        touch)))
     rows = []
     for i, (tau, rep, state) in enumerate(zip(taus, reps, states)):
         d_tau = derivative_along(b0, touch, tau, prof)

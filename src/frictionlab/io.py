@@ -114,22 +114,38 @@ def profile_args_from(cfg: dict) -> tuple[str, dict]:
     return name, args
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_initial_csv(path, grid):
     """Two-column (x, value) CSV, interpolated onto the grid nodes.
 
-    A non-numeric first row is treated as a header and skipped; a row
-    whose x or value is NaN or infinite raises ValueError.
+    Blank rows and rows whose first cell starts with '#' are skipped, and
+    a first row that is not all numbers is the header.  Any other row that
+    is not two numbers, or whose x or value is NaN or infinite, raises
+    ValueError naming its file and line.
     """
     xs, vals = [], []
+    first = True
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
-            if len(row) < 2:
+            if not "".join(row).strip() or row[0].lstrip().startswith("#"):
                 continue
+            is_first, first = first, False
             try:
-                x, v = float(row[0]), float(row[1])
+                x, v = map(float, row)
             except ValueError:
-                continue  # header or comment row
+                if is_first and not all(map(_is_number, row)):
+                    continue  # the header
+                raise ValueError(f"{path}:{reader.line_num}: expected two "
+                                 f"numbers x, value, got {','.join(row)!r}"
+                                 ) from None
             if not (math.isfinite(x) and math.isfinite(v)):
                 raise ValueError(f"{path}:{reader.line_num}: x and value "
                                  f"must be finite, got {row[0]}, {row[1]}")

@@ -183,8 +183,11 @@ def cosine_profile(M: float, amp: float = 0.3, k: int = 1) -> InitialProfile:
 
 def bump_profile(M: float, amp: float = 0.45, radius: float = 1.2,
                  center: float = math.pi) -> InitialProfile:
-    """sigma0 = M + G' with G = amp*radius*u*(1-u^2)^3; F = G exactly."""
-    if amp * 0.66 >= M:
+    """sigma0 = M + G' with G = amp*radius*u*(1-u^2)^3; F = G exactly.
+    G'/amp = (1-u^2)^2 (1-7u^2) spans [-32/49, 1], so sigma0 stays
+    positive for amp > -M and amp * 0.66 < M; other amplitudes raise
+    RangeViolation."""
+    if amp * 0.66 >= M or amp <= -M:
         raise RangeViolation("bump amplitude drives the profile into vacuum")
     A = amp * radius
 
@@ -214,7 +217,8 @@ def bump_profile(M: float, amp: float = 0.45, radius: float = 1.2,
     return InitialProfile(
         M=M, sigma0=sigma0, cumulative=g, deriv=deriv,
         vacuum_set=(), domain=TORUS_DOMAIN,
-        max_abs_F=float(abs(A) * 0.3932),  # max |u(1-u^2)^3| = 0.39309... at u=1/sqrt(7)
+        # max |u(1-u^2)^3| = 216/(343 sqrt 7) = 0.23802... at u = 1/sqrt(7)
+        max_abs_F=float(abs(A) * 216.0 / (343.0 * math.sqrt(7.0))),
         label="bump",
     )
 

@@ -30,23 +30,12 @@ take and return rfft coefficients: they dealias (with the keep-mask)
 and differentiate the flux in Fourier space, in one product with
 -ik keep.  The cached arrays are read-only.
 
-`trig_interp` evaluates the interpolant Re sum_k c_k e^{ik theta} of the
-K = n/2+1 rfft modes at m arbitrary points by the baby-step/giant-step
-split of polynomial evaluation (Paterson & Stockmeyer, 1973): with
-b = ceil(sqrt K) and k = jb + r the sum is sum_j (e^{ib theta})^j
-(sum_r c_{jb+r} e^{ir theta}), one small complex GEMM of a b x m table
-with the coefficient block plus a column-wise dot with an a x m table,
-a = ceil(K/b).  Both tables are powers built by repeated products from
-2m cos/sin pairs (e^{i theta} and e^{ib theta}), so the work is m(a + b)
-complex products and O(m(a + b)) memory, where the dense sum takes 2mK
-cos/sin values in m x K tables; each product adds one rounding, so the
-error bound grows by u (a + b) sum_k |c_k| (bound in the `trig_interp`
-docstring).  Its three parts are public for a caller that reads many
-fields at the same number of points (the semi-Lagrangian oracle):
-`trig_coefficients` makes the coefficient blocks of stacked rows in one
-batched rfft, `trig_tables` the work tables for m points, and
-`trig_eval` evaluates one block on them, so the tables (over 128 KiB
-each at n = m = 512) are allocated once, not at every read.
+A field is read at arbitrary points in three parts: `trig_coefficients`
+makes the coefficient blocks of stacked rows in one batched rfft,
+`trig_tables` the work tables for m points (over 128 KiB each at
+n = m = 512), made once for any number of reads, and `trig_eval`
+evaluates one block on them in m(a + b) complex products, a + b about
+2 sqrt(n/2), where the dense sum takes m(n/2 + 1) cos/sin pairs.
 """
 from __future__ import annotations
 
@@ -237,10 +226,22 @@ def trig_coefficients(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def trig_eval(block: np.ndarray, grid: Grid, points: np.ndarray,
               tables: InterpTables) -> np.ndarray:
-    """Evaluate at the 1-D array points the interpolant whose coefficient
-    block (a x b, one row of `trig_coefficients`) is block, on tables
-    made for points.size points (`trig_tables`); the evaluation of
-    `trig_interp`.  Returns a new array."""
+    """Evaluate at the 1-D array points the trigonometric interpolant of
+    the coefficient block `block` (a x b, one row of `trig_coefficients`)
+    on tables made for points.size points (`trig_tables`); a new array.
+    Exact on band-limited data, and periodic in the points.
+
+    With theta = 2 pi (x - left)/L the interpolant Re sum_k c_k e^{ik theta}
+    is split baby-step/giant-step (Paterson & Stockmeyer, 1973), k = jb + r:
+    sum_j e^{ijb theta} (sum_r c_{jb+r} e^{ir theta}), the inner sums one
+    GEMM of the block with the b x m table e^{ir theta}, the outer one a
+    column-wise dot with the a x m table e^{ijb theta}.  Each table is the
+    powers of one unit phase, built by repeated complex products, each of
+    which adds at most one rounding: the error is at most about
+    (K |theta| + 2(a + b)) u sum_k |c_k|, K = n/2 + 1 and u the unit
+    roundoff (the phase error of the largest argument, the recurrences
+    and the two short sums).
+    """
     theta = (2.0 * math.pi / grid.length) * (points - grid.left)
     baby = _powers(_unit_phases(theta), tables.baby)
     giant = _powers(_unit_phases(len(baby) * theta), tables.giant)
@@ -250,39 +251,3 @@ def trig_eval(block: np.ndarray, grid: Grid, points: np.ndarray,
     np.multiply(giant.real, inner.real, out=re)
     np.multiply(giant.imag, inner.imag, out=im)
     return np.subtract(re, im, out=re).sum(axis=0)
-
-
-def trig_interp(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of `values` at arbitrary points.
-
-    Exact on band-limited data.  `points` is a 1-D array of
-    positions anywhere on the line (the interpolant is periodic).
-
-    With theta = 2 pi (x - left)/L the interpolant is Re sum_k c_k e^{ik theta},
-    c_k the rfft coefficients over n, doubled for the paired modes
-    1 <= k < (n+1)/2 (the Nyquist mode of even n stays single).  The sum
-    is split baby-step/giant-step, k = jb + r with b = ceil(sqrt K) and
-    a = ceil(K/b) (the coefficients zero-padded to a x b):
-
-        sum_j e^{ijb theta} * (sum_r c_{jb+r} e^{ir theta}),
-
-    the inner sums one GEMM of the coefficient block with the b x m "baby"
-    table e^{ir theta}, the outer one a column-wise dot with the a x m
-    "giant" table e^{ijb theta}.  Each table is the powers of one unit
-    phase, z = e^{i theta} or z_b = e^{ib theta}, built row by row by
-    repeated complex products: 2m cos/sin pairs and m(a + b) complex
-    products, against the 2mK cos/sin of the dense sum.  Each product adds
-    at most one rounding, so the error is at most about
-    (K |theta| + 2(a + b)) u sum_k |c_k| (u the unit roundoff): the phase
-    error of the largest argument, the recurrences and the two short sums.
-    It is `trig_eval` of the `trig_coefficients` of values on new
-    `trig_tables`; a caller that reads many interpolants at as many
-    points makes the coefficients of all in one call and one set of
-    tables.
-    """
-    _check_torus(grid)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1:
-        raise ValueError("points must be a 1-D array")
-    return trig_eval(trig_coefficients(values, grid), grid, pts,
-                     trig_tables(grid, pts.size))

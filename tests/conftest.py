@@ -23,7 +23,9 @@ def _dense_trig_interp(values, grid, points):
 
 @pytest.fixture
 def dense_trig_interp():
-    """The reference that spectral.trig_interp is checked against."""
+    """The reference that the interpolant spectral.trig_eval reads (of
+    spectral.trig_coefficients, on spectral.trig_tables) is checked
+    against."""
     return _dense_trig_interp
 
 

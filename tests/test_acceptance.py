@@ -18,9 +18,9 @@ from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import fit_exponential_rate
 from frictionlab.euler_poisson import simulate_ep
 from frictionlab.experiments import (
-    ExperimentSpec, measure_edge_derivative_fd, measured_vacuum_length,
-    run_decay_fit, run_epsilon_sweep, run_single_ep, run_single_ks,
-    run_spectrum_table, run_vacuum_collapse,
+    FD_NODES, ExperimentSpec, measured_vacuum_length, run_decay_fit,
+    run_epsilon_sweep, run_single_ep, run_single_ks, run_spectrum_table,
+    run_vacuum_collapse,
 )
 from frictionlab.profiles import InitialProfile, profile_line, vacuum_ramp_profile
 from frictionlab.spectrum import DispersionQuery, dispersion_roots
@@ -77,12 +77,18 @@ def test_criterion_02_edge_derivative_blowup():
             predicted = math.exp((touch + 1) * M * tau)
             worst_law = max(worst_law,
                             abs(growth - predicted) / predicted)
-        for tau in taus_fd:
-            fd = measure_edge_derivative_fd(prof, tau, order=touch,
-                                            n=2048)
-            exact = derivative_along(b0, touch, tau, prof)
-            worst_fd = max(worst_fd, abs(fd - exact) / abs(exact))
-    ok = worst_law <= 1e-12 and worst_fd <= 0.05
+        # the vacuum table's windowed finite difference
+        spec = ExperimentSpec(kind="vacuum-collapse", params=_params(M=M),
+                              profile="vacuum-ramp",
+                              profile_args={"touch": touch})
+        rows = run_vacuum_collapse(spec, taus=taus_fd).rows
+        assert [row.tau for row in rows] == list(taus_fd)
+        for row in rows:
+            exact = derivative_along(b0, touch, row.tau, prof)
+            gap = abs(row.fd_estimate - exact) / abs(exact)
+            assert row.fd_rel_gap == gap
+            worst_fd = max(worst_fd, gap)
+    ok = worst_law <= 1e-12 and worst_fd <= 0.05 and FD_NODES == 2048
     _verdict(2, "edge derivative blow-up", ok,
              f"law rel gap {worst_law:.2e}, finite-difference gap "
              f"{worst_fd:.2e} for tau <= 3 at N=2048")
@@ -241,8 +247,8 @@ def test_criterion_09_exponential_decay():
     p = _params(epsilon=0.1, n=64, t_end=5.0)
     spec = ExperimentSpec(kind="decay-fit", params=p)
     result = run_decay_fit(spec)
-    fits = {name: result.fit(name)
-            for name in ("e_total", "sup_dev", "grad_l4", "ks_sup_dev")}
+    fits = {fit.series: fit for fit in result.rows}
+    assert list(fits) == ["e_total", "sup_dev", "grad_l4", "ks_sup_dev"]
     rates_ok = all(f.status == "ok" and f.rate > 0.0
                    and f.r_squared >= 0.99 for f in fits.values())
     floor = 0.9 * min(0.7, p.mass_level)   # sigma0 = 1 + 0.3 cos

@@ -16,9 +16,7 @@ from frictionlab.errors import (
     InversionFailure, MultipleVacuumIntervals, NoVacuum,
     PreconditionViolation, UnsupportedOrder, VacuumApproach,
 )
-from frictionlab.experiments import (
-    FD_WINDOW_SCALE, measure_edge_derivative_fd,
-)
+from frictionlab.experiments import FD_WINDOW_SCALE, _edge_derivatives_fd
 from frictionlab.profiles import (
     bump_profile, equilibrium_profile, vacuum_ramp_profile,
 )
@@ -305,15 +303,15 @@ def test_edge_labels_match_the_full_grid(width, touch, tau):
     (a0, b0), = prof.vacuum_set
     n = 2048
     grid = Grid.line(b, b + FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * M * tau), n)
-    full = invert_trajectory_map(grid.x, tau, prof)
-    part = invert_trajectory_map(grid.x[:touch + 1], tau, prof)
+    (full,) = invert_trajectory_map(grid.x[None], [tau], prof)
+    (part,) = invert_trajectory_map(grid.x[None, :touch + 1], [tau], prof)
     assert np.array_equal(part, full[:touch + 1])
     (state,) = reconstruct_eulerian([tau], prof, grid)
     stencil = state.sigma.values[:touch + 1]
     for _ in range(touch):
         stencil = np.diff(stencil)
-    assert measure_edge_derivative_fd(prof, tau, order=touch, n=n) == \
-        float(stencil[0] / grid.h ** touch)
+    assert _edge_derivatives_fd(prof, [tau], [b], touch) == \
+        [float(stencil[0] / grid.h ** touch)]
 
 
 @st.composite
@@ -355,20 +353,20 @@ def inversion_cases(draw):
 @given(case=inversion_cases())
 def test_inversion_is_bit_identical_to_plain_bisection(case, plain_bisection):
     # every row of the stack gets the labels of its own plain bisection,
-    # and a row inverted alone is the one-row stack
+    # and so does a row inverted alone, as a one-row stack
     prof, taus, y = case
     labels = invert_trajectory_map(y, taus, prof)
     assert labels.shape == y.shape
     for row, tau, got in zip(y, taus, labels):
         assert np.array_equal(got, plain_bisection(row, tau, prof))
-    assert np.array_equal(invert_trajectory_map(y[0], taus[0], prof),
-                          labels[0])
+    assert np.array_equal(invert_trajectory_map(y[:1], taus[:1], prof),
+                          labels[:1])
 
 
 @pytest.mark.parametrize("tau", [math.nan, -1.0, -1e-300])
 def test_inversion_rejects_nan_or_negative_tau(ramp, tau):
     with pytest.raises(ValueError, match="tau"):
-        invert_trajectory_map(np.array([0.0, 0.5]), tau, ramp)
+        invert_trajectory_map(np.array([[0.0, 0.5]]), [tau], ramp)
 
 
 @pytest.mark.parametrize("taus, row", [
@@ -376,6 +374,21 @@ def test_inversion_rejects_nan_or_negative_tau(ramp, tau):
 def test_inversion_names_the_row_with_a_bad_tau(ramp, taus, row):
     y = np.tile([0.0, 0.5], (len(taus), 1))
     with pytest.raises(ValueError, match=f"tau.*row {row}"):
+        invert_trajectory_map(y, taus, ramp)
+
+
+@pytest.mark.parametrize("y, taus, message", [
+    (np.zeros((2, 3)), [1.0], r"1 taus for a stack of shape \(2, 3\)"),
+    (np.zeros((1, 3)), [1.0, 2.0, 0.0],
+     r"3 taus for a stack of shape \(1, 3\)"),
+    (np.zeros(3), [1.0, 1.0, 1.0], r"3 taus for a stack of shape \(3,\)"),
+    (np.zeros((1, 2, 3)), [1.0], r"1 taus for a stack of shape \(1, 2, 3\)"),
+])
+def test_inversion_takes_one_tau_per_row_of_a_stack(ramp, y, taus, message):
+    # a count of taus that differs from the rows once escaped as numpy's
+    # broadcast error, and a single row at a scalar tau was a second form
+    with pytest.raises(ValueError, match=f"one tau per row of a stack, "
+                       f"got {message}"):
         invert_trajectory_map(y, taus, ramp)
 
 
@@ -428,7 +441,8 @@ def test_stacked_reconstruction_is_the_one_tau_reconstruction(ramp,
 def test_inversion_of_an_empty_row_is_empty(ramp, tau):
     # at tau = 40 the certified guess is skipped; an empty row once failed
     # inside it on a reduction with no identity
-    assert invert_trajectory_map(np.array([]), tau, ramp).shape == (0,)
+    assert invert_trajectory_map(np.empty((1, 0)), [tau],
+                                 ramp).shape == (1, 0)
     assert invert_trajectory_map(np.empty((3, 0)), [tau, 0.0, tau],
                                  ramp).shape == (3, 0)
 
@@ -439,7 +453,7 @@ def test_inversion_rejects_a_non_finite_position(ramp, tau, bad):
     # [0, nan] once gave [0.286..., nan] with RuntimeWarnings, and [inf]
     # gave [inf]
     with pytest.raises(ValueError, match=f"position {bad} at index 1 of row 0"):
-        invert_trajectory_map(np.array([0.0, bad]), tau, ramp)
+        invert_trajectory_map(np.array([[0.0, bad]]), [tau], ramp)
     with pytest.raises(ValueError, match=f"position {bad} at index 0 of row 1"):
         invert_trajectory_map(np.array([[0.0], [bad]]), [tau, tau], ramp)
 
@@ -448,7 +462,7 @@ def test_inversion_bracket_miss_raises(ramp):
     # max_abs_F = 0 claims a bracket of +-1, but (1 - e^{-5}) F(1) < -1
     understated = dataclasses.replace(ramp, max_abs_F=0.0)
     with pytest.raises(InversionFailure, match="bracket"):
-        invert_trajectory_map(np.array([0.0]), 5.0, understated)
+        invert_trajectory_map(np.array([[0.0]]), [5.0], understated)
 
 
 def test_inversion_bracket_miss_names_its_row(ramp):
@@ -462,7 +476,7 @@ def test_inversion_bracket_miss_names_its_row(ramp):
 
 def test_inversion_of_descending_targets_raises(ramp):
     with pytest.raises(InversionFailure, match="monotone"):
-        invert_trajectory_map(np.array([1.0, 0.0]), 1.0, ramp)
+        invert_trajectory_map(np.array([[1.0, 0.0]]), [1.0], ramp)
 
 
 def test_inversion_of_one_descending_row_names_it(ramp):
@@ -484,7 +498,7 @@ def _eta_evaluations(prof, tau, monkeypatch) -> float:
         return original(x, *args)
 
     monkeypatch.setattr(characteristics, "_eta", counting)
-    invert_trajectory_map(grid.x, tau, prof)
+    invert_trajectory_map(grid.x[None], [tau], prof)
     return sum(evaluated) / grid.n
 
 

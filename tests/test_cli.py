@@ -262,6 +262,18 @@ def test_characteristics_nan_t_end_exits_2(runner):
     assert "tau=nan" not in result.output
 
 
+def test_characteristics_negative_bump_exits_2(runner, tmp_path):
+    # amp = -1.5 puts sigma0 = -0.5 at the centre label: the run once
+    # exited 0 with a negative density and crossed trajectories
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("profile = bump\nprofile_amp = -1.5\n")
+    result = runner.invoke(main, ["characteristics", "--config", str(cfg),
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 2, outputs(result)
+    assert "bump amplitude" in outputs(result)
+    assert not (tmp_path / "trajectories.csv").exists()
+
+
 @pytest.mark.parametrize("labels", ["0", "-3"])
 def test_characteristics_nonpositive_labels_exit_2(runner, tmp_path, labels):
     result = runner.invoke(main, [

@@ -16,9 +16,9 @@ from frictionlab.euler_poisson import simulate_ep, simulate_ep_rows
 from frictionlab.keller_segel import simulate_ks
 from frictionlab.profiles import profile_field, profile_line
 from frictionlab.experiments import (
-    DEFAULT_WAVENUMBERS, ExperimentSpec, SweepRow, measured_vacuum_length,
-    measure_edge_derivative_fd, run_decay_fit, run_epsilon_sweep,
-    run_single_ep, run_single_ks, run_spectrum_table, run_vacuum_collapse,
+    DEFAULT_WAVENUMBERS, ExperimentSpec, SweepRow, _edge_derivatives_fd,
+    measured_vacuum_length, run_decay_fit, run_epsilon_sweep, run_single_ep,
+    run_single_ks, run_spectrum_table, run_vacuum_collapse,
 )
 
 
@@ -234,7 +234,7 @@ class TestVacuumCollapse:
             tau = row.tau
             rep = vacuum_interval(tau, prof)
             d = derivative_along(1.0, touch, tau, prof)
-            fd = (measure_edge_derivative_fd(prof, tau, order=touch)
+            fd = (_edge_derivatives_fd(prof, [tau], [rep.b], touch)[0]
                   if tau <= experiments.FD_TAU_MAX else math.nan)
             expected = experiments.VacuumRow(
                 tau=tau, a=rep.a, b=rep.b, length=rep.length,
@@ -299,27 +299,27 @@ class TestVacuumCollapse:
         assert sum(positions) <= 334_261
 
     def test_windowed_fd_tracks_closed_form(self, params):
+        spec = ExperimentSpec(kind="vacuum-collapse", params=params,
+                              profile="vacuum-ramp")
         prof = profile_line("vacuum-ramp", 1.0)
-        for tau in (0.0, 1.0, 2.0):
-            fd = measure_edge_derivative_fd(prof, tau)
-            exact = derivative_along(1.0, 1, tau, prof)
-            assert fd == pytest.approx(exact, rel=5e-3)
-
-    @pytest.mark.parametrize("order", [0, -1, True, 1.5, 2.0])
-    def test_fd_rejects_an_order_below_one(self, order):
-        # order 0 used to return sigma at the edge, -1 an IndexError, True
-        # the first difference, and 1.5 or 2.0 a bare TypeError
-        prof = profile_line("vacuum-ramp", 1.0)
-        with pytest.raises(ValueError, match="order must be an integer >= 1"):
-            measure_edge_derivative_fd(prof, 0.5, order=order)
+        rows = run_vacuum_collapse(spec, taus=[0.0, 1.0, 2.0],
+                                   n_grid=256).rows
+        for row in rows:
+            exact = derivative_along(1.0, 1, row.tau, prof)
+            assert row.fd_estimate == pytest.approx(exact, rel=5e-3)
+            assert row.fd_rel_gap == abs(row.fd_estimate - exact) / exact
 
     @pytest.mark.parametrize("tau", [3.5, 12.0, 13.0, 18.0, math.inf])
-    def test_fd_rejects_tau_past_the_bound(self, tau):
+    def test_fd_rejects_tau_past_the_bound(self, params, tau):
         # past FD_TAU_MAX the window was too thin for its grid: tau = 12
-        # read 40% low, 13 negative, 14-17 zero, and 18 raised a grid error
-        prof = profile_line("vacuum-ramp", 1.0)
-        with pytest.raises(ValueError, match=f"tau = {tau}"):
-            measure_edge_derivative_fd(prof, tau)
+        # read 40% low, 13 negative, 14-17 zero, and 18 raised a grid
+        # error; the table leaves the estimate out there
+        spec = ExperimentSpec(kind="vacuum-collapse", params=params,
+                              profile="vacuum-ramp")
+        result = run_vacuum_collapse(spec, taus=[tau], n_grid=256)
+        (row,) = result.rows
+        assert math.isnan(row.fd_estimate) and math.isnan(row.fd_rel_gap)
+        assert result.verdicts["fd_agreement"]
 
 
 class TestMeasuredVacuumLength:
@@ -343,12 +343,13 @@ class TestDecayFit:
                               output_dir=tmp_path)
         result = run_decay_fit(spec, n_samples=21)
         assert result.verdict_ok, result.verdicts
-        for name in ("e_total", "sup_dev", "grad_l4", "ks_sup_dev"):
-            fit = result.fit(name)
+        fits = {fit.series: fit for fit in result.rows}
+        assert list(fits) == ["e_total", "sup_dev", "grad_l4", "ks_sup_dev"]
+        for fit in fits.values():
             assert fit.status == "ok"
             assert fit.rate > 0.0
         # sigma0 = 1 + 0.3 cos: floor is 0.9 * min(0.7, 1)
-        assert result.fit("ks_sup_dev").rate >= 0.9 * 0.7
+        assert fits["ks_sup_dev"].rate >= 0.9 * 0.7
         assert (tmp_path / "decay.csv").exists()
 
     def test_equilibrium_is_zero_signal(self, params):
@@ -365,13 +366,6 @@ class TestDecayFit:
                               params=params.replace(t_end=0.0))
         with pytest.raises(ValueError, match="t_end"):
             run_decay_fit(spec, n_samples=11)
-
-    def test_unknown_series_raises(self, params):
-        spec = ExperimentSpec(kind="decay-fit", params=params,
-                              profile="equilibrium")
-        result = run_decay_fit(spec, n_samples=11)
-        with pytest.raises(KeyError):
-            result.fit("enstrophy")
 
 
 class TestSpectrumTable:

@@ -136,6 +136,33 @@ class TestReadInitialCsv:
         with pytest.raises(ValueError, match="init.csv:3: .*must be finite"):
             read_initial_csv(path, Grid.line(0.0, 1.0, 9))
 
+    @pytest.mark.parametrize("row", ["1.0,abc", "0.5", "0.5,1.5,2.5",
+                                     "0.5,", "x,v"])
+    def test_malformed_row_is_named(self, tmp_path, row):
+        # a later row that is not two numbers was once dropped, and the
+        # rest interpolated without it
+        path = tmp_path / "init.csv"
+        path.write_text(f"x,v\n0.0,1.0\n{row}\n1.0,2.0\n")
+        with pytest.raises(ValueError,
+                           match="init.csv:3: expected two numbers"):
+            read_initial_csv(path, Grid.line(0.0, 1.0, 9))
+
+    def test_blank_and_comment_rows_skipped(self, tmp_path):
+        # the header is the first row that is neither blank nor a comment
+        grid = Grid.line(0.0, 1.0, 9)
+        path = tmp_path / "init.csv"
+        path.write_text("# tabulated sigma0\n\nx,v\n0.0,1.0\n\n"
+                        "  # midpoint\n0.5,1.5\n , \n1.0,2.0\n")
+        vals = read_initial_csv(path, grid)
+        np.testing.assert_allclose(vals, 1.0 + grid.x, atol=1e-14)
+
+    def test_numeric_first_row_is_data(self, tmp_path):
+        # only a first row that is not all numbers is a header
+        path = tmp_path / "init.csv"
+        path.write_text("0.0,1.0,2.0\n0.5,1.5\n1.0,2.0\n")
+        with pytest.raises(ValueError, match="init.csv:1: expected two"):
+            read_initial_csv(path, Grid.line(0.0, 1.0, 9))
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("x,v\n0.0,1.0\n")

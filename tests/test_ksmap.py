@@ -6,7 +6,9 @@ from frictionlab.core import Field, Grid
 from frictionlab.errors import NotTorus
 from frictionlab.ksmap import ks_map_torus
 from frictionlab.profiles import bump_profile
-from frictionlab.spectral import deriv, trig_interp
+from frictionlab.spectral import (
+    deriv, trig_coefficients, trig_eval, trig_tables,
+)
 
 
 def test_torus_cosine(torus64):
@@ -61,5 +63,6 @@ def test_torus_line_agreement_for_compact_bump():
     gt = Grid.torus(256)
     x = np.linspace(0.0, 2.0 * np.pi, 4097)
     vt = ks_map_torus(Field(gt, prof.sigma0(gt.x), tag="density"), M)
-    np.testing.assert_allclose(trig_interp(vt.values, gt, x),
-                               prof.cumulative(x), atol=1e-5)
+    v_at_x = trig_eval(trig_coefficients(vt.values, gt), gt, x,
+                       trig_tables(gt, x.size))
+    np.testing.assert_allclose(v_at_x, prof.cumulative(x), atol=1e-5)

@@ -84,3 +84,65 @@ def test_importing_the_package_imports_every_traced_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert {f"frictionlab.{m}" for m in modules} <= set(out)
+
+
+# public names that no caller in the program references, each kept on
+# purpose: the benchmark's tracer names ksmap in MODULES until the next
+# benchmark change, and the tests take their reference derivative from
+# spectral.deriv
+UNCALLED_ON_PURPOSE = {
+    "ksmap.ks_map_torus": "perfbench/tracing.py's MODULES names its module",
+    "spectral.deriv": "the tests' reference spectral derivative",
+}
+
+
+def _is_click_command(node: ast.FunctionDef) -> bool:
+    """Whether a decorator registers the function (`@main.command(...)`)."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in node.decorator_list)
+
+
+def _public_entry_points(module: str, tree: ast.Module) -> list:
+    """(name, key) of each public module-level function, as
+    module.function, and of each public method of a public class, as
+    module.Class.method; click commands left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") \
+                and not _is_click_command(node):
+            out.append((node.name, f"{module}.{node.name}"))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [(m.name, f"{module}.{node.name}.{m.name}")
+                    for m in node.body if isinstance(m, ast.FunctionDef)
+                    and not m.name.startswith("_")]
+    return out
+
+
+def test_every_public_entry_point_has_a_caller_in_the_program():
+    # callers in the package and the benchmark count, tests do not.  A
+    # function counts as referenced by its bare name in its own module, an
+    # import of it from its module, or an attribute <module>.<name>; a
+    # method by any attribute of its name (its receiver's type is unknown)
+    package = Path(frictionlab.__file__).parent
+    trees = {path: ast.parse(path.read_text())
+             for path in [*sorted(package.glob("*.py")),
+                          *sorted((ROOT / "perfbench").glob("*.py"))]}
+    functions, attributes = set(), set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    functions.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rpartition(".")[2]
+                functions |= {f"{source}.{a.name}" for a in node.names}
+            elif isinstance(node, ast.Name) and path.parent == package:
+                functions.add(f"{path.stem}.{node.id}")
+    uncalled = []
+    for path in sorted(package.glob("*.py")):
+        for name, key in _public_entry_points(path.stem, trees[path]):
+            method = key.count(".") == 2
+            if not (name in attributes if method else key in functions):
+                uncalled.append(key)
+    assert sorted(uncalled) == sorted(UNCALLED_ON_PURPOSE), uncalled

@@ -85,6 +85,25 @@ class TestBumpProfile:
         with pytest.raises(RangeViolation):
             bump_profile(1.0, amp=1.7)
 
+    @pytest.mark.parametrize("amp", [-1.0, -1.5, -3.0])
+    def test_rejects_a_negative_amplitude_that_empties_the_centre(self, amp):
+        # sigma0 = M + amp at the centre: amp = -1.5 once built a profile
+        # whose trajectories crossed (Jacobian -0.165 at tau = 1.5)
+        with pytest.raises(RangeViolation):
+            bump_profile(1.0, amp=amp)
+        prof = bump_profile(1.0, amp=0.99 * amp / -amp)
+        assert prof.sigma0(np.array([math.pi]))[0] == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("amp, radius", [(0.45, 1.2), (-0.8, 0.7)])
+    def test_max_abs_F_is_the_exact_maximum(self, amp, radius):
+        # max |u(1 - u^2)^3| is 216/(343 sqrt 7) = 0.238 at u = 1/sqrt(7);
+        # 0.3932 overstated it by 65%
+        prof = bump_profile(1.0, amp=amp, radius=radius)
+        x = np.linspace(*prof.domain, 200_001)
+        sampled = np.abs(prof.cumulative(x)).max()
+        assert sampled <= prof.max_abs_F
+        assert prof.max_abs_F - sampled < 1e-6 * sampled
+
     def test_first_derivative(self):
         prof = bump_profile(1.0, amp=0.3)
         x = np.linspace(2.0, 4.0, 7)

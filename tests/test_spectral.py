@@ -10,7 +10,7 @@ from frictionlab import spectral
 from frictionlab.core import Grid
 from frictionlab.spectral import (
     _symbols, deriv, inverse_gradient, trig_coefficients, trig_eval,
-    trig_interp, trig_tables, wavenumbers,
+    trig_tables, wavenumbers,
 )
 
 
@@ -107,15 +107,22 @@ def test_deriv_and_inverse_gradient_take_stacked_rows_and_lists(g):
             np.testing.assert_array_equal(f(row.tolist()), out)
 
 
+def _interpolate(values, grid, points):
+    """The interpolant of values read at points: trig_eval of its
+    coefficients on new tables, the package's one interpolation path."""
+    return trig_eval(trig_coefficients(values, grid), grid, points,
+                     trig_tables(grid, points.size))
+
+
 def test_trig_interp_exact_at_nodes(g):
     f = np.cos(2 * g.x) + 0.3 * np.sin(5 * g.x)
-    np.testing.assert_allclose(trig_interp(f, g, g.x), f, atol=1e-12)
+    np.testing.assert_allclose(_interpolate(f, g, g.x), f, atol=1e-12)
 
 
 def test_trig_interp_between_nodes(g):
     f = np.cos(2 * g.x)
     pts = np.array([0.1234, 1.9, 4.21])
-    np.testing.assert_allclose(trig_interp(f, g, pts), np.cos(2 * pts),
+    np.testing.assert_allclose(_interpolate(f, g, pts), np.cos(2 * pts),
                                atol=1e-12)
 
 
@@ -134,10 +141,10 @@ def test_trig_interp_matches_dense_sum(n, dense_trig_interp):
                              grid.x))
     c = np.fft.rfft(values) / n
     c[1:(n + 1) // 2] *= 2.0
-    np.testing.assert_allclose(trig_interp(values, grid, points),
+    np.testing.assert_allclose(_interpolate(values, grid, points),
                                dense_trig_interp(values, grid, points),
                                rtol=0.0, atol=1e-12 * np.abs(c).sum())
-    empty = trig_interp(values, grid, np.empty(0))
+    empty = _interpolate(values, grid, np.empty(0))
     assert empty.shape == (0,) and empty.dtype == np.float64
 
 
@@ -149,7 +156,7 @@ def test_trig_interp_takes_two_phases_per_point(monkeypatch):
     rng = np.random.default_rng(7)
     values = rng.standard_normal(n)
     points = rng.uniform(0.0, grid.length, m)
-    expected = trig_interp(values, grid, points)
+    expected = _interpolate(values, grid, points)
     real_unit_phases = spectral._unit_phases
     handed = []
 
@@ -158,15 +165,16 @@ def test_trig_interp_takes_two_phases_per_point(monkeypatch):
         return real_unit_phases(phase)
 
     monkeypatch.setattr(spectral, "_unit_phases", counting)
-    np.testing.assert_array_equal(trig_interp(values, grid, points), expected)
+    np.testing.assert_array_equal(_interpolate(values, grid, points), expected)
     assert 0 < sum(handed) <= 2 * m, handed
 
 
 @pytest.mark.parametrize("n", [9, 512])
 def test_batched_coefficients_on_shared_tables_match_trig_interp(n):
     # the oracle's path: the coefficients of stacked rows from one batched
-    # rfft and every read on one set of tables; each read is trig_interp
-    # of its row at its points bit for bit, in a new array
+    # rfft and every read on one set of tables; each read is the
+    # interpolant of its row alone at its points on new tables, bit for
+    # bit, in a new array
     grid = Grid.torus(n, length=3.7, left=-1.3)
     rng = np.random.default_rng(n)
     rows = rng.standard_normal((5, n))
@@ -175,16 +183,8 @@ def test_batched_coefficients_on_shared_tables_match_trig_interp(n):
     for j in (0, 3, 3, 4, 1):
         points = rng.uniform(grid.left - grid.length, grid.right + 1.0, n)
         got = trig_eval(blocks[j], grid, points, tables)
-        assert got.tobytes() == trig_interp(rows[j], grid, points).tobytes()
+        assert got.tobytes() == _interpolate(rows[j], grid, points).tobytes()
         assert not any(np.shares_memory(got, t) for t in tables)
-
-
-def test_trig_interp_rejects_non_1d_points(g):
-    f = np.cos(g.x)
-    with pytest.raises(ValueError, match="1-D"):
-        trig_interp(f, g, 0.5)
-    with pytest.raises(ValueError, match="1-D"):
-        trig_interp(f, g, np.zeros((2, 3)))
 
 
 def test_trig_interp_memory_below_one_dense_table():
@@ -195,10 +195,10 @@ def test_trig_interp_memory_below_one_dense_table():
     rng = np.random.default_rng(5)
     values = rng.standard_normal(n)
     points = rng.uniform(0.0, grid.length, m)
-    trig_interp(values, grid, points)     # one-time set-up stays out of the peak
+    _interpolate(values, grid, points)     # one-time set-up stays out of the peak
     tracemalloc.start()
     try:
-        trig_interp(values, grid, points)
+        _interpolate(values, grid, points)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
