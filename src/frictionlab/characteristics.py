@@ -8,15 +8,15 @@ and derived quantities drive everything here:
     v(eta(x,tau), tau)     = e^{-M tau} F(x)
     eta(x, tau)            = x + (1 - e^{-M tau}) F(x) / M
     d(eta)/dx              = D / M
-    d(sigma)/dx at eta     = sigma0'(x) M^3 e^{-M tau} / D^3
 
 A vacuum interval [a0, b0] shrinks to length (b0-a0) e^{-M tau}; the
-first nontrivial one-sided edge derivative of order k grows like
-e^{(k+1) M tau}.  Every closed form reads M from its `InitialProfile`,
-and they hold on the torus too, where v has zero mean.  This module
-doubles as the oracle for the Eulerian solvers: reconstruction, and a
-semi-Lagrangian comparison that carries markers through the velocity
-fields of one `simulate_ks` run.
+first nontrivial one-sided edge derivative, of the touch order k, grows
+like e^{(k+1) M tau} from the profile's edge jet.  The functions along
+trajectories take an array of labels and one tau.  Every closed form
+reads M from its `InitialProfile`, and they hold on the torus too,
+where v has zero mean.  This module doubles as the oracle for the
+Eulerian solvers: reconstruction, and a semi-Lagrangian comparison that
+carries markers through the velocity fields of one `simulate_ks` run.
 
 Reconstruction inverts the trajectory map by certified bisection.  One
 bisection inverts a stack (R, N) of rows of positions with one tau per
@@ -37,7 +37,7 @@ import numpy as np
 from .core import (STACK_POSITIONS, Field, Grid, KSState, ParamSet,
                    _positive_integer)
 from .errors import (InversionFailure, MultipleVacuumIntervals, NoVacuum,
-                     PreconditionViolation, UnsupportedOrder)
+                     PreconditionViolation)
 from .keller_segel import simulate_ks
 from .profiles import InitialProfile
 from .spectral import (inverse_gradient, trig_coefficients, trig_eval,
@@ -72,24 +72,16 @@ def _eta(x: np.ndarray, s, prof: InitialProfile) -> np.ndarray:
     return x + s * prof.cumulative(x) / prof.M
 
 
-def _match_input(x, result):
-    """Return a float for scalar labels, an array otherwise."""
-    if np.ndim(x) == 0:
-        return float(np.asarray(result))
-    return np.asarray(result, dtype=float)
-
-
-def velocity_along(x, tau: float, prof: InitialProfile):
-    """Flow velocity along the trajectory from label x: e^{-M tau} F(x)."""
+def velocity_along(x: np.ndarray, tau: float, prof: InitialProfile):
+    """Flow velocity along the trajectories from labels x: e^{-M tau} F(x)."""
     _check_tau(tau)
-    return _match_input(x, _decay(tau, prof.M) * prof.cumulative(x))
+    return _decay(tau, prof.M) * prof.cumulative(x)
 
 
-def trajectory_position(x, tau: float, prof: InitialProfile):
+def trajectory_position(x: np.ndarray, tau: float, prof: InitialProfile):
     """eta(x, tau) = x + (1 - e^{-M tau}) F(x)/M; tends to x + F(x)/M."""
     _check_tau(tau)
-    return _match_input(x, _eta(np.asarray(x, dtype=float),
-                                _growth(tau, prof.M), prof))
+    return _eta(x, _growth(tau, prof.M), prof)
 
 
 def _denominator(sigma0, tau: float, M: float):
@@ -97,62 +89,49 @@ def _denominator(sigma0, tau: float, M: float):
     return sigma0 + (M - sigma0) * e
 
 
-def sigma_along(x, tau: float, prof: InitialProfile):
-    """Exact logistic density along the trajectory; identically 0 on vacuum labels."""
+def sigma_along(x: np.ndarray, tau: float, prof: InitialProfile):
+    """Exact logistic density along the trajectories from labels x;
+    identically 0 on vacuum labels."""
     _check_tau(tau)
     M = prof.M
-    s0 = np.asarray(prof.sigma0(x), dtype=float)
+    s0 = prof.sigma0(x)
     e = _decay(tau, M)
     if e == 0.0:
-        return _match_input(x, np.where(s0 > 0.0, float(M), 0.0))
-    return _match_input(x, M * s0 / (s0 + (M - s0) * e))
+        return np.where(s0 > 0.0, float(M), 0.0)
+    return M * s0 / (s0 + (M - s0) * e)
 
 
-def dxeta(x, tau: float, prof: InitialProfile):
+def dxeta(x: np.ndarray, tau: float, prof: InitialProfile):
     """Trajectory Jacobian d(eta)/dx = D/M > 0 (trajectories never cross)."""
     _check_tau(tau)
-    s0 = np.asarray(prof.sigma0(x), dtype=float)
-    return _match_input(x, _denominator(s0, tau, prof.M) / prof.M)
+    return _denominator(prof.sigma0(x), tau, prof.M) / prof.M
 
 
-def _in_vacuum(x: float, prof: InitialProfile) -> bool:
-    """Whether a scalar label lies in a closed vacuum interval."""
-    return any(a <= x <= b for (a, b) in prof.vacuum_set)
+def edge_derivative_along(k: int, tau: float, prof: InitialProfile) -> float:
+    """The order-k spatial derivative of the density at the right vacuum
+    edge's image at tau: e^{(k+1) M tau} d^k sigma0(b0+), read from the
+    profile's edge jet.  The law holds when every lower order vanishes:
+    below the touch order len(edge_jet) it gives 0.
 
-
-def derivative_along(x: float, k: int, tau: float,
-                     prof: InitialProfile) -> float:
-    """Spatial derivative of the density observed at eta(x, tau).
-
-    Non-vacuum labels support k = 1 only (closed form sigma0' M^3 e / D^3).
-    Vacuum labels obey the growth law e^{(k+1) M tau} d^k(sigma0), valid
-    when all lower-order one-sided derivatives vanish at the label.
     Raises ValueError unless k is an integer >= 1 (not a bool), and for a
-    NaN or negative tau.
+    NaN or negative tau (tau = inf is the limit); NoVacuum for a profile
+    without an edge jet, and PreconditionViolation for k above the touch
+    order, where a lower order does not vanish.
     """
     _positive_integer("derivative order", k)
     _check_tau(tau)
-    M = prof.M
-    if not _in_vacuum(float(x), prof):
-        if k != 1:
-            raise UnsupportedOrder(
-                "only first derivatives are tracked along non-vacuum trajectories")
-        s0 = float(prof.sigma0(np.asarray([x]))[0])
-        d1 = float(np.atleast_1d(prof.deriv(x, 1))[0])
-        e = _decay(tau, M)
-        D = _denominator(s0, tau, M)
-        return d1 * M**3 * e / D**3
-    # vacuum label
-    for j in range(1, k):
-        dj = float(np.atleast_1d(prof.deriv(x, j))[0])
-        if dj != 0.0:
-            raise PreconditionViolation(
-                f"order-{j} derivative of the profile is {dj:.3e} != 0 at "
-                f"label {x}; the order-{k} law needs all lower orders to vanish")
-    dk = float(np.atleast_1d(prof.deriv(x, k))[0])
+    jet = prof.edge_jet
+    if not jet:
+        raise NoVacuum(f"profile {prof.label!r} has no vacuum edge")
+    if k > len(jet):
+        raise PreconditionViolation(
+            f"order-{len(jet)} edge derivative of the profile is "
+            f"{jet[-1]:.3e} != 0; the order-{k} law needs all lower "
+            "orders to vanish")
+    dk = jet[k - 1]
     if math.isinf(tau):
         return math.inf if dk != 0.0 else 0.0
-    return math.exp((k + 1.0) * M * tau) * dk
+    return math.exp((k + 1.0) * prof.M * tau) * dk
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 invalid configuration or initial data,
 3 solver breakdown, 4 a verdict check failed (CI-friendly).  _guard maps
-a package error onto 2 or 3, a simulate-* run exits 3 unless ok, and a
-table command ends in _finish: 3 on a failure, then 4 on a false verdict.
+a package error onto 2 or 3 and a bad value or unreadable file onto 2,
+a simulate-* run exits 3 unless ok, and a table command ends in
+_finish: 3 on a failure, then 4 on a false verdict.
 """
 from __future__ import annotations
 
@@ -98,6 +99,8 @@ def _guard(fn, *args, **kwargs):
         _fail(EXIT_SOLVER, f"solver failure: {err}")
     except (ValueError, KeyError) as err:
         _fail(EXIT_VALIDATION, f"invalid configuration: {err}")
+    except OSError as err:
+        _fail(EXIT_VALIDATION, f"file error: {err}")
 
 
 @click.group()

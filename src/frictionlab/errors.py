@@ -53,12 +53,8 @@ class MultipleVacuumIntervals(ValidationError):
     """Profile has more than one vacuum interval; query them one at a time."""
 
 
-class UnsupportedOrder(ValidationError):
-    """Derivative order not tracked along non-vacuum trajectories."""
-
-
 class PreconditionViolation(ValidationError):
-    """Lower-order derivatives do not vanish at the queried vacuum label."""
+    """A lower-order derivative does not vanish at the vacuum edge."""
 
 
 class ResonantDenominator(ValidationError):

@@ -23,7 +23,7 @@ from .errors import InsufficientSamples, NonPositiveSample
 from .euler_poisson import simulate_ep, simulate_ep_rows
 from .keller_segel import simulate_ks
 from .characteristics import (
-    derivative_along, invert_trajectory_map, reconstruct_eulerian,
+    edge_derivative_along, invert_trajectory_map, reconstruct_eulerian,
     sigma_along, vacuum_interval,
 )
 from .profiles import PROFILES, InitialProfile, profile_field, profile_line
@@ -291,10 +291,8 @@ def run_vacuum_collapse(spec: ExperimentSpec,
     prof = profile_line(spec.profile, M, **spec.profile_args)
     limit = vacuum_interval(0.0, prof).limit_point  # raises NoVacuum first
     (a0, b0) = prof.vacuum_set[0]
-    touch = 1  # the order of the first one-sided edge derivative that is not 0
-    while prof.deriv(b0, touch) == 0.0:
-        touch += 1
-    deriv0 = derivative_along(b0, touch, 0.0, prof)
+    touch = len(prof.edge_jet)
+    deriv0 = edge_derivative_along(touch, 0.0, prof)
     full_grid = Grid.line(prof.domain[0], prof.domain[1], n_grid)
 
     taus = [float(tau) for tau in taus]
@@ -306,7 +304,7 @@ def run_vacuum_collapse(spec: ExperimentSpec,
         touch)))
     rows = []
     for i, (tau, rep, state) in enumerate(zip(taus, reps, states)):
-        d_tau = derivative_along(b0, touch, tau, prof)
+        d_tau = edge_derivative_along(touch, tau, prof)
         fd = fds.get(i, math.nan)
         rows.append(VacuumRow(
             tau=tau, a=rep.a, b=rep.b, length=rep.length,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -83,25 +84,24 @@ CONFIG_KEYS = ("epsilon_list", "wavenumbers", "profile", "initial_data")
 
 def build_params(cfg: dict) -> ParamSet:
     """The parameter set of a config on its torus grid.  Raises ValueError
-    for a key that nothing reads."""
+    for a key that nothing reads, and for a value of a float key of
+    DEFAULTS that is a bool or not a real number."""
     unknown = sorted(k for k in cfg if k not in DEFAULTS
                      and k not in CONFIG_KEYS and not k.startswith("profile_"))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     merged = {**DEFAULTS, **cfg}
-    grid = Grid.torus(merged["grid_n"], float(merged["grid_length"]),
-                      float(merged["grid_left"]))
-    return ParamSet(
-        epsilon=float(merged["epsilon"]),
-        alpha=float(merged["alpha"]),
-        gamma=float(merged["gamma"]),
-        mass_level=float(merged["mass_level"]),
-        rho_lower=float(merged["rho_lower"]),
-        rho_upper=float(merged["rho_upper"]),
-        grid=grid,
-        dt_cfl=float(merged["dt_cfl"]),
-        t_end=float(merged["t_end"]),
-    )
+    real = {}
+    for key, default in DEFAULTS.items():
+        if isinstance(default, float):
+            value = merged[key]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"config key {key!r} must be a real number, "
+                                 f"got {value!r}")
+            real[key] = float(value)
+    grid = Grid.torus(merged["grid_n"], real.pop("grid_length"),
+                      real.pop("grid_left"))
+    return ParamSet(grid=grid, **real)
 
 
 def profile_args_from(cfg: dict) -> tuple[str, dict]:

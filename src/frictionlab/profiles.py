@@ -1,18 +1,20 @@
 """Named analytic initial profiles.
 
 Every named profile is an `InitialProfile`: sigma0, its cumulative
-deviation F, its derivatives and its vacuum set in closed form, with the
-background level M the characteristic formulas read from it.  `PROFILES`
-maps each name to its builder; `profile_line` builds one from keyword
-arguments (an argument the builder does not take is an error), and
-`profile_field` samples it on a grid.
+deviation F and its vacuum set in closed form, with the background level
+M the characteristic formulas read from it, and for a vacuum profile the
+jet of one-sided derivatives at the right vacuum edge that the edge
+growth law reads.  `PROFILES` maps each name to its builder;
+`profile_line` builds one from keyword arguments (an argument the
+builder does not take is an error), and `profile_field` samples it on a
+grid.
 
 Exact definitions (x is the spatial coordinate, M the background level):
 
 * ``equilibrium``: sigma0(x) = M.
 
 * ``cosine(amp, k)``: sigma0(x) = M + amp*cos(k*x), k a positive
-  integer, F(x) = (amp/k) sin(k*x), d^j sigma0 = amp k^j cos(k*x + j pi/2).
+  integer, F(x) = (amp/k) sin(k*x).
 
 * ``bump(amp, radius, center)``: sigma0 = M + G'(x) with
   G(x) = amp*radius * u*(1-u^2)^3, u = (x-center)/radius, supported on
@@ -25,9 +27,9 @@ Exact definitions (x is the spatial coordinate, M the background level):
   s_k(t) = (k+1)t^k - k t^(k+1) (touch order k at the vacuum edge,
   C^1 at the plateau end); quartic bumps h*(1-u^2)^2 on the outer
   plateaus tune the cumulative integral so that F(0) = f0 and
-  F(+inf) = 0.  One-sided edge derivatives are
-  d^j sigma0(0-) = M*(+-1/width)^j * s_k^(j)(0), with s_k^(j)(0) = 0 for
-  j < k and s_k^(k)(0) = (k+1)!.
+  F(+inf) = 0.  The edge jet holds the one-sided derivatives
+  d^j sigma0(1+) = M*width^-j * s_k^(j)(0), j = 1..k, with s_k^(j)(0) = 0
+  for j < k and s_k^(k)(0) = (k+1)!.
 """
 from __future__ import annotations
 
@@ -68,13 +70,6 @@ def _quartic_bump_cum(x, c, r, h):
     return h * r * (prim + 8.0 / 15.0)
 
 
-def _quartic_bump_deriv(x, c, r, h):
-    u = np.asarray(x, dtype=float)
-    u = (u - c) / r
-    out = -4.0 * h * u * (1.0 - u * u) / r
-    return np.where(np.abs(u) <= 1.0, out, 0.0)
-
-
 def _on_positive(t, form):
     """form(t) where t > 0 and exact zeros elsewhere, t clipped to [0, 1]:
     most labels lie off a ramp, at t = 0, where numpy's power goes
@@ -97,24 +92,6 @@ def _ramp_cum(t, k):
         t, lambda t: t ** (k + 1.0) - k * t ** (k + 2.0) / (k + 2.0))
 
 
-def _ramp_deriv(t, k):
-    t = np.asarray(t, dtype=float)
-    inside = (t >= 0.0) & (t <= 1.0)
-    tt = np.clip(t, 0.0, 1.0)
-    return np.where(inside, k * (k + 1.0) * tt ** (k - 1.0) * (1.0 - tt), 0.0)
-
-
-def _ramp_deriv_at_zero(j: int, k: int) -> float:
-    """j-th derivative of s_k at t = 0+ (from (k+1)t^k - k t^(k+1))."""
-    if j < k:
-        return 0.0
-    if j == k:
-        return float(math.factorial(k + 1))
-    if j == k + 1:
-        return -float(k * math.factorial(k + 1))
-    return 0.0
-
-
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -123,16 +100,17 @@ class InitialProfile:
 
     sigma0 and cumulative are vectorized callables; cumulative is
     F(x) = integral of (sigma0 - M) from the left.  vacuum_set lists the
-    maximal closed intervals where sigma0 vanishes.  deriv(x, j) returns
-    the j-th derivative of sigma0, one-sided from the fluid side at
-    vacuum edges.
+    maximal closed intervals where sigma0 vanishes.  edge_jet holds the
+    one-sided derivatives d^j sigma0(b0+) at the right edge b0 of the
+    vacuum interval for j = 1..k, up to the first that is not 0, so its
+    length is the edge's touch order k; a profile without vacuum holds ().
     """
 
     M: float
     sigma0: Callable
     cumulative: Callable
-    deriv: Callable
     vacuum_set: tuple = ()
+    edge_jet: tuple = ()
     domain: tuple = (0.0, 1.0)
     max_abs_F: float = 0.0
     label: str = ""
@@ -154,7 +132,6 @@ def equilibrium_profile(M: float) -> InitialProfile:
         M=M,
         sigma0=lambda x: np.full_like(np.asarray(x, dtype=float), M),
         cumulative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        deriv=lambda x, j=1: np.zeros_like(np.asarray(x, dtype=float)),
         vacuum_set=(),
         domain=TORUS_DOMAIN,
         max_abs_F=0.0,
@@ -172,8 +149,6 @@ def cosine_profile(M: float, amp: float = 0.3, k: int = 1) -> InitialProfile:
         M=M,
         sigma0=lambda x: M + amp * np.cos(k * np.asarray(x, dtype=float)),
         cumulative=lambda x: (amp / k) * np.sin(k * np.asarray(x, dtype=float)),
-        deriv=lambda x, j=1: amp * k**j * np.cos(
-            k * np.asarray(x, dtype=float) + j * math.pi / 2.0),
         vacuum_set=(),
         domain=TORUS_DOMAIN,
         max_abs_F=abs(amp) / k,
@@ -186,7 +161,9 @@ def bump_profile(M: float, amp: float = 0.45, radius: float = 1.2,
     """sigma0 = M + G' with G = amp*radius*u*(1-u^2)^3; F = G exactly.
     G'/amp = (1-u^2)^2 (1-7u^2) spans [-32/49, 1], so sigma0 stays
     positive for amp > -M and amp * 0.66 < M; other amplitudes raise
-    RangeViolation."""
+    RangeViolation, and a radius that is not > 0 ValueError."""
+    if not radius > 0.0:
+        raise ValueError(f"bump radius must be > 0, got {radius}")
     if amp * 0.66 >= M or amp <= -M:
         raise RangeViolation("bump amplitude drives the profile into vacuum")
     A = amp * radius
@@ -203,20 +180,8 @@ def bump_profile(M: float, amp: float = 0.45, radius: float = 1.2,
         dg = amp * (1.0 - uu * uu) ** 2 * (1.0 - 7.0 * uu * uu)
         return M + np.where(inside, dg, 0.0)
 
-    def deriv(x, j=1):
-        if j != 1:
-            raise NotImplementedError("bump profile tracks first derivatives only")
-        u = np.asarray(x, dtype=float)
-        u = (u - center) / radius
-        inside = np.abs(u) <= 1.0
-        uu = np.clip(u, -1.0, 1.0)
-        # d/dx of G' = (amp/radius) * d/du[(1-u^2)^2 (1-7u^2)]
-        dd = (amp / radius) * (-2.0 * uu) * (1.0 - uu * uu) * (9.0 - 21.0 * uu * uu)
-        return np.where(inside, dd, 0.0)
-
     return InitialProfile(
-        M=M, sigma0=sigma0, cumulative=g, deriv=deriv,
-        vacuum_set=(), domain=TORUS_DOMAIN,
+        M=M, sigma0=sigma0, cumulative=g, domain=TORUS_DOMAIN,
         # max |u(1-u^2)^3| = 216/(343 sqrt 7) = 0.23802... at u = 1/sqrt(7)
         max_abs_F=float(abs(A) * 216.0 / (343.0 * math.sqrt(7.0))),
         label="bump",
@@ -283,34 +248,16 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, f0: Optional[float] = None
         out = out + M * w * (_ramp_cum(t_right, k) - t_right)
         return out
 
-    def deriv(x, j=1):
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        if j == 1:
-            out = _quartic_bump_deriv(xs, c_left, r, h_left)
-            out = out + _quartic_bump_deriv(xs, c_right, r, h_right)
-            left_zone = (xs >= -w) & (xs <= 0.0)
-            right_zone = (xs >= 1.0) & (xs <= 1.0 + w)
-            dl = -(M / w) * _ramp_deriv(-xs / w, k)
-            dr = (M / w) * _ramp_deriv((xs - 1.0) / w, k)
-            out = np.where(left_zone, dl, out)
-            out = np.where(right_zone, dr, out)
-            interior = (xs > 0.0) & (xs < 1.0)
-            out = np.where(interior, 0.0, out)
-        else:
-            # one-sided higher derivatives, nonzero only at the vacuum edges
-            out = np.zeros_like(xs)
-            at_left = np.isclose(xs, 0.0, rtol=0.0, atol=1e-13)
-            at_right = np.isclose(xs, 1.0, rtol=0.0, atol=1e-13)
-            dj = _ramp_deriv_at_zero(j, k)
-            out = np.where(at_left, M * (-1.0 / w) ** j * dj, out)
-            out = np.where(at_right, M * (1.0 / w) ** j * dj, out)
-        return float(out[0]) if scalar else out
+    # d^j sigma0(1+) = M w^-j s_k^(j)(0): 0 below the touch order k and
+    # M w^-k (k+1)! at it, written (M/w) * 2 at k = 1; the two forms
+    # differ in the last bit for some M and w, and vacuum.csv pins them
+    top = (M / w) * 2.0 if k == 1 else \
+        M * (1.0 / w) ** k * float(math.factorial(k + 1))
 
     prof = InitialProfile(
-        M=M, sigma0=sigma0, cumulative=cumulative, deriv=deriv,
-        vacuum_set=((0.0, 1.0),), domain=domain,
+        M=M, sigma0=sigma0, cumulative=cumulative,
+        vacuum_set=((0.0, 1.0),), edge_jet=(0.0,) * (k - 1) + (top,),
+        domain=domain,
         max_abs_F=float(abs(f0) + M + abs(A_right) + abs(A_left)),
         label=f"vacuum-ramp(width={w}, f0={f0}, touch={k})",
     )
@@ -331,7 +278,7 @@ PROFILES = {
 def profile_line(name: str, M: float, **args) -> InitialProfile:
     """The named profile built from its keyword arguments.  Raises KeyError
     for an unknown name and ValueError for an argument its builder does
-    not take or a real-number argument that is not finite."""
+    not take, or that is a bool, not a real number or not finite."""
     if name not in PROFILES:
         raise KeyError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
     builder = PROFILES[name]
@@ -340,7 +287,10 @@ def profile_line(name: str, M: float, **args) -> InitialProfile:
     except TypeError as err:
         raise ValueError(f"profile {name!r}: {err}") from None
     for key, value in args.items():
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"profile {name!r}: argument {key!r} must be "
+                             f"a real number, got {value!r}")
+        if not math.isfinite(value):
             raise ValueError(f"profile {name!r}: argument {key!r} must be "
                              f"finite, got {value}")
     return builder(M, **args)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from frictionlab.characteristics import (
-    derivative_along, reconstruct_eulerian, semi_lagrangian_oracle,
+    edge_derivative_along, reconstruct_eulerian, semi_lagrangian_oracle,
     sigma_along, vacuum_interval,
 )
 from frictionlab.core import Field, Grid, KSState, ParamSet
@@ -70,10 +70,9 @@ def test_criterion_02_edge_derivative_blowup():
     worst_law, worst_fd = 0.0, 0.0
     for touch in (1, 2, 3):
         prof = vacuum_ramp_profile(M, touch=touch)
-        b0 = prof.vacuum_set[0][1]
-        d0 = derivative_along(b0, touch, 0.0, prof)
+        d0 = edge_derivative_along(touch, 0.0, prof)
         for tau in taus_law:
-            growth = derivative_along(b0, touch, tau, prof) / d0
+            growth = edge_derivative_along(touch, tau, prof) / d0
             predicted = math.exp((touch + 1) * M * tau)
             worst_law = max(worst_law,
                             abs(growth - predicted) / predicted)
@@ -84,7 +83,7 @@ def test_criterion_02_edge_derivative_blowup():
         rows = run_vacuum_collapse(spec, taus=taus_fd).rows
         assert [row.tau for row in rows] == list(taus_fd)
         for row in rows:
-            exact = derivative_along(b0, touch, row.tau, prof)
+            exact = edge_derivative_along(touch, row.tau, prof)
             gap = abs(row.fd_estimate - exact) / abs(exact)
             assert row.fd_rel_gap == gap
             worst_fd = max(worst_fd, gap)
@@ -95,12 +94,10 @@ def test_criterion_02_edge_derivative_blowup():
 
 
 def _const_profile(s0: float, M: float) -> InitialProfile:
-    zero = lambda x, k=1: np.zeros_like(np.asarray(x, dtype=float))
     return InitialProfile(
         M=M,
         sigma0=lambda x: np.full_like(np.asarray(x, dtype=float), s0),
         cumulative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        deriv=zero,
         vacuum_set=((0.0, 1.0),) if s0 == 0.0 else (),
         domain=(0.0, 1.0),
         label="constant")
@@ -135,7 +132,7 @@ def test_criterion_03_logistic_oracle():
         prof = _const_profile(s0, M)
         floor = min(s0, M)
         for tau in taus:
-            value = sigma_along(0.5, tau, prof)
+            value = sigma_along(np.array([0.5]), tau, prof)[0]
             worst = max(worst, abs(value - _rk4_logistic(s0, M, tau)))
             if value < floor - 1e-12:
                 bounds_ok = False

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from frictionlab import characteristics
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.characteristics import (
-    derivative_along, dxeta, invert_trajectory_map, reconstruct_eulerian,
-    semi_lagrangian_oracle, sigma_along, trajectory_position,
-    trajectory_rows, vacuum_interval, velocity_along,
+    dxeta, edge_derivative_along, invert_trajectory_map,
+    reconstruct_eulerian, semi_lagrangian_oracle, sigma_along,
+    trajectory_position, trajectory_rows, vacuum_interval, velocity_along,
 )
 from frictionlab.errors import (
     InversionFailure, MultipleVacuumIntervals, NoVacuum,
-    PreconditionViolation, UnsupportedOrder, VacuumApproach,
+    PreconditionViolation, VacuumApproach,
 )
 from frictionlab.experiments import FD_WINDOW_SCALE, _edge_derivatives_fd
 from frictionlab.profiles import (
@@ -43,23 +43,25 @@ def rk4_logistic(sigma0, M, tau, n=20000):
 
 
 def test_velocity_closed_form(ramp):
-    F = lambda x: float(ramp.cumulative(np.array([x]))[0])
-    x = -0.8
-    assert velocity_along(x, 0.0, ramp) == pytest.approx(F(x))
-    assert velocity_along(x, math.log(2.0), ramp) == \
-        pytest.approx(0.5 * F(x))
+    x = np.array([-0.8])
+    F = ramp.cumulative(x)
+    np.testing.assert_allclose(velocity_along(x, 0.0, ramp), F, rtol=1e-12)
+    np.testing.assert_allclose(velocity_along(x, math.log(2.0), ramp),
+                               0.5 * F, rtol=1e-12)
 
 
 def test_velocity_zero_for_equilibrium():
     prof = equilibrium_profile(1.0)
-    assert velocity_along(2.0, 1.3, prof) == 0.0
+    np.testing.assert_array_equal(
+        velocity_along(np.array([2.0]), 1.3, prof), 0.0)
 
 
 def test_trajectory_closed_form_and_limit(ramp):
-    F0 = float(ramp.cumulative(np.array([0.0]))[0])
-    assert trajectory_position(0.0, math.log(2.0), ramp) == \
+    x = np.array([0.0])
+    F0 = float(ramp.cumulative(x)[0])
+    assert trajectory_position(x, math.log(2.0), ramp)[0] == \
         pytest.approx(0.0 + 0.5 * F0)
-    assert trajectory_position(0.0, math.inf, ramp) == \
+    assert trajectory_position(x, math.inf, ramp)[0] == \
         pytest.approx(F0)
 
 
@@ -79,7 +81,7 @@ def test_trajectory_vs_rk4_of_velocity(ramp):
         k2 = math.exp(-(t + dt / 2)) * F(x0)
         k4 = math.exp(-(t + dt)) * F(x0)
         eta += (dt / 6.0) * (k1 + 4 * k2 + k4)
-    assert trajectory_position(x0, tau_end, ramp) == \
+    assert trajectory_position(np.array([x0]), tau_end, ramp)[0] == \
         pytest.approx(eta, abs=1e-10)
 
 
@@ -113,13 +115,12 @@ def _logistic_via_sigma_along(sigma0, tau, M):
         M=M,
         sigma0=lambda x: np.full_like(np.asarray(x, dtype=float), sigma0),
         cumulative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        deriv=lambda x, j: np.zeros_like(np.asarray(x, dtype=float)),
         vacuum_set=((0.0, 1.0),) if sigma0 == 0.0 else (),
         domain=(0.0, 1.0),
         max_abs_F=0.0,
         label="stub",
     )
-    return sigma_along(0.5, tau, stub)
+    return sigma_along(np.array([0.5]), tau, stub)[0]
 
 
 @pytest.mark.parametrize("sigma0", [0.0, 0.1, 0.5, 1.0, 2.0])
@@ -154,17 +155,15 @@ def test_tau_must_be_a_time(ramp, tau):
     with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
         vacuum_interval(tau, ramp)
     with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
-        derivative_along(0.5, 2, tau, ramp)
+        edge_derivative_along(2, tau, ramp)
     with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
         trajectory_rows(np.array([-0.25, 0.5]), [1.0, tau], ramp)
     # sigma_along at label -0.25 and tau = -1 gave a negative density
     # (-1.699), dxeta a negative Jacobian, and trajectory_position at
     # label 0 and tau = -1 gave 0.2864
     for along in (sigma_along, dxeta, velocity_along, trajectory_position):
-        for labels in (np.array([-0.25, 2.0]), -0.25):
-            with pytest.raises(ValueError,
-                               match=f"tau must be >= 0, got {tau}"):
-                along(labels, tau, ramp)
+        with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
+            along(np.array([-0.25, 2.0]), tau, ramp)
 
 
 def test_trajectory_position_takes_one_tau(ramp):
@@ -176,13 +175,14 @@ def test_trajectory_position_takes_one_tau(ramp):
 
 
 @pytest.mark.parametrize("k", [0, -1, True, 1.5, 2.0])
-@pytest.mark.parametrize("label", [0.5, -0.25], ids=["vacuum", "outside"])
-def test_derivative_order_must_be_an_integer(ramp, k, label):
-    # True used to be taken as order 1, and at a vacuum label 1.5 or 2.0
-    # raised a bare TypeError
+@pytest.mark.parametrize("vacuum", [True, False], ids=["vacuum", "no-vacuum"])
+def test_derivative_order_must_be_an_integer(ramp, k, vacuum):
+    # True used to be taken as order 1, and 1.5 or 2.0 raised a bare
+    # TypeError; the order is checked before the profile's edge jet
+    prof = ramp if vacuum else bump_profile(1.0)
     with pytest.raises(ValueError,
                        match=f"order must be an integer >= 1, got {k!r}"):
-        derivative_along(label, k, 1.0, ramp)
+        edge_derivative_along(k, 1.0, prof)
 
 
 def test_infinite_tau_is_the_limit(ramp):
@@ -190,7 +190,7 @@ def test_infinite_tau_is_the_limit(ramp):
     assert rep.length == 0.0
     assert rep.a == pytest.approx(rep.limit_point, abs=1e-12)
     assert rep.b == pytest.approx(rep.limit_point, abs=1e-12)
-    assert derivative_along(1.0, 1, math.inf, ramp) == math.inf
+    assert edge_derivative_along(1, math.inf, ramp) == math.inf
     (row,) = trajectory_rows(np.array([0.5]), [math.inf], ramp)
     assert row[1] == math.inf
     assert row[2] == pytest.approx(rep.limit_point, abs=1e-12)
@@ -224,35 +224,36 @@ def test_vacuum_interval_refuses_two_intervals(ramp):
 
 
 def test_edge_gradient_growth(ramp):
-    d0 = derivative_along(1.0, 1, 0.0, ramp)
-    d = derivative_along(1.0, 1, math.log(2.0), ramp)
+    d0 = edge_derivative_along(1, 0.0, ramp)
+    d = edge_derivative_along(1, math.log(2.0), ramp)
     assert d / d0 == pytest.approx(4.0, rel=1e-13)  # e^{2 M tau}
 
 
 def test_higher_order_growth_law():
     prof = vacuum_ramp_profile(1.0, touch=2)
-    d0 = derivative_along(1.0, 2, 0.0, prof)
-    d = derivative_along(1.0, 2, math.log(2.0), prof)
+    d0 = edge_derivative_along(2, 0.0, prof)
+    d = edge_derivative_along(2, math.log(2.0), prof)
     assert d / d0 == pytest.approx(8.0, rel=1e-13)  # e^{3 M tau}
 
 
-def test_nonvacuum_first_derivative_decays(ramp):
-    x = -0.25  # on the descending left ramp, where sigma0 in (0, M)
-    d_small = derivative_along(x, 1, 30.0, ramp)
-    assert derivative_along(x, 1, 0.0, ramp) != 0.0
-    assert abs(d_small) <= 1e-10
-
-
-def test_nonvacuum_higher_order_unsupported(ramp):
-    with pytest.raises(UnsupportedOrder):
-        derivative_along(-0.25, 2, 1.0, ramp)
+def test_orders_below_the_touch_order_vanish():
+    prof = vacuum_ramp_profile(1.0, touch=3)
+    for tau in (0.0, 1.0, math.inf):
+        assert edge_derivative_along(1, tau, prof) == 0.0
+        assert edge_derivative_along(2, tau, prof) == 0.0
+    assert edge_derivative_along(3, math.inf, prof) == math.inf
 
 
 def test_growth_law_precondition(ramp):
     # touch-1 profile has nonvanishing first derivative at the edge, so
     # the second-order law does not apply there
     with pytest.raises(PreconditionViolation):
-        derivative_along(1.0, 2, 1.0, ramp)
+        edge_derivative_along(2, 1.0, ramp)
+
+
+def test_edge_derivative_needs_a_vacuum_edge():
+    with pytest.raises(NoVacuum, match="has no vacuum edge"):
+        edge_derivative_along(1, 1.0, bump_profile(1.0))
 
 
 def test_dxeta_positive(ramp):
@@ -528,9 +529,10 @@ def test_trajectory_rows(ramp):
     assert jac == pytest.approx(1.0)
     label, tau, eta, sig, jac, vel = rows[3]
     assert (label, tau) == (0.5, 1.0)
+    x = np.array([0.5])
     assert [eta, sig, jac, vel] == [
-        trajectory_position(0.5, 1.0, ramp), sigma_along(0.5, 1.0, ramp),
-        dxeta(0.5, 1.0, ramp), velocity_along(0.5, 1.0, ramp)]
+        trajectory_position(x, 1.0, ramp)[0], sigma_along(x, 1.0, ramp)[0],
+        dxeta(x, 1.0, ramp)[0], velocity_along(x, 1.0, ramp)[0]]
 
 
 def test_oracle_on_constant_field():

@@ -105,6 +105,21 @@ def test_non_finite_initial_data_row_exits_2(runner, tmp_path):
     assert "init.csv:7: x and value must be finite" in outputs(result)
 
 
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()],
+                         ids=["missing", "directory"])
+def test_unreadable_initial_data_exits_2(runner, tmp_path, make):
+    # a missing file or a directory raised FileNotFoundError or
+    # IsADirectoryError through to a traceback and exit 1
+    data = tmp_path / "init.csv"
+    make(data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid_n = 64\nt_end = 0.5\ninitial_data = {data}\n")
+    result = runner.invoke(main, ["simulate-ks", "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert str(data) in outputs(result)
+    assert result.exc_info is None or result.exc_info[0] is SystemExit
+
+
 @pytest.mark.parametrize("line, name", [
     ("grid_length = inf", "length"), ("grid_left = inf", "left"),
     ("grid_left = nan", "left")])
@@ -370,16 +385,44 @@ def test_characteristics_tabulates_the_cosine(runner, tmp_path):
     ("simulate-ks", "profile = bump\nprofile_center = nan",
      "argument 'center' must be finite"),
     ("simulate-ks", "profile = bump\nprofile_radius = inf",
-     "argument 'radius' must be finite")])
+     "argument 'radius' must be finite"),
+    ("simulate-ks", "profile = bump\nprofile_radius = 0",
+     "bump radius must be > 0, got 0")])
 def test_bad_profile_argument_exits_2(runner, tmp_path, command, line,
                                       message):
-    # a misspelt key, a non-integer wavenumber or a non-finite number is
-    # refused, not ignored, run as NaN or run as the equilibrium
+    # a misspelt key, a non-integer wavenumber, a non-finite number or a
+    # zero radius (which divided by zero) is refused, not ignored, run as
+    # NaN or run as the equilibrium
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"grid_n = 64\nt_end = 0.1\n{line}\n")
     result = runner.invoke(main, [command, "--config", str(cfg)])
     assert result.exit_code == 2, outputs(result)
     assert message in outputs(result)
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("simulate-ep", "dt_cfl = true",
+     "config key 'dt_cfl' must be a real number, got True"),
+    ("vacuum", "profile_width = true",
+     "argument 'width' must be a real number, got True"),
+    ("simulate-ks", "t_end = 1,2",
+     "config key 't_end' must be a real number, got (1, 2)"),
+    ("simulate-ks", "profile_amp = abc",
+     "argument 'amp' must be a real number, got 'abc'"),
+    ("simulate-ks", "profile_amp =",
+     "argument 'amp' must be a real number, got ''")],
+    ids=["bool-dt_cfl", "bool-width", "tuple-t_end", "string-amp",
+         "empty-amp"])
+def test_config_value_of_the_wrong_type_exits_2(runner, tmp_path, command,
+                                                line, message):
+    # a bool was run as 1.0 (dt_cfl = true took 113 steps, like 1.0), and
+    # a tuple or a string ended in a TypeError traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid_n = 64\nt_end = 0.1\n{line}\n")
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert message in outputs(result)
+    assert result.exc_info is None or result.exc_info[0] is SystemExit
 
 
 @pytest.mark.parametrize("command", ["simulate-ks", "sweep"])

@@ -8,7 +8,7 @@ import pytest
 import frictionlab.experiments as experiments
 from frictionlab import characteristics, profiles
 from frictionlab.characteristics import (
-    derivative_along, reconstruct_eulerian, vacuum_interval,
+    edge_derivative_along, reconstruct_eulerian, vacuum_interval,
 )
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.diagnostics import DiagnosticsRecord
@@ -228,12 +228,12 @@ class TestVacuumCollapse:
         result = run_vacuum_collapse(spec)
         prof = profile_line("vacuum-ramp", 1.0, **args)
         grid = Grid.line(prof.domain[0], prof.domain[1], 2048)
-        d0 = derivative_along(1.0, touch, 0.0, prof)
+        d0 = edge_derivative_along(touch, 0.0, prof)
         assert len(result.rows) == 11
         for row in result.rows:
             tau = row.tau
             rep = vacuum_interval(tau, prof)
-            d = derivative_along(1.0, touch, tau, prof)
+            d = edge_derivative_along(touch, tau, prof)
             fd = (_edge_derivatives_fd(prof, [tau], [rep.b], touch)[0]
                   if tau <= experiments.FD_TAU_MAX else math.nan)
             expected = experiments.VacuumRow(
@@ -305,7 +305,7 @@ class TestVacuumCollapse:
         rows = run_vacuum_collapse(spec, taus=[0.0, 1.0, 2.0],
                                    n_grid=256).rows
         for row in rows:
-            exact = derivative_along(1.0, 1, row.tau, prof)
+            exact = edge_derivative_along(1, row.tau, prof)
             assert row.fd_estimate == pytest.approx(exact, rel=5e-3)
             assert row.fd_rel_gap == abs(row.fd_estimate - exact) / exact
 
