@@ -24,8 +24,12 @@ row, its only input form, and gives every row the labels of its own
 inversion bit for bit.  It reads tau through the growth factor
 s = 1 - e^{-M tau} of each row, one column, and evaluates
 eta = x + s F(x)/M through one helper, so any map of that form inverts
-with it.  `reconstruct_eulerian` takes a list of taus and stacks at
-most core.STACK_POSITIONS positions per bisection.
+with it; the certified guesses of all rows are made together.  A list of
+taus is evaluated in one pass of each closed form, never one per tau:
+`reconstruct_eulerian` stacks at most core.STACK_POSITIONS positions per
+bisection and takes their densities from one helper with a column of
+decays e^{-M tau}, and `vacuum_interval` gives both edges at every tau
+from one eta evaluation.
 """
 from __future__ import annotations
 
@@ -55,20 +59,21 @@ def _decay(tau: float, M: float) -> float:
     return math.exp(-M * tau)
 
 
+def _decays(taus, M: float) -> np.ndarray:
+    """The column of the decays e^{-M tau} of taus, one row per tau."""
+    return np.array([[_decay(t, M)] for t in taus]).reshape(-1, 1)
+
+
 def _check_tau(tau: float, where: str = "") -> None:
     """Raise ValueError for a NaN or negative tau; tau = inf is the limit."""
     if math.isnan(tau) or tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}{where}")
 
 
-def _growth(tau: float, M: float) -> float:
-    """The growth factor s = 1 - e^{-M tau} of eta, e^{-M tau} from _decay."""
-    return 1.0 - _decay(tau, M)
-
-
 def _eta(x: np.ndarray, s, prof: InitialProfile) -> np.ndarray:
-    """eta = x + s F(x)/M at float labels x, for a growth factor s that
-    is a float or a column of one s per row of a stack of labels."""
+    """eta = x + s F(x)/M at float labels x, for a growth factor
+    s = 1 - e^{-M tau} that is a float or a column of one s per row of a
+    stack of labels."""
     return x + s * prof.cumulative(x) / prof.M
 
 
@@ -81,30 +86,39 @@ def velocity_along(x: np.ndarray, tau: float, prof: InitialProfile):
 def trajectory_position(x: np.ndarray, tau: float, prof: InitialProfile):
     """eta(x, tau) = x + (1 - e^{-M tau}) F(x)/M; tends to x + F(x)/M."""
     _check_tau(tau)
-    return _eta(x, _growth(tau, prof.M), prof)
+    return _eta(x, 1.0 - _decay(tau, prof.M), prof)
 
 
-def _denominator(sigma0, tau: float, M: float):
-    e = _decay(tau, M)
+def _denominator(sigma0, e, M: float):
+    """D = sigma0 + (M - sigma0) e for a decay e = e^{-M tau}."""
     return sigma0 + (M - sigma0) * e
+
+
+def _density(x: np.ndarray, e, prof: InitialProfile) -> np.ndarray:
+    """sigma = M sigma0/D at float labels x, for a decay e = e^{-M tau}
+    that is a float or a column of one e per row of a stack of labels;
+    where e is 0 (the limit), M off vacuum and 0 on it."""
+    M = prof.M
+    s0 = prof.sigma0(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = M * s0 / _denominator(s0, e, M)
+    limit = np.equal(e, 0.0)
+    if limit.any():
+        sigma = np.where(limit, np.where(s0 > 0.0, float(M), 0.0), sigma)
+    return sigma
 
 
 def sigma_along(x: np.ndarray, tau: float, prof: InitialProfile):
     """Exact logistic density along the trajectories from labels x;
     identically 0 on vacuum labels."""
     _check_tau(tau)
-    M = prof.M
-    s0 = prof.sigma0(x)
-    e = _decay(tau, M)
-    if e == 0.0:
-        return np.where(s0 > 0.0, float(M), 0.0)
-    return M * s0 / (s0 + (M - s0) * e)
+    return _density(x, _decay(tau, prof.M), prof)
 
 
 def dxeta(x: np.ndarray, tau: float, prof: InitialProfile):
     """Trajectory Jacobian d(eta)/dx = D/M > 0 (trajectories never cross)."""
     _check_tau(tau)
-    return _denominator(prof.sigma0(x), tau, prof.M) / prof.M
+    return _denominator(prof.sigma0(x), _decay(tau, prof.M), prof.M) / prof.M
 
 
 def edge_derivative_along(k: int, tau: float, prof: InitialProfile) -> float:
@@ -129,9 +143,16 @@ def edge_derivative_along(k: int, tau: float, prof: InitialProfile) -> float:
             f"{jet[-1]:.3e} != 0; the order-{k} law needs all lower "
             "orders to vanish")
     dk = jet[k - 1]
-    if math.isinf(tau):
-        return math.inf if dk != 0.0 else 0.0
-    return math.exp((k + 1.0) * prof.M * tau) * dk
+    return _edge_growth(k, tau, prof.M) * dk if dk != 0.0 else 0.0
+
+
+def _edge_growth(k: int, tau: float, M: float) -> float:
+    """The growth factor e^{(k+1) M tau} of the order-k edge derivative:
+    inf where it overflows, as at tau = inf."""
+    try:
+        return math.exp((k + 1.0) * M * tau)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -142,11 +163,16 @@ class VacuumReport:
     limit_point: float
 
 
-def vacuum_interval(tau: float, prof: InitialProfile) -> VacuumReport:
-    """Edges, exact length (b0-a0) e^{-M tau}, and the common limit point
-    a0 + F(a0)/M of the profile's single vacuum interval under the flow.
-    Raises ValueError for a NaN or negative tau (tau = inf is the limit)."""
-    _check_tau(tau)
+def vacuum_interval(taus, prof: InitialProfile) -> list:
+    """One report per tau of taus: edges, exact length (b0-a0) e^{-M tau},
+    and the common limit point a0 + F(a0)/M of the profile's single
+    vacuum interval under the flow.  Both edges at every tau and the limit
+    point (the edge a at growth factor 1) come from one eta evaluation.
+    Raises ValueError for a NaN or negative tau, naming its index in taus
+    (tau = inf is the limit)."""
+    taus = list(taus)
+    for i, tau in enumerate(taus):
+        _check_tau(tau, f" at index {i} of taus")
     if not prof.vacuum_set:
         raise NoVacuum(f"profile {prof.label!r} has no vacuum interval")
     if len(prof.vacuum_set) > 1:
@@ -154,47 +180,67 @@ def vacuum_interval(tau: float, prof: InitialProfile) -> VacuumReport:
             f"profile has {len(prof.vacuum_set)} vacuum intervals; "
             "the collapse law tracks exactly one")
     a0, b0 = prof.vacuum_set[0]
-    a, b = trajectory_position(np.asarray([a0, b0]), tau, prof).tolist()
-    length = (b0 - a0) * _decay(tau, prof.M)
-    f_a = float(prof.cumulative(np.asarray([a0]))[0])
-    return VacuumReport(a=a, b=b, length=length, limit_point=a0 + f_a / prof.M)
+    e = _decays(taus, prof.M)
+    edges = _eta(np.asarray([a0, b0]), np.vstack([1.0 - e, [[1.0]]]), prof)
+    limit = float(edges[-1, 0])
+    return [VacuumReport(a=a, b=b, length=(b0 - a0) * d, limit_point=limit)
+            for (a, b), d in zip(edges[:-1].tolist(), e[:, 0].tolist())]
 
 
-def _certified_guess(y: np.ndarray, c: float, tau: float, prof: InitialProfile):
+def _certified_guess(y: np.ndarray, c: float, e: np.ndarray,
+                     prof: InitialProfile):
     """A label guess g for each root x* of eta(x, tau) = y, and a radius tol
     such that every label mid with |mid - g| > tol has the computed
-    eta(mid) > y exactly when mid > g.
+    eta(mid) > y exactly when mid > g; y is a stack (R, N) of rows of
+    positions and e the column of their decays e^{-M tau}.
 
-    For sigma0 >= 0, d(eta)/dx = D/M >= e = e^{-M tau}.  A computed eta is
-    off by at most noise = ETA_NOISE_ULPS ulps of |y| + c, so the measured
-    residual r = |eta(g) - y| gives |g - x*| <= (r + noise)/e, and a label
-    further than noise/e from x* has the sign of its exact residual.  The
-    radius 2(r + 2 noise)/e keeps a factor two over that bound.  Where the
-    guess is not finite, tol is inf: every decision is evaluated.
+    For sigma0 >= 0, d(eta)/dx = D/M >= e.  A computed eta is off by at
+    most noise = ETA_NOISE_ULPS ulps of |y| + c, so the measured residual
+    r = |eta(g) - y| gives |g - x*| <= (r + noise)/e, and a label further
+    than noise/e from x* has the sign of its exact residual.  The radius
+    2(r + 2 noise)/e keeps a factor two over that bound.  Where the guess
+    is not finite, tol is inf: every decision is evaluated.
 
     A decision is taken from the guess only while the bisection bracket,
     2c wide at first and halved at each step, is wider than the radius, so
     the guess can spare at most log2(2c / (4 noise/e)) evaluations per
-    label, and it costs GUESS_COST: the 2 y.size + 1 samples, the Newton
-    steps and the residual.  Where that bound does not exceed the cost
-    (e tiny or 0), tol is inf without sampling.
+    label, and it costs GUESS_COST: the 2N + 1 samples, the Newton steps
+    and the residual.  A row where that bound does not exceed the cost
+    (e tiny or 0) keeps the guess y and tol inf without sampling.  The
+    paying rows share each Newton step and the residual; their samples go
+    in chunks of rows of at most STACK_POSITIONS values (and at least one
+    row).
     """
-    e = _decay(tau, prof.M)
-    s = 1.0 - e    # _growth(tau, M)
-    noise_min = ETA_NOISE_ULPS * np.finfo(float).eps * (np.abs(y).min() + c)
-    if e * 2.0 * c <= 2.0**GUESS_COST * 4.0 * noise_min:
-        return y, np.full(y.shape, np.inf)
-    samples = np.linspace(y[0] - c, y[-1] + c, 2 * y.size + 1)
-    guess = np.interp(y, _eta(samples, s, prof), samples)
+    guess = y.copy()
+    tol = np.full(y.shape, np.inf)
+    ulps = ETA_NOISE_ULPS * np.finfo(float).eps
+    noise_min = ulps * (np.abs(y).min(axis=1, keepdims=True) + c)
+    pay = (e * 2.0 * c > 2.0**GUESS_COST * 4.0 * noise_min)[:, 0]
+    if not pay.any():
+        return guess, tol
+    y, e = y[pay], e[pay]
+    s = 1.0 - e
+    n = 2 * y.shape[1] + 1
+    g = np.empty(y.shape)
+    per_chunk = max(1, STACK_POSITIONS // n)
+    for i in range(0, len(y), per_chunk):
+        rows = slice(i, i + per_chunk)
+        samples = np.linspace(y[rows, 0] - c, y[rows, -1] + c, n, axis=1)
+        for j, eta, x in zip(range(i, len(y)), _eta(samples, s[rows], prof),
+                             samples):
+            g[j] = np.interp(y[j], eta, x)
+    M = prof.M
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(GUESS_NEWTON_STEPS):
-            guess = guess - (_eta(guess, s, prof) - y) / \
-                dxeta(guess, tau, prof)
-        r = np.abs(_eta(guess, s, prof) - y)
-        noise = ETA_NOISE_ULPS * np.finfo(float).eps * (np.abs(y) + c)
-        tol = 2.0 * (r + 2.0 * noise) / e
-    ok = np.isfinite(guess) & np.isfinite(tol)
-    return np.where(ok, guess, y), np.where(ok, tol, np.inf)
+            g = g - (_eta(g, s, prof) - y) / \
+                (_denominator(prof.sigma0(g), e, M) / M)
+        r = np.abs(_eta(g, s, prof) - y)
+        noise = ulps * (np.abs(y) + c)
+        t = 2.0 * (r + 2.0 * noise) / e
+    ok = np.isfinite(g) & np.isfinite(t)
+    guess[pay] = np.where(ok, g, y)
+    tol[pay] = np.where(ok, t, np.inf)
+    return guess, tol
 
 
 def invert_trajectory_map(y: np.ndarray, taus,
@@ -230,7 +276,8 @@ def invert_trajectory_map(y: np.ndarray, taus,
     if stack.size == 0:
         return np.empty(stack.shape)
     c = prof.max_abs_F / prof.M + 1.0
-    s = np.array([[_growth(t, prof.M)] for t in taus])
+    e = _decays(taus, prof.M)
+    s = 1.0 - e
     lo = stack - c
     hi = stack + c
     eta_lo = _eta(lo, s, prof)
@@ -239,10 +286,7 @@ def invert_trajectory_map(y: np.ndarray, taus,
     if missed.any():
         raise InversionFailure("bracket does not contain the target "
                                f"positions of row {np.argmax(missed)}")
-    guess = np.empty(stack.shape)
-    tol = np.empty(stack.shape)
-    for i, t in enumerate(taus):
-        guess[i], tol[i] = _certified_guess(stack[i], c, t, prof)
+    guess, tol = _certified_guess(stack, c, e, prof)
     s_at = np.broadcast_to(s, stack.shape)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
@@ -280,10 +324,10 @@ def reconstruct_eulerian(taus, prof: InitialProfile, grid: Grid) -> list:
         chunk = taus[i:i + per_stack]
         labels = invert_trajectory_map(
             np.broadcast_to(grid.x, (len(chunk), grid.n)), chunk, prof)
-        for row, tau in zip(labels, chunk):
-            sig = np.maximum(sigma_along(row, tau, prof), 0.0)
-            states.append(KSState(sigma=Field(grid, sig, tag="density"),
-                                  time=tau))
+        sigma = np.maximum(_density(labels, _decays(chunk, prof.M), prof),
+                           0.0)
+        states += [KSState(sigma=Field(grid, row, tag="density"), time=tau)
+                   for row, tau in zip(sigma, chunk)]
     return states
 
 

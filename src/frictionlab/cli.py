@@ -62,18 +62,42 @@ def options(*names):
     return apply
 
 
+def _real_list(key, value) -> tuple:
+    """A list key's value as a tuple of floats: a comma list (a flag, or
+    a config value such as ''), a tuple or one config value; None and
+    empty items give none.  Raises ValueError naming the key for a bool
+    or an item that is not a real number."""
+    if value is None:
+        items = ()
+    elif isinstance(value, str):
+        items = value.split(",")
+    elif isinstance(value, tuple):
+        items = value
+    else:
+        items = (value,)
+    problem = f"config key {key!r} must be a list of real numbers, got "
+    reals = []
+    for item in items:
+        if item == "":
+            continue
+        if isinstance(item, bool):
+            raise ValueError(problem + repr(item))
+        try:
+            reals.append(float(item))
+        except ValueError:
+            raise ValueError(problem + repr(item)) from None
+    return tuple(reals)
+
+
 def _build_spec(kind, config, out, defaults=(), **flags):
     """The command's spec and config: a flag overrides the config, which
     overrides the command's defaults (config keys and values).  A list key
-    is read from a comma list (a flag) or a config value (a number, a
-    tuple or ''), as floats; an empty list keeps its default."""
+    is read by _real_list; an empty list keeps its default."""
     cfg = dict(defaults)
     config_items = (read_config(config) if config else {}).items()
     for key, value in [*config_items, *flags.items()]:
         if key in LIST_KEYS:
-            if not isinstance(value, tuple):
-                value = str(value or "").split(",")
-            value = tuple(float(v) for v in value if v != "") or None
+            value = _real_list(key, value) or None
         if value is not None:
             cfg[key] = value
     name, args = profile_args_from(cfg)
@@ -185,7 +209,7 @@ def characteristics_cmd(config, out, labels, **flags):
                 ("label", "tau", "position", "sigma", "jacobian", "velocity"),
                 rows)
         if prof.vacuum_set:
-            rep = vacuum_interval(spec.params.t_end, prof)
+            (rep,) = vacuum_interval([spec.params.t_end], prof)
             click.echo(f"vacuum at tau={format_number(spec.params.t_end)}: "
                        f"[{format_number(rep.a)}, {format_number(rep.b)}] "
                        f"length={format_number(rep.length)} "

@@ -23,8 +23,8 @@ from .errors import InsufficientSamples, NonPositiveSample
 from .euler_poisson import simulate_ep, simulate_ep_rows
 from .keller_segel import simulate_ks
 from .characteristics import (
-    edge_derivative_along, invert_trajectory_map, reconstruct_eulerian,
-    sigma_along, vacuum_interval,
+    _decays, _density, _edge_growth, edge_derivative_along,
+    invert_trajectory_map, reconstruct_eulerian, vacuum_interval,
 )
 from .profiles import PROFILES, InitialProfile, profile_field, profile_line
 from .spectrum import DispersionQuery, dispersion_roots
@@ -260,13 +260,9 @@ def _edge_derivatives_fd(prof: InitialProfile, taus, edges,
     # the stencil reads the first order + 1 nodes: invert only those
     labels = invert_trajectory_map(
         np.stack([grid.x[:order + 1] for grid in grids]), taus, prof)
-    fds = []
-    for row, tau, grid in zip(labels, taus, grids):
-        stencil = np.maximum(sigma_along(row, tau, prof), 0.0)
-        for _ in range(order):
-            stencil = np.diff(stencil)
-        fds.append(float(stencil[0] / grid.h ** order))
-    return fds
+    stencils = np.maximum(_density(labels, _decays(taus, prof.M), prof), 0.0)
+    differences = np.diff(stencils, n=order, axis=1)[:, 0]
+    return [float(d / grid.h ** order) for d, grid in zip(differences, grids)]
 
 
 def run_vacuum_collapse(spec: ExperimentSpec,
@@ -289,14 +285,12 @@ def run_vacuum_collapse(spec: ExperimentSpec,
         raise ValueError(f"taus must be a nonempty list of tau >= 0, got {taus}")
     M = spec.params.mass_level
     prof = profile_line(spec.profile, M, **spec.profile_args)
-    limit = vacuum_interval(0.0, prof).limit_point  # raises NoVacuum first
+    taus = [float(tau) for tau in taus]
+    reps = vacuum_interval(taus, prof)   # raises NoVacuum first
     (a0, b0) = prof.vacuum_set[0]
     touch = len(prof.edge_jet)
     deriv0 = edge_derivative_along(touch, 0.0, prof)
     full_grid = Grid.line(prof.domain[0], prof.domain[1], n_grid)
-
-    taus = [float(tau) for tau in taus]
-    reps = [vacuum_interval(tau, prof) for tau in taus]
     states = reconstruct_eulerian(taus, prof, full_grid)
     checked = [i for i, tau in enumerate(taus) if tau <= FD_TAU_MAX]
     fds = dict(zip(checked, _edge_derivatives_fd(
@@ -310,7 +304,7 @@ def run_vacuum_collapse(spec: ExperimentSpec,
             tau=tau, a=rep.a, b=rep.b, length=rep.length,
             length_measured=measured_vacuum_length(state, M),
             deriv_along=d_tau, growth_factor=d_tau / deriv0,
-            factor_predicted=math.exp((touch + 1) * M * tau),
+            factor_predicted=_edge_growth(touch, tau, M),
             fd_estimate=fd, fd_rel_gap=abs(fd - d_tau) / abs(d_tau)))
 
     h = full_grid.h
@@ -331,7 +325,7 @@ def run_vacuum_collapse(spec: ExperimentSpec,
     }
     return TableResult(tuple(rows), verdicts,
                        csv_path=_row_table(spec, "vacuum.csv", VacuumRow, rows),
-                       limit_point=limit)
+                       limit_point=reps[0].limit_point)
 
 
 # --------------------------------------------------------------------------

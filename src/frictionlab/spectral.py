@@ -34,8 +34,9 @@ A field is read at arbitrary points in three parts: `trig_coefficients`
 makes the coefficient blocks of stacked rows in one batched rfft,
 `trig_tables` the work tables for m points (over 128 KiB each at
 n = m = 512), made once for any number of reads, and `trig_eval`
-evaluates one block on them in m(a + b) complex products, a + b about
-2 sqrt(n/2), where the dense sum takes m(n/2 + 1) cos/sin pairs.
+evaluates one block on them from one cos/sin pair per point and m(a + b)
+complex products, a + b about 2 sqrt(n/2), where the dense sum takes
+m(n/2 + 1) cos/sin pairs.
 """
 from __future__ import annotations
 
@@ -235,16 +236,19 @@ def trig_eval(block: np.ndarray, grid: Grid, points: np.ndarray,
     is split baby-step/giant-step (Paterson & Stockmeyer, 1973), k = jb + r:
     sum_j e^{ijb theta} (sum_r c_{jb+r} e^{ir theta}), the inner sums one
     GEMM of the block with the b x m table e^{ir theta}, the outer one a
-    column-wise dot with the a x m table e^{ijb theta}.  Each table is the
-    powers of one unit phase, built by repeated complex products, each of
-    which adds at most one rounding: the error is at most about
-    (K |theta| + 2(a + b)) u sum_k |c_k|, K = n/2 + 1 and u the unit
-    roundoff (the phase error of the largest argument, the recurrences
-    and the two short sums).
+    column-wise dot with the a x m table e^{ijb theta}.  Both tables are
+    powers of the one unit phase z = e^{i theta}, built by repeated complex
+    products, each of which adds at most one rounding: the baby table
+    holds z^r, and the giant table the powers of its base z^b, made as
+    z^{b-1} z.  A power z^k is k products from z, so the error is at most
+    about (K (|theta| + 2) + 2a + b) u sum_k |c_k|, K = n/2 + 1 and u the
+    unit roundoff (the phase error of z carried to the largest power, the
+    products on the way to it, and the two short sums).
     """
     theta = (2.0 * math.pi / grid.length) * (points - grid.left)
-    baby = _powers(_unit_phases(theta), tables.baby)
-    giant = _powers(_unit_phases(len(baby) * theta), tables.giant)
+    z = _unit_phases(theta)
+    baby = _powers(z, tables.baby)
+    giant = _powers(baby[-1] * z, tables.giant)
     inner = np.matmul(block, baby, out=tables.inner)
     # the real part of the column-wise product, without a complex temporary
     re, im = tables.terms

@@ -49,7 +49,7 @@ def test_criterion_01_vacuum_interval_law():
         (a0, b0) = prof.vacuum_set[0]
         grid = Grid.line(prof.domain[0], prof.domain[1], 4096)
         for tau in taus:
-            rep = vacuum_interval(tau, prof)
+            rep = vacuum_interval([tau], prof)[0]
             exact = (b0 - a0) * math.exp(-M * tau)
             worst_rel = max(worst_rel,
                             abs(rep.length - exact) / (b0 - a0))

@@ -141,9 +141,9 @@ def test_logistic_bounds_property(sigma0, tau):
 
 
 def test_vacuum_interval_laws(ramp):
-    rep0 = vacuum_interval(0.0, ramp)
+    rep0 = vacuum_interval([0.0], ramp)[0]
     assert rep0.length == pytest.approx(1.0)
-    rep = vacuum_interval(math.log(2.0), ramp)
+    rep = vacuum_interval([math.log(2.0)], ramp)[0]
     assert rep.length == pytest.approx(0.5, rel=1e-14)
     assert rep.b - rep.a == pytest.approx(0.5, rel=1e-12)
 
@@ -152,8 +152,9 @@ def test_vacuum_interval_laws(ramp):
 def test_tau_must_be_a_time(ramp, tau):
     # a negative tau used to give a vacuum longer than at tau = 0, and a
     # NaN used to give NaN edges, derivatives and rows
-    with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
-        vacuum_interval(tau, ramp)
+    with pytest.raises(ValueError,
+                       match=f"tau must be >= 0, got {tau} at index 2 of"):
+        vacuum_interval([0.0, 1.0, tau], ramp)
     with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
         edge_derivative_along(2, tau, ramp)
     with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
@@ -186,7 +187,7 @@ def test_derivative_order_must_be_an_integer(ramp, k, vacuum):
 
 
 def test_infinite_tau_is_the_limit(ramp):
-    rep = vacuum_interval(math.inf, ramp)
+    rep = vacuum_interval([math.inf], ramp)[0]
     assert rep.length == 0.0
     assert rep.a == pytest.approx(rep.limit_point, abs=1e-12)
     assert rep.b == pytest.approx(rep.limit_point, abs=1e-12)
@@ -207,20 +208,44 @@ def test_infinite_tau_is_the_limit(ramp):
 
 def test_vacuum_limit_point_matches_f0():
     prof = vacuum_ramp_profile(1.0, f0=-0.3)
-    rep = vacuum_interval(2.0, prof)
+    rep = vacuum_interval([2.0], prof)[0]
     assert rep.limit_point == pytest.approx(-0.3, abs=1e-12)
+
+
+def test_vacuum_intervals_of_a_list_are_its_one_tau_reports():
+    # both edges at every tau and the limit point come from one eta
+    # evaluation; each report is the one-tau report bit for bit
+    prof = vacuum_ramp_profile(1.0, width=0.45, touch=2)
+    taus = [0.0, 0.5, 1.0, 3.0, 49.9, 60.0, math.inf]
+    reports = vacuum_interval(taus, prof)
+    assert len(reports) == len(taus)
+    for tau, rep in zip(taus, reports):
+        assert rep == vacuum_interval([tau], prof)[0], tau
+    assert vacuum_interval([], prof) == []
+
+
+def test_stacked_densities_are_sigma_along_row_by_row(ramp):
+    # one density pass over a stack, one decay e^{-M tau} per row, gives
+    # each row sigma_along at its tau bit for bit, the limit rows included
+    taus = [0.0, 0.5, 1.0, 5.0, 49.9, 60.0, math.inf]
+    labels = np.stack([np.linspace(-2.0 + 0.1 * i, 3.0 - 0.2 * i, 257)
+                       for i in range(len(taus))])
+    stacked = characteristics._density(
+        labels, characteristics._decays(taus, ramp.M), ramp)
+    for row, tau, got in zip(labels, taus, stacked):
+        assert np.array_equal(got, sigma_along(row, tau, ramp)), tau
 
 
 def test_vacuum_interval_requires_vacuum():
     with pytest.raises(NoVacuum):
-        vacuum_interval(1.0, bump_profile(1.0))
+        vacuum_interval([1.0], bump_profile(1.0))
 
 
 def test_vacuum_interval_refuses_two_intervals(ramp):
     from dataclasses import replace
     two = replace(ramp, vacuum_set=((0.0, 0.4), (0.6, 1.0)))
     with pytest.raises(MultipleVacuumIntervals):
-        vacuum_interval(1.0, two)
+        vacuum_interval([1.0], two)
 
 
 def test_edge_gradient_growth(ramp):
@@ -242,6 +267,18 @@ def test_orders_below_the_touch_order_vanish():
         assert edge_derivative_along(1, tau, prof) == 0.0
         assert edge_derivative_along(2, tau, prof) == 0.0
     assert edge_derivative_along(3, math.inf, prof) == math.inf
+
+
+def test_growth_past_the_float_range_is_infinite():
+    # e^{2 M tau} overflows a float past tau ~ 355 and e^{4 M tau} past
+    # ~ 177: math.exp raised OverflowError at tau = 400, where tau = inf
+    # gave inf
+    for touch, below in ((1, 300.0), (3, 150.0)):
+        prof = vacuum_ramp_profile(1.0, touch=touch)
+        assert edge_derivative_along(touch, 400.0, prof) == math.inf
+        assert edge_derivative_along(touch, below, prof) < math.inf
+    assert edge_derivative_along(1, 400.0,
+                                 vacuum_ramp_profile(1.0, touch=3)) == 0.0
 
 
 def test_growth_law_precondition(ramp):
@@ -300,7 +337,7 @@ def test_edge_labels_match_the_full_grid(width, touch, tau):
     # and so must the difference itself
     M = 1.0
     prof = vacuum_ramp_profile(M, width=width, touch=touch)
-    b = vacuum_interval(tau, prof).b
+    b = vacuum_interval([tau], prof)[0].b
     (a0, b0), = prof.vacuum_set
     n = 2048
     grid = Grid.line(b, b + FD_WINDOW_SCALE * (b0 - a0) * math.exp(-2.0 * M * tau), n)
@@ -340,7 +377,7 @@ def inversion_cases(draw):
         else:
             starts = [st.floats(lo, hi)]
             if prof.vacuum_set:
-                rep = vacuum_interval(tau, prof)
+                rep = vacuum_interval([tau], prof)[0]
                 starts.append(st.sampled_from([rep.a, rep.b]))
             start = draw(st.one_of(*starts))
             step = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.5]))
@@ -362,6 +399,30 @@ def test_inversion_is_bit_identical_to_plain_bisection(case, plain_bisection):
         assert np.array_equal(got, plain_bisection(row, tau, prof))
     assert np.array_equal(invert_trajectory_map(y[:1], taus[:1], prof),
                           labels[:1])
+
+
+def test_one_stack_at_five_taus_inverts_each_row_alone(ramp):
+    # the certified guesses of a stack are made together: the samples in
+    # chunks of rows, each Newton step and the residual over the paying
+    # rows at once.  At tau = 40 and inf the guess cannot pay: it is y
+    # with radius inf, and every decision is evaluated
+    taus = [0.0, 1.0, 5.0, 40.0, math.inf]
+    grid = Grid.line(ramp.domain[0], ramp.domain[1], 2048)
+    y = np.broadcast_to(grid.x, (len(taus), grid.n))
+    labels = invert_trajectory_map(y, taus, ramp)
+    for row, tau, got in zip(y, taus, labels):
+        (alone,) = invert_trajectory_map(row[None], [tau], ramp)
+        assert np.array_equal(got, alone), tau
+    c = ramp.max_abs_F / ramp.M + 1.0
+    guess, tol = characteristics._certified_guess(
+        y, c, characteristics._decays(taus, ramp.M), ramp)
+    assert np.all(np.isfinite(tol[:3]))
+    assert np.all(tol[3:] == math.inf) and np.array_equal(guess[3:], y[3:])
+    for i, tau in enumerate(taus):
+        alone = characteristics._certified_guess(
+            y[i:i + 1], c, characteristics._decays([tau], ramp.M), ramp)
+        assert np.array_equal(guess[i], alone[0][0])
+        assert np.array_equal(tol[i], alone[1][0])
 
 
 @pytest.mark.parametrize("tau", [math.nan, -1.0, -1e-300])

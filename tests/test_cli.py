@@ -410,13 +410,18 @@ def test_bad_profile_argument_exits_2(runner, tmp_path, command, line,
     ("simulate-ks", "profile_amp = abc",
      "argument 'amp' must be a real number, got 'abc'"),
     ("simulate-ks", "profile_amp =",
-     "argument 'amp' must be a real number, got ''")],
+     "argument 'amp' must be a real number, got ''"),
+    ("sweep", "epsilon_list = true",
+     "config key 'epsilon_list' must be a list of real numbers, got True"),
+    ("spectrum", "wavenumbers = 1, two",
+     "config key 'wavenumbers' must be a list of real numbers, got 'two'")],
     ids=["bool-dt_cfl", "bool-width", "tuple-t_end", "string-amp",
-         "empty-amp"])
+         "empty-amp", "bool-epsilon_list", "word-wavenumbers"])
 def test_config_value_of_the_wrong_type_exits_2(runner, tmp_path, command,
                                                 line, message):
-    # a bool was run as 1.0 (dt_cfl = true took 113 steps, like 1.0), and
-    # a tuple or a string ended in a TypeError traceback
+    # a bool was run as 1.0 (dt_cfl = true took 113 steps, like 1.0), a
+    # tuple or a string ended in a TypeError traceback, and a list key
+    # failed on float('True') or float('two') without naming the key
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"grid_n = 64\nt_end = 0.1\n{line}\n")
     result = runner.invoke(main, [command, "--config", str(cfg)])
@@ -566,6 +571,17 @@ def test_non_finite_wavenumber_exits_2(runner, tmp_path, value):
     result = runner.invoke(main, ["spectrum", "--config", str(cfg)])
     assert result.exit_code == 2, outputs(result)
     assert "wavenumber must be finite" in outputs(result)
+
+
+def test_a_zero_wavenumber_alone_is_tabulated(runner, tmp_path):
+    # a single 0 read as an empty list once ran the five default
+    # wavenumbers
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("wavenumbers = 0\n")
+    result = runner.invoke(main, ["spectrum", "--config", str(cfg),
+                                  "--eps", "0.1"])
+    assert result.exit_code == 0, outputs(result)
+    assert [line.split()[4] for line in result.output.splitlines()] == ["0"]
 
 
 def test_decay_zero_t_end_exits_2(runner):

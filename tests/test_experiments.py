@@ -195,6 +195,19 @@ class TestVacuumCollapse:
         assert last.growth_factor == last.factor_predicted == math.inf
         assert all(result.verdicts.values()), result.verdicts
 
+    def test_verdicts_hold_past_the_float_range(self, params):
+        # e^{2 M tau} overflows at tau = 400: the table's growth factor,
+        # its prediction and the derivative are inf, as at tau = inf,
+        # where math.exp raised OverflowError
+        spec = ExperimentSpec(kind="vacuum-collapse", params=params,
+                              profile="vacuum-ramp")
+        result = run_vacuum_collapse(spec, taus=[0.0, 400.0], n_grid=256)
+        last = result.rows[-1]
+        assert last.deriv_along == math.inf
+        assert last.growth_factor == last.factor_predicted == math.inf
+        assert last.length == 0.0
+        assert all(result.verdicts.values()), result.verdicts
+
     @pytest.mark.parametrize("taus", [[], [-1.0, 0.5], [0.0, math.nan]])
     def test_rejects_bad_taus_before_any_work(self, params, tmp_path,
                                               monkeypatch, taus):
@@ -232,7 +245,7 @@ class TestVacuumCollapse:
         assert len(result.rows) == 11
         for row in result.rows:
             tau = row.tau
-            rep = vacuum_interval(tau, prof)
+            rep = vacuum_interval([tau], prof)[0]
             d = edge_derivative_along(touch, tau, prof)
             fd = (_edge_derivatives_fd(prof, [tau], [rep.b], touch)[0]
                   if tau <= experiments.FD_TAU_MAX else math.nan)

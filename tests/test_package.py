@@ -78,6 +78,9 @@ def test_importing_the_package_imports_every_traced_module():
     # interpreter, since this one has imported the modules by now
     modules = _tracer_modules()
     assert "ksmap" in modules
+    # ksmap stays for the tracer alone: it defines no function
+    assert not [name for name, obj in vars(frictionlab.ksmap).items()
+                if callable(obj) and not name.startswith("_")]
     code = ("import sys, frictionlab; print(' '.join(sorted(m for m in "
             "sys.modules if m.startswith('frictionlab.'))))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -87,11 +90,8 @@ def test_importing_the_package_imports_every_traced_module():
 
 
 # public names that no caller in the program references, each kept on
-# purpose: the benchmark's tracer names ksmap in MODULES until the next
-# benchmark change, and the tests take their reference derivative from
-# spectral.deriv
+# purpose: the tests take their reference derivative from spectral.deriv
 UNCALLED_ON_PURPOSE = {
-    "ksmap.ks_map_torus": "perfbench/tracing.py's MODULES names its module",
     "spectral.deriv": "the tests' reference spectral derivative",
 }
 
