@@ -11,12 +11,14 @@ and derived quantities drive everything here:
 
 A vacuum interval [a0, b0] shrinks to length (b0-a0) e^{-M tau}; the
 first nontrivial one-sided edge derivative, of the touch order k, grows
-like e^{(k+1) M tau} from the profile's edge jet.  The functions along
-trajectories take an array of labels and one tau.  Every closed form
-reads M from its `InitialProfile`, and they hold on the torus too,
-where v has zero mean.  This module doubles as the oracle for the
-Eulerian solvers: reconstruction, and a semi-Lagrangian comparison that
-carries markers through the velocity fields of one `simulate_ks` run.
+like e^{(k+1) M tau} from the profile's edge jet.  The closed forms take
+an array of labels and a list of taus, whose decays e^{-M tau} one
+helper checks and makes as a column; only the edge law,
+`edge_derivative_along`, takes one tau.  Every closed form reads M from
+its `InitialProfile`, and they hold on the torus too, where v has zero
+mean.  This module doubles as the oracle for the Eulerian solvers:
+reconstruction, and a semi-Lagrangian comparison that carries markers
+through the velocity fields of one `simulate_ks` run.
 
 Reconstruction inverts the trajectory map by certified bisection.  One
 bisection inverts a stack (R, N) of rows of positions with one tau per
@@ -26,10 +28,11 @@ s = 1 - e^{-M tau} of each row, one column, and evaluates
 eta = x + s F(x)/M through one helper, so any map of that form inverts
 with it; the certified guesses of all rows are made together.  A list of
 taus is evaluated in one pass of each closed form, never one per tau:
-`reconstruct_eulerian` stacks at most core.STACK_POSITIONS positions per
-bisection and takes their densities from one helper with a column of
-decays e^{-M tau}, and `vacuum_interval` gives both edges at every tau
-from one eta evaluation.
+`trajectory_rows` evaluates eta, sigma, d(eta)/dx and v once each over
+the (tau x label) stack, `density_at` takes the densities of an inverted
+stack in one pass, `reconstruct_eulerian` gives it stacks of at most
+core.STACK_POSITIONS positions, and `vacuum_interval` gives both edges
+at every tau from one eta evaluation.
 """
 from __future__ import annotations
 
@@ -53,21 +56,17 @@ ETA_NOISE_ULPS = 8.0       # bound on a computed eta's error, in ulps of |y| + c
 GUESS_COST = 3 + GUESS_NEWTON_STEPS  # eta evaluations per label the guess makes
 
 
-def _decay(tau: float, M: float) -> float:
-    if math.isinf(tau) or tau > TRAJECTORY_HORIZON / M:
-        return 0.0
-    return math.exp(-M * tau)
-
-
-def _decays(taus, M: float) -> np.ndarray:
-    """The column of the decays e^{-M tau} of taus, one row per tau."""
-    return np.array([[_decay(t, M)] for t in taus]).reshape(-1, 1)
-
-
-def _check_tau(tau: float, where: str = "") -> None:
-    """Raise ValueError for a NaN or negative tau; tau = inf is the limit."""
-    if math.isnan(tau) or tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}{where}")
+def _decays(taus, M: float, where: str) -> np.ndarray:
+    """The column of the decays e^{-M tau} of taus, one row per tau, 0
+    past TRAJECTORY_HORIZON/M and at tau = inf (the limit).  Raises
+    ValueError for a NaN or negative tau, with where, formatted with its
+    index, appended to the message: the one check of a tau."""
+    e = np.empty((len(taus), 1))
+    for i, tau in enumerate(taus):
+        if math.isnan(tau) or tau < 0.0:
+            raise ValueError(f"tau must be >= 0, got {tau}{where.format(i)}")
+        e[i, 0] = 0.0 if tau > TRAJECTORY_HORIZON / M else math.exp(-M * tau)
+    return e
 
 
 def _eta(x: np.ndarray, s, prof: InitialProfile) -> np.ndarray:
@@ -77,27 +76,15 @@ def _eta(x: np.ndarray, s, prof: InitialProfile) -> np.ndarray:
     return x + s * prof.cumulative(x) / prof.M
 
 
-def velocity_along(x: np.ndarray, tau: float, prof: InitialProfile):
-    """Flow velocity along the trajectories from labels x: e^{-M tau} F(x)."""
-    _check_tau(tau)
-    return _decay(tau, prof.M) * prof.cumulative(x)
-
-
-def trajectory_position(x: np.ndarray, tau: float, prof: InitialProfile):
-    """eta(x, tau) = x + (1 - e^{-M tau}) F(x)/M; tends to x + F(x)/M."""
-    _check_tau(tau)
-    return _eta(x, 1.0 - _decay(tau, prof.M), prof)
-
-
 def _denominator(sigma0, e, M: float):
     """D = sigma0 + (M - sigma0) e for a decay e = e^{-M tau}."""
     return sigma0 + (M - sigma0) * e
 
 
 def _density(x: np.ndarray, e, prof: InitialProfile) -> np.ndarray:
-    """sigma = M sigma0/D at float labels x, for a decay e = e^{-M tau}
-    that is a float or a column of one e per row of a stack of labels;
-    where e is 0 (the limit), M off vacuum and 0 on it."""
+    """sigma = M sigma0/D at float labels x, for a column e of one decay
+    e^{-M tau} per row of a stack of labels; where e is 0 (the limit), M
+    off vacuum and 0 on it."""
     M = prof.M
     s0 = prof.sigma0(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -106,19 +93,6 @@ def _density(x: np.ndarray, e, prof: InitialProfile) -> np.ndarray:
     if limit.any():
         sigma = np.where(limit, np.where(s0 > 0.0, float(M), 0.0), sigma)
     return sigma
-
-
-def sigma_along(x: np.ndarray, tau: float, prof: InitialProfile):
-    """Exact logistic density along the trajectories from labels x;
-    identically 0 on vacuum labels."""
-    _check_tau(tau)
-    return _density(x, _decay(tau, prof.M), prof)
-
-
-def dxeta(x: np.ndarray, tau: float, prof: InitialProfile):
-    """Trajectory Jacobian d(eta)/dx = D/M > 0 (trajectories never cross)."""
-    _check_tau(tau)
-    return _denominator(prof.sigma0(x), _decay(tau, prof.M), prof.M) / prof.M
 
 
 def edge_derivative_along(k: int, tau: float, prof: InitialProfile) -> float:
@@ -133,7 +107,7 @@ def edge_derivative_along(k: int, tau: float, prof: InitialProfile) -> float:
     order, where a lower order does not vanish.
     """
     _positive_integer("derivative order", k)
-    _check_tau(tau)
+    _decays([tau], prof.M, "")
     jet = prof.edge_jet
     if not jet:
         raise NoVacuum(f"profile {prof.label!r} has no vacuum edge")
@@ -143,10 +117,10 @@ def edge_derivative_along(k: int, tau: float, prof: InitialProfile) -> float:
             f"{jet[-1]:.3e} != 0; the order-{k} law needs all lower "
             "orders to vanish")
     dk = jet[k - 1]
-    return _edge_growth(k, tau, prof.M) * dk if dk != 0.0 else 0.0
+    return edge_growth(k, tau, prof.M) * dk if dk != 0.0 else 0.0
 
 
-def _edge_growth(k: int, tau: float, M: float) -> float:
+def edge_growth(k: int, tau: float, M: float) -> float:
     """The growth factor e^{(k+1) M tau} of the order-k edge derivative:
     inf where it overflows, as at tau = inf."""
     try:
@@ -170,9 +144,7 @@ def vacuum_interval(taus, prof: InitialProfile) -> list:
     point (the edge a at growth factor 1) come from one eta evaluation.
     Raises ValueError for a NaN or negative tau, naming its index in taus
     (tau = inf is the limit)."""
-    taus = list(taus)
-    for i, tau in enumerate(taus):
-        _check_tau(tau, f" at index {i} of taus")
+    e = _decays(list(taus), prof.M, " at index {} of taus")
     if not prof.vacuum_set:
         raise NoVacuum(f"profile {prof.label!r} has no vacuum interval")
     if len(prof.vacuum_set) > 1:
@@ -180,7 +152,6 @@ def vacuum_interval(taus, prof: InitialProfile) -> list:
             f"profile has {len(prof.vacuum_set)} vacuum intervals; "
             "the collapse law tracks exactly one")
     a0, b0 = prof.vacuum_set[0]
-    e = _decays(taus, prof.M)
     edges = _eta(np.asarray([a0, b0]), np.vstack([1.0 - e, [[1.0]]]), prof)
     limit = float(edges[-1, 0])
     return [VacuumReport(a=a, b=b, length=(b0 - a0) * d, limit_point=limit)
@@ -266,8 +237,7 @@ def invert_trajectory_map(y: np.ndarray, taus,
     if stack.ndim != 2 or len(taus) != len(stack):
         raise ValueError(f"need one tau per row of a stack, got "
                          f"{len(taus)} taus for a stack of shape {stack.shape}")
-    for i, t in enumerate(taus):
-        _check_tau(t, f" in row {i}")
+    e = _decays(taus, prof.M, " in row {}")
     bad = np.argwhere(~np.isfinite(stack))
     if bad.size:
         i, j = bad[0]
@@ -276,7 +246,6 @@ def invert_trajectory_map(y: np.ndarray, taus,
     if stack.size == 0:
         return np.empty(stack.shape)
     c = prof.max_abs_F / prof.M + 1.0
-    e = _decays(taus, prof.M)
     s = 1.0 - e
     lo = stack - c
     hi = stack + c
@@ -308,38 +277,49 @@ def invert_trajectory_map(y: np.ndarray, taus,
     return labels
 
 
+def density_at(y: np.ndarray, taus, prof: InitialProfile) -> np.ndarray:
+    """The density at a stack (R, N) of sorted rows of positions, one tau
+    per row: M sigma0/D at the labels of one inversion of the stack
+    (invert_trajectory_map, whose errors it raises), clipped at 0."""
+    labels = invert_trajectory_map(y, taus, prof)
+    return np.maximum(_density(labels, _decays(taus, prof.M, " in row {}"),
+                               prof), 0.0)
+
+
 def reconstruct_eulerian(taus, prof: InitialProfile, grid: Grid) -> list:
     """The Eulerian density on the grid at each of taus, one KSState per
-    tau, from the labels of its nodes: stacked inversions
-    (invert_trajectory_map) of at most STACK_POSITIONS positions (and at
-    least one row) each, so every state is the one-tau reconstruction
-    ([tau]) bit for bit.  Raises ValueError for a NaN or negative tau,
-    naming its index in taus, before any inversion."""
+    tau, from the densities (density_at) of stacks of at most
+    STACK_POSITIONS positions (and at least one row) each, so every state
+    is the one-tau reconstruction ([tau]) bit for bit.  Raises ValueError
+    for a NaN or negative tau, naming its index in taus, before any
+    inversion."""
     taus = list(taus)
-    for i, tau in enumerate(taus):
-        _check_tau(tau, f" at index {i} of taus")
+    _decays(taus, prof.M, " at index {} of taus")
     per_stack = max(1, STACK_POSITIONS // grid.n)
     states = []
     for i in range(0, len(taus), per_stack):
         chunk = taus[i:i + per_stack]
-        labels = invert_trajectory_map(
-            np.broadcast_to(grid.x, (len(chunk), grid.n)), chunk, prof)
-        sigma = np.maximum(_density(labels, _decays(chunk, prof.M), prof),
-                           0.0)
+        sigma = density_at(np.broadcast_to(grid.x, (len(chunk), grid.n)),
+                           chunk, prof)
         states += [KSState(sigma=Field(grid, row, tag="density"), time=tau)
                    for row, tau in zip(sigma, chunk)]
     return states
 
 
 def trajectory_rows(labels: np.ndarray, taus, prof: InitialProfile) -> list:
-    """One row (label, tau, eta, sigma, d(eta)/dx, v) per tau and label.
-    Raises ValueError for a NaN or negative tau (tau = inf is the limit)."""
+    """One row (label, tau, eta, sigma, d(eta)/dx, v) per tau and label,
+    tau by tau, each closed form evaluated once over the (tau x label)
+    stack from one column of decays e^{-M tau}.  Raises ValueError for a
+    NaN or negative tau, naming its index in taus, before the profile is
+    evaluated (tau = inf is the limit)."""
+    taus = list(taus)
+    e = _decays(taus, prof.M, " at index {} of taus")
+    columns = (_eta(labels, 1.0 - e, prof), _density(labels, e, prof),
+               _denominator(prof.sigma0(labels), e, prof.M) / prof.M,
+               e * prof.cumulative(labels))
     rows = []
-    for tau in taus:
-        columns = (trajectory_position(labels, tau, prof),
-                   sigma_along(labels, tau, prof), dxeta(labels, tau, prof),
-                   velocity_along(labels, tau, prof))
-        rows.extend([x, tau, *values] for x, *values in zip(labels, *columns))
+    for tau, *stacks in zip(taus, *columns):
+        rows.extend([x, tau, *values] for x, *values in zip(labels, *stacks))
     return rows
 
 
@@ -353,7 +333,7 @@ class OracleComparison:
 
 
 def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
-                           n_steps: int | None = None) -> OracleComparison:
+                           n_steps: int) -> OracleComparison:
     """Advect markers with RK4 through the velocity fields of an Eulerian
     run while advancing their densities by the exact logistic map, then
     compare against the Eulerian field at the marker positions.
@@ -366,21 +346,14 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     and their interpolation coefficients from one batched rfft; every
     read of a field at the markers evaluates on one set of tables.
     Raises ValueError unless tau_end is finite and positive and n_steps is
-    None or an integer >= 1 (not a bool), and the run's SolverBreakdown if
-    it has one: no partial trajectory is compared.
+    an integer >= 1 (not a bool), and the run's SolverBreakdown if it has
+    one: no partial trajectory is compared.
     """
     if not (math.isfinite(tau_end) and tau_end > 0.0):
         raise ValueError(f"tau_end must be finite and positive, got {tau_end}")
-    if n_steps is not None:
-        _positive_integer("n_steps", n_steps)
+    _positive_integer("n_steps", n_steps)
     grid = state.sigma.grid
     M = p.mass_level
-    if n_steps is None:
-        vmax = float(np.max(np.abs(inverse_gradient(state.sigma.values - M,
-                                                    grid))))
-        bound = 0.9 * p.dt_cfl * grid.h / vmax if vmax > 0.0 else math.inf
-        dt = min(bound, 0.1 / M)
-        n_steps = max(2, 2 * math.ceil(tau_end / (2.0 * dt)))
     if n_steps % 2:
         n_steps += 1
     dt = tau_end / n_steps
@@ -403,16 +376,16 @@ def semi_lagrangian_oracle(state: KSState, p: ParamSet, tau_end: float,
     def vel(j, pos):
         return trig_eval(coefficients[j], grid, pos, tables)
 
+    h = 2.0 * dt
+    e = math.exp(-M * h)
     for j in range(2, n_steps + 1, 2):
-        h = 2.0 * dt
         k1 = vel(j - 2, markers)
         k2 = vel(j - 1, markers + 0.5 * h * k1)
         k3 = vel(j - 1, markers + 0.5 * h * k2)
         k4 = vel(j, markers + h * k3)
         markers = markers + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # exact logistic update over the pair of steps
-        e = math.exp(-M * h)
-        sigma_m = M * sigma_m / (sigma_m + (M - sigma_m) * e)
+        sigma_m = M * sigma_m / _denominator(sigma_m, e, M)
 
     # fold marker positions back into the periodic cell for interpolation
     folded = grid.left + np.mod(markers - grid.left, length)

@@ -23,8 +23,8 @@ from .errors import InsufficientSamples, NonPositiveSample
 from .euler_poisson import simulate_ep, simulate_ep_rows
 from .keller_segel import simulate_ks
 from .characteristics import (
-    _decays, _density, _edge_growth, edge_derivative_along,
-    invert_trajectory_map, reconstruct_eulerian, vacuum_interval,
+    density_at, edge_derivative_along, edge_growth, reconstruct_eulerian,
+    vacuum_interval,
 )
 from .profiles import PROFILES, InitialProfile, profile_field, profile_line
 from .spectrum import DispersionQuery, dispersion_roots
@@ -258,9 +258,8 @@ def _edge_derivatives_fd(prof: InitialProfile, taus, edges,
                        * math.exp(-2.0 * prof.M * tau), FD_NODES)
              for tau, b in zip(taus, edges)]
     # the stencil reads the first order + 1 nodes: invert only those
-    labels = invert_trajectory_map(
-        np.stack([grid.x[:order + 1] for grid in grids]), taus, prof)
-    stencils = np.maximum(_density(labels, _decays(taus, prof.M), prof), 0.0)
+    stencils = density_at(np.stack([grid.x[:order + 1] for grid in grids]),
+                          taus, prof)
     differences = np.diff(stencils, n=order, axis=1)[:, 0]
     return [float(d / grid.h ** order) for d, grid in zip(differences, grids)]
 
@@ -304,7 +303,7 @@ def run_vacuum_collapse(spec: ExperimentSpec,
             tau=tau, a=rep.a, b=rep.b, length=rep.length,
             length_measured=measured_vacuum_length(state, M),
             deriv_along=d_tau, growth_factor=d_tau / deriv0,
-            factor_predicted=_edge_growth(touch, tau, M),
+            factor_predicted=edge_growth(touch, tau, M),
             fd_estimate=fd, fd_rel_gap=abs(fd - d_tau) / abs(d_tau)))
 
     h = full_grid.h

@@ -192,7 +192,9 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, f0: Optional[float] = None
                         touch: int = 1) -> InitialProfile:
     """Vacuum interval [0,1] with touch-order ramps and compensating bumps
     of radius RAMP_BUMP_RADIUS, RAMP_GAP beyond each ramp, inside a domain
-    RAMP_MARGIN wider than the outer bumps."""
+    RAMP_MARGIN wider than the outer bumps.  Raises ValueError for a width
+    outside (0, 1], a touch order that is not an integer >= 1 and a width
+    so small that the edge jet entry M w^-k (k+1)! overflows."""
     if not (0 < width <= 1.0):
         raise ValueError("ramp width must lie in (0,1]")
     _positive_integer("touch order", touch)
@@ -250,9 +252,16 @@ def vacuum_ramp_profile(M: float, width: float = 0.5, f0: Optional[float] = None
 
     # d^j sigma0(1+) = M w^-j s_k^(j)(0): 0 below the touch order k and
     # M w^-k (k+1)! at it, written (M/w) * 2 at k = 1; the two forms
-    # differ in the last bit for some M and w, and vacuum.csv pins them
-    top = (M / w) * 2.0 if k == 1 else \
-        M * (1.0 / w) ** k * float(math.factorial(k + 1))
+    # differ in the last bit for some M and w, and vacuum.csv pins them.
+    # A tiny width overflows either form (the power raises, M/w is inf)
+    try:
+        top = (M / w) * 2.0 if k == 1 else \
+            M * (1.0 / w) ** k * float(math.factorial(k + 1))
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValueError(f"ramp width {w} at touch order {k} overflows "
+                         "the edge jet")
 
     prof = InitialProfile(
         M=M, sigma0=sigma0, cumulative=cumulative,

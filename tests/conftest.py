@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from frictionlab.characteristics import trajectory_position
+from frictionlab.characteristics import TRAJECTORY_HORIZON
 from frictionlab.core import Field, Grid, ParamSet
 from frictionlab.errors import InversionFailure
 
@@ -59,18 +61,24 @@ def quadratic_residual():
 
 def _plain_bisection(y, tau, prof):
     """The trajectory-map inversion that evaluates eta at every midpoint:
-    the labels characteristics.invert_trajectory_map must reproduce."""
+    the labels characteristics.invert_trajectory_map must reproduce.  Its
+    eta = x + (1 - e^{-M tau}) F(x)/M is written here, with the decay 0
+    past the horizon, as the module's stack forms take it."""
     y = np.asarray(y, dtype=float)
-    c = prof.max_abs_F / prof.M + 1.0
+    M = prof.M
+    s = 1.0 - (0.0 if tau > TRAJECTORY_HORIZON / M else math.exp(-M * tau))
+
+    def eta(x):
+        return x + s * prof.cumulative(x) / M
+
+    c = prof.max_abs_F / M + 1.0
     lo = y - c
     hi = y + c
-    eta_lo = trajectory_position(lo, tau, prof)
-    eta_hi = trajectory_position(hi, tau, prof)
-    if np.any(eta_lo > y) or np.any(eta_hi < y):
+    if np.any(eta(lo) > y) or np.any(eta(hi) < y):
         raise InversionFailure("bracket does not contain the target positions")
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        above = trajectory_position(mid, tau, prof) > y
+        above = eta(mid) > y
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
         if np.max(hi - lo) < 1e-14:

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from frictionlab import characteristics
 from frictionlab.core import Field, Grid, KSState, ParamSet
 from frictionlab.characteristics import (
-    dxeta, edge_derivative_along, invert_trajectory_map,
-    reconstruct_eulerian, semi_lagrangian_oracle, sigma_along,
-    trajectory_position, trajectory_rows, vacuum_interval, velocity_along,
+    TRAJECTORY_HORIZON, density_at, edge_derivative_along,
+    invert_trajectory_map, reconstruct_eulerian, semi_lagrangian_oracle,
+    trajectory_rows, vacuum_interval,
 )
 from frictionlab.errors import (
     InversionFailure, MultipleVacuumIntervals, NoVacuum,
@@ -18,7 +18,7 @@ from frictionlab.errors import (
 )
 from frictionlab.experiments import FD_WINDOW_SCALE, _edge_derivatives_fd
 from frictionlab.profiles import (
-    bump_profile, equilibrium_profile, vacuum_ramp_profile,
+    InitialProfile, bump_profile, equilibrium_profile, vacuum_ramp_profile,
 )
 from frictionlab.spectral import trig_eval
 
@@ -26,6 +26,14 @@ from frictionlab.spectral import trig_eval
 @pytest.fixture(scope="module")
 def ramp():
     return vacuum_ramp_profile(1.0)
+
+
+def _along(labels, tau, prof):
+    """The columns eta, sigma, d(eta)/dx and v of trajectory_rows at
+    labels and the one tau [tau]."""
+    rows = np.array(trajectory_rows(np.asarray(labels, dtype=float), [tau],
+                                    prof))
+    return rows[:, 2], rows[:, 3], rows[:, 4], rows[:, 5]
 
 
 def rk4_logistic(sigma0, M, tau, n=20000):
@@ -45,24 +53,22 @@ def rk4_logistic(sigma0, M, tau, n=20000):
 def test_velocity_closed_form(ramp):
     x = np.array([-0.8])
     F = ramp.cumulative(x)
-    np.testing.assert_allclose(velocity_along(x, 0.0, ramp), F, rtol=1e-12)
-    np.testing.assert_allclose(velocity_along(x, math.log(2.0), ramp),
+    np.testing.assert_allclose(_along(x, 0.0, ramp)[3], F, rtol=1e-12)
+    np.testing.assert_allclose(_along(x, math.log(2.0), ramp)[3],
                                0.5 * F, rtol=1e-12)
 
 
 def test_velocity_zero_for_equilibrium():
     prof = equilibrium_profile(1.0)
-    np.testing.assert_array_equal(
-        velocity_along(np.array([2.0]), 1.3, prof), 0.0)
+    np.testing.assert_array_equal(_along([2.0], 1.3, prof)[3], 0.0)
 
 
 def test_trajectory_closed_form_and_limit(ramp):
     x = np.array([0.0])
     F0 = float(ramp.cumulative(x)[0])
-    assert trajectory_position(x, math.log(2.0), ramp)[0] == \
+    assert _along(x, math.log(2.0), ramp)[0][0] == \
         pytest.approx(0.0 + 0.5 * F0)
-    assert trajectory_position(x, math.inf, ramp)[0] == \
-        pytest.approx(F0)
+    assert _along(x, math.inf, ramp)[0][0] == pytest.approx(F0)
 
 
 def test_trajectory_vs_rk4_of_velocity(ramp):
@@ -81,19 +87,18 @@ def test_trajectory_vs_rk4_of_velocity(ramp):
         k2 = math.exp(-(t + dt / 2)) * F(x0)
         k4 = math.exp(-(t + dt)) * F(x0)
         eta += (dt / 6.0) * (k1 + 4 * k2 + k4)
-    assert trajectory_position(np.array([x0]), tau_end, ramp)[0] == \
-        pytest.approx(eta, abs=1e-10)
+    assert _along([x0], tau_end, ramp)[0][0] == pytest.approx(eta, abs=1e-10)
 
 
 def test_trajectories_order_preserving(ramp):
     labels = np.linspace(ramp.domain[0], ramp.domain[1], 301)
     for tau in (0.1, 1.0, 10.0):
-        eta = trajectory_position(labels, tau, ramp)
+        eta = _along(labels, tau, ramp)[0]
         assert np.all(np.diff(eta) > 0.0)
     # near the horizon vacuum labels coincide to machine precision: the
     # exact spacing h*e^{-49} sits far below one ulp of eta, so order is
     # preserved only up to rounding noise
-    eta = trajectory_position(labels, 49.0, ramp)
+    eta = _along(labels, 49.0, ramp)[0]
     assert np.all(np.diff(eta) >= -1e-15)
 
 
@@ -104,13 +109,12 @@ def test_trajectories_order_preserving(ramp):
     (0.5, 10.0, 0.99995460213130),
 ])
 def test_logistic_closed_form_frozen(sigma0, tau, expected):
-    value = _logistic_via_sigma_along(sigma0, tau, M=1.0)
+    value = _logistic(sigma0, tau, M=1.0)
     assert value == pytest.approx(expected, abs=1e-12)
 
 
-def _logistic_via_sigma_along(sigma0, tau, M):
-    """Evaluate sigma_along on a stub profile pinned at sigma0."""
-    from frictionlab.profiles import InitialProfile
+def _logistic(sigma0, tau, M):
+    """The sigma of trajectory_rows on a stub profile pinned at sigma0."""
     stub = InitialProfile(
         M=M,
         sigma0=lambda x: np.full_like(np.asarray(x, dtype=float), sigma0),
@@ -120,13 +124,13 @@ def _logistic_via_sigma_along(sigma0, tau, M):
         max_abs_F=0.0,
         label="stub",
     )
-    return sigma_along(np.array([0.5]), tau, stub)[0]
+    return _along([0.5], tau, stub)[1][0]
 
 
 @pytest.mark.parametrize("sigma0", [0.0, 0.1, 0.5, 1.0, 2.0])
 def test_logistic_matches_rk4(sigma0):
     for tau in (0.3, 1.0, 4.0, 10.0):
-        closed = _logistic_via_sigma_along(sigma0, tau, M=1.0)
+        closed = _logistic(sigma0, tau, M=1.0)
         assert closed == pytest.approx(rk4_logistic(sigma0, 1.0, tau),
                                        abs=1e-10)
 
@@ -134,7 +138,7 @@ def test_logistic_matches_rk4(sigma0):
 @given(sigma0=st.floats(1e-3, 3.0), tau=st.floats(0.0, 20.0))
 def test_logistic_bounds_property(sigma0, tau):
     M = 1.0
-    value = _logistic_via_sigma_along(sigma0, tau, M)
+    value = _logistic(sigma0, tau, M)
     floor = min(sigma0, M)
     assert value >= floor - 1e-12
     assert abs(value - M) <= math.exp(-floor * tau) * abs(sigma0 - M) + 1e-12
@@ -157,22 +161,15 @@ def test_tau_must_be_a_time(ramp, tau):
         vacuum_interval([0.0, 1.0, tau], ramp)
     with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
         edge_derivative_along(2, tau, ramp)
-    with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
+    with pytest.raises(ValueError,
+                       match=f"tau must be >= 0, got {tau} at index 1 of"):
         trajectory_rows(np.array([-0.25, 0.5]), [1.0, tau], ramp)
-    # sigma_along at label -0.25 and tau = -1 gave a negative density
-    # (-1.699), dxeta a negative Jacobian, and trajectory_position at
-    # label 0 and tau = -1 gave 0.2864
-    for along in (sigma_along, dxeta, velocity_along, trajectory_position):
-        with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
-            along(np.array([-0.25, 2.0]), tau, ramp)
-
-
-def test_trajectory_position_takes_one_tau(ramp):
-    # an array of taus, one per label, once gave 23.27 at label 1 and
-    # tau = -3 unchecked; rows at taus of their own are inverted by
-    # invert_trajectory_map
-    with pytest.raises(TypeError):
-        trajectory_position(np.array([0.0, 1.0]), np.array([0.5, -3.0]), ramp)
+    # the density along label -0.25 at tau = -1 was once a negative
+    # -1.699, the Jacobian negative, and the position of label 0 at
+    # tau = -1 was 0.2864
+    with pytest.raises(ValueError,
+                       match=f"tau must be >= 0, got {tau} at index 0 of"):
+        _along([-0.25, 2.0], tau, ramp)
 
 
 @pytest.mark.parametrize("k", [0, -1, True, 1.5, 2.0])
@@ -200,10 +197,10 @@ def test_infinite_tau_is_the_limit(ramp):
     # Jacobian sigma0/M and the velocity 0
     labels = np.array([-0.25, 0.5, 2.0])
     s0 = ramp.sigma0(labels)
-    np.testing.assert_array_equal(sigma_along(labels, math.inf, ramp),
-                                  np.where(s0 > 0.0, ramp.M, 0.0))
-    np.testing.assert_array_equal(dxeta(labels, math.inf, ramp), s0 / ramp.M)
-    np.testing.assert_array_equal(velocity_along(labels, math.inf, ramp), 0.0)
+    _, sigma, jacobian, velocity = _along(labels, math.inf, ramp)
+    np.testing.assert_array_equal(sigma, np.where(s0 > 0.0, ramp.M, 0.0))
+    np.testing.assert_array_equal(jacobian, s0 / ramp.M)
+    np.testing.assert_array_equal(velocity, 0.0)
 
 
 def test_vacuum_limit_point_matches_f0():
@@ -226,14 +223,15 @@ def test_vacuum_intervals_of_a_list_are_its_one_tau_reports():
 
 def test_stacked_densities_are_sigma_along_row_by_row(ramp):
     # one density pass over a stack, one decay e^{-M tau} per row, gives
-    # each row sigma_along at its tau bit for bit, the limit rows included
+    # each row the sigma along its labels at its tau (the sigma column of
+    # trajectory_rows) bit for bit, the limit rows included
     taus = [0.0, 0.5, 1.0, 5.0, 49.9, 60.0, math.inf]
     labels = np.stack([np.linspace(-2.0 + 0.1 * i, 3.0 - 0.2 * i, 257)
                        for i in range(len(taus))])
     stacked = characteristics._density(
-        labels, characteristics._decays(taus, ramp.M), ramp)
+        labels, characteristics._decays(taus, ramp.M, ""), ramp)
     for row, tau, got in zip(labels, taus, stacked):
-        assert np.array_equal(got, sigma_along(row, tau, ramp)), tau
+        assert np.array_equal(got, _along(row, tau, ramp)[1]), tau
 
 
 def test_vacuum_interval_requires_vacuum():
@@ -296,7 +294,7 @@ def test_edge_derivative_needs_a_vacuum_edge():
 def test_dxeta_positive(ramp):
     labels = np.linspace(ramp.domain[0], ramp.domain[1], 101)
     for tau in (0.0, 1.0, 5.0):
-        assert np.all(dxeta(labels, tau, ramp) > 0.0)
+        assert np.all(_along(labels, tau, ramp)[2] > 0.0)
 
 
 def test_reconstruct_equilibrium():
@@ -310,10 +308,9 @@ def test_reconstruct_matches_flow(ramp):
     # push labels forward, then invert: values must agree along positions
     tau = 1.0
     labels = np.linspace(-1.5, 2.0, 41)
-    pos = trajectory_position(labels, tau, ramp)
+    pos, expected, _, _ = _along(labels, tau, ramp)
     g = Grid.line(float(pos[0]), float(pos[-1]), 4097)
     (state,) = reconstruct_eulerian([tau], ramp, g)
-    expected = sigma_along(labels, tau, ramp)
     sampled = np.interp(pos, g.x, state.sigma.values)
     # linear resampling costs ~h^2 sigma'' and the edge has steepened
     np.testing.assert_allclose(sampled, expected, atol=1e-4)
@@ -415,12 +412,12 @@ def test_one_stack_at_five_taus_inverts_each_row_alone(ramp):
         assert np.array_equal(got, alone), tau
     c = ramp.max_abs_F / ramp.M + 1.0
     guess, tol = characteristics._certified_guess(
-        y, c, characteristics._decays(taus, ramp.M), ramp)
+        y, c, characteristics._decays(taus, ramp.M, ""), ramp)
     assert np.all(np.isfinite(tol[:3]))
     assert np.all(tol[3:] == math.inf) and np.array_equal(guess[3:], y[3:])
     for i, tau in enumerate(taus):
         alone = characteristics._certified_guess(
-            y[i:i + 1], c, characteristics._decays([tau], ramp.M), ramp)
+            y[i:i + 1], c, characteristics._decays([tau], ramp.M, ""), ramp)
         assert np.array_equal(guess[i], alone[0][0])
         assert np.array_equal(tol[i], alone[1][0])
 
@@ -590,18 +587,69 @@ def test_trajectory_rows(ramp):
     assert jac == pytest.approx(1.0)
     label, tau, eta, sig, jac, vel = rows[3]
     assert (label, tau) == (0.5, 1.0)
+    # the closed forms at label 0.5 and tau = 1, written out here
     x = np.array([0.5])
-    assert [eta, sig, jac, vel] == [
-        trajectory_position(x, 1.0, ramp)[0], sigma_along(x, 1.0, ramp)[0],
-        dxeta(x, 1.0, ramp)[0], velocity_along(x, 1.0, ramp)[0]]
+    M, e = ramp.M, math.exp(-ramp.M * 1.0)
+    F, s0 = ramp.cumulative(x)[0], ramp.sigma0(x)[0]
+    D = s0 + (M - s0) * e
+    assert [eta, sig, jac, vel] == [0.5 + (1.0 - e) * F / M, M * s0 / D,
+                                    D / M, e * F]
 
+
+
+def test_rows_of_a_tau_list_are_its_one_tau_rows(ramp):
+    # one pass of each closed form over the (tau x label) stack gives the
+    # rows of the one-tau calls, tau by tau, bit for bit: on both sides of
+    # the horizon 50/M, where the decay becomes the limit's 0, and at inf
+    assert TRAJECTORY_HORIZON / ramp.M == 50.0
+    labels = np.linspace(ramp.domain[0], ramp.domain[1], 33)
+    taus = [0.0, 1.0, 49.0, 51.0, math.inf]
+    rows = trajectory_rows(labels, taus, ramp)
+    alone = [row for tau in taus
+             for row in trajectory_rows(labels, [tau], ramp)]
+    assert len(rows) == len(taus) * len(labels)
+    assert np.array_equal(np.array(rows), np.array(alone))
+    assert trajectory_rows(labels, [], ramp) == []
+
+
+@pytest.mark.parametrize("taus, index", [
+    ([0.0, 1.0, math.nan], 2), ([-1.0, 1.0], 0), ([5.0, -1e-300, 1.0], 1)])
+def test_rows_name_a_bad_tau_before_the_profile_is_read(ramp, taus, index):
+    calls = []
+
+    def counting(f):
+        def call(x):
+            calls.append(f)
+            return f(x)
+        return call
+
+    watched = dataclasses.replace(ramp, sigma0=counting(ramp.sigma0),
+                                  cumulative=counting(ramp.cumulative))
+    with pytest.raises(ValueError, match=f"got {taus[index]} at index "
+                       f"{index} of taus"):
+        trajectory_rows(np.array([-0.25, 0.5]), taus, watched)
+    assert calls == []
+    trajectory_rows(np.array([-0.25, 0.5]), [1.0], watched)
+    assert calls
+
+
+def test_density_at_a_grid_stack_is_the_reconstruction(ramp):
+    # the densities of one inverted stack are the states of
+    # reconstruct_eulerian, row by row, bit for bit
+    taus = [0.0, 1.0, 3.0, 60.0, math.inf]
+    grid = Grid.line(ramp.domain[0], ramp.domain[1], 512)
+    sigma = density_at(np.broadcast_to(grid.x, (len(taus), grid.n)), taus,
+                       ramp)
+    states = reconstruct_eulerian(taus, ramp, grid)
+    for row, state in zip(sigma, states):
+        assert np.array_equal(row, state.sigma.values), state.time
 
 def test_oracle_on_constant_field():
     g = Grid.torus(64)
     p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
                  rho_lower=0.25, rho_upper=2.0, grid=g)
     state = KSState(sigma=Field(g, np.ones(g.n), tag="density"))
-    cmp = semi_lagrangian_oracle(state, p, 0.5)
+    cmp = semi_lagrangian_oracle(state, p, 0.5, n_steps=6)
     assert cmp.max_gap <= 1e-13
 
 
@@ -610,7 +658,7 @@ def test_oracle_small_run():
     p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
                  rho_lower=0.25, rho_upper=2.0, grid=g)
     state = KSState(sigma=Field(g, 1.0 + 0.3 * np.cos(g.x), tag="density"))
-    cmp = semi_lagrangian_oracle(state, p, 0.5)
+    cmp = semi_lagrangian_oracle(state, p, 0.5, n_steps=10)
     assert cmp.max_gap <= 1e-5
 
 
@@ -635,11 +683,11 @@ def test_oracle_gaps_match_dense_interpolation(monkeypatch, dense_trig_interp):
         return dense_trig_interp(values, grid, points)
 
     monkeypatch.setattr(characteristics, "trig_eval", fast_eval)
-    fast = semi_lagrangian_oracle(state, p, 0.5)
+    fast = semi_lagrangian_oracle(state, p, 0.5, n_steps=18)
     monkeypatch.setattr(characteristics, "trig_coefficients",
                         lambda values, _grid: values)
     monkeypatch.setattr(characteristics, "trig_eval", dense_eval)
-    dense = semi_lagrangian_oracle(state, p, 0.5)
+    dense = semi_lagrangian_oracle(state, p, 0.5, n_steps=18)
     assert len(fast_reads) % 4 == 1 and len(fast_reads) > 1
     assert dense_reads == fast_reads == [(g.n,)] * len(fast_reads)
     np.testing.assert_allclose(fast.gaps, dense.gaps, rtol=0.0, atol=1e-13)
@@ -654,12 +702,12 @@ def _oracle_case(amp):
 
 @pytest.mark.parametrize("tau_end, n_steps", [
     (0.5, -2), (0.5, 0), (math.nan, 4), (math.inf, None), (0.0, None),
-    (-0.5, 4), (0.5, 4.0), (0.5, 3.5), (0.5, True),
+    (-0.5, 4), (0.5, 4.0), (0.5, 3.5), (0.5, True), (0.5, None),
 ])
 def test_oracle_rejects_bad_horizons(tau_end, n_steps):
     # a negative count once took no step and passed with a zero gap; a
     # float count failed inside range() with a TypeError, and True ran as
-    # 2 marker steps
+    # 2 marker steps; there is no automatic count
     state, p = _oracle_case(0.3)
     with pytest.raises(ValueError, match="tau_end|n_steps"):
         semi_lagrangian_oracle(state, p, tau_end, n_steps=n_steps)

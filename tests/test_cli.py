@@ -387,12 +387,22 @@ def test_characteristics_tabulates_the_cosine(runner, tmp_path):
     ("simulate-ks", "profile = bump\nprofile_radius = inf",
      "argument 'radius' must be finite"),
     ("simulate-ks", "profile = bump\nprofile_radius = 0",
-     "bump radius must be > 0, got 0")])
+     "bump radius must be > 0, got 0"),
+    ("vacuum", "profile_width = 1e-160\nprofile_touch = 2",
+     "ramp width 1e-160 at touch order 2 overflows the edge jet"),
+    ("characteristics", "profile_width = 1e-160\nprofile_touch = 2",
+     "ramp width 1e-160 at touch order 2 overflows the edge jet"),
+    ("vacuum", "profile_width = 1e-310\nprofile_touch = 1",
+     "ramp width 1e-310 at touch order 1 overflows the edge jet"),
+    ("characteristics", "profile_width = 1e-310",
+     "ramp width 1e-310 at touch order 1 overflows the edge jet")])
 def test_bad_profile_argument_exits_2(runner, tmp_path, command, line,
                                       message):
     # a misspelt key, a non-integer wavenumber, a non-finite number or a
     # zero radius (which divided by zero) is refused, not ignored, run as
-    # NaN or run as the equilibrium
+    # NaN or run as the equilibrium; a ramp width so small that its edge
+    # jet overflows once ended in an OverflowError traceback (exit 1) or
+    # an infinite jet (exit 4)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"grid_n = 64\nt_end = 0.1\n{line}\n")
     result = runner.invoke(main, [command, "--config", str(cfg)])

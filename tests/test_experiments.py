@@ -303,8 +303,6 @@ class TestVacuumCollapse:
 
         monkeypatch.setattr(characteristics, "invert_trajectory_map",
                             counting_invert)
-        monkeypatch.setattr(experiments, "invert_trajectory_map",
-                            counting_invert)
         monkeypatch.setattr(characteristics, "_eta", counting_eta)
         run_vacuum_collapse(spec)
         assert passes == [(4, 2048), (4, 2048), (3, 2048), (7, 2)]

@@ -160,6 +160,19 @@ class TestVacuumRamp:
         with pytest.raises(RangeViolation):
             vacuum_ramp_profile(1.0, f0=-5.0)
 
+    @pytest.mark.parametrize("width, touch", [
+        (1e-160, 2), (1e-110, 3), (1e-310, 1)])
+    def test_rejects_a_width_that_overflows_the_edge_jet(self, width, touch):
+        # (1/w)^k once raised OverflowError at touch >= 2, and M/w gave an
+        # infinite jet entry at touch 1, which the vacuum table failed on
+        with pytest.raises(ValueError, match=f"ramp width {width} at touch "
+                           f"order {touch} overflows the edge jet"):
+            vacuum_ramp_profile(1.0, width=width, touch=touch)
+        # the smallest widths below still give finite entries in both forms
+        for w, k in ((1e-300, 1), (1e-150, 2)):
+            assert math.isfinite(vacuum_ramp_profile(1.0, width=w,
+                                                     touch=k).edge_jet[-1])
+
     @pytest.mark.parametrize("touch", [1.5, 0, -1, math.inf, math.nan])
     def test_rejects_a_touch_that_is_not_a_positive_integer(self, touch):
         with pytest.raises(ValueError, match="touch order"):
