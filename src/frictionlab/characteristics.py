@@ -53,7 +53,6 @@ from .spectral import (inverse_gradient, trig_coefficients, trig_eval,
 TRAJECTORY_HORIZON = 50.0  # beyond tau = 50/M, e^{-M tau} underflows; report limits
 GUESS_NEWTON_STEPS = 2     # Newton steps from the interpolated inversion guess
 ETA_NOISE_ULPS = 8.0       # bound on a computed eta's error, in ulps of |y| + c
-GUESS_COST = 3 + GUESS_NEWTON_STEPS  # eta evaluations per label the guess makes
 
 
 def _decays(taus, M: float, where: str) -> np.ndarray:
@@ -170,26 +169,16 @@ def _certified_guess(y: np.ndarray, c: float, e: np.ndarray,
     r = |eta(g) - y| gives |g - x*| <= (r + noise)/e, and a label further
     than noise/e from x* has the sign of its exact residual.  The radius
     2(r + 2 noise)/e keeps a factor two over that bound.  Where the guess
-    is not finite, tol is inf: every decision is evaluated.
+    or the radius is not finite, as where e is 0, the guess is y and tol
+    is inf: every decision is evaluated.
 
-    A decision is taken from the guess only while the bisection bracket,
-    2c wide at first and halved at each step, is wider than the radius, so
-    the guess can spare at most log2(2c / (4 noise/e)) evaluations per
-    label, and it costs GUESS_COST: the 2N + 1 samples, the Newton steps
-    and the residual.  A row where that bound does not exceed the cost
-    (e tiny or 0) keeps the guess y and tol inf without sampling.  The
-    paying rows share each Newton step and the residual; their samples go
-    in chunks of rows of at most STACK_POSITIONS values (and at least one
-    row).
+    Every row samples, refines and certifies its guess, at the cost of
+    3 + GUESS_NEWTON_STEPS eta evaluations per label (the 2N + 1 samples,
+    the Newton steps and the residual).  The rows share each Newton step
+    and the residual; their samples go in chunks of rows of at most
+    STACK_POSITIONS values (and at least one row).
     """
-    guess = y.copy()
-    tol = np.full(y.shape, np.inf)
     ulps = ETA_NOISE_ULPS * np.finfo(float).eps
-    noise_min = ulps * (np.abs(y).min(axis=1, keepdims=True) + c)
-    pay = (e * 2.0 * c > 2.0**GUESS_COST * 4.0 * noise_min)[:, 0]
-    if not pay.any():
-        return guess, tol
-    y, e = y[pay], e[pay]
     s = 1.0 - e
     n = 2 * y.shape[1] + 1
     g = np.empty(y.shape)
@@ -209,9 +198,7 @@ def _certified_guess(y: np.ndarray, c: float, e: np.ndarray,
         noise = ulps * (np.abs(y) + c)
         t = 2.0 * (r + 2.0 * noise) / e
     ok = np.isfinite(g) & np.isfinite(t)
-    guess[pay] = np.where(ok, g, y)
-    tol[pay] = np.where(ok, t, np.inf)
-    return guess, tol
+    return np.where(ok, g, y), np.where(ok, t, np.inf)
 
 
 def invert_trajectory_map(y: np.ndarray, taus,

@@ -90,9 +90,12 @@ def _real_list(key, value) -> tuple:
 
 
 def _build_spec(kind, config, out, defaults=(), **flags):
-    """The command's spec and config: a flag overrides the config, which
-    overrides the command's defaults (config keys and values).  A list key
-    is read by _real_list; an empty list keeps its default."""
+    """The command's spec and initial density: a flag overrides the config,
+    which overrides the command's defaults (config keys and values).  A
+    list key is read by _real_list; an empty list keeps its default.  The
+    density is read onto the run's grid from the CSV named by
+    initial_data, or None, whichever command runs; a value that is not a
+    file name raises ValueError naming the key."""
     cfg = dict(defaults)
     config_items = (read_config(config) if config else {}).items()
     for key, value in [*config_items, *flags.items()]:
@@ -105,7 +108,14 @@ def _build_spec(kind, config, out, defaults=(), **flags):
         kind=kind, params=build_params(cfg), profile=name, profile_args=args,
         output_dir=Path(out) if out else None,
         **{key: cfg[key] for key in LIST_KEYS if key in cfg})
-    return spec, cfg
+    path = cfg.get("initial_data")
+    if path is None:
+        return spec, None
+    if not isinstance(path, str):
+        raise ValueError("config key 'initial_data' must be a file name, "
+                         f"got {path!r}")
+    grid = spec.params.grid
+    return spec, Field(grid, read_initial_csv(path, grid), tag="density")
 
 
 def _fail(code: int, message: str):
@@ -159,20 +169,11 @@ def _finish(result, solver_msg, verdict_msg):
         _fail(EXIT_VERDICT, verdict_msg)
 
 
-def _initial_override(cfg, spec):
-    """Field from a two-column (x, value) CSV named in the config, if any."""
-    if "initial_data" not in cfg:
-        return None
-    values = read_initial_csv(cfg["initial_data"], spec.params.grid)
-    return Field(spec.params.grid, values, tag="density")
-
-
 @main.command("simulate-ep")
 @options("profile", "epsilon", "grid_n", "t_end")
 def simulate_ep_cmd(config, out, **flags):
     """Integrate the perturbation-form pressure system on the torus."""
-    spec, cfg = _guard(_build_spec, "single-run", config, out, **flags)
-    rho0 = _guard(_initial_override, cfg, spec)
+    spec, rho0 = _guard(_build_spec, "single-run", config, out, **flags)
     result, path = _guard(run_single_ep, spec, rho0=rho0)
     _report_run(result, path, "simulate-ep")
 
@@ -181,8 +182,7 @@ def simulate_ep_cmd(config, out, **flags):
 @options("profile", "grid_n", "t_end")
 def simulate_ks_cmd(config, out, **flags):
     """Integrate the limit aggregation equation on the torus."""
-    spec, cfg = _guard(_build_spec, "single-run", config, out, **flags)
-    sigma0 = _guard(_initial_override, cfg, spec)
+    spec, sigma0 = _guard(_build_spec, "single-run", config, out, **flags)
     result, path = _guard(run_single_ks, spec, sigma0=sigma0)
     _report_run(result, path, "simulate-ks")
 

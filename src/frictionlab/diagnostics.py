@@ -1,4 +1,5 @@
-"""Monitored quantities: energies, dissipations, norms, and rate fits.
+"""Monitored quantities: energies, dissipations, the H^2 norm, and rate
+fits.
 
 The energy splits into a zeroth-order part (kinetic + relative pressure)
 and a higher-order part built from spatial derivatives up to the cap
@@ -20,7 +21,9 @@ So a record does not depend on its stack.  `record_states` cuts a run
 into chunks of at most core.STACK_POSITIONS // (fields x DERIV_CAP x n)
 states (and at least one), fields 2 for EP states (rho, w) and 1 for KS
 states, so that every temporary stays under the mmap threshold (8 KS
-states per chunk at n = 512, one EP state at n = 2048).
+states per chunk at n = 512, one EP state at n = 2048).  The one norm
+besides the records' is h2_norm, the epsilon sweep's final H^2 gap, from
+derivatives of orders 1..2 of one rfft and one batched irfft.
 """
 from __future__ import annotations
 
@@ -46,27 +49,16 @@ def _integrals(grid, rows: np.ndarray) -> np.ndarray:
     return np.vecdot(rows, _quad_weights(grid))
 
 
-def _l4(grid, g: np.ndarray) -> list:
-    """(integral of g^4)^(1/4) of each of the stacked rows g, as Python
-    floats, g^4 as two squares: numpy's power goes element by element for
-    a negative base."""
-    return [v ** 0.25
-            for v in _integrals(grid, np.square(np.square(g))).tolist()]
-
-
-def norms(f: Field) -> dict:
-    """l2, sup, l4 of the gradient, and h1/h2/h3 (squared-sum convention)
-    of a torus field."""
+def h2_norm(f: Field) -> float:
+    """The H^2 norm of a torus field, squared-sum convention:
+    ||f||_H2^2 = sum over j = 0..2 of the integral of (d^j f)^2, its
+    derivatives from one rfft and one batched irfft."""
     grid = f.grid
     vals = f.values
     sq = grid.integrate(vals * vals)
-    out = {"l2": math.sqrt(max(sq, 0.0)), "sup": float(np.max(np.abs(vals)))}
-    derivs = _derivs(vals[None], grid, 3)[:, 0]
-    (out["l4_of_gradient"],) = _l4(grid, derivs[:1])
-    for j, d in enumerate(derivs, 1):
+    for d in _derivs(vals[None], grid, 2)[:, 0]:
         sq += grid.integrate(d * d)
-        out[f"h{j}"] = math.sqrt(max(sq, 0.0))
-    return out
+    return math.sqrt(max(sq, 0.0))
 
 
 def fit_exponential_rate(series, window) -> tuple[float, float]:
@@ -161,6 +153,10 @@ def _stacked_records(rows: np.ndarray, taus, p: ParamSet) -> list:
     d0 = d_w[0] + relax
     e_weight = rho ** (p.gamma - 2.0)
     d_weight = rho ** (p.gamma - 1.0)
+    # the gradient's L^4 norm, g^4 as two squares: numpy's power goes
+    # element by element for a negative base
+    grad_l4 = [v ** 0.25 for v in
+               _integrals(grid, np.square(np.square(drho[0]))).tolist()]
     e1 = d1 = 0.0
     for j, dr in enumerate(drho, 1):
         e1 += e_w[j]
@@ -175,7 +171,7 @@ def _stacked_records(rows: np.ndarray, taus, p: ParamSet) -> list:
         for tau, a, b, c, d, sup, sq, l4, wl2, mass, low, high in zip(
             taus, e0.tolist(), e1.tolist(), d0.tolist(), d1.tolist(),
             np.max(np.abs(dev), axis=-1).tolist(), relax.tolist(),
-            _l4(grid, drho[0]), w_l2, _integrals(grid, rho).tolist(),
+            grad_l4, w_l2, _integrals(grid, rho).tolist(),
             rho.min(axis=-1).tolist(), rho.max(axis=-1).tolist())]
 
 

@@ -164,20 +164,13 @@ def _extrema(batch: _Batch) -> tuple:
 
 
 def _guards(batch: _Batch, times) -> tuple:
-    """The closing guard pass over a batch's carried rows: per member None
-    or the SolverBreakdown that stops it at its clock in times (a Blowup
-    before a RangeBreach), and the extrema the next step's CFL bound
-    reads (`_extrema`)."""
+    """The closing guard pass over a batch's carried rows, one test per
+    member at its clock in times: its Blowup (`_blowup`), else a
+    RangeBreach if its rho range leaves [rho_lower/2, 2 rho_upper], else
+    None; and the extrema the next step's CFL bound reads (`_extrema`)."""
     lows, extrema = _extrema(batch)
     p = batch.p
     lo, hi = 0.5 * p.rho_lower, 2.0 * p.rho_upper
-    top = min(hi, BLOWUP_THRESHOLD)
-    # one pass clears the whole batch: lo > 0 bounds -min rho as well, and
-    # every comparison with a NaN is false
-    if all(a >= lo for a in lows) and all(
-            b <= top and w_peak <= BLOWUP_THRESHOLD
-            for b, w_peak, *_ in extrema):
-        return [None] * len(lows), extrema
     out = []
     for a, (b, w_peak, *_), time in zip(lows, extrema, times):
         breakdown = _blowup(time, a, b, w_peak)
@@ -437,13 +430,11 @@ def _lawson(rate: float, d: float) -> tuple:
     step d, as Python floats: the integrating factors e1, e2 and e3 over
     d/3, 2d/3 and d, 3 e1, and the stage weights c1 = d/3, c2 e1 (c2 =
     2d/3) and c3 = d/4.  They come from math.exp (numpy's exp differs from
-    it in the last bit on some arguments); rate 0 gives factors of exactly
-    1.0, as math.exp(0) would, so its arithmetic is plain RK3."""
-    if rate:
-        e1 = math.exp(rate * d / 3.0)
-        return (e1, math.exp(2.0 * rate * d / 3.0), math.exp(rate * d),
-                3.0 * e1, d / 3.0, 2.0 * d / 3.0 * e1, d / 4.0)
-    return (1.0, 1.0, 1.0, 3.0, d / 3.0, 2.0 * d / 3.0, d / 4.0)
+    it in the last bit on some arguments).  At rate 0 and a finite d every
+    factor e is math.exp(0.0) = 1.0, so its arithmetic is plain RK3."""
+    e1 = math.exp(rate * d / 3.0)
+    return (e1, math.exp(2.0 * rate * d / 3.0), math.exp(rate * d),
+            3.0 * e1, d / 3.0, 2.0 * d / 3.0 * e1, d / 4.0)
 
 
 def _rk3(u_n: np.ndarray, g1: np.ndarray, rhs, factors, u: np.ndarray,
@@ -658,8 +649,5 @@ def simulate_ep_rows(rho0: Field, w0: Field, ps, sample_times,
         return EPState(rho=Field(grid, rho, tag="density"), w=Field(grid, w),
                        time=time)
 
-    # step_ep_rows is looked up per call, so the benchmark tracer sees it
-    results = _integrate(
-        batch, lambda batch, targets: step_ep_rows(batch, targets), state_at,
-        sample_times)
+    results = _integrate(batch, step_ep_rows, state_at, sample_times)
     return _with_records(results, batch.ps) if records else results

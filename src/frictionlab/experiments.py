@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Field, Grid, KSState, ParamSet
-from .diagnostics import DiagnosticsRecord, fit_exponential_rate, norms
+from .diagnostics import DiagnosticsRecord, fit_exponential_rate, h2_norm
 from .errors import InsufficientSamples, NonPositiveSample
 from .euler_poisson import simulate_ep, simulate_ep_rows
 from .keller_segel import simulate_ks
@@ -175,7 +175,7 @@ def _sweep_member(result, p: ParamSet, sigma_samples: list) -> SweepRow:
         w = state.w.values
         sup_w = max(sup_w, math.sqrt(grid.integrate(w * w)))
         diff_final = diff
-    h2_final = norms(Field(grid, diff_final))["h2"]
+    h2_final = h2_norm(Field(grid, diff_final))
     return SweepRow(p.epsilon, sup_l2, h2_final, sup_w, "ok")
 
 

@@ -18,8 +18,6 @@ from .core import Grid, ParamSet
 def format_number(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, float):
         if x == 0.0:
             return "0"
@@ -60,7 +58,9 @@ def _coerce(raw: str):
 
 
 def read_config(path) -> dict:
-    """Parse `key = value` lines; '#' starts a comment; commas make tuples."""
+    """Parse `key = value` lines; '#' starts a comment; commas make tuples.
+    Raises ValueError naming path:line for a line without '=', an empty
+    key and a key given twice."""
     cfg = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -69,7 +69,12 @@ def read_config(path) -> dict:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        cfg[key.strip()] = _coerce(value)
+        key = key.strip()
+        if not key:
+            raise ValueError(f"{path}:{lineno}: empty key")
+        if key in cfg:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+        cfg[key] = _coerce(value)
     return cfg
 
 

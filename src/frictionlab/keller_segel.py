@@ -196,7 +196,8 @@ def simulate_ks(sigma0: Field, p: ParamSet, sample_times,
         return KSState(sigma=Field(p.grid, u[0].copy(), tag="density"),
                        time=time)
 
-    # step_ks_to is looked up per call, so the benchmark tracer sees it
+    # _integrate passes a list of targets, one per member; step_ks_to
+    # takes the one target of its one-member run
     results = _integrate(
         _rows_of(KSState(sigma=Field(p.grid, sigma0.values, tag="density")), p),
         lambda work, targets: [step_ks_to(work, targets[0])], state_at,

@@ -424,16 +424,31 @@ def test_bad_profile_argument_exits_2(runner, tmp_path, command, line,
     ("sweep", "epsilon_list = true",
      "config key 'epsilon_list' must be a list of real numbers, got True"),
     ("spectrum", "wavenumbers = 1, two",
-     "config key 'wavenumbers' must be a list of real numbers, got 'two'")],
+     "config key 'wavenumbers' must be a list of real numbers, got 'two'"),
+    ("simulate-ks", "initial_data = 1.5",
+     "config key 'initial_data' must be a file name, got 1.5"),
+    ("simulate-ks", "initial_data = 7",
+     "config key 'initial_data' must be a file name, got 7"),
+    ("simulate-ks", "initial_data = true",
+     "config key 'initial_data' must be a file name, got True"),
+    ("simulate-ks", "initial_data = 0",
+     "config key 'initial_data' must be a file name, got 0")],
     ids=["bool-dt_cfl", "bool-width", "tuple-t_end", "string-amp",
-         "empty-amp", "bool-epsilon_list", "word-wavenumbers"])
+         "empty-amp", "bool-epsilon_list", "word-wavenumbers",
+         "float-initial_data", "int-initial_data", "bool-initial_data",
+         "zero-initial_data"])
 def test_config_value_of_the_wrong_type_exits_2(runner, tmp_path, command,
                                                 line, message):
     # a bool was run as 1.0 (dt_cfl = true took 113 steps, like 1.0), a
     # tuple or a string ended in a TypeError traceback, and a list key
-    # failed on float('True') or float('two') without naming the key
+    # failed on float('True') or float('two') without naming the key;
+    # initial_data = 1.5 ended in a TypeError traceback, 7 and true were
+    # opened as file descriptors 7 and 1, and 0 read the standard input.
+    # A key is given once: the t_end case replaces the file's t_end
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"grid_n = 64\nt_end = 0.1\n{line}\n")
+    head = "grid_n = 64\n" + ("" if line.startswith("t_end") else
+                              "t_end = 0.1\n")
+    cfg.write_text(f"{head}{line}\n")
     result = runner.invoke(main, [command, "--config", str(cfg)])
     assert result.exit_code == 2, outputs(result)
     assert message in outputs(result)
@@ -602,12 +617,29 @@ def test_decay_zero_t_end_exits_2(runner):
     assert "DLASCL" not in outputs(result)
 
 
-@pytest.mark.parametrize("command", ["spectrum", "characteristics", "vacuum"])
-def test_config_file_is_validated_whole(runner, tmp_path, command):
+@pytest.mark.parametrize("command, line, message", [
+    *[pytest.param(command, "grid_n = 100", "power of two", id=command)
+      for command in ("spectrum", "characteristics", "vacuum")],
+    *[pytest.param(command, "initial_data = missing.csv", "missing.csv",
+                   id=f"{command}-missing-initial_data")
+      for command in ("spectrum", "characteristics", "vacuum", "sweep")]])
+def test_config_file_is_validated_whole(runner, tmp_path, command, line,
+                                        message):
     # every key of a config file is checked, whichever command reads it:
-    # a file that passes one command passes them all
+    # a file that passes one command passes them all (a missing initial
+    # data file exited 2 from simulate-* only)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid_n = 100\n")
+    cfg.write_text(f"{line}\n")
     result = runner.invoke(main, [command, "--config", str(cfg)])
     assert result.exit_code == 2, outputs(result)
-    assert "power of two" in outputs(result)
+    assert message in outputs(result)
+
+
+def test_repeated_config_key_exits_2(runner, tmp_path):
+    # the last value once won: epsilon = 0.1 then 0.05 ran at 0.05
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_n = 64\nt_end = 0.1\nepsilon = 0.1\n"
+                   "epsilon = 0.05\n")
+    result = runner.invoke(main, ["simulate-ep", "--config", str(cfg)])
+    assert result.exit_code == 2, outputs(result)
+    assert f"{cfg}:4: key 'epsilon' given twice" in outputs(result)

@@ -8,7 +8,7 @@ import pytest
 from frictionlab import euler_poisson
 from frictionlab.core import EPState, Field, Grid, KSState
 from frictionlab.diagnostics import (
-    DERIV_CAP, STACK_POSITIONS, fit_exponential_rate, norms,
+    DERIV_CAP, STACK_POSITIONS, fit_exponential_rate, h2_norm,
     pressure_bracket, record_states,
 )
 from frictionlab.errors import RangeBreach
@@ -66,32 +66,34 @@ def test_dissipation_friction_scaling(params, torus64):
     assert d_005 / d_01 == pytest.approx(2.0, rel=1e-12)
 
 
-def test_norms_closed_forms(torus64):
-    f = Field(torus64, np.sin(torus64.x))
-    n = norms(f)
-    assert n["l2"] == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert n["sup"] <= 1.0
-    assert n["sup"] == pytest.approx(1.0, abs=5e-3)
-    assert n["l4_of_gradient"] == pytest.approx((3 * math.pi / 4) ** 0.25,
-                                                rel=1e-12)
+def test_norms_closed_forms(params, torus64):
+    # rho = M + sin x: the deviation's L2 norm and sup, and the L4 norm
+    # of the gradient cos x
+    rho = params.mass_level + np.sin(torus64.x)
+    rec = _record(_state(torus64, rho, np.zeros(torus64.n)), params)
+    assert rec.l2_dev == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    assert rec.sup_dev <= 1.0
+    assert rec.sup_dev == pytest.approx(1.0, abs=5e-3)
+    assert rec.grad_l4 == pytest.approx((3 * math.pi / 4) ** 0.25, rel=1e-12)
 
 
 def test_norms_h2_of_second_mode(torus64):
     f = Field(torus64, np.sin(2 * torus64.x))
     # squared-sum convention: ||f||_H2^2 = sum_j ||d^j f||_L2^2, j = 0..2
-    assert norms(f)["h2"] == pytest.approx(math.sqrt(21 * math.pi),
-                                           rel=1e-12)
+    assert h2_norm(f) == pytest.approx(math.sqrt(21 * math.pi), rel=1e-12)
 
 
-def test_norms_zero_field(torus64):
-    n = norms(Field(torus64, np.zeros(torus64.n)))
-    assert all(v == 0.0 for v in n.values())
+def test_norms_zero_field(params, torus64):
+    assert h2_norm(Field(torus64, np.zeros(torus64.n))) == 0.0
+    rho = np.full(torus64.n, params.mass_level)
+    rec = _record(_state(torus64, rho, np.zeros(torus64.n)), params)
+    assert rec.l2_dev == rec.sup_dev == rec.grad_l4 == 0.0
 
 
 def test_norms_reject_line_field():
     line = Grid.line(-1.0, 1.0, 32)
     with pytest.raises(NotTorus):
-        norms(Field(line, np.cos(line.x)))
+        h2_norm(Field(line, np.cos(line.x)))
 
 
 def test_fit_exact_exponential():
@@ -179,12 +181,13 @@ def test_record_matches_one_field_reference(params, n, seed):
     offset = rho - p.mass_level
     d0 = (p.epsilon ** (p.alpha - 2.0) * grid.integrate(w * w)
           + grid.integrate(offset * offset))
-    dev = norms(Field(grid, rho - p.mass_level))
+    g = deriv(rho, grid, 1)
     expected = {
         "e0": e0, "e1": e1, "d0": d0, "d1": d1, "e_total": e0 + e1,
         "d_total": d0 + d1,
-        "sup_dev": dev["sup"], "l2_dev": dev["l2"],
-        "grad_l4": norms(Field(grid, rho))["l4_of_gradient"],
+        "sup_dev": float(np.max(np.abs(offset))),
+        "l2_dev": math.sqrt(grid.integrate(offset * offset)),
+        "grad_l4": grid.integrate(np.square(np.square(g))) ** 0.25,
     }
     rec = _record(s, p)
     for name, value in expected.items():
@@ -208,8 +211,9 @@ def test_ks_record_is_the_ep_record_with_zero_w(params, n, gamma):
 
 @pytest.mark.parametrize("n, seed", [(64, 0), (512, 1)])
 def test_gradient_l4_matches_an_exact_sum(params, n, seed):
-    # (h sum g^4)^(1/4) with the sum taken by math.fsum; the records and
-    # norms take it from one helper, so they agree bit for bit
+    # (h sum g^4)^(1/4) with the sum taken by math.fsum; an EP record, a
+    # KS record and the fourth root of grid.integrate of g^4 (as two
+    # squares) agree bit for bit
     grid = Grid.torus(n)
     p = params.replace(grid=grid)
     rng = np.random.default_rng(seed)
@@ -221,7 +225,7 @@ def test_gradient_l4_matches_an_exact_sum(params, n, seed):
     sigma = Field(grid, rho, tag="density")
     got = (_record(KSState(sigma=sigma), p).grad_l4,
            _record(_state(grid, rho, w), p).grad_l4,
-           norms(Field(grid, rho))["l4_of_gradient"])
+           grid.integrate(np.square(np.square(g))) ** 0.25)
     assert got[0] == pytest.approx(expected, rel=1e-14)
     assert got[0] == got[1] == got[2]
 

@@ -1296,3 +1296,30 @@ def test_steady_ep_step_makes_no_arrays(gamma, members, n):
     row_bytes = members * (n // 2 + 1) * 16
     assert peak < row_bytes / 2, (peak, row_bytes)
     assert rows.u is u and rows.uh is uh
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_steady_ks_step_makes_no_arrays(n):
+    # the Keller-Segel run steps in its workspace (keller_segel._Work) as
+    # an Euler-Poisson batch does: a steady step_ks_to allocates less than
+    # half a coefficient row (4 KiB and 8 KiB here), under the bound and
+    # the iterator buffers of the Euler-Poisson test above
+    grid = Grid.torus(n)
+    p = ParamSet(epsilon=0.1, alpha=1.0, gamma=2.0, mass_level=1.0,
+                 rho_lower=0.25, rho_upper=2.0, grid=grid)
+    sigma = Field(grid, 1.0 + 0.3 * np.cos(grid.x), tag="density")
+    work = keller_segel._rows_of(KSState(sigma=sigma), p)
+    for _ in range(3):          # warm-up
+        assert step_ks_to(work, 10.0) is None
+    u, uh = work.u, work.uh
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        assert step_ks_to(work, 10.0) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    row_bytes = (n // 2 + 1) * 16
+    assert peak < row_bytes / 2, (peak, row_bytes)
+    assert work.u is u and work.uh is uh

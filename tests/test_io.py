@@ -67,6 +67,22 @@ class TestReadConfig:
         with pytest.raises(ValueError, match="2"):
             read_config(path)
 
+    def test_rejects_a_key_given_twice(self, tmp_path):
+        # the second value once replaced the first without a word
+        path = tmp_path / "bad.cfg"
+        path.write_text("epsilon = 0.1\n# a comment\nepsilon = 0.05\n")
+        with pytest.raises(ValueError,
+                           match=f"{path}:3: key 'epsilon' given twice"):
+            read_config(path)
+
+    def test_rejects_an_empty_key(self, tmp_path):
+        # '= 0.1' was read as the key '', refused later as an unknown key
+        # with a blank name
+        path = tmp_path / "bad.cfg"
+        path.write_text("epsilon = 0.1\n= 0.1\n")
+        with pytest.raises(ValueError, match=f"{path}:2: empty key"):
+            read_config(path)
+
 
 class TestWriteCsv:
     def test_deterministic_bytes(self, tmp_path):

@@ -238,9 +238,10 @@ def test_record_fft_budget(tracing, p64):
 
 
 def test_norms_fft_budget(tracing, p64):
-    # the h1/h2/h3 derivatives come from one rfft and one batched irfft
+    # the first and second derivatives come from one rfft and one batched
+    # irfft
     f = Field(p64.grid, np.cos(p64.grid.x) + 0.2 * np.sin(3.0 * p64.grid.x))
     tracer = tracing.Tracer()
-    tracer.run(lambda: diagnostics.norms(f))
-    assert sum(s.name == "diagnostics.norms" for s in tracer.spans) == 1
-    assert _ffts_under(tracer.spans, "diagnostics.norms") == 2
+    tracer.run(lambda: diagnostics.h2_norm(f))
+    assert sum(s.name == "diagnostics.h2_norm" for s in tracer.spans) == 1
+    assert _ffts_under(tracer.spans, "diagnostics.h2_norm") == 2
